@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test race vet fmt deprecations chaos spillgate fuzzgate fusegate servegate durgate incgate check bench bench-json
+.PHONY: build test race vet fmt deprecations chaos spillgate fuzzgate fusegate servegate durgate incgate check bench ledger bench-pair
 
 build:
 	$(GO) build ./...
@@ -99,16 +99,30 @@ durgate:
 incgate:
 	$(GO) test -race -count=1 -run 'TestRefresh' ./internal/bt/
 
-# The full pre-merge gate. Perf changes should additionally refresh the
-# tracked benchmark snapshot via `make bench-json` (not part of check:
-# benchmark timings are host-dependent and would make the gate flaky).
+# The full pre-merge gate. Perf changes are additionally measured with
+# `make ledger` / `make bench-pair` (not part of check: benchmark timings
+# are host-dependent and would make the gate flaky).
 check: vet fmt deprecations race chaos spillgate fuzzgate fusegate servegate durgate incgate
 
 bench:
 	$(GO) test -bench=. -benchmem -run '^$$' ./...
 
-# Headline benchmarks (shuffle, Fig. 15/16, engine feed path, serving
-# tier, refresh delta-vs-full) as machine-readable JSON — the perf
-# trajectory file compared across PRs.
-bench-json:
-	$(GO) run ./cmd/timr bench-json -out BENCH_pr10.json
+# The benchmark ledger (bench/README.md); results in bench/out/result.json.
+ledger:
+	$(GO) run ./bench
+
+# What bench/README prescribes for a claimed gain: ten alternating ledger
+# runs from a checkout of the parent commit and from this tree (pair r uses
+# seed r, the parent first on odd r), a -compare per pair. The claimed
+# metric must read "better" in nine, none "worse". About half an hour.
+bench-pair:
+	@test -d "$(PARENT)/bench" || { echo "usage: make bench-pair PARENT=<checkout of the parent commit>"; exit 2; }
+	@out=$$PWD/bench/out/pair; rm -rf $$out; mkdir -p $$out; for r in 1 2 3 4 5 6 7 8 9 10; do \
+		sides="parent change"; [ $$((r % 2)) = 1 ] || sides="change parent"; \
+		for side in $$sides; do dir=.; [ $$side = change ] || dir="$(PARENT)"; \
+			(cd "$$dir" && $(GO) run ./bench -runs 1 -seed $$r -json $$out/$$side-$$r.json) >$$out/$$side-$$r.log 2>&1 \
+				|| echo "pair $$r: the $$side run exited non-zero, see $$out/$$side-$$r.log"; \
+		done; \
+		echo "== pair $$r (A = parent, B = change)"; \
+		$(GO) run ./bench -compare $$out/parent-$$r.json $$out/change-$$r.json; \
+	done

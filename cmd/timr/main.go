@@ -8,8 +8,6 @@
 //	timr refresh    incremental BT maintenance: ingest the log one day at
 //	                a time, merging summaries instead of recomputing, and
 //	                resume a killed run from its durable state
-//	timr bench-json run the headline benchmarks and write the perf
-//	                trajectory JSON
 //
 // Usage:
 //
@@ -19,7 +17,6 @@
 //	               GROUP BY AdId WINDOW 6h" [-in events.tsv]
 //	timr serve [-requests N] [-rate R] [-machines N] [-rebalance] [-metrics]
 //	timr refresh [-days N] [-mode auto|full|delta] [-warm] [-durdir DIR]
-//	timr bench-json [-out BENCH_pr10.json]
 //
 // Bare `timr [flags]` (no subcommand) is the deprecated legacy spelling
 // of `timr run` and keeps working with a note on stderr.
@@ -28,8 +25,6 @@ package main
 import (
 	"fmt"
 	"os"
-
-	"timr/internal/benchjson"
 )
 
 func main() {
@@ -45,14 +40,8 @@ func main() {
 		case "refresh":
 			refreshCmd(args[1:])
 			return
-		case "bench-json":
-			if err := benchjson.RunCLI(args[1:]); err != nil {
-				fmt.Fprintln(os.Stderr, err)
-				os.Exit(1)
-			}
-			return
 		case "help", "-h", "-help", "--help":
-			fmt.Fprintln(os.Stderr, "usage: timr <run|serve|refresh|bench-json> [flags]\n\nrun flags:")
+			fmt.Fprintln(os.Stderr, "usage: timr <run|serve|refresh> [flags]\n\nrun flags:")
 			runFlags(nil).PrintDefaults()
 			fmt.Fprintln(os.Stderr, "\nserve flags:")
 			serveFlags(nil).PrintDefaults()

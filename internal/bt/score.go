@@ -1,6 +1,8 @@
 package bt
 
 import (
+	"sync"
+
 	"timr/internal/ml"
 	"timr/internal/stats"
 	"timr/internal/temporal"
@@ -43,18 +45,21 @@ func ScorePlan(p Params, annotate bool) *temporal.Plan {
 	joined := rows.Join(models, []string{"AdId"}, []string{"AdId"}, nil)
 
 	// Per-row partial dot product w_kw * count. Model blobs are parsed
-	// once per distinct string through a tiny cache.
-	cache := map[string]*ml.Model{}
+	// once per distinct string through a tiny cache. Every engine compiled
+	// from this plan shares these closures — under TiMR, several reducers
+	// at once — hence a sync.Map: a hit is a lock-free, allocation-free
+	// Load, on the single-goroutine serving path too.
+	var cache sync.Map // blob -> *ml.Model
 	lookup := func(blob string) *ml.Model {
-		if m, ok := cache[blob]; ok {
-			return m
+		if m, ok := cache.Load(blob); ok {
+			return m.(*ml.Model)
 		}
 		m, err := ParseModel(blob)
 		if err != nil {
 			m = &ml.Model{Weights: map[int64]float64{}}
 		}
-		cache[blob] = m
-		return m
+		cached, _ := cache.LoadOrStore(blob, m)
+		return cached.(*ml.Model)
 	}
 	partial := joined.Project(
 		temporal.Keep("Time"),

@@ -4,9 +4,12 @@ import (
 	"math"
 	"testing"
 
+	"timr/internal/core"
+	"timr/internal/mapreduce"
 	"timr/internal/ml"
 	"timr/internal/stats"
 	"timr/internal/temporal"
+	"timr/internal/workload"
 )
 
 func TestScorePlanMatchesDirectPrediction(t *testing.T) {
@@ -145,5 +148,42 @@ func TestEndToEndModelAndScore(t *testing.T) {
 	}
 	if lo == hi {
 		t.Error("all scores identical; model carries no signal")
+	}
+}
+
+// TestScoreStageConcurrentReducers runs the whole DAG — Score included —
+// through TiMR on eight machines, repeatedly. Every reducer of the Score
+// stage compiles the same ScorePlan and so shares its closures; the model
+// cache behind them once was a plain map and died with "concurrent map
+// read and map write". Run under -race (make race / make check).
+func TestScoreStageConcurrentReducers(t *testing.T) {
+	d := workload.Generate(workload.Config{
+		Users: 120, Keywords: 200, AdClasses: 8, Days: 2, Seed: 5,
+		BaseCTR: 0.18, NegDamp: 0.5, PosLift: 3,
+	})
+	p := DefaultParams()
+	p.TrainPeriod = temporal.Day
+	var want []temporal.Event
+	for run := 0; run < 20; run++ {
+		cl := mapreduce.NewCluster(mapreduce.Config{Machines: 8})
+		cl.FS.Write("events", mapreduce.SinglePartition(workload.UnifiedSchema(), d.Rows))
+		pl := NewPipeline(p, core.New(cl, core.DefaultConfig()))
+		if err := pl.Run("events"); err != nil {
+			t.Fatal(err)
+		}
+		if n := len(pl.Phases); n != len(Stages(false)) {
+			t.Fatalf("run %d: %d phases, want all %d stages", run, n, len(Stages(false)))
+		}
+		got, err := pl.Events(DSPredictions)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if run == 0 {
+			if want = got; len(want) == 0 {
+				t.Fatal("Score stage produced no predictions")
+			}
+		} else if !temporal.EventsEqual(got, want) {
+			t.Fatalf("run %d: %d predictions differ from run 0's %d", run, len(got), len(want))
+		}
 	}
 }

@@ -461,8 +461,7 @@ func (s *Server) run(killAfter int) (*Report, []temporal.Event, error) {
 	return rep, results, nil
 }
 
-// String renders the report in the BENCH-friendly key=value shape the
-// bench-json harness parses.
+// String renders the report as key=value lines.
 func (r *Report) String() string {
 	return fmt.Sprintf(
 		"serve: requests=%d impressions=%d scored=%d rows=%d duration=%s\n"+

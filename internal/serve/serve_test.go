@@ -4,7 +4,9 @@ import (
 	"strings"
 	"testing"
 
+	"timr/internal/bt"
 	"timr/internal/core"
+	"timr/internal/obs"
 	"timr/internal/temporal"
 	"timr/internal/workload"
 )
@@ -148,4 +150,96 @@ func BenchmarkServeOpenLoop(b *testing.B) {
 	b.ReportMetric(float64(last.P99.Microseconds()), "p99_us")
 	b.ReportMetric(last.EventsPerSec, "events/s")
 	b.ReportMetric(last.PerPartition, "events/s/part")
+}
+
+// TestServeSteadyStateIsBounded drives ScorePlan through a 4-machine
+// streaming job for 72 waves of equal request count and checks — in
+// counts, not timings — that a wave costs O(live state): the partition
+// checkpoints and the GroupApply's live groups late in the run are no
+// larger than early in it (they used to grow with every impression ever
+// scored), and that new impressions are served from recycled
+// sub-pipelines rather than compiled ones.
+func TestServeSteadyStateIsBounded(t *testing.T) {
+	const perWave, waves = 32, 72
+	cfg := testConfig()
+	cfg.Requests = perWave * waves
+	srv, err := Prepare(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sc := obs.New("serve")
+	streamCfg := core.DefaultConfig()
+	streamCfg.Obs = sc
+	job, err := core.NewStreamingJob(bt.ScorePlan(srv.params, true),
+		map[string]*temporal.Schema{bt.SourceReduced: bt.TrainSchema, bt.SourceModels: bt.ModelSchema},
+		core.WithMachines(4), core.WithConfig(streamCfg))
+	if err != nil {
+		t.Fatal(err)
+	}
+	modelSrc, err := job.Source(bt.SourceModels)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := modelSrc.FeedBatch(srv.models); err != nil {
+		t.Fatal(err)
+	}
+	reduced, err := job.Source(bt.SourceReduced)
+	if err != nil {
+		t.Fatal(err)
+	}
+	metric := func(name string) int64 {
+		var sum int64
+		for _, p := range sc.Snapshot() {
+			if p.Name == name {
+				sum += p.Value
+			}
+		}
+		return sum
+	}
+
+	gen := workload.NewLoadGen(srv.data, srv.cfg.Load)
+	var ckptBytes, liveGroups []int64 // one sample per wave
+	impressions := int64(0)
+	for i := 0; i < cfg.Requests; i++ {
+		req := gen.Next()
+		if i > 0 && i%perWave == 0 {
+			before := metric("checkpoint_bytes")
+			if err := job.Advance(req.Time); err != nil {
+				t.Fatal(err)
+			}
+			ckptBytes = append(ckptBytes, metric("checkpoint_bytes")-before)
+			liveGroups = append(liveGroups, metric("groups_live"))
+		}
+		if req.Search {
+			continue
+		}
+		impressions++
+		if err := reduced.FeedBatch(temporal.RowsToPointEvents(req.Rows, 0)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if len(ckptBytes) < 64 {
+		t.Fatalf("only %d waves", len(ckptBytes))
+	}
+	last := len(ckptBytes) - 1
+	if ckptBytes[last] > 2*ckptBytes[8] {
+		t.Errorf("partition checkpoints grow: %d B at wave 8, %d B at wave %d", ckptBytes[8], ckptBytes[last], last)
+	}
+	// One partition's gauge (the last writer's); an impression's group
+	// outlives only the wave that closes it.
+	if liveGroups[last] > 2*liveGroups[8] || liveGroups[last] > perWave {
+		t.Errorf("live groups grow: %d at wave 8, %d at wave %d (%d requests per wave)", liveGroups[8], liveGroups[last], last, perWave)
+	}
+	recycled := metric("groups_recycled")
+	if compiled := impressions - recycled; recycled <= compiled {
+		t.Errorf("%d impressions: %d sub-pipelines compiled, only %d recycled", impressions, compiled, recycled)
+	}
+	job.Flush()
+	results, err := job.Results()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if int64(len(results)) != impressions {
+		t.Fatalf("%d impressions, %d scores", impressions, len(results))
+	}
 }

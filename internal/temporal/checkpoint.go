@@ -25,8 +25,9 @@ package temporal
 // structurally when the pipeline walks its operators.
 //
 // Restore must be called on a freshly built operator (same plan node,
-// zero state) before it has processed any input; on error the operator —
-// and the engine hosting it — must be discarded.
+// zero state) before it has processed any input, or on a drained one
+// (how GroupApply rewinds a recycled sub-pipeline, see subOperator); on
+// error the operator — and the engine hosting it — must be discarded.
 type Checkpointer interface {
 	Snapshot(w *SnapshotWriter)
 	Restore(r *SnapshotReader) error

@@ -321,6 +321,18 @@ func FuzzCheckpointRoundtrip(f *testing.F) {
 		return Scan("in", propSchema()).
 			GroupApply([]string{"V"}, func(g *Plan) *Plan { return g.WithWindow(8).Sum("V", "S") })
 	}
+	// A real image taken after reclamation: three groups drained and left
+	// the snapshot, one recycled instance is live again.
+	post, err := NewEngine(mk(), WithCTIPeriod(0))
+	if err != nil {
+		f.Fatal(err)
+	}
+	for tm := Time(0); tm < 6; tm++ {
+		post.Feed("in", PointEvent(tm, Row{Int(tm), Int(tm % 3)}))
+	}
+	post.Advance(40)
+	post.Feed("in", PointEvent(41, Row{Int(41), Int(5)}))
+	f.Add(post.Checkpoint())
 	f.Fuzz(func(t *testing.T, data []byte) {
 		// (1) Roundtrip a state derived from the fuzz bytes.
 		eng, err := NewEngine(mk(), WithCTIPeriod(0))

@@ -262,7 +262,7 @@ func (c *compiler) build(n *Plan) []Sink {
 	entries, op := c.buildOp(n, out)
 	c.insts[n] = op
 	if m != nil {
-		m.sizer, _ = op.(stateSizer)
+		m.observe(op)
 		for i := range entries {
 			entries[i] = &meterIn{m: m, out: entries[i]}
 		}
@@ -366,12 +366,12 @@ func (c *compiler) buildOp(n *Plan, out Sink) ([]Sink, any) {
 	case OpGroupApply:
 		keys := in.Indexes(n.Keys...)
 		sub := n.Sub
-		factory := func(groupOut Sink) (Sink, []Checkpointer) {
-			entry, cks, err := compileSub(sub, groupOut)
+		factory := func(groupOut Sink) (Sink, []subOperator) {
+			entry, ops, err := compileSub(sub, groupOut)
 			if err != nil {
 				panic(err) // sub-plan validated at first compile; cannot fail per group
 			}
-			return entry, cks
+			return entry, ops
 		}
 		g := newGroupApplyOp(keys, factory, sub.MaxWindow(), out)
 		return []Sink{g}, g
@@ -419,8 +419,9 @@ func walkInputs(root *Plan, visit func(*Plan)) {
 // compileSub compiles a GroupApply sub-plan (rooted above an OpGroupInput
 // leaf) and returns the entry sink feeding the group's sub-stream plus the
 // sub-pipeline's stateful operators in pre-order DFS plan order (the order
-// groupApplyOp snapshots nest them in).
-func compileSub(root *Plan, out Sink) (Sink, []Checkpointer, error) {
+// groupApplyOp snapshots nest them in). Every stateful operator is a
+// subOperator; one that only checkpoints would be a bug caught here.
+func compileSub(root *Plan, out Sink) (Sink, []subOperator, error) {
 	c := &compiler{
 		parents: make(map[*Plan][]parentRef),
 		ops:     make(map[*Plan][]Sink),
@@ -445,11 +446,11 @@ func compileSub(root *Plan, out Sink) (Sink, []Checkpointer, error) {
 	for i, leaf := range leaves {
 		sinks[i] = c.outputSink(leaf)
 	}
-	var cks []Checkpointer
+	var ops []subOperator
 	walkInputs(root, func(n *Plan) {
 		if ck, ok := c.insts[n].(Checkpointer); ok {
-			cks = append(cks, ck)
+			ops = append(ops, ck.(subOperator))
 		}
 	})
-	return fanOut(sinks), cks, nil
+	return fanOut(sinks), ops, nil
 }

@@ -12,10 +12,16 @@ import (
 // rows): float accumulators are order-sensitive, so re-inserting rows in
 // a canonical order would perturb sums by an ULP and break the exactness
 // of recovery.
+//
+// reset zeroes the accumulator. The operator calls it whenever the active
+// set empties — a logical event, however the input was batched or
+// punctuated — so a float sum carries no rounding residue across an empty
+// snapshot and an aggregate with no open lifetime equals a new one.
 type aggState interface {
 	Insert(Row)
 	Remove(Row)
 	Result() Value
+	reset()
 	snapshot(w *SnapshotWriter)
 	restore(r *SnapshotReader)
 }
@@ -27,6 +33,7 @@ type countState struct{ n int64 }
 func (s *countState) Insert(Row)    { s.n++ }
 func (s *countState) Remove(Row)    { s.n-- }
 func (s *countState) Result() Value { return Int(s.n) }
+func (s *countState) reset()        { s.n = 0 }
 
 func (s *countState) snapshot(w *SnapshotWriter) { w.Varint(s.n) }
 func (s *countState) restore(r *SnapshotReader)  { s.n = r.Varint() }
@@ -61,6 +68,8 @@ func (s *sumState) Result() Value {
 	return Int(s.i)
 }
 
+func (s *sumState) reset() { s.i, s.f = 0, 0 }
+
 func (s *sumState) snapshot(w *SnapshotWriter) {
 	w.Varint(s.i)
 	w.Value(Float(s.f))
@@ -87,6 +96,8 @@ func (s *avgState) Result() Value {
 	}
 	return Float(s.f / float64(s.n))
 }
+
+func (s *avgState) reset() { s.n, s.f = 0, 0 }
 
 func (s *avgState) snapshot(w *SnapshotWriter) {
 	w.Varint(s.n)
@@ -163,6 +174,12 @@ func (s *minMaxState) Result() Value {
 		heap.Pop(&s.h) // stale entry from a removed event
 	}
 	return Null
+}
+
+// reset drops the stale heap candidates an emptied multiset leaves behind.
+func (s *minMaxState) reset() {
+	clear(s.counts)
+	s.h.vals = s.h.vals[:0]
 }
 
 // snapshot writes the live multiset in value order. The lazily-cleaned
@@ -259,7 +276,8 @@ func newAggregateOp(state aggState, out Sink) *aggregateOp {
 }
 
 // liveState counts open lifetimes awaiting expiration — the sweep's
-// working set.
+// working set. At zero the accumulator is zero too (advanceTo) and only
+// the sweep position is left.
 func (a *aggregateOp) liveState() int { return len(a.exp) }
 
 func (a *aggregateOp) emitSegment(upto Time) {
@@ -283,6 +301,9 @@ func (a *aggregateOp) advanceTo(t Time) {
 			x := heap.Pop(&a.exp).(expiration)
 			a.state.Remove(x.row)
 			a.active--
+		}
+		if a.active == 0 {
+			a.state.reset()
 		}
 	}
 }

@@ -18,18 +18,25 @@ import (
 //	wm_lag       worst observed punctuation lag: max over CTIs of
 //	             (max input LE seen) − (CTI time)
 //
+// GroupApply adds groups_live (instances left after the latest broadcast
+// CTI; last write wins across partitions), groups_reclaimed (drained
+// instances removed) and groups_recycled (new keys served from the free
+// list instead of a compile).
+//
 // Metric handles are resolved once at compile time; per-event cost is one
 // atomic add per meter. Handles are shared across engine instances that
 // compile the same plan into the same scope (TiMR runs one engine per
 // partition), so per-operator metrics aggregate across partitions, while
 // the per-instance fields (maxLE) stay engine-local and single-threaded.
 
-// stateSizer is implemented by stateful operators that can report their
-// current live state size (number of retained events/entries/groups).
+// stateSizer is implemented by every stateful operator: the number of
+// events/entries/groups it retains. Zero must mean it holds nothing at
+// all — GroupApply reclaims instances on it.
 type stateSizer interface{ liveState() int }
 
 // opMetrics is the per-compiled-operator metric bundle.
 type opMetrics struct {
+	scope     *obs.Scope
 	eventsIn  *obs.Counter
 	eventsOut *obs.Counter
 	ctis      *obs.Counter
@@ -41,12 +48,23 @@ type opMetrics struct {
 
 func newOpMetrics(sc *obs.Scope) *opMetrics {
 	return &opMetrics{
+		scope:     sc,
 		eventsIn:  sc.Counter("events_in"),
 		eventsOut: sc.Counter("events_out"),
 		ctis:      sc.Counter("ctis"),
 		state:     sc.Gauge("state"),
 		wmLag:     sc.Gauge("wm_lag"),
 		maxLE:     MinTime,
+	}
+}
+
+// observe attaches the built operator's sizer and GroupApply's metrics.
+func (m *opMetrics) observe(op any) {
+	m.sizer, _ = op.(stateSizer)
+	if g, ok := op.(*groupApplyOp); ok {
+		g.live = m.scope.Gauge("groups_live")
+		g.reclaimed = m.scope.Counter("groups_reclaimed")
+		g.recycled = m.scope.Counter("groups_recycled")
 	}
 }
 

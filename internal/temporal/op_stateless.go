@@ -190,6 +190,7 @@ func (a *alterLifetimeOp) OnBatch(b *Batch) {
 	}
 	cti := b.CTI
 	if b.HasCTI {
+		a.expirePending(cti)
 		cti = a.shiftCTI(cti)
 	}
 	a.bo.emit(a.out, outEvs, cti, b.HasCTI)
@@ -258,6 +259,29 @@ func (a *alterLifetimeOp) isContinuation(e *Event) bool {
 	return found
 }
 
+// expirePending drops the continuation candidates a CTI at t retires:
+// later events have LE >= t and can only abut a lifetime ending at or
+// after t. Without it a LifePoint group that went quiet would never drain.
+func (a *alterLifetimeOp) expirePending(t Time) {
+	if a.npending == 0 {
+		return
+	}
+	for h, bucket := range a.pending {
+		kept := bucket[:0]
+		for _, p := range bucket {
+			if p.re >= t {
+				kept = append(kept, p)
+			}
+		}
+		a.npending -= len(bucket) - len(kept)
+		if len(kept) == 0 {
+			delete(a.pending, h)
+		} else {
+			a.pending[h] = kept
+		}
+	}
+}
+
 func (a *alterLifetimeOp) liveState() int { return a.npending }
 
 // Snapshot serializes the LifePoint continuation table in canonical
@@ -314,8 +338,11 @@ func (a *alterLifetimeOp) shiftCTI(t Time) Time {
 	return t
 }
 
-func (a *alterLifetimeOp) OnCTI(t Time) { a.out.OnCTI(a.shiftCTI(t)) }
-func (a *alterLifetimeOp) OnFlush()     { a.out.OnFlush() }
+func (a *alterLifetimeOp) OnCTI(t Time) {
+	a.expirePending(t)
+	a.out.OnCTI(a.shiftCTI(t))
+}
+func (a *alterLifetimeOp) OnFlush() { a.out.OnFlush() }
 
 // floorDiv is floor division that is correct for negative operands.
 func floorDiv(a, b Time) Time {

@@ -1,0 +1,361 @@
+package temporal
+
+import (
+	"bytes"
+	"fmt"
+	"math"
+	"math/rand"
+	"testing"
+
+	"timr/internal/obs"
+)
+
+// GroupApply reclaims an instance once a CTI has passed its last input
+// and its sub-pipeline is drained, and reuses the compiled sub-pipeline
+// for the next new key. These tests pin that the mechanism is invisible
+// in output and checkpoints, and that it actually bounds state.
+
+func reclaimSchema() *Schema {
+	return NewSchema(
+		Field{Name: "Time", Kind: KindInt},
+		Field{Name: "K", Kind: KindInt},
+		Field{Name: "V", Kind: KindInt},
+		Field{Name: "F", Kind: KindFloat},
+	)
+}
+
+// genBursty builds point events over sparse keys in bursts: a few keys are
+// active for a while, then time jumps past any window (everything drains)
+// and a new, overlapping set of keys takes over — keys go quiet and return.
+// Timestamps strictly increase: a float accumulator removes expirations
+// that share an RE in heap order, which a restore re-canonicalises (see
+// aggregateOp.Snapshot), so ties would cost the roundtrip below its last
+// bit whether or not anything was reclaimed.
+func genBursty(r *rand.Rand, bursts int) []Event {
+	var out []Event
+	t := Time(0)
+	for b := 0; b < bursts; b++ {
+		active := make([]int64, 1+r.Intn(4))
+		for i := range active {
+			active[i] = int64(r.Intn(12))
+		}
+		for i, n := 0, 3+r.Intn(25); i < n; i++ {
+			t += 1 + Time(r.Intn(4))
+			k := active[r.Intn(len(active))]
+			out = append(out, PointEvent(t, Row{Int(t), Int(k), Int(int64(r.Intn(10))), Float(r.Float64()*10 - 3)}))
+		}
+		t += Time(r.Intn(120)) // often, not always, beyond every window below
+	}
+	return out
+}
+
+// reclaimSubPlans are the GroupApply sub-plans under test; between them
+// they contain every stateful sub-pipeline operator.
+var reclaimSubPlans = map[string]func(g *Plan) *Plan{
+	"count":   func(g *Plan) *Plan { return g.WithWindow(9).Count("C") },
+	"sum":     func(g *Plan) *Plan { return g.WithWindow(9).Sum("F", "S") },
+	"avg":     func(g *Plan) *Plan { return g.WithWindow(7).Avg("F", "A") },
+	"min":     func(g *Plan) *Plan { return g.WithWindow(11).Min("V", "M") },
+	"max":     func(g *Plan) *Plan { return g.WithWindow(11).Max("V", "M") },
+	"hopping": func(g *Plan) *Plan { return g.WithHop(12, 4).Count("C") },
+	"union": func(g *Plan) *Plan {
+		// Tagged, so that overlapping equal counts from the two branches
+		// stay distinct events and the coalesced form is unique.
+		return g.Where(ColGtInt("V", 4)).WithWindow(6).Count("C").Project(Keep("C"), ConstInt("Hi", 1)).
+			Union(g.Where(Not(ColGtInt("V", 4))).WithHop(8, 4).Count("C").Project(Keep("C"), ConstInt("Hi", 0)))
+	},
+	"join": func(g *Plan) *Plan {
+		return g.Where(ColGtInt("V", 4)).WithHop(8, 8).Count("Hi").
+			Join(g.Where(Not(ColGtInt("V", 4))).WithHop(8, 8).Count("Lo"), nil, nil, nil)
+	},
+	"topoint": func(g *Plan) *Plan { return g.WithWindow(5).Sum("V", "S").ToPoint() },
+	"udo": func(g *Plan) *Plan {
+		return g.Apply(UDOSpec{
+			Name: "sum", Window: 10, Hop: 5,
+			Out: NewSchema(Field{Name: "S", Kind: KindFloat}),
+			Fn: func(ws, we Time, rows []Row) []Row {
+				var s float64
+				for _, row := range rows {
+					s += row[3].AsFloat()
+				}
+				return []Row{{Float(s)}}
+			},
+		})
+	},
+}
+
+func reclaimPlan(sub func(g *Plan) *Plan) *Plan {
+	return Scan("in", reclaimSchema()).GroupApply([]string{"K"}, sub)
+}
+
+// Punctuation schedules. Only the ones that punctuate ever reclaim.
+const (
+	ctiNone   = iota // nothing until Flush
+	ctiEvery         // after every event, at its LE
+	ctiRandom        // now and then, somewhere in the gap before the next event
+)
+
+// ctiAfter returns the punctuation (if any) a schedule places after
+// events[i]. Deterministic in (seed, i) so two engines can be driven alike.
+func ctiAfter(schedule int, seed int64, events []Event, i int) (Time, bool) {
+	switch schedule {
+	case ctiEvery:
+		return events[i].LE, true
+	case ctiRandom:
+		r := rand.New(rand.NewSource(seed*7919 + int64(i)))
+		if r.Intn(3) != 0 {
+			return 0, false
+		}
+		hi := events[i].LE
+		if i+1 < len(events) {
+			hi = events[i+1].LE
+		}
+		return events[i].LE + Time(r.Int63n(int64(hi-events[i].LE)+1)), true
+	}
+	return 0, false
+}
+
+func driveSchedule(eng *Engine, schedule int, seed int64, events []Event, from, to int) {
+	for i := from; i < to; i++ {
+		eng.Feed("in", events[i])
+		if t, ok := ctiAfter(schedule, seed, events, i); ok {
+			eng.Advance(t)
+		}
+	}
+}
+
+func groupApplyOf(t *testing.T, eng *Engine) *groupApplyOp {
+	t.Helper()
+	for _, ck := range eng.pipeline.ckpts {
+		if g, ok := ck.(*groupApplyOp); ok {
+			return g
+		}
+	}
+	t.Fatal("pipeline has no GroupApply")
+	return nil
+}
+
+func TestReclamationIsInvisible(t *testing.T) {
+	for name, sub := range reclaimSubPlans {
+		sub := sub
+		t.Run(name, func(t *testing.T) {
+			reclaimedSomewhere := false
+			for seed := int64(1); seed <= 12; seed++ {
+				events := genBursty(rand.New(rand.NewSource(seed)), 8)
+				var results [3][]Event
+				for schedule := range results {
+					sc := obs.New("t")
+					eng, err := NewEngine(reclaimPlan(sub), WithCTIPeriod(0), WithObs(sc))
+					if err != nil {
+						t.Fatal(err)
+					}
+					driveSchedule(eng, schedule, seed, events, 0, len(events))
+					g := groupApplyOf(t, eng)
+					reclaimed := sc.Child("op00.GroupApply").Counter("groups_reclaimed").Value()
+					if schedule == ctiNone && reclaimed != 0 {
+						t.Fatalf("seed %d: reclaimed %d instances without a single CTI", seed, reclaimed)
+					}
+					if compiled := int64(g.nlive + len(g.free)); schedule != ctiNone && reclaimed > 0 {
+						reclaimedSomewhere = true
+						if recycled := sc.Child("op00.GroupApply").Counter("groups_recycled").Value(); recycled == 0 && compiled > reclaimed {
+							t.Fatalf("seed %d: %d reclaimed, %d compiled, none recycled", seed, reclaimed, compiled)
+						}
+					}
+					eng.Flush()
+					results[schedule] = eng.Results()
+				}
+				// (a) Punctuation — and therefore reclamation — is invisible
+				// in the coalesced output, float payloads bit for bit.
+				for schedule := ctiEvery; schedule <= ctiRandom; schedule++ {
+					if !EventsEqual(results[schedule], results[ctiNone]) {
+						t.Fatalf("seed %d: schedule %d gives %d events, unpunctuated %d:\n%v\n%v",
+							seed, schedule, len(results[schedule]), len(results[ctiNone]), results[schedule], results[ctiNone])
+					}
+				}
+				// (b) Count against the snapshot-enumeration oracle.
+				if name == "count" {
+					byKey := map[int64][]Event{}
+					for _, e := range events {
+						k := e.Payload[1].AsInt()
+						byKey[k] = append(byKey[k], Event{LE: e.LE, RE: e.LE + 9, Payload: e.Payload})
+					}
+					var want []Event
+					for k, evs := range byKey {
+						for _, e := range bruteSnapshotCount(evs) {
+							want = append(want, Event{LE: e.LE, RE: e.RE, Payload: Row{Int(k), e.Payload[0]}})
+						}
+					}
+					if want = Coalesce(want); !EventsEqual(results[ctiRandom], want) {
+						t.Fatalf("seed %d: count diverges from the oracle: %d events, want %d", seed, len(results[ctiRandom]), len(want))
+					}
+				}
+				// (c) A checkpoint taken after reclamation restores into an
+				// engine that continues exactly like the one it came from.
+				reclaimRoundtrip(t, sub, seed, events)
+			}
+			if !reclaimedSomewhere {
+				t.Fatal("no seed ever reclaimed an instance: the test exercises nothing")
+			}
+		})
+	}
+}
+
+// reclaimRoundtrip splits a randomly punctuated run at a random point
+// after the first reclamation: prefix, checkpoint, restore, suffix. The
+// restored engine compiles its sub-pipelines anew where the original
+// recycles them, and still the raw emission sequence and the final
+// checkpoint bytes must match the uninterrupted run.
+func reclaimRoundtrip(t *testing.T, sub func(g *Plan) *Plan, seed int64, events []Event) {
+	t.Helper()
+	clean := &seqSink{}
+	sc := obs.New("t")
+	e0, err := NewEngine(reclaimPlan(sub), WithSink(clean), WithCTIPeriod(0), WithObs(sc))
+	if err != nil {
+		t.Fatal(err)
+	}
+	reclaimed := sc.Child("op00.GroupApply").Counter("groups_reclaimed")
+	first := -1
+	for i := range events {
+		driveSchedule(e0, ctiRandom, seed, events, i, i+1)
+		if first < 0 && reclaimed.Value() > 0 {
+			first = i + 1
+		}
+	}
+	if first < 0 {
+		return // this seed never reclaims under the random schedule
+	}
+	split := first + rand.New(rand.NewSource(seed)).Intn(len(events)-first+1)
+
+	got := &seqSink{}
+	e1, err := NewEngine(reclaimPlan(sub), WithSink(got), WithCTIPeriod(0))
+	if err != nil {
+		t.Fatal(err)
+	}
+	driveSchedule(e1, ctiRandom, seed, events, 0, split)
+	snap := e1.Checkpoint()
+	e2, err := RestoreEngine(reclaimPlan(sub), snap, WithSink(got), WithCTIPeriod(0))
+	if err != nil {
+		t.Fatalf("seed %d: restore at %d/%d: %v", seed, split, len(events), err)
+	}
+	if !bytes.Equal(e2.Checkpoint(), snap) {
+		t.Fatalf("seed %d: restore at %d/%d is lossy", seed, split, len(events))
+	}
+	driveSchedule(e2, ctiRandom, seed, events, split, len(events))
+	if !bytes.Equal(e2.Checkpoint(), e0.Checkpoint()) {
+		t.Fatalf("seed %d: final checkpoints differ after a restore at %d/%d", seed, split, len(events))
+	}
+	e0.Flush()
+	e2.Flush()
+	if d := diffTokens(got.tokens, clean.tokens); d != "" {
+		t.Fatalf("seed %d: restore at %d/%d diverges: %s", seed, split, len(events), d)
+	}
+}
+
+// TestFloatSumForgetsAcrossEmpty: 0.1+0.2+0.3 leaves a rounding residue
+// when the same values are subtracted again. A group that empties and
+// refills must not carry it — otherwise a run that reclaimed the instance
+// in between (new accumulator) and one that kept it would disagree in the
+// last bits.
+func TestFloatSumForgetsAcrossEmpty(t *testing.T) {
+	ev := func(ts Time, f float64) Event { return PointEvent(ts, Row{Int(ts), Int(1), Int(0), Float(f)}) }
+	events := []Event{ev(0, 0.1), ev(1, 0.2), ev(2, 0.3), ev(100, 0.7)}
+	var last [3]float64
+	for schedule := range last {
+		eng, err := NewEngine(reclaimPlan(reclaimSubPlans["sum"]), WithCTIPeriod(0))
+		if err != nil {
+			t.Fatal(err)
+		}
+		driveSchedule(eng, schedule, 1, events, 0, len(events))
+		if g := groupApplyOf(t, eng); schedule == ctiEvery && len(g.free) != 0 {
+			t.Fatalf("the refill at t=100 should have recycled the instance reclaimed there; free list has %d", len(g.free))
+		}
+		eng.Flush()
+		res := eng.Results()
+		last[schedule] = res[len(res)-1].Payload[1].AsFloat()
+	}
+	for schedule, f := range last {
+		if math.Float64bits(f) != math.Float64bits(0.7) {
+			t.Errorf("schedule %d: refilled sum = %v (bits %x), want exactly 0.7", schedule, f, math.Float64bits(f))
+		}
+	}
+}
+
+// TestGroupApplyDeliversRemainderBeforeWatermark reproduces a latent bug:
+// quiescence used to be "a CTI has passed lastLE + the sub-plan's window",
+// which ignores the input event's own lifetime. A [0,100) event under a
+// plain Count was skipped by every CTI after the first, and its remainder
+// surfaced only at Flush — after CTIs far beyond it had gone downstream.
+func TestGroupApplyDeliversRemainderBeforeWatermark(t *testing.T) {
+	plan := Scan("in", propSchema()).GroupApply([]string{"V"}, func(g *Plan) *Plan { return g.Count("C") })
+	out := &seqSink{}
+	eng, err := NewEngine(plan, WithSink(out), WithCTIPeriod(0))
+	if err != nil {
+		t.Fatal(err)
+	}
+	eng.Feed("in", Event{LE: 0, RE: 100, Payload: Row{Int(0), Int(7)}})
+	for ts := Time(10); ts <= 200; ts += 10 {
+		eng.Advance(ts)
+	}
+	var covered, watermark Time
+	for _, tok := range out.tokens {
+		if tok.isCTI {
+			watermark = tok.t
+			continue
+		}
+		if tok.ev.LE < watermark {
+			t.Fatalf("event %v emitted after CTI %d", tok.ev, watermark)
+		}
+		if tok.ev.LE != covered {
+			t.Fatalf("fragment %v does not continue at %d", tok.ev, covered)
+		}
+		covered = tok.ev.RE
+	}
+	if covered != 100 {
+		t.Fatalf("before Flush the count covers [0,%d), want [0,100): %v", covered, out.tokens)
+	}
+	if g := groupApplyOf(t, eng); g.liveState() != 0 {
+		t.Fatalf("liveState = %d after the group drained, want 0", g.liveState())
+	}
+}
+
+// TestGroupApplyLiveStateIsLiveGroups: liveState counts instances that
+// hold state (plus staged output), the free list feeds new keys, and a
+// snapshot carries live instances only.
+func TestGroupApplyLiveStateIsLiveGroups(t *testing.T) {
+	sc := obs.New("t")
+	eng, err := NewEngine(reclaimPlan(reclaimSubPlans["count"]), WithCTIPeriod(0), WithObs(sc))
+	if err != nil {
+		t.Fatal(err)
+	}
+	g := groupApplyOf(t, eng)
+	gsc := sc.Child("op00.GroupApply")
+	feed := func(ts Time, keys ...int64) {
+		for _, k := range keys {
+			eng.Feed("in", PointEvent(ts, Row{Int(ts), Int(k), Int(0), Float(0)}))
+		}
+	}
+	feed(0, 1, 2, 3, 4)
+	eng.Advance(5) // windows [0,9) still open
+	if g.nlive != 4 || len(g.free) != 0 {
+		t.Fatalf("open windows: live %d free %d, want 4 and 0", g.nlive, len(g.free))
+	}
+	withFour := len(eng.Checkpoint())
+	eng.Advance(50)
+	if g.nlive != 0 || len(g.free) != 4 || g.liveState() != 0 {
+		t.Fatalf("after the windows closed: live %d free %d liveState %d, want 0, 4, 0", g.nlive, len(g.free), g.liveState())
+	}
+	if empty := len(eng.Checkpoint()); empty >= withFour {
+		t.Fatalf("checkpoint did not shrink: %d bytes with four groups, %d with none", withFour, empty)
+	}
+	feed(60, 5, 6) // new keys: served from the free list
+	eng.Advance(61)
+	want := map[string]int64{"groups_live": 2, "groups_reclaimed": 4, "groups_recycled": 2}
+	got := map[string]int64{
+		"groups_live":      gsc.Gauge("groups_live").Value(),
+		"groups_reclaimed": gsc.Counter("groups_reclaimed").Value(),
+		"groups_recycled":  gsc.Counter("groups_recycled").Value(),
+	}
+	if fmt.Sprint(got) != fmt.Sprint(want) || len(g.free) != 2 {
+		t.Fatalf("metrics %v (free %d), want %v (free 2)", got, len(g.free), want)
+	}
+}
