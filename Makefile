@@ -115,14 +115,26 @@ ledger:
 # runs from a checkout of the parent commit and from this tree (pair r uses
 # seed r, the parent first on odd r), a -compare per pair. The claimed
 # metric must read "better" in nine, none "worse". About half an hour.
+#
+# With WORKLOAD=<name>, each side of each pair is instead the one invocation
+# the acceptance driver makes for that workload (-seconds 12 -trace 0), and
+# the two last-line JSON records are printed per pair: a one-workload claim
+# in about seven minutes.
 bench-pair:
-	@test -d "$(PARENT)/bench" || { echo "usage: make bench-pair PARENT=<checkout of the parent commit>"; exit 2; }
+	@test -d "$(PARENT)/bench" || { echo "usage: make bench-pair PARENT=<checkout of the parent commit> [WORKLOAD=<name>]"; exit 2; }
 	@out=$$PWD/bench/out/pair; rm -rf $$out; mkdir -p $$out; for r in 1 2 3 4 5 6 7 8 9 10; do \
 		sides="parent change"; [ $$((r % 2)) = 1 ] || sides="change parent"; \
 		for side in $$sides; do dir=.; [ $$side = change ] || dir="$(PARENT)"; \
-			(cd "$$dir" && $(GO) run ./bench -runs 1 -seed $$r -json $$out/$$side-$$r.json) >$$out/$$side-$$r.log 2>&1 \
-				|| echo "pair $$r: the $$side run exited non-zero, see $$out/$$side-$$r.log"; \
+			if [ -n "$(WORKLOAD)" ]; then \
+				(cd "$$dir" && $(GO) run ./bench -workload $(WORKLOAD) -seed $$r -seconds 12 -trace 0) >$$out/$$side-$$r.log 2>&1; \
+			else \
+				(cd "$$dir" && $(GO) run ./bench -runs 1 -seed $$r -json $$out/$$side-$$r.json) >$$out/$$side-$$r.log 2>&1; \
+			fi || echo "pair $$r: the $$side run exited non-zero, see $$out/$$side-$$r.log"; \
 		done; \
 		echo "== pair $$r (A = parent, B = change)"; \
-		$(GO) run ./bench -compare $$out/parent-$$r.json $$out/change-$$r.json; \
+		if [ -n "$(WORKLOAD)" ]; then \
+			for side in parent change; do printf '%-7s' $$side; tail -n 1 $$out/$$side-$$r.log; done; \
+		else \
+			$(GO) run ./bench -compare $$out/parent-$$r.json $$out/change-$$r.json; \
+		fi; \
 	done

@@ -379,6 +379,45 @@ func BenchmarkEngine_GroupApplyJoin(b *testing.B) {
 	b.ReportMetric(float64(len(events))*float64(b.N)/b.Elapsed().Seconds(), "events/sec")
 }
 
+// BenchmarkGroupApplyPunctuation is one serving wave per op: 1000 events
+// over 16 groups into a warmed GroupApply(windowed Count), then one
+// explicit punctuation that broadcasts, cuts every open segment and
+// releases the staged output. allocs/op is the number to watch: staging
+// and the expiration queues contribute none in steady state.
+func BenchmarkGroupApplyPunctuation(b *testing.B) {
+	schema := temporal.NewSchema(
+		temporal.Field{Name: "Time", Kind: temporal.KindInt},
+		temporal.Field{Name: "K", Kind: temporal.KindInt},
+	)
+	plan := temporal.Scan("in", schema).GroupApply([]string{"K"}, func(g *temporal.Plan) *temporal.Plan {
+		return g.WithWindow(64).Count("C")
+	})
+	eng, err := temporal.NewEngine(plan, temporal.WithSink(&temporal.FuncSink{}), temporal.WithCTIPeriod(0))
+	if err != nil {
+		b.Fatal(err)
+	}
+	rows := make([]temporal.Row, 16)
+	for k := range rows {
+		rows[k] = temporal.Row{temporal.Int(0), temporal.Int(int64(k))}
+	}
+	const perWave = 1000
+	now := temporal.Time(0)
+	wave := func() {
+		for i := 0; i < perWave; i++ {
+			now++
+			eng.Feed("in", temporal.PointEvent(now, rows[i%len(rows)]))
+		}
+		eng.Advance(now)
+	}
+	wave() // compile the groups, size the buffers
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		wave()
+	}
+	b.ReportMetric(perWave, "events/op")
+}
+
 // ---- Engine feed path: per-event vs batched push ----
 
 // engineFeedFixture builds a stateless hot chain (filters → window) over

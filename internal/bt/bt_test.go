@@ -2,6 +2,7 @@ package bt
 
 import (
 	"math"
+	"math/rand"
 	"testing"
 
 	"timr/internal/core"
@@ -434,6 +435,31 @@ func TestRowsToExamples(t *testing.T) {
 	}
 }
 
+// TestRowsToExamplesOrderInvariant: when two users see one ad at one
+// instant, the window's rows reach the model UDO in whatever order the run
+// merged them. The fitted model must not depend on it.
+func TestRowsToExamplesOrderInvariant(t *testing.T) {
+	r := rand.New(rand.NewSource(5))
+	var rows []temporal.Row
+	for i := 0; i < 400; i++ {
+		ts, user := int64(i/4), int64(i%4*3+r.Intn(3)) // four distinct users per instant
+		clicked := int64(r.Intn(2))
+		for n := 1 + r.Intn(3); n > 0; n-- {
+			rows = append(rows, temporal.Row{temporal.Int(ts), temporal.Int(user), temporal.Int(ad1),
+				temporal.Int(clicked), temporal.Int(int64(r.Intn(8))), temporal.Int(int64(1 + r.Intn(4)))})
+		}
+	}
+	cfg := ml.DefaultLRConfig()
+	want := SerializeModel(ml.TrainLR(RowsToExamples(rows), cfg))
+	for seed := int64(1); seed <= 3; seed++ {
+		perm := append([]temporal.Row(nil), rows...)
+		rand.New(rand.NewSource(seed)).Shuffle(len(perm), func(i, j int) { perm[i], perm[j] = perm[j], perm[i] })
+		if got := SerializeModel(ml.TrainLR(RowsToExamples(perm), cfg)); got != want {
+			t.Fatalf("permutation %d fits a different model:\n%s\n%s", seed, got, want)
+		}
+	}
+}
+
 func TestAddEmptyExamples(t *testing.T) {
 	labeled := []temporal.Row{
 		{temporal.Int(10), temporal.Int(1), temporal.Int(ad1), temporal.Int(0)},
@@ -487,7 +513,9 @@ func TestPipelineOnTiMRMatchesSingleNode(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, ds := range []string{DSClean, DSLabeled, DSTrain, DSScores, DSReduced} {
+	// Models too: RowsToExamples orders a window's examples itself, so the
+	// order partitions happened to merge in does not reach the SGD.
+	for _, ds := range []string{DSClean, DSLabeled, DSTrain, DSScores, DSReduced, DSModels} {
 		got, err := pl.Events(ds)
 		if err != nil {
 			t.Fatal(err)

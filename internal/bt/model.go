@@ -1,7 +1,9 @@
 package bt
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -19,13 +21,17 @@ import (
 // the evaluation does, since empty-profile impressions still count
 // against coverage — add them from the labeled stream via
 // AddEmptyExamples.
+//
+// Examples come back ordered by (Time, UserId, AdId), not by arrival: SGD
+// is order-sensitive, and rows sharing an instant reach a window in
+// whatever order the run that produced them merged its partitions.
 func RowsToExamples(rows []temporal.Row) []ml.Example {
 	type key struct {
 		t    int64
 		user int64
 		ad   int64
 	}
-	order := make([]key, 0, len(rows))
+	keys := make([]key, 0, len(rows))
 	grouped := make(map[key]*ml.Example)
 	for _, r := range rows {
 		k := key{r[0].AsInt(), r[1].AsInt(), r[2].AsInt()}
@@ -33,15 +39,18 @@ func RowsToExamples(rows []temporal.Row) []ml.Example {
 		if !ok {
 			ex = &ml.Example{Clicked: r[3].AsInt() == 1}
 			grouped[k] = ex
-			order = append(order, k)
+			keys = append(keys, k)
 		}
 		ex.Features = append(ex.Features, ml.Feature{
 			ID:  r[4].AsInt(),
 			Val: float64(r[5].AsInt()),
 		})
 	}
-	out := make([]ml.Example, len(order))
-	for i, k := range order {
+	slices.SortFunc(keys, func(a, b key) int {
+		return cmp.Or(cmp.Compare(a.t, b.t), cmp.Compare(a.user, b.user), cmp.Compare(a.ad, b.ad))
+	})
+	out := make([]ml.Example, len(keys))
+	for i, k := range keys {
 		ex := grouped[k]
 		ex.Features = ml.SortFeatures(ex.Features)
 		out[i] = *ex

@@ -194,9 +194,15 @@ func TestStreamingChaosChainedFragments(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	clean := driveStream(t, mk(true), schemas, "clicks", events, 3, core.DefaultConfig(), 20)
-	if !temporal.EventsEqual(clean, batch) {
-		t.Fatalf("crash-free chained run diverges from batch: %d vs %d events", len(clean), len(batch))
+	// Wave periods on both sides of the first fragment's 30-tick window:
+	// no wave's CTI may be thinned away inside the producer (see
+	// TestStreamingTwoStagePipeline).
+	var clean []temporal.Event
+	for _, period := range []temporal.Time{1, 2, 5, 33, 1000, 20} {
+		clean = driveStream(t, mk(true), schemas, "clicks", events, 3, core.DefaultConfig(), period)
+		if !temporal.EventsEqual(clean, batch) {
+			t.Fatalf("wave period %d: crash-free chained run diverges from batch: %d vs %d events", period, len(clean), len(batch))
+		}
 	}
 	for _, seed := range []int64{1, 2, 3} {
 		scope := obs.New("chaos")

@@ -114,32 +114,42 @@ func TestStreamingRoutesWideIntervals(t *testing.T) {
 	}
 }
 
+// twoStagePlan chains two GroupApply fragments: per-user windowed counts,
+// as points, re-keyed by the count itself.
+func twoStagePlan(annotate bool) *temporal.Plan {
+	src := temporal.Scan("clicks", clickSchema())
+	s := src
+	if annotate {
+		s = src.Exchange(temporal.PartitionBy{Cols: []string{"UserId"}})
+	}
+	perUser := s.GroupApply([]string{"UserId"}, func(g *temporal.Plan) *temporal.Plan {
+		return g.WithWindow(30).Count("C")
+	}).ToPoint()
+	if annotate {
+		perUser = perUser.Exchange(temporal.PartitionBy{Cols: []string{"C"}})
+	}
+	return perUser.GroupApply([]string{"C"}, func(g *temporal.Plan) *temporal.Plan {
+		return g.WithWindow(50).Count("N")
+	})
+}
+
+// TestStreamingTwoStagePipeline runs the chained plan at wave periods on
+// both sides of the first stage's 30-tick window. A stage barrier
+// punctuates the consumer at the wave time, so the producer's engines
+// must have released everything below it: a GroupApply that thinned the
+// wave's CTI (period 2 used to lose 8 of 1709 events that way) breaks it.
 func TestStreamingTwoStagePipeline(t *testing.T) {
 	r := rand.New(rand.NewSource(23))
 	rows := clickRows(r, 800, 15, 4)
-	mk := func(annotate bool) *temporal.Plan {
-		src := temporal.Scan("clicks", clickSchema())
-		s := src
-		if annotate {
-			s = src.Exchange(temporal.PartitionBy{Cols: []string{"UserId"}})
-		}
-		perUser := s.GroupApply([]string{"UserId"}, func(g *temporal.Plan) *temporal.Plan {
-			return g.WithWindow(30).Count("C")
-		}).ToPoint()
-		if annotate {
-			perUser = perUser.Exchange(temporal.PartitionBy{Cols: []string{"C"}})
-		}
-		return perUser.GroupApply([]string{"C"}, func(g *temporal.Plan) *temporal.Plan {
-			return g.WithWindow(50).Count("N")
-		})
-	}
 	events := temporal.RowsToPointEvents(rows, 0)
-	got := runStreaming(t, mk(true),
-		map[string]*temporal.Schema{"clicks": clickSchema()},
-		map[string][]temporal.Event{"clicks": events}, 3, 20)
-	want := singleNode(t, mk(false), "clicks", rows, 0)
-	if !temporal.EventsEqual(got, want) {
-		t.Fatalf("streaming two-stage diverges: %d vs %d events", len(got), len(want))
+	want := singleNode(t, twoStagePlan(false), "clicks", rows, 0)
+	for _, period := range []temporal.Time{1, 2, 5, 20, 33, 1000} {
+		got := runStreaming(t, twoStagePlan(true),
+			map[string]*temporal.Schema{"clicks": clickSchema()},
+			map[string][]temporal.Event{"clicks": events}, 3, period)
+		if !temporal.EventsEqual(got, want) {
+			t.Fatalf("wave period %d: streaming two-stage diverges: %d vs %d events", period, len(got), len(want))
+		}
 	}
 }
 

@@ -333,6 +333,19 @@ func FuzzCheckpointRoundtrip(f *testing.F) {
 	post.Advance(40)
 	post.Feed("in", PointEvent(41, Row{Int(41), Int(5)}))
 	f.Add(post.Checkpoint())
+	// An image with staged output (TestCheckpointWithUnsortedStaged): what a
+	// CTI lagging the input left behind, under a tail in arrival order.
+	staged, err := NewEngine(mk(), WithCTIPeriod(0))
+	if err != nil {
+		f.Fatal(err)
+	}
+	for tm := Time(0); tm < 20; tm++ {
+		staged.Feed("in", PointEvent(tm, Row{Int(tm), Int(tm * tm % 5)}))
+		if tm == 11 {
+			staged.Advance(4)
+		}
+	}
+	f.Add(staged.Checkpoint())
 	f.Fuzz(func(t *testing.T, data []byte) {
 		// (1) Roundtrip a state derived from the fuzz bytes.
 		eng, err := NewEngine(mk(), WithCTIPeriod(0))

@@ -20,6 +20,9 @@ type Pipeline struct {
 	// a snapshot taken from one compile of a plan restores into another.
 	// Stateless operators simply never appear here.
 	ckpts []Checkpointer
+	// auto is set while the engine's automatic schedule punctuates: the
+	// one kind of CTI a GroupApply may thin (see groupApplyOp.gap).
+	auto bool
 }
 
 // Input returns the entry sink for the named source.
@@ -86,6 +89,14 @@ func (p *Pipeline) AdvanceAll(t Time) {
 	}
 }
 
+// autoAdvance is AdvanceAll for the engine's automatic schedule, whose
+// punctuations nobody waits for: GroupApplys may thin them.
+func (p *Pipeline) autoAdvance(t Time) {
+	p.auto = true
+	p.AdvanceAll(t)
+	p.auto = false
+}
+
 // FlushAll signals end-of-stream on every source entry.
 func (p *Pipeline) FlushAll() {
 	for _, in := range p.inputs {
@@ -139,6 +150,7 @@ func compile(root *Plan, out Sink, scope *obs.Scope, fuse bool) (*Pipeline, erro
 		walkInputs(root, func(n *Plan) { c.ids[n] = len(c.ids) })
 	}
 	pl := &Pipeline{inputs: make(map[string]Sink), schemas: make(map[string]*Schema), out: root.Out}
+	c.auto = &pl.auto
 	// Group scan leaves by source: one feed may supply several leaves.
 	// Only this plan's own DAG is walked; GroupApply sub-plans have their
 	// own leaves and are compiled per group.
@@ -194,6 +206,7 @@ type compiler struct {
 	obs     *obs.Scope    // nil = no instrumentation
 	ids     map[*Plan]int // deterministic operator ids (obs only)
 	fuse    bool          // collapse stateless runs into fused kernels
+	auto    *bool         // Pipeline.auto; nil when compiling a sub-plan
 }
 
 func (c *compiler) collectParents(n *Plan, seen map[*Plan]bool) {
@@ -373,7 +386,7 @@ func (c *compiler) buildOp(n *Plan, out Sink) ([]Sink, any) {
 			}
 			return entry, ops
 		}
-		g := newGroupApplyOp(keys, factory, sub.MaxWindow(), out)
+		g := newGroupApplyOp(keys, factory, sub.MaxWindow(), c.auto, out)
 		return []Sink{g}, g
 	case OpUnion:
 		u := newUnionOp(out)

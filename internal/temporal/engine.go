@@ -147,7 +147,7 @@ func (e *Engine) FeedBatch(source string, b *Batch) {
 			e.feedBatch = Batch{Events: evs[start : i+1]}
 			in.OnBatch(&e.feedBatch)
 			start = i + 1
-			e.pipeline.AdvanceAll(t)
+			e.pipeline.autoAdvance(t)
 			e.lastCTI += ((t - e.lastCTI) / e.CTIPeriod) * e.CTIPeriod
 			next = e.lastCTI + e.CTIPeriod
 		}
@@ -202,7 +202,7 @@ func (e *Engine) FeedColBatch(source string, cb *ColBatch) {
 			}
 			cs.OnColBatch(cb.Slice(start, i+1))
 			start = i + 1
-			e.pipeline.AdvanceAll(t)
+			e.pipeline.autoAdvance(t)
 			e.lastCTI += ((t - e.lastCTI) / e.CTIPeriod) * e.CTIPeriod
 			next = e.lastCTI + e.CTIPeriod
 		}
@@ -237,12 +237,14 @@ func (e *Engine) maybeCTI(t Time) {
 		e.anchorCTI(t)
 	}
 	if d := t - e.lastCTI; d >= e.CTIPeriod {
-		e.pipeline.AdvanceAll(t)
+		e.pipeline.autoAdvance(t)
 		e.lastCTI += (d / e.CTIPeriod) * e.CTIPeriod
 	}
 }
 
-// Advance broadcasts a CTI at time t to every source.
+// Advance broadcasts a CTI at time t to every source. Unlike the automatic
+// schedule's it is never thinned on the way: when Advance returns, the sink
+// has every result below t and then the CTI (moved only by lifetime shifts).
 func (e *Engine) Advance(t Time) {
 	e.fed = true
 	e.pipeline.AdvanceAll(t)

@@ -1,6 +1,7 @@
 package temporal
 
 import (
+	"cmp"
 	"fmt"
 	"sort"
 )
@@ -57,17 +58,21 @@ func (e Event) String() string {
 // nondecreasing-LE input; full ordering makes test assertions and the
 // repeatability guarantee (identical output on reducer restart) exact.
 func SortEvents(events []Event) {
-	sort.SliceStable(events, func(i, j int) bool {
-		a, b := events[i], events[j]
-		if a.LE != b.LE {
-			return a.LE < b.LE
-		}
-		if a.RE != b.RE {
-			return a.RE < b.RE
-		}
-		return compareRows(a.Payload, b.Payload) < 0
-	})
+	sort.SliceStable(events, func(i, j int) bool { return eventBefore(events[i], events[j]) })
 }
+
+// compareEvents is the canonical engine order: (LE, RE, payload).
+func compareEvents(a, b Event) int {
+	if a.LE != b.LE {
+		return cmp.Compare(a.LE, b.LE)
+	}
+	if a.RE != b.RE {
+		return cmp.Compare(a.RE, b.RE)
+	}
+	return compareRows(a.Payload, b.Payload)
+}
+
+func eventBefore(a, b Event) bool { return compareEvents(a, b) < 0 }
 
 func compareRows(a, b Row) int {
 	n := len(a)

@@ -127,3 +127,31 @@ func TestObservedMatchesUnobserved(t *testing.T) {
 		t.Fatalf("observed run diverged from plain run")
 	}
 }
+
+// GroupApply's punctuation counters: two keys with a 10-tick window, key 1
+// fed every 4 ticks from 0 and key 2 one tick later, the automatic
+// schedule at period 2. It punctuates at t = 0, 4, … 36 (at key 1's
+// events); the operator broadcasts the first and then one per extent
+// (t = 0, 12, 24, 36), swallowing six. Key 1's count has just changed at
+// each of these, so only key 2's open segment is cut — three times, there
+// being none at t = 0. An explicit Advance is broadcast however closely it
+// follows (t = 37, at key 2's last event) and cuts key 1's.
+func TestObservedGroupApplyPunctuation(t *testing.T) {
+	root := obs.New("engine")
+	eng, err := NewEngine(reclaimPlan(func(g *Plan) *Plan { return g.WithWindow(10).Count("C") }),
+		WithObs(root), WithCTIPeriod(2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for ts := Time(0); ts <= 36; ts += 4 {
+		eng.Feed("in", PointEvent(ts, Row{Int(ts), Int(1), Int(0), Float(0)}))
+		eng.Feed("in", PointEvent(ts+1, Row{Int(ts + 1), Int(2), Int(0), Float(0)}))
+	}
+	eng.Advance(37)
+	sc := root.Child("op00.GroupApply")
+	for name, want := range map[string]int64{"cti_broadcasts": 5, "cti_swallowed": 6, "fragments": 4} {
+		if got := sc.Counter(name).Value(); got != want {
+			t.Errorf("%s = %d, want %d", name, got, want)
+		}
+	}
+}

@@ -1,8 +1,9 @@
 package temporal
 
 import (
-	"container/heap"
 	"sort"
+
+	"timr/internal/obs"
 )
 
 // aggState is the incremental state of one snapshot aggregate. Insert and
@@ -117,43 +118,24 @@ func (s *avgState) restore(r *SnapshotReader) {
 // keep a multiset (Value is comparable, so it keys a map directly) plus a
 // lazily-cleaned heap of candidate extrema.
 
-type valueHeap struct {
-	vals []Value
-	max  bool
-}
-
-func (h valueHeap) Len() int { return len(h.vals) }
-func (h valueHeap) Less(i, j int) bool {
-	c := h.vals[i].Compare(h.vals[j])
-	if h.max {
-		return c > 0
-	}
-	return c < 0
-}
-func (h valueHeap) Swap(i, j int)       { h.vals[i], h.vals[j] = h.vals[j], h.vals[i] }
-func (h *valueHeap) Push(x interface{}) { h.vals = append(h.vals, x.(Value)) }
-func (h *valueHeap) Pop() interface{} {
-	old := h.vals
-	n := len(old)
-	v := old[n-1]
-	h.vals = old[:n-1]
-	return v
-}
-
 type minMaxState struct {
 	col    int
 	counts map[Value]int
-	h      valueHeap
+	h      minHeap[Value] // "least" is greatest for Max
 }
 
 func newMinMaxState(col int, max bool) *minMaxState {
-	return &minMaxState{col: col, counts: make(map[Value]int), h: valueHeap{max: max}}
+	less := func(a, b Value) bool { return a.Compare(b) < 0 }
+	if max {
+		less = func(a, b Value) bool { return a.Compare(b) > 0 }
+	}
+	return &minMaxState{col: col, counts: make(map[Value]int), h: minHeap[Value]{less: less}}
 }
 
 func (s *minMaxState) Insert(r Row) {
 	v := r[s.col]
 	s.counts[v]++
-	heap.Push(&s.h, v)
+	s.h.push(v)
 }
 
 func (s *minMaxState) Remove(r Row) {
@@ -166,12 +148,12 @@ func (s *minMaxState) Remove(r Row) {
 }
 
 func (s *minMaxState) Result() Value {
-	for s.h.Len() > 0 {
-		top := s.h.vals[0]
+	for len(s.h.items) > 0 {
+		top := s.h.items[0]
 		if s.counts[top] > 0 {
 			return top
 		}
-		heap.Pop(&s.h) // stale entry from a removed event
+		s.h.pop() // stale entry from a removed event
 	}
 	return Null
 }
@@ -179,7 +161,7 @@ func (s *minMaxState) Result() Value {
 // reset drops the stale heap candidates an emptied multiset leaves behind.
 func (s *minMaxState) reset() {
 	clear(s.counts)
-	s.h.vals = s.h.vals[:0]
+	s.h.items = s.h.items[:0]
 }
 
 // snapshot writes the live multiset in value order. The lazily-cleaned
@@ -209,9 +191,8 @@ func (s *minMaxState) restore(r *SnapshotReader) {
 			return
 		}
 		s.counts[v] = c
-		s.h.vals = append(s.h.vals, v)
+		s.h.push(v)
 	}
-	heap.Init(&s.h)
 }
 
 func newAggState(kind AggKind, col int, colKind Kind) aggState {
@@ -236,19 +217,7 @@ type expiration struct {
 	row Row
 }
 
-type expHeap []expiration
-
-func (h expHeap) Len() int            { return len(h) }
-func (h expHeap) Less(i, j int) bool  { return h[i].re < h[j].re }
-func (h expHeap) Swap(i, j int)       { h[i], h[j] = h[j], h[i] }
-func (h *expHeap) Push(x interface{}) { *h = append(*h, x.(expiration)) }
-func (h *expHeap) Pop() interface{} {
-	old := *h
-	n := len(old)
-	e := old[n-1]
-	*h = old[:n-1]
-	return e
-}
+func expBefore(a, b expiration) bool { return a.re < b.re }
 
 // aggregateOp implements snapshot aggregation (paper §II-A.2): it sweeps
 // the LE-ordered input, maintaining the set of active events (those whose
@@ -264,24 +233,29 @@ func (h *expHeap) Pop() interface{} {
 // merge relies on.
 type aggregateOp struct {
 	state  aggState
-	exp    expHeap
+	exp    minHeap[expiration]
 	active int
 	cur    Time // start of the open segment
 	arena  rowArena
 	out    Sink
+	// Segments force-closed by a CTI. Nil unless the enclosing GroupApply
+	// is observed (groupApplyOp.newInstance).
+	fragments *obs.Counter
 }
 
 func newAggregateOp(state aggState, out Sink) *aggregateOp {
-	return &aggregateOp{state: state, cur: MinTime, out: out}
+	return &aggregateOp{state: state, exp: minHeap[expiration]{less: expBefore}, cur: MinTime, out: out}
 }
 
 // liveState counts open lifetimes awaiting expiration — the sweep's
 // working set. At zero the accumulator is zero too (advanceTo) and only
 // the sweep position is left.
-func (a *aggregateOp) liveState() int { return len(a.exp) }
+func (a *aggregateOp) liveState() int { return len(a.exp.items) }
 
-func (a *aggregateOp) emitSegment(upto Time) {
-	if a.active > 0 && a.cur < upto {
+// emitSegment closes the open segment at upto and reports whether there
+// was one to emit.
+func (a *aggregateOp) emitSegment(upto Time) (emitted bool) {
+	if emitted = a.active > 0 && a.cur < upto; emitted {
 		payload := a.arena.alloc(1)
 		payload[0] = a.state.Result()
 		a.out.OnEvent(Event{LE: a.cur, RE: upto, Payload: payload})
@@ -289,17 +263,17 @@ func (a *aggregateOp) emitSegment(upto Time) {
 	if upto > a.cur {
 		a.cur = upto
 	}
+	return emitted
 }
 
 // advanceTo processes all expirations at or before t, emitting the
 // segments they close.
 func (a *aggregateOp) advanceTo(t Time) {
-	for len(a.exp) > 0 && a.exp[0].re <= t {
-		re := a.exp[0].re
+	for len(a.exp.items) > 0 && a.exp.items[0].re <= t {
+		re := a.exp.items[0].re
 		a.emitSegment(re)
-		for len(a.exp) > 0 && a.exp[0].re == re {
-			x := heap.Pop(&a.exp).(expiration)
-			a.state.Remove(x.row)
+		for len(a.exp.items) > 0 && a.exp.items[0].re == re {
+			a.state.Remove(a.exp.pop().row)
 			a.active--
 		}
 		if a.active == 0 {
@@ -312,7 +286,7 @@ func (a *aggregateOp) OnEvent(e Event) {
 	a.advanceTo(e.LE)
 	a.emitSegment(e.LE)
 	a.state.Insert(e.Payload)
-	heap.Push(&a.exp, expiration{re: e.RE, row: e.Payload})
+	a.exp.push(expiration{re: e.RE, row: e.Payload})
 	a.active++
 	a.cur = maxTime(a.cur, e.LE)
 }
@@ -324,7 +298,9 @@ func (a *aggregateOp) OnBatch(b *Batch) { loopBatch(a, b) }
 
 func (a *aggregateOp) OnCTI(t Time) {
 	a.advanceTo(t)
-	a.emitSegment(t) // force-close so downstream watermark can advance
+	if a.emitSegment(t) { // force-close so downstream watermark can advance
+		a.fragments.Inc()
+	}
 	a.out.OnCTI(t)
 }
 
@@ -334,13 +310,13 @@ func (a *aggregateOp) OnFlush() {
 }
 
 // Snapshot serializes the sweep position, the open-lifetime heap (in
-// canonical (re, row) order — a re-sorted expHeap is still a valid
+// canonical (re, row) order — a sorted slice is still a valid
 // min-heap, and expirations at equal re are removed together, so the
 // tie order is output-neutral) and the accumulator itself.
 func (a *aggregateOp) Snapshot(w *SnapshotWriter) {
 	w.Byte(ckAggregate)
 	w.Varint(a.cur)
-	exp := append(expHeap(nil), a.exp...)
+	exp := append([]expiration(nil), a.exp.items...)
 	sort.Slice(exp, func(i, j int) bool {
 		if exp[i].re != exp[j].re {
 			return exp[i].re < exp[j].re
@@ -363,9 +339,9 @@ func (a *aggregateOp) Restore(r *SnapshotReader) error {
 	n := r.Count("aggregate expirations")
 	for i := 0; i < n && r.Err() == nil; i++ {
 		re := r.Varint()
-		a.exp = append(a.exp, expiration{re: re, row: r.Row()})
+		a.exp.items = append(a.exp.items, expiration{re: re, row: r.Row()})
 	}
-	a.active = len(a.exp) // every open lifetime is one active event
+	a.active = len(a.exp.items) // every open lifetime is one active event
 	a.state.restore(r)
 	return r.Err()
 }

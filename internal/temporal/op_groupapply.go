@@ -1,7 +1,7 @@
 package temporal
 
 import (
-	"container/heap"
+	"slices"
 	"sort"
 
 	"timr/internal/obs"
@@ -14,7 +14,7 @@ import (
 // Ordering: each group's sub-pipeline emits in nondecreasing LE, but
 // different groups progress at different rates, so raw interleaving would
 // violate the engine's order contract. Group outputs are therefore staged
-// in a heap and released up to the watermark. The watermark only advances
+// and released in order up to the watermark. The watermark only advances
 // on CTIs, which are broadcast to every group instance first: after a
 // group has seen OnCTI(t), every operator in this engine guarantees that
 // its future output has LE >= t (aggregates force-close their open segment
@@ -34,22 +34,34 @@ type groupApplyOp struct {
 	// fresh is the snapshot of a just-compiled sub-pipeline. A drained
 	// operator holds nothing but clocks (sweep position, watermarks);
 	// restoring fresh rewinds them: recycled is exactly newly compiled.
-	fresh  []byte
-	rd     Decoder // reused reader over fresh
-	staged eventHeap
+	fresh []byte
+	rd    Decoder // reused reader over fresh
+	// staged is group output awaiting release: staged[:sorted] in canonical
+	// order (what the last release left behind), the rest as it arrived.
+	// carry is scratch for merging the two. All are reused across releases.
+	staged []Event
+	sorted int
+	carry  []Event
 	out    Sink
 	// Punctuations are a physical concern only — results are defined by
-	// application time — so the operator is free to thin them. It
-	// broadcasts at most once per gap (an eighth of the sub-plan's maximum
-	// window): long-window sub-plans would otherwise pay a full O(live
-	// groups) sweep on every CTI for no cleanup benefit. Swallowed CTIs
-	// delay downstream output release, never change it.
+	// application time — so the engine's automatic schedule (*auto is set
+	// while it punctuates) is thinned to one broadcast per gap, the
+	// sub-plan's maximum extent: a broadcast visits every live group and
+	// cuts every open aggregate segment, and once per extent is the
+	// sparsest schedule under which a group untouched since one broadcast
+	// is drained, by expiration alone, at the next. A swallowed CTI delays
+	// downstream release, never changes it. A punctuation the caller
+	// issued (Engine.Advance, a batch's trailing CTI) is never swallowed:
+	// the caller may act on it — a streaming stage punctuates its consumer
+	// at the same instant. Sub-plan operators have no auto: an enclosing
+	// broadcast is their only punctuation, and it is thinned already.
 	gap           Time
+	auto          *bool
 	lastBroadcast Time
 	arena         rowArena
 	// Nil unless observed (opMetrics.observe).
-	live                *obs.Gauge
-	reclaimed, recycled *obs.Counter
+	live                                              *obs.Gauge
+	reclaimed, recycled, broadcasts, swallowed, frags *obs.Counter
 }
 
 // subOperator is a stateful operator of a GroupApply sub-pipeline. It is
@@ -69,13 +81,14 @@ type groupInstance struct {
 	lastCTI Time          // latest punctuation delivered to this group
 }
 
-func newGroupApplyOp(keys []int, factory func(out Sink) (Sink, []subOperator), maxExtent Time, out Sink) *groupApplyOp {
+func newGroupApplyOp(keys []int, factory func(out Sink) (Sink, []subOperator), maxExtent Time, auto *bool, out Sink) *groupApplyOp {
 	return &groupApplyOp{
 		keys:          keys,
 		factory:       factory,
 		groups:        make(map[uint64][]*groupInstance),
 		out:           out,
-		gap:           maxExtent / 8,
+		gap:           maxExtent,
+		auto:          auto,
 		lastBroadcast: MinTime,
 	}
 }
@@ -88,7 +101,7 @@ type stageSink struct {
 
 func (s *stageSink) OnEvent(e Event) {
 	e.Payload = s.op.arena.concat(s.key, e.Payload)
-	heap.Push(&s.op.staged, e)
+	s.op.staged = append(s.op.staged, e)
 }
 func (s *stageSink) OnCTI(Time) {}
 func (s *stageSink) OnFlush()   {}
@@ -128,6 +141,16 @@ func (g *groupApplyOp) newInstance(key Row) *groupInstance {
 	}
 	inst := &groupInstance{sink: stageSink{op: g, key: key}, lastLE: MinTime, lastCTI: MinTime}
 	inst.entry, inst.ops = g.factory(&inst.sink)
+	if g.frags != nil {
+		for _, op := range inst.ops {
+			switch op := op.(type) {
+			case *aggregateOp:
+				op.fragments = g.frags
+			case *groupApplyOp:
+				op.frags = g.frags
+			}
+		}
+	}
 	if g.fresh == nil {
 		var w SnapshotWriter
 		for _, op := range inst.ops {
@@ -177,9 +200,11 @@ func (g *groupApplyOp) OnBatch(b *Batch) { loopBatch(g, b) }
 
 // OnCTI broadcasts t to every live instance and reclaims those it drains.
 func (g *groupApplyOp) OnCTI(t Time) {
-	if g.lastBroadcast != MinTime && t < g.lastBroadcast+g.gap {
+	if g.auto != nil && *g.auto && g.lastBroadcast != MinTime && t < g.lastBroadcast+g.gap {
+		g.swallowed.Inc()
 		return // thinned; see the gap field
 	}
+	g.broadcasts.Inc()
 	g.lastBroadcast = t
 	for h, bucket := range g.groups {
 		kept := bucket[:0]
@@ -217,17 +242,17 @@ func (g *groupApplyOp) OnFlush() {
 	g.out.OnFlush()
 }
 
-// Snapshot serializes the broadcast clock, the staged output heap (in
-// canonical event order; a sorted slice is a valid min-heap), and every
-// live group instance in key order — each instance being its key, its
-// clocks, and the recursive snapshots of its sub-pipeline's stateful
-// operators. The free list is not state: its members are fresh.
+// Snapshot serializes the broadcast clock, the staged output (put in
+// canonical event order first — a release would do the same, so nothing
+// observable moves), and every live group instance in key order — each
+// instance being its key, its clocks, and the recursive snapshots of its
+// sub-pipeline's stateful operators. The free list is not state: its
+// members are fresh.
 func (g *groupApplyOp) Snapshot(w *SnapshotWriter) {
 	w.Byte(ckGroupApply)
 	w.Varint(g.lastBroadcast)
-	staged := append([]Event(nil), g.staged...)
-	SortEvents(staged)
-	w.Events(staged)
+	g.sortStaged()
+	w.Events(g.staged)
 	insts := make([]*groupInstance, 0, g.nlive)
 	for _, bucket := range g.groups {
 		insts = append(insts, bucket...)
@@ -252,7 +277,8 @@ func (g *groupApplyOp) Restore(r *SnapshotReader) error {
 		return err
 	}
 	g.lastBroadcast = r.Varint()
-	g.staged = eventHeap(r.Events())
+	g.staged = r.Events()
+	g.sorted = len(g.staged)
 	n := r.Count("group instances")
 	for i := 0; i < n && r.Err() == nil; i++ {
 		key := r.Row()
@@ -287,12 +313,43 @@ func (g *groupApplyOp) Restore(r *SnapshotReader) error {
 // release forwards staged output events with LE < t (future group output
 // is guaranteed to have LE >= t once all groups have seen CTI t).
 func (g *groupApplyOp) release(t Time) {
-	for len(g.staged) > 0 && g.staged[0].LE < t {
-		g.out.OnEvent(heap.Pop(&g.staged).(Event))
+	g.sortStaged()
+	st := g.staged
+	n := len(st)
+	if t != MaxTime {
+		n = sort.Search(n, func(i int) bool { return st[i].LE >= t })
 	}
-	if t == MaxTime {
-		for len(g.staged) > 0 {
-			g.out.OnEvent(heap.Pop(&g.staged).(Event))
+	for i := range st[:n] {
+		g.out.OnEvent(st[i])
+	}
+	g.sorted = copy(st, st[n:])
+	clear(st[g.sorted:]) // drop the rows the spare capacity would pin
+	g.staged = st[:g.sorted]
+}
+
+// sortStaged puts staged in canonical order: the tail that arrived since
+// the last release is sorted, then merged with what that release left.
+func (g *groupApplyOp) sortStaged() {
+	st := g.staged
+	tail := st[g.sorted:]
+	if len(tail) == 0 {
+		return
+	}
+	slices.SortFunc(tail, compareEvents)
+	first := tail[0]
+	i := sort.Search(g.sorted, func(i int) bool { return eventBefore(first, st[i]) })
+	// Merge st[i:sorted], moved out to carry, with tail into st[i:]: the
+	// write position cannot pass the unread tail while carry has events
+	// left, and once it has none the rest of tail is in place.
+	carry := append(g.carry[:0], st[i:g.sorted]...)
+	g.carry = carry
+	for ; len(carry) > 0; i++ {
+		if len(tail) > 0 && eventBefore(tail[0], carry[0]) {
+			st[i], tail = tail[0], tail[1:]
+		} else {
+			st[i], carry = carry[0], carry[1:]
 		}
 	}
+	clear(g.carry)
+	g.sorted = len(st)
 }

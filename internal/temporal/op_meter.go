@@ -21,7 +21,10 @@ import (
 // GroupApply adds groups_live (instances left after the latest broadcast
 // CTI; last write wins across partitions), groups_reclaimed (drained
 // instances removed) and groups_recycled (new keys served from the free
-// list instead of a compile).
+// list instead of a compile); and, for the cost of punctuation,
+// cti_broadcasts (CTIs delivered to every live group), cti_swallowed
+// (automatic CTIs thinned away) and fragments (aggregate segments of the
+// sub-plan, nested ones included, that a broadcast force-closed).
 //
 // Metric handles are resolved once at compile time; per-event cost is one
 // atomic add per meter. Handles are shared across engine instances that
@@ -65,6 +68,9 @@ func (m *opMetrics) observe(op any) {
 		g.live = m.scope.Gauge("groups_live")
 		g.reclaimed = m.scope.Counter("groups_reclaimed")
 		g.recycled = m.scope.Counter("groups_recycled")
+		g.broadcasts = m.scope.Counter("cti_broadcasts")
+		g.swallowed = m.scope.Counter("cti_swallowed")
+		g.frags = m.scope.Counter("fragments")
 	}
 }
 

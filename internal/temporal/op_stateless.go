@@ -1,9 +1,6 @@
 package temporal
 
-import (
-	"container/heap"
-	"sort"
-)
+import "sort"
 
 // The stateless hot-path operators implement both Sink (per-event) and
 // BatchSink (batch-at-a-time). The batch methods are the primary path:
@@ -353,47 +350,23 @@ func floorDiv(a, b Time) Time {
 	return q
 }
 
-// eventHeap orders events by (LE, RE, payload) — the canonical engine
-// order, matching SortEvents.
-type eventHeap []Event
-
-func (h eventHeap) Len() int { return len(h) }
-func (h eventHeap) Less(i, j int) bool {
-	if h[i].LE != h[j].LE {
-		return h[i].LE < h[j].LE
-	}
-	if h[i].RE != h[j].RE {
-		return h[i].RE < h[j].RE
-	}
-	return compareRows(h[i].Payload, h[j].Payload) < 0
-}
-func (h eventHeap) Swap(i, j int)       { h[i], h[j] = h[j], h[i] }
-func (h *eventHeap) Push(x interface{}) { *h = append(*h, x.(Event)) }
-func (h *eventHeap) Pop() interface{} {
-	old := *h
-	n := len(old)
-	e := old[n-1]
-	*h = old[:n-1]
-	return e
-}
-
 // reorderOp restores nondecreasing-LE order for a source that may be
 // disordered by at most slack time units. Events are buffered and released
 // once the high-watermark (max LE seen, or CTI) has passed LE + slack.
 type reorderOp struct {
 	slack Time
-	buf   eventHeap
+	buf   minHeap[Event] // in canonical engine order (compareEvents)
 	wm    Time
 	out   Sink
 	bo    batchOut
 }
 
 func newReorder(slack Time, out Sink) *reorderOp {
-	return &reorderOp{slack: slack, wm: MinTime, out: out}
+	return &reorderOp{slack: slack, buf: minHeap[Event]{less: eventBefore}, wm: MinTime, out: out}
 }
 
 func (r *reorderOp) OnEvent(e Event) {
-	heap.Push(&r.buf, e)
+	r.buf.push(e)
 	if e.LE > r.wm {
 		r.wm = e.LE
 	}
@@ -408,13 +381,13 @@ func (r *reorderOp) OnBatch(b *Batch) {
 	released := r.bo.buf[:0]
 	for i := range b.Events {
 		e := b.Events[i]
-		heap.Push(&r.buf, e)
+		r.buf.push(e)
 		if e.LE > r.wm {
 			r.wm = e.LE
 		}
 		upto := r.wm - r.slack
-		for len(r.buf) > 0 && r.buf[0].LE <= upto {
-			released = append(released, heap.Pop(&r.buf).(Event))
+		for len(r.buf.items) > 0 && r.buf.items[0].LE <= upto {
+			released = append(released, r.buf.pop())
 		}
 	}
 	if b.HasCTI {
@@ -423,8 +396,8 @@ func (r *reorderOp) OnBatch(b *Batch) {
 		if b.CTI > r.wm {
 			r.wm = b.CTI
 		}
-		for len(r.buf) > 0 && r.buf[0].LE <= b.CTI {
-			released = append(released, heap.Pop(&r.buf).(Event))
+		for len(r.buf.items) > 0 && r.buf.items[0].LE <= b.CTI {
+			released = append(released, r.buf.pop())
 		}
 	}
 	r.bo.emit(r.out, released, b.CTI, b.HasCTI)
@@ -445,16 +418,16 @@ func (r *reorderOp) OnFlush() {
 	r.out.OnFlush()
 }
 
-func (r *reorderOp) liveState() int { return len(r.buf) }
+func (r *reorderOp) liveState() int { return len(r.buf.items) }
 
 // Snapshot serializes the watermark and the buffered events in canonical
-// order. A sorted eventHeap slice is itself a valid min-heap, and release
-// order is fully determined by the heap's Less, so the rebuilt buffer
-// releases the identical sequence.
+// order. A sorted slice is itself a valid min-heap, and release order is
+// fully determined by the heap's order, so the rebuilt buffer releases the
+// identical sequence.
 func (r *reorderOp) Snapshot(w *SnapshotWriter) {
 	w.Byte(ckReorder)
 	w.Varint(r.wm)
-	buf := append([]Event(nil), r.buf...)
+	buf := append([]Event(nil), r.buf.items...)
 	SortEvents(buf)
 	w.Events(buf)
 }
@@ -464,12 +437,12 @@ func (r *reorderOp) Restore(rd *SnapshotReader) error {
 		return err
 	}
 	r.wm = rd.Varint()
-	r.buf = eventHeap(rd.Events())
+	r.buf.items = rd.Events()
 	return rd.Err()
 }
 
 func (r *reorderOp) release(upto Time) {
-	for len(r.buf) > 0 && r.buf[0].LE <= upto {
-		r.out.OnEvent(heap.Pop(&r.buf).(Event))
+	for len(r.buf.items) > 0 && r.buf.items[0].LE <= upto {
+		r.out.OnEvent(r.buf.pop())
 	}
 }

@@ -1,8 +1,10 @@
 package temporal
 
 import (
+	"fmt"
 	"math/rand"
 	"sort"
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -85,52 +87,134 @@ func TestPropertyWindowedCountMatchesOracle(t *testing.T) {
 	}
 }
 
+// schedulePlans are GroupApply plans over reclaimSchema, keyed by K: the
+// reclaim tests' sub-plans plus a nested GroupApply, each also followed by
+// ToPoint (whose raw output, not only the coalesced one, must be stable:
+// it suppresses the continuations punctuation cuts).
+func schedulePlans() map[string]func() *Plan {
+	subs := map[string]func(g *Plan) *Plan{
+		"nested": func(g *Plan) *Plan {
+			return g.GroupApply([]string{"V"}, func(h *Plan) *Plan { return h.WithWindow(6).Count("C") })
+		},
+	}
+	for _, name := range []string{"count", "hopping", "sum", "avg", "min", "max", "union"} {
+		subs[name] = reclaimSubPlans[name]
+	}
+	plans := map[string]func() *Plan{}
+	for name, sub := range subs {
+		sub := sub
+		plans[name] = func() *Plan { return reclaimPlan(sub) }
+		plans[name+"/topoint"] = func() *Plan { return reclaimPlan(sub).ToPoint() }
+	}
+	return plans
+}
+
+// groupedCountOracle is bruteSnapshotCount per key K for events widened
+// to w: what reclaimPlan(WithWindow(w).Count) must produce.
+func groupedCountOracle(events []Event, w Time) []Event {
+	byKey := map[int64][]Event{}
+	for _, e := range events {
+		k := e.Payload[1].AsInt()
+		byKey[k] = append(byKey[k], Event{LE: e.LE, RE: e.LE + w, Payload: e.Payload})
+	}
+	var want []Event
+	for k, evs := range byKey {
+		for _, e := range bruteSnapshotCount(evs) {
+			want = append(want, Event{LE: e.LE, RE: e.RE, Payload: Row{Int(k), e.Payload[0]}})
+		}
+	}
+	return Coalesce(want)
+}
+
 func TestPropertyCTIFrequencyInvariance(t *testing.T) {
 	// The paper's repeatability guarantee (§III-C.1): results depend only
-	// on application time. Punctuation frequency is a physical concern and
-	// must not alter coalesced output.
-	err := quick.Check(func(seed int64, nRaw, wRaw, periodRaw uint8) bool {
-		r := rand.New(rand.NewSource(seed))
-		n := int(nRaw%50) + 2
-		w := Time(wRaw%15) + 1
-		period := Time(periodRaw%7) + 1
-		events := genEvents(r, n)
-		mk := func() *Plan {
-			return Scan("in", propSchema()).
-				GroupApply([]string{"V"}, func(g *Plan) *Plan { return g.WithWindow(w).Count("C") })
-		}
+	// on application time. How often — and by whom — a run is punctuated
+	// is a physical concern and must not alter the output: not the
+	// automatic schedule at periods on both sides of GroupApply's thinning
+	// gap (the sub-plan's extent), not a caller's Advance after every
+	// event, not the absence of any CTI before Flush.
+	for name, mk := range schedulePlans() {
+		mk := mk
+		t.Run(name, func(t *testing.T) {
+			extent := mk().MaxWindow()
+			for seed := int64(1); seed <= 6; seed++ {
+				events := genBursty(rand.New(rand.NewSource(seed)), 8)
+				run := func(period Time, explicit bool) (coalesced []Event, raw int) {
+					eng, err := NewEngine(mk(), WithCTIPeriod(period))
+					if err != nil {
+						t.Fatal(err)
+					}
+					for _, ev := range events {
+						eng.Feed("in", ev)
+						if explicit {
+							eng.Advance(ev.LE)
+						}
+					}
+					eng.Flush()
+					return eng.Results(), len(eng.RawResults())
+				}
+				want, wantRaw := run(0, false) // flush-driven
+				if name == "count" {
+					if oracle := groupedCountOracle(events, 9); !EventsEqual(want, oracle) {
+						t.Fatalf("seed %d: count diverges from the oracle: %d events, want %d", seed, len(want), len(oracle))
+					}
+				}
+				check := func(schedule string, got []Event, raw int) {
+					if !EventsEqual(got, want) {
+						t.Fatalf("seed %d, %s: %d events, unpunctuated %d:\n%v\n%v", seed, schedule, len(got), len(want), got, want)
+					}
+					if strings.HasSuffix(name, "/topoint") && raw != wantRaw {
+						t.Fatalf("seed %d, %s: %d raw points, unpunctuated %d", seed, schedule, raw, wantRaw)
+					}
+				}
+				for _, period := range []Time{1, maxTime(1, extent/8), extent, 10 * extent} {
+					got, raw := run(period, false)
+					check(fmt.Sprintf("auto period %d", period), got, raw)
+				}
+				got, raw := run(0, true)
+				check("Advance after every event", got, raw)
+			}
+		})
+	}
+}
 
-		// Run 1: no CTIs at all (flush-driven).
-		e1, err := NewEngine(mk())
-		if err != nil {
-			return false
-		}
-		e1.CTIPeriod = 0
-		for _, ev := range events {
-			e1.Feed("in", ev)
-		}
-		e1.Flush()
-
-		// Run 2: aggressive CTIs every `period` ticks.
-		e2, err := NewEngine(mk())
-		if err != nil {
-			return false
-		}
-		e2.CTIPeriod = 0
-		last := Time(MinTime)
-		for _, ev := range events {
-			e2.Feed("in", ev)
-			if last == MinTime || ev.LE-last >= period {
-				e2.Advance(ev.LE)
-				last = ev.LE
+// TestExplicitAdvanceIsNeverSwallowed: a caller acts on Advance(t) having
+// returned (a streaming stage punctuates its consumer at t), so the CTI
+// must have crossed every GroupApply on the way to the sink — chained and
+// nested ones too, however close t is to the previous punctuation — moved
+// only by the lifetime shifts on its path.
+func TestExplicitAdvanceIsNeverSwallowed(t *testing.T) {
+	count := reclaimSubPlans["count"]
+	plans := map[string]struct {
+		plan  *Plan
+		shift Time
+	}{
+		"single":  {reclaimPlan(count), 0},
+		"nested":  {schedulePlans()["nested"](), 0},
+		"shifted": {reclaimPlan(count).ShiftLifetime(-3), -3},
+		"chained": {reclaimPlan(count).ToPoint().GroupApply([]string{"C"}, func(g *Plan) *Plan {
+			return g.WithWindow(20).Count("N")
+		}), 0},
+	}
+	events := genBursty(rand.New(rand.NewSource(3)), 8)
+	for name, c := range plans {
+		// Under an automatic schedule as well: its thinning must not leak
+		// into the explicit punctuations interleaved with it.
+		for _, period := range []Time{0, 2} {
+			out := &seqSink{}
+			eng, err := NewEngine(c.plan, WithSink(out), WithCTIPeriod(period))
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, ev := range events {
+				eng.Feed("in", ev)
+				eng.Advance(ev.LE)
+				if n := len(out.tokens); n == 0 || !out.tokens[n-1].isCTI || out.tokens[n-1].t != ev.LE+c.shift {
+					t.Fatalf("%s, auto period %d: Advance(%d) returned without its CTI at the sink (last of %d tokens: %+v)",
+						name, period, ev.LE, n, out.tokens[max(n, 1)-1:])
+				}
 			}
 		}
-		e2.Flush()
-
-		return EventsEqual(e1.Results(), e2.Results())
-	}, &quick.Config{MaxCount: 150})
-	if err != nil {
-		t.Error(err)
 	}
 }
 
