@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test race vet fmt deprecations chaos spillgate fuzzgate fusegate servegate durgate incgate check bench ledger bench-pair
+.PHONY: build test race vet fmt fuzzgate check bench ledger bench-pair
 
 build:
 	$(GO) build ./...
@@ -19,44 +19,6 @@ fmt:
 	@out=$$(gofmt -l .); if [ -n "$$out" ]; then \
 		echo "gofmt needed on:"; echo "$$out"; exit 1; fi
 
-# Fails if non-test code picks up the deprecated engine constructors
-# (use NewEngine with options); the definitions themselves and the
-# facade re-exports are allowed. Likewise for the deprecated streaming
-# surface — the positional NewStreamingJobLegacy constructor and the
-# job-level Feed*/TryFeed methods (use the options constructor and
-# job.Source(...) Feeders): here even tests must migrate, except the
-# one sanctioned compat test that pins the delegation behavior.
-deprecations:
-	@out=$$(grep -rn --include='*.go' \
-		--exclude='*_test.go' \
-		-E 'NewEngine(To|Observed|ObservedTo)\(' . \
-		| grep -v '^\./internal/temporal/engine\.go:' \
-		| grep -v '^\./timr\.go:' || true); \
-	if [ -n "$$out" ]; then \
-		echo "deprecated engine constructors in non-test code:"; \
-		echo "$$out"; exit 1; fi
-	@out=$$(grep -rn --include='*.go' \
-		-E 'NewStreamingJobLegacy\(|(job|j|legacy)\.(Feed|FeedBatch|FeedColBatch|TryFeed)\(' . \
-		| grep -v '^\./internal/core/streaming\.go:' \
-		| grep -v '^\./internal/core/legacy_compat_test\.go:' \
-		| grep -v '^\./timr\.go:' || true); \
-	if [ -n "$$out" ]; then \
-		echo "deprecated streaming surface (use NewStreamingJob options + job.Source feeders):"; \
-		echo "$$out"; exit 1; fi
-
-# Chaos equivalence under the race detector: streaming jobs with
-# injected partition crashes (multiple seeds) must match the crash-free
-# run bit-for-bit, and checkpoint roundtrips must be byte-identical.
-chaos:
-	$(GO) test -race -count=1 -run 'TestStreamingChaos|TestCheckpoint' ./internal/core/ ./internal/temporal/
-
-# Out-of-core equivalence under the race detector: the BT pipeline with
-# the memory budget squeezed to a few KB (and with spilling forced) must
-# match the all-resident run bit-for-bit, as must a chained two-fragment
-# TiMR plan across budgets.
-spillgate:
-	$(GO) test -race -count=1 -run 'TestPipelineLowBudget|TestSpillBudgetEquivalence|TestMemoryBudgetOutputEquivalence' ./internal/bt/ ./internal/core/ ./internal/mapreduce/
-
 # Short fuzz sweep over every decoder that parses untrusted bytes: the
 # row codec, the columnar block format, and checkpoint images. Corrupt
 # input must error — never panic, never over-allocate. 10s per target
@@ -68,41 +30,12 @@ fuzzgate:
 	$(GO) test -run '^$$' -fuzz 'FuzzFrameDecode' -fuzztime 10s ./internal/temporal/
 	$(GO) test -run '^$$' -fuzz 'FuzzSummaryRoundtrip' -fuzztime 10s ./internal/bt/
 
-# Fusion equivalence under the race detector: every fused/interpreted
-# differential — engine-level (row, columnar, fallback shapes, snapshot
-# interchange), TiMR columnar reducer feeds, streaming columnar chaos,
-# and the end-to-end BT pipeline — must be bit-identical.
-fusegate:
-	$(GO) test -race -count=1 -run 'TestFused' ./internal/temporal/ ./internal/core/ ./internal/bt/
-
-# Elastic-serving equivalence under the race detector: live partition
-# migration (forced splits/merges, mid-interval, composed with crash
-# chaos, and policy-driven) must be bit-identical to the static run,
-# and the serving tier's delivered scores must not change under
-# placement, pacing, or admission bounds.
-servegate:
-	$(GO) test -race -count=1 -run 'TestMigration|TestAutoRebalance|TestServe' ./internal/core/ ./internal/serve/
-
-# Durability under the race detector: the durable checkpoint store's
-# commit protocol and fault injection (torn writes, ENOSPC, bit flips —
-# 30% fault rate across multiple seeds), plus the kill-and-restart
-# drills — core and serving tier — which must recover bit-identically,
-# including through generation fallback after corruption.
-durgate:
-	$(GO) test -race -count=1 -run 'TestDurable|TestFaultFS' ./internal/dur/ ./internal/core/ ./internal/serve/
-
-# Incremental-refresh equivalence under the race detector: the 7-day
-# sliding-window drill (delta ingest byte-identical to full recompute
-# every day), the engine-pipeline pinning of the mergeable summaries,
-# the kill-and-restart resume through a >=30%-fault-rate store with
-# quarantine fallback, and the warm-start parity gate.
-incgate:
-	$(GO) test -race -count=1 -run 'TestRefresh' ./internal/bt/
-
-# The full pre-merge gate. Perf changes are additionally measured with
+# The full pre-merge gate. `race` runs every test, the bit-identity
+# differentials included, under the race detector (DESIGN.md names the
+# -run regex of each family). Perf changes are additionally measured with
 # `make ledger` / `make bench-pair` (not part of check: benchmark timings
 # are host-dependent and would make the gate flaky).
-check: vet fmt deprecations race chaos spillgate fuzzgate fusegate servegate durgate incgate
+check: vet fmt race fuzzgate
 
 bench:
 	$(GO) test -bench=. -benchmem -run '^$$' ./...

@@ -550,38 +550,6 @@ func BenchmarkEngineFeed_Fused(b *testing.B) {
 	b.ReportMetric(float64(len(events))*float64(b.N)/b.Elapsed().Seconds(), "events/sec")
 }
 
-// BenchmarkEngineFeed_ColumnarInterpreted is the pre-fusion columnar
-// path: the same batches on an interpreted engine, which must transpose
-// every batch to rows at the engine boundary before the per-operator
-// push chain. The gap to Fused is the cost the fusion pass removes.
-func BenchmarkEngineFeed_ColumnarInterpreted(b *testing.B) {
-	plan, events := engineFeedFixture(b)
-	sink := &temporal.Collector{}
-	const batchSize = 1024
-	ncols := len(events[0].Payload)
-	var batches []*temporal.ColBatch
-	for off := 0; off < len(events); off += batchSize {
-		end := off + batchSize
-		if end > len(events) {
-			end = len(events)
-		}
-		batches = append(batches, temporal.ColBatchFromEvents(events[off:end], ncols))
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		sink.Reset()
-		eng, err := temporal.NewEngine(plan, temporal.WithSink(sink), temporal.WithInterpreted())
-		if err != nil {
-			b.Fatal(err)
-		}
-		for _, cb := range batches {
-			eng.FeedColBatch("in", cb)
-		}
-		eng.Flush()
-	}
-	b.ReportMetric(float64(len(events))*float64(b.N)/b.Elapsed().Seconds(), "events/sec")
-}
-
 // Facade smoke check: the public API surface used by the examples.
 func TestFacadeSmoke(t *testing.T) {
 	schema := timr.NewSchema(

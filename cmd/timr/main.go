@@ -17,9 +17,6 @@
 //	               GROUP BY AdId WINDOW 6h" [-in events.tsv]
 //	timr serve [-requests N] [-rate R] [-machines N] [-rebalance] [-metrics]
 //	timr refresh [-days N] [-mode auto|full|delta] [-warm] [-durdir DIR]
-//
-// Bare `timr [flags]` (no subcommand) is the deprecated legacy spelling
-// of `timr run` and keeps working with a note on stderr.
 package main
 
 import (
@@ -41,16 +38,19 @@ func main() {
 			refreshCmd(args[1:])
 			return
 		case "help", "-h", "-help", "--help":
-			fmt.Fprintln(os.Stderr, "usage: timr <run|serve|refresh> [flags]\n\nrun flags:")
-			runFlags(nil).PrintDefaults()
-			fmt.Fprintln(os.Stderr, "\nserve flags:")
-			serveFlags(nil).PrintDefaults()
-			fmt.Fprintln(os.Stderr, "\nrefresh flags:")
-			refreshFlags(nil).PrintDefaults()
+			usage()
 			return
 		}
 	}
-	// No subcommand: the pre-subcommand CLI shape, kept for scripts.
-	fmt.Fprintln(os.Stderr, "timr: note: bare `timr [flags]` is deprecated; use `timr run [flags]`")
-	runCmd(args)
+	usage()
+	os.Exit(2)
+}
+
+func usage() {
+	fmt.Fprintln(os.Stderr, "usage: timr <run|serve|refresh> [flags]\n\nrun flags:")
+	runFlags(nil).PrintDefaults()
+	fmt.Fprintln(os.Stderr, "\nserve flags:")
+	serveFlags(nil).PrintDefaults()
+	fmt.Fprintln(os.Stderr, "\nrefresh flags:")
+	refreshFlags(nil).PrintDefaults()
 }

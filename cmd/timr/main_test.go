@@ -1,0 +1,85 @@
+package main
+
+import (
+	"bytes"
+	"os/exec"
+	"path/filepath"
+	"regexp"
+	"strings"
+	"testing"
+)
+
+// The CLI is driven as a user drives it: built once into a temp dir, run
+// on the workload it generates in-process.
+func buildTimr(t *testing.T) string {
+	t.Helper()
+	bin := filepath.Join(t.TempDir(), "timr")
+	if out, err := exec.Command("go", "build", "-o", bin, ".").CombinedOutput(); err != nil {
+		t.Fatalf("go build: %v\n%s", err, out)
+	}
+	return bin
+}
+
+func runTimr(t *testing.T, bin string, args ...string) (stdout, stderr string, exit int) {
+	t.Helper()
+	var so, se bytes.Buffer
+	cmd := exec.Command(bin, args...)
+	cmd.Stdout, cmd.Stderr = &so, &se
+	if err := cmd.Run(); err != nil {
+		ee, ok := err.(*exec.ExitError)
+		if !ok {
+			t.Fatalf("timr %v: %v", args, err)
+		}
+		exit = ee.ExitCode()
+	}
+	return so.String(), se.String(), exit
+}
+
+// meteredIn reports whether the -metrics table has a row for an operator
+// of the given kind with a non-zero events_in.
+func meteredIn(table, kind string) bool {
+	return regexp.MustCompile(`\.op\d\d\.` + kind + `\s+events_in\s+[1-9]`).MatchString(table)
+}
+
+func TestRunMetricsMeterTheKernel(t *testing.T) {
+	bin := buildTimr(t)
+
+	// clickcount filters at the top level; its window sits in the GroupApply
+	// sub-plan, which is not metered.
+	stdout, stderr, exit := runTimr(t, bin, "run", "-q", "clickcount", "-metrics")
+	if exit != 0 {
+		t.Fatalf("timr run exited %d\n%s", exit, stderr)
+	}
+	if len(strings.Fields(stdout)) == 0 {
+		t.Error("timr run -q clickcount printed no result rows")
+	}
+	if !meteredIn(stderr, "Select") || !meteredIn(stderr, "GroupApply") {
+		t.Errorf("-metrics table lacks Select / GroupApply rows with events_in > 0:\n%s", stderr)
+	}
+
+	// An ungrouped windowed count keeps Select and AlterLifetime in one
+	// top-level kernel: both members must report what they saw.
+	stdout, stderr, exit = runTimr(t, bin, "run", "-metrics",
+		"-sql", "SELECT COUNT(*) AS C FROM events WHERE StreamId = 1 WINDOW 6h")
+	if exit != 0 {
+		t.Fatalf("timr run -sql exited %d\n%s", exit, stderr)
+	}
+	if len(strings.Fields(stdout)) == 0 {
+		t.Error("timr run -sql printed no result rows")
+	}
+	for _, kind := range []string{"Select", "AlterLifetime", "Aggregate"} {
+		if !meteredIn(stderr, kind) {
+			t.Errorf("-metrics table lacks a %s row with events_in > 0:\n%s", kind, stderr)
+		}
+	}
+}
+
+func TestBareTimrIsUsageError(t *testing.T) {
+	stdout, stderr, exit := runTimr(t, buildTimr(t), "-q", "clickcount")
+	if exit != 2 {
+		t.Errorf("bare timr exited %d, want 2", exit)
+	}
+	if stdout != "" || !strings.Contains(stderr, "usage: timr <run|serve|refresh>") {
+		t.Errorf("bare timr: stdout %q, stderr %q; want the usage text on stderr only", stdout, stderr)
+	}
+}

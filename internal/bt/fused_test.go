@@ -1,22 +1,56 @@
 package bt
 
-// Fusegate for the end-to-end BT pipeline: every phase, compiled fused
-// and interpreted over the same feed, must produce bit-identical raw
-// (uncoalesced, unsorted-by-coalescer) results. Phases chain like
-// RunSingleNode so each differential runs over the real intermediate
-// streams — bot-eliminated logs, labeled impressions, reduced training
-// data — not synthetic inputs.
+// The kernel differential for the end-to-end BT pipeline: every phase,
+// compiled as written and with its stateless runs split into one-member
+// kernels over the same feed, must produce bit-identical raw (uncoalesced,
+// unsorted-by-coalescer) results. The BT plans keep their stateless runs
+// inside GroupApply sub-plans, so this is where sub-plan kernels are
+// checked. Phases chain like RunSingleNode so each differential runs over
+// the real intermediate streams — bot-eliminated logs, labeled
+// impressions, reduced training data — not synthetic inputs.
 
 import (
+	"bytes"
 	"testing"
 
 	"timr/internal/temporal"
 	"timr/internal/workload"
 )
 
-// runPhaseBoth runs one phase's plan on a fused and an interpreted
-// engine over the same source feed, requires bit-identical raw results,
-// and returns the coalesced fused output for chaining.
+// splitRuns copies the plan DAG (sub-plans included) with an Exchange
+// annotation between every two adjacent stateless nodes; the compiler
+// breaks kernels there and compiles nothing for the annotation.
+func splitRuns(p *temporal.Plan) *temporal.Plan {
+	stateless := func(n *temporal.Plan) bool {
+		return n.Kind == temporal.OpSelect || n.Kind == temporal.OpProject ||
+			n.Kind == temporal.OpAlterLifetime && n.Mode != temporal.LifePoint
+	}
+	memo := make(map[*temporal.Plan]*temporal.Plan)
+	var rec func(n *temporal.Plan) *temporal.Plan
+	rec = func(n *temporal.Plan) *temporal.Plan {
+		if c, ok := memo[n]; ok {
+			return c
+		}
+		c := *n
+		c.Inputs = make([]*temporal.Plan, len(n.Inputs))
+		for i, in := range n.Inputs {
+			c.Inputs[i] = rec(in)
+			if stateless(n) && stateless(in) {
+				c.Inputs[i] = c.Inputs[i].Exchange(temporal.PartitionBy{})
+			}
+		}
+		if n.Sub != nil {
+			c.Sub = rec(n.Sub)
+		}
+		memo[n] = &c
+		return &c
+	}
+	return rec(p)
+}
+
+// runPhaseBoth runs one phase's plan and its split-run form over the same
+// source feed, requires bit-identical raw results and checkpoint bytes,
+// and returns the coalesced output for chaining.
 func runPhaseBoth(t *testing.T, name string, plan func() *temporal.Plan, inputs map[string][]temporal.Event) []temporal.Event {
 	t.Helper()
 	var all []temporal.SourceEvent
@@ -25,25 +59,35 @@ func runPhaseBoth(t *testing.T, name string, plan func() *temporal.Plan, inputs 
 			all = append(all, temporal.SourceEvent{Source: src, Event: ev})
 		}
 	}
-	run := func(opts ...temporal.Option) *temporal.Engine {
-		eng, err := temporal.NewEngine(plan(), opts...)
+	run := func(p *temporal.Plan) (*temporal.Engine, []byte) {
+		eng, err := temporal.NewEngine(p)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
 		// Each engine gets its own copy: FeedSorted may sort in place,
 		// and both engines must see the identical initial order.
 		eng.FeedSorted(append([]temporal.SourceEvent(nil), all...))
+		snap := eng.Checkpoint()
 		eng.Flush()
-		return eng
+		return eng, snap
 	}
-	fe, ie := run(), run(temporal.WithInterpreted())
-	if !temporal.EventsEqual(fe.RawResults(), ie.RawResults()) {
-		t.Fatalf("%s: fused %d raw events != interpreted %d", name, len(fe.RawResults()), len(ie.RawResults()))
+	p := plan()
+	split := splitRuns(p)
+	if split.OperatorCount() != p.OperatorCount() {
+		t.Fatalf("%s: split plan has %d operators, original %d", name, split.OperatorCount(), p.OperatorCount())
 	}
-	return fe.Results()
+	ke, ksnap := run(p)
+	se, ssnap := run(split)
+	if !temporal.EventsEqual(ke.RawResults(), se.RawResults()) {
+		t.Fatalf("%s: %d raw events != split-run %d", name, len(ke.RawResults()), len(se.RawResults()))
+	}
+	if !bytes.Equal(ksnap, ssnap) {
+		t.Fatalf("%s: checkpoint bytes differ from the split-run plan's", name)
+	}
+	return ke.Results()
 }
 
-func TestFusedBTPipelineMatchesInterpreted(t *testing.T) {
+func TestFusedBTPipelineMatchesSplitRuns(t *testing.T) {
 	d := workload.Generate(workload.Config{
 		Users: 150, Keywords: 300, AdClasses: 3, Days: 1, Seed: 11,
 		BotFraction: 0.02,
@@ -68,8 +112,18 @@ func TestFusedBTPipelineMatchesInterpreted(t *testing.T) {
 	preds := runPhaseBoth(t, "Score", func() *temporal.Plan { return ScorePlan(p, false) },
 		map[string][]temporal.Event{SourceReduced: reduced, SourceModels: models})
 
-	// The differential is only meaningful if the chain stayed live all
-	// the way down.
+	// The differential is only meaningful if some phase has a run to split
+	// (FeatureSelect's sub-plans filter and then window) and the chain
+	// stayed live all the way down.
+	splits := 0
+	splitRuns(FeatureSelectPlan(p, false)).Walk(func(n *temporal.Plan) {
+		if n.Kind == temporal.OpExchange {
+			splits++
+		}
+	})
+	if splits == 0 {
+		t.Error("no multi-member stateless run in FeatureSelect; nothing was split")
+	}
 	for _, phase := range []struct {
 		name string
 		evs  []temporal.Event

@@ -223,12 +223,10 @@ func TestStreamingChaosChainedFragments(t *testing.T) {
 }
 
 func TestFusedStreamingColumnarChaos(t *testing.T) {
-	// Satellite of the fusion PR: partitions fed via FeedColBatch crash
-	// mid-wave and recover bit-identically. The chained plan carries a
-	// stateless filter at the first fragment head, so crash-free runs
-	// (no Obs) execute it as a fused kernel while chaotic runs (Obs set)
-	// interpret it — agreement here is also a fused-vs-interpreted
-	// differential across the streaming columnar ingest path.
+	// Partitions fed via FeedColBatch crash mid-wave and recover
+	// bit-identically. The chained plan carries a stateless filter at the
+	// first fragment head, so every run — crash-free (no Obs) and chaotic
+	// (Obs set) alike — lands its batches on a kernel's columnar entry.
 	sch := temporal.NewSchema(
 		temporal.Field{Name: "Time", Kind: temporal.KindInt},
 		temporal.Field{Name: "UserId", Kind: temporal.KindInt},

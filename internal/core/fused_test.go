@@ -63,9 +63,9 @@ func TestFusedTiMRColumnarInput(t *testing.T) {
 	}
 
 	// Instrumented re-run: prove the reducer columnar fast path actually
-	// fired. Observed engines compile interpreted, but the feed-path
-	// detection and its counter are independent of fusion, so the same
-	// input must take the same path and agree bit-for-bit.
+	// fired. Observed engines run the same metered kernel, columnar entry
+	// included, so the same input must take the same path and agree
+	// bit-for-bit.
 	scope := obs.New("timr")
 	cfg := DefaultConfig()
 	cfg.Obs = scope

@@ -55,20 +55,14 @@ type Stage struct {
 	// in a span-overlap region belong to both adjacent spans (§III-B).
 	MultiPartition func(r Row, src int, nparts int) []int
 	Reduce         Reducer
-	// ReduceRuns, when set, supersedes Reduce and additionally receives
-	// the shuffle's run structure: runs[src] lists the lengths of the
-	// consecutive row runs that make up in[src]. Each run is a contiguous
-	// chunk of one input partition in its original order, so it is
-	// time-sorted whenever that input partition was — which lets
-	// order-sensitive reducers merge runs instead of re-sorting the whole
-	// partition. Inputs are materialized in memory before the reducer
-	// runs; out-of-core reducers use ReduceSegments instead.
-	ReduceRuns func(part int, in [][]Row, runs [][]int, emit func(Row)) error
-	// ReduceSegments, when set, supersedes Reduce and ReduceRuns: the
-	// reducer receives the shuffle output as per-source segment lists
-	// (each segment one shuffle run, resident or spilled) and pulls rows
-	// through RowReaders instead of receiving whole row slices — the
-	// out-of-core path TiMR's reducer P runs on.
+	// ReduceSegments, when set, supersedes Reduce: the reducer receives
+	// the shuffle output as per-source segment lists (each segment one
+	// shuffle run, resident or spilled) and pulls rows through RowReaders
+	// instead of receiving whole row slices — the out-of-core path TiMR's
+	// reducer P runs on. Each run is a contiguous chunk of one input
+	// partition in its original order, so it is time-sorted whenever that
+	// input partition was, which lets order-sensitive reducers merge runs
+	// instead of re-sorting the whole partition.
 	ReduceSegments func(part int, in [][]Segment, emit func(Row)) error
 	// RunKey, when set, extracts the sort key each input partition is
 	// ordered by (per source). The map phase uses it to annotate every
@@ -639,7 +633,7 @@ func (c *Cluster) runStageFiles(s *Stage, files *stageFiles) (*StageStat, error)
 		nparts = c.Cfg.Machines
 	}
 	stat := &StageStat{Name: s.Name, Partitions: nparts}
-	if s.Reduce == nil && s.ReduceRuns == nil && s.ReduceSegments == nil {
+	if s.Reduce == nil && s.ReduceSegments == nil {
 		return stat, fmt.Errorf("stage %s: no reducer", s.Name)
 	}
 	if s.PartitionCols != nil {
@@ -825,14 +819,13 @@ func (c *Cluster) runStageFiles(s *Stage, files *stageFiles) (*StageStat, error)
 			sem <- struct{}{}
 			defer func() { <-sem }()
 			res := result{part: p, stat: TaskStat{Stage: s.Name, Partition: p, Rows: n}}
-			// The materialized-input compat paths (Reduce, ReduceRuns)
-			// decode spilled runs once, before the attempt loop: retried
-			// attempts rerun on the same input, as before.
+			// The materialized-input path (Reduce) decodes spilled runs
+			// once, before the attempt loop: retried attempts rerun on the
+			// same input.
 			var in [][]Row
-			var runs [][]int
 			if s.ReduceSegments == nil {
 				var err error
-				if in, runs, err = materializeRuns(parts[p]); err != nil {
+				if in, err = materializeRuns(parts[p]); err != nil {
 					res.err = err
 					results[p] = res
 					return
@@ -859,12 +852,9 @@ func (c *Cluster) runStageFiles(s *Stage, files *stageFiles) (*StageStat, error)
 							lastPanic = rec
 						}
 					}()
-					switch {
-					case s.ReduceSegments != nil:
+					if s.ReduceSegments != nil {
 						err = s.ReduceSegments(p, parts[p], emit)
-					case s.ReduceRuns != nil:
-						err = s.ReduceRuns(p, in, runs, emit)
-					default:
+					} else {
 						err = s.Reduce(p, in, emit)
 					}
 				}()
@@ -958,12 +948,10 @@ func (c *Cluster) runStageFiles(s *Stage, files *stageFiles) (*StageStat, error)
 	return stat, nil
 }
 
-// materializeRuns builds the contiguous per-source row slices (and run
-// lengths) the materialized reducer signatures expect, decoding spilled
-// runs as needed.
-func materializeRuns(segs [][]Segment) (in [][]Row, runs [][]int, err error) {
+// materializeRuns builds the contiguous per-source row slices Reduce
+// expects, decoding spilled runs as needed.
+func materializeRuns(segs [][]Segment) (in [][]Row, err error) {
 	in = make([][]Row, len(segs))
-	runs = make([][]int, len(segs))
 	for src, list := range segs {
 		total := 0
 		for i := range list {
@@ -976,14 +964,13 @@ func materializeRuns(segs [][]Segment) (in [][]Row, runs [][]int, err error) {
 		for i := range list {
 			mat, err := list[i].Materialize()
 			if err != nil {
-				return nil, nil, err
+				return nil, err
 			}
 			rows = append(rows, mat...)
-			runs[src] = append(runs[src], list[i].Len())
 		}
 		in[src] = rows
 	}
-	return in, runs, nil
+	return in, nil
 }
 
 // emitStageMetrics publishes a completed stage's accounting into the

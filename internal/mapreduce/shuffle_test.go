@@ -84,6 +84,25 @@ func TestMapDeterministicAcrossGOMAXPROCS(t *testing.T) {
 	}
 }
 
+// segmentRuns reads a reducer's segment lists back as the run lengths per
+// source and source 0's rows in run order.
+func segmentRuns(in [][]Segment) (runs [][]int, rows []Row, err error) {
+	runs = make([][]int, len(in))
+	for src := range in {
+		for i := range in[src] {
+			runs[src] = append(runs[src], in[src][i].Len())
+			if src == 0 {
+				mat, err := in[src][i].Materialize()
+				if err != nil {
+					return nil, nil, err
+				}
+				rows = append(rows, mat...)
+			}
+		}
+	}
+	return runs, rows, nil
+}
+
 func TestShuffleThreadsRunBoundaries(t *testing.T) {
 	// Each input partition arrives at the reducer as one run (below the
 	// chunking threshold), in input-partition order.
@@ -100,10 +119,9 @@ func TestShuffleThreadsRunBoundaries(t *testing.T) {
 		Name: "runs", Inputs: []string{"in"}, Output: "out", OutSchema: kvSchema(),
 		NumPartitions: 1,
 		Partition:     func(Row, int) uint64 { return 0 },
-		ReduceRuns: func(part int, in [][]Row, runs [][]int, emit func(Row)) error {
-			gotRuns = append([][]int(nil), runs...)
-			gotRows = append([]Row(nil), in[0]...)
-			return nil
+		ReduceSegments: func(part int, in [][]Segment, emit func(Row)) (err error) {
+			gotRuns, gotRows, err = segmentRuns(in)
+			return err
 		},
 	}
 	if _, err := c.Run(st); err != nil {
@@ -124,24 +142,25 @@ func TestMapChunkingSplitsLargePartitions(t *testing.T) {
 	rows := kvRows(n)
 	c := NewCluster(Config{Machines: 4})
 	c.FS.Write("in", SinglePartition(kvSchema(), rows))
-	var gotRuns []int
+	var gotRuns [][]int
 	st := Stage{
 		Name: "chunks", Inputs: []string{"in"}, Output: "out", OutSchema: kvSchema(),
 		NumPartitions: 1,
 		Partition:     func(Row, int) uint64 { return 0 },
-		ReduceRuns: func(part int, in [][]Row, runs [][]int, emit func(Row)) error {
-			gotRuns = append([]int(nil), runs[0]...)
-			for _, r := range in[0] {
+		ReduceSegments: func(part int, in [][]Segment, emit func(Row)) error {
+			runs, rows, err := segmentRuns(in)
+			gotRuns = runs
+			for _, r := range rows {
 				emit(r)
 			}
-			return nil
+			return err
 		},
 	}
 	stat, err := c.Run(st)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if want := []int{mapChunkRows, mapChunkRows / 2}; !reflect.DeepEqual(gotRuns, want) {
+	if want := [][]int{{mapChunkRows, mapChunkRows / 2}}; !reflect.DeepEqual(gotRuns, want) {
 		t.Fatalf("runs = %v, want %v", gotRuns, want)
 	}
 	if got := len(stat.Stages[0].Maps); got != 2 {

@@ -63,33 +63,6 @@ func (a *EventAdapter) OnBatch(b *Batch) {
 // OnFlush forwards end-of-stream.
 func (a *EventAdapter) OnFlush() { a.Out.OnFlush() }
 
-// BatchAdapter presents a per-event Sink face over a BatchSink, for
-// drivers that still push one event at a time into a batch-only consumer.
-// Each call forwards immediately as a one-element batch (no buffering:
-// delaying delivery would change when downstream observes events, which
-// per-event callers may depend on).
-type BatchAdapter struct {
-	Out BatchSink
-	b   Batch // reused per call; the batch contract permits this
-	one [1]Event
-}
-
-// OnEvent forwards e as a single-event batch.
-func (a *BatchAdapter) OnEvent(e Event) {
-	a.one[0] = e
-	a.b = Batch{Events: a.one[:]}
-	a.Out.OnBatch(&a.b)
-}
-
-// OnCTI forwards t as an events-free batch.
-func (a *BatchAdapter) OnCTI(t Time) {
-	a.b = Batch{CTI: t, HasCTI: true}
-	a.Out.OnBatch(&a.b)
-}
-
-// OnFlush forwards end-of-stream.
-func (a *BatchAdapter) OnFlush() { a.Out.OnFlush() }
-
 // batchOut is the downstream half shared by batch-producing operators:
 // the lazily resolved BatchSink, a reusable output event buffer, and a
 // reusable Batch header. Single-goroutine, like the operators owning it.

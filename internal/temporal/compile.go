@@ -51,9 +51,9 @@ func (p *Pipeline) BatchInput(source string) BatchSink {
 
 // ColInput returns the columnar entry for the named source, or nil when
 // the source's entry sink cannot consume ColBatches directly (the head
-// operator is not a fused stateless run — e.g. a stateful operator, a
-// multi-consumer fan-out, or an instrumented compile). The result is
-// cached; callers treat nil as "materialize rows and use FeedBatch".
+// operator is not a stateless kernel — e.g. a stateful operator or a
+// multi-consumer fan-out). The result is cached; callers treat nil as
+// "materialize rows and use FeedBatch".
 func (p *Pipeline) ColInput(source string) ColBatchSink {
 	if cs, ok := p.cinputs[source]; ok {
 		return cs
@@ -106,33 +106,19 @@ func (p *Pipeline) FlushAll() {
 
 // Compile turns a logical plan into a physical pipeline delivering results
 // to out. Plans may be DAGs; shared nodes become physical multicasts.
-// Maximal runs of stateless operators are fused into single kernels with
-// a columnar entry point (op_fused.go); checkpoint layout is unaffected.
+// Maximal runs of stateless operators become single kernels with a
+// columnar entry point (op_fused.go).
 func Compile(root *Plan, out Sink) (*Pipeline, error) {
-	return CompileObserved(root, out, nil)
+	return compile(root, out, nil)
 }
 
-// CompileInterpreted is Compile with operator fusion disabled: every
-// plan node becomes its own physical operator, exactly as before the
-// fusion pass existed. The differential gate (make fusegate) runs fused
-// and interpreted compiles of the same plan side by side and requires
-// bit-identical output; checkpoints are interchangeable between the two.
-func CompileInterpreted(root *Plan, out Sink) (*Pipeline, error) {
-	return compile(root, out, nil, false)
-}
-
-// CompileObserved is Compile with per-operator instrumentation: every
-// physical operator reports events in/out, propagated CTIs, live state
-// size, and watermark lag into a child of scope named "opNN.Kind" (NN =
+// compile is Compile with optional instrumentation: under a non-nil scope
+// every operator reports events in/out, propagated CTIs, live state size
+// and watermark lag into a child of scope named "opNN.Kind" (NN =
 // pre-order DFS position; see opName), and each source reports fed
-// events/CTIs under "source.<name>". A nil scope compiles with zero
-// instrumentation, identical to Compile. A non-nil scope disables
-// fusion: per-operator metering needs per-operator boundaries.
-func CompileObserved(root *Plan, out Sink, scope *obs.Scope) (*Pipeline, error) {
-	return compile(root, out, scope, scope == nil)
-}
-
-func compile(root *Plan, out Sink, scope *obs.Scope, fuse bool) (*Pipeline, error) {
+// events/CTIs under "source.<name>" (op_meter.go). The operators built,
+// their wiring and the checkpoint layout are the same either way.
+func compile(root *Plan, out Sink, scope *obs.Scope) (*Pipeline, error) {
 	c := &compiler{
 		parents: make(map[*Plan][]parentRef),
 		ops:     make(map[*Plan][]Sink),
@@ -140,7 +126,6 @@ func compile(root *Plan, out Sink, scope *obs.Scope, fuse bool) (*Pipeline, erro
 		root:    root,
 		rootOut: out,
 		obs:     scope,
-		fuse:    fuse,
 	}
 	c.collectParents(root, make(map[*Plan]bool))
 	if scope != nil {
@@ -177,7 +162,12 @@ func compile(root *Plan, out Sink, scope *obs.Scope, fuse bool) (*Pipeline, erro
 		in := fanOut(sinks)
 		if scope != nil {
 			sc := scope.Child("source." + source)
-			in = &meterOut{events: sc.Counter("events"), ctis: sc.Counter("ctis"), out: in}
+			m := meterOut{events: sc.Counter("events"), ctis: sc.Counter("ctis"), out: in}
+			if cs, ok := in.(ColBatchSink); ok {
+				in = &colMeterOut{meterOut: m, cout: cs}
+			} else {
+				in = &m
+			}
 		}
 		pl.inputs[source] = in
 		pl.schemas[source] = leaves[0].Out
@@ -205,7 +195,6 @@ type compiler struct {
 	rootOut Sink
 	obs     *obs.Scope    // nil = no instrumentation
 	ids     map[*Plan]int // deterministic operator ids (obs only)
-	fuse    bool          // collapse stateless runs into fused kernels
 	auto    *bool         // Pipeline.auto; nil when compiling a sub-plan
 }
 
@@ -258,8 +247,8 @@ func (c *compiler) inputSink(n *Plan, idx int) Sink {
 // build constructs the physical operator for n, wired to n's downstream,
 // and returns the entry sink(s) for its input position(s).
 func (c *compiler) build(n *Plan) []Sink {
-	if run := c.fuseRun(n); run != nil {
-		return c.buildFused(run)
+	if fusable(n) {
+		return c.buildKernel(n)
 	}
 	out := c.outputSink(n)
 	if n.Kind == OpExchange {
@@ -283,10 +272,9 @@ func (c *compiler) build(n *Plan) []Sink {
 	return entries
 }
 
-// fusable reports whether n can join a fused stateless run. LifePoint
-// alterLifetime is excluded: its continuation-suppression table makes it
-// stateful (it checkpoints real state), so it stays an interpreted
-// operator and breaks runs around it. OpExchange breaks runs too — it
+// fusable reports whether n is a member of a stateless kernel. ToPoint is
+// not: its continuation-suppression table makes it stateful, so it is its
+// own operator and breaks runs around it. OpExchange breaks runs too — it
 // marks a distribution boundary.
 func fusable(n *Plan) bool {
 	switch n.Kind {
@@ -298,50 +286,32 @@ func fusable(n *Plan) bool {
 	return false
 }
 
-// fuseRun returns the maximal fused run headed at n, in dataflow order:
-// n, then each sole consumer downstream while it is also fusable. Nil
-// when fusion is off or n itself is not fusable. Demand-driven build
-// order guarantees mid-run members are never built separately: their
-// only consumer is inside the kernel, so no other node ever asks for
-// their entry sink.
-func (c *compiler) fuseRun(n *Plan) []*Plan {
-	if !c.fuse || !fusable(n) {
-		return nil
+// buildKernel compiles the maximal stateless run headed at n — n, then
+// each sole consumer downstream while it is also fusable — into one
+// kernel wired to the run's downstream. Demand-driven build order
+// guarantees mid-run members are never built separately: their only
+// producer is inside the kernel, so no other node ever asks for their
+// entry sink. Each lifetime-transform member registers the (empty)
+// checkpoint section the snapshot layout gives its plan node.
+func (c *compiler) buildKernel(n *Plan) []Sink {
+	tail, k := n, 1
+	for tail != c.root && len(c.parents[tail]) == 1 && fusable(c.parents[tail][0].node) {
+		tail = c.parents[tail][0].node
+		k++
 	}
-	run := []*Plan{n}
-	cur := n
-	for cur != c.root && len(c.parents[cur]) == 1 {
-		p := c.parents[cur][0].node
-		if !fusable(p) {
-			break
-		}
-		run = append(run, p)
-		cur = p
+	f := newFusedOp(tail, k, c.outputSink(tail))
+	if c.obs != nil {
+		f.m = &kernelMeter{ops: make([]*opMetrics, k), seen: make([]stageSeen, k+1)}
 	}
-	return run
-}
-
-// buildFused compiles a fused run into one kernel wired to the run's
-// downstream. Fused alterLifetime members register stand-in operator
-// instances so the checkpoint walk (pipeline.ckpts, pre-order DFS over
-// the logical plan) sees the same Checkpointer sequence as an unfused
-// compile: non-LifePoint alters carry no state, so a stand-in snapshots
-// and restores the identical empty section a live operator would —
-// snapshots stay interchangeable between fused and interpreted engines.
-func (c *compiler) buildFused(run []*Plan) []Sink {
-	last := run[len(run)-1]
-	out := c.outputSink(last)
-	f := newFusedOp(run, out)
-	entries := []Sink{f}
-	for _, m := range run {
+	for m, i := tail, k-1; i >= 0; m, i = m.Inputs[0], i-1 {
 		if m.Kind == OpAlterLifetime {
-			c.insts[m] = &alterLifetimeOp{mode: m.Mode, window: m.Window, hop: m.Hop, shift: m.Shift}
-		} else {
-			c.insts[m] = f
+			c.insts[m] = alterSection{}
 		}
-		c.ops[m] = entries
+		if f.m != nil {
+			f.m.ops[i] = newOpMetrics(c.obs.Child(c.opName(m)))
+		}
 	}
-	return entries
+	return []Sink{f}
 }
 
 // buildOp constructs the physical operator itself, returning its entry
@@ -349,23 +319,8 @@ func (c *compiler) buildFused(run []*Plan) []Sink {
 func (c *compiler) buildOp(n *Plan, out Sink) ([]Sink, any) {
 	in := n.Inputs[0].Out // schema of the first input
 	switch n.Kind {
-	case OpSelect:
-		f := &filterOp{pred: n.Pred.compile(in), out: out}
-		return []Sink{f}, f
-	case OpProject:
-		fns := make([]func(Row) Value, len(n.Projs))
-		for i, pr := range n.Projs {
-			if pr.Source != "" {
-				col := in.MustIndex(pr.Source)
-				fns[i] = func(r Row) Value { return r[col] }
-			} else {
-				fns[i] = pr.Make(in.Indexes(pr.Cols...))
-			}
-		}
-		p := &projectOp{fns: fns, out: out}
-		return []Sink{p}, p
-	case OpAlterLifetime:
-		a := &alterLifetimeOp{mode: n.Mode, window: n.Window, hop: n.Hop, shift: n.Shift, out: out}
+	case OpAlterLifetime: // ToPoint; the other modes are kernel members
+		a := &alterLifetimeOp{out: out}
 		return []Sink{a}, a
 	case OpAggregate:
 		col := -1

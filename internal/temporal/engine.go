@@ -34,10 +34,9 @@ type Engine struct {
 type Option func(*engineOptions)
 
 type engineOptions struct {
-	sink        Sink
-	scope       *obs.Scope
-	ctiPeriod   Time
-	interpreted bool
+	sink      Sink
+	scope     *obs.Scope
+	ctiPeriod Time
 }
 
 // WithSink delivers results to a caller-supplied sink (e.g. a live
@@ -46,7 +45,8 @@ type engineOptions struct {
 func WithSink(out Sink) Option { return func(o *engineOptions) { o.sink = out } }
 
 // WithObs enables per-operator instrumentation reporting into scope (see
-// CompileObserved). A nil scope disables it. Engines for different
+// op_meter.go). A nil scope disables it. The engine runs the same
+// operators, columnar entry included, either way. Engines for different
 // partitions of the same fragment may share one scope: metric handles are
 // shared atomics, so counts aggregate.
 func WithObs(scope *obs.Scope) Option { return func(o *engineOptions) { o.scope = scope } }
@@ -54,12 +54,6 @@ func WithObs(scope *obs.Scope) Option { return func(o *engineOptions) { o.scope 
 // WithCTIPeriod sets the automatic punctuation period (see
 // Engine.CTIPeriod). Zero disables automatic CTIs. The default is Hour.
 func WithCTIPeriod(p Time) Option { return func(o *engineOptions) { o.ctiPeriod = p } }
-
-// WithInterpreted disables the stateless-operator fusion pass (see
-// CompileInterpreted): every plan node runs as its own physical
-// operator. Used by the fused-vs-interpreted differential gates; output
-// and checkpoint bytes are identical either way.
-func WithInterpreted() Option { return func(o *engineOptions) { o.interpreted = true } }
 
 // NewEngine compiles the plan into an engine. With no options, results
 // accumulate in an internal collector (read them back with Results);
@@ -76,33 +70,11 @@ func NewEngine(plan *Plan, opts ...Option) (*Engine, error) {
 		collect = &Collector{}
 		sink = collect
 	}
-	p, err := compile(plan, sink, o.scope, o.scope == nil && !o.interpreted)
+	p, err := compile(plan, sink, o.scope)
 	if err != nil {
 		return nil, err
 	}
 	return &Engine{pipeline: p, collect: collect, sink: sink, CTIPeriod: o.ctiPeriod, lastCTI: MinTime}, nil
-}
-
-// NewEngineTo compiles the plan delivering results to a caller-supplied
-// sink.
-//
-// Deprecated: use NewEngine(plan, WithSink(out)).
-func NewEngineTo(plan *Plan, out Sink) (*Engine, error) {
-	return NewEngine(plan, WithSink(out))
-}
-
-// NewEngineObserved is NewEngine with per-operator instrumentation.
-//
-// Deprecated: use NewEngine(plan, WithObs(scope)).
-func NewEngineObserved(plan *Plan, scope *obs.Scope) (*Engine, error) {
-	return NewEngine(plan, WithObs(scope))
-}
-
-// NewEngineObservedTo is NewEngineTo with per-operator instrumentation.
-//
-// Deprecated: use NewEngine(plan, WithSink(out), WithObs(scope)).
-func NewEngineObservedTo(plan *Plan, out Sink, scope *obs.Scope) (*Engine, error) {
-	return NewEngine(plan, WithSink(out), WithObs(scope))
 }
 
 // Pipeline exposes the compiled pipeline.
@@ -167,7 +139,7 @@ func (e *Engine) FeedBatch(source string, b *Batch) {
 }
 
 // FeedColBatch pushes a columnar batch of events into the named source.
-// When the source's head operator is a fused stateless run, the batch
+// When the source's head operator is a stateless kernel, the batch
 // (or its Slice views, where the automatic CTI schedule splits it) is
 // handed to the kernel's columnar entry directly — no row materialization
 // happens until the run's downstream boundary. Otherwise the batch is

@@ -2,15 +2,96 @@ package temporal
 
 import (
 	"bytes"
+	"encoding/hex"
+	"runtime"
 	"testing"
 )
 
-// Differential gates for the operator-fusion pass (op_fused.go): for any
-// plan and any feed granularity — per event, row batches, columnar
-// batches — a fused engine must produce exactly the output of the
-// interpreted engine (every plan node its own physical operator), and
-// their checkpoints must be interchangeable. `make fusegate` runs these
-// under -race.
+// Differential gates for the stateless kernel (op_fused.go): for any plan
+// and any feed granularity — per event, row batches, columnar batches — an
+// engine must produce exactly the output, and the checkpoint bytes, of two
+// references that need no second engine mode: the same plan with its
+// stateless runs split into one-member kernels (splitRuns), and, where the
+// plan is stateless throughout, a per-event evaluator with no kernel in it
+// (evalStateless).
+
+// splitRuns copies the plan DAG (sub-plans included) with an Exchange
+// annotation between every two adjacent stateless nodes. The compiler
+// breaks runs at an Exchange and compiles nothing for it, so each
+// k-member kernel becomes k one-member kernels pushing rows to each other.
+func splitRuns(p *Plan) *Plan {
+	memo := make(map[*Plan]*Plan)
+	var rec func(n *Plan) *Plan
+	rec = func(n *Plan) *Plan {
+		if c, ok := memo[n]; ok {
+			return c
+		}
+		c := *n
+		c.Inputs = make([]*Plan, len(n.Inputs))
+		for i, in := range n.Inputs {
+			c.Inputs[i] = rec(in)
+			if fusable(n) && fusable(in) {
+				c.Inputs[i] = c.Inputs[i].Exchange(PartitionBy{})
+			}
+		}
+		if n.Sub != nil {
+			c.Sub = rec(n.Sub)
+		}
+		memo[n] = &c
+		return &c
+	}
+	return rec(p)
+}
+
+// evalStateless evaluates a plan that is a chain of stateless nodes over
+// one scan by applying each node's predicate, projection or lifetime
+// formula to one event at a time; ok is false for any other plan.
+func evalStateless(plan *Plan, evs []Event) (out []Event, ok bool) {
+	var chain []*Plan // root first
+	for n := plan; n.Kind != OpScan; n = n.Inputs[0] {
+		if !fusable(n) {
+			return nil, false
+		}
+		chain = append(chain, n)
+	}
+next:
+	for _, e := range evs {
+		for i := len(chain) - 1; i >= 0; i-- {
+			n := chain[i]
+			in := n.Inputs[0].Out
+			switch {
+			case n.Kind == OpSelect:
+				if !n.Pred.compile(in)(e.Payload) {
+					continue next
+				}
+			case n.Kind == OpProject:
+				row := make(Row, len(n.Projs))
+				for j, pr := range n.Projs {
+					if pr.Source != "" {
+						row[j] = e.Payload[in.MustIndex(pr.Source)]
+					} else {
+						row[j] = pr.Make(in.Indexes(pr.Cols...))(e.Payload)
+					}
+				}
+				e.Payload = row
+			case n.Mode == LifeWindow:
+				e.RE = e.LE + n.Window
+			case n.Mode == LifeHop:
+				s := e.LE
+				e.LE = floorDiv(s, n.Hop)*n.Hop + n.Hop
+				e.RE = floorDiv(s+n.Window, n.Hop)*n.Hop + n.Hop
+			case n.Mode == LifeShift:
+				e.LE, e.RE = e.LE+n.Shift, e.RE+n.Shift
+			}
+			if e.RE <= e.LE {
+				e.RE = e.LE + Tick
+			}
+		}
+		out = append(out, e)
+	}
+	SortEvents(out)
+	return out, true
+}
 
 // fusedTestCTIPeriod is deliberately tiny and misaligned with the feed
 // chunk size, so every multi-batch feed is split by the automatic CTI
@@ -85,148 +166,149 @@ func vetoPred() Predicate {
 	}
 }
 
-// checkFusedEquivalence requires the same raw output from five engine ×
-// feed-path combinations: interpreted per-event (the reference),
-// fused per-event, fused row batches, fused columnar batches, and
-// interpreted columnar batches (the materialize-and-FeedBatch fallback).
-func checkFusedEquivalence(t *testing.T, plan *Plan, evs []Event, ncols int) {
-	t.Helper()
-	newEng := func(opts ...Option) *Engine {
-		eng, err := NewEngine(plan, append([]Option{WithCTIPeriod(fusedTestCTIPeriod)}, opts...)...)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return eng
-	}
-	feedPerEvent := func(eng *Engine) {
+// kernelFeeds are the three feed granularities every differential runs.
+// The chunk size is misaligned with fusedTestCTIPeriod on purpose.
+var kernelFeeds = []struct {
+	name string
+	feed func(eng *Engine, evs []Event)
+}{
+	{"per-event", func(eng *Engine, evs []Event) {
 		for _, e := range evs {
 			eng.Feed("in", e)
 		}
-	}
-	const chunk = 17 // misaligned with fusedTestCTIPeriod on purpose
-	feedRowBatches := func(eng *Engine) {
-		for lo := 0; lo < len(evs); lo += chunk {
-			hi := lo + chunk
-			if hi > len(evs) {
-				hi = len(evs)
-			}
-			eng.FeedBatch("in", &Batch{Events: evs[lo:hi]})
+	}},
+	{"row-batch", func(eng *Engine, evs []Event) {
+		for lo := 0; lo < len(evs); lo += 17 {
+			eng.FeedBatch("in", &Batch{Events: evs[lo:min(lo+17, len(evs))]})
 		}
-	}
-	feedColBatches := func(eng *Engine) {
-		for lo := 0; lo < len(evs); lo += chunk {
-			hi := lo + chunk
-			if hi > len(evs) {
-				hi = len(evs)
-			}
-			eng.FeedColBatch("in", ColBatchFromEvents(evs[lo:hi], ncols))
+	}},
+	{"columnar", func(eng *Engine, evs []Event) {
+		for lo := 0; lo < len(evs); lo += 17 {
+			eng.FeedColBatch("in", ColBatchFromEvents(evs[lo:min(lo+17, len(evs))], len(evs[0].Payload)))
 		}
-	}
+	}},
+}
 
-	ref := newEng(WithInterpreted())
-	feedPerEvent(ref)
-	ref.Flush()
-	want := ref.RawResults()
-
-	cases := []struct {
+// checkFusedEquivalence requires the same raw output, and the same
+// checkpoint bytes half way through the input, from the plan and from its
+// split-run form on every feed path — the split plan fed per event is the
+// reference — and from evalStateless where it applies.
+func checkFusedEquivalence(t *testing.T, plan *Plan, evs []Event) {
+	t.Helper()
+	half := len(evs) / 2
+	var want []Event
+	var wantSnap []byte
+	for _, form := range []struct {
 		name string
-		eng  *Engine
-		feed func(*Engine)
-	}{
-		{"fused/per-event", newEng(), feedPerEvent},
-		{"fused/row-batch", newEng(), feedRowBatches},
-		{"fused/columnar", newEng(), feedColBatches},
-		{"interpreted/row-batch", newEng(WithInterpreted()), feedRowBatches},
-		{"interpreted/columnar", newEng(WithInterpreted()), feedColBatches},
-	}
-	for _, c := range cases {
-		c.feed(c.eng)
-		c.eng.Flush()
-		if got := c.eng.RawResults(); !EventsEqual(got, want) {
-			t.Errorf("%s: output diverges\n got %v\nwant %v", c.name, got, want)
+		plan *Plan
+	}{{"split", splitRuns(plan)}, {"kernel", plan}} {
+		for _, f := range kernelFeeds {
+			eng, err := NewEngine(form.plan, WithCTIPeriod(fusedTestCTIPeriod))
+			if err != nil {
+				t.Fatal(err)
+			}
+			f.feed(eng, evs[:half])
+			snap := eng.Checkpoint()
+			f.feed(eng, evs[half:])
+			eng.Flush()
+			got := eng.RawResults()
+			if want == nil {
+				want, wantSnap = got, snap
+				continue
+			}
+			if !EventsEqual(got, want) {
+				t.Errorf("%s/%s: output diverges\n got %v\nwant %v", form.name, f.name, got, want)
+			}
+			if !bytes.Equal(snap, wantSnap) {
+				t.Errorf("%s/%s: checkpoint bytes diverge", form.name, f.name)
+			}
 		}
+	}
+	if len(want) == 0 {
+		t.Error("no output; the differential is vacuous")
+	}
+	if ref, ok := evalStateless(plan, evs); ok && !EventsEqual(want, ref) {
+		t.Errorf("engines diverge from the per-event evaluator\n got %v\nwant %v", want, ref)
 	}
 }
 
-func TestFusedMatchesInterpreted(t *testing.T) {
+type kernelCase struct {
+	name string
+	plan *Plan
+	evs  []Event
+}
+
+// kernelCases is the plan table of the kernel differentials: every
+// stateless shape, the columnar fallbacks, runs ending at a stateful
+// boundary, and a multicast diamond. All read source "in".
+func kernelCases() []kernelCase {
 	sch := readingSchema()
 	evs := fusedReadings(120)
 	double := Compute("Doubled", KindInt, func(v []Value) Value { return Int(v[0].AsInt() * 2) }, "Power")
-
-	cases := []struct {
-		name  string
-		plan  *Plan
-		evs   []Event
-		ncols int
-	}{
-		{"filter-chain", Scan("in", sch).Where(ColGtInt("Power", -5)).Where(ColLtInt("Power", 35)), evs, 3},
-		{"filter-allpass", Scan("in", sch).Where(ColGtInt("Power", -100)), evs, 3},
-		{"filter-string", Scan("in", sch).Where(ColEqString("ID", "a")), evs, 3},
-		{"filter-and", Scan("in", sch).Where(And(ColGtInt("Power", -5), ColLtInt("Power", 35))), evs, 3},
-		{"filter-or-fallback", Scan("in", sch).Where(Or(ColGtInt("Power", 30), ColLtInt("Power", -5))), evs, 3},
-		{"filter-veto-fallback", Scan("in", sch).Where(ColGtInt("Power", -5)).Where(vetoPred()), evs, 3},
-		{"project-direct", Scan("in", sch).Project(Keep("Time"), Rename("ID", "Meter"), Keep("Power")), evs, 3},
-		{"project-computed-fallback", Scan("in", sch).Project(Keep("Time"), double), evs, 3},
-		{"filter-project-window", Scan("in", sch).Where(ColGtInt("Power", -5)).Project(Keep("Time"), Keep("Power")).WithWindow(9), evs, 3},
-		{"hop", Scan("in", sch).WithHop(8, 4), evs, 3},
-		{"shift-negative", Scan("in", sch).WithWindow(6).ShiftLifetime(-3), evs, 3},
-		{"agg-boundary", Scan("in", sch).Where(ColGtInt("Power", -5)).WithWindow(9).Count("Cnt"), evs, 3},
-		{"shift-agg", Scan("in", sch).Where(ColGtInt("Power", -5)).ShiftLifetime(-4).WithWindow(9).Count("Cnt"), evs, 3},
-		{"nulls-off-column", Scan("in", sch).Where(ColGtInt("Power", -2)).Project(Keep("ID"), Keep("Power")), fusedOddReadings(100), 3},
-		{"float-filters", Scan("in", floatReadingSchema()).Where(ColGeFloat("Val", -1)).Where(AbsGeFloat("Val", 0.5)), fusedFloatReadings(100), 3},
-	}
-	// The multicast diamond: a shared scan heading two fused branches.
+	// The multicast diamond: a shared scan heading two kernels.
 	src := Scan("in", sch)
 	diamond := src.Where(ColGtInt("Power", 20)).Project(Keep("Time"), Keep("ID"), ConstInt("Tag", 1)).
 		Union(src.Where(Not(ColGtInt("Power", 20))).Project(Keep("Time"), Keep("ID"), ConstInt("Tag", 0)))
-	cases = append(cases, struct {
-		name  string
-		plan  *Plan
-		evs   []Event
-		ncols int
-	}{"multicast-diamond", diamond, evs, 3})
+	return []kernelCase{
+		{"filter-chain", Scan("in", sch).Where(ColGtInt("Power", -5)).Where(ColLtInt("Power", 35)), evs},
+		{"filter-allpass", Scan("in", sch).Where(ColGtInt("Power", -100)), evs},
+		{"filter-string", Scan("in", sch).Where(ColEqString("ID", "a")), evs},
+		{"filter-and", Scan("in", sch).Where(And(ColGtInt("Power", -5), ColLtInt("Power", 35))), evs},
+		{"filter-or-fallback", Scan("in", sch).Where(Or(ColGtInt("Power", 30), ColLtInt("Power", -5))), evs},
+		{"filter-veto-fallback", Scan("in", sch).Where(ColGtInt("Power", -5)).Where(vetoPred()), evs},
+		{"project-direct", Scan("in", sch).Project(Keep("Time"), Rename("ID", "Meter"), Keep("Power")), evs},
+		{"project-computed-fallback", Scan("in", sch).Project(Keep("Time"), double), evs},
+		{"filter-project-window", Scan("in", sch).Where(ColGtInt("Power", -5)).Project(Keep("Time"), Keep("Power")).WithWindow(9), evs},
+		{"hop", Scan("in", sch).WithHop(8, 4), evs},
+		{"shift-negative", Scan("in", sch).WithWindow(6).ShiftLifetime(-3), evs},
+		{"agg-boundary", Scan("in", sch).Where(ColGtInt("Power", -5)).WithWindow(9).Count("Cnt"), evs},
+		{"shift-agg", Scan("in", sch).Where(ColGtInt("Power", -5)).ShiftLifetime(-4).WithWindow(9).Count("Cnt"), evs},
+		{"nulls-off-column", Scan("in", sch).Where(ColGtInt("Power", -2)).Project(Keep("ID"), Keep("Power")), fusedOddReadings(100)},
+		{"float-filters", Scan("in", floatReadingSchema()).Where(ColGeFloat("Val", -1)).Where(AbsGeFloat("Val", 0.5)), fusedFloatReadings(100)},
+		{"multicast-diamond", diamond, evs},
+	}
+}
 
-	for _, c := range cases {
+func TestFusedMatchesReference(t *testing.T) {
+	for _, c := range kernelCases() {
 		t.Run(c.name, func(t *testing.T) {
-			checkFusedEquivalence(t, c.plan, c.evs, c.ncols)
+			checkFusedEquivalence(t, c.plan, c.evs)
 		})
 	}
 }
 
-// TestFusedColInput pins which compiles expose a columnar entry: fused
-// stateless heads do, and so does a bare scan straight into the engine
-// collector (the collector itself consumes columns); interpreted
-// compiles of operator chains do not.
+// TestFusedColInput pins which compiles expose a columnar entry: a
+// stateless head does, however short the kernel, and so does a bare scan
+// straight into the engine collector (the collector itself consumes
+// columns); a stateful head does not.
 func TestFusedColInput(t *testing.T) {
 	sch := readingSchema()
-	fusedHead := Scan("in", sch).Where(ColGtInt("Power", 0)).WithWindow(5).Count("C")
-	eng, err := NewEngine(fusedHead)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if eng.Pipeline().ColInput("in") == nil {
-		t.Error("fused compile: expected a columnar entry for a stateless head run")
-	}
-	interp, err := NewEngine(fusedHead, WithInterpreted())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if interp.Pipeline().ColInput("in") != nil {
-		t.Error("interpreted compile: expected no columnar entry")
-	}
-	bare, err := NewEngine(Scan("in", sch))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if bare.Pipeline().ColInput("in") == nil {
-		t.Error("bare scan into the collector: expected a columnar entry (sink is columnar-capable)")
+	head := Scan("in", sch).Where(ColGtInt("Power", 0)).WithWindow(5).Count("C")
+	for _, c := range []struct {
+		name string
+		plan *Plan
+		want bool
+	}{
+		{"stateless head run", head, true},
+		{"one-member head kernel", splitRuns(head), true},
+		{"bare scan into the collector", Scan("in", sch), true},
+		{"stateful head", Scan("in", sch).Count("C"), false},
+	} {
+		eng, err := NewEngine(c.plan)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := eng.Pipeline().ColInput("in") != nil; got != c.want {
+			t.Errorf("%s: columnar entry = %v, want %v", c.name, got, c.want)
+		}
 	}
 }
 
 // TestFusedSnapshotCompatibility is the checkpoint-layout invariant: the
-// layout is a pure function of the logical plan, so snapshots move freely
-// between fused and interpreted engines — in both directions — and two
-// engines fed identical input checkpoint to identical bytes.
+// layout is a pure function of the logical plan's operators, not of how
+// they were grouped into kernels, so snapshots move freely between the
+// plan and its split-run form — in both directions — and two engines fed
+// identical input checkpoint to identical bytes.
 func TestFusedSnapshotCompatibility(t *testing.T) {
 	plan := Scan("in", readingSchema()).
 		Where(ColGtInt("Power", -5)).
@@ -235,61 +317,42 @@ func TestFusedSnapshotCompatibility(t *testing.T) {
 		ToPoint().
 		WithWindow(15).
 		Sum("Cnt", "S")
+	split := splitRuns(plan)
 	evs := fusedReadings(120)
 	half := len(evs) / 2
+	feedCol := kernelFeeds[2].feed
 
-	feedCol := func(eng *Engine, part []Event) {
-		const chunk = 17
-		for lo := 0; lo < len(part); lo += chunk {
-			hi := lo + chunk
-			if hi > len(part) {
-				hi = len(part)
-			}
-			eng.FeedColBatch("in", ColBatchFromEvents(part[lo:hi], 3))
-		}
-	}
-
-	// Reference: one uninterrupted interpreted run.
-	ref, err := NewEngine(plan, WithInterpreted(), WithCTIPeriod(fusedTestCTIPeriod))
-	if err != nil {
-		t.Fatal(err)
-	}
-	feedCol(ref, evs)
-	ref.Flush()
-	want := ref.RawResults()
-
-	// Byte-identical checkpoints after identical input.
-	mk := func(opts ...Option) *Engine {
-		eng, err := NewEngine(plan, append([]Option{WithCTIPeriod(fusedTestCTIPeriod)}, opts...)...)
+	mk := func(p *Plan) *Engine {
+		eng, err := NewEngine(p, WithCTIPeriod(fusedTestCTIPeriod))
 		if err != nil {
 			t.Fatal(err)
 		}
 		return eng
 	}
-	fe, ie := mk(), mk(WithInterpreted())
-	feedCol(fe, evs[:half])
-	feedCol(ie, evs[:half])
-	if !bytes.Equal(fe.Checkpoint(), ie.Checkpoint()) {
-		t.Fatal("fused and interpreted checkpoints differ after identical input")
-	}
+
+	// Reference: one uninterrupted run of the split plan.
+	ref := mk(split)
+	feedCol(ref, evs)
+	ref.Flush()
+	want := ref.RawResults()
 
 	// Cross-restore in both directions and finish the run.
-	directions := []struct {
-		name         string
-		firstOpts    []Option
-		restoredOpts []Option
+	for _, d := range []struct {
+		name            string
+		first, restored *Plan
 	}{
-		{"fused-to-interpreted", nil, []Option{WithInterpreted()}},
-		{"interpreted-to-fused", []Option{WithInterpreted()}, nil},
-	}
-	for _, d := range directions {
-		a := mk(d.firstOpts...)
+		{"kernel-to-split", plan, split},
+		{"split-to-kernel", split, plan},
+	} {
+		a := mk(d.first)
 		feedCol(a, evs[:half])
 		snap := a.Checkpoint()
-		b, err := RestoreEngine(plan, snap,
-			append([]Option{WithCTIPeriod(fusedTestCTIPeriod)}, d.restoredOpts...)...)
+		b, err := RestoreEngine(d.restored, snap, WithCTIPeriod(fusedTestCTIPeriod))
 		if err != nil {
 			t.Fatalf("%s: restore: %v", d.name, err)
+		}
+		if !bytes.Equal(b.Checkpoint(), snap) {
+			t.Errorf("%s: restored engine checkpoints to different bytes", d.name)
 		}
 		feedCol(b, evs[half:])
 		b.Flush()
@@ -300,6 +363,65 @@ func TestFusedSnapshotCompatibility(t *testing.T) {
 		}
 	}
 }
+
+// Checkpoint images taken at the parent of the commit that made the kernel
+// the only implementation of the stateless operators (first 60 of
+// fusedReadings(120), row batches of 17, CTI period 7): one plan with a
+// shifted-window run, one with a GroupApply sub-plan holding a windowed
+// count. An engine built today must checkpoint to the same bytes, and must
+// restore the image and finish the input with the output of one
+// uninterrupted run.
+func TestFusedGoldenCheckpoints(t *testing.T) {
+	sch := readingSchema()
+	for _, c := range []struct {
+		name, image string
+		plan        *Plan
+	}{
+		{"shifted-window", goldenShiftedWindow,
+			Scan("in", sch).Where(ColGtInt("Power", -5)).ShiftLifetime(-4).WithWindow(9).
+				Count("Cnt").ToPoint().WithWindow(15).Sum("Cnt", "S")},
+		{"groupapply-window-count", goldenGroupApplyCount,
+			Scan("in", sch).Where(ColGtInt("Power", -5)).
+				GroupApply([]string{"ID"}, func(g *Plan) *Plan {
+					return g.Project(Keep("Time"), Keep("Power")).WithWindow(9).Count("C")
+				})},
+	} {
+		image, err := hex.DecodeString(c.image)
+		if err != nil {
+			t.Fatal(err)
+		}
+		evs := fusedReadings(120)
+		feed := kernelFeeds[1].feed
+		whole, err := NewEngine(c.plan, WithCTIPeriod(fusedTestCTIPeriod))
+		if err != nil {
+			t.Fatal(err)
+		}
+		feed(whole, evs[:60])
+		if got := whole.Checkpoint(); !bytes.Equal(got, image) {
+			t.Errorf("%s: checkpoint differs from the parent commit's image\n got %x\nwant %x", c.name, got, image)
+		}
+		head := whole.RawResults()
+		feed(whole, evs[60:])
+		whole.Flush()
+
+		resumed, err := RestoreEngine(c.plan, image, WithCTIPeriod(fusedTestCTIPeriod))
+		if err != nil {
+			t.Fatalf("%s: restore: %v", c.name, err)
+		}
+		feed(resumed, evs[60:])
+		resumed.Flush()
+		got := append(head, resumed.RawResults()...)
+		SortEvents(got)
+		if !EventsEqual(got, whole.RawResults()) {
+			t.Errorf("%s: resumed output diverges from the uninterrupted run", c.name)
+		}
+	}
+}
+
+const (
+	goldenShiftedWindow   = "e770060168046c01010e700101107a01010e7e0101103c0200020002016e010110016e097003016603016101057203016803016201087403016a03016301167603016c03016101247803016e03016201327a03017003016301407c030172030161014e7e0301740301620107800103017603016301061202000200"
+	goldenGroupApplyCount = "e7700108700370720203016101067074020301620106707602030163010403010301617270020172037802016601057e02016c01248401020172014e060200010301627470020174037a0201680108800102016e013286010201740107060200010301637670020176037c02016a01168201020170014088010201760106060200"
+)
 
 // retainingSink defers everything it receives until OnFlush — the most
 // aggressive legal form of deferred retention (reorder buffers and
@@ -386,5 +508,34 @@ func TestFusedColumnarReorderInterleave(t *testing.T) {
 	SortEvents(want)
 	if !EventsEqual(got, want) {
 		t.Fatalf("reorder-deferred payloads corrupted by later columnar feeds\n got %v\nwant %v", got, want)
+	}
+}
+
+// TestFusedSubPlanFootprint keeps the per-group kernel small: a GroupApply
+// compiles its sub-plan once per live key, so a BT job holds one kernel per
+// user. Compiling GroupInput.WithWindow(w).Count allocated 1392 B at the
+// commit before the kernel replaced the per-node window operator there; it
+// may cost 5% more. (What only the columnar entry needs is allocated by the
+// first OnColBatch, which a sub-plan kernel never sees.)
+func TestFusedSubPlanFootprint(t *testing.T) {
+	const instances, budget = 10000, 1392 * 105 / 100
+	sub := GroupInput(readingSchema()).WithWindow(9).Count("C")
+	out := &Collector{}
+	keep := make([]Sink, 0, instances)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < instances; i++ {
+		entry, _, err := compileSub(sub, out)
+		if err != nil {
+			t.Fatal(err)
+		}
+		keep = append(keep, entry)
+	}
+	runtime.ReadMemStats(&after)
+	runtime.KeepAlive(keep)
+	if per := (after.TotalAlloc - before.TotalAlloc) / instances; per > budget {
+		t.Errorf("sub-pipeline costs %d B to compile, budget %d B", per, budget)
+	} else {
+		t.Logf("sub-pipeline costs %d B to compile (budget %d B)", per, budget)
 	}
 }

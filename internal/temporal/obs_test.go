@@ -1,6 +1,7 @@
 package temporal
 
 import (
+	"bytes"
 	"strings"
 	"testing"
 
@@ -14,47 +15,72 @@ import (
 // ← op03.Scan. Four point events are fed; one fails the predicate; the
 // remaining three open 10-tick windows at t=0, 2, 5, whose count changes
 // at t = 0, 2, 5, 10, 12 produce five snapshot segments.
+//
+// Select and AlterLifetime are members of one kernel, which meters itself;
+// the counts are the same on every feed path, including a columnar batch
+// the predicate refuses half way (the kernel then reruns it on the row
+// path, and must not count it twice).
 func TestObservedOperatorCounts(t *testing.T) {
 	schema := NewSchema(Field{Name: "Time", Kind: KindInt}, Field{Name: "V", Kind: KindInt})
-	plan := Scan("s", schema).Where(ColGtInt("V", 0)).WithWindow(10).Count("C")
+	var evs []Event
+	for _, f := range []struct{ tm, v int64 }{{0, 1}, {1, -1}, {2, 1}, {5, 1}} {
+		evs = append(evs, PointEvent(Time(f.tm), Row{Int(f.tm), Int(f.v)}))
+	}
+	positive := ColGtInt("V", 0)
+	refusing := positive
+	refusing.MakeCol = vetoPred().MakeCol
 
-	root := obs.New("engine")
-	eng, err := NewEngine(plan, WithObs(root))
-	if err != nil {
-		t.Fatal(err)
-	}
-	feed := []struct{ tm, v int64 }{{0, 1}, {1, -1}, {2, 1}, {5, 1}}
-	for _, f := range feed {
-		eng.Feed("s", PointEvent(Time(f.tm), Row{Int(f.tm), Int(f.v)}))
-	}
-	eng.Flush()
-	if got := len(eng.Results()); got != 5 {
-		t.Fatalf("results = %d events, want 5", got)
-	}
-
-	counts := func(op string) (in, out int64) {
-		sc := root.Child(op)
-		return sc.Counter("events_in").Value(), sc.Counter("events_out").Value()
-	}
-	for _, want := range []struct {
-		op      string
-		in, out int64
+	for _, c := range []struct {
+		name string
+		pred Predicate
+		feed func(eng *Engine)
 	}{
-		{"op02.Select", 4, 3},
-		{"op01.AlterLifetime", 3, 3},
-		{"op00.Aggregate", 3, 5},
+		{"per-event", positive, func(eng *Engine) {
+			for _, e := range evs {
+				eng.Feed("s", e)
+			}
+		}},
+		{"row-batch", positive, func(eng *Engine) { eng.FeedBatch("s", &Batch{Events: evs}) }},
+		{"columnar", positive, func(eng *Engine) { eng.FeedColBatch("s", ColBatchFromEvents(evs, 2)) }},
+		{"columnar-fallback", refusing, func(eng *Engine) { eng.FeedColBatch("s", ColBatchFromEvents(evs, 2)) }},
 	} {
-		in, out := counts(want.op)
-		if in != want.in || out != want.out {
-			t.Errorf("%s: in/out = %d/%d, want %d/%d", want.op, in, out, want.in, want.out)
-		}
-	}
-	if got := root.Child("source.s").Counter("events").Value(); got != 4 {
-		t.Errorf("source.s events = %d, want 4", got)
-	}
-	// The aggregate held three open lifetimes at its peak.
-	if got := root.Child("op00.Aggregate").Gauge("state").Value(); got != 3 {
-		t.Errorf("aggregate state high-watermark = %d, want 3", got)
+		t.Run(c.name, func(t *testing.T) {
+			root := obs.New("engine")
+			eng, err := NewEngine(Scan("s", schema).Where(c.pred).WithWindow(10).Count("C"), WithObs(root))
+			if err != nil {
+				t.Fatal(err)
+			}
+			c.feed(eng)
+			eng.Flush()
+			if got := len(eng.Results()); got != 5 {
+				t.Fatalf("results = %d events, want 5", got)
+			}
+
+			counts := func(op string) (in, out int64) {
+				sc := root.Child(op)
+				return sc.Counter("events_in").Value(), sc.Counter("events_out").Value()
+			}
+			for _, want := range []struct {
+				op      string
+				in, out int64
+			}{
+				{"op02.Select", 4, 3},
+				{"op01.AlterLifetime", 3, 3},
+				{"op00.Aggregate", 3, 5},
+			} {
+				in, out := counts(want.op)
+				if in != want.in || out != want.out {
+					t.Errorf("%s: in/out = %d/%d, want %d/%d", want.op, in, out, want.in, want.out)
+				}
+			}
+			if got := root.Child("source.s").Counter("events").Value(); got != 4 {
+				t.Errorf("source.s events = %d, want 4", got)
+			}
+			// The aggregate held three open lifetimes at its peak.
+			if got := root.Child("op00.Aggregate").Gauge("state").Value(); got != 3 {
+				t.Errorf("aggregate state high-watermark = %d, want 3", got)
+			}
+		})
 	}
 }
 
@@ -98,33 +124,41 @@ func TestObservedTableNamesOperators(t *testing.T) {
 	}
 }
 
-// An observed compile must produce identical results to a plain one:
-// instrumentation may never change semantics.
+// Observation must not change the pipeline: over the kernel plan table and
+// every feed path, an engine with a scope and one without expose the same
+// columnar entry (one at all for a stateless head), checkpoint to the same
+// bytes half way through the input, and produce the same raw results.
 func TestObservedMatchesUnobserved(t *testing.T) {
-	schema := NewSchema(Field{Name: "Time", Kind: KindInt}, Field{Name: "V", Kind: KindInt})
-	mk := func() *Plan {
-		return Scan("s", schema).Where(ColGtInt("V", -5)).WithWindow(7).Sum("V", "S")
-	}
-	var evs []Event
-	for i := int64(0); i < 50; i++ {
-		evs = append(evs, PointEvent(Time(i*3%17), Row{Int(i * 3 % 17), Int(i - 25)}))
-	}
-	SortEvents(evs)
-
-	plain, err := RunPlan(mk(), map[string][]Event{"s": evs})
-	if err != nil {
-		t.Fatal(err)
-	}
-	eng, err := NewEngine(mk(), WithObs(obs.New("x")))
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, e := range evs {
-		eng.Feed("s", e)
-	}
-	eng.Flush()
-	if !EventsEqual(plain, eng.Results()) {
-		t.Fatalf("observed run diverged from plain run")
+	for _, c := range kernelCases() {
+		for _, f := range kernelFeeds {
+			t.Run(c.name+"/"+f.name, func(t *testing.T) {
+				var snaps [2][]byte
+				var outs [2][]Event
+				var colIn [2]bool
+				for i, opts := range [][]Option{nil, {WithObs(obs.New("x"))}} {
+					eng, err := NewEngine(c.plan, append(opts, WithCTIPeriod(fusedTestCTIPeriod))...)
+					if err != nil {
+						t.Fatal(err)
+					}
+					colIn[i] = eng.Pipeline().ColInput("in") != nil
+					half := len(c.evs) / 2
+					f.feed(eng, c.evs[:half])
+					snaps[i] = eng.Checkpoint()
+					f.feed(eng, c.evs[half:])
+					eng.Flush()
+					outs[i] = eng.RawResults()
+				}
+				if statelessHead := c.name != "multicast-diamond"; colIn[0] != statelessHead || colIn[1] != statelessHead {
+					t.Errorf("columnar entry unobserved/observed = %v/%v, want %v in both", colIn[0], colIn[1], statelessHead)
+				}
+				if !bytes.Equal(snaps[0], snaps[1]) {
+					t.Error("observed engine checkpoints to different bytes")
+				}
+				if !EventsEqual(outs[0], outs[1]) {
+					t.Errorf("observed run diverged from plain run\n got %v\nwant %v", outs[1], outs[0])
+				}
+			})
+		}
 	}
 }
 

@@ -6,9 +6,12 @@ import (
 	"timr/internal/obs"
 )
 
-// Operator instrumentation. CompileObserved wraps every physical operator
-// with two thin meter sinks — one on each entry, one on the output — that
-// feed per-operator metrics into an obs.Scope:
+// Operator instrumentation. Under a scope (WithObs) every plan node
+// reports per-operator metrics into an obs.Scope child named "opNN.Kind".
+// A stateful operator is wrapped with two thin meter sinks — one on each
+// entry, one on the output. The stateless kernel (op_fused.go) is not
+// wrapped: it meters its members itself (kernelMeter), so observing a
+// pipeline changes neither its operators nor its columnar entry.
 //
 //	events_in    events delivered to the operator (both sides for binaries)
 //	events_out   events the operator emitted
@@ -26,11 +29,12 @@ import (
 // (automatic CTIs thinned away) and fragments (aggregate segments of the
 // sub-plan, nested ones included, that a broadcast force-closed).
 //
-// Metric handles are resolved once at compile time; per-event cost is one
-// atomic add per meter. Handles are shared across engine instances that
-// compile the same plan into the same scope (TiMR runs one engine per
-// partition), so per-operator metrics aggregate across partitions, while
-// the per-instance fields (maxLE) stay engine-local and single-threaded.
+// Metric handles are resolved once at compile time; the cost is one
+// atomic add per meter per call (per event only on the per-event path).
+// Handles are shared across engine instances that compile the same plan
+// into the same scope (TiMR runs one engine per partition), so
+// per-operator metrics aggregate across partitions, while the
+// per-instance fields (maxLE) stay engine-local and single-threaded.
 
 // stateSizer is implemented by every stateful operator: the number of
 // events/entries/groups it retains. Zero must mean it holds nothing at
@@ -74,6 +78,13 @@ func (m *opMetrics) observe(op any) {
 	}
 }
 
+// lag records how far a punctuation at t trails the operator's input.
+func (m *opMetrics) lag(t Time) {
+	if m.maxLE != MinTime && m.maxLE > t {
+		m.wmLag.SetMax(int64(m.maxLE - t))
+	}
+}
+
 func (m *opMetrics) pollState() {
 	if m.sizer != nil {
 		m.state.SetMax(int64(m.sizer.liveState()))
@@ -99,9 +110,7 @@ func (s *meterIn) OnEvent(e Event) {
 }
 
 func (s *meterIn) OnCTI(t Time) {
-	if s.m.maxLE != MinTime && s.m.maxLE > t {
-		s.m.wmLag.SetMax(int64(s.m.maxLE - t))
-	}
+	s.m.lag(t)
 	s.out.OnCTI(t)
 	s.m.pollState()
 }
@@ -117,8 +126,8 @@ func (s *meterIn) OnBatch(b *Batch) {
 			s.m.maxLE = le
 		}
 	}
-	if b.HasCTI && s.m.maxLE != MinTime && s.m.maxLE > b.CTI {
-		s.m.wmLag.SetMax(int64(s.m.maxLE - b.CTI))
+	if b.HasCTI {
+		s.m.lag(b.CTI)
 	}
 	if s.bout == nil {
 		s.bout = AsBatchSink(s.out)
@@ -163,6 +172,74 @@ func (s *meterOut) OnBatch(b *Batch) {
 }
 
 func (s *meterOut) OnFlush() { s.out.OnFlush() }
+
+// colMeterOut is the source meter over a columnar entry: it counts a
+// ColBatch and passes it through, so the source stays a ColBatchSink
+// exactly when it is one unobserved.
+type colMeterOut struct {
+	meterOut
+	cout ColBatchSink
+}
+
+func (s *colMeterOut) OnColBatch(cb *ColBatch) {
+	s.events.Add(int64(cb.Len()))
+	s.cout.OnColBatch(cb)
+}
+
+// kernelMeter is a stateless kernel's instrumentation: one opMetrics per
+// member. The kernel's loops count into seen — plain memory — and commit
+// adds the totals once per call: no more atomics per event than the two
+// meter sinks a stateful operator pays.
+type kernelMeter struct {
+	ops []*opMetrics
+	// seen[i] is what entered member i during the current call, and
+	// seen[len(ops)] what left the last; zero between calls.
+	seen []stageSeen
+}
+
+type stageSeen struct {
+	n  int64
+	le Time // LE of the last event counted, as the member received it
+}
+
+// scratch returns seen, or nil for an unobserved kernel's nil meter.
+func (m *kernelMeter) scratch() []stageSeen {
+	if m == nil {
+		return nil
+	}
+	return m.seen
+}
+
+func (m *kernelMeter) commit() {
+	if m == nil {
+		return
+	}
+	for i, op := range m.ops {
+		if s := m.seen[i]; s.n > 0 {
+			op.eventsIn.Add(s.n)
+			if s.le > op.maxLE {
+				op.maxLE = s.le
+			}
+		}
+		if n := m.seen[i+1].n; n > 0 {
+			op.eventsOut.Add(n)
+		}
+	}
+	clear(m.seen)
+}
+
+// cti records a punctuation arriving at t: every member propagates it,
+// each seeing it as the members before have shifted it.
+func (m *kernelMeter) cti(t Time, stages []fusedStage) {
+	if m == nil {
+		return
+	}
+	for i, op := range m.ops {
+		op.lag(t)
+		op.ctis.Inc()
+		t = stages[i].shiftCTI(t)
+	}
+}
 
 // opName returns the deterministic scope name for a plan node:
 // "opNN.Kind", with NN assigned by pre-order DFS from the root (root is

@@ -2,8 +2,9 @@ package temporal
 
 import "sort"
 
-// The stateless hot-path operators implement both Sink (per-event) and
-// BatchSink (batch-at-a-time). The batch methods are the primary path:
+// The plumbing operators around the stateless kernel (op_fused.go):
+// multicast, ToPoint and reorder. Each implements both Sink (per-event)
+// and BatchSink (batch-at-a-time). The batch methods are the primary path:
 // they process a whole run in a tight loop and make one downstream call,
 // reusing a per-operator output buffer (see batchOut). The per-event
 // methods remain for drivers and operators that have not been converted.
@@ -61,85 +62,11 @@ func (m *multicast) OnFlush() {
 	}
 }
 
-// filterOp drops events whose payload fails the predicate.
-type filterOp struct {
-	pred func(Row) bool
-	out  Sink
-	bo   batchOut
-}
-
-func (f *filterOp) OnEvent(e Event) {
-	if f.pred(e.Payload) {
-		f.out.OnEvent(e)
-	}
-}
-
-func (f *filterOp) OnBatch(b *Batch) {
-	evs := b.Events
-	// Fast path: nothing dropped in the prefix scan — forward the
-	// producer's batch untouched, with zero copying.
-	i := 0
-	for i < len(evs) && f.pred(evs[i].Payload) {
-		i++
-	}
-	if i == len(evs) {
-		if len(evs) > 0 || b.HasCTI {
-			f.bo.resolve(f.out).OnBatch(b)
-		}
-		return
-	}
-	kept := append(f.bo.buf[:0], evs[:i]...)
-	for i++; i < len(evs); i++ {
-		if f.pred(evs[i].Payload) {
-			kept = append(kept, evs[i])
-		}
-	}
-	f.bo.emit(f.out, kept, b.CTI, b.HasCTI)
-}
-
-func (f *filterOp) OnCTI(t Time) { f.out.OnCTI(t) }
-func (f *filterOp) OnFlush()     { f.out.OnFlush() }
-
-// projectOp rewrites payloads. Column resolution happened at compile time;
-// each output column is either a direct copy or a computed function.
-type projectOp struct {
-	fns   []func(Row) Value
-	arena rowArena
-	out   Sink
-	bo    batchOut
-}
-
-func (p *projectOp) OnEvent(e Event) {
-	e.Payload = p.projectRow(e.Payload)
-	p.out.OnEvent(e)
-}
-
-func (p *projectOp) OnBatch(b *Batch) {
-	outEvs := p.bo.buf[:0]
-	for i := range b.Events {
-		e := b.Events[i]
-		e.Payload = p.projectRow(e.Payload)
-		outEvs = append(outEvs, e)
-	}
-	p.bo.emit(p.out, outEvs, b.CTI, b.HasCTI)
-}
-
-func (p *projectOp) projectRow(in Row) Row {
-	row := p.arena.alloc(len(p.fns))
-	for i, fn := range p.fns {
-		row[i] = fn(in)
-	}
-	return row
-}
-
-func (p *projectOp) OnCTI(t Time) { p.out.OnCTI(t) }
-func (p *projectOp) OnFlush()     { p.out.OnFlush() }
-
-// alterLifetimeOp adjusts event lifetimes. All supported modes are
-// monotone nondecreasing in LE, so input order is preserved; the CTI is
-// translated by the worst-case backward shift.
+// alterLifetimeOp is ToPoint: it truncates lifetimes to points, RE = LE +
+// Tick. (The stateless lifetime transforms — window, hop, shift — are
+// members of the stateless kernel, op_fused.go.)
 //
-// LifePoint is the one event-identity-sensitive mode: its output depends
+// ToPoint is the one event-identity-sensitive transform: its output depends
 // on how the input temporal relation is carved into events, and upstream
 // aggregates legitimately fragment their output at punctuation
 // boundaries. The operator therefore works on the *coalesced* relation:
@@ -147,12 +74,9 @@ func (p *projectOp) OnFlush()     { p.out.OnFlush() }
 // payload) produces no new point. This keeps results independent of
 // punctuation rate — the repeatability property the whole system leans on.
 type alterLifetimeOp struct {
-	mode        LifetimeMode
-	window, hop Time
-	shift       Time
-	out         Sink
-	bo          batchOut
-	// continuation-suppression state for LifePoint
+	out Sink
+	bo  batchOut
+	// continuation-suppression state
 	pending  map[uint64][]pointPending
 	npending int // live entries across pending buckets
 }
@@ -163,61 +87,24 @@ type pointPending struct {
 }
 
 func (a *alterLifetimeOp) OnEvent(e Event) {
-	if e, ok := a.transform(e); ok {
+	if !a.isContinuation(&e) {
+		e.RE = e.LE + Tick
 		a.out.OnEvent(e)
 	}
 }
 
 func (a *alterLifetimeOp) OnBatch(b *Batch) {
 	outEvs := a.bo.buf[:0]
-	if a.mode == LifeWindow && a.window > 0 {
-		// The dominant mode (WithWindow), with the mode switch and the
-		// RE<=LE clamp hoisted out of the loop: window > 0 implies RE > LE.
-		for i := range b.Events {
-			e := b.Events[i]
-			e.RE = e.LE + a.window
+	for _, e := range b.Events {
+		if !a.isContinuation(&e) {
+			e.RE = e.LE + Tick
 			outEvs = append(outEvs, e)
 		}
-	} else {
-		for i := range b.Events {
-			if e, ok := a.transform(b.Events[i]); ok {
-				outEvs = append(outEvs, e)
-			}
-		}
 	}
-	cti := b.CTI
 	if b.HasCTI {
-		a.expirePending(cti)
-		cti = a.shiftCTI(cti)
+		a.expirePending(b.CTI)
 	}
-	a.bo.emit(a.out, outEvs, cti, b.HasCTI)
-}
-
-// transform applies the lifetime rewrite; ok=false suppresses the event
-// (a LifePoint continuation).
-func (a *alterLifetimeOp) transform(e Event) (_ Event, ok bool) {
-	switch a.mode {
-	case LifeWindow:
-		e.RE = e.LE + a.window
-	case LifeHop:
-		// Event at time s contributes to windows of width w ending at
-		// multiples of h in (s, s+w]; each result is valid for one hop.
-		s := e.LE
-		e.LE = floorDiv(s, a.hop)*a.hop + a.hop
-		e.RE = floorDiv(s+a.window, a.hop)*a.hop + a.hop
-	case LifeShift:
-		e.LE += a.shift
-		e.RE += a.shift
-	case LifePoint:
-		if a.isContinuation(&e) {
-			return e, false
-		}
-		e.RE = e.LE + Tick
-	}
-	if e.RE <= e.LE {
-		e.RE = e.LE + Tick
-	}
-	return e, true
+	a.bo.emit(a.out, outEvs, b.CTI, b.HasCTI)
 }
 
 // isContinuation records e's lifetime and reports whether it extends a
@@ -281,7 +168,7 @@ func (a *alterLifetimeOp) expirePending(t Time) {
 
 func (a *alterLifetimeOp) liveState() int { return a.npending }
 
-// Snapshot serializes the LifePoint continuation table in canonical
+// Snapshot serializes the continuation table in canonical
 // (re, payload) order. Bucket-internal order is behavior-neutral: two
 // entries can both match a future event only when they are identical, so
 // which one gets extended is indistinguishable downstream.
@@ -328,16 +215,9 @@ func (a *alterLifetimeOp) Restore(r *SnapshotReader) error {
 	return r.Err()
 }
 
-func (a *alterLifetimeOp) shiftCTI(t Time) Time {
-	if a.mode == LifeShift && a.shift < 0 {
-		t += a.shift
-	}
-	return t
-}
-
 func (a *alterLifetimeOp) OnCTI(t Time) {
 	a.expirePending(t)
-	a.out.OnCTI(a.shiftCTI(t))
+	a.out.OnCTI(t)
 }
 func (a *alterLifetimeOp) OnFlush() { a.out.OnFlush() }
 

@@ -27,7 +27,7 @@ type Predicate struct {
 // false return means the column shape is not one the vectorized path
 // handles exactly (nulls, mixed vectors, unexpected kind) — the caller
 // must fall back to the row-at-a-time predicate so results stay
-// bit-identical with the interpreted operator chain.
+// bit-identical.
 type ColPredicate func(cb *ColBatch, sel []bool) bool
 
 func (p Predicate) compile(s *Schema) func(Row) bool {

@@ -111,8 +111,6 @@ type (
 	BatchSink = temporal.BatchSink
 	// EventAdapter presents a per-event Sink as a BatchSink.
 	EventAdapter = temporal.EventAdapter
-	// BatchAdapter presents a BatchSink as a per-event Sink.
-	BatchAdapter = temporal.BatchAdapter
 	// EngineOption configures NewEngine (WithSink, WithObs, WithCTIPeriod).
 	EngineOption = temporal.Option
 	// Collector is a Sink accumulating results.
@@ -157,26 +155,22 @@ const (
 
 // Constructors and helpers re-exported from the engine.
 var (
-	Int           = temporal.Int
-	Float         = temporal.Float
-	String        = temporal.String
-	Bool          = temporal.Bool
-	NewSchema     = temporal.NewSchema
-	Scan          = temporal.Scan
-	PointEvent    = temporal.PointEvent
-	SortEvents    = temporal.SortEvents
-	EventsEqual   = temporal.EventsEqual
-	Coalesce      = temporal.Coalesce
-	NewEngine     = temporal.NewEngine
-	RestoreEngine = temporal.RestoreEngine
-	WithSink      = temporal.WithSink
-	WithObs       = temporal.WithObs
-	WithCTIPeriod = temporal.WithCTIPeriod
-	AsBatchSink   = temporal.AsBatchSink
-	// Deprecated: use NewEngine(plan, WithSink(out)).
-	NewEngineTo = temporal.NewEngineTo
-	// Deprecated: use NewEngine(plan, WithObs(scope)).
-	NewEngineObserved = temporal.NewEngineObserved
+	Int               = temporal.Int
+	Float             = temporal.Float
+	String            = temporal.String
+	Bool              = temporal.Bool
+	NewSchema         = temporal.NewSchema
+	Scan              = temporal.Scan
+	PointEvent        = temporal.PointEvent
+	SortEvents        = temporal.SortEvents
+	EventsEqual       = temporal.EventsEqual
+	Coalesce          = temporal.Coalesce
+	NewEngine         = temporal.NewEngine
+	RestoreEngine     = temporal.RestoreEngine
+	WithSink          = temporal.WithSink
+	WithObs           = temporal.WithObs
+	WithCTIPeriod     = temporal.WithCTIPeriod
+	AsBatchSink       = temporal.AsBatchSink
 	RunPlan           = temporal.RunPlan
 	RowsToPointEvents = temporal.RowsToPointEvents
 	ColEqInt          = temporal.ColEqInt
@@ -279,8 +273,6 @@ var (
 	WithCrash        = core.WithCrash
 	WithIntake       = core.WithIntake
 	WithRebalance    = core.WithRebalance
-	// Deprecated: use NewStreamingJob(plan, sources, WithMachines(n), ...).
-	NewStreamingJobLegacy = core.NewStreamingJobLegacy
 )
 
 // Streaming admission errors.
