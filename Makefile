@@ -20,12 +20,11 @@ fmt:
 		echo "gofmt needed on:"; echo "$$out"; exit 1; fi
 
 # Short fuzz sweep over every decoder that parses untrusted bytes: the
-# row codec, the columnar block format, and checkpoint images. Corrupt
+# row codec, checkpoint images, durable frames and bt summaries. Corrupt
 # input must error — never panic, never over-allocate. 10s per target
 # keeps the gate fast; longer runs reuse the same corpus.
 fuzzgate:
 	$(GO) test -run '^$$' -fuzz 'FuzzRowCodecRoundtrip' -fuzztime 10s ./internal/temporal/
-	$(GO) test -run '^$$' -fuzz 'FuzzColBlockRoundtrip' -fuzztime 10s ./internal/temporal/
 	$(GO) test -run '^$$' -fuzz 'FuzzCheckpointRoundtrip' -fuzztime 10s ./internal/temporal/
 	$(GO) test -run '^$$' -fuzz 'FuzzFrameDecode' -fuzztime 10s ./internal/temporal/
 	$(GO) test -run '^$$' -fuzz 'FuzzSummaryRoundtrip' -fuzztime 10s ./internal/bt/

@@ -481,75 +481,6 @@ func BenchmarkEngineFeed_Batched(b *testing.B) {
 	b.ReportMetric(float64(len(events))*float64(b.N)/b.Elapsed().Seconds(), "events/sec")
 }
 
-// BenchmarkEngineFeed_Columnar feeds the same event stream as columnar
-// batches (the decode-once ingest shape). The fixture's stateless prefix
-// compiles into a fused kernel with a columnar entry point, so batches
-// run filter predicates over vectors under a selection bitmap and rows
-// materialize only at the window boundary — there is no per-batch
-// column-to-row transpose at the engine boundary anymore.
-func BenchmarkEngineFeed_Columnar(b *testing.B) {
-	plan, events := engineFeedFixture(b)
-	sink := &temporal.Collector{}
-	const batchSize = 1024
-	ncols := len(events[0].Payload)
-	var batches []*temporal.ColBatch
-	for off := 0; off < len(events); off += batchSize {
-		end := off + batchSize
-		if end > len(events) {
-			end = len(events)
-		}
-		batches = append(batches, temporal.ColBatchFromEvents(events[off:end], ncols))
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		sink.Reset()
-		eng, err := temporal.NewEngine(plan, temporal.WithSink(sink))
-		if err != nil {
-			b.Fatal(err)
-		}
-		for _, cb := range batches {
-			eng.FeedColBatch("in", cb)
-		}
-		eng.Flush()
-	}
-	b.ReportMetric(float64(len(events))*float64(b.N)/b.Elapsed().Seconds(), "events/sec")
-}
-
-// BenchmarkEngineFeed_Fused is the columnar feed with the fused entry
-// point asserted live — the headline number for the fusion pass. It
-// measures the same work as Columnar but fails loudly if a compile
-// change ever silently drops the plan head back to row fallback.
-func BenchmarkEngineFeed_Fused(b *testing.B) {
-	plan, events := engineFeedFixture(b)
-	sink := &temporal.Collector{}
-	const batchSize = 1024
-	ncols := len(events[0].Payload)
-	var batches []*temporal.ColBatch
-	for off := 0; off < len(events); off += batchSize {
-		end := off + batchSize
-		if end > len(events) {
-			end = len(events)
-		}
-		batches = append(batches, temporal.ColBatchFromEvents(events[off:end], ncols))
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		sink.Reset()
-		eng, err := temporal.NewEngine(plan, temporal.WithSink(sink))
-		if err != nil {
-			b.Fatal(err)
-		}
-		if eng.Pipeline().ColInput("in") == nil {
-			b.Fatal("plan head did not compile to a fused columnar entry")
-		}
-		for _, cb := range batches {
-			eng.FeedColBatch("in", cb)
-		}
-		eng.Flush()
-	}
-	b.ReportMetric(float64(len(events))*float64(b.N)/b.Elapsed().Seconds(), "events/sec")
-}
-
 // Facade smoke check: the public API surface used by the examples.
 func TestFacadeSmoke(t *testing.T) {
 	schema := timr.NewSchema(

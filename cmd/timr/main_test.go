@@ -83,3 +83,53 @@ func TestBareTimrIsUsageError(t *testing.T) {
 		t.Errorf("bare timr: stdout %q, stderr %q; want the usage text on stderr only", stdout, stderr)
 	}
 }
+
+func TestUnknownSubcommandIsUsageError(t *testing.T) {
+	_, stderr, exit := runTimr(t, buildTimr(t), "bogus")
+	if exit != 2 || !strings.Contains(stderr, "usage: timr <run|serve|refresh>") {
+		t.Errorf("timr bogus exited %d with stderr %q; want 2 and the usage text", exit, stderr)
+	}
+}
+
+func TestServeResumesFromDurdir(t *testing.T) {
+	bin := buildTimr(t)
+	dir := filepath.Join(t.TempDir(), "d")
+	const resumed = "serve: resumed from durable checkpoints"
+
+	stdout, stderr, exit := runTimr(t, bin, "serve", "-requests", "2000", "-durdir", dir)
+	if exit != 0 {
+		t.Fatalf("timr serve exited %d\n%s", exit, stderr)
+	}
+	if !strings.Contains(stdout, "serve: requests=2000") || strings.Contains(stderr, resumed) {
+		t.Errorf("first run: want a report over 2000 requests and no resume\nstdout: %s\nstderr: %s", stdout, stderr)
+	}
+
+	stdout, stderr, exit = runTimr(t, bin, "serve", "-requests", "2000", "-durdir", dir)
+	if exit != 0 {
+		t.Fatalf("second timr serve exited %d\n%s", exit, stderr)
+	}
+	if !strings.Contains(stdout, "serve: requests=") || !strings.Contains(stderr, resumed) {
+		t.Errorf("second run: want a report and %q\nstdout: %s\nstderr: %s", resumed, stdout, stderr)
+	}
+}
+
+func TestRefreshResumesFromDurdir(t *testing.T) {
+	bin := buildTimr(t)
+	dir := filepath.Join(t.TempDir(), "d")
+
+	stdout, stderr, exit := runTimr(t, bin, "refresh", "-days", "2", "-durdir", dir)
+	if exit != 0 {
+		t.Fatalf("timr refresh exited %d\n%s", exit, stderr)
+	}
+	if n := strings.Count(stdout, "refresh: day="); n != 2 || strings.Contains(stderr, "refresh: resumed from") {
+		t.Errorf("first run: %d day lines, want 2 and no resume\nstdout: %s\nstderr: %s", n, stdout, stderr)
+	}
+
+	stdout, stderr, exit = runTimr(t, bin, "refresh", "-days", "3", "-durdir", dir)
+	if exit != 0 {
+		t.Fatalf("second timr refresh exited %d\n%s", exit, stderr)
+	}
+	if n := strings.Count(stdout, "refresh: day="); n != 1 || !strings.Contains(stderr, "refresh: resumed from") {
+		t.Errorf("second run: %d day lines, want exactly 1 after a resume\nstdout: %s\nstderr: %s", n, stdout, stderr)
+	}
+}

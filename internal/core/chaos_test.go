@@ -51,58 +51,6 @@ func driveStream(t *testing.T, plan *temporal.Plan, schemas map[string]*temporal
 	return res
 }
 
-// driveStreamCol mirrors driveStream but ingests through the columnar
-// path: events accumulated since the last punctuation are flushed as
-// ColBatch chunks via FeedColBatch, before each Advance and at the end.
-// Crash injection therefore lands mid-wave inside a columnar feed, and
-// recovery must replay exactly what the batch carried.
-func driveStreamCol(t *testing.T, plan *temporal.Plan, schemas map[string]*temporal.Schema,
-	source string, events []temporal.Event, machines int, cfg core.Config, period temporal.Time) []temporal.Event {
-	t.Helper()
-	job, err := core.NewStreamingJob(plan, schemas, core.WithMachines(machines), core.WithConfig(cfg))
-	if err != nil {
-		t.Fatal(err)
-	}
-	src, err := job.Source(source)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ncols := schemas[source].Len()
-	var buf []temporal.Event
-	feed := func() {
-		for lo := 0; lo < len(buf); lo += 64 {
-			hi := lo + 64
-			if hi > len(buf) {
-				hi = len(buf)
-			}
-			if err := src.FeedColBatch(temporal.ColBatchFromEvents(buf[lo:hi], ncols)); err != nil {
-				t.Fatal(err)
-			}
-		}
-		buf = buf[:0]
-	}
-	last := temporal.Time(temporal.MinTime)
-	for _, e := range events {
-		if last == temporal.MinTime {
-			last = e.LE
-		} else if e.LE-last >= period {
-			feed()
-			if err := job.Advance(e.LE); err != nil {
-				t.Fatal(err)
-			}
-			last = e.LE
-		}
-		buf = append(buf, e)
-	}
-	feed()
-	job.Flush()
-	res, err := job.Results()
-	if err != nil {
-		t.Fatal(err)
-	}
-	return res
-}
-
 // counterTotal sums every counter named `name` across the scope tree.
 func counterTotal(sc *obs.Scope, name string) int64 {
 	var n int64
@@ -215,77 +163,6 @@ func TestStreamingChaosChainedFragments(t *testing.T) {
 		}
 		if counterTotal(scope, "crashes") == 0 {
 			t.Fatalf("seed %d: no crashes injected; the test is vacuous", seed)
-		}
-		if counterTotal(scope, "replayed_events") == 0 {
-			t.Fatalf("seed %d: crashes recovered without replaying any events", seed)
-		}
-	}
-}
-
-func TestFusedStreamingColumnarChaos(t *testing.T) {
-	// Partitions fed via FeedColBatch crash mid-wave and recover
-	// bit-identically. The chained plan carries a stateless filter at the
-	// first fragment head, so every run — crash-free (no Obs) and chaotic
-	// (Obs set) alike — lands its batches on a kernel's columnar entry.
-	sch := temporal.NewSchema(
-		temporal.Field{Name: "Time", Kind: temporal.KindInt},
-		temporal.Field{Name: "UserId", Kind: temporal.KindInt},
-		temporal.Field{Name: "AdId", Kind: temporal.KindInt},
-	)
-	mk := func(annotate bool) *temporal.Plan {
-		src := temporal.Scan("clicks", sch)
-		s := src
-		if annotate {
-			s = src.Exchange(temporal.PartitionBy{Cols: []string{"UserId"}})
-		}
-		perUser := s.Where(temporal.ColGtInt("AdId", 0)).
-			GroupApply([]string{"UserId"}, func(g *temporal.Plan) *temporal.Plan {
-				return g.WithWindow(30).Count("C")
-			}).ToPoint()
-		if annotate {
-			perUser = perUser.Exchange(temporal.PartitionBy{Cols: []string{"C"}})
-		}
-		return perUser.GroupApply([]string{"C"}, func(g *temporal.Plan) *temporal.Plan {
-			return g.WithWindow(50).Count("N")
-		})
-	}
-	var events []temporal.Event
-	tm := temporal.Time(0)
-	for i := 0; i < 900; i++ {
-		tm += temporal.Time(i % 3)
-		events = append(events, temporal.PointEvent(tm, temporal.Row{
-			temporal.Int(int64(tm)), temporal.Int(int64(i % 17)), temporal.Int(int64(i % 5)),
-		}))
-	}
-	schemas := map[string]*temporal.Schema{"clicks": sch}
-
-	batch, err := temporal.RunPlan(mk(false), map[string][]temporal.Event{"clicks": events})
-	if err != nil {
-		t.Fatal(err)
-	}
-	cleanRow := driveStream(t, mk(true), schemas, "clicks", events, 3, core.DefaultConfig(), 20)
-	cleanCol := driveStreamCol(t, mk(true), schemas, "clicks", events, 3, core.DefaultConfig(), 20)
-	if !temporal.EventsEqual(cleanCol, cleanRow) {
-		t.Fatalf("columnar ingest diverges from per-event ingest: %d vs %d events", len(cleanCol), len(cleanRow))
-	}
-	if !temporal.EventsEqual(cleanCol, batch) {
-		t.Fatalf("crash-free columnar run diverges from batch: %d vs %d events", len(cleanCol), len(batch))
-	}
-	for _, seed := range []int64{1, 2, 3} {
-		scope := obs.New("chaos")
-		ccfg := core.DefaultConfig()
-		ccfg.Obs = scope
-		ccfg.Crash = core.CrashConfig{Rate: 0.3, Seed: seed}
-		got := driveStreamCol(t, mk(true), schemas, "clicks", events, 3, ccfg, 20)
-		if !temporal.EventsEqual(got, cleanCol) {
-			t.Fatalf("seed %d: chaotic columnar run diverges: %d vs %d events", seed, len(got), len(cleanCol))
-		}
-		crashes := counterTotal(scope, "crashes")
-		if crashes == 0 {
-			t.Fatalf("seed %d: rate 0.3 injected no crashes; the test is vacuous", seed)
-		}
-		if rec := counterTotal(scope, "recoveries"); rec != crashes {
-			t.Fatalf("seed %d: %d crashes but %d recoveries", seed, crashes, rec)
 		}
 		if counterTotal(scope, "replayed_events") == 0 {
 			t.Fatalf("seed %d: crashes recovered without replaying any events", seed)

@@ -20,8 +20,8 @@ var ErrBacklogged = errors.New("timr: source intake backlogged")
 // consuming-stage fan-out list, and the admission state all live here.
 // Admission control is wave-scoped — WithIntake grants each source a
 // budget of events per punctuation interval; TryFeed refuses beyond it
-// (non-blocking backpressure), while Feed/FeedBatch/FeedColBatch remain
-// the committed path that always admits but makes the overflow visible
+// (non-blocking backpressure), while Feed/FeedBatch remain the
+// committed path that always admits but makes the overflow visible
 // as deferred_events and the intake_backlog gauge. Feeders are not safe
 // for concurrent use, matching the job's single-threaded feed contract.
 type Feeder struct {
@@ -147,28 +147,6 @@ func (f *Feeder) FeedBatch(events []temporal.Event) error {
 	}
 	for _, in := range f.ins {
 		in.stage.routeBatch(in.src, events)
-	}
-	return nil
-}
-
-// FeedColBatch pushes a columnar source batch into the dataflow. Each
-// consuming stage materializes the rows directly into its tagged routing
-// slab (the column→row transpose and the routing-tag copy are one pass),
-// and hash-partitioned stages compute partition hashes column-at-a-time,
-// so decode-once ingest and per-event ingest produce identical downstream
-// output without an intermediate event materialization.
-func (f *Feeder) FeedColBatch(cb *temporal.ColBatch) error {
-	if cb == nil || cb.Len() == 0 {
-		if f.job.flushed {
-			return ErrFlushed
-		}
-		return nil
-	}
-	if err := f.admit(int64(cb.Len()), true); err != nil {
-		return err
-	}
-	for _, in := range f.ins {
-		in.stage.routeColBatch(in.src, cb)
 	}
 	return nil
 }

@@ -56,12 +56,6 @@ func TestFeederFlushedErrors(t *testing.T) {
 	if err := f.FeedBatch([]temporal.Event{clickEv(2)}); !errors.Is(err, ErrFlushed) {
 		t.Fatalf("FeedBatch after Flush: err = %v, want ErrFlushed", err)
 	}
-	if err := f.FeedColBatch(temporal.ColBatchFromEvents([]temporal.Event{clickEv(2)}, 3)); !errors.Is(err, ErrFlushed) {
-		t.Fatalf("FeedColBatch after Flush: err = %v, want ErrFlushed", err)
-	}
-	if err := f.FeedColBatch(nil); !errors.Is(err, ErrFlushed) {
-		t.Fatalf("empty FeedColBatch after Flush: err = %v, want ErrFlushed", err)
-	}
 }
 
 func TestFeederBackpressure(t *testing.T) {
@@ -147,20 +141,20 @@ func TestFeederBackloggedWrappedWithSource(t *testing.T) {
 }
 
 func TestFeederBudgetCountsAllPaths(t *testing.T) {
-	// FeedColBatch charges the batch length against the same budget.
+	// FeedBatch charges the batch length against the same budget.
 	_, f := feederJob(t, WithMachines(2), WithIntake(4))
 	evs := []temporal.Event{clickEv(1), clickEv(2), clickEv(3), clickEv(4)}
-	if err := f.FeedColBatch(temporal.ColBatchFromEvents(evs, 3)); err != nil {
+	if err := f.FeedBatch(evs); err != nil {
 		t.Fatal(err)
 	}
 	if err := f.TryFeed(clickEv(5)); !errors.Is(err, ErrBacklogged) {
-		t.Fatalf("columnar feed did not charge the budget: err = %v", err)
+		t.Fatalf("batch feed did not charge the budget: err = %v", err)
 	}
 }
 
 func TestFeederMatchesDirectRouting(t *testing.T) {
 	// The Feeder paths must produce the same output as the pre-redesign
-	// direct job methods (which now delegate to it) — one plan, three
+	// direct job methods (which now delegate to it) — one plan, two
 	// ingest shapes, identical results.
 	var events []temporal.Event
 	for i := 0; i < 300; i++ {
@@ -183,8 +177,6 @@ func TestFeederMatchesDirectRouting(t *testing.T) {
 				}
 			case 1:
 				err = f.FeedBatch(events[lo:hi])
-			case 2:
-				err = f.FeedColBatch(temporal.ColBatchFromEvents(events[lo:hi], 3))
 			}
 			if err != nil {
 				t.Fatal(err)
@@ -204,9 +196,7 @@ func TestFeederMatchesDirectRouting(t *testing.T) {
 	if len(ref) == 0 {
 		t.Fatal("no output; test is vacuous")
 	}
-	for mode := 1; mode <= 2; mode++ {
-		if got := run(mode); !temporal.EventsEqual(got, ref) {
-			t.Fatalf("mode %d diverges: %d vs %d events", mode, len(got), len(ref))
-		}
+	if got := run(1); !temporal.EventsEqual(got, ref) {
+		t.Fatalf("FeedBatch diverges from Feed: %d vs %d events", len(got), len(ref))
 	}
 }

@@ -1,11 +1,9 @@
 package core
 
-// Fused-path coverage at the TiMR boundary: a columnar FS input must
-// reach the reducer's columnar fast path (timr.go), feed the fragment
-// engine through FeedColBatch slice views, and still produce exactly
-// the single-node result. The fragment heads carry a stateless filter
-// so the reducer engines compile a fused kernel and the batch lands on
-// its columnar entry point rather than a row transpose.
+// Kernel coverage at the TiMR boundary: a fragment whose head is a
+// stateless filter compiles a kernel into every reducer engine, and the
+// job — observed or not — must still produce exactly the single-node
+// result.
 
 import (
 	"math/rand"
@@ -38,16 +36,16 @@ func fusedChainPlan(annotate bool) *temporal.Plan {
 	})
 }
 
-func TestFusedTiMRColumnarInput(t *testing.T) {
+func TestFusedTiMRMatchesSingleNode(t *testing.T) {
 	r := rand.New(rand.NewSource(11))
 	rows := clickRows(r, 3000, 25, 6)
 	want := singleNode(t, fusedChainPlan(false), "clicks", rows, 0)
 
-	run := func(cfg Config) []temporal.Event {
-		t.Helper()
+	observed := DefaultConfig()
+	observed.Obs = obs.New("timr")
+	for _, cfg := range []Config{DefaultConfig(), observed} {
 		tm := New(mapreduce.NewCluster(mapreduce.Config{Machines: 6}), cfg)
-		cb := temporal.ColBatchFromRows(rows, clickSchema().Len())
-		tm.Cluster.FS.Write("ds.clicks", mapreduce.SingleColumnarPartition(clickSchema(), cb, true))
+		tm.Cluster.FS.Write("ds.clicks", mapreduce.SinglePartition(clickSchema(), rows))
 		if _, err := tm.Run(fusedChainPlan(true), map[string]string{"clicks": "ds.clicks"}, "out"); err != nil {
 			t.Fatal(err)
 		}
@@ -55,30 +53,8 @@ func TestFusedTiMRColumnarInput(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		return got
-	}
-
-	if got := run(DefaultConfig()); !temporal.EventsEqual(got, want) {
-		t.Fatalf("columnar-input TiMR %d events != single-node %d", len(got), len(want))
-	}
-
-	// Instrumented re-run: prove the reducer columnar fast path actually
-	// fired. Observed engines run the same metered kernel, columnar entry
-	// included, so the same input must take the same path and agree
-	// bit-for-bit.
-	scope := obs.New("timr")
-	cfg := DefaultConfig()
-	cfg.Obs = scope
-	if got := run(cfg); !temporal.EventsEqual(got, want) {
-		t.Fatalf("instrumented columnar run diverges from single-node reference")
-	}
-	var feeds int64
-	for _, p := range scope.Snapshot() {
-		if p.Name == "columnar_feeds" {
-			feeds += p.Value
+		if !temporal.EventsEqual(got, want) {
+			t.Fatalf("TiMR (observed=%v) %d events != single-node %d", cfg.Obs != nil, len(got), len(want))
 		}
-	}
-	if feeds == 0 {
-		t.Fatal("columnar input never hit the reducer columnar fast path; the test is vacuous")
 	}
 }

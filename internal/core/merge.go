@@ -106,16 +106,8 @@ func newEventRun(seg *mapreduce.Segment, ord, src int, toEvent func(mapreduce.Ro
 	er := &eventRun{ord: ord, src: src, toEvent: toEvent}
 	switch {
 	case seg.Sorted() && !seg.Spilled():
-		if cb := seg.ResidentColumnar(); cb != nil {
-			// Columnar shuffle runs decode to a slab-backed row view
-			// once, here, at the single consumer that needs rows.
-			er.rows = cb.MaterializeRows()
-		} else {
-			er.rows = seg.Resident()
-		}
+		er.rows = seg.Resident()
 	case seg.Sorted():
-		// Spilled runs stream; a spilled columnar block is decoded and
-		// materialized per segment by the RowReader.
 		er.rd = seg.Open()
 	default:
 		rows, err := seg.Materialize()

@@ -306,7 +306,6 @@ type streamStage struct {
 	// structs on push, so recycling these is safe).
 	one      [1]temporal.Event
 	routeBuf []temporal.Event
-	hashBuf  []uint64
 
 	// Observability (nil-safe handles; see Config.Obs).
 	scope      *obs.Scope   // per-operator engine metrics for this stage
@@ -470,44 +469,12 @@ func (st *streamStage) routeBatch(src int, events []temporal.Event) {
 		row[n-1] = tag
 		tagged[i].Payload = row
 	}
-	st.dispatch(src, tagged, nil)
+	st.dispatch(src, tagged)
 	st.routeBuf = tagged[:0]
 }
 
-// routeColBatch delivers a columnar run for input src. The tagged rows
-// routeBatch builds from event payloads are instead materialized straight
-// from the columns — MaterializeRowsPad leaves the tag cell in place, so
-// the transpose and the tag copy collapse into one pass — and hash
-// partitioning runs column-at-a-time over the batch (HashRows matches
-// HashRow cell for cell, so partition assignment is identical).
-func (st *streamStage) routeColBatch(src int, cb *temporal.ColBatch) {
-	if !cb.HasLifetimes() {
-		panic("timr: streaming FeedColBatch on a lifetime-free batch")
-	}
-	n := cb.Len()
-	rows := cb.MaterializeRowsPad(1)
-	tag := temporal.Int(int64(src))
-	tagged := st.routeBuf[:0]
-	le, re := cb.LE, cb.RE
-	for i := 0; i < n; i++ {
-		row := rows[i]
-		row[len(row)-1] = tag
-		tagged = append(tagged, temporal.Event{LE: le[i], RE: re[i], Payload: row})
-	}
-	var hashes []uint64
-	if st.spans == nil && st.nparts > 1 {
-		st.hashBuf = cb.HashRows(st.keyCols[src], st.hashBuf)
-		hashes = st.hashBuf
-	}
-	st.dispatch(src, tagged, hashes)
-	st.routeBuf = tagged[:0]
-}
-
-// dispatch admits a tagged run to the owning partition(s). hashes, when
-// non-nil, holds precomputed partition hashes for hash-keyed stages (the
-// columnar path computes them vectorized); otherwise they are computed
-// row-wise here.
-func (st *streamStage) dispatch(src int, tagged []temporal.Event, hashes []uint64) {
+// dispatch admits a tagged run to the owning partition(s).
+func (st *streamStage) dispatch(src int, tagged []temporal.Event) {
 	switch {
 	case st.spans != nil:
 		for i := range tagged {
@@ -537,12 +504,7 @@ func (st *streamStage) dispatch(src int, tagged []temporal.Event, hashes []uint6
 		st.admitAll(st.partition(0), tagged)
 	default:
 		for i := range tagged {
-			var h uint64
-			if hashes != nil {
-				h = hashes[i]
-			} else {
-				h = temporal.HashRow(tagged[i].Payload, st.keyCols[src])
-			}
+			h := temporal.HashRow(tagged[i].Payload, st.keyCols[src])
 			st.admit(st.partition(int(h%uint64(st.nparts))), tagged[i])
 		}
 	}

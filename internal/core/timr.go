@@ -131,7 +131,11 @@ func (t *TiMR) ResultEvents(name string) ([]temporal.Event, error) {
 	if err != nil {
 		return nil, err
 	}
-	return temporal.Coalesce(RowsToEvents(ds.Flatten())), nil
+	rows, err := ds.ReadAll()
+	if err != nil {
+		return nil, err
+	}
+	return temporal.Coalesce(RowsToEvents(rows)), nil
 }
 
 // Stage converts one fragment into a map-reduce stage whose reducer is
@@ -172,9 +176,6 @@ func (t *TiMR) Stage(frag *Fragment) (mapreduce.Stage, error) {
 	// inline, so spilled runs can stream through the merge without a
 	// re-read (and unsorted ones fall back to materialize+sort).
 	st.RunKey = runKeyFn(frag)
-	// The same key, declared positionally so the columnar map fast path
-	// can read it straight off an int64 column without building rows.
-	st.RunKeyCols = runKeyCols(frag)
 
 	if frag.Part.Temporal {
 		if err := t.temporalStage(&st, frag); err != nil {
@@ -194,8 +195,6 @@ func (t *TiMR) Stage(frag *Fragment) (mapreduce.Stage, error) {
 		for i, in := range frag.Inputs {
 			cols[i] = partitionCols(in, frag.Inputs[i].Part.Cols)
 		}
-		// Declared positionally (not as a Partition closure) so columnar
-		// map input hashes whole columns without materializing rows.
 		st.PartitionCols = cols
 	}
 
@@ -222,23 +221,6 @@ func runKeyFn(frag *Fragment) func(mapreduce.Row, int) int64 {
 		}
 		return r[timeCols[src]].AsInt()
 	}
-}
-
-// runKeyCols is runKeyFn expressed positionally: the int64 column each
-// input's run key lives in (the LE lifetime column for intermediate
-// inputs, the Time column for raw sources). Keeping the two in lockstep
-// is what lets the columnar fast path skip row materialization while
-// producing the same run annotations as runKeyFn.
-func runKeyCols(frag *Fragment) []int {
-	cols := make([]int, len(frag.Inputs))
-	for i, in := range frag.Inputs {
-		if in.Intermediate {
-			cols[i] = 0 // __LE leads intermediate schemas
-		} else {
-			cols[i] = in.Schema.MustIndex(TimeColumn)
-		}
-	}
-	return cols
 }
 
 // hasLifetimeColumns reports whether a stored dataset schema leads with
@@ -289,7 +271,6 @@ func (t *TiMR) reducer(frag *Fragment, spans *SpanSpec) func(int, [][]mapreduce.
 	scope := cfg.Obs.Child("frag." + frag.Name)
 	mergeRuns := scope.Counter("merge_runs")
 	mergeFallbacks := scope.Counter("merge_fallback_sorts")
-	colFeeds := scope.Counter("columnar_feeds")
 
 	return func(part int, in [][]mapreduce.Segment, emit func(mapreduce.Row)) error {
 		// The paper's deployment bridges the DSMS's asynchronous push to
@@ -308,50 +289,6 @@ func (t *TiMR) reducer(frag *Fragment, spans *SpanSpec) func(int, [][]mapreduce.
 		if err != nil {
 			return err
 		}
-		// The engine's output lands in sink whichever feed path runs;
-		// finish drains it and ships coalesced rows to emit.
-		finish := func() error {
-			eng.Flush()
-			out := sink.out
-			if cfg.Coalesce {
-				out = temporal.Coalesce(out)
-			}
-			for _, r := range EventsToRows(out) {
-				emit(r)
-			}
-			return nil
-		}
-
-		// Columnar fast path: a partition that is exactly one sorted
-		// resident columnar run needs no merge (single-run order IS the
-		// merged order) and no row materialization here — slice views of
-		// the shuffle block feed the engine's columnar entry directly, and
-		// a fused plan head defers the column→row transpose past its
-		// stateless prefix. Falls through to the merge when the block's
-		// lifetime/time columns are not pure int vectors.
-		if cb, src := soleColumnarRun(in); cb != nil {
-			m := metas[src]
-			var view *temporal.ColBatch
-			if m.intermediate {
-				view = cb.IntervalEventView()
-			} else {
-				view = cb.PointEventView(m.timeCol)
-			}
-			if view != nil {
-				colFeeds.Inc()
-				mergeRuns.Add(1)
-				n := view.Len()
-				for lo := 0; lo < n; lo += reduceFeedBatch {
-					hi := lo + reduceFeedBatch
-					if hi > n {
-						hi = n
-					}
-					eng.FeedColBatch(m.scan, view.Slice(lo, hi))
-				}
-				return finish()
-			}
-		}
-
 		// One streaming cursor per shuffle run, in (source, run) order —
 		// the same global run ordinals the materialized merge used, so the
 		// pop order is identical. Rows convert to events lazily (P reads
@@ -406,30 +343,16 @@ func (t *TiMR) reducer(frag *Fragment, spans *SpanSpec) func(int, [][]mapreduce.
 			return err
 		}
 		flush()
-		return finish()
-	}
-}
-
-// soleColumnarRun detects the reducer's columnar fast-path shape: the
-// whole partition is one sorted, resident, columnar shuffle segment
-// (empty segments are ignored). It returns that segment's batch and the
-// stage input it belongs to, or (nil, -1).
-func soleColumnarRun(in [][]mapreduce.Segment) (*temporal.ColBatch, int) {
-	var cb *temporal.ColBatch
-	src := -1
-	for s := range in {
-		for i := range in[s] {
-			seg := &in[s][i]
-			if seg.Len() == 0 {
-				continue
-			}
-			if cb != nil || !seg.Sorted() || seg.Spilled() || seg.ResidentColumnar() == nil {
-				return nil, -1
-			}
-			cb, src = seg.ResidentColumnar(), s
+		eng.Flush()
+		out := sink.out
+		if cfg.Coalesce {
+			out = temporal.Coalesce(out)
 		}
+		for _, r := range EventsToRows(out) {
+			emit(r)
+		}
+		return nil
 	}
-	return cb, src
 }
 
 // reduceFeedBatch sizes the reducer's engine-feed batches: large enough

@@ -415,6 +415,25 @@ func TestStageUnknownDatasetFails(t *testing.T) {
 	}
 }
 
+func TestResultEventsReturnsSpillReadError(t *testing.T) {
+	// Regression: a spilled output segment that cannot be read (here the
+	// cluster, and with it the spill file, is closed first) is an error
+	// from ResultEvents, which used to panic through Dataset.Flatten.
+	cl := mapreduce.NewCluster(mapreduce.Config{Machines: 2, MemoryBudget: mapreduce.SpillAll, SpillDir: t.TempDir()})
+	tm := New(cl, DefaultConfig())
+	cl.FS.Write("ds.clicks", mapreduce.SinglePartition(clickSchema(), clickRows(rand.New(rand.NewSource(3)), 200, 5, 3)))
+	plan := temporal.Scan("clicks", clickSchema()).Where(temporal.ColGtInt("AdId", 0))
+	if _, err := tm.Run(plan, map[string]string{"clicks": "ds.clicks"}, "out"); err != nil {
+		t.Fatal(err)
+	}
+	if err := cl.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if evs, err := tm.ResultEvents("out"); err == nil {
+		t.Fatalf("ResultEvents read %d events from a closed spill file, want an error", len(evs))
+	}
+}
+
 func TestTiMRMultiSourceJoin(t *testing.T) {
 	// Impressions joined with per-user keyword window — two raw sources
 	// entering one fragment under compatible keys.

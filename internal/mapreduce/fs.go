@@ -59,15 +59,6 @@ func SinglePartition(schema *Schema, rows []Row) *Dataset {
 	return d
 }
 
-// SingleColumnarPartition builds a dataset whose one partition holds a
-// columnar batch (borrowed, not copied) — the decode-once ingest shape.
-// sorted declares the batch ordered by the consuming stage's run key.
-func SingleColumnarPartition(schema *Schema, cb *temporal.ColBatch, sorted bool) *Dataset {
-	d := NewDataset(schema, 1)
-	d.AppendColumnar(0, cb, sorted)
-	return d
-}
-
 // NumPartitions returns the partition count.
 func (d *Dataset) NumPartitions() int { return len(d.parts) }
 
@@ -75,12 +66,6 @@ func (d *Dataset) NumPartitions() int { return len(d.parts) }
 // partition p. Empty appends are dropped.
 func (d *Dataset) Append(p int, rows []Row) {
 	d.AppendSegment(p, ResidentSegment(rows, false))
-}
-
-// AppendColumnar adds a columnar batch (borrowed, not copied) as a
-// resident segment of partition p. Empty appends are dropped.
-func (d *Dataset) AppendColumnar(p int, cb *temporal.ColBatch, sorted bool) {
-	d.AppendSegment(p, ColumnarSegment(cb, sorted))
 }
 
 // AppendSegment adds a segment to partition p. Empty segments are
@@ -115,11 +100,11 @@ func (d *Dataset) Reader(p int) *RowReader {
 }
 
 // Borrow returns the dataset's rows without copying when it is a single
-// resident row segment (the common fully-in-memory shape): the backing
+// resident segment (the common fully-in-memory shape): the backing
 // slice itself, zero copies, zero allocations. ok is false otherwise —
-// spilled, columnar, or multi-segment datasets have no single slice to
-// lend. Callers must treat the result as immutable: appending to or
-// mutating it corrupts the dataset for every other reader.
+// spilled or multi-segment datasets have no single slice to lend.
+// Callers must treat the result as immutable: appending to or mutating
+// it corrupts the dataset for every other reader.
 func (d *Dataset) Borrow() ([]Row, bool) {
 	var only *Segment
 	nseg := 0
@@ -129,7 +114,7 @@ func (d *Dataset) Borrow() ([]Row, bool) {
 			only = &segs[i]
 		}
 	}
-	if nseg != 1 || only.Spilled() || only.Resident() == nil {
+	if nseg != 1 || only.Spilled() {
 		return nil, false
 	}
 	return only.Resident(), true

@@ -36,19 +36,10 @@ type Stage struct {
 	// Rows with equal hashes meet in the same reducer invocation.
 	Partition func(r Row, src int) uint64
 	// PartitionCols, when set instead of Partition, declares the key
-	// columns per input source (hash = temporal.HashRow over them).
-	// Declaring columns rather than a function is what enables the
-	// columnar map fast path: columnar input segments are hashed
-	// column-at-a-time (dictionary entries hashed once, not once per
-	// row) and routed by index permutation instead of materializing
-	// rows. Row-backed inputs behave exactly as with
-	// PartitionByCols(PartitionCols).
+	// columns per input source: the declarative form of
+	// Partition = PartitionByCols(PartitionCols), i.e. temporal.HashRow
+	// over the named columns.
 	PartitionCols [][]int
-	// RunKeyCols, set alongside RunKey, names per source the int64
-	// column RunKey reads (-1 for none), so the columnar path can check
-	// run order against the raw column vector. RunKeyCols[src] must
-	// agree with RunKey(r, src) == r[RunKeyCols[src]].AsInt().
-	RunKeyCols []int
 	// MultiPartition, when set, supersedes Partition and may replicate a
 	// row into several partitions (given directly as partition indexes in
 	// [0, NumPartitions)). TiMR's temporal partitioning uses this: events
@@ -402,22 +393,20 @@ func (c *Cluster) injectedFailure(stage string, part, attempt int) bool {
 // map task downstream.
 const mapChunkRows = 64 << 10
 
-// mapTask is one unit of map-phase work: a chunk of rows (or a columnar
-// slice) from one input, partitioned into local per-destination
-// buckets. Tasks execute on any worker in any order; determinism comes
-// from walking buckets in task-creation order afterwards.
+// mapTask is one unit of map-phase work: a chunk of rows from one input,
+// partitioned into local per-destination buckets. Tasks execute on any
+// worker in any order; determinism comes from walking buckets in
+// task-creation order afterwards.
 type mapTask struct {
 	src  int
-	rows []Row              // resident input chunk …
-	cb   *temporal.ColBatch // … or a resident columnar slice …
-	seg  Segment            // … or a spilled segment, decoded by the worker
+	rows []Row   // resident input chunk …
+	seg  Segment // … or a spilled segment, decoded by the worker
 
-	buckets      [][]Row              // per destination partition, filled by the worker
-	colBuckets   []*temporal.ColBatch // columnar fast path: gathered per-destination batches
-	bucketBytes  []int                // RowBytes per bucket (budget accounting)
-	bucketSorted []bool               // per-bucket RunKey order, nil when RunKey unset
-	bytes        int                  // shuffle bytes produced (RowBytes per destination copy)
-	dups         int                  // shuffle rows produced (>= input rows under MultiPartition)
+	buckets      [][]Row // per destination partition, filled by the worker
+	bucketBytes  []int   // RowBytes per bucket (budget accounting)
+	bucketSorted []bool  // per-bucket RunKey order, nil when RunKey unset
+	bytes        int     // shuffle bytes produced (RowBytes per destination copy)
+	dups         int     // shuffle rows produced (>= input rows under MultiPartition)
 	stat         TaskStat
 	err          error // user partition-fn panic or spill I/O, isolated by the worker
 }
@@ -443,92 +432,16 @@ func (c *Cluster) workers(n int) int {
 	return w
 }
 
-// colRunKeys resolves the raw run-key vector for a columnar chunk, or
-// nil (with ok=false) when the stage's run key cannot be read off a
-// column vector — in which case the task falls back to the row path so
-// sortedness metadata matches the row plan exactly.
-func colRunKeys(s *Stage, cb *temporal.ColBatch, src int) ([]int64, bool) {
-	if s.RunKey == nil {
-		return nil, true
-	}
-	if src >= len(s.RunKeyCols) || s.RunKeyCols[src] < 0 {
-		return nil, false
-	}
-	keys := cb.IntCol(s.RunKeyCols[src])
-	return keys, keys != nil
-}
-
-// runMapTaskColumnar is the columnar map fast path: per-row partition
-// hashes and encoded byte lengths come from vectorized column passes
-// (dictionary entries hashed and measured once per batch, not once per
-// row), and each destination bucket is a Gather of row indexes — no Row
-// headers, no cell copies. Hashes and byte sums agree bit for bit with
-// the row path, so partition assignment and budget keep/spill decisions
-// are identical whichever representation carries a chunk.
-func runMapTaskColumnar(s *Stage, t *mapTask, nparts int, cb *temporal.ColBatch, keys []int64) error {
-	n := cb.Len()
-	t.stat.Rows = n
-	t.bucketBytes = make([]int, nparts)
-	hashes := cb.HashRows(s.PartitionCols[t.src], nil)
-	lens := cb.EncodedRowLens(nil)
-	idx := make([][]int32, nparts)
-	var bucketLast []int64
-	if s.RunKey != nil {
-		t.bucketSorted = make([]bool, nparts)
-		for i := range t.bucketSorted {
-			t.bucketSorted[i] = true
-		}
-		bucketLast = make([]int64, nparts)
-	}
-	for i := 0; i < n; i++ {
-		p := int(hashes[i] % uint64(nparts))
-		if keys != nil {
-			if len(idx[p]) > 0 && keys[i] < bucketLast[p] {
-				t.bucketSorted[p] = false
-			}
-			bucketLast[p] = keys[i]
-		}
-		idx[p] = append(idx[p], int32(i))
-		b := int(lens[i])
-		t.bucketBytes[p] += b
-		t.dups++
-		t.bytes += b
-	}
-	t.colBuckets = make([]*temporal.ColBatch, nparts)
-	for p, list := range idx {
-		if len(list) > 0 {
-			t.colBuckets[p] = cb.Gather(list)
-		}
-	}
-	return nil
-}
-
 // runMapTask partitions one task's rows into per-destination buckets,
 // tracking per-bucket byte volume and (when the stage declares a
 // RunKey) whether each bucket remains sorted by it — the only moment
 // run sortedness can be recorded without re-reading the run.
 func runMapTask(s *Stage, t *mapTask, nparts int) error {
-	cb := t.cb
-	if cb == nil && t.rows == nil && t.seg.Len() > 0 {
-		var err error
-		if cb, err = t.seg.ColBatch(); err != nil {
-			return err
-		}
-	}
-	if cb != nil && s.PartitionCols != nil && s.MultiPartition == nil {
-		if keys, ok := colRunKeys(s, cb, t.src); ok {
-			return runMapTaskColumnar(s, t, nparts, cb, keys)
-		}
-	}
 	rows := t.rows
-	if rows == nil {
-		if cb != nil {
-			rows = cb.MaterializeRows()
-		} else if t.seg.Len() > 0 {
-			var err error
-			if rows, err = t.seg.Materialize(); err != nil {
-				return err
-			}
+	if rows == nil && t.seg.Len() > 0 {
+		var err error
+		if rows, err = t.seg.Materialize(); err != nil {
+			return err
 		}
 	}
 	t.stat.Rows = len(rows)
@@ -662,16 +575,6 @@ func (c *Cluster) runStageFiles(s *Stage, files *stageFiles) (*StageStat, error)
 					tasks = append(tasks, &mapTask{src: src, seg: seg})
 					continue
 				}
-				if cb := seg.ResidentColumnar(); cb != nil {
-					for off := 0; off < cb.Len(); off += mapChunkRows {
-						end := off + mapChunkRows
-						if end > cb.Len() {
-							end = cb.Len()
-						}
-						tasks = append(tasks, &mapTask{src: src, cb: cb.Slice(off, end)})
-					}
-					continue
-				}
 				rows := seg.Resident()
 				for off := 0; off < len(rows); off += mapChunkRows {
 					end := off + mapChunkRows
@@ -739,27 +642,14 @@ func (c *Cluster) runStageFiles(s *Stage, files *stageFiles) (*StageStat, error)
 				if t.src != src {
 					continue
 				}
-				var colb *temporal.ColBatch
-				nrows := 0
-				if t.colBuckets != nil {
-					if colb = t.colBuckets[p]; colb != nil {
-						nrows = colb.Len()
-					}
-				} else if t.buckets != nil {
-					nrows = len(t.buckets[p])
-				}
-				if nrows == 0 {
+				if len(t.buckets[p]) == 0 {
 					continue
 				}
 				sorted := t.bucketSorted != nil && t.bucketSorted[p]
 				keep := budget == 0 || (budget > 0 && resident+int64(t.bucketBytes[p]) <= budget)
 				if keep {
 					resident += int64(t.bucketBytes[p])
-					if colb != nil {
-						parts[p][src] = append(parts[p][src], ColumnarSegment(colb, sorted))
-					} else {
-						parts[p][src] = append(parts[p][src], ResidentSegment(t.buckets[p], sorted))
-					}
+					parts[p][src] = append(parts[p][src], ResidentSegment(t.buckets[p], sorted))
 					continue
 				}
 				// Shuffle runs are consumed only by this stage's reducers;
@@ -768,14 +658,8 @@ func (c *Cluster) runStageFiles(s *Stage, files *stageFiles) (*StageStat, error)
 				if err != nil {
 					return stat, err
 				}
-				var seg Segment
-				if colb != nil {
-					seg, err = sf.writeColSegment(colb, sorted)
-					t.colBuckets[p] = nil // evicted
-				} else {
-					seg, err = sf.writeSegment(t.buckets[p], sorted)
-					t.buckets[p] = nil // evicted
-				}
+				seg, err := sf.writeSegment(t.buckets[p], sorted)
+				t.buckets[p] = nil // evicted
 				if err != nil {
 					return stat, err
 				}
@@ -789,7 +673,7 @@ func (c *Cluster) runStageFiles(s *Stage, files *stageFiles) (*StageStat, error)
 		stat.ShuffleBytes += t.bytes
 		stat.Maps = append(stat.Maps, t.stat)
 		// Resident runs stay referenced by their segments.
-		t.buckets, t.colBuckets = nil, nil
+		t.buckets = nil
 	}
 
 	// ---- Reduce phase: run reducers on a bounded worker pool ----

@@ -634,3 +634,16 @@ func TestPropertyJobEquivalentAcrossPartitionCounts(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// TestPartitionColsExclusiveWithPartition pins the Stage-validation
+// contract: declaring both the closure and the columns is a config bug.
+func TestPartitionColsExclusiveWithPartition(t *testing.T) {
+	c := NewCluster(Config{Machines: 2})
+	defer c.Close()
+	c.FS.Write("in", SinglePartition(kvSchema(), kvRows(10)))
+	st := sumStage("in", "out", 2)
+	st.PartitionCols = [][]int{{0}}
+	if _, err := c.Run(st); err == nil {
+		t.Fatal("stage with both Partition and PartitionCols must be rejected")
+	}
+}

@@ -9,27 +9,21 @@ import (
 	"timr/internal/temporal"
 )
 
-// The shuffle benchmark proves the tentpole win: partitioning 1M+ rows
-// through the columnar fast path (decode-once ingest, vectorized
-// hashing and byte accounting, index-gather routing) must beat the
-// row-at-a-time carrier by >= 2x, while producing byte-identical
-// shuffled datasets (pinned by TestColumnarInputMatchesRowInput and
-// TestParallelMapByteIdenticalToSerial).
+// The shuffle microbenchmarks time the map/shuffle path on its own:
+// partitioning ~1M rows into 64 runs, serial and parallel, and the same
+// repartition under SpillAll against the resident reference.
 
 const benchShuffleRows = 1 << 20 // ~1M rows
 
 var (
-	shuffleBenchOnce  sync.Once
-	shuffleBenchRowDS *Dataset
-	shuffleBenchColDS *Dataset
+	shuffleBenchOnce sync.Once
+	shuffleBenchDS   *Dataset
 )
 
 // benchShuffleInput builds ~1M rows with a string column (realistic
 // per-row hashing and byte-accounting cost), spread over 16 input
-// partitions so the map phase has tasks to fan out — once as plain row
-// segments and once as columnar batches (the ingest shape a real log
-// reader produces after its single decode).
-func benchShuffleInput() (rowDS, colDS *Dataset) {
+// partitions so the map phase has tasks to fan out.
+func benchShuffleInput() *Dataset {
 	shuffleBenchOnce.Do(func() {
 		schema := temporal.NewSchema(
 			temporal.Field{Name: "K", Kind: temporal.KindInt},
@@ -38,8 +32,7 @@ func benchShuffleInput() (rowDS, colDS *Dataset) {
 		)
 		const inParts = 16
 		per := benchShuffleRows / inParts
-		rds := NewDataset(schema, inParts)
-		cds := NewDataset(schema, inParts)
+		ds := NewDataset(schema, inParts)
 		v := 0
 		for p := 0; p < inParts; p++ {
 			rows := make([]Row, per)
@@ -51,40 +44,27 @@ func benchShuffleInput() (rowDS, colDS *Dataset) {
 				}
 				v++
 			}
-			rds.Append(p, rows)
-			cds.AppendColumnar(p, temporal.ColBatchFromRows(rows, 3), false)
+			ds.Append(p, rows)
 		}
-		shuffleBenchRowDS = rds
-		shuffleBenchColDS = cds
+		shuffleBenchDS = ds
 	})
-	return shuffleBenchRowDS, shuffleBenchColDS
+	return shuffleBenchDS
 }
 
-func benchShuffleStage(schema *Schema, columnar bool) Stage {
-	st := Stage{
+// benchShuffleStage has a no-op reducer: the benchmark isolates the
+// map/shuffle path.
+func benchShuffleStage(schema *Schema) Stage {
+	return Stage{
 		Name: "shuffle", Inputs: []string{"in"}, Output: "out", OutSchema: schema,
 		NumPartitions: 64,
+		PartitionCols: [][]int{{0, 2}},
+		Reduce:        func(part int, in [][]Row, emit func(Row)) error { return nil },
 	}
-	// No-op reducers: the benchmark isolates the map/shuffle path. The
-	// columnar variant takes segments so the shuffle's batches are not
-	// materialized to rows just to be discarded.
-	if columnar {
-		st.PartitionCols = [][]int{{0, 2}}
-		st.ReduceSegments = func(part int, in [][]Segment, emit func(Row)) error { return nil }
-	} else {
-		st.Partition = PartitionByCols([][]int{{0, 2}})
-		st.Reduce = func(part int, in [][]Row, emit func(Row)) error { return nil }
-	}
-	return st
 }
 
-func benchShuffle(b *testing.B, mapWorkers int, columnar bool) {
-	rowDS, colDS := benchShuffleInput()
-	ds := rowDS
-	if columnar {
-		ds = colDS
-	}
-	st := benchShuffleStage(ds.Schema, columnar)
+func benchShuffle(b *testing.B, mapWorkers int) {
+	ds := benchShuffleInput()
+	st := benchShuffleStage(ds.Schema)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		c := NewCluster(Config{Machines: 64, MapWorkers: mapWorkers})
@@ -96,50 +76,31 @@ func benchShuffle(b *testing.B, mapWorkers int, columnar bool) {
 	b.ReportMetric(float64(ds.Rows())*float64(b.N)/b.Elapsed().Seconds(), "rows/s")
 }
 
-func BenchmarkShuffle_1M_Serial(b *testing.B)   { benchShuffle(b, 1, true) }
-func BenchmarkShuffle_1M_Parallel(b *testing.B) { benchShuffle(b, 0, true) }
-func BenchmarkShuffle_1M_RowPath(b *testing.B)  { benchShuffle(b, 0, false) }
+func BenchmarkShuffle_1M_Serial(b *testing.B)   { benchShuffle(b, 1) }
+func BenchmarkShuffle_1M_Parallel(b *testing.B) { benchShuffle(b, 0) }
 
 // benchSpill runs the same 1M-row repartition but with a reducer that
 // consumes its input (summing an int column), so a spilling run pays
 // both the encode/write and the streamed read-back — the end-to-end
-// out-of-core cost against the resident reference. Columnar runs read
-// the column straight off each shuffle batch; row runs stream rows.
-func benchSpill(b *testing.B, budget int64, columnar bool) {
-	rowDS, colDS := benchShuffleInput()
-	ds := rowDS
-	if columnar {
-		ds = colDS
-	}
-	st := benchShuffleStage(ds.Schema, columnar)
+// out-of-core cost against the resident reference.
+func benchSpill(b *testing.B, budget int64) {
+	ds := benchShuffleInput()
+	st := benchShuffleStage(ds.Schema)
 	st.Name = "spill"
 	st.Reduce = nil
 	var sum int64 // reducers run concurrently; accumulate atomically
 	st.ReduceSegments = func(part int, in [][]Segment, emit func(Row)) error {
 		var local int64
-		for i := range in[0] {
-			seg := &in[0][i]
-			if cb, err := seg.ColBatch(); err != nil {
+		rd := NewRowReader(in[0]...)
+		for {
+			r, ok, err := rd.Next()
+			if err != nil {
 				return err
-			} else if cb != nil {
-				if vs := cb.IntCol(1); vs != nil {
-					for _, v := range vs {
-						local += v
-					}
-					continue
-				}
 			}
-			rd := NewRowReader(*seg)
-			for {
-				r, ok, err := rd.Next()
-				if err != nil {
-					return err
-				}
-				if !ok {
-					break
-				}
-				local += r[1].AsInt()
+			if !ok {
+				break
 			}
+			local += r[1].AsInt()
 		}
 		atomic.AddInt64(&sum, local)
 		return nil
@@ -162,6 +123,5 @@ func benchSpill(b *testing.B, budget int64, columnar bool) {
 	b.ReportMetric(float64(ds.Rows())*float64(b.N)/b.Elapsed().Seconds(), "rows/s")
 }
 
-func BenchmarkSpill_1M_Resident(b *testing.B) { benchSpill(b, 0, true) }
-func BenchmarkSpill_1M_SpillAll(b *testing.B) { benchSpill(b, SpillAll, true) }
-func BenchmarkSpill_1M_RowPath(b *testing.B)  { benchSpill(b, 0, false) }
+func BenchmarkSpill_1M_Resident(b *testing.B) { benchSpill(b, 0) }
+func BenchmarkSpill_1M_SpillAll(b *testing.B) { benchSpill(b, SpillAll) }

@@ -181,7 +181,7 @@ func TestParallelMapSpeedup(t *testing.T) {
 	if testing.Short() {
 		t.Skip("1M-row timing test")
 	}
-	ds, _ := benchShuffleInput()
+	ds := benchShuffleInput()
 	st := Stage{
 		Name: "speedup", Inputs: []string{"in"}, Output: "out", OutSchema: ds.Schema,
 		NumPartitions: 64,

@@ -68,10 +68,6 @@ type spillFile struct {
 	f   dur.File
 	w   *bufio.Writer // non-nil until sealed
 	off int64
-	// enc is reused across columnar block writes (under mu): its
-	// dictionary-compaction scratch amortizes across the many buckets
-	// that share one ingest dictionary.
-	enc temporal.Encoder
 }
 
 // createSpillFile opens a fresh spill file through the given FS seam
@@ -120,29 +116,6 @@ func (sf *spillFile) writeSegment(rows []Row, sorted bool) (Segment, error) {
 	sf.io.segments.Add(1)
 	sf.io.bytes.Add(size)
 	return Segment{file: sf, off: start, size: size, n: len(rows), sorted: sorted}, nil
-}
-
-// writeColSegment appends a columnar batch as one spilled segment: a
-// single columnar block (colcodec.go) occupying the segment's whole
-// byte range — no per-row framing, decoded back into vectors in one
-// pass by Segment.ColBatch.
-func (sf *spillFile) writeColSegment(cb *temporal.ColBatch, sorted bool) (Segment, error) {
-	sf.mu.Lock()
-	defer sf.mu.Unlock()
-	if sf.w == nil {
-		return Segment{}, fmt.Errorf("mapreduce: spill file %s already sealed for reading", sf.path)
-	}
-	sf.enc.Reset()
-	sf.enc.ColBatch(cb)
-	if _, err := sf.w.Write(sf.enc.Bytes()); err != nil {
-		return Segment{}, fmt.Errorf("mapreduce: spill write: %w", err)
-	}
-	start := sf.off
-	size := int64(sf.enc.Len())
-	sf.off += size
-	sf.io.segments.Add(1)
-	sf.io.bytes.Add(size)
-	return Segment{file: sf, off: start, size: size, n: cb.Len(), sorted: sorted, columnar: true}, nil
 }
 
 // seal flushes buffered writes, fsyncs the file, and switches it to
@@ -199,19 +172,16 @@ func (c *countingReader) Read(p []byte) (int, error) {
 	return n, err
 }
 
-// Segment is one contiguous chunk of a partition: resident rows, a
-// resident columnar batch, or a byte range of a spill file (per-row
-// frames, or one columnar block when columnar is set). Segments are
+// Segment is one contiguous chunk of a partition: resident rows, or a
+// byte range of a spill file holding per-row frames. Segments are
 // immutable once built; copying the struct is cheap and safe.
 type Segment struct {
-	rows     []Row
-	cb       *temporal.ColBatch
-	file     *spillFile
-	off      int64
-	size     int64
-	n        int
-	sorted   bool
-	columnar bool // spilled segment holds one columnar block
+	rows   []Row
+	file   *spillFile
+	off    int64
+	size   int64
+	n      int
+	sorted bool
 }
 
 // ResidentSegment wraps rows (borrowed, not copied) as an in-memory
@@ -220,12 +190,6 @@ type Segment struct {
 // false.
 func ResidentSegment(rows []Row, sorted bool) Segment {
 	return Segment{rows: rows, n: len(rows), sorted: sorted}
-}
-
-// ColumnarSegment wraps a columnar batch (borrowed, not copied) as an
-// in-memory segment; sorted as in ResidentSegment.
-func ColumnarSegment(cb *temporal.ColBatch, sorted bool) Segment {
-	return Segment{cb: cb, n: cb.Len(), sorted: sorted}
 }
 
 // Len returns the row count.
@@ -239,45 +203,9 @@ func (s *Segment) Spilled() bool { return s.file != nil }
 // the consumer; sorted ones can stream through a k-way merge.
 func (s *Segment) Sorted() bool { return s.sorted }
 
-// Resident returns the in-memory rows (borrowed), or nil for spilled
-// and columnar segments.
+// Resident returns the in-memory rows (borrowed), or nil for a spilled
+// segment.
 func (s *Segment) Resident() []Row { return s.rows }
-
-// ResidentColumnar returns the in-memory columnar batch (borrowed), or
-// nil for row-backed and spilled segments.
-func (s *Segment) ResidentColumnar() *temporal.ColBatch { return s.cb }
-
-// ColBatch returns the segment's columnar batch: the resident batch
-// (borrowed), or a one-pass decode of a spilled columnar block. It
-// returns (nil, nil) for row-backed segments — callers fall back to
-// Materialize or a RowReader.
-func (s *Segment) ColBatch() (*temporal.ColBatch, error) {
-	if s.cb != nil {
-		return s.cb, nil
-	}
-	if s.file == nil || !s.columnar {
-		return nil, nil
-	}
-	if err := s.file.seal(); err != nil {
-		return nil, err
-	}
-	t0 := time.Now()
-	buf := make([]byte, s.size)
-	if _, err := s.file.f.ReadAt(buf, s.off); err != nil {
-		return nil, fmt.Errorf("mapreduce: spill read: %w", err)
-	}
-	s.file.io.readBytes.Add(s.size)
-	s.file.io.readNs.Add(int64(time.Since(t0)))
-	dec := temporal.NewDecoder(buf)
-	cb := dec.ColBatch()
-	if err := dec.Done(); err != nil {
-		return nil, err
-	}
-	if cb.Len() != s.n {
-		return nil, fmt.Errorf("mapreduce: columnar block holds %d rows, segment expects %d", cb.Len(), s.n)
-	}
-	return cb, nil
-}
 
 // SpilledBytes returns the on-disk size of a spilled segment (0 when
 // resident).
@@ -285,16 +213,8 @@ func (s *Segment) SpilledBytes() int64 { return s.size }
 
 // Materialize returns all rows of the segment: the underlying slice
 // (borrowed — callers must not mutate) when resident, a fresh decode of
-// the spill file range otherwise. Columnar segments materialize a fresh
-// slab-backed row view.
+// the spill file range otherwise.
 func (s *Segment) Materialize() ([]Row, error) {
-	if s.cb != nil || s.columnar {
-		cb, err := s.ColBatch()
-		if err != nil {
-			return nil, err
-		}
-		return cb.MaterializeRows(), nil
-	}
 	if s.file == nil {
 		return s.rows, nil
 	}
@@ -392,17 +312,6 @@ func (r *RowReader) Next() (row Row, ok bool, err error) {
 		}
 		seg := &r.segs[r.i]
 		r.i++
-		if seg.cb != nil || seg.columnar {
-			// Columnar segments materialize per segment (bounded by the
-			// producer's chunking) and are then walked like resident rows.
-			rows, err := seg.Materialize()
-			if err != nil {
-				r.err = err
-				return nil, false, r.err
-			}
-			r.rows, r.ri = rows, 0
-			continue
-		}
 		if seg.file == nil {
 			r.rows, r.ri = seg.rows, 0
 			continue

@@ -288,14 +288,6 @@ func TestFlattenCopiesAndBorrowLends(t *testing.T) {
 	if len(got2) != len(rows) || &got2[0] == &rows[0] {
 		t.Fatal("multi-segment Flatten must build a fresh slice")
 	}
-	cds := SingleColumnarPartition(kvSchema(), temporal.ColBatchFromRows(rows, 2), false)
-	if _, ok := cds.Borrow(); ok {
-		t.Fatal("Borrow must refuse columnar datasets")
-	}
-	crows := cds.Flatten()
-	if len(crows) != len(rows) {
-		t.Fatalf("columnar Flatten returned %d rows, want %d", len(crows), len(rows))
-	}
 }
 
 // BenchmarkFlattenResident pins the satellite claim: reading the common

@@ -1,8 +1,11 @@
 package serve
 
 import (
+	"strings"
 	"testing"
 
+	"timr/internal/bt"
+	"timr/internal/core"
 	"timr/internal/dur"
 	"timr/internal/temporal"
 )
@@ -131,5 +134,30 @@ func TestDurableServePacedKillAndResume(t *testing.T) {
 	}
 	if !temporal.EventsEqual(got, want) {
 		t.Fatalf("paced restart diverges: %d vs %d events", len(got), len(want))
+	}
+}
+
+func TestDurableServeRefusesGenerationWithoutOffsets(t *testing.T) {
+	// Run publishes the input offset before every wave, so a generation
+	// without one was not written by serve; there is no position to seek
+	// to, and resuming from the start would re-feed committed input.
+	dir := t.TempDir()
+	srv := prepared(t, func(c *Config) { c.DurDir = dir })
+	store, err := dur.OpenStore(dir, dur.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	job, err := core.NewStreamingJob(bt.ScorePlan(srv.params, true),
+		map[string]*temporal.Schema{bt.SourceReduced: bt.TrainSchema, bt.SourceModels: bt.ModelSchema},
+		core.WithMachines(srv.cfg.Machines), core.WithDurable(store))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := job.Advance(srv.cfg.Load.Start + 1); err != nil {
+		t.Fatal(err)
+	}
+	_, _, err = srv.Run()
+	if err == nil || !strings.Contains(err.Error(), "written without input offsets; cannot resume") || !strings.Contains(err.Error(), dir) {
+		t.Fatalf("Run on an offset-less generation: err = %v, want the named refusal", err)
 	}
 }

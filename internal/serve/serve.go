@@ -300,30 +300,23 @@ func (s *Server) run(killAfter int) (*Report, []temporal.Event, error) {
 	gen := workload.NewLoadGen(s.data, cfg.Load)
 	lastWave := cfg.Load.Start
 
-	// On resume, the recovered generation usually carries the source's
-	// committed input offset — the schedule index of the request that
-	// triggered its wave. The driver then *seeks*: the load generator
-	// skips straight past the committed prefix (same RNG draws, no row
-	// materialization, nothing fed) and ingestion restarts with the
-	// wave-triggering request — exactly the tail the dead process never
-	// durably committed. Generations written before offsets existed fall
-	// back to the legacy re-walk: the schedule is walked from its
-	// deterministic beginning, tracking the same wave-fire points but
-	// feeding nothing, until the fire at (or, after a generation
-	// fallback, past) the recovered wave.
-	var recWave temporal.Time
-	skipping := false
+	// On resume, the recovered generation carries the source's committed
+	// input offset — the schedule index of the request that triggered its
+	// wave (Run publishes it before every Advance). The driver *seeks*:
+	// the load generator skips straight past the committed prefix (same
+	// RNG draws, no row materialization, nothing fed) and ingestion
+	// restarts with the wave-triggering request — exactly the tail the
+	// dead process never durably committed.
 	startIdx := 0
 	if rec != nil {
-		rep.Resumed = true
-		recWave = rec.Snap.Wave
-		if pos, ok := reduced.Position(); ok {
-			gen.Skip(int(pos))
-			startIdx = int(pos)
-			lastWave = recWave
-		} else {
-			skipping = true
+		pos, ok := reduced.Position()
+		if !ok {
+			return nil, nil, fmt.Errorf("serve: %s generation %d was written without input offsets; cannot resume", cfg.DurDir, rec.Gen)
 		}
+		rep.Resumed = true
+		gen.Skip(int(pos))
+		startIdx = int(pos)
+		lastWave = rec.Snap.Wave
 	}
 
 	// In paced mode a generator goroutine emits requests on the fixed
@@ -366,24 +359,16 @@ func (s *Server) run(killAfter int) (*Report, []temporal.Event, error) {
 	step := func(tr timedReq) error {
 		if t := tr.req.Time; t-lastWave >= cfg.WaveEvery {
 			lastWave = t
-			if skipping {
-				if t >= recWave {
-					skipping = false
-				}
-			} else {
-				// Publish the input offset the wave's generation will carry:
-				// the schedule index of the request triggering this wave —
-				// everything before it is admitted and about to be durable.
-				reduced.SetPosition(int64(tr.req.Seq))
-				if err := job.Advance(t); err != nil {
-					return err
-				}
-			}
-		}
-		if !skipping {
-			if err := ingest(tr); err != nil {
+			// Publish the input offset the wave's generation will carry:
+			// the schedule index of the request triggering this wave —
+			// everything before it is admitted and about to be durable.
+			reduced.SetPosition(int64(tr.req.Seq))
+			if err := job.Advance(t); err != nil {
 				return err
 			}
+		}
+		if err := ingest(tr); err != nil {
+			return err
 		}
 		processed++
 		return nil

@@ -33,12 +33,6 @@ import (
 // use; Reset recycles the buffer for the next record.
 type Encoder struct {
 	buf []byte
-
-	// Scratch for columnar dictionary compaction (colcodec.go): the
-	// source-dictionary→block-dictionary remap, kept -1 between blocks
-	// and reset entry-by-entry via the used list, plus that list.
-	dictRemap []int32
-	dictUsed  []int32
 }
 
 // Bytes returns the accumulated encoding.

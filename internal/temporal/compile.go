@@ -13,8 +13,7 @@ type Pipeline struct {
 	inputs  map[string]Sink
 	schemas map[string]*Schema
 	out     *Schema
-	binputs map[string]BatchSink    // batch views of inputs, resolved lazily
-	cinputs map[string]ColBatchSink // columnar entries (nil = source has none)
+	binputs map[string]BatchSink // batch views of inputs, resolved lazily
 	// ckpts lists the pipeline's stateful operators in deterministic
 	// pre-order DFS plan order — the walk Engine.Checkpoint/Restore use, so
 	// a snapshot taken from one compile of a plan restores into another.
@@ -47,23 +46,6 @@ func (p *Pipeline) BatchInput(source string) BatchSink {
 	}
 	p.binputs[source] = in
 	return in
-}
-
-// ColInput returns the columnar entry for the named source, or nil when
-// the source's entry sink cannot consume ColBatches directly (the head
-// operator is not a stateless kernel — e.g. a stateful operator or a
-// multi-consumer fan-out). The result is cached; callers treat nil as
-// "materialize rows and use FeedBatch".
-func (p *Pipeline) ColInput(source string) ColBatchSink {
-	if cs, ok := p.cinputs[source]; ok {
-		return cs
-	}
-	cs, _ := p.Input(source).(ColBatchSink)
-	if p.cinputs == nil {
-		p.cinputs = make(map[string]ColBatchSink)
-	}
-	p.cinputs[source] = cs
-	return cs
 }
 
 // Sources lists the pipeline's source names.
@@ -106,8 +88,8 @@ func (p *Pipeline) FlushAll() {
 
 // Compile turns a logical plan into a physical pipeline delivering results
 // to out. Plans may be DAGs; shared nodes become physical multicasts.
-// Maximal runs of stateless operators become single kernels with a
-// columnar entry point (op_fused.go).
+// Maximal runs of stateless operators become single kernels
+// (op_fused.go).
 func Compile(root *Plan, out Sink) (*Pipeline, error) {
 	return compile(root, out, nil)
 }
@@ -162,12 +144,7 @@ func compile(root *Plan, out Sink, scope *obs.Scope) (*Pipeline, error) {
 		in := fanOut(sinks)
 		if scope != nil {
 			sc := scope.Child("source." + source)
-			m := meterOut{events: sc.Counter("events"), ctis: sc.Counter("ctis"), out: in}
-			if cs, ok := in.(ColBatchSink); ok {
-				in = &colMeterOut{meterOut: m, cout: cs}
-			} else {
-				in = &m
-			}
+			in = &meterOut{events: sc.Counter("events"), ctis: sc.Counter("ctis"), out: in}
 		}
 		pl.inputs[source] = in
 		pl.schemas[source] = leaves[0].Out

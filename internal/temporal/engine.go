@@ -46,9 +46,9 @@ func WithSink(out Sink) Option { return func(o *engineOptions) { o.sink = out } 
 
 // WithObs enables per-operator instrumentation reporting into scope (see
 // op_meter.go). A nil scope disables it. The engine runs the same
-// operators, columnar entry included, either way. Engines for different
-// partitions of the same fragment may share one scope: metric handles are
-// shared atomics, so counts aggregate.
+// operators either way. Engines for different partitions of the same
+// fragment may share one scope: metric handles are shared atomics, so
+// counts aggregate.
 func WithObs(scope *obs.Scope) Option { return func(o *engineOptions) { o.scope = scope } }
 
 // WithCTIPeriod sets the automatic punctuation period (see
@@ -135,54 +135,6 @@ func (e *Engine) FeedBatch(source string, b *Batch) {
 	}
 	if hasCTI && cti > e.lastCTI {
 		e.lastCTI = cti
-	}
-}
-
-// FeedColBatch pushes a columnar batch of events into the named source.
-// When the source's head operator is a stateless kernel, the batch
-// (or its Slice views, where the automatic CTI schedule splits it) is
-// handed to the kernel's columnar entry directly — no row materialization
-// happens until the run's downstream boundary. Otherwise the batch is
-// materialized once into a fresh per-call slab and fed through
-// FeedBatch; the slab is never reused, so an operator that defers the
-// batch (reorder, fan-out buffering) can safely retain it across feeds.
-func (e *Engine) FeedColBatch(source string, cb *ColBatch) {
-	if cb.Len() == 0 {
-		return
-	}
-	cs := e.pipeline.ColInput(source)
-	if cs == nil {
-		e.FeedBatch(source, &Batch{Events: cb.MaterializeEvents(nil)})
-		return
-	}
-	if cb.LE == nil {
-		panic("temporal: FeedColBatch on a lifetime-free batch")
-	}
-	e.fed = true
-	le := cb.LE
-	start := 0
-	if e.CTIPeriod > 0 {
-		if e.lastCTI == MinTime {
-			e.anchorCTI(le[0])
-		}
-		// Split the batch where the CTI schedule fires, mirroring
-		// FeedBatch: deliver through the triggering event, then punctuate.
-		next := e.lastCTI + e.CTIPeriod
-		for i, t := range le {
-			if t < next {
-				continue
-			}
-			cs.OnColBatch(cb.Slice(start, i+1))
-			start = i + 1
-			e.pipeline.autoAdvance(t)
-			e.lastCTI += ((t - e.lastCTI) / e.CTIPeriod) * e.CTIPeriod
-			next = e.lastCTI + e.CTIPeriod
-		}
-	}
-	if start == 0 {
-		cs.OnColBatch(cb)
-	} else if start < len(le) {
-		cs.OnColBatch(cb.Slice(start, len(le)))
 	}
 }
 
@@ -297,7 +249,7 @@ func (e *Engine) Results() []Event {
 	if e.collect == nil {
 		return nil
 	}
-	return Coalesce(e.collect.Flatten())
+	return Coalesce(e.collect.Events)
 }
 
 // RawResults returns output events as emitted (fragmented at CTI
@@ -306,7 +258,7 @@ func (e *Engine) RawResults() []Event {
 	if e.collect == nil {
 		return nil
 	}
-	out := append([]Event(nil), e.collect.Flatten()...)
+	out := append([]Event(nil), e.collect.Events...)
 	SortEvents(out)
 	return out
 }
@@ -382,7 +334,15 @@ func RunPlan(plan *Plan, inputs map[string][]Event) ([]Event, error) {
 	if err != nil {
 		return nil, err
 	}
-	var all []SourceEvent
+	// Sized up front: the list is tens of MB on a BT stage, and growing it
+	// by append allocates about five times its final size.
+	n := 0
+	for src, evs := range inputs {
+		if _, ok := eng.pipeline.inputs[src]; ok {
+			n += len(evs)
+		}
+	}
+	all := make([]SourceEvent, 0, n)
 	for src, evs := range inputs {
 		if _, ok := eng.pipeline.inputs[src]; !ok {
 			continue // input not referenced by the plan

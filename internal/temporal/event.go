@@ -117,17 +117,9 @@ type Sink interface {
 }
 
 // Collector is a terminal Sink that accumulates results. It also
-// implements BatchSink, so a batched pipeline hands it whole runs, and
-// ColBatchSink, so a fused columnar run ending at the collector hands
-// it column views without ever transposing to rows on the feed path
-// (read them back through Flatten, which materializes once).
+// implements BatchSink, so a batched pipeline hands it whole runs.
 type Collector struct {
 	Events []Event
-	// cols holds deferred columnar output from fused passthrough. Only
-	// header copies are kept — the vectors they view are sealed storage
-	// (see ColBatchSink), never the caller-owned header itself. Flatten
-	// materializes them into Events lazily, off the feed path.
-	cols []ColBatch
 }
 
 // OnEvent appends the event.
@@ -136,38 +128,16 @@ func (c *Collector) OnEvent(e Event) { c.Events = append(c.Events, e) }
 // OnBatch appends the batch's events wholesale.
 func (c *Collector) OnBatch(b *Batch) { c.Events = append(c.Events, b.Events...) }
 
-// OnColBatch defers a columnar batch: the columns stay columnar until a
-// reader calls Flatten. The header is copied (the caller owns and may
-// reuse it); retaining the column views is sound because ColBatch
-// storage is sealed (immutable after build).
-func (c *Collector) OnColBatch(cb *ColBatch) { c.cols = append(c.cols, *cb) }
-
 // OnCTI is a no-op for a collector.
 func (c *Collector) OnCTI(Time) {}
 
 // OnFlush is a no-op for a collector.
 func (c *Collector) OnFlush() {}
 
-// Flatten materializes any deferred columnar output into Events (in
-// arrival order, after previously collected row events) and returns the
-// complete event slice. Readers of collected results must go through
-// Flatten rather than the Events field whenever the producing pipeline
-// may have a fused columnar tail.
-func (c *Collector) Flatten() []Event {
-	for i := range c.cols {
-		c.Events = c.cols[i].MaterializeEvents(c.Events)
-	}
-	c.cols = c.cols[:0]
-	return c.Events
-}
-
 // Reset drops collected events but keeps the backing capacity, so one
 // collector can be reused across engine runs (benchmark loops, repeated
 // partitions) without accumulating unbounded result slices.
-func (c *Collector) Reset() {
-	c.Events = c.Events[:0]
-	c.cols = c.cols[:0]
-}
+func (c *Collector) Reset() { c.Events = c.Events[:0] }
 
 // FuncSink adapts callbacks to the Sink interface; used to stream results
 // into application code (e.g. the real-time example and TiMR's blocking

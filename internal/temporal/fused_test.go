@@ -8,8 +8,7 @@ import (
 )
 
 // Differential gates for the stateless kernel (op_fused.go): for any plan
-// and any feed granularity — per event, row batches, columnar batches — an
-// engine must produce exactly the output, and the checkpoint bytes, of two
+// and either feed granularity — per event, row batches — an engine must produce exactly the output, and the checkpoint bytes, of two
 // references that need no second engine mode: the same plan with its
 // stateless runs split into one-member kernels (splitRuns), and, where the
 // plan is stateless throughout, a per-event evaluator with no kernel in it
@@ -108,9 +107,7 @@ func fusedReadings(n int) []Event {
 }
 
 // fusedOddReadings carries nulls (every 4th) and out-of-kind ints (every
-// 5th) in the ID column, degrading its vector to Nulls/Mixed while the
-// Power column stays pure — the filter still vectorizes, and the
-// materialization paths (fill/fillIdx) must reproduce the odd cells.
+// 5th) in the ID column; a projection must carry the odd cells through.
 func fusedOddReadings(n int) []Event {
 	evs := make([]Event, 0, n)
 	for i := 0; i < n; i++ {
@@ -142,31 +139,7 @@ func fusedFloatReadings(n int) []Event {
 	return evs
 }
 
-// vetoPred vectorizes, clobbers part of the selection, and then refuses —
-// the kernel must discard the partial progress and fall back to the row
-// path for the whole batch, bit-identically.
-func vetoPred() Predicate {
-	return Predicate{
-		Cols: []string{"Power"},
-		Make: func(ix []int) func(Row) bool {
-			c := ix[0]
-			return func(r Row) bool { return r[c].AsInt()%2 == 0 }
-		},
-		MakeCol: func(ix []int) ColPredicate {
-			return func(cb *ColBatch, sel []bool) bool {
-				for i := range sel {
-					if i%3 == 0 {
-						sel[i] = false
-					}
-				}
-				return false
-			}
-		},
-		Desc: "even (refuses vectorization mid-scan)",
-	}
-}
-
-// kernelFeeds are the three feed granularities every differential runs.
+// kernelFeeds are the two feed granularities every differential runs.
 // The chunk size is misaligned with fusedTestCTIPeriod on purpose.
 var kernelFeeds = []struct {
 	name string
@@ -180,11 +153,6 @@ var kernelFeeds = []struct {
 	{"row-batch", func(eng *Engine, evs []Event) {
 		for lo := 0; lo < len(evs); lo += 17 {
 			eng.FeedBatch("in", &Batch{Events: evs[lo:min(lo+17, len(evs))]})
-		}
-	}},
-	{"columnar", func(eng *Engine, evs []Event) {
-		for lo := 0; lo < len(evs); lo += 17 {
-			eng.FeedColBatch("in", ColBatchFromEvents(evs[lo:min(lo+17, len(evs))], len(evs[0].Payload)))
 		}
 	}},
 }
@@ -239,8 +207,8 @@ type kernelCase struct {
 }
 
 // kernelCases is the plan table of the kernel differentials: every
-// stateless shape, the columnar fallbacks, runs ending at a stateful
-// boundary, and a multicast diamond. All read source "in".
+// stateless shape, runs ending at a stateful boundary, and a multicast
+// diamond. All read source "in".
 func kernelCases() []kernelCase {
 	sch := readingSchema()
 	evs := fusedReadings(120)
@@ -255,7 +223,6 @@ func kernelCases() []kernelCase {
 		{"filter-string", Scan("in", sch).Where(ColEqString("ID", "a")), evs},
 		{"filter-and", Scan("in", sch).Where(And(ColGtInt("Power", -5), ColLtInt("Power", 35))), evs},
 		{"filter-or-fallback", Scan("in", sch).Where(Or(ColGtInt("Power", 30), ColLtInt("Power", -5))), evs},
-		{"filter-veto-fallback", Scan("in", sch).Where(ColGtInt("Power", -5)).Where(vetoPred()), evs},
 		{"project-direct", Scan("in", sch).Project(Keep("Time"), Rename("ID", "Meter"), Keep("Power")), evs},
 		{"project-computed-fallback", Scan("in", sch).Project(Keep("Time"), double), evs},
 		{"filter-project-window", Scan("in", sch).Where(ColGtInt("Power", -5)).Project(Keep("Time"), Keep("Power")).WithWindow(9), evs},
@@ -277,33 +244,6 @@ func TestFusedMatchesReference(t *testing.T) {
 	}
 }
 
-// TestFusedColInput pins which compiles expose a columnar entry: a
-// stateless head does, however short the kernel, and so does a bare scan
-// straight into the engine collector (the collector itself consumes
-// columns); a stateful head does not.
-func TestFusedColInput(t *testing.T) {
-	sch := readingSchema()
-	head := Scan("in", sch).Where(ColGtInt("Power", 0)).WithWindow(5).Count("C")
-	for _, c := range []struct {
-		name string
-		plan *Plan
-		want bool
-	}{
-		{"stateless head run", head, true},
-		{"one-member head kernel", splitRuns(head), true},
-		{"bare scan into the collector", Scan("in", sch), true},
-		{"stateful head", Scan("in", sch).Count("C"), false},
-	} {
-		eng, err := NewEngine(c.plan)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got := eng.Pipeline().ColInput("in") != nil; got != c.want {
-			t.Errorf("%s: columnar entry = %v, want %v", c.name, got, c.want)
-		}
-	}
-}
-
 // TestFusedSnapshotCompatibility is the checkpoint-layout invariant: the
 // layout is a pure function of the logical plan's operators, not of how
 // they were grouped into kernels, so snapshots move freely between the
@@ -320,7 +260,7 @@ func TestFusedSnapshotCompatibility(t *testing.T) {
 	split := splitRuns(plan)
 	evs := fusedReadings(120)
 	half := len(evs) / 2
-	feedCol := kernelFeeds[2].feed
+	feed := kernelFeeds[1].feed
 
 	mk := func(p *Plan) *Engine {
 		eng, err := NewEngine(p, WithCTIPeriod(fusedTestCTIPeriod))
@@ -332,7 +272,7 @@ func TestFusedSnapshotCompatibility(t *testing.T) {
 
 	// Reference: one uninterrupted run of the split plan.
 	ref := mk(split)
-	feedCol(ref, evs)
+	feed(ref, evs)
 	ref.Flush()
 	want := ref.RawResults()
 
@@ -345,7 +285,7 @@ func TestFusedSnapshotCompatibility(t *testing.T) {
 		{"split-to-kernel", split, plan},
 	} {
 		a := mk(d.first)
-		feedCol(a, evs[:half])
+		feed(a, evs[:half])
 		snap := a.Checkpoint()
 		b, err := RestoreEngine(d.restored, snap, WithCTIPeriod(fusedTestCTIPeriod))
 		if err != nil {
@@ -354,7 +294,7 @@ func TestFusedSnapshotCompatibility(t *testing.T) {
 		if !bytes.Equal(b.Checkpoint(), snap) {
 			t.Errorf("%s: restored engine checkpoints to different bytes", d.name)
 		}
-		feedCol(b, evs[half:])
+		feed(b, evs[half:])
 		b.Flush()
 		got := append(a.RawResults(), b.RawResults()...)
 		SortEvents(got)
@@ -423,100 +363,11 @@ const (
 	goldenGroupApplyCount = "e7700108700370720203016101067074020301620106707602030163010403010301617270020172037802016601057e02016c01248401020172014e060200010301627470020174037a0201680108800102016e013286010201740107060200010301637670020176037c02016a01168201020170014088010201760106060200"
 )
 
-// retainingSink defers everything it receives until OnFlush — the most
-// aggressive legal form of deferred retention (reorder buffers and
-// fan-out queues hold batches across feeds the same way). Its payload
-// rows must stay intact however many feeds happen in between.
-type retainingSink struct {
-	out  Sink
-	held []Event
-}
-
-func (d *retainingSink) OnEvent(e Event) { d.held = append(d.held, e) }
-func (d *retainingSink) OnCTI(Time)      {}
-func (d *retainingSink) OnFlush() {
-	for _, e := range d.held {
-		d.out.OnEvent(e)
-	}
-	d.out.OnFlush()
-}
-
-// TestFusedFeedColBatchAliasing is the feed-buffer aliasing regression:
-// FeedColBatch's materializing fallback must carve each batch into a
-// fresh slab, never a reused buffer, or an operator that defers events
-// across feeds observes later batches' values inside earlier payloads.
-func TestFusedFeedColBatchAliasing(t *testing.T) {
-	plan := Scan("in", readingSchema())
-	eng, err := NewEngine(plan, WithCTIPeriod(0))
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Interpose the retaining sink in front of the pipeline entry and drop
-	// the cached batch/columnar views so the wrapped entry is re-resolved.
-	pl := eng.Pipeline()
-	pl.inputs["in"] = &retainingSink{out: pl.inputs["in"]}
-	pl.binputs, pl.cinputs = nil, nil
-	if pl.ColInput("in") != nil {
-		t.Fatal("retaining wrapper must not expose a columnar entry — the test needs the fallback path")
-	}
-
-	var want []Event
-	for wave := 0; wave < 8; wave++ {
-		evs := make([]Event, 0, 16)
-		for i := 0; i < 16; i++ {
-			evs = append(evs, reading(Time(wave*16+i), "m", int64(wave*1000+i)))
-		}
-		want = append(want, evs...)
-		eng.FeedColBatch("in", ColBatchFromEvents(evs, 3))
-	}
-	eng.Flush()
-	got := eng.RawResults()
-	SortEvents(want)
-	if !EventsEqual(got, want) {
-		t.Fatalf("deferred payloads corrupted by later feeds\n got %v\nwant %v", got, want)
-	}
-}
-
-// TestFusedColumnarReorderInterleave drives the fused columnar entry with
-// interleaved feeds while a downstream reorder operator (slack buffer)
-// retains events across calls: the kernel's per-batch output slabs must
-// not alias across feeds either.
-func TestFusedColumnarReorderInterleave(t *testing.T) {
-	plan := Scan("in", readingSchema()).Where(ColGtInt("Power", -1))
-	// The reorder (slack 1000) retains every event until flush, sitting
-	// right behind the fused kernel as the engine's output sink.
-	col := &Collector{}
-	sinkEng, err := NewEngine(plan, WithSink(newReorder(1000, col)), WithCTIPeriod(0))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if sinkEng.Pipeline().ColInput("in") == nil {
-		t.Fatal("expected a fused columnar entry")
-	}
-	var want []Event
-	for wave := 0; wave < 8; wave++ {
-		evs := make([]Event, 0, 16)
-		for i := 0; i < 16; i++ {
-			evs = append(evs, reading(Time(wave*16+i), "m", int64(wave*1000+i)))
-		}
-		want = append(want, evs...)
-		sinkEng.FeedColBatch("in", ColBatchFromEvents(evs, 3))
-	}
-	sinkEng.Flush()
-	got := append([]Event(nil), col.Events...)
-	SortEvents(got)
-	SortEvents(want)
-	if !EventsEqual(got, want) {
-		t.Fatalf("reorder-deferred payloads corrupted by later columnar feeds\n got %v\nwant %v", got, want)
-	}
-}
-
 // TestFusedSubPlanFootprint keeps the per-group kernel small: a GroupApply
 // compiles its sub-plan once per live key, so a BT job holds one kernel per
 // user. Compiling GroupInput.WithWindow(w).Count allocated 1392 B at the
 // commit before the kernel replaced the per-node window operator there; it
-// may cost 5% more. (What only the columnar entry needs is allocated by the
-// first OnColBatch, which a sub-plan kernel never sees.)
+// may cost 5% more.
 func TestFusedSubPlanFootprint(t *testing.T) {
 	const instances, budget = 10000, 1392 * 105 / 100
 	sub := GroupInput(readingSchema()).WithWindow(9).Count("C")

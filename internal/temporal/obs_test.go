@@ -17,36 +17,27 @@ import (
 // at t = 0, 2, 5, 10, 12 produce five snapshot segments.
 //
 // Select and AlterLifetime are members of one kernel, which meters itself;
-// the counts are the same on every feed path, including a columnar batch
-// the predicate refuses half way (the kernel then reruns it on the row
-// path, and must not count it twice).
+// the counts are the same on every feed path.
 func TestObservedOperatorCounts(t *testing.T) {
 	schema := NewSchema(Field{Name: "Time", Kind: KindInt}, Field{Name: "V", Kind: KindInt})
 	var evs []Event
 	for _, f := range []struct{ tm, v int64 }{{0, 1}, {1, -1}, {2, 1}, {5, 1}} {
 		evs = append(evs, PointEvent(Time(f.tm), Row{Int(f.tm), Int(f.v)}))
 	}
-	positive := ColGtInt("V", 0)
-	refusing := positive
-	refusing.MakeCol = vetoPred().MakeCol
-
 	for _, c := range []struct {
 		name string
-		pred Predicate
 		feed func(eng *Engine)
 	}{
-		{"per-event", positive, func(eng *Engine) {
+		{"per-event", func(eng *Engine) {
 			for _, e := range evs {
 				eng.Feed("s", e)
 			}
 		}},
-		{"row-batch", positive, func(eng *Engine) { eng.FeedBatch("s", &Batch{Events: evs}) }},
-		{"columnar", positive, func(eng *Engine) { eng.FeedColBatch("s", ColBatchFromEvents(evs, 2)) }},
-		{"columnar-fallback", refusing, func(eng *Engine) { eng.FeedColBatch("s", ColBatchFromEvents(evs, 2)) }},
+		{"row-batch", func(eng *Engine) { eng.FeedBatch("s", &Batch{Events: evs}) }},
 	} {
 		t.Run(c.name, func(t *testing.T) {
 			root := obs.New("engine")
-			eng, err := NewEngine(Scan("s", schema).Where(c.pred).WithWindow(10).Count("C"), WithObs(root))
+			eng, err := NewEngine(Scan("s", schema).Where(ColGtInt("V", 0)).WithWindow(10).Count("C"), WithObs(root))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -125,31 +116,25 @@ func TestObservedTableNamesOperators(t *testing.T) {
 }
 
 // Observation must not change the pipeline: over the kernel plan table and
-// every feed path, an engine with a scope and one without expose the same
-// columnar entry (one at all for a stateless head), checkpoint to the same
-// bytes half way through the input, and produce the same raw results.
+// every feed path, an engine with a scope and one without checkpoint to the
+// same bytes half way through the input, and produce the same raw results.
 func TestObservedMatchesUnobserved(t *testing.T) {
 	for _, c := range kernelCases() {
 		for _, f := range kernelFeeds {
 			t.Run(c.name+"/"+f.name, func(t *testing.T) {
 				var snaps [2][]byte
 				var outs [2][]Event
-				var colIn [2]bool
 				for i, opts := range [][]Option{nil, {WithObs(obs.New("x"))}} {
 					eng, err := NewEngine(c.plan, append(opts, WithCTIPeriod(fusedTestCTIPeriod))...)
 					if err != nil {
 						t.Fatal(err)
 					}
-					colIn[i] = eng.Pipeline().ColInput("in") != nil
 					half := len(c.evs) / 2
 					f.feed(eng, c.evs[:half])
 					snaps[i] = eng.Checkpoint()
 					f.feed(eng, c.evs[half:])
 					eng.Flush()
 					outs[i] = eng.RawResults()
-				}
-				if statelessHead := c.name != "multicast-diamond"; colIn[0] != statelessHead || colIn[1] != statelessHead {
-					t.Errorf("columnar entry unobserved/observed = %v/%v, want %v in both", colIn[0], colIn[1], statelessHead)
 				}
 				if !bytes.Equal(snaps[0], snaps[1]) {
 					t.Error("observed engine checkpoints to different bytes")

@@ -5,33 +5,17 @@ package temporal
 // The compiler collapses every maximal run of them — at the top level and
 // inside GroupApply sub-plans, observed or not — into one fusedOp; a lone
 // Select is a one-member kernel. (ToPoint keeps continuation state and is
-// its own operator, alterLifetimeOp.) The kernel has two entries:
-//
-//   - Row entry: OnEvent/OnBatch/OnCTI/OnFlush, the Batch push contract.
-//     One loop applies every stage per event, so a run of k members costs
-//     one dispatch and at most one copy per batch.
-//   - Columnar entry: OnColBatch consumes a ColBatch directly. Filters
-//     evaluate as selection scans over the column vectors (ColPredicate,
-//     pred.go), direct projections remap column views without touching
-//     data, and lifetime transforms rewrite the LE/RE vectors; surviving
-//     rows are materialized at most once, at the run's downstream
-//     boundary (the first stateful operator). When the downstream is
-//     itself a ColBatchSink (the engine's Collector) and every row of a
-//     batch survives, the column views pass straight through and no rows
-//     are built on the feed path at all.
-//
-// Both entries produce the same downstream call sequence — bit-identical
-// events, identically shifted CTIs (TestFused*, fused_test.go). When a
-// batch's column shapes fall outside what the vectorized predicates
-// handle exactly (nulls, mixed columns, unvectorized predicates),
-// OnColBatch materializes rows — into a fresh per-call slab, so a
-// downstream operator that defers the batch never observes slab reuse —
-// and runs the row entry.
+// its own operator, alterLifetimeOp.) Its entry is the Batch push
+// contract, OnEvent/OnBatch/OnCTI/OnFlush: one loop applies every stage
+// per event, so a run of k members costs one dispatch and at most one copy
+// per batch, and produces the downstream call sequence chaining the
+// members would — bit-identical events, identically shifted CTIs
+// (TestFused*, fused_test.go).
 //
 // Metering: under a scope the kernel meters itself (kernelMeter,
 // op_meter.go), each member into its own "opNN.Kind" scope, from counts
-// the loops keep in locals; no sink is interposed, so an observed
-// pipeline runs this same code and keeps its columnar entry.
+// the loop keeps in locals; no sink is interposed, so an observed
+// pipeline runs this same code.
 //
 // Checkpoints: the kernel holds no state. The snapshot layout is a
 // function of the logical plan alone and gives every AlterLifetime node a
@@ -48,8 +32,7 @@ const (
 )
 
 // fusedStage is one member of the run. Per-group kernels make this the
-// most replicated struct in a BT job: what only the columnar entry needs
-// lives in fusedCols.
+// most replicated struct in a BT job.
 type fusedStage struct {
 	kind               fuseKind
 	pred               func(Row) bool // fuseFilter
@@ -82,16 +65,15 @@ func (st *fusedStage) shiftCTI(t Time) Time {
 // fusedOp is the compiled kernel for one stateless run.
 type fusedOp struct {
 	stages []fusedStage
-	tail   *Plan // the run's last node; the members are tail and its Inputs[0] chain
 	out    Sink
 	bo     batchOut
-	cols   *fusedCols   // allocated by the first OnColBatch
 	m      *kernelMeter // nil unless observed
 }
 
-// newFusedOp compiles the k-node run ending at tail.
+// newFusedOp compiles the k-node run ending at tail: the members are tail
+// and its Inputs[0] chain.
 func newFusedOp(tail *Plan, k int, out Sink) *fusedOp {
-	f := &fusedOp{stages: make([]fusedStage, k), tail: tail, out: out}
+	f := &fusedOp{stages: make([]fusedStage, k), out: out}
 	n := tail
 	for i := k - 1; i >= 0; i, n = i-1, n.Inputs[0] {
 		in := n.Inputs[0].Out
@@ -231,224 +213,6 @@ func (f *fusedOp) OnBatch(b *Batch) {
 	f.bo.emit(f.out, outEvs, cti, b.HasCTI)
 }
 
-// fusedCols is what only the columnar entry needs: the members' column
-// forms and the scratch vectors. A kernel inside a GroupApply sub-plan is
-// never handed a ColBatch and never allocates one.
-type fusedCols struct {
-	// out is non-nil when the run's downstream consumes columns directly
-	// (the engine's Collector): batches that survive intact are handed
-	// through as column views.
-	out ColBatchSink
-	// ok: every stage vectorizes (each filter has a ColPredicate, each
-	// project only copies columns).
-	ok    bool
-	preds []ColPredicate // per stage; filters only
-	src   [][]int        // per stage; the source column of each projected one
-	// scratch, reused across batches (single-goroutine)
-	sel    []bool
-	idx    []int32
-	le, re []Time
-}
-
-func (f *fusedOp) newCols() *fusedCols {
-	k := len(f.stages)
-	c := &fusedCols{ok: true, preds: make([]ColPredicate, k), src: make([][]int, k)}
-	c.out, _ = f.out.(ColBatchSink)
-	n := f.tail
-	for i := k - 1; i >= 0; i, n = i-1, n.Inputs[0] {
-		in := n.Inputs[0].Out
-		switch n.Kind {
-		case OpSelect:
-			c.preds[i] = n.Pred.compileCol(in)
-			c.ok = c.ok && c.preds[i] != nil
-		case OpProject:
-			c.src[i] = make([]int, len(n.Projs))
-			for j, pr := range n.Projs {
-				if pr.Source == "" {
-					c.ok = false
-					break
-				}
-				c.src[i][j] = in.MustIndex(pr.Source)
-			}
-		}
-	}
-	return c
-}
-
-// OnColBatch is the columnar entry point.
-func (f *fusedOp) OnColBatch(cb *ColBatch) {
-	n := cb.Len()
-	if n == 0 {
-		return
-	}
-	if f.cols == nil {
-		f.cols = f.newCols()
-	}
-	c := f.cols
-	if !c.ok {
-		f.colFallback(cb)
-		return
-	}
-	if cap(c.sel) < n {
-		c.sel = make([]bool, n)
-	}
-	sel := c.sel[:n]
-	for i := range sel {
-		sel[i] = true
-	}
-	seen := f.m.scratch()
-	live, last := n, n-1 // selected rows, and the last of them
-	lifetimesOwned := false
-	cur := cb
-	le, re := cb.LE, cb.RE
-	for si := range f.stages {
-		st := &f.stages[si]
-		if seen != nil && live > 0 {
-			seen[si] = stageSeen{n: int64(live), le: le[last]}
-		}
-		switch st.kind {
-		case fuseFilter:
-			if !c.preds[si](cur, sel) {
-				// A column shape the vectorized predicate does not handle
-				// exactly: discard partial progress and run the row path.
-				f.colFallback(cb)
-				return
-			}
-			live = 0
-			for _, keep := range sel {
-				if keep {
-					live++
-				}
-			}
-			for last >= 0 && !sel[last] {
-				last--
-			}
-		case fuseProject:
-			mapped := make([]ColVec, len(c.src[si]))
-			for j, col := range c.src[si] {
-				mapped[j] = cur.Cols[col]
-			}
-			cur = &ColBatch{Cols: mapped, n: n}
-		default:
-			if !lifetimesOwned {
-				// First lifetime rewrite copies the (immutable) input
-				// vectors into scratch; later stages mutate in place.
-				c.le = append(c.le[:0], le...)
-				c.re = append(c.re[:0], re...)
-				le, re = c.le, c.re
-				lifetimesOwned = true
-			}
-			alterVec(st, le, re)
-		}
-	}
-	if seen != nil {
-		seen[len(f.stages)].n = int64(live)
-		f.m.commit()
-	}
-	nc := len(cur.Cols)
-	if live == n {
-		if c.out != nil {
-			// Full survival into a columnar consumer: hand the columns
-			// through as views and never build rows on the feed path.
-			// Lifetime vectors living in the kernel's reusable scratch are
-			// copied out first — the consumer may retain the batch, and
-			// everything it retains must be sealed storage.
-			if lifetimesOwned {
-				le = append([]Time(nil), le...)
-				re = append([]Time(nil), re...)
-			}
-			c.out.OnColBatch(&ColBatch{LE: le, RE: re, Cols: cur.Cols, n: n})
-			return
-		}
-		outEvs := materializeAll(f.bo.buf[:0], cur, le, re, n, nc)
-		f.bo.emit(f.out, outEvs, 0, false)
-		return
-	}
-	outEvs := f.bo.buf[:0]
-	idx := c.idx[:0]
-	for i, keep := range sel {
-		if keep {
-			idx = append(idx, int32(i))
-		}
-	}
-	c.idx = idx
-	if len(idx) > 0 {
-		if nc == 0 {
-			for _, i := range idx {
-				outEvs = append(outEvs, Event{LE: le[i], RE: re[i]})
-			}
-		} else {
-			slab := make([]Value, len(idx)*nc)
-			for col := range cur.Cols {
-				cur.Cols[col].fillIdx(slab[col:], nc, idx)
-			}
-			for j, i := range idx {
-				outEvs = append(outEvs, Event{LE: le[i], RE: re[i], Payload: Row(slab[j*nc : (j+1)*nc : (j+1)*nc])})
-			}
-		}
-	}
-	f.bo.emit(f.out, outEvs, 0, false)
-}
-
-// materializeAll transposes all n rows of cur (no selection) into fresh
-// event payloads appended to outEvs.
-func materializeAll(outEvs []Event, cur *ColBatch, le, re []Time, n, nc int) []Event {
-	if nc == 0 {
-		for i := 0; i < n; i++ {
-			outEvs = append(outEvs, Event{LE: le[i], RE: re[i]})
-		}
-		return outEvs
-	}
-	slab := make([]Value, n*nc)
-	for c := range cur.Cols {
-		cur.Cols[c].fill(slab[c:], nc, n)
-	}
-	for i := 0; i < n; i++ {
-		outEvs = append(outEvs, Event{LE: le[i], RE: re[i], Payload: Row(slab[i*nc : (i+1)*nc : (i+1)*nc])})
-	}
-	return outEvs
-}
-
-// colFallback materializes the batch into a fresh per-call slab and runs
-// the row path, which meters the batch from the start. The fresh slab
-// (never a shared reusable buffer) is what makes deferred retention by a
-// downstream operator safe.
-func (f *fusedOp) colFallback(cb *ColBatch) {
-	clear(f.m.scratch())
-	b := Batch{Events: cb.MaterializeEvents(nil)}
-	f.OnBatch(&b)
-}
-
-// alterVec applies one lifetime transform to the le/re vectors in place,
-// including the RE<=LE clamp every such stage ends with.
-func alterVec(st *fusedStage, le, re []Time) {
-	switch st.kind {
-	case fuseWindow:
-		w := st.window
-		for i, s := range le {
-			re[i] = s + w
-		}
-	case fuseHop:
-		h, w := st.hop, st.window
-		for i := range le {
-			s := le[i]
-			le[i] = floorDiv(s, h)*h + h
-			re[i] = floorDiv(s+w, h)*h + h
-		}
-	case fuseShift:
-		d := st.shift
-		for i := range le {
-			le[i] += d
-			re[i] += d
-		}
-	}
-	for i := range le {
-		if re[i] <= le[i] {
-			re[i] = le[i] + Tick
-		}
-	}
-}
-
 // alterSection is the checkpoint section of a kernel's window, hop or
 // shift member: the empty continuation table a ToPoint operator with
 // nothing pending writes. A value of it carries nothing, so it costs a
@@ -470,13 +234,4 @@ func (alterSection) Restore(r *SnapshotReader) error {
 		return r.Failf("%d pending points for a lifetime transform that keeps none", n)
 	}
 	return r.Err()
-}
-
-// ColBatchSink is the columnar-entry contract: a sink that can consume a
-// ColBatch directly, without the caller materializing rows first. The
-// batch is immutable and remains owned by the caller; implementations
-// must not mutate its vectors and must finish reading before returning
-// (views made with Slice may be retained — they share sealed storage).
-type ColBatchSink interface {
-	OnColBatch(cb *ColBatch)
 }

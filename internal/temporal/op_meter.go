@@ -11,7 +11,7 @@ import (
 // A stateful operator is wrapped with two thin meter sinks — one on each
 // entry, one on the output. The stateless kernel (op_fused.go) is not
 // wrapped: it meters its members itself (kernelMeter), so observing a
-// pipeline changes neither its operators nor its columnar entry.
+// pipeline does not change its operators.
 //
 //	events_in    events delivered to the operator (both sides for binaries)
 //	events_out   events the operator emitted
@@ -172,19 +172,6 @@ func (s *meterOut) OnBatch(b *Batch) {
 }
 
 func (s *meterOut) OnFlush() { s.out.OnFlush() }
-
-// colMeterOut is the source meter over a columnar entry: it counts a
-// ColBatch and passes it through, so the source stays a ColBatchSink
-// exactly when it is one unobserved.
-type colMeterOut struct {
-	meterOut
-	cout ColBatchSink
-}
-
-func (s *colMeterOut) OnColBatch(cb *ColBatch) {
-	s.events.Add(int64(cb.Len()))
-	s.cout.OnColBatch(cb)
-}
 
 // kernelMeter is a stateless kernel's instrumentation: one opMetrics per
 // member. The kernel's loops count into seen — plain memory — and commit

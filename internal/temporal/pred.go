@@ -9,47 +9,14 @@ import (
 // are resolved to positions at plan-compile time, so the same predicate
 // works wherever the named columns exist. Desc is used when rendering
 // plans (and when counting "lines of code" for the Fig. 14 comparison).
-//
-// MakeCol, when set, is the vectorized twin of Make: the fused columnar
-// kernel (op_fused.go) evaluates it over whole ColBatch columns instead
-// of row at a time. A predicate without MakeCol still works everywhere —
-// the kernel falls back to materializing rows for that batch.
 type Predicate struct {
-	Cols    []string
-	Make    func(idx []int) func(Row) bool
-	MakeCol func(idx []int) ColPredicate
-	Desc    string
+	Cols []string
+	Make func(idx []int) func(Row) bool
+	Desc string
 }
-
-// ColPredicate evaluates a predicate over the columns of a batch: it
-// clears sel[i] for every row i that fails, leaving passing rows
-// untouched, and reports whether the evaluation happened at all. A
-// false return means the column shape is not one the vectorized path
-// handles exactly (nulls, mixed vectors, unexpected kind) — the caller
-// must fall back to the row-at-a-time predicate so results stay
-// bit-identical.
-type ColPredicate func(cb *ColBatch, sel []bool) bool
 
 func (p Predicate) compile(s *Schema) func(Row) bool {
 	return p.Make(s.Indexes(p.Cols...))
-}
-
-func (p Predicate) compileCol(s *Schema) ColPredicate {
-	if p.MakeCol == nil {
-		return nil
-	}
-	return p.MakeCol(s.Indexes(p.Cols...))
-}
-
-// pureVec returns the column vector at position c if it is a plain
-// single-kind vector the vectorized predicates can scan directly — no
-// nulls, no mixed spill-over — and nil otherwise.
-func pureVec(cb *ColBatch, c int, kind Kind) *ColVec {
-	v := &cb.Cols[c]
-	if v.Kind != kind || v.Nulls != nil || v.Mixed != nil {
-		return nil
-	}
-	return v
 }
 
 // ColEqInt matches rows whose integer column equals v.
@@ -59,21 +26,6 @@ func ColEqInt(col string, v int64) Predicate {
 		Make: func(ix []int) func(Row) bool {
 			c := ix[0]
 			return func(r Row) bool { return r[c].AsInt() == v }
-		},
-		MakeCol: func(ix []int) ColPredicate {
-			c := ix[0]
-			return func(cb *ColBatch, sel []bool) bool {
-				vec := pureVec(cb, c, KindInt)
-				if vec == nil {
-					return false
-				}
-				for i, x := range vec.Ints {
-					if x != v {
-						sel[i] = false
-					}
-				}
-				return true
-			}
 		},
 		Desc: fmt.Sprintf("%s == %d", col, v),
 	}
@@ -87,34 +39,6 @@ func ColEqString(col, v string) Predicate {
 			c := ix[0]
 			return func(r Row) bool { return r[c].AsString() == v }
 		},
-		MakeCol: func(ix []int) ColPredicate {
-			c := ix[0]
-			return func(cb *ColBatch, sel []bool) bool {
-				vec := pureVec(cb, c, KindString)
-				if vec == nil || vec.Dict == nil {
-					return false
-				}
-				// One string compare per distinct dictionary entry, then a
-				// code-indexed scan — the dictionary is tiny next to the batch.
-				match := -1
-				for code, s := range vec.Dict.strs {
-					if s == v {
-						match = code
-						break
-					}
-				}
-				dlen := int32(vec.Dict.Len())
-				for i, code := range vec.Codes {
-					if code < 0 || code >= dlen {
-						return false // corrupt view; row path will panic with context
-					}
-					if int(code) != match {
-						sel[i] = false
-					}
-				}
-				return true
-			}
-		},
 		Desc: fmt.Sprintf("%s == %q", col, v),
 	}
 }
@@ -126,21 +50,6 @@ func ColGtInt(col string, v int64) Predicate {
 		Make: func(ix []int) func(Row) bool {
 			c := ix[0]
 			return func(r Row) bool { return r[c].AsInt() > v }
-		},
-		MakeCol: func(ix []int) ColPredicate {
-			c := ix[0]
-			return func(cb *ColBatch, sel []bool) bool {
-				vec := pureVec(cb, c, KindInt)
-				if vec == nil {
-					return false
-				}
-				for i, x := range vec.Ints {
-					if x <= v {
-						sel[i] = false
-					}
-				}
-				return true
-			}
 		},
 		Desc: fmt.Sprintf("%s > %d", col, v),
 	}
@@ -154,21 +63,6 @@ func ColLtInt(col string, v int64) Predicate {
 			c := ix[0]
 			return func(r Row) bool { return r[c].AsInt() < v }
 		},
-		MakeCol: func(ix []int) ColPredicate {
-			c := ix[0]
-			return func(cb *ColBatch, sel []bool) bool {
-				vec := pureVec(cb, c, KindInt)
-				if vec == nil {
-					return false
-				}
-				for i, x := range vec.Ints {
-					if x >= v {
-						sel[i] = false
-					}
-				}
-				return true
-			}
-		},
 		Desc: fmt.Sprintf("%s < %d", col, v),
 	}
 }
@@ -180,21 +74,6 @@ func ColGeFloat(col string, v float64) Predicate {
 		Make: func(ix []int) func(Row) bool {
 			c := ix[0]
 			return func(r Row) bool { return r[c].AsFloat() >= v }
-		},
-		MakeCol: func(ix []int) ColPredicate {
-			c := ix[0]
-			return func(cb *ColBatch, sel []bool) bool {
-				vec := pureVec(cb, c, KindFloat)
-				if vec == nil {
-					return false
-				}
-				for i, f := range vec.Floats {
-					if !(f >= v) { // NaN fails, exactly like the row path
-						sel[i] = false
-					}
-				}
-				return true
-			}
 		},
 		Desc: fmt.Sprintf("%s >= %g", col, v),
 	}
@@ -212,24 +91,6 @@ func AbsGeFloat(col string, v float64) Predicate {
 					f = -f
 				}
 				return f >= v
-			}
-		},
-		MakeCol: func(ix []int) ColPredicate {
-			c := ix[0]
-			return func(cb *ColBatch, sel []bool) bool {
-				vec := pureVec(cb, c, KindFloat)
-				if vec == nil {
-					return false
-				}
-				for i, f := range vec.Floats {
-					if f < 0 {
-						f = -f
-					}
-					if !(f >= v) {
-						sel[i] = false
-					}
-				}
-				return true
 			}
 		},
 		Desc: fmt.Sprintf("|%s| >= %g", col, v),
@@ -262,7 +123,7 @@ func And(ps ...Predicate) Predicate {
 		cols = append(cols, p.Cols...)
 		descs[i] = p.Desc
 	}
-	out := Predicate{
+	return Predicate{
 		Cols: cols,
 		Make: func(ix []int) func(Row) bool {
 			fns := make([]func(Row) bool, len(ps))
@@ -282,37 +143,6 @@ func And(ps ...Predicate) Predicate {
 		},
 		Desc: "(" + strings.Join(descs, " AND ") + ")",
 	}
-	// A conjunction vectorizes iff every member does: intersection of
-	// per-member selection masks. (Or does not get a MakeCol — its row
-	// form short-circuits, so a cleared-by-one-member mask is not the
-	// same computation; the kernel simply falls back for Or.)
-	vectorizable := true
-	for _, p := range ps {
-		if p.MakeCol == nil {
-			vectorizable = false
-			break
-		}
-	}
-	if vectorizable {
-		mem := ps
-		out.MakeCol = func(ix []int) ColPredicate {
-			cps := make([]ColPredicate, len(mem))
-			off := 0
-			for i, p := range mem {
-				cps[i] = p.MakeCol(ix[off : off+len(p.Cols)])
-				off += len(p.Cols)
-			}
-			return func(cb *ColBatch, sel []bool) bool {
-				for _, cp := range cps {
-					if !cp(cb, sel) {
-						return false
-					}
-				}
-				return true
-			}
-		}
-	}
-	return out
 }
 
 // Or combines predicates disjunctively.

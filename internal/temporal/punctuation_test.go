@@ -181,9 +181,9 @@ func autoCTICount(t *testing.T, P Time, drive func(eng *Engine)) int {
 	return ctis
 }
 
-// ctiFeeds returns one driver per feed entry point (per-event, batched,
-// columnar), all over the same point events; every entry must punctuate
-// on the identical schedule.
+// ctiFeeds returns one driver per feed entry point (per-event, batched),
+// all over the same point events; every entry must punctuate on the
+// identical schedule.
 func ctiFeeds(feed []Time) map[string]func(eng *Engine) {
 	evs := make([]Event, len(feed))
 	for i, tm := range feed {
@@ -197,9 +197,6 @@ func ctiFeeds(feed []Time) map[string]func(eng *Engine) {
 		},
 		"batched": func(eng *Engine) {
 			eng.FeedBatch("s", &Batch{Events: append([]Event(nil), evs...)})
-		},
-		"columnar": func(eng *Engine) {
-			eng.FeedColBatch("s", ColBatchFromEvents(evs, len(evs[0].Payload)))
 		},
 	}
 }

@@ -232,10 +232,8 @@ const HashSeed uint64 = 14695981039346656037
 // HashRow hashes the given columns of a row, for partitioning. It folds
 // each value's self-contained hash (Value.Hash from HashSeed) into a
 // running state with HashCombine rather than chaining one FNV state
-// through all values: the fold is decomposable per value, which lets the
-// columnar plane (ColBatch.HashRows) cache the hash of each dictionary
-// entry once and still assign rows to the exact same partitions as the
-// row-at-a-time path.
+// through all values. Partition assignment, and with it every bench
+// digest, depends on this exact fold.
 func HashRow(r Row, cols []int) uint64 {
 	h := HashSeed
 	for _, c := range cols {

@@ -153,8 +153,6 @@ type Dataset struct {
 	KeywordNames map[int64]string
 	Bots         map[int64]bool
 	Horizon      temporal.Time // [0, Horizon)
-
-	cb *temporal.ColBatch // lazily built columnar view of Rows
 }
 
 // Paper-named vocabulary: ad-class names and the keywords of Figures
@@ -478,18 +476,6 @@ func diurnalTimes(rng *rand.Rand, n int, horizon temporal.Time) []temporal.Time 
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
 	return out
-}
-
-// ColBatch returns the generated log as a columnar batch — the
-// decode-once ingest shape the mapreduce columnar fast path consumes.
-// Built lazily on first use and cached; rows are already Time-sorted,
-// so the batch is ordered by every TiMR stage's run key. Callers must
-// treat it (like Rows) as immutable.
-func (d *Dataset) ColBatch() *temporal.ColBatch {
-	if d.cb == nil {
-		d.cb = temporal.ColBatchFromRows(d.Rows, UnifiedSchema().Len())
-	}
-	return d.cb
 }
 
 // Events converts the dataset rows to point events for direct engine runs.
