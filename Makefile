@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test race vet fmt fuzzgate check bench ledger bench-pair
+.PHONY: build test race vet fmt fuzzgate check bench ledger bench-pair pair-table
 
 build:
 	$(GO) build ./...
@@ -51,7 +51,12 @@ ledger:
 # With WORKLOAD=<name>, each side of each pair is instead the one invocation
 # the acceptance driver makes for that workload (-seconds 12 -trace 0), and
 # the two last-line JSON records are printed per pair: a one-workload claim
-# in about seven minutes.
+# in about seven minutes. The target then closes with the verdict table
+# (PAIR_TABLE below): per end-to-end metric of BENCHMARK.json the median
+# [q1, q3] of each side, the relative change of the medians, pairs won /
+# lost / tied in the metric's "better" direction, whether the medians are
+# further apart than the parent's own quartile distance, and a failed /
+# correct tally. `make pair-table [PAIR_DIR=<dir of logs>]` prints it again.
 bench-pair:
 	@test -d "$(PARENT)/bench" || { echo "usage: make bench-pair PARENT=<checkout of the parent commit> [WORKLOAD=<name>]"; exit 2; }
 	@out=$$PWD/bench/out/pair; rm -rf $$out; mkdir -p $$out; for r in 1 2 3 4 5 6 7 8 9 10; do \
@@ -70,3 +75,62 @@ bench-pair:
 			$(GO) run ./bench -compare $$out/parent-$$r.json $$out/change-$$r.json; \
 		fi; \
 	done
+	@[ -z "$(WORKLOAD)" ] || $(MAKE) --no-print-directory pair-table
+
+# The last line of bench/out/pair/<side>-<r>.log is that run's JSON record;
+# directions and bounds come from BENCHMARK.json's end_to_end block.
+define PAIR_TABLE
+function quant(a, n, p,    h, lo) { h = 1 + (n - 1) * p; lo = int(h); return lo >= n ? a[n] : a[lo] + (h - lo) * (a[lo + 1] - a[lo]) }
+function sorted(side, m, out,    n, i, r, v) {
+	n = 0
+	for (r in pairs) if ((side, r, m) in val) {
+		v = val[side, r, m]
+		for (i = ++n; i > 1 && out[i - 1] > v; i--) out[i] = out[i - 1]
+		out[i] = v
+	}
+	return n
+}
+FILENAME ~ /BENCHMARK.json$$/ {
+	if ($$0 ~ /"end_to_end"/) e2e = 1; else if ($$0 ~ /"per_layer"/) e2e = 0
+	if (e2e && match($$0, /"name": "[^"]+"/)) { name = substr($$0, RSTART + 9, RLENGTH - 10); metrics[++nm] = name }
+	if (e2e && match($$0, /"better": "[^"]+"/)) better[name] = substr($$0, RSTART + 11, RLENGTH - 12)
+	if (e2e && match($$0, /"bound": [0-9.]+/)) bound[name] = substr($$0, RSTART + 9, RLENGTH - 9)
+	next
+}
+{ last[FILENAME] = $$0 }
+END {
+	for (f in last) {
+		n = split(f, parts, "/"); split(parts[n], sr, /[-.]/); side = sr[1]; r = sr[2]; line = last[f]
+		runs[side]++; pairs[r]
+		if (line ~ /"correct":true/) correct[side]++
+		if (match(line, /"failed":[0-9]+/)) failed[side] += substr(line, RSTART + 9, RLENGTH - 9)
+		if (match(line, /"attempted":[0-9]+/)) attempted[side] += substr(line, RSTART + 12, RLENGTH - 12)
+		for (i = 1; i <= nm; i++) if (match(line, "\"" metrics[i] "\":[{]\"value\":[-0-9.e+]+"))
+			val[side, r, metrics[i]] = substr(line, RSTART + length(metrics[i]) + 12, RLENGTH - length(metrics[i]) - 12) + 0
+	}
+	printf "%-13s %-6s %34s %34s %8s  %-13s %s\n", "metric", "better", "parent median [q1, q3]", "change median [q1, q3]", "change", "won/lost/tied", "verdict"
+	for (i = 1; i <= nm; i++) {
+		m = metrics[i]; split("", a); split("", b); na = sorted("parent", m, a); nb = sorted("change", m, b)
+		if (na == 0 || nb == 0) { printf "%-13s no data\n", m; continue }
+		ma = quant(a, na, .5); mb = quant(b, nb, .5); iqr = quant(a, na, .75) - quant(a, na, .25)
+		won = lost = tied = 0
+		for (r in pairs) if (("parent", r, m) in val && ("change", r, m) in val) {
+			d = val["change", r, m] - val["parent", r, m]; if (better[m] == "lower") d = -d
+			if (d > 0) won++; else if (d < 0) lost++; else tied++
+		}
+		rel = ma ? (mb - ma) / ma : 0; gain = better[m] == "lower" ? -rel : rel; apart = mb - ma; if (apart < 0) apart = -apart
+		verdict = "within bound"
+		if (gain < -bound[m]) verdict = "WORSE than bound"
+		else if (won * 10 >= (won + lost) * 9 && won > 0 && apart > iqr) verdict = "better (>= 9/10, medians apart > parent IQR)"
+		else if (iqr > bound[m] * ma) verdict = "unresolved (parent IQR > bound)"
+		printf "%-13s %-6s %10.6g [%9.6g, %9.6g] %10.6g [%9.6g, %9.6g] %+7.1f%%  %2d/%d/%-8d %s\n", m, better[m], ma, quant(a, na, .25), quant(a, na, .75), mb, quant(b, nb, .25), quant(b, nb, .75), 100 * rel, won, lost, tied, verdict
+	}
+	for (k = 1; k <= 2; k++) { side = k == 1 ? "parent" : "change"
+		printf "%-7s runs %d, correct %d, operations failed %d of %d\n", side, runs[side], correct[side], failed[side], attempted[side] }
+}
+endef
+export PAIR_TABLE
+
+PAIR_DIR ?= bench/out/pair
+pair-table:
+	@awk "$$PAIR_TABLE" BENCHMARK.json $(PAIR_DIR)/parent-*.log $(PAIR_DIR)/change-*.log

@@ -418,6 +418,41 @@ func BenchmarkGroupApplyPunctuation(b *testing.B) {
 	b.ReportMetric(perWave, "events/op")
 }
 
+// BenchmarkCoalesce is the canonicalisation every reducer output and every
+// RunPlan / Engine.Results pays, on 10 000 events in engine (LE) order.
+// NoMerge is what TrainData, Label, Reduce and Model hand it: unique
+// payloads, so the result is the sorted argument itself and B/op is the
+// pending map alone. Fragmented is a windowed aggregate cut by CTIs: 100
+// keys, each a chain of 100 abutting pieces, merged into 100 events.
+func BenchmarkCoalesce(b *testing.B) {
+	const n = 10_000
+	noMerge := make([]temporal.Event, n)
+	for i := range noMerge {
+		noMerge[i] = temporal.PointEvent(temporal.Time(i/3), temporal.Row{temporal.Int(int64(i)), temporal.Float(0.5)})
+	}
+	fragmented := make([]temporal.Event, n)
+	for i := range fragmented {
+		t := temporal.Time(i / 100 * 10)
+		fragmented[i] = temporal.Event{LE: t, RE: t + 10, Payload: temporal.Row{temporal.Int(int64(i % 100))}}
+	}
+	for _, c := range []struct {
+		name   string
+		events []temporal.Event
+		want   int
+	}{{"NoMerge", noMerge, n}, {"Fragmented", fragmented, 100}} {
+		b.Run(c.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				// Coalesce leaves its argument sorted and intact, so it
+				// is the same input every iteration.
+				if got := temporal.Coalesce(c.events); len(got) != c.want {
+					b.Fatalf("%d events out, want %d", len(got), c.want)
+				}
+			}
+		})
+	}
+}
+
 // ---- Engine feed path: per-event vs batched push ----
 
 // engineFeedFixture builds a stateless hot chain (filters → window) over

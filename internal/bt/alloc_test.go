@@ -1,0 +1,59 @@
+package bt
+
+import (
+	"runtime"
+	"testing"
+
+	"timr/internal/core"
+	"timr/internal/mapreduce"
+	"timr/internal/workload"
+)
+
+// TestTrainDataBatchBytesPerRow is a count, not a timing: the bytes one
+// TiMR.Run of the TrainData stage allocates per output row, end to end —
+// shuffle buckets, run merge, engine, reducer output. It is the stage the
+// bench ledger's runtime.alloc_kb_per_event is dominated by, measured
+// here on one machine so the number repeats.
+func TestTrainDataBatchBytesPerRow(t *testing.T) {
+	d := workload.Generate(workload.Config{
+		Users: 200, Keywords: 400, AdClasses: 4, Days: 2, Seed: 18,
+		BotFraction: 0.01,
+	})
+	p := DefaultParams()
+	cl := mapreduce.NewCluster(mapreduce.Config{Machines: 1})
+	tm := core.New(cl, core.DefaultConfig())
+	cl.FS.Write("events", mapreduce.SinglePartition(workload.UnifiedSchema(), d.Rows))
+	for _, st := range Stages(false)[:2] { // BotElim, Label: TrainData's inputs
+		src := map[string]string{}
+		for scan, ds := range st.Inputs {
+			if ds == DSEvents {
+				ds = "events"
+			}
+			src[scan] = ds
+		}
+		if _, err := tm.Run(st.Plan(p, true), src, st.Output); err != nil {
+			t.Fatal(err)
+		}
+	}
+	train := Stages(false)[2]
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	if _, err := tm.Run(train.Plan(p, true), train.Inputs, train.Output); err != nil {
+		t.Fatal(err)
+	}
+	runtime.ReadMemStats(&after)
+	rows := cl.FS.MustRead(DSTrain).Rows()
+	if rows < 10_000 {
+		t.Fatalf("TrainData produced %d rows; the workload is too small to measure", rows)
+	}
+	perRow := float64(after.TotalAlloc-before.TotalAlloc) / float64(rows)
+	t.Logf("TrainData: %d rows, %.0f bytes allocated per output row", rows, perRow)
+	// 1735 bytes per row at commit 270cf47 (40-byte values, append-grown
+	// buckets and reducer buffers, a copying Coalesce); 1024 since. The
+	// bound is 70% of the former.
+	const bound = 1215
+	if perRow > bound {
+		t.Errorf("TrainData batch path allocates %.0f bytes per output row, want at most %d", perRow, bound)
+	}
+}

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 
 	"timr/internal/mapreduce"
 	"timr/internal/obs"
@@ -248,7 +249,7 @@ func partitionCols(in FragmentInput, cols []string) []int {
 // shuffle-run segments, resident or spilled, and P streams them through
 // a k-way merge into the engine instead of materializing the partition
 // — its working set is the merge frontier plus one feed batch.
-func (t *TiMR) reducer(frag *Fragment, spans *SpanSpec) func(int, [][]mapreduce.Segment, func(mapreduce.Row)) error {
+func (t *TiMR) reducer(frag *Fragment, spans *SpanSpec) func(int, [][]mapreduce.Segment, func([]mapreduce.Row)) error {
 	// Capture per-input conversion metadata once.
 	type inMeta struct {
 		scan         string
@@ -272,12 +273,12 @@ func (t *TiMR) reducer(frag *Fragment, spans *SpanSpec) func(int, [][]mapreduce.
 	mergeRuns := scope.Counter("merge_runs")
 	mergeFallbacks := scope.Counter("merge_fallback_sorts")
 
-	return func(part int, in [][]mapreduce.Segment, emit func(mapreduce.Row)) error {
+	return func(part int, in [][]mapreduce.Segment, emit func([]mapreduce.Row)) error {
 		// The paper's deployment bridges the DSMS's asynchronous push to
 		// M-R's synchronous pull with a blocking queue (§III-C.2). Here
 		// both sides live in one goroutine, so the engine's batched output
 		// lands directly in the result sink — no channel, no per-event
-		// handoff — and rows flow to emit after the final coalesce.
+		// handoff — and the rows go to emit, whole, after the final coalesce.
 		sink := &reduceSink{clip: spans != nil}
 		if spans != nil {
 			sink.start, sink.end = spans.Owned(part)
@@ -344,13 +345,11 @@ func (t *TiMR) reducer(frag *Fragment, spans *SpanSpec) func(int, [][]mapreduce.
 		}
 		flush()
 		eng.Flush()
-		out := sink.out
+		out := sink.events()
 		if cfg.Coalesce {
 			out = temporal.Coalesce(out)
 		}
-		for _, r := range EventsToRows(out) {
-			emit(r)
-		}
+		emit(EventsToRows(out))
 		return nil
 	}
 }
@@ -363,33 +362,42 @@ const reduceFeedBatch = 1024
 // reduceSink collects a partition engine's output for the reducer,
 // clipping events to the partition's owned span under temporal
 // partitioning. It implements BatchSink, so the engine's batched tail
-// delivers whole runs in one call.
+// delivers whole runs in one call. It gathers in fixed 20 kB chunks, so
+// nothing collected is copied to make room, and events flattens them once.
 type reduceSink struct {
 	clip       bool
 	start, end temporal.Time
-	out        []temporal.Event
+	full       [][]temporal.Event // filled chunks
+	cur        []temporal.Event   // the chunk being filled
 }
 
-func (s *reduceSink) add(e temporal.Event) {
+const reduceSinkChunk = 512
+
+func (s *reduceSink) OnEvent(e temporal.Event) {
 	if s.clip {
 		e.LE, e.RE = maxT(e.LE, s.start), minT(e.RE, s.end)
 		if e.LE >= e.RE {
 			return
 		}
 	}
-	s.out = append(s.out, e)
+	if len(s.cur) == cap(s.cur) {
+		if s.cur != nil {
+			s.full = append(s.full, s.cur)
+		}
+		s.cur = make([]temporal.Event, 0, reduceSinkChunk)
+	}
+	s.cur = append(s.cur, e)
 }
 
-func (s *reduceSink) OnEvent(e temporal.Event) { s.add(e) }
-
 func (s *reduceSink) OnBatch(b *temporal.Batch) {
-	if !s.clip {
-		s.out = append(s.out, b.Events...)
-		return
-	}
 	for _, e := range b.Events {
-		s.add(e)
+		s.OnEvent(e)
 	}
+}
+
+// events returns everything collected as one slice.
+func (s *reduceSink) events() []temporal.Event {
+	return slices.Concat(append(s.full, s.cur)...)
 }
 
 func (s *reduceSink) OnCTI(temporal.Time) {}

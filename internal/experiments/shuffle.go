@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"fmt"
-	"reflect"
 	"runtime"
 	"time"
 
@@ -85,7 +84,7 @@ func Shuffle(c *Context) (*Table, error) {
 	if err != nil {
 		return nil, err
 	}
-	identical := reflect.DeepEqual(serialOut, parOut)
+	identical := serialOut.Equal(parOut)
 
 	t := &Table{
 		Title:  "Parallel shuffle: map-phase fan-out vs serial reference (256k rows)",

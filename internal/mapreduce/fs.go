@@ -164,6 +164,22 @@ func (d *Dataset) Flatten() []Row {
 	return rows
 }
 
+// Equal reports whether two datasets have equal schemas and, partition by
+// partition, equal row sequences (reflect.DeepEqual would compare one byte
+// of a string value). Like Flatten, it panics on an unreadable segment.
+func (d *Dataset) Equal(o *Dataset) bool {
+	if !d.Schema.Equal(o.Schema) || len(d.parts) != len(o.parts) {
+		return false
+	}
+	for p := range d.parts {
+		a, b := &Dataset{parts: d.parts[p : p+1]}, &Dataset{parts: o.parts[p : p+1]}
+		if !temporal.RowsEqual(a.Flatten(), b.Flatten()) {
+			return false
+		}
+	}
+	return true
+}
+
 // FS is the simulated distributed file system (Cosmos/HDFS/GFS stand-in).
 // It is safe for concurrent use.
 type FS struct {

@@ -50,11 +50,13 @@ type Stage struct {
 	// the shuffle output as per-source segment lists (each segment one
 	// shuffle run, resident or spilled) and pulls rows through RowReaders
 	// instead of receiving whole row slices — the out-of-core path TiMR's
-	// reducer P runs on. Each run is a contiguous chunk of one input
-	// partition in its original order, so it is time-sorted whenever that
-	// input partition was, which lets order-sensitive reducers merge runs
-	// instead of re-sorting the whole partition.
-	ReduceSegments func(part int, in [][]Segment, emit func(Row)) error
+	// reducer P runs on. Its emit takes a slice of result rows and keeps
+	// it (never writing past its length): a reducer that emits once hands
+	// its output over without a copy. Each run is a contiguous chunk of
+	// one input partition in its original order, so it is time-sorted
+	// whenever that input partition was, which lets order-sensitive
+	// reducers merge runs instead of re-sorting the whole partition.
+	ReduceSegments func(part int, in [][]Segment, emit func([]Row)) error
 	// RunKey, when set, extracts the sort key each input partition is
 	// ordered by (per source). The map phase uses it to annotate every
 	// shuffle run's Segment.Sorted flag inline, which is the only moment
@@ -455,32 +457,45 @@ func runMapTask(s *Stage, t *mapTask, nparts int) error {
 		}
 		bucketLast = make([]int64, nparts)
 	}
-	route := func(p int, r Row, b int, key int64) {
+	// account tallies row r under bucket p; counts[p] rows went there so far.
+	counts := make([]int, nparts)
+	account := func(p int, r Row, b int) {
 		if bucketLast != nil {
-			if len(t.buckets[p]) > 0 && key < bucketLast[p] {
+			key := s.RunKey(r, t.src)
+			if counts[p] > 0 && key < bucketLast[p] {
 				t.bucketSorted[p] = false
 			}
 			bucketLast[p] = key
 		}
-		t.buckets[p] = append(t.buckets[p], r)
+		counts[p]++
 		t.bucketBytes[p] += b
 		t.dups++
 		t.bytes += b
 	}
-	for _, r := range rows {
-		b := RowBytes(r)
-		var key int64
-		if s.RunKey != nil {
-			key = s.RunKey(r, t.src)
-		}
-		if s.MultiPartition != nil {
+	if s.MultiPartition != nil {
+		// Bucket sizes are unknown until the user function has run: grow.
+		for _, r := range rows {
+			b := RowBytes(r)
 			for _, p := range s.MultiPartition(r, t.src, nparts) {
-				route(p, r, b, key)
+				account(p, r, b)
+				t.buckets[p] = append(t.buckets[p], r)
 			}
-			continue
 		}
+		return nil
+	}
+	// One destination per row: account first, remembering destinations,
+	// then scatter into buckets allocated once at their final size.
+	dest := make([]int32, len(rows))
+	for i, r := range rows {
 		p := int(s.Partition(r, t.src) % uint64(nparts))
-		route(p, r, b, key)
+		dest[i] = int32(p)
+		account(p, r, RowBytes(r))
+	}
+	for p, n := range counts {
+		t.buckets[p] = make([]Row, 0, n)
+	}
+	for i, r := range rows {
+		t.buckets[dest[i]] = append(t.buckets[dest[i]], r)
 	}
 	return nil
 }
@@ -723,6 +738,15 @@ func (c *Cluster) runStageFiles(s *Stage, files *stageFiles) (*StageStat, error)
 				t0 := time.Now()
 				fail := c.injectedFailure(s.Name, p, attempt)
 				emit := func(r Row) { out = append(out, r) }
+				emitRows := func(rows []Row) {
+					if out == nil {
+						// Capacity clipped: a later append copies instead of
+						// growing into an array the reducer may still read.
+						out = rows[:len(rows):len(rows)]
+					} else {
+						out = append(out, rows...)
+					}
+				}
 				var err error
 				panicked := false
 				// Isolate user reducer panics: a panicking reducer is a
@@ -737,7 +761,7 @@ func (c *Cluster) runStageFiles(s *Stage, files *stageFiles) (*StageStat, error)
 						}
 					}()
 					if s.ReduceSegments != nil {
-						err = s.ReduceSegments(p, parts[p], emit)
+						err = s.ReduceSegments(p, parts[p], emitRows)
 					} else {
 						err = s.Reduce(p, in, emit)
 					}

@@ -89,7 +89,7 @@ func benchSpill(b *testing.B, budget int64) {
 	st.Name = "spill"
 	st.Reduce = nil
 	var sum int64 // reducers run concurrently; accumulate atomically
-	st.ReduceSegments = func(part int, in [][]Segment, emit func(Row)) error {
+	st.ReduceSegments = func(part int, in [][]Segment, emit func([]Row)) error {
 		var local int64
 		rd := NewRowReader(in[0]...)
 		for {

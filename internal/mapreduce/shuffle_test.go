@@ -1,8 +1,10 @@
 package mapreduce
 
 import (
+	"math/rand"
 	"reflect"
 	"runtime"
+	"slices"
 	"testing"
 	"time"
 
@@ -57,7 +59,7 @@ func TestParallelMapByteIdenticalToSerial(t *testing.T) {
 	}
 	serial := run(1)
 	for _, workers := range []int{2, 3, 8} {
-		if got := run(workers); !reflect.DeepEqual(serial, got) {
+		if got := run(workers); !serial.Equal(got) {
 			t.Fatalf("MapWorkers=%d shuffle differs from serial", workers)
 		}
 	}
@@ -78,7 +80,7 @@ func TestMapDeterministicAcrossGOMAXPROCS(t *testing.T) {
 	}
 	ref := run(1)
 	for _, procs := range []int{2, 4} {
-		if got := run(procs); !reflect.DeepEqual(ref, got) {
+		if got := run(procs); !ref.Equal(got) {
 			t.Fatalf("GOMAXPROCS=%d produced a different dataset", procs)
 		}
 	}
@@ -119,7 +121,7 @@ func TestShuffleThreadsRunBoundaries(t *testing.T) {
 		Name: "runs", Inputs: []string{"in"}, Output: "out", OutSchema: kvSchema(),
 		NumPartitions: 1,
 		Partition:     func(Row, int) uint64 { return 0 },
-		ReduceSegments: func(part int, in [][]Segment, emit func(Row)) (err error) {
+		ReduceSegments: func(part int, in [][]Segment, emit func([]Row)) (err error) {
 			gotRuns, gotRows, err = segmentRuns(in)
 			return err
 		},
@@ -130,7 +132,7 @@ func TestShuffleThreadsRunBoundaries(t *testing.T) {
 	if want := [][]int{{2, 1, 3}}; !reflect.DeepEqual(gotRuns, want) {
 		t.Fatalf("runs = %v, want %v", gotRuns, want)
 	}
-	if !reflect.DeepEqual(gotRows, in.Flatten()) {
+	if !temporal.RowsEqual(gotRows, in.Flatten()) {
 		t.Fatalf("reducer input order differs from input-partition order")
 	}
 }
@@ -147,12 +149,10 @@ func TestMapChunkingSplitsLargePartitions(t *testing.T) {
 		Name: "chunks", Inputs: []string{"in"}, Output: "out", OutSchema: kvSchema(),
 		NumPartitions: 1,
 		Partition:     func(Row, int) uint64 { return 0 },
-		ReduceSegments: func(part int, in [][]Segment, emit func(Row)) error {
+		ReduceSegments: func(part int, in [][]Segment, emit func([]Row)) error {
 			runs, rows, err := segmentRuns(in)
 			gotRuns = runs
-			for _, r := range rows {
-				emit(r)
-			}
+			emit(rows)
 			return err
 		},
 	}
@@ -166,7 +166,7 @@ func TestMapChunkingSplitsLargePartitions(t *testing.T) {
 	if got := len(stat.Stages[0].Maps); got != 2 {
 		t.Fatalf("map tasks = %d, want 2", got)
 	}
-	if !reflect.DeepEqual(c.FS.MustRead("out").Flatten(), rows) {
+	if !temporal.RowsEqual(c.FS.MustRead("out").Flatten(), rows) {
 		t.Fatal("chunked shuffle reordered rows")
 	}
 }
@@ -286,5 +286,124 @@ func TestMapPhaseAccounting(t *testing.T) {
 	}
 	if st.TotalMapTime() <= 0 {
 		t.Error("TotalMapTime must be positive after a real run")
+	}
+}
+
+// TestMapTaskScatterMatchesAppend: the count-then-scatter map task fills
+// its buckets exactly as the append-grown loop it replaced (commit
+// 270cf47) did — contents, order, byte volume, run sortedness, totals —
+// and allocates each bucket once.
+func TestMapTaskScatterMatchesAppend(t *testing.T) {
+	const nparts = 8
+	rng := rand.New(rand.NewSource(18))
+	rows := make([]Row, 10_000)
+	for i := range rows {
+		// V ascends with the odd dip, so some buckets stay sorted by it
+		// and some do not.
+		v := int64(i)
+		if rng.Intn(2000) == 0 {
+			v -= 50
+		}
+		rows[i] = Row{temporal.Int(rng.Int63n(1000)), temporal.Int(v)}
+	}
+	for _, withKey := range []bool{false, true} {
+		st := &Stage{Partition: PartitionByCols([][]int{{0}})}
+		if withKey {
+			st.RunKey = func(r Row, _ int) int64 { return r[1].AsInt() }
+		}
+		got := &mapTask{rows: rows}
+		if err := runMapTask(st, got, nparts); err != nil {
+			t.Fatal(err)
+		}
+
+		buckets := make([][]Row, nparts)
+		bucketBytes := make([]int, nparts)
+		bucketSorted := make([]bool, nparts)
+		last := make([]int64, nparts)
+		total := 0
+		for p := range bucketSorted {
+			bucketSorted[p] = true
+		}
+		for _, r := range rows {
+			p := int(st.Partition(r, 0) % nparts)
+			if len(buckets[p]) > 0 && r[1].AsInt() < last[p] {
+				bucketSorted[p] = false
+			}
+			last[p] = r[1].AsInt()
+			buckets[p] = append(buckets[p], r)
+			bucketBytes[p] += RowBytes(r)
+			total += RowBytes(r)
+		}
+		sortedRuns := 0
+		for p := range buckets {
+			if !temporal.RowsEqual(got.buckets[p], buckets[p]) || got.bucketBytes[p] != bucketBytes[p] {
+				t.Fatalf("RunKey=%v: bucket %d differs from the append-grown reference", withKey, p)
+			}
+			if cap(got.buckets[p]) != len(buckets[p]) {
+				t.Errorf("RunKey=%v: bucket %d has capacity %d for %d rows", withKey, p, cap(got.buckets[p]), len(buckets[p]))
+			}
+			if withKey && got.bucketSorted[p] != bucketSorted[p] {
+				t.Errorf("RunKey=%v: bucket %d sorted = %v, want %v", withKey, p, got.bucketSorted[p], bucketSorted[p])
+			}
+			if bucketSorted[p] {
+				sortedRuns++
+			}
+		}
+		if withKey && (sortedRuns == 0 || sortedRuns == nparts) {
+			t.Fatalf("input leaves %d of %d buckets sorted; want a mix", sortedRuns, nparts)
+		}
+		if !withKey && got.bucketSorted != nil {
+			t.Error("bucketSorted set without a RunKey")
+		}
+		if got.dups != len(rows) || got.bytes != total || got.stat.Rows != len(rows) {
+			t.Errorf("RunKey=%v: dups %d bytes %d rows %d, want %d %d %d", withKey, got.dups, got.bytes, got.stat.Rows, len(rows), total, len(rows))
+		}
+	}
+
+	// A count, not a timing: the bucket directory, the byte and row
+	// tallies, the destination vector, and one array per bucket.
+	st := &Stage{Partition: PartitionByCols([][]int{{0}})}
+	allocs := testing.AllocsPerRun(10, func() {
+		if err := runMapTask(st, &mapTask{rows: rows}, nparts); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs > nparts+4 {
+		t.Errorf("runMapTask allocates %.0f objects for a 10 000-row chunk over %d partitions, want at most %d", allocs, nparts, nparts+4)
+	}
+}
+
+// TestReduceSegmentsBulkEmit: every slice a ReduceSegments reducer emits
+// reaches the output, in emit order — also when they are sub-slices of one
+// array the reducer still reads from — and a failed attempt's batches are
+// discarded whole.
+func TestReduceSegmentsBulkEmit(t *testing.T) {
+	c := NewCluster(Config{Machines: 2, FailureRate: 0.5, MaxAttempts: 20, Seed: 3})
+	rows := kvRows(100)
+	c.FS.Write("in", SinglePartition(kvSchema(), rows))
+	st := Stage{
+		Name: "bulk", Inputs: []string{"in"}, Output: "out", OutSchema: kvSchema(),
+		NumPartitions: 1,
+		Partition:     func(Row, int) uint64 { return 0 },
+		ReduceSegments: func(part int, in [][]Segment, emit func([]Row)) error {
+			_, all, err := segmentRuns(in)
+			emit(all[:40])
+			emit(nil)
+			emit(all[50:])
+			emit(all[40:41])
+			emit(all[41:50])
+			return err
+		},
+	}
+	stat, err := c.Run(st)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if stat.Stages[0].Failures == 0 {
+		t.Fatal("no attempt failed; the test needs a retried task")
+	}
+	want := slices.Concat(rows[:40], rows[50:], rows[40:50])
+	if got := c.FS.MustRead("out").Flatten(); !temporal.RowsEqual(got, want) {
+		t.Fatalf("bulk-emitted output has %d rows, differs from the %d emitted", len(got), len(want))
 	}
 }

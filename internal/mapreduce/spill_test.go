@@ -3,7 +3,6 @@ package mapreduce
 import (
 	"os"
 	"path/filepath"
-	"reflect"
 	"testing"
 
 	"timr/internal/temporal"
@@ -36,7 +35,7 @@ func TestSpilledSegmentRoundtrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(got, rows) {
+	if !temporal.RowsEqual(got, rows) {
 		t.Fatal("spill roundtrip changed rows")
 	}
 	// Reader path must deliver the same sequence.
@@ -52,7 +51,7 @@ func TestSpilledSegmentRoundtrip(t *testing.T) {
 			}
 			break
 		}
-		if !reflect.DeepEqual(r, rows[i]) {
+		if !r.Equal(rows[i]) {
 			t.Fatalf("row %d mismatch", i)
 		}
 	}
@@ -79,7 +78,7 @@ func TestRowReaderMixedSegments(t *testing.T) {
 		}
 		got = append(got, r)
 	}
-	if !reflect.DeepEqual(got, want) {
+	if !temporal.RowsEqual(got, want) {
 		t.Fatal("mixed-segment reader order mismatch")
 	}
 }
@@ -119,7 +118,7 @@ func TestMemoryBudgetOutputEquivalence(t *testing.T) {
 	}
 	for _, budget := range []int64{SpillAll, 1, 512, 16 << 10} {
 		got, stat := run(budget)
-		if !reflect.DeepEqual(got, want) {
+		if !temporal.RowsEqual(got, want) {
 			t.Fatalf("budget=%d output differs from resident run", budget)
 		}
 		if budget == SpillAll || budget == 1 {
@@ -171,7 +170,7 @@ func TestSpillRunSortednessAnnotation(t *testing.T) {
 			NumPartitions: 1,
 			Partition:     func(Row, int) uint64 { return 0 },
 			RunKey:        func(r Row, src int) int64 { return r[1].AsInt() },
-			ReduceSegments: func(part int, in [][]Segment, emit func(Row)) error {
+			ReduceSegments: func(part int, in [][]Segment, emit func([]Row)) error {
 				for _, segs := range in {
 					for i := range segs {
 						totalSegs++

@@ -1,0 +1,199 @@
+package temporal
+
+import (
+	"math/rand"
+	"sort"
+	"testing"
+)
+
+// coalesceReference is Coalesce as it stood at commit 270cf47: two
+// reflection-driven stable sorts and an unconditional copy. The rewrite
+// must return the same sequence.
+func coalesceReference(events []Event) []Event {
+	if len(events) == 0 {
+		return events
+	}
+	stable := func(evs []Event) {
+		sort.SliceStable(evs, func(i, j int) bool { return eventBefore(evs[i], evs[j]) })
+	}
+	stable(events)
+	out := make([]Event, 0, len(events))
+	pending := make(map[uint64][]int)
+	for _, e := range events {
+		h := HashSeed
+		for _, v := range e.Payload {
+			h = v.Hash(h)
+		}
+		merged := false
+		cand := pending[h]
+		live := cand[:0]
+		for _, i := range cand {
+			if out[i].RE < e.LE {
+				continue
+			}
+			live = append(live, i)
+			if !merged && out[i].RE == e.LE && out[i].Payload.Equal(e.Payload) {
+				out[i].RE = e.RE
+				merged = true
+			}
+		}
+		if !merged {
+			out = append(out, e)
+			live = append(live, len(out)-1)
+		}
+		if len(live) > 0 {
+			pending[h] = live
+		} else {
+			delete(pending, h)
+		}
+	}
+	stable(out)
+	return out
+}
+
+// coalesceInput draws one input of the given shape. Every payload is its
+// own allocation, so payload identity tells equal events apart.
+func coalesceInput(rng *rand.Rand, shape int) []Event {
+	row := func(vals ...int64) Row {
+		r := make(Row, len(vals))
+		for i, v := range vals {
+			r[i] = Int(v)
+		}
+		return r
+	}
+	n := 1 + rng.Intn(60)
+	var evs []Event
+	switch shape {
+	case 0: // empty
+	case 1: // single
+		evs = append(evs, Event{LE: 5, RE: 9, Payload: row(1)})
+	case 2: // point events, unique payloads: nothing to merge
+		for i := 0; i < n; i++ {
+			evs = append(evs, PointEvent(Time(rng.Intn(40)), row(int64(i), int64(rng.Intn(3)))))
+		}
+	case 3: // aggregates fragmented at CTIs: chains of abutting pieces, few payloads
+		for k := 0; k < 1+rng.Intn(4); k++ {
+			t := Time(rng.Intn(10))
+			for i := 0; i < n/2; i++ {
+				w := Time(1 + rng.Intn(5))
+				evs = append(evs, Event{LE: t, RE: t + w, Payload: row(int64(rng.Intn(3)))})
+				t += w
+				if rng.Intn(6) == 0 {
+					t += Time(rng.Intn(3)) // sometimes a gap
+				}
+			}
+		}
+	case 4: // duplicates: the same lifetime and payload several times
+		for i := 0; i < n; i++ {
+			t := Time(rng.Intn(6))
+			evs = append(evs, Event{LE: t, RE: t + 2, Payload: row(int64(rng.Intn(2)))})
+		}
+	case 5: // equal payloads with gaps and with overlaps
+		for i := 0; i < n; i++ {
+			t := Time(rng.Intn(30))
+			evs = append(evs, Event{LE: t, RE: t + Time(1+rng.Intn(8)), Payload: row(7, int64(rng.Intn(2)))})
+		}
+	case 6: // equal-LE ties, payloads arriving in reverse order
+		for i := 0; i < n; i++ {
+			t := Time(rng.Intn(4))
+			evs = append(evs, Event{LE: t, RE: t + Time(1+rng.Intn(2)), Payload: row(int64(n - i))})
+		}
+	}
+	if rng.Intn(2) == 0 {
+		rng.Shuffle(len(evs), func(i, j int) { evs[i], evs[j] = evs[j], evs[i] })
+	} else {
+		sort.SliceStable(evs, func(i, j int) bool { return evs[i].LE < evs[j].LE }) // what an engine emits
+	}
+	return evs
+}
+
+// sameEvents is EventsEqual plus payload identity: position i holds the
+// very event want holds there, not merely an equal one.
+func sameEvents(got, want []Event) bool {
+	if !EventsEqual(got, want) {
+		return false
+	}
+	for i := range got {
+		if len(got[i].Payload) > 0 && &got[i].Payload[0] != &want[i].Payload[0] {
+			return false
+		}
+	}
+	return true
+}
+
+func TestCoalesceMatchesReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(18))
+	aliased, fresh := 0, 0
+	for trial := 0; trial < 200; trial++ {
+		shape := trial % 7
+		in := coalesceInput(rng, shape)
+		arg := append([]Event(nil), in...)
+		want := coalesceReference(append([]Event(nil), in...))
+		sortedIn := append([]Event(nil), in...)
+		sort.SliceStable(sortedIn, func(i, j int) bool { return eventBefore(sortedIn[i], sortedIn[j]) })
+
+		got := Coalesce(arg)
+		if !sameEvents(got, want) {
+			t.Fatalf("trial %d (shape %d): Coalesce differs from the reference\nin:   %v\ngot:  %v\nwant: %v", trial, shape, in, got, want)
+		}
+		// The argument is left as the stably sorted permutation of what
+		// was passed — what Engine.RawResults after Engine.Results shows.
+		if !sameEvents(arg, sortedIn) {
+			t.Fatalf("trial %d (shape %d): argument not left stably sorted and intact\nin:    %v\nafter: %v\nwant:  %v", trial, shape, in, arg, sortedIn)
+		}
+		if len(got) == len(arg) && len(arg) > 0 {
+			if &got[0] != &arg[0] {
+				t.Fatalf("trial %d (shape %d): nothing merged, yet the result is a copy", trial, shape)
+			}
+			aliased++
+		} else if len(got) > 0 {
+			if &got[0] == &arg[0] {
+				t.Fatalf("trial %d (shape %d): events merged into the argument's own array", trial, shape)
+			}
+			fresh++
+		}
+	}
+	if aliased < 20 || fresh < 20 {
+		t.Fatalf("inputs exercised %d aliasing and %d merging runs; want at least 20 of each", aliased, fresh)
+	}
+}
+
+func noMergeEvents(n int) []Event {
+	slab := make(Row, 2*n)
+	evs := make([]Event, n)
+	for i := range evs {
+		row := slab[2*i : 2*i+2 : 2*i+2]
+		row[0], row[1] = Int(int64(i)), Int(int64(i%7))
+		evs[i] = PointEvent(Time(i/3), row)
+	}
+	return evs
+}
+
+// TestCoalesceNoMergeAllocs counts, not times: with nothing to merge,
+// Coalesce allocates what its pending map does — an index slice per
+// distinct payload plus the map's growth, measured here by running the
+// map alone (10 079 objects) — and nothing else. At commit 270cf47 it also
+// allocated the 400 kB copy and sort.SliceStable's reflection swappers,
+// seven objects more.
+func TestCoalesceNoMergeAllocs(t *testing.T) {
+	evs := noMergeEvents(10_000)
+	Coalesce(evs) // sort once; later runs see what a reducer hands over
+	pendingOnly := testing.AllocsPerRun(5, func() {
+		pending := make(map[uint64][]int)
+		for i, e := range evs {
+			h := HashSeed
+			for _, v := range e.Payload {
+				h = v.Hash(h)
+			}
+			pending[h] = append(pending[h][:0:0], i)
+		}
+	})
+	allocs := testing.AllocsPerRun(5, func() {
+		if got := Coalesce(evs); len(got) != len(evs) || &got[0] != &evs[0] {
+			t.Fatalf("a no-merge input came back as %d events, copied %v", len(got), &got[0] != &evs[0])
+		}
+	})
+	if allocs > pendingOnly+2 {
+		t.Errorf("Coalesce allocates %.0f objects for 10 000 events with nothing to merge, its pending map alone %.0f; want at most 2 more", allocs, pendingOnly)
+	}
+}

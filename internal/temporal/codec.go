@@ -3,7 +3,6 @@ package temporal
 import (
 	"encoding/binary"
 	"fmt"
-	"math"
 	"math/bits"
 )
 
@@ -74,11 +73,11 @@ func (w *Encoder) Value(v Value) {
 	switch v.kind {
 	case KindNull:
 	case KindFloat:
-		w.Uvarint(math.Float64bits(v.f))
+		w.Uvarint(v.n)
 	case KindString:
-		w.String(v.s)
+		w.String(v.str())
 	default: // int, bool
-		w.Varint(v.i)
+		w.Varint(int64(v.n))
 	}
 }
 
@@ -102,11 +101,11 @@ func (v Value) EncodedLen() int {
 	case KindNull:
 		return 1
 	case KindFloat:
-		return 1 + uvarintLen(math.Float64bits(v.f))
+		return 1 + uvarintLen(v.n)
 	case KindString:
-		return 1 + uvarintLen(uint64(len(v.s))) + len(v.s)
+		return 1 + uvarintLen(v.n) + int(v.n)
 	default: // int, bool
-		return 1 + varintLen(v.i)
+		return 1 + varintLen(int64(v.n))
 	}
 }
 
@@ -268,11 +267,11 @@ func (r *Decoder) Value() Value {
 	case KindNull:
 		return Null
 	case KindFloat:
-		return Float(math.Float64frombits(r.Uvarint()))
+		return Value{kind: KindFloat, n: r.Uvarint()}
 	case KindString:
-		return Value{kind: KindString, s: r.String()}
+		return String(r.String())
 	case KindInt, KindBool:
-		return Value{kind: kind, i: r.Varint()}
+		return Value{kind: kind, n: uint64(r.Varint())}
 	default:
 		r.fail("unknown value kind %d", kind)
 		return Null

@@ -2,6 +2,7 @@ package temporal
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"timr/internal/obs"
@@ -244,12 +245,13 @@ func RestoreEngine(plan *Plan, snap []byte, opts ...Option) (*Engine, error) {
 }
 
 // Results returns the collected output, coalesced and sorted, when the
-// engine was built with an internal collector.
+// engine was built with an internal collector. The slice is the caller's:
+// later feeding does not change it.
 func (e *Engine) Results() []Event {
 	if e.collect == nil {
 		return nil
 	}
-	return Coalesce(e.collect.Events)
+	return Coalesce(slices.Clone(e.collect.Events))
 }
 
 // RawResults returns output events as emitted (fragmented at CTI
@@ -353,7 +355,8 @@ func RunPlan(plan *Plan, inputs map[string][]Event) ([]Event, error) {
 	}
 	eng.FeedSorted(all)
 	eng.Flush()
-	return eng.Results(), nil
+	// The engine ends here, so its collector's buffer is handed over as is.
+	return Coalesce(eng.collect.Events), nil
 }
 
 // RowsToPointEvents converts rows to point events using the values of the

@@ -3,7 +3,7 @@ package temporal
 import (
 	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 )
 
 // Time is application time in milliseconds since an arbitrary epoch. The
@@ -58,7 +58,7 @@ func (e Event) String() string {
 // nondecreasing-LE input; full ordering makes test assertions and the
 // repeatability guarantee (identical output on reducer restart) exact.
 func SortEvents(events []Event) {
-	sort.SliceStable(events, func(i, j int) bool { return eventBefore(events[i], events[j]) })
+	slices.SortStableFunc(events, compareEvents)
 }
 
 // compareEvents is the canonical engine order: (LE, RE, payload).
@@ -99,6 +99,13 @@ func EventsEqual(a, b []Event) bool {
 		}
 	}
 	return true
+}
+
+// RowsEqual reports whether two row slices hold equal rows in the same
+// order. reflect.DeepEqual does not: it follows a Value's data pointer and
+// compares one byte, so strings equal in length and first byte pass.
+func RowsEqual(a, b []Row) bool {
+	return slices.EqualFunc(a, b, Row.Equal)
 }
 
 // Sink is the per-event push interface every physical operator

@@ -1,6 +1,9 @@
 package temporal
 
 import (
+	"cmp"
+	"math"
+	"slices"
 	"sort"
 
 	"timr/internal/obs"
@@ -115,42 +118,74 @@ func (s *avgState) restore(r *SnapshotReader) {
 // ---- Min / Max ----
 //
 // Min/Max cannot be maintained by a single accumulator under removals; we
-// keep a multiset (Value is comparable, so it keys a map directly) plus a
-// lazily-cleaned heap of candidate extrema.
+// keep a multiset plus a lazily-cleaned heap of candidate extrema.
+
+// minMaxKey is a Value made comparable, to key the multiset. Key equality
+// is Value.Equal (floats canonicalised, -0 to +0), except that every NaN
+// is one key: under Equal a NaN entry could be inserted but never removed.
+type minMaxKey struct {
+	kind Kind
+	bits uint64
+	s    string
+}
+
+func keyOf(v Value) minMaxKey {
+	k := minMaxKey{kind: v.kind, bits: v.n}
+	switch f := math.Float64frombits(v.n); {
+	case v.kind == KindString:
+		k.s = v.str()
+	case v.kind == KindFloat && math.IsNaN(f):
+		k.bits = math.Float64bits(math.NaN())
+	case v.kind == KindFloat && f == 0:
+		k.bits = 0
+	}
+	return k
+}
+
+// minMaxCount is one multiset entry; v, the value last inserted or removed
+// under the key, is what a snapshot writes (±0 differ in bits).
+type minMaxCount struct {
+	v Value
+	n int
+}
 
 type minMaxState struct {
 	col    int
-	counts map[Value]int
+	counts map[minMaxKey]minMaxCount
 	h      minHeap[Value] // "least" is greatest for Max
 }
 
+// A NaN compares 0 to every float, so among {NaN, x} the extremum is
+// whichever was inserted first.
 func newMinMaxState(col int, max bool) *minMaxState {
 	less := func(a, b Value) bool { return a.Compare(b) < 0 }
 	if max {
 		less = func(a, b Value) bool { return a.Compare(b) > 0 }
 	}
-	return &minMaxState{col: col, counts: make(map[Value]int), h: minHeap[Value]{less: less}}
+	return &minMaxState{col: col, counts: make(map[minMaxKey]minMaxCount), h: minHeap[Value]{less: less}}
 }
 
 func (s *minMaxState) Insert(r Row) {
 	v := r[s.col]
-	s.counts[v]++
+	k := keyOf(v)
+	s.counts[k] = minMaxCount{v: v, n: s.counts[k].n + 1}
 	s.h.push(v)
 }
 
 func (s *minMaxState) Remove(r Row) {
 	v := r[s.col]
-	if n := s.counts[v]; n <= 1 {
-		delete(s.counts, v)
+	k := keyOf(v)
+	if n := s.counts[k].n; n <= 1 {
+		delete(s.counts, k)
 	} else {
-		s.counts[v] = n - 1
+		s.counts[k] = minMaxCount{v: v, n: n - 1}
 	}
 }
 
 func (s *minMaxState) Result() Value {
 	for len(s.h.items) > 0 {
 		top := s.h.items[0]
-		if s.counts[top] > 0 {
+		if s.counts[keyOf(top)].n > 0 {
 			return top
 		}
 		s.h.pop() // stale entry from a removed event
@@ -164,21 +199,27 @@ func (s *minMaxState) reset() {
 	s.h.items = s.h.items[:0]
 }
 
-// snapshot writes the live multiset in value order. The lazily-cleaned
+// snapshot writes the live multiset in value order (a NaN, which Compare
+// ties with every float, first among floats). The lazily-cleaned
 // candidate heap is not serialized: it only ever holds a superset of the
 // live values, so rebuilding it with exactly one entry per distinct live
 // value is behaviorally equivalent (Result prunes stale entries lazily
 // either way).
 func (s *minMaxState) snapshot(w *SnapshotWriter) {
-	vals := make([]Value, 0, len(s.counts))
-	for v := range s.counts {
-		vals = append(vals, v)
+	live := make([]minMaxCount, 0, len(s.counts))
+	for _, c := range s.counts {
+		live = append(live, c)
 	}
-	sort.Slice(vals, func(i, j int) bool { return vals[i].Compare(vals[j]) < 0 })
-	w.Uvarint(uint64(len(vals)))
-	for _, v := range vals {
-		w.Value(v)
-		w.Varint(int64(s.counts[v]))
+	slices.SortFunc(live, func(a, b minMaxCount) int {
+		if a.v.kind == KindFloat && b.v.kind == KindFloat {
+			return cmp.Compare(a.v.AsFloat(), b.v.AsFloat())
+		}
+		return a.v.Compare(b.v)
+	})
+	w.Uvarint(uint64(len(live)))
+	for _, c := range live {
+		w.Value(c.v)
+		w.Varint(int64(c.n))
 	}
 }
 
@@ -190,7 +231,7 @@ func (s *minMaxState) restore(r *SnapshotReader) {
 		if r.Err() != nil {
 			return
 		}
-		s.counts[v] = c
+		s.counts[keyOf(v)] = minMaxCount{v: v, n: c}
 		s.h.push(v)
 	}
 }
@@ -362,7 +403,10 @@ func minTime(a, b Time) Time {
 
 // Coalesce merges abutting events with equal payloads ([a,b)+[b,c) with
 // the same row become [a,c)). Snapshot aggregates fragmented by CTIs are
-// restored to canonical form; the input must be sorted (SortEvents order).
+// restored to canonical form. It sorts events in place (SortEvents order)
+// and otherwise leaves them intact; the result aliases events until the
+// first merge — with nothing to merge it is the sorted argument itself —
+// so a caller that reuses the argument's array must copy the result first.
 func Coalesce(events []Event) []Event {
 	if len(events) == 0 {
 		return events
@@ -372,9 +416,10 @@ func Coalesce(events []Event) []Event {
 	// via a pending map is enough: fragments of one logical event are
 	// emitted in LE order.
 	SortEvents(events)
-	out := make([]Event, 0, len(events))
+	out := events[:0] // a prefix of events until the first merge copies it
+	copied := false
 	pending := make(map[uint64][]int) // payload hash -> indexes in out still extendable
-	for _, e := range events {
+	for n, e := range events {
 		h := HashSeed
 		for _, v := range e.Payload {
 			h = v.Hash(h)
@@ -392,11 +437,16 @@ func Coalesce(events []Event) []Event {
 			}
 			live = append(live, i)
 			if !merged && out[i].RE == e.LE && out[i].Payload.Equal(e.Payload) {
+				if !copied {
+					out = append(make([]Event, 0, len(events)), events[:n]...)
+					copied = true
+				}
 				out[i].RE = e.RE
 				merged = true
 			}
 		}
 		if !merged {
+			// Before the first merge this rewrites events[n] with itself.
 			out = append(out, e)
 			live = append(live, len(out)-1)
 		}
@@ -406,6 +456,9 @@ func Coalesce(events []Event) []Event {
 			delete(pending, h)
 		}
 	}
-	SortEvents(out)
+	if copied {
+		// Extending an RE can only have moved events among their LE ties.
+		SortEvents(out)
+	}
 	return out
 }

@@ -19,10 +19,13 @@
 package temporal
 
 import (
+	"cmp"
 	"fmt"
 	"hash/fnv"
 	"math"
 	"strconv"
+	"strings"
+	"unsafe"
 )
 
 // Kind enumerates the dynamic type of a Value.
@@ -55,32 +58,39 @@ func (k Kind) String() string {
 	}
 }
 
-// Value is a compact tagged union holding one column value. The zero Value
-// is null. Using a concrete struct (rather than interface{}) keeps rows
-// free of per-value heap allocations on the engine's hot paths.
+// Value is a compact tagged union holding one column value in 24 bytes.
+// The zero Value is null. Using a concrete struct (rather than
+// interface{}) keeps rows free of per-value heap allocations on the
+// engine's hot paths. n carries the int64 bits, the bool (0/1), the
+// math.Float64bits of a float, or a string's length; p is the string's
+// bytes, nil for every other kind. With a data pointer inside, == would
+// compare string addresses: the zero-size func array makes Value
+// non-comparable, so == and map keys do not compile. Use Equal.
 type Value struct {
+	_    [0]func()
+	p    *byte
+	n    uint64
 	kind Kind
-	i    int64 // also carries bool (0/1)
-	f    float64
-	s    string
 }
 
 // Int returns an integer value.
-func Int(v int64) Value { return Value{kind: KindInt, i: v} }
+func Int(v int64) Value { return Value{kind: KindInt, n: uint64(v)} }
 
 // Float returns a floating-point value.
-func Float(v float64) Value { return Value{kind: KindFloat, f: v} }
+func Float(v float64) Value { return Value{kind: KindFloat, n: math.Float64bits(v)} }
 
-// String returns a string value.
-func String(v string) Value { return Value{kind: KindString, s: v} }
+// String returns a string value. The value shares v's bytes.
+func String(v string) Value {
+	return Value{kind: KindString, p: unsafe.StringData(v), n: uint64(len(v))}
+}
 
 // Bool returns a boolean value.
 func Bool(v bool) Value {
-	var i int64
+	var n uint64
 	if v {
-		i = 1
+		n = 1
 	}
-	return Value{kind: KindBool, i: i}
+	return Value{kind: KindBool, n: n}
 }
 
 // Null is the null value.
@@ -99,16 +109,16 @@ func (v Value) AsInt() int64 {
 	if v.kind != KindInt {
 		panic("temporal: AsInt on " + v.kind.String())
 	}
-	return v.i
+	return int64(v.n)
 }
 
 // AsFloat returns the float payload, widening ints.
 func (v Value) AsFloat() float64 {
 	switch v.kind {
 	case KindFloat:
-		return v.f
+		return math.Float64frombits(v.n)
 	case KindInt:
-		return float64(v.i)
+		return float64(int64(v.n))
 	default:
 		panic("temporal: AsFloat on " + v.kind.String())
 	}
@@ -119,31 +129,33 @@ func (v Value) AsString() string {
 	if v.kind != KindString {
 		panic("temporal: AsString on " + v.kind.String())
 	}
-	return v.s
+	return v.str()
 }
+
+// str rebuilds the string a KindString value was made from.
+func (v Value) str() string { return unsafe.String(v.p, int(v.n)) }
 
 // AsBool returns the boolean payload.
 func (v Value) AsBool() bool {
 	if v.kind != KindBool {
 		panic("temporal: AsBool on " + v.kind.String())
 	}
-	return v.i != 0
+	return v.n != 0
 }
 
-// Equal reports deep equality of two values (kind and payload).
+// Equal reports deep equality of two values (kind and payload). Floats
+// compare by value: -0 equals +0 and NaN equals nothing.
 func (v Value) Equal(o Value) bool {
 	if v.kind != o.kind {
 		return false
 	}
 	switch v.kind {
-	case KindNull:
-		return true
 	case KindFloat:
-		return v.f == o.f
+		return math.Float64frombits(v.n) == math.Float64frombits(o.n)
 	case KindString:
-		return v.s == o.s
-	default:
-		return v.i == o.i
+		return v.str() == o.str()
+	default: // null, int, bool
+		return v.n == o.n
 	}
 }
 
@@ -152,38 +164,22 @@ func (v Value) Equal(o Value) bool {
 // sort-based operators total.
 func (v Value) Compare(o Value) int {
 	if v.kind != o.kind {
-		if v.kind < o.kind {
-			return -1
-		}
-		return 1
+		return cmp.Compare(v.kind, o.kind)
 	}
 	switch v.kind {
-	case KindNull:
-		return 0
 	case KindFloat:
+		a, b := math.Float64frombits(v.n), math.Float64frombits(o.n)
 		switch {
-		case v.f < o.f:
+		case a < b:
 			return -1
-		case v.f > o.f:
+		case a > b:
 			return 1
 		}
-		return 0
+		return 0 // equal, or a NaN: it ties with every float
 	case KindString:
-		switch {
-		case v.s < o.s:
-			return -1
-		case v.s > o.s:
-			return 1
-		}
-		return 0
-	default:
-		switch {
-		case v.i < o.i:
-			return -1
-		case v.i > o.i:
-			return 1
-		}
-		return 0
+		return strings.Compare(v.str(), o.str())
+	default: // null, int, bool
+		return cmp.Compare(int64(v.n), int64(o.n))
 	}
 }
 
@@ -193,19 +189,16 @@ func (v Value) Hash(h uint64) uint64 {
 	const prime = 1099511628211
 	h ^= uint64(v.kind)
 	h *= prime
-	switch v.kind {
-	case KindString:
-		for i := 0; i < len(v.s); i++ {
-			h ^= uint64(v.s[i])
+	if v.kind == KindString {
+		s := v.str()
+		for i := 0; i < len(s); i++ {
+			h ^= uint64(s[i])
 			h *= prime
 		}
-	case KindFloat:
-		h ^= math.Float64bits(v.f)
-		h *= prime
-	default:
-		h ^= uint64(v.i)
-		h *= prime
+		return h
 	}
+	h ^= v.n
+	h *= prime
 	return h
 }
 
@@ -215,13 +208,13 @@ func (v Value) String() string {
 	case KindNull:
 		return "NULL"
 	case KindInt:
-		return strconv.FormatInt(v.i, 10)
+		return strconv.FormatInt(int64(v.n), 10)
 	case KindFloat:
-		return strconv.FormatFloat(v.f, 'g', 6, 64)
+		return strconv.FormatFloat(math.Float64frombits(v.n), 'g', 6, 64)
 	case KindString:
-		return v.s
+		return v.str()
 	case KindBool:
-		return strconv.FormatBool(v.i != 0)
+		return strconv.FormatBool(v.n != 0)
 	}
 	return "?"
 }
