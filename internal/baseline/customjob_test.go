@@ -11,6 +11,15 @@ import (
 	"timr/internal/workload"
 )
 
+func mustReadAll(t *testing.T, ds *mapreduce.Dataset) []mapreduce.Row {
+	t.Helper()
+	rows, err := ds.ReadAll()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return rows
+}
+
 func TestCustomBTJobMatchesTiMRPipeline(t *testing.T) {
 	// The full Figure-14 comparison is only fair if the staged custom job
 	// computes the same result as TiMR's pipeline on the same cluster.
@@ -52,7 +61,7 @@ func TestCustomBTJobMatchesTiMRPipeline(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	customTrain := cl1.FS.MustRead(CustomDSTrain).Flatten()
+	customTrain := mustReadAll(t, cl1.FS.MustRead(CustomDSTrain))
 	sameRowMultiset(t, "train", customTrain, eventPayloadRows(timrTrain))
 
 	// And the reduced datasets.
@@ -60,11 +69,11 @@ func TestCustomBTJobMatchesTiMRPipeline(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	customReduced := cl1.FS.MustRead(CustomDSReduced).Flatten()
+	customReduced := mustReadAll(t, cl1.FS.MustRead(CustomDSReduced))
 	sameRowMultiset(t, "reduced", customReduced, eventPayloadRows(timrReduced))
 
 	// Models from the staged job must parse and carry weights.
-	models := cl1.FS.MustRead(CustomDSModels).Flatten()
+	models := mustReadAll(t, cl1.FS.MustRead(CustomDSModels))
 	if len(models) == 0 {
 		t.Fatal("no models")
 	}
@@ -96,7 +105,7 @@ func TestCustomBTJobDeterministicUnderFailures(t *testing.T) {
 		if _, err := CustomBTJob(cl, "events", cp); err != nil {
 			t.Fatal(err)
 		}
-		got := cl.FS.MustRead(CustomDSTrain).Flatten()
+		got := mustReadAll(t, cl.FS.MustRead(CustomDSTrain))
 		if ref == nil {
 			ref = got
 		} else {

@@ -11,6 +11,7 @@ package bt
 
 import (
 	"bytes"
+	"sort"
 	"testing"
 
 	"timr/internal/temporal"
@@ -53,20 +54,21 @@ func splitRuns(p *temporal.Plan) *temporal.Plan {
 // and returns the coalesced output for chaining.
 func runPhaseBoth(t *testing.T, name string, plan func() *temporal.Plan, inputs map[string][]temporal.Event) []temporal.Event {
 	t.Helper()
-	var all []temporal.SourceEvent
+	// Both engines must see the identical feed order: one run per source, in
+	// name order (the merged ingest writes to neither).
+	var runs []temporal.Run
 	for src, evs := range inputs {
-		for _, ev := range evs {
-			all = append(all, temporal.SourceEvent{Source: src, Event: ev})
-		}
+		runs = append(runs, temporal.Run{Source: src, Events: evs})
 	}
+	sort.Slice(runs, func(i, j int) bool { return runs[i].Source < runs[j].Source })
 	run := func(p *temporal.Plan) (*temporal.Engine, []byte) {
 		eng, err := temporal.NewEngine(p)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
-		// Each engine gets its own copy: FeedSorted may sort in place,
-		// and both engines must see the identical initial order.
-		eng.FeedSorted(append([]temporal.SourceEvent(nil), all...))
+		if _, err := eng.FeedMerged(runs); err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
 		snap := eng.Checkpoint()
 		eng.Flush()
 		return eng, snap

@@ -6,6 +6,7 @@ import (
 	"sort"
 	"testing"
 
+	"timr/internal/mapreduce"
 	"timr/internal/temporal"
 )
 
@@ -18,6 +19,50 @@ func stableOrder(les []temporal.Time) []int32 {
 	}
 	sort.SliceStable(order, func(i, j int) bool { return les[order[i]] < les[order[j]] })
 	return order
+}
+
+var mergeTestSchema = temporal.NewSchema(
+	temporal.Field{Name: "LE", Kind: temporal.KindInt},
+	temporal.Field{Name: "ID", Kind: temporal.KindInt},
+)
+
+// idSink records the ID column of everything an engine emits, in order.
+type idSink struct{ ids []int32 }
+
+func (s *idSink) OnEvent(e temporal.Event) { s.ids = append(s.ids, int32(e.Payload[1].AsInt())) }
+func (s *idSink) OnCTI(temporal.Time)      {}
+func (s *idSink) OnFlush()                 {}
+
+// mergedIDs drives the live merge — temporal.Engine.FeedMerged — over a
+// bare scan of source "in", whose output is its input in feed order, and
+// returns the ID column as the engine saw it, the number of runs the
+// ingest had to sort, and the ingest's error.
+func mergedIDs(t testing.TB, runs []temporal.Run) ([]int32, int, error) {
+	t.Helper()
+	sink := &idSink{}
+	eng, err := temporal.NewEngine(temporal.Scan("in", mergeTestSchema),
+		temporal.WithSink(sink), temporal.WithCTIPeriod(0))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resorted, err := eng.FeedMerged(runs)
+	return sink.ids, resorted, err
+}
+
+// leRuns cuts les at bounds into resident runs of source "in" whose IDs
+// are feed indexes.
+func leRuns(les []temporal.Time, bounds []int) []temporal.Run {
+	var runs []temporal.Run
+	start := 0
+	for _, end := range bounds {
+		evs := make([]temporal.Event, 0, end-start)
+		for i := start; i < end; i++ {
+			evs = append(evs, temporal.PointEvent(les[i], temporal.Row{temporal.Int(les[i]), temporal.Int(int64(i))}))
+		}
+		runs = append(runs, temporal.Run{Source: "in", Events: evs})
+		start = end
+	}
+	return runs
 }
 
 func TestMergeRunOrderMatchesStableSort(t *testing.T) {
@@ -33,32 +78,46 @@ func TestMergeRunOrderMatchesStableSort(t *testing.T) {
 		// Random partition into runs; sort most of them (the shuffle
 		// normally delivers sorted runs) but leave some unsorted to
 		// exercise the fallback path.
-		var runs []runRange
-		fallbacks := 0
+		var bounds []int
+		unsorted := 0
 		for start := 0; start < n; {
 			end := start + 1 + r.Intn(40)
 			if end > n {
 				end = n
 			}
+			seg := les[start:end]
 			if r.Intn(4) > 0 {
-				seg := les[start:end]
 				sort.Slice(seg, func(i, j int) bool { return seg[i] < seg[j] })
+			} else if !sort.SliceIsSorted(seg, func(i, j int) bool { return seg[i] < seg[j] }) {
+				unsorted++
 			}
-			runs = append(runs, runRange{start, end})
+			bounds = append(bounds, end)
 			start = end
 		}
-		got := mergeRunOrder(les, runs, func() { fallbacks++ })
+		got, resorted, err := mergedIDs(t, leRuns(les, bounds))
+		if err != nil {
+			t.Fatal(err)
+		}
 		want := stableOrder(les)
-		if !reflect.DeepEqual(got, want) {
-			t.Fatalf("trial %d: merge order != stable sort\nles: %v\nruns: %v\ngot:  %v\nwant: %v",
-				trial, les, runs, got, want)
+		if len(got) != len(want) || (len(want) > 0 && !reflect.DeepEqual(got, want)) {
+			t.Fatalf("trial %d: merge order != stable sort\nles: %v\nbounds: %v\ngot:  %v\nwant: %v",
+				trial, les, bounds, got, want)
+		}
+		if resorted != unsorted {
+			t.Fatalf("trial %d: %d runs sorted by the ingest, %d were out of order", trial, resorted, unsorted)
 		}
 	}
 }
 
 func TestMergeRunOrderSingleRunFastPath(t *testing.T) {
 	les := []temporal.Time{1, 2, 2, 3, 7}
-	got := mergeRunOrder(les, []runRange{{0, 5}}, func() { t.Error("sorted run must not fall back") })
+	got, resorted, err := mergedIDs(t, leRuns(les, []int{5}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if resorted != 0 {
+		t.Error("sorted run must not fall back")
+	}
 	if !reflect.DeepEqual(got, []int32{0, 1, 2, 3, 4}) {
 		t.Fatalf("single sorted run order = %v", got)
 	}
@@ -66,46 +125,76 @@ func TestMergeRunOrderSingleRunFastPath(t *testing.T) {
 
 func TestMergeRunOrderUnsortedRunFallsBack(t *testing.T) {
 	les := []temporal.Time{5, 1, 3}
-	fallbacks := 0
-	got := mergeRunOrder(les, []runRange{{0, 3}}, func() { fallbacks++ })
+	runs := leRuns(les, []int{3})
+	got, resorted, err := mergedIDs(t, runs)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if !reflect.DeepEqual(got, []int32{1, 2, 0}) {
 		t.Fatalf("order = %v", got)
 	}
-	if fallbacks != 1 {
-		t.Fatalf("fallbacks = %d, want 1", fallbacks)
+	if resorted != 1 {
+		t.Fatalf("fallbacks = %d, want 1", resorted)
+	}
+	// Sorted on a copy: the caller's run is as it was handed over.
+	for i, e := range runs[0].Events {
+		if e.LE != les[i] {
+			t.Fatalf("the ingest reordered the caller's run: %v", runs[0].Events)
+		}
 	}
 }
 
 func TestMergeRunOrderEmpty(t *testing.T) {
-	if got := mergeRunOrder(nil, nil, nil); len(got) != 0 {
-		t.Fatalf("empty merge = %v", got)
+	if got, _, err := mergedIDs(t, nil); err != nil || len(got) != 0 {
+		t.Fatalf("empty merge = %v, %v", got, err)
 	}
 }
 
 // benchRuns builds n LEs arranged as k individually-sorted runs — the
-// shape the shuffle delivers to a reducer.
-func benchRuns(n, k int) ([]temporal.Time, []runRange) {
+// shape the shuffle delivers to a reducer — and the end index of each run.
+func benchRuns(n, k int) ([]temporal.Time, []int) {
 	r := rand.New(rand.NewSource(41))
 	les := make([]temporal.Time, 0, n)
-	var runs []runRange
+	var bounds []int
 	per := n / k
 	for i := 0; i < k; i++ {
-		start := len(les)
 		t := temporal.Time(r.Intn(1000))
 		for j := 0; j < per; j++ {
 			t += temporal.Time(r.Intn(5))
 			les = append(les, t)
 		}
-		runs = append(runs, runRange{start, len(les)})
+		bounds = append(bounds, len(les))
 	}
-	return les, runs
+	return les, bounds
 }
 
+// BenchmarkMergeRuns_1M times the live merge the way a reducer drives it:
+// one streaming cursor per resident sorted shuffle run, rows converted to
+// events as the merge pulls them, into an engine that discards its input.
 func BenchmarkMergeRuns_1M(b *testing.B) {
-	les, runs := benchRuns(1<<20, 64)
+	les, bounds := benchRuns(1<<20, 64)
+	var segs []mapreduce.Segment
+	start := 0
+	for _, end := range bounds {
+		segs = append(segs, mapreduce.ResidentSegment(mergeTestRows(les[start:end], start), true))
+		start = end
+	}
+	plan := temporal.Scan("in", mergeTestSchema)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		mergeRunOrder(les, runs, nil)
+		eng, err := temporal.NewEngine(plan, temporal.WithSink(discardSink{}), temporal.WithCTIPeriod(0))
+		if err != nil {
+			b.Fatal(err)
+		}
+		runs := make([]temporal.Run, len(segs))
+		for j := range segs {
+			if runs[j], err = segmentRun(&segs[j], "in", mergeTestToEvent); err != nil {
+				b.Fatal(err)
+			}
+		}
+		if _, err := eng.FeedMerged(runs); err != nil {
+			b.Fatal(err)
+		}
 	}
 	b.ReportMetric(float64(len(les))*float64(b.N)/b.Elapsed().Seconds(), "rows/s")
 }

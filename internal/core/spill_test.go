@@ -1,11 +1,13 @@
 package core
 
 import (
+	"errors"
 	"math/rand"
 	"reflect"
 	"sort"
 	"testing"
 
+	"timr/internal/dur"
 	"timr/internal/mapreduce"
 	"timr/internal/temporal"
 )
@@ -24,23 +26,33 @@ func mergeTestToEvent(r mapreduce.Row) temporal.Event {
 	return temporal.PointEvent(r[0].AsInt(), r)
 }
 
-// collectMergeIDs drains mergeEventRuns and returns the emitted id column.
-func collectMergeIDs(t *testing.T, runs []*eventRun) []int64 {
+// segmentRuns builds the reducer's merge inputs over segs, in order.
+func segmentRuns(t *testing.T, segs []mapreduce.Segment) []temporal.Run {
 	t.Helper()
-	var ids []int64
-	if err := mergeEventRuns(runs, func(er *eventRun) error {
-		ids = append(ids, er.cur.Payload[1].AsInt())
-		return nil
-	}); err != nil {
+	runs := make([]temporal.Run, len(segs))
+	for i := range segs {
+		var err error
+		if runs[i], err = segmentRun(&segs[i], "in", mergeTestToEvent); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return runs
+}
+
+// collectMergeIDs merges segs through the live ingest (see mergedIDs) and
+// returns the emitted id column and the number of fallback sorts.
+func collectMergeIDs(t *testing.T, segs []mapreduce.Segment) ([]int32, int) {
+	t.Helper()
+	ids, resorted, err := mergedIDs(t, segmentRuns(t, segs))
+	if err != nil {
 		t.Fatal(err)
 	}
-	return ids
+	return ids, resorted
 }
 
 // mergeRefIDs is the reference order: a stable LE sort of the runs
-// concatenated in ordinal order — exactly what the pre-streaming
-// reducer produced via mergeRunOrder.
-func mergeRefIDs(runRows [][]mapreduce.Row) []int64 {
+// concatenated in ordinal order.
+func mergeRefIDs(runRows [][]mapreduce.Row) []int32 {
 	type ev struct{ le, id int64 }
 	var all []ev
 	for _, rows := range runRows {
@@ -49,9 +61,9 @@ func mergeRefIDs(runRows [][]mapreduce.Row) []int64 {
 		}
 	}
 	sort.SliceStable(all, func(i, j int) bool { return all[i].le < all[j].le })
-	ids := make([]int64, 0, len(all))
+	ids := make([]int32, 0, len(all))
 	for _, e := range all {
-		ids = append(ids, e.id)
+		ids = append(ids, int32(e.id))
 	}
 	return ids
 }
@@ -67,7 +79,7 @@ func TestMergeEventRunsMixedResidentAndSpilled(t *testing.T) {
 	for trial := 0; trial < 50; trial++ {
 		nruns := 1 + r.Intn(8)
 		var runRows [][]mapreduce.Row
-		var runs []*eventRun
+		var segs []mapreduce.Segment
 		id := 0
 		for ord := 0; ord < nruns; ord++ {
 			n := r.Intn(60) // zero-length runs included
@@ -80,26 +92,21 @@ func TestMergeEventRunsMixedResidentAndSpilled(t *testing.T) {
 			rows := mergeTestRows(les, id)
 			id += n
 			runRows = append(runRows, rows)
-			var seg mapreduce.Segment
 			if r.Intn(2) == 0 {
-				spilled, release, err := mapreduce.SpillRows(dir, rows, true)
+				spilled, release, err := mapreduce.SpillRows(nil, dir, rows, true)
 				if err != nil {
 					t.Fatal(err)
 				}
 				defer release()
-				seg = spilled
+				segs = append(segs, spilled)
 			} else {
-				seg = mapreduce.ResidentSegment(rows, true)
+				segs = append(segs, mapreduce.ResidentSegment(rows, true))
 			}
-			er, err := newEventRun(&seg, ord, 0, mergeTestToEvent, func() {
-				t.Error("sorted run must not fall back")
-			})
-			if err != nil {
-				t.Fatal(err)
-			}
-			runs = append(runs, er)
 		}
-		got := collectMergeIDs(t, runs)
+		got, resorted := collectMergeIDs(t, segs)
+		if resorted != 0 {
+			t.Error("sorted run must not fall back")
+		}
 		want := mergeRefIDs(runRows)
 		if len(got) == 0 && len(want) == 0 {
 			continue
@@ -108,25 +115,34 @@ func TestMergeEventRunsMixedResidentAndSpilled(t *testing.T) {
 			t.Fatalf("trial %d: merged order diverges\ngot:  %v\nwant: %v", trial, got, want)
 		}
 	}
-}
 
-func TestMergeEventRunsSingleSpilledRun(t *testing.T) {
-	// One sorted spilled run takes the no-heap fast path and must stream
-	// back in file order.
-	rows := mergeTestRows([]temporal.Time{1, 3, 3, 7, 9}, 0)
-	seg, release, err := mapreduce.SpillRows(t.TempDir(), rows, true)
+	// A spilled run that cannot be read back fails the ingest call with the
+	// storage error, whichever of its neighbours are resident.
+	ffs := dur.NewFaultFS(dur.OS{}, dur.FaultConfig{Rate: 1, Seed: 1, Kinds: []string{dur.FaultShortRead}})
+	bad, release, err := mapreduce.SpillRows(ffs, dir, mergeTestRows([]temporal.Time{2, 4, 6}, 0), true)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer release()
-	er, err := newEventRun(&seg, 0, 0, mergeTestToEvent, func() {
-		t.Error("sorted spilled run must not fall back")
-	})
+	segs := []mapreduce.Segment{mapreduce.ResidentSegment(mergeTestRows([]temporal.Time{1, 5}, 3), true), bad}
+	if _, _, err := mergedIDs(t, segmentRuns(t, segs)); !errors.Is(err, dur.ErrInjected) {
+		t.Fatalf("ingest over an unreadable spilled run returned %v, want the injected read error", err)
+	}
+}
+
+func TestMergeEventRunsSingleSpilledRun(t *testing.T) {
+	// One sorted spilled run must stream back in file order.
+	rows := mergeTestRows([]temporal.Time{1, 3, 3, 7, 9}, 0)
+	seg, release, err := mapreduce.SpillRows(nil, t.TempDir(), rows, true)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got := collectMergeIDs(t, []*eventRun{er})
-	if want := []int64{0, 1, 2, 3, 4}; !reflect.DeepEqual(got, want) {
+	defer release()
+	got, resorted := collectMergeIDs(t, []mapreduce.Segment{seg})
+	if resorted != 0 {
+		t.Error("sorted spilled run must not fall back")
+	}
+	if want := []int32{0, 1, 2, 3, 4}; !reflect.DeepEqual(got, want) {
 		t.Fatalf("single spilled run order = %v, want %v", got, want)
 	}
 }
@@ -134,30 +150,16 @@ func TestMergeEventRunsSingleSpilledRun(t *testing.T) {
 func TestMergeEventRunsEmpty(t *testing.T) {
 	// No runs at all, and runs that are all empty (resident and spilled),
 	// must emit nothing.
-	if err := mergeEventRuns(nil, func(*eventRun) error {
-		t.Error("emit called with no runs")
-		return nil
-	}); err != nil {
-		t.Fatal(err)
+	if got, _ := collectMergeIDs(t, nil); len(got) != 0 {
+		t.Fatalf("no runs emitted %v", got)
 	}
-	emptySpilled, release, err := mapreduce.SpillRows(t.TempDir(), nil, true)
+	emptySpilled, release, err := mapreduce.SpillRows(nil, t.TempDir(), nil, true)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer release()
-	var runs []*eventRun
-	for ord, seg := range []mapreduce.Segment{
-		mapreduce.ResidentSegment(nil, true),
-		emptySpilled,
-	} {
-		seg := seg
-		er, err := newEventRun(&seg, ord, 0, mergeTestToEvent, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		runs = append(runs, er)
-	}
-	if got := collectMergeIDs(t, runs); len(got) != 0 {
+	segs := []mapreduce.Segment{mapreduce.ResidentSegment(nil, true), emptySpilled}
+	if got, _ := collectMergeIDs(t, segs); len(got) != 0 {
 		t.Fatalf("empty runs emitted %v", got)
 	}
 }
@@ -173,27 +175,21 @@ func TestMergeEventRunsEqualKeysAcrossSpillBoundary(t *testing.T) {
 		mergeTestRows([]temporal.Time{5, 5}, 3),
 		mergeTestRows([]temporal.Time{5}, 5),
 	}
-	var runs []*eventRun
+	var segs []mapreduce.Segment
 	for ord, rows := range runRows {
-		var seg mapreduce.Segment
 		if ord == 1 { // middle run spilled, neighbours resident
-			spilled, release, err := mapreduce.SpillRows(dir, rows, true)
+			spilled, release, err := mapreduce.SpillRows(nil, dir, rows, true)
 			if err != nil {
 				t.Fatal(err)
 			}
 			defer release()
-			seg = spilled
+			segs = append(segs, spilled)
 		} else {
-			seg = mapreduce.ResidentSegment(rows, true)
+			segs = append(segs, mapreduce.ResidentSegment(rows, true))
 		}
-		er, err := newEventRun(&seg, ord, 0, mergeTestToEvent, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		runs = append(runs, er)
 	}
-	got := collectMergeIDs(t, runs)
-	if want := []int64{0, 1, 2, 3, 4, 5}; !reflect.DeepEqual(got, want) {
+	got, _ := collectMergeIDs(t, segs)
+	if want := []int32{0, 1, 2, 3, 4, 5}; !reflect.DeepEqual(got, want) {
 		t.Fatalf("equal-key order across spill boundary = %v, want %v", got, want)
 	}
 }
@@ -204,22 +200,12 @@ func TestMergeEventRunsUnsortedSpilledFallsBack(t *testing.T) {
 	// reference order.
 	unsorted := mergeTestRows([]temporal.Time{9, 2, 2, 4}, 0)
 	sorted := mergeTestRows([]temporal.Time{1, 3, 4}, 4)
-	seg, release, err := mapreduce.SpillRows(t.TempDir(), unsorted, false)
+	seg, release, err := mapreduce.SpillRows(nil, t.TempDir(), unsorted, false)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer release()
-	fallbacks := 0
-	er0, err := newEventRun(&seg, 0, 0, mergeTestToEvent, func() { fallbacks++ })
-	if err != nil {
-		t.Fatal(err)
-	}
-	resident := mapreduce.ResidentSegment(sorted, true)
-	er1, err := newEventRun(&resident, 1, 0, mergeTestToEvent, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got := collectMergeIDs(t, []*eventRun{er0, er1})
+	got, fallbacks := collectMergeIDs(t, []mapreduce.Segment{seg, mapreduce.ResidentSegment(sorted, true)})
 	want := mergeRefIDs([][]mapreduce.Row{unsorted, sorted})
 	if !reflect.DeepEqual(got, want) {
 		t.Fatalf("fallback merge order = %v, want %v", got, want)

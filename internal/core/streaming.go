@@ -184,10 +184,12 @@ func NewStreamingJob(plan *temporal.Plan, sources map[string]*temporal.Schema, o
 	j.out = &streamBuffer{
 		depth:    outScope.Gauge("buffer_depth"),
 		released: outScope.Counter("barrier_releases"),
-		deliver: func(e temporal.Event) {
-			j.results = append(j.results, e)
+		deliver: func(evs []temporal.Event) {
+			j.results = append(j.results, evs...)
 			if onEvent != nil {
-				onEvent(e)
+				for _, e := range evs {
+					onEvent(e)
+				}
 			}
 		},
 	}
@@ -414,11 +416,20 @@ func (st *streamStage) partition(id int) *streamPartition {
 	p.buf = &streamBuffer{
 		depth:    st.depth,
 		released: st.released,
-		deliver: func(e temporal.Event) {
-			src := int(e.Payload[len(e.Payload)-1].AsInt()) // routing tag
-			e.Payload = e.Payload[:len(e.Payload)-1]
-			// Through p, not a captured engine: recovery swaps p.eng.
-			p.eng.Feed(st.frag.Inputs[src].ScanName, e)
+		deliver: func(evs []temporal.Event) {
+			// The engine is entered once per stretch of events for the same
+			// input (the routing tag, stripped here), not once per event.
+			for len(evs) > 0 {
+				src := routeTag(evs[0])
+				n := 0
+				for ; n < len(evs) && routeTag(evs[n]) == src; n++ {
+					evs[n].Payload = evs[n].Payload[:len(evs[n].Payload)-1]
+				}
+				// Through p, not a captured engine: recovery swaps p.eng. A
+				// resident run has no cursor that could fail.
+				p.eng.FeedMerged([]temporal.Run{{Source: st.frag.Inputs[src].ScanName, Events: evs[:n]}})
+				evs = evs[n:]
+			}
 		},
 	}
 	st.parts[id] = p
@@ -437,6 +448,9 @@ func (st *streamStage) partition(id int) *streamPartition {
 	}
 	return p
 }
+
+// routeTag reads the input index routeBatch appended to e's payload.
+func routeTag(e temporal.Event) int64 { return e.Payload[len(e.Payload)-1].AsInt() }
 
 // route delivers one event for input src to the partition(s) that own it.
 func (st *streamStage) route(src int, ev temporal.Event) {
@@ -497,7 +511,7 @@ func (st *streamStage) dispatch(src int, tagged []temporal.Event) {
 				st.truncated.Inc()
 			}
 			for p := first; p <= last; p++ {
-				st.admit(st.partition(p), *ev)
+				st.admitAll(st.partition(p), tagged[i:i+1])
 			}
 		}
 	case st.nparts == 1:
@@ -505,28 +519,17 @@ func (st *streamStage) dispatch(src int, tagged []temporal.Event) {
 	default:
 		for i := range tagged {
 			h := temporal.HashRow(tagged[i].Payload, st.keyCols[src])
-			st.admit(st.partition(int(h%uint64(st.nparts))), tagged[i])
+			st.admitAll(st.partition(int(h%uint64(st.nparts))), tagged[i:i+1])
 		}
 	}
 }
 
 // ---- crash injection and recovery ----
 
-// admit pushes one event into a partition's barrier and replay log,
-// firing an armed crash first when its push count comes due — so the
-// partition dies mid-feed and the event lands on the recovered one.
-func (st *streamStage) admit(p *streamPartition, e temporal.Event) {
-	if p.crashAt >= 0 && p.pushes >= p.crashAt {
-		st.crash(p)
-	}
-	p.buf.push(e)
-	p.log = append(p.log, e)
-	p.pushes++
-}
-
-// admitAll admits a whole run, splitting it when an armed crash lands
-// inside: the head is admitted, the partition dies and recovers, and the
-// tail is admitted to the rebuilt partition.
+// admitAll pushes a run into a partition's barrier and replay log,
+// splitting it when an armed crash comes due inside: the head is admitted,
+// the partition dies mid-feed and recovers, and the tail lands on the
+// rebuilt partition.
 func (st *streamStage) admitAll(p *streamPartition, evs []temporal.Event) {
 	if p.crashAt >= 0 && p.pushes+len(evs) > p.crashAt {
 		k := p.crashAt - p.pushes
@@ -608,7 +611,7 @@ func (st *streamStage) advance(t temporal.Time) {
 		p.eng.Advance(t)
 		p.ckpt = p.eng.Checkpoint()
 		st.ckptBytes.Add(int64(len(p.ckpt)))
-		p.log = append(p.log[:0], p.buf.pending...)
+		p.log = resetEvents(p.log, p.buf.pending)
 		st.lastLoad[p.id] = p.pushes
 		p.pushes = 0
 		st.arm(p)
@@ -699,8 +702,10 @@ func floorDivT(a, b temporal.Time) temporal.Time {
 // streamBuffer holds events arriving from many ordered producers and
 // releases them in LE order once a punctuation guarantees completeness.
 type streamBuffer struct {
-	pending  []temporal.Event
-	deliver  func(temporal.Event)
+	pending []temporal.Event
+	// deliver takes the released events, in order, and must not keep the
+	// slice.
+	deliver  func([]temporal.Event)
 	depth    *obs.Gauge   // high-watermark of pending (nil-safe)
 	released *obs.Counter // events delivered through the barrier
 }
@@ -728,10 +733,21 @@ func (b *streamBuffer) advance(t temporal.Time) {
 	temporal.SortEvents(b.pending)
 	n := sort.Search(len(b.pending), func(i int) bool { return b.pending[i].LE >= t })
 	b.released.Add(int64(n))
-	for _, e := range b.pending[:n] {
-		b.deliver(e)
+	b.deliver(b.pending[:n])
+	b.pending = resetEvents(b.pending, b.pending[n:])
+}
+
+// resetEvents overwrites dst with src (which may be a tail of dst) and
+// zeroes what dst held beyond it. Every event here holds a piece of a
+// routeBatch slab, so one left in the spare capacity would keep that slab
+// alive until a later wave happened to overwrite it.
+func resetEvents(dst, src []temporal.Event) []temporal.Event {
+	old := len(dst)
+	dst = append(dst[:0], src...)
+	if len(dst) < old {
+		clear(dst[len(dst):old])
 	}
-	b.pending = append(b.pending[:0], b.pending[n:]...)
+	return dst
 }
 
 func (b *streamBuffer) flush() {

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"bytes"
 	"errors"
 	"math/rand"
 	"sort"
@@ -28,10 +29,14 @@ func runStreaming(t *testing.T, plan *temporal.Plan, sources map[string]*tempora
 		}
 		feeders[src] = f
 	}
-	var all []temporal.SourceEvent
+	type srcEvent struct {
+		Source string
+		Event  temporal.Event
+	}
+	var all []srcEvent
 	for src, evs := range feeds {
 		for _, e := range evs {
-			all = append(all, temporal.SourceEvent{Source: src, Event: e})
+			all = append(all, srcEvent{Source: src, Event: e})
 		}
 	}
 	// Global LE order with deterministic tie-break by source name.
@@ -501,5 +506,164 @@ func TestStreamingUnknownSource(t *testing.T) {
 	}
 	if _, err := NewStreamingJob(plan, map[string]*temporal.Schema{}, WithMachines(2)); err == nil {
 		t.Fatal("missing source binding must error")
+	}
+}
+
+// spareIsZero reports whether everything between evs' length and capacity
+// is the zero Event.
+func spareIsZero(evs []temporal.Event) bool {
+	for _, e := range evs[len(evs):cap(evs)] {
+		if e.LE != 0 || e.RE != 0 || e.Payload != nil {
+			return false
+		}
+	}
+	return true
+}
+
+func TestBarrierClearsReleasedRows(t *testing.T) {
+	// A released event left in a buffer's spare capacity keeps its
+	// routeBatch slab reachable for as long as the high-water capacity
+	// lasts: after a burst, for the life of the partition.
+	b := &streamBuffer{deliver: func([]temporal.Event) {}}
+	for i := 0; i < 1000; i++ {
+		b.push(clickEv(i))
+	}
+	b.advance(990)
+	if len(b.pending) != 10 || !spareIsZero(b.pending) {
+		t.Fatalf("after releasing 990 of 1000: %d pending, spare capacity zeroed = %v", len(b.pending), spareIsZero(b.pending))
+	}
+
+	// The same through a job: every partition's barrier and replay log,
+	// and the job-level output buffer.
+	job, feed := feederJob(t)
+	burst := make([]temporal.Event, 1000)
+	for i := range burst {
+		burst[i] = clickEv(i)
+	}
+	if err := feed.FeedBatch(burst); err != nil {
+		t.Fatal(err)
+	}
+	if err := job.Advance(990); err != nil {
+		t.Fatal(err)
+	}
+	for _, st := range job.stages {
+		for id, p := range st.parts {
+			if len(p.buf.pending) != 10 || len(p.log) != 10 {
+				t.Fatalf("partition %d: %d pending, %d logged, want 10 each", id, len(p.buf.pending), len(p.log))
+			}
+			if !spareIsZero(p.buf.pending) || !spareIsZero(p.log) {
+				t.Fatalf("partition %d keeps released events in spare capacity", id)
+			}
+		}
+	}
+	if !spareIsZero(job.out.pending) {
+		t.Fatal("the output buffer keeps released events in spare capacity")
+	}
+}
+
+func TestBarrierDeliversRunsLikeEvents(t *testing.T) {
+	// The barrier hands a partition engine one FeedMerged call per stretch
+	// of same-input events. The reference delivers the same sorted pending
+	// with one Engine.Feed per event; per-wave partition checkpoints and the
+	// delivered results must be byte-identical.
+	perEvent := func(st *streamStage, p *streamPartition) func([]temporal.Event) {
+		return func(evs []temporal.Event) {
+			for _, e := range evs {
+				src := routeTag(e)
+				e.Payload = e.Payload[:len(e.Payload)-1]
+				p.eng.Feed(st.frag.Inputs[src].ScanName, e)
+			}
+		}
+	}
+	sch := clickSchema()
+	plan := func() *temporal.Plan {
+		l := temporal.Scan("imp", sch).Exchange(temporal.PartitionBy{Cols: []string{"UserId"}})
+		r := temporal.Scan("kw", sch).Exchange(temporal.PartitionBy{Cols: []string{"UserId"}})
+		return l.Join(r.WithWindow(25), []string{"UserId"}, []string{"UserId"}, nil)
+	}
+	r := rand.New(rand.NewSource(37))
+	// 600 events over ~150 ticks per source: LE ties within and across
+	// sources in every wave.
+	feeds := map[string][]temporal.Event{
+		"imp": temporal.RowsToPointEvents(clickRows(r, 600, 12, 4), 0),
+		"kw":  temporal.RowsToPointEvents(clickRows(r, 600, 12, 5), 0),
+	}
+	type wave struct {
+		ckpts   [][]byte
+		results int
+	}
+	drive := func(reference bool) ([]wave, []temporal.Event) {
+		job, err := NewStreamingJob(plan(), map[string]*temporal.Schema{"imp": sch, "kw": sch}, WithMachines(4))
+		if err != nil {
+			t.Fatal(err)
+		}
+		hook := func() {
+			if !reference {
+				return
+			}
+			for _, st := range job.stages {
+				for _, p := range st.parts {
+					p.buf.deliver = perEvent(st, p)
+				}
+			}
+		}
+		var waves []wave
+		pos := map[string]int{}
+		for hi := temporal.Time(20); ; hi += 20 {
+			fed := false
+			for _, src := range []string{"imp", "kw", "imp"} { // interleaved batches
+				evs := feeds[src]
+				i := pos[src]
+				end := i
+				for end < len(evs) && evs[end].LE < hi && end-i < 40 {
+					end++
+				}
+				f, err := job.Source(src)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if err := f.FeedBatch(evs[i:end]); err != nil {
+					t.Fatal(err)
+				}
+				fed = fed || end > i
+				pos[src] = end
+			}
+			if !fed && pos["imp"] == len(feeds["imp"]) && pos["kw"] == len(feeds["kw"]) {
+				break
+			}
+			hook()
+			if err := job.Advance(hi - 10); err != nil {
+				t.Fatal(err)
+			}
+			w := wave{results: len(job.results)}
+			for _, st := range job.stages {
+				for _, id := range st.sortedParts() {
+					w.ckpts = append(w.ckpts, st.parts[id].ckpt)
+				}
+			}
+			waves = append(waves, w)
+		}
+		hook()
+		job.Flush()
+		return waves, job.results
+	}
+	got, gotResults := drive(false)
+	want, wantResults := drive(true)
+	if len(got) != len(want) || len(got) < 5 {
+		t.Fatalf("%d waves vs %d in the reference", len(got), len(want))
+	}
+	for i := range got {
+		if got[i].results != want[i].results || len(got[i].ckpts) != len(want[i].ckpts) {
+			t.Fatalf("wave %d: %d results over %d partitions, reference %d over %d",
+				i, got[i].results, len(got[i].ckpts), want[i].results, len(want[i].ckpts))
+		}
+		for k := range got[i].ckpts {
+			if !bytes.Equal(got[i].ckpts[k], want[i].ckpts[k]) {
+				t.Fatalf("wave %d: checkpoint %d differs from the per-event reference", i, k)
+			}
+		}
+	}
+	if len(gotResults) == 0 || !temporal.EventsEqual(gotResults, wantResults) {
+		t.Fatalf("%d results differ from the reference's %d", len(gotResults), len(wantResults))
 	}
 }

@@ -247,8 +247,8 @@ func partitionCols(in FragmentInput, cols []string) []int {
 // returned function has the out-of-core signature
 // (mapreduce.Stage.ReduceSegments): each input arrives as a list of
 // shuffle-run segments, resident or spilled, and P streams them through
-// a k-way merge into the engine instead of materializing the partition
-// — its working set is the merge frontier plus one feed batch.
+// the engine's k-way merge instead of materializing the partition — its
+// working set is the merge frontier plus one feed batch.
 func (t *TiMR) reducer(frag *Fragment, spans *SpanSpec) func(int, [][]mapreduce.Segment, func([]mapreduce.Row)) error {
 	// Capture per-input conversion metadata once.
 	type inMeta struct {
@@ -290,13 +290,18 @@ func (t *TiMR) reducer(frag *Fragment, spans *SpanSpec) func(int, [][]mapreduce.
 		if err != nil {
 			return err
 		}
-		// One streaming cursor per shuffle run, in (source, run) order —
-		// the same global run ordinals the materialized merge used, so the
-		// pop order is identical. Rows convert to events lazily (P reads
-		// rows "and converts each row into an event using the predefined
-		// Time column"); resident runs are walked in place, sorted spilled
-		// runs decode one row frame at a time.
-		runs := make([]*eventRun, 0, 8)
+		// The engine requires nondecreasing LE; M-R partitions are not
+		// time-sorted globally, so P establishes time order first (the
+		// strawman's "pre-sorting of data", §II-C — here it is part of the
+		// framework, written once). The shuffle delivers each partition as
+		// a concatenation of runs that are individually time-sorted
+		// whenever their upstream partition was, so instead of a global
+		// O(n log n) re-sort, P hands the engine one run per shuffle run, in
+		// (source, run) order, and the engine's merged ingest reproduces the
+		// stable LE-sort order exactly. Rows convert to events lazily (P
+		// reads rows "and converts each row into an event using the
+		// predefined Time column").
+		runs := make([]temporal.Run, 0, 8)
 		for src := range in {
 			m := metas[src]
 			toEvent := func(r mapreduce.Row) temporal.Event {
@@ -306,44 +311,19 @@ func (t *TiMR) reducer(frag *Fragment, spans *SpanSpec) func(int, [][]mapreduce.
 				return temporal.PointEvent(r[m.timeCol].AsInt(), r)
 			}
 			for i := range in[src] {
-				er, err := newEventRun(&in[src][i], len(runs), src, toEvent, func() { mergeFallbacks.Add(1) })
+				run, err := segmentRun(&in[src][i], m.scan, toEvent)
 				if err != nil {
 					return err
 				}
-				runs = append(runs, er)
+				runs = append(runs, run)
 			}
 		}
-		// The engine requires nondecreasing LE; M-R partitions are not
-		// time-sorted globally, so P establishes time order first (the
-		// strawman's "pre-sorting of data", §II-C — here it is part of the
-		// framework, written once). The shuffle delivers each partition as
-		// a concatenation of runs that are individually time-sorted
-		// whenever their upstream partition was, so instead of a global
-		// O(n log n) re-sort, P k-way merges the runs — reproducing the
-		// stable LE-sort order exactly (see mergeEventRuns).
 		mergeRuns.Add(int64(len(runs)))
-
-		// Feed the merged order in same-source batches: one pipeline entry
-		// call per run instead of per event.
-		batch := make([]temporal.Event, 0, reduceFeedBatch)
-		cur := ""
-		flush := func() {
-			if len(batch) > 0 {
-				eng.FeedBatch(cur, &temporal.Batch{Events: batch})
-				batch = batch[:0]
-			}
-		}
-		if err := mergeEventRuns(runs, func(er *eventRun) error {
-			if scan := metas[er.src].scan; scan != cur || len(batch) >= reduceFeedBatch {
-				flush()
-				cur = scan
-			}
-			batch = append(batch, er.cur)
-			return nil
-		}); err != nil {
+		resorted, err := eng.FeedMerged(runs)
+		mergeFallbacks.Add(int64(resorted))
+		if err != nil {
 			return err
 		}
-		flush()
 		eng.Flush()
 		out := sink.events()
 		if cfg.Coalesce {
@@ -353,11 +333,6 @@ func (t *TiMR) reducer(frag *Fragment, spans *SpanSpec) func(int, [][]mapreduce.
 		return nil
 	}
 }
-
-// reduceFeedBatch sizes the reducer's engine-feed batches: large enough
-// to amortize per-batch dispatch to noise, small enough to stay
-// cache-resident.
-const reduceFeedBatch = 1024
 
 // reduceSink collects a partition engine's output for the reducer,
 // clipping events to the partition's owned span under temporal

@@ -84,7 +84,10 @@ func Shuffle(c *Context) (*Table, error) {
 	if err != nil {
 		return nil, err
 	}
-	identical := serialOut.Equal(parOut)
+	identical, err := serialOut.Equal(parOut)
+	if err != nil {
+		return nil, err
+	}
 
 	t := &Table{
 		Title:  "Parallel shuffle: map-phase fan-out vs serial reference (256k rows)",

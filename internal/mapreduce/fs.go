@@ -38,7 +38,7 @@ type (
 
 // Dataset is a partitioned, schema-carrying table in the simulated DFS.
 // Each partition is an ordered list of segments, resident or spilled;
-// consumers iterate rows through Reader (or Flatten for whole-dataset
+// consumers iterate rows through Reader (or ReadAll for whole-dataset
 // materialization) rather than indexing raw slices.
 type Dataset struct {
 	Schema *Schema
@@ -99,33 +99,11 @@ func (d *Dataset) Reader(p int) *RowReader {
 	return NewRowReader(d.parts[p]...)
 }
 
-// Borrow returns the dataset's rows without copying when it is a single
-// resident segment (the common fully-in-memory shape): the backing
-// slice itself, zero copies, zero allocations. ok is false otherwise —
-// spilled or multi-segment datasets have no single slice to lend.
-// Callers must treat the result as immutable: appending to or mutating
-// it corrupts the dataset for every other reader.
-func (d *Dataset) Borrow() ([]Row, bool) {
-	var only *Segment
-	nseg := 0
-	for _, segs := range d.parts {
-		for i := range segs {
-			nseg++
-			only = &segs[i]
-		}
-	}
-	if nseg != 1 || only.Spilled() {
-		return nil, false
-	}
-	return only.Resident(), true
-}
-
 // ReadAll returns all rows of the dataset in partition order. The
 // result is always the caller's to keep: the row-header slice is fresh
 // (rows themselves stay shared-immutable, as everywhere), so appending
-// to or reordering it cannot corrupt the dataset — the bug that
-// borrowing the backing slice of single-segment datasets used to allow.
-// Callers that need the zero-copy path use Borrow.
+// to or reordering it cannot corrupt the dataset. An unreadable spilled
+// segment is returned as the error.
 func (d *Dataset) ReadAll() ([]Row, error) {
 	total := 0
 	for _, segs := range d.parts {
@@ -153,31 +131,27 @@ func (d *Dataset) ReadAll() ([]Row, error) {
 	return out, nil
 }
 
-// Flatten returns all rows of the dataset in partition order, always
-// copied (see ReadAll). It panics if a spilled segment cannot be read —
-// callers that need to handle spill I/O errors use ReadAll.
-func (d *Dataset) Flatten() []Row {
-	rows, err := d.ReadAll()
-	if err != nil {
-		panic(err)
-	}
-	return rows
-}
-
 // Equal reports whether two datasets have equal schemas and, partition by
 // partition, equal row sequences (reflect.DeepEqual would compare one byte
-// of a string value). Like Flatten, it panics on an unreadable segment.
-func (d *Dataset) Equal(o *Dataset) bool {
+// of a string value). An unreadable segment on either side is an error.
+func (d *Dataset) Equal(o *Dataset) (bool, error) {
 	if !d.Schema.Equal(o.Schema) || len(d.parts) != len(o.parts) {
-		return false
+		return false, nil
 	}
 	for p := range d.parts {
-		a, b := &Dataset{parts: d.parts[p : p+1]}, &Dataset{parts: o.parts[p : p+1]}
-		if !temporal.RowsEqual(a.Flatten(), b.Flatten()) {
-			return false
+		a, err := (&Dataset{parts: d.parts[p : p+1]}).ReadAll()
+		if err != nil {
+			return false, err
+		}
+		b, err := (&Dataset{parts: o.parts[p : p+1]}).ReadAll()
+		if err != nil {
+			return false, err
+		}
+		if !temporal.RowsEqual(a, b) {
+			return false, nil
 		}
 	}
-	return true
+	return true, nil
 }
 
 // FS is the simulated distributed file system (Cosmos/HDFS/GFS stand-in).

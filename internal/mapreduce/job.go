@@ -561,8 +561,12 @@ func (c *Cluster) runStageFiles(s *Stage, files *stageFiles) (*StageStat, error)
 		nparts = c.Cfg.Machines
 	}
 	stat := &StageStat{Name: s.Name, Partitions: nparts}
-	if s.Reduce == nil && s.ReduceSegments == nil {
-		return stat, fmt.Errorf("stage %s: no reducer", s.Name)
+	reduce := s.ReduceSegments
+	if reduce == nil {
+		if s.Reduce == nil {
+			return stat, fmt.Errorf("stage %s: no reducer", s.Name)
+		}
+		reduce = materialized(s.Reduce)
 	}
 	if s.PartitionCols != nil {
 		if s.Partition != nil {
@@ -718,18 +722,6 @@ func (c *Cluster) runStageFiles(s *Stage, files *stageFiles) (*StageStat, error)
 			sem <- struct{}{}
 			defer func() { <-sem }()
 			res := result{part: p, stat: TaskStat{Stage: s.Name, Partition: p, Rows: n}}
-			// The materialized-input path (Reduce) decodes spilled runs
-			// once, before the attempt loop: retried attempts rerun on the
-			// same input.
-			var in [][]Row
-			if s.ReduceSegments == nil {
-				var err error
-				if in, err = materializeRuns(parts[p]); err != nil {
-					res.err = err
-					results[p] = res
-					return
-				}
-			}
 			succeeded := false
 			var lastPanic any
 			for attempt := 1; attempt <= c.Cfg.MaxAttempts; attempt++ {
@@ -737,8 +729,7 @@ func (c *Cluster) runStageFiles(s *Stage, files *stageFiles) (*StageStat, error)
 				var out []Row
 				t0 := time.Now()
 				fail := c.injectedFailure(s.Name, p, attempt)
-				emit := func(r Row) { out = append(out, r) }
-				emitRows := func(rows []Row) {
+				emit := func(rows []Row) {
 					if out == nil {
 						// Capacity clipped: a later append copies instead of
 						// growing into an array the reducer may still read.
@@ -760,11 +751,7 @@ func (c *Cluster) runStageFiles(s *Stage, files *stageFiles) (*StageStat, error)
 							lastPanic = rec
 						}
 					}()
-					if s.ReduceSegments != nil {
-						err = s.ReduceSegments(p, parts[p], emitRows)
-					} else {
-						err = s.Reduce(p, in, emit)
-					}
+					err = reduce(p, parts[p], emit)
 				}()
 				if fail || panicked {
 					// The attempt's partial output is discarded, exactly
@@ -856,29 +843,38 @@ func (c *Cluster) runStageFiles(s *Stage, files *stageFiles) (*StageStat, error)
 	return stat, nil
 }
 
-// materializeRuns builds the contiguous per-source row slices Reduce
-// expects, decoding spilled runs as needed.
-func materializeRuns(segs [][]Segment) (in [][]Row, err error) {
-	in = make([][]Row, len(segs))
-	for src, list := range segs {
-		total := 0
-		for i := range list {
-			total += list[i].Len()
-		}
-		if total == 0 {
-			continue
-		}
-		rows := make([]Row, 0, total)
-		for i := range list {
-			mat, err := list[i].Materialize()
-			if err != nil {
-				return nil, err
+// materialized adapts the convenience Reducer signature to ReduceSegments,
+// the one call the reduce loop makes: each attempt builds the contiguous
+// per-source row slices reduce expects (decoding spilled runs as needed)
+// and emits the collected output whole.
+func materialized(reduce Reducer) func(int, [][]Segment, func([]Row)) error {
+	return func(part int, segs [][]Segment, emit func([]Row)) error {
+		in := make([][]Row, len(segs))
+		for src, list := range segs {
+			total := 0
+			for i := range list {
+				total += list[i].Len()
 			}
-			rows = append(rows, mat...)
+			if total == 0 {
+				continue
+			}
+			rows := make([]Row, 0, total)
+			for i := range list {
+				mat, err := list[i].Materialize()
+				if err != nil {
+					return err
+				}
+				rows = append(rows, mat...)
+			}
+			in[src] = rows
 		}
-		in[src] = rows
+		var out []Row
+		if err := reduce(part, in, func(r Row) { out = append(out, r) }); err != nil {
+			return err
+		}
+		emit(out)
+		return nil
 	}
-	return in, nil
 }
 
 // emitStageMetrics publishes a completed stage's accounting into the

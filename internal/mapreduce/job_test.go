@@ -56,7 +56,7 @@ func sumStage(in, out string, nparts int) Stage {
 func expectSums(t *testing.T, fs *FS, name string, n int) {
 	t.Helper()
 	got := map[int64]int64{}
-	for _, r := range fs.MustRead(name).Flatten() {
+	for _, r := range mustReadAll(t, fs.MustRead(name)) {
 		got[r[0].AsInt()] = r[1].AsInt()
 	}
 	want := map[int64]int64{}
@@ -93,12 +93,23 @@ func TestFSBasics(t *testing.T) {
 	}
 }
 
+// mustReadAll reads a dataset back whole, failing the test on an unreadable
+// spilled segment.
+func mustReadAll(t testing.TB, ds *Dataset) []Row {
+	t.Helper()
+	rows, err := ds.ReadAll()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return rows
+}
+
 func TestDatasetFlatten(t *testing.T) {
 	d := NewDataset(kvSchema(), 2)
 	d.Append(0, kvRows(3))
 	d.Append(1, kvRows(2))
-	if d.Rows() != 5 || len(d.Flatten()) != 5 {
-		t.Errorf("Rows/Flatten mismatch")
+	if d.Rows() != 5 || len(mustReadAll(t, d)) != 5 {
+		t.Errorf("Rows/ReadAll mismatch")
 	}
 }
 
@@ -138,7 +149,7 @@ func TestPartitionGrouping(t *testing.T) {
 	if _, err := c.Run(stage); err != nil {
 		t.Fatal(err)
 	}
-	for _, r := range c.FS.MustRead("out").Flatten() {
+	for _, r := range mustReadAll(t, c.FS.MustRead("out")) {
 		k, p := r[0].AsInt(), int(r[1].AsInt())
 		if prev, ok := seen[k]; ok && prev != p {
 			t.Fatalf("key %d split across partitions %d and %d", k, prev, p)
@@ -188,7 +199,7 @@ func TestMultipleInputs(t *testing.T) {
 		t.Fatal(err)
 	}
 	var a, b int64
-	for _, r := range c.FS.MustRead("out").Flatten() {
+	for _, r := range mustReadAll(t, c.FS.MustRead("out")) {
 		a += r[0].AsInt()
 		b += r[1].AsInt()
 	}
@@ -217,7 +228,7 @@ func TestFailureInjectionRetriesToSameOutput(t *testing.T) {
 			}
 		}
 		out := map[int64]int64{}
-		for _, r := range c.FS.MustRead("out").Flatten() {
+		for _, r := range mustReadAll(t, c.FS.MustRead("out")) {
 			out[r[0].AsInt()] = r[1].AsInt()
 		}
 		return out
@@ -584,7 +595,7 @@ func TestMultiPartitionReplication(t *testing.T) {
 	if stat.Stages[0].ShuffleRows != 20 {
 		t.Errorf("ShuffleRows = %d, want 20", stat.Stages[0].ShuffleRows)
 	}
-	for _, r := range c.FS.MustRead("out").Flatten() {
+	for _, r := range mustReadAll(t, c.FS.MustRead("out")) {
 		if r[1].AsInt() != 10 {
 			t.Errorf("partition %d saw %d rows, want 10", r[0].AsInt(), r[1].AsInt())
 		}
@@ -613,7 +624,7 @@ func TestPropertyJobEquivalentAcrossPartitionCounts(t *testing.T) {
 			return false
 		}
 		got := map[int64]int64{}
-		for _, r := range c.FS.MustRead("out").Flatten() {
+		for _, r := range mustReadAll(t, c.FS.MustRead("out")) {
 			got[r[0].AsInt()] = r[1].AsInt()
 		}
 		want := map[int64]int64{}

@@ -59,7 +59,7 @@ func TestParallelMapByteIdenticalToSerial(t *testing.T) {
 	}
 	serial := run(1)
 	for _, workers := range []int{2, 3, 8} {
-		if got := run(workers); !serial.Equal(got) {
+		if same, err := serial.Equal(run(workers)); err != nil || !same {
 			t.Fatalf("MapWorkers=%d shuffle differs from serial", workers)
 		}
 	}
@@ -80,7 +80,7 @@ func TestMapDeterministicAcrossGOMAXPROCS(t *testing.T) {
 	}
 	ref := run(1)
 	for _, procs := range []int{2, 4} {
-		if got := run(procs); !ref.Equal(got) {
+		if same, err := ref.Equal(run(procs)); err != nil || !same {
 			t.Fatalf("GOMAXPROCS=%d produced a different dataset", procs)
 		}
 	}
@@ -132,7 +132,7 @@ func TestShuffleThreadsRunBoundaries(t *testing.T) {
 	if want := [][]int{{2, 1, 3}}; !reflect.DeepEqual(gotRuns, want) {
 		t.Fatalf("runs = %v, want %v", gotRuns, want)
 	}
-	if !temporal.RowsEqual(gotRows, in.Flatten()) {
+	if !temporal.RowsEqual(gotRows, mustReadAll(t, in)) {
 		t.Fatalf("reducer input order differs from input-partition order")
 	}
 }
@@ -166,7 +166,7 @@ func TestMapChunkingSplitsLargePartitions(t *testing.T) {
 	if got := len(stat.Stages[0].Maps); got != 2 {
 		t.Fatalf("map tasks = %d, want 2", got)
 	}
-	if !temporal.RowsEqual(c.FS.MustRead("out").Flatten(), rows) {
+	if !temporal.RowsEqual(mustReadAll(t, c.FS.MustRead("out")), rows) {
 		t.Fatal("chunked shuffle reordered rows")
 	}
 }
@@ -403,7 +403,7 @@ func TestReduceSegmentsBulkEmit(t *testing.T) {
 		t.Fatal("no attempt failed; the test needs a retried task")
 	}
 	want := slices.Concat(rows[:40], rows[50:], rows[40:50])
-	if got := c.FS.MustRead("out").Flatten(); !temporal.RowsEqual(got, want) {
+	if got := mustReadAll(t, c.FS.MustRead("out")); !temporal.RowsEqual(got, want) {
 		t.Fatalf("bulk-emitted output has %d rows, differs from the %d emitted", len(got), len(want))
 	}
 }

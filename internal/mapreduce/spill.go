@@ -207,10 +207,6 @@ func (s *Segment) Sorted() bool { return s.sorted }
 // segment.
 func (s *Segment) Resident() []Row { return s.rows }
 
-// SpilledBytes returns the on-disk size of a spilled segment (0 when
-// resident).
-func (s *Segment) SpilledBytes() int64 { return s.size }
-
 // Materialize returns all rows of the segment: the underlying slice
 // (borrowed — callers must not mutate) when resident, a fresh decode of
 // the spill file range otherwise.
@@ -236,12 +232,13 @@ func (s *Segment) Materialize() ([]Row, error) {
 func (s *Segment) Open() *RowReader { return NewRowReader(*s) }
 
 // SpillRows writes rows as one spilled segment into a fresh temp file
-// under dir, returning the segment and a release func that closes and
-// deletes the file. It exists for tests that need spilled segments
-// without running a Cluster; production spill goes through the
-// cluster's MemoryBudget machinery.
-func SpillRows(dir string, rows []Row, sorted bool) (Segment, func() error, error) {
-	sf, err := createSpillFile(dur.OS{}, dir, &spillIO{})
+// under dir, created through fs (nil: the real OS), returning the segment
+// and a release func that closes and deletes the file. It exists for tests
+// that need spilled segments — over a fault-injecting FS, say — without
+// running a Cluster; production spill goes through the cluster's
+// MemoryBudget machinery.
+func SpillRows(fs dur.FS, dir string, rows []Row, sorted bool) (Segment, func() error, error) {
+	sf, err := createSpillFile(fs, dir, &spillIO{})
 	if err != nil {
 		return Segment{}, nil, err
 	}

@@ -23,7 +23,7 @@ func spillTestRows(n int) []Row {
 
 func TestSpilledSegmentRoundtrip(t *testing.T) {
 	rows := spillTestRows(137)
-	seg, release, err := SpillRows(t.TempDir(), rows, true)
+	seg, release, err := SpillRows(nil, t.TempDir(), rows, true)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -60,7 +60,7 @@ func TestSpilledSegmentRoundtrip(t *testing.T) {
 func TestRowReaderMixedSegments(t *testing.T) {
 	a := spillTestRows(10)
 	b := spillTestRows(7)
-	seg, release, err := SpillRows(t.TempDir(), b, false)
+	seg, release, err := SpillRows(nil, t.TempDir(), b, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -107,7 +107,7 @@ func TestMemoryBudgetOutputEquivalence(t *testing.T) {
 		defer c.Close()
 		c.FS.Write("in", SinglePartition(kvSchema(), rows))
 		stat := budgetJob(c, t)
-		return append([]Row(nil), c.FS.MustRead("out").Flatten()...), stat
+		return mustReadAll(t, c.FS.MustRead("out")), stat
 	}
 	want, residentStat := run(0)
 	if len(want) == 0 {
@@ -251,54 +251,32 @@ func TestFailedStageReleasesSpillFiles(t *testing.T) {
 	}
 }
 
-// TestFlattenCopiesAndBorrowLends pins the satellite bugfix: Flatten
-// and ReadAll hand back a slice the caller owns — mutating it must not
-// corrupt the dataset — while Borrow is the explicit zero-copy variant
-// for callers that promise immutability.
+// TestFlattenCopiesAndBorrowLends pins that ReadAll hands back a slice the
+// caller owns — mutating it must not corrupt the dataset — whether the
+// dataset is one resident segment or several. (The name is historical: the
+// lending twin, Borrow, is gone.)
 func TestFlattenCopiesAndBorrowLends(t *testing.T) {
 	rows := kvRows(64)
 	ds := SinglePartition(kvSchema(), rows)
-	got := ds.Flatten()
+	got := mustReadAll(t, ds)
 	if len(got) != len(rows) || &got[0] == &rows[0] {
-		t.Fatal("single-segment Flatten must copy the row-header slice")
+		t.Fatal("single-segment ReadAll must copy the row-header slice")
 	}
 	// Mutating the returned slice must leave the dataset intact.
 	for i := range got {
 		got[i] = Row{temporal.String("clobbered")}
 	}
-	again := ds.Flatten()
+	again := mustReadAll(t, ds)
 	for i, r := range again {
 		if len(r) != len(rows[i]) || !r[0].Equal(rows[i][0]) {
-			t.Fatalf("row %d changed after mutating a Flatten result", i)
+			t.Fatalf("row %d changed after mutating a ReadAll result", i)
 		}
-	}
-	// Borrow is the zero-copy path, single resident row segment only.
-	lent, ok := ds.Borrow()
-	if !ok || &lent[0] != &rows[0] {
-		t.Fatal("Borrow must lend the underlying slice of a single resident segment")
 	}
 	ds2 := NewDataset(kvSchema(), 1)
 	ds2.Append(0, rows[:32])
 	ds2.Append(0, rows[32:])
-	if _, ok := ds2.Borrow(); ok {
-		t.Fatal("Borrow must refuse multi-segment datasets")
-	}
-	got2 := ds2.Flatten()
+	got2 := mustReadAll(t, ds2)
 	if len(got2) != len(rows) || &got2[0] == &rows[0] {
-		t.Fatal("multi-segment Flatten must build a fresh slice")
-	}
-}
-
-// BenchmarkFlattenResident pins the satellite claim: reading the common
-// single-segment resident dataset through Borrow allocates nothing.
-func BenchmarkFlattenResident(b *testing.B) {
-	ds := SinglePartition(kvSchema(), kvRows(1<<16))
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		rows, ok := ds.Borrow()
-		if !ok || len(rows) != 1<<16 {
-			b.Fatal("bad length")
-		}
+		t.Fatal("multi-segment ReadAll must build a fresh slice")
 	}
 }

@@ -237,55 +237,3 @@ func TestBatchEquivalenceEveryOperator(t *testing.T) {
 		})
 	}
 }
-
-// reorderOp is not reachable from a Plan (it fronts out-of-order live
-// feeds), so its batch path is pinned at operator level: same disordered
-// input, same released sequence — including the mid-batch releases forced
-// by the advancing watermark.
-func TestBatchEquivalenceReorder(t *testing.T) {
-	for seed := int64(0); seed < 8; seed++ {
-		rng := rand.New(rand.NewSource(seed))
-		var evs []Event
-		tm := Time(50)
-		for i := 0; i < 150; i++ {
-			tm += Time(rng.Intn(4))
-			// Disorder beyond the slack now and then: late events release
-			// immediately, which the batch path must reproduce in place.
-			le := tm - Time(rng.Intn(12))
-			evs = append(evs, PointEvent(le, Row{Int(int64(le))}))
-		}
-		withCTI := seed%2 == 0 // half the runs end with a punctuation
-
-		ref := &seqSink{}
-		r1 := newReorder(5, ref)
-		for _, e := range evs {
-			r1.OnEvent(e)
-		}
-		if withCTI {
-			r1.OnCTI(tm)
-		}
-		r1.OnFlush()
-
-		got := &seqSink{}
-		r2 := newReorder(5, got)
-		var b Batch
-		for _, e := range evs {
-			b.Events = append(b.Events, e)
-			if rng.Intn(3) == 0 {
-				r2.OnBatch(&b)
-				b = Batch{Events: b.Events[:0]}
-			}
-		}
-		if withCTI {
-			b.CTI, b.HasCTI = tm, true
-		}
-		if len(b.Events) > 0 || b.HasCTI {
-			r2.OnBatch(&b)
-		}
-		r2.OnFlush()
-
-		if d := diffTokens(got.tokens, ref.tokens); d != "" {
-			t.Fatalf("reorder seed %d: batched run diverged: %s", seed, d)
-		}
-	}
-}

@@ -40,7 +40,7 @@ const (
 	ckEngine     byte = 0xE7 // engine header
 	ckAggregate  byte = 0x01
 	ckAlterLife  byte = 0x02
-	ckReorder    byte = 0x03
+	ckReorder    byte = 0x03 // reserved: a removed operator's tag, kept so no other tag moves
 	ckUnion      byte = 0x04
 	ckJoin       byte = 0x05
 	ckAntiSemi   byte = 0x06

@@ -6,14 +6,20 @@ import (
 	"testing"
 )
 
+// srcEvent pairs an event with the source it is fed to.
+type srcEvent struct {
+	Source string
+	Event  Event
+}
+
 // flattenSorted interleaves per-source feeds into one globally LE-ordered
 // sequence (stable tie-break by source name), the order a checkpoint test
 // drives an engine in.
-func flattenSorted(feeds map[string][]Event) []SourceEvent {
-	var all []SourceEvent
+func flattenSorted(feeds map[string][]Event) []srcEvent {
+	var all []srcEvent
 	for src, evs := range feeds {
 		for _, e := range evs {
-			all = append(all, SourceEvent{Source: src, Event: e})
+			all = append(all, srcEvent{Source: src, Event: e})
 		}
 	}
 	for i := 1; i < len(all); i++ {
@@ -40,7 +46,7 @@ func checkpointRoundtrip(t *testing.T, mk func() *Plan, feeds map[string][]Event
 	if split < 0 || split > len(all) {
 		t.Fatalf("bad split %d for %d events", split, len(all))
 	}
-	drive := func(eng *Engine, evs []SourceEvent, base int) {
+	drive := func(eng *Engine, evs []srcEvent, base int) {
 		for i, se := range evs {
 			eng.Feed(se.Source, se.Event)
 			if ctiEvery > 0 && (base+i+1)%ctiEvery == 0 {
@@ -225,54 +231,6 @@ func TestCheckpointRestoresCTIClock(t *testing.T) {
 	}
 	if e2.lastCTI != e1.lastCTI || e2.lastCTI != 50 {
 		t.Fatalf("CTI clock not restored: got %d, want %d", e2.lastCTI, e1.lastCTI)
-	}
-}
-
-func TestCheckpointReorderOp(t *testing.T) {
-	// The reorder buffer is not plan-addressable, so roundtrip it directly:
-	// disordered feed, snapshot mid-stream, restore, finish — output must
-	// match the uninterrupted run.
-	feed := []Event{
-		PointEvent(10, Row{Int(10)}),
-		PointEvent(7, Row{Int(7)}),
-		PointEvent(12, Row{Int(12)}),
-		PointEvent(9, Row{Int(9)}),
-		PointEvent(15, Row{Int(15)}),
-		PointEvent(13, Row{Int(13)}),
-	}
-	clean := &Collector{}
-	r0 := newReorder(5, clean)
-	for _, e := range feed {
-		r0.OnEvent(e)
-	}
-	r0.OnFlush()
-
-	for split := 0; split <= len(feed); split++ {
-		got := &Collector{}
-		r1 := newReorder(5, got)
-		for _, e := range feed[:split] {
-			r1.OnEvent(e)
-		}
-		var w SnapshotWriter
-		r1.Snapshot(&w)
-		snap := w.Bytes()
-		r2 := newReorder(5, got)
-		if err := r2.Restore(NewSnapshotReader(snap)); err != nil {
-			t.Fatalf("split %d: %v", split, err)
-		}
-		var w2 SnapshotWriter
-		r2.Snapshot(&w2)
-		if !bytes.Equal(w2.Bytes(), snap) {
-			t.Fatalf("split %d: reorder re-snapshot differs", split)
-		}
-		for _, e := range feed[split:] {
-			r2.OnEvent(e)
-		}
-		r2.OnFlush()
-		if !EventsEqual(Coalesce(append([]Event(nil), got.Events...)),
-			Coalesce(append([]Event(nil), clean.Events...))) {
-			t.Fatalf("split %d: reorder roundtrip diverges", split)
-		}
 	}
 }
 

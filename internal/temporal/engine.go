@@ -1,9 +1,9 @@
 package temporal
 
 import (
+	"cmp"
 	"fmt"
 	"slices"
-	"sort"
 
 	"timr/internal/obs"
 )
@@ -20,15 +20,14 @@ type Engine struct {
 	collect  *Collector
 	sink     Sink
 	// CTIPeriod controls automatic punctuation injection by Feed,
-	// FeedBatch and FeedSorted: a CTI is broadcast whenever application
+	// FeedBatch and FeedMerged: a CTI is broadcast whenever application
 	// time advances past the next period boundary (the schedule is
 	// anchored at the first event's time). Zero disables automatic CTIs
 	// (state is bounded only by Flush).
 	CTIPeriod Time
 	lastCTI   Time
-	fed       bool    // any input seen; Restore on a fed engine is an error
-	feedBuf   []Event // reused run buffer for FeedSorted
-	feedBatch Batch   // reused batch header for FeedBatch/FeedSorted
+	fed       bool  // any input seen; Restore on a fed engine is an error
+	feedBatch Batch // reused batch header for FeedBatch/FeedMerged
 }
 
 // Option configures an Engine at construction.
@@ -100,7 +99,7 @@ func (e *Engine) Feed(source string, ev Event) {
 func (e *Engine) FeedBatch(source string, b *Batch) {
 	e.fed = true
 	in := e.pipeline.BatchInput(source)
-	// Snapshot the header: b may alias e.feedBatch (FeedSorted does), and
+	// Snapshot the header: b may alias e.feedBatch (FeedMerged does), and
 	// mid-run punctuation below reuses that header for sub-batches.
 	evs, cti, hasCTI := b.Events, b.CTI, b.HasCTI
 	start := 0
@@ -265,69 +264,6 @@ func (e *Engine) RawResults() []Event {
 	return out
 }
 
-// SourceEvent pairs an event with the source it belongs to, for
-// multi-source runs.
-type SourceEvent struct {
-	Source string
-	Event  Event
-}
-
-// feedRunCap bounds the reused run buffer FeedSorted batches through:
-// large enough to amortize per-batch costs to noise, small enough to
-// stay cache-resident and to bound the copy buffer.
-const feedRunCap = 1024
-
-// FeedSorted feeds a batch of source events in global LE order (sorting
-// through an index vector if needed, which keeps equal-timestamp order
-// stable without shuffling the events themselves), injecting CTIs every
-// CTIPeriod of application time. Maximal same-source runs are pushed
-// through FeedBatch, so a single-source feed crosses the pipeline in
-// feedRunCap-sized batches.
-func (e *Engine) FeedSorted(events []SourceEvent) {
-	ordered := sort.SliceIsSorted(events, func(i, j int) bool {
-		return events[i].Event.LE < events[j].Event.LE
-	})
-	if ordered {
-		e.feedRuns(events, nil)
-		return
-	}
-	order := make([]int32, len(events))
-	for i := range order {
-		order[i] = int32(i)
-	}
-	sort.SliceStable(order, func(i, j int) bool {
-		return events[order[i]].Event.LE < events[order[j]].Event.LE
-	})
-	e.feedRuns(events, order)
-}
-
-// feedRuns feeds events in index order (identity when order is nil),
-// batching maximal same-source runs (capped at feedRunCap) into FeedBatch.
-func (e *Engine) feedRuns(events []SourceEvent, order []int32) {
-	buf := e.feedBuf[:0]
-	cur := ""
-	flush := func() {
-		if len(buf) > 0 {
-			e.feedBatch = Batch{Events: buf}
-			e.FeedBatch(cur, &e.feedBatch)
-			buf = buf[:0]
-		}
-	}
-	for i := range events {
-		se := &events[i]
-		if order != nil {
-			se = &events[order[i]]
-		}
-		if se.Source != cur || len(buf) >= feedRunCap {
-			flush()
-			cur = se.Source
-		}
-		buf = append(buf, se.Event)
-	}
-	flush()
-	e.feedBuf = buf[:0]
-}
-
 // RunPlan compiles and runs a plan over per-source event batches and
 // returns coalesced, sorted results. It is the one-call path used
 // throughout the tests and examples.
@@ -336,24 +272,18 @@ func RunPlan(plan *Plan, inputs map[string][]Event) ([]Event, error) {
 	if err != nil {
 		return nil, err
 	}
-	// Sized up front: the list is tens of MB on a BT stage, and growing it
-	// by append allocates about five times its final size.
-	n := 0
+	// One run per referenced input, in source-name order, so LE ties across
+	// sources resolve the same way on every call.
+	var runs []Run
 	for src, evs := range inputs {
 		if _, ok := eng.pipeline.inputs[src]; ok {
-			n += len(evs)
+			runs = append(runs, Run{Source: src, Events: evs})
 		}
 	}
-	all := make([]SourceEvent, 0, n)
-	for src, evs := range inputs {
-		if _, ok := eng.pipeline.inputs[src]; !ok {
-			continue // input not referenced by the plan
-		}
-		for _, ev := range evs {
-			all = append(all, SourceEvent{Source: src, Event: ev})
-		}
+	slices.SortFunc(runs, func(a, b Run) int { return cmp.Compare(a.Source, b.Source) })
+	if _, err := eng.FeedMerged(runs); err != nil {
+		return nil, err
 	}
-	eng.FeedSorted(all)
 	eng.Flush()
 	// The engine ends here, so its collector's buffer is handed over as is.
 	return Coalesce(eng.collect.Events), nil

@@ -417,23 +417,6 @@ func TestCoalesce(t *testing.T) {
 	}
 }
 
-func TestReorderOp(t *testing.T) {
-	col := &Collector{}
-	r := newReorder(5, col)
-	r.OnEvent(PointEvent(10, Row{Int(10)}))
-	r.OnEvent(PointEvent(7, Row{Int(7)})) // disordered within slack
-	r.OnEvent(PointEvent(12, Row{Int(12)}))
-	r.OnFlush()
-	if len(col.Events) != 3 {
-		t.Fatalf("events = %v", col.Events)
-	}
-	for i := 1; i < len(col.Events); i++ {
-		if col.Events[i].LE < col.Events[i-1].LE {
-			t.Fatalf("reorder failed: %v", col.Events)
-		}
-	}
-}
-
 func TestEngineIncrementalFeed(t *testing.T) {
 	// Drive the engine event-by-event with explicit CTIs, as a real-time
 	// deployment would, and check results match the batch run.

@@ -27,6 +27,21 @@ func (h *minHeap[T]) pop() T {
 	s := h.items
 	n := len(s) - 1
 	s[0], s[n] = s[n], s[0]
+	h.down(n)
+	x := s[n]
+	clear(s[n:]) // the spare capacity must not pin x's row
+	h.items = s[:n]
+	return x
+}
+
+// fixTop restores heap order after the least element's key grew in place:
+// a k-way merge advances its front cursor with one sift instead of a pop
+// and a push.
+func (h *minHeap[T]) fixTop() { h.down(len(h.items)) }
+
+// down sifts the root into place among the first n items.
+func (h *minHeap[T]) down(n int) {
+	s := h.items
 	for i := 0; ; {
 		j := 2*i + 1 // left child
 		if j >= n {
@@ -41,8 +56,4 @@ func (h *minHeap[T]) pop() T {
 		s[i], s[j] = s[j], s[i]
 		i = j
 	}
-	x := s[n]
-	clear(s[n:]) // the spare capacity must not pin x's row
-	h.items = s[:n]
-	return x
 }

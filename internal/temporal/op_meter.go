@@ -17,7 +17,7 @@ import (
 //	events_out   events the operator emitted
 //	ctis         punctuations the operator propagated downstream
 //	state        high watermark of live state (synopsis entries, open
-//	             aggregate lifetimes, reorder/merge buffers, group count)
+//	             aggregate lifetimes, merge buffers, group count)
 //	wm_lag       worst observed punctuation lag: max over CTIs of
 //	             (max input LE seen) − (CTI time)
 //

@@ -3,7 +3,7 @@ package temporal
 import "sort"
 
 // The plumbing operators around the stateless kernel (op_fused.go):
-// multicast, ToPoint and reorder. Each implements both Sink (per-event)
+// multicast and ToPoint. Each implements both Sink (per-event)
 // and BatchSink (batch-at-a-time). The batch methods are the primary path:
 // they process a whole run in a tight loop and make one downstream call,
 // reusing a per-operator output buffer (see batchOut). The per-event
@@ -228,101 +228,4 @@ func floorDiv(a, b Time) Time {
 		q--
 	}
 	return q
-}
-
-// reorderOp restores nondecreasing-LE order for a source that may be
-// disordered by at most slack time units. Events are buffered and released
-// once the high-watermark (max LE seen, or CTI) has passed LE + slack.
-type reorderOp struct {
-	slack Time
-	buf   minHeap[Event] // in canonical engine order (compareEvents)
-	wm    Time
-	out   Sink
-	bo    batchOut
-}
-
-func newReorder(slack Time, out Sink) *reorderOp {
-	return &reorderOp{slack: slack, buf: minHeap[Event]{less: eventBefore}, wm: MinTime, out: out}
-}
-
-func (r *reorderOp) OnEvent(e Event) {
-	r.buf.push(e)
-	if e.LE > r.wm {
-		r.wm = e.LE
-	}
-	r.release(r.wm - r.slack)
-}
-
-// OnBatch runs the per-event admit/release cycle over the whole run but
-// accumulates released events into one output batch. The release points
-// (per event, against the running watermark) match the per-event path
-// exactly, so even slack-violating inputs produce identical output.
-func (r *reorderOp) OnBatch(b *Batch) {
-	released := r.bo.buf[:0]
-	for i := range b.Events {
-		e := b.Events[i]
-		r.buf.push(e)
-		if e.LE > r.wm {
-			r.wm = e.LE
-		}
-		upto := r.wm - r.slack
-		for len(r.buf.items) > 0 && r.buf.items[0].LE <= upto {
-			released = append(released, r.buf.pop())
-		}
-	}
-	if b.HasCTI {
-		// A CTI promises no later event has LE < t: release below t
-		// regardless of slack.
-		if b.CTI > r.wm {
-			r.wm = b.CTI
-		}
-		for len(r.buf.items) > 0 && r.buf.items[0].LE <= b.CTI {
-			released = append(released, r.buf.pop())
-		}
-	}
-	r.bo.emit(r.out, released, b.CTI, b.HasCTI)
-}
-
-func (r *reorderOp) OnCTI(t Time) {
-	// A CTI promises no later event has LE < t, so everything below t can
-	// be released regardless of slack.
-	if t > r.wm {
-		r.wm = t
-	}
-	r.release(t)
-	r.out.OnCTI(t)
-}
-
-func (r *reorderOp) OnFlush() {
-	r.release(MaxTime)
-	r.out.OnFlush()
-}
-
-func (r *reorderOp) liveState() int { return len(r.buf.items) }
-
-// Snapshot serializes the watermark and the buffered events in canonical
-// order. A sorted slice is itself a valid min-heap, and release order is
-// fully determined by the heap's order, so the rebuilt buffer releases the
-// identical sequence.
-func (r *reorderOp) Snapshot(w *SnapshotWriter) {
-	w.Byte(ckReorder)
-	w.Varint(r.wm)
-	buf := append([]Event(nil), r.buf.items...)
-	SortEvents(buf)
-	w.Events(buf)
-}
-
-func (r *reorderOp) Restore(rd *SnapshotReader) error {
-	if err := rd.Expect(ckReorder, "reorder"); err != nil {
-		return err
-	}
-	r.wm = rd.Varint()
-	r.buf.items = rd.Events()
-	return rd.Err()
-}
-
-func (r *reorderOp) release(upto Time) {
-	for len(r.buf.items) > 0 && r.buf.items[0].LE <= upto {
-		r.out.OnEvent(r.buf.pop())
-	}
 }

@@ -8,13 +8,13 @@ import (
 // flushes — the way a live DSMS deployment is driven.
 func driveWithCTIs(t *testing.T, plan *Plan, inputs map[string][]Event) []Event {
 	t.Helper()
-	var all []SourceEvent
+	var all []srcEvent
 	for src, evs := range inputs {
 		for _, e := range evs {
-			all = append(all, SourceEvent{Source: src, Event: e})
+			all = append(all, srcEvent{Source: src, Event: e})
 		}
 	}
-	sortSourceEvents(all)
+	sortSrcEvents(all)
 	eng, err := NewEngine(plan)
 	if err != nil {
 		t.Fatal(err)
@@ -28,7 +28,7 @@ func driveWithCTIs(t *testing.T, plan *Plan, inputs map[string][]Event) []Event 
 	return eng.Results()
 }
 
-func sortSourceEvents(evs []SourceEvent) {
+func sortSrcEvents(evs []srcEvent) {
 	for i := 1; i < len(evs); i++ {
 		for j := i; j > 0 && evs[j].Event.LE < evs[j-1].Event.LE; j-- {
 			evs[j], evs[j-1] = evs[j-1], evs[j]

@@ -21,7 +21,6 @@ package temporal
 import (
 	"cmp"
 	"fmt"
-	"hash/fnv"
 	"math"
 	"strconv"
 	"strings"
@@ -239,11 +238,4 @@ func HashRow(r Row, cols []int) uint64 {
 func HashCombine(h, x uint64) uint64 {
 	const prime = 1099511628211
 	return (h ^ x) * prime
-}
-
-// hashString is a convenience FNV-1a over a raw string.
-func hashString(s string) uint64 {
-	h := fnv.New64a()
-	h.Write([]byte(s))
-	return h.Sum64()
 }
