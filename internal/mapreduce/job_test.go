@@ -104,7 +104,7 @@ func mustReadAll(t testing.TB, ds *Dataset) []Row {
 	return rows
 }
 
-func TestDatasetFlatten(t *testing.T) {
+func TestDatasetReadAllCountsRows(t *testing.T) {
 	d := NewDataset(kvSchema(), 2)
 	d.Append(0, kvRows(3))
 	d.Append(1, kvRows(2))

@@ -251,11 +251,10 @@ func TestFailedStageReleasesSpillFiles(t *testing.T) {
 	}
 }
 
-// TestFlattenCopiesAndBorrowLends pins that ReadAll hands back a slice the
-// caller owns — mutating it must not corrupt the dataset — whether the
-// dataset is one resident segment or several. (The name is historical: the
-// lending twin, Borrow, is gone.)
-func TestFlattenCopiesAndBorrowLends(t *testing.T) {
+// TestReadAllReturnsCallerOwnedSlice pins that ReadAll hands back a slice
+// the caller owns — mutating it must not corrupt the dataset — whether the
+// dataset is one resident segment or several.
+func TestReadAllReturnsCallerOwnedSlice(t *testing.T) {
 	rows := kvRows(64)
 	ds := SinglePartition(kvSchema(), rows)
 	got := mustReadAll(t, ds)

@@ -157,8 +157,7 @@ func BenchmarkServeOpenLoop(b *testing.B) {
 // counts, not timings — that a wave costs O(live state): the partition
 // checkpoints and the GroupApply's live groups late in the run are no
 // larger than early in it (they used to grow with every impression ever
-// scored), and that new impressions are served from recycled
-// sub-pipelines rather than compiled ones.
+// scored), and that every impression's group is dropped again.
 func TestServeSteadyStateIsBounded(t *testing.T) {
 	const perWave, waves = 32, 72
 	cfg := testConfig()
@@ -230,9 +229,8 @@ func TestServeSteadyStateIsBounded(t *testing.T) {
 	if liveGroups[last] > 2*liveGroups[8] || liveGroups[last] > perWave {
 		t.Errorf("live groups grow: %d at wave 8, %d at wave %d (%d requests per wave)", liveGroups[8], liveGroups[last], last, perWave)
 	}
-	recycled := metric("groups_recycled")
-	if compiled := impressions - recycled; recycled <= compiled {
-		t.Errorf("%d impressions: %d sub-pipelines compiled, only %d recycled", impressions, compiled, recycled)
+	if held := impressions - metric("groups_reclaimed"); held > 4*perWave {
+		t.Errorf("%d impressions: %d groups never dropped (4 partitions, %d requests per wave)", impressions, held, perWave)
 	}
 	job.Flush()
 	results, err := job.Results()

@@ -25,9 +25,8 @@ package temporal
 // structurally when the pipeline walks its operators.
 //
 // Restore must be called on a freshly built operator (same plan node,
-// zero state) before it has processed any input, or on a drained one
-// (how GroupApply rewinds a recycled sub-pipeline, see subOperator); on
-// error the operator — and the engine hosting it — must be discarded.
+// zero state) before it has processed any input; on error the operator —
+// and the engine hosting it — must be discarded.
 type Checkpointer interface {
 	Snapshot(w *SnapshotWriter)
 	Restore(r *SnapshotReader) error
@@ -36,16 +35,22 @@ type Checkpointer interface {
 // Per-operator tag bytes, written ahead of each operator's state and
 // verified on restore, so a plan/checkpoint mismatch fails loudly instead
 // of reading one operator's bytes as another's.
+//
+// The engine header doubles as the format version: 0xE8 is format 2,
+// which introduced the grouped-aggregate section, writes expirations in
+// pop order and renumbered the tags; format 1 images (header 0xE7) are
+// refused by Engine.Restore.
 const (
-	ckEngine     byte = 0xE7 // engine header
+	ckEngine     byte = 0xE8
+	ckEngineV1   byte = 0xE7
 	ckAggregate  byte = 0x01
 	ckAlterLife  byte = 0x02
-	ckReorder    byte = 0x03 // reserved: a removed operator's tag, kept so no other tag moves
-	ckUnion      byte = 0x04
-	ckJoin       byte = 0x05
-	ckAntiSemi   byte = 0x06
-	ckUDO        byte = 0x07
-	ckGroupApply byte = 0x08
+	ckUnion      byte = 0x03
+	ckJoin       byte = 0x04
+	ckAntiSemi   byte = 0x05
+	ckUDO        byte = 0x06
+	ckGroupApply byte = 0x07
+	ckGroupedAgg byte = 0x08
 )
 
 // SnapshotWriter accumulates a checkpoint byte stream. It is the shared

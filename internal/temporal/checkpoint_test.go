@@ -3,6 +3,7 @@ package temporal
 import (
 	"bytes"
 	"math/rand"
+	"strings"
 	"testing"
 )
 
@@ -265,73 +266,121 @@ func TestCheckpointErrors(t *testing.T) {
 	if err := e2.Restore(snap); err == nil {
 		t.Fatal("Restore on an engine that has processed input must error")
 	}
+	if err := restoreErr(mkA(), append([]byte{ckEngineV1}, snap[1:]...)); err == nil || !strings.Contains(err.Error(), "format 1") {
+		t.Fatalf("a format-1 image must be refused by name, got %v", err)
+	}
+
+	// A grouped kernel's section, one byte corrupted at a time: every image
+	// errors or restores, and the slot table's own checks are among the
+	// errors — an expiration naming a slot that is not there, a slot no
+	// expiration names, a count larger than the bytes left.
+	e3, err := NewEngine(mkB(), WithCTIPeriod(0))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for ts := Time(1); ts <= 6; ts++ {
+		e3.Feed("in", PointEvent(ts, Row{Int(ts), Int(ts % 3)}))
+	}
+	snap = e3.Checkpoint()
+	seen := map[string]bool{}
+	for i := range snap {
+		for _, b := range []byte{0x00, 0x07, 0x7f} {
+			bad := append([]byte(nil), snap...)
+			bad[i] = b
+			if err := restoreErr(mkB(), bad); err != nil {
+				for _, msg := range []string{"names slot", "no open lifetime", "exceeds remaining"} {
+					seen[msg] = seen[msg] || strings.Contains(err.Error(), msg)
+				}
+			}
+		}
+	}
+	if !seen["names slot"] || !seen["no open lifetime"] || !seen["exceeds remaining"] {
+		t.Fatalf("corrupting the kernel section never tripped every slot-table check: %v", seen)
+	}
+}
+
+// restoreErr is RestoreEngine for its error alone.
+func restoreErr(plan *Plan, snap []byte) error {
+	_, err := RestoreEngine(plan, snap, WithCTIPeriod(0))
+	return err
 }
 
 // FuzzCheckpointRoundtrip fuzzes two properties at once: (1) for states
 // reached by feeding decoded events, snapshot → restore → snapshot is the
 // byte identity; (2) arbitrary bytes fed to RestoreEngine never panic —
-// they either restore cleanly or fail with an error.
+// they either restore cleanly or fail with an error. Both over every
+// GroupApply lowering: one grouped kernel, a union and a join distributed
+// over kernels, and a sub-plan (ToPoint) still compiled per key.
 func FuzzCheckpointRoundtrip(f *testing.F) {
 	f.Add([]byte{1, 2, 3, 4, 5, 6, 7, 8})
-	f.Add([]byte{0xE7, 0x00, 0x00})
+	f.Add([]byte{ckEngine, 0x00, 0x00})
 	f.Add([]byte{})
-	mk := func() *Plan {
-		return Scan("in", propSchema()).
-			GroupApply([]string{"V"}, func(g *Plan) *Plan { return g.WithWindow(8).Sum("V", "S") })
+	plans := []func() *Plan{}
+	for _, sub := range []func(g *Plan) *Plan{
+		func(g *Plan) *Plan { return g.WithWindow(8).Sum("V", "S") },
+		func(g *Plan) *Plan { return g.WithWindow(8).Max("V", "S").Union(g.WithHop(6, 3).Sum("Time", "S")) },
+		func(g *Plan) *Plan { return g.WithHop(4, 4).Count("C").Join(g.Min("V", "M"), nil, nil, nil) },
+		func(g *Plan) *Plan { return g.WithWindow(8).Sum("V", "S").ToPoint() },
+	} {
+		sub := sub
+		plans = append(plans, func() *Plan { return Scan("in", propSchema()).GroupApply([]string{"V"}, sub) })
 	}
-	// A real image taken after reclamation: three groups drained and left
-	// the snapshot, one recycled instance is live again.
-	post, err := NewEngine(mk(), WithCTIPeriod(0))
-	if err != nil {
-		f.Fatal(err)
-	}
-	for tm := Time(0); tm < 6; tm++ {
-		post.Feed("in", PointEvent(tm, Row{Int(tm), Int(tm % 3)}))
-	}
-	post.Advance(40)
-	post.Feed("in", PointEvent(41, Row{Int(41), Int(5)}))
-	f.Add(post.Checkpoint())
-	// An image with staged output (TestCheckpointWithUnsortedStaged): what a
-	// CTI lagging the input left behind, under a tail in arrival order.
-	staged, err := NewEngine(mk(), WithCTIPeriod(0))
-	if err != nil {
-		f.Fatal(err)
-	}
-	for tm := Time(0); tm < 20; tm++ {
-		staged.Feed("in", PointEvent(tm, Row{Int(tm), Int(tm * tm % 5)}))
-		if tm == 11 {
-			staged.Advance(4)
+	for _, mk := range plans {
+		// A real image after groups drained and one key returned...
+		post, err := NewEngine(mk(), WithCTIPeriod(0))
+		if err != nil {
+			f.Fatal(err)
 		}
+		for tm := Time(0); tm < 6; tm++ {
+			post.Feed("in", PointEvent(tm, Row{Int(tm), Int(tm % 3)}))
+		}
+		post.Advance(40)
+		post.Feed("in", PointEvent(41, Row{Int(41), Int(2)}))
+		f.Add(post.Checkpoint())
+		// ...and one with staged output (TestCheckpointWithUnsortedStaged):
+		// what a CTI lagging the input left behind, under an unsorted tail.
+		staged, err := NewEngine(mk(), WithCTIPeriod(0))
+		if err != nil {
+			f.Fatal(err)
+		}
+		for tm := Time(0); tm < 20; tm++ {
+			staged.Feed("in", PointEvent(tm, Row{Int(tm), Int(tm * tm % 5)}))
+			if tm == 11 {
+				staged.Advance(4)
+			}
+		}
+		f.Add(staged.Checkpoint())
 	}
-	f.Add(staged.Checkpoint())
 	f.Fuzz(func(t *testing.T, data []byte) {
-		// (1) Roundtrip a state derived from the fuzz bytes.
-		eng, err := NewEngine(mk(), WithCTIPeriod(0))
-		if err != nil {
-			t.Fatal(err)
-		}
-		tm := Time(0)
-		for i, b := range data {
-			if i >= 64 {
-				break
+		for _, mk := range plans {
+			// (1) Roundtrip a state derived from the fuzz bytes.
+			eng, err := NewEngine(mk(), WithCTIPeriod(0))
+			if err != nil {
+				t.Fatal(err)
 			}
-			tm += Time(b % 5)
-			eng.Feed("in", PointEvent(tm, Row{Int(int64(tm)), Int(int64(b % 7))}))
-			if b%11 == 0 {
-				eng.Advance(tm)
+			tm := Time(0)
+			for i, b := range data {
+				if i >= 64 {
+					break
+				}
+				tm += Time(b % 5)
+				eng.Feed("in", Event{LE: tm, RE: tm + 1 + Time(b%3), Payload: Row{Int(int64(tm)), Int(int64(b % 7))}})
+				if b%11 == 0 {
+					eng.Advance(tm)
+				}
 			}
-		}
-		snap := eng.Checkpoint()
-		e2, err := RestoreEngine(mk(), snap, WithCTIPeriod(0))
-		if err != nil {
-			t.Fatalf("restore of a live checkpoint failed: %v", err)
-		}
-		if !bytes.Equal(e2.Checkpoint(), snap) {
-			t.Fatal("snapshot→restore→snapshot is not the byte identity")
-		}
-		// (2) Arbitrary bytes must never panic the decoder.
-		if e3, err := RestoreEngine(mk(), data, WithCTIPeriod(0)); err == nil && e3 == nil {
-			t.Fatal("nil engine without error")
+			snap := eng.Checkpoint()
+			e2, err := RestoreEngine(mk(), snap, WithCTIPeriod(0))
+			if err != nil {
+				t.Fatalf("restore of a live checkpoint failed: %v", err)
+			}
+			if !bytes.Equal(e2.Checkpoint(), snap) {
+				t.Fatal("snapshot→restore→snapshot is not the byte identity")
+			}
+			// (2) Arbitrary bytes must never panic the decoder.
+			if e3, err := RestoreEngine(mk(), data, WithCTIPeriod(0)); err == nil && e3 == nil {
+				t.Fatal("nil engine without error")
+			}
 		}
 	})
 }

@@ -20,7 +20,7 @@ type Pipeline struct {
 	// Stateless operators simply never appear here.
 	ckpts []Checkpointer
 	// auto is set while the engine's automatic schedule punctuates: the
-	// one kind of CTI a GroupApply may thin (see groupApplyOp.gap).
+	// one kind of CTI a GroupApply may thin (see groupOutput.gap).
 	auto bool
 }
 
@@ -271,16 +271,16 @@ func fusable(n *Plan) bool {
 // entry sink. Each lifetime-transform member registers the (empty)
 // checkpoint section the snapshot layout gives its plan node.
 func (c *compiler) buildKernel(n *Plan) []Sink {
-	tail, k := n, 1
-	for tail != c.root && len(c.parents[tail]) == 1 && fusable(c.parents[tail][0].node) {
+	run := []*Plan{n}
+	for tail := n; tail != c.root && len(c.parents[tail]) == 1 && fusable(c.parents[tail][0].node); {
 		tail = c.parents[tail][0].node
-		k++
+		run = append(run, tail)
 	}
-	f := newFusedOp(tail, k, c.outputSink(tail))
+	f := newFusedOp(run, c.outputSink(run[len(run)-1]))
 	if c.obs != nil {
-		f.m = &kernelMeter{ops: make([]*opMetrics, k), seen: make([]stageSeen, k+1)}
+		f.m = &kernelMeter{ops: make([]*opMetrics, len(run)), seen: make([]stageSeen, len(run)+1)}
 	}
-	for m, i := tail, k-1; i >= 0; m, i = m.Inputs[0], i-1 {
+	for i, m := range run {
 		if m.Kind == OpAlterLifetime {
 			c.insts[m] = alterSection{}
 		}
@@ -300,25 +300,14 @@ func (c *compiler) buildOp(n *Plan, out Sink) ([]Sink, any) {
 		a := &alterLifetimeOp{out: out}
 		return []Sink{a}, a
 	case OpAggregate:
-		col := -1
-		var kind Kind
-		if n.AggCol != "" {
-			col = in.MustIndex(n.AggCol)
-			kind = in.Field(col).Kind
-		}
-		a := newAggregateOp(newAggState(n.Agg, col, kind), out)
+		a := newAggregateOp(aggStateOf(n)(), out)
 		return []Sink{a}, a
 	case OpGroupApply:
-		keys := in.Indexes(n.Keys...)
-		sub := n.Sub
-		factory := func(groupOut Sink) (Sink, []subOperator) {
-			entry, ops, err := compileSub(sub, groupOut)
-			if err != nil {
-				panic(err) // sub-plan validated at first compile; cannot fail per group
-			}
-			return entry, ops
+		var l subOps
+		if entry, ok := c.lowerGroupApply(n, n.Sub, &l, out); ok {
+			return []Sink{entry}, l
 		}
-		g := newGroupApplyOp(keys, factory, sub.MaxWindow(), c.auto, out)
+		g := newGroupApplyOp(n, c.auto, out)
 		return []Sink{g}, g
 	case OpUnion:
 		u := newUnionOp(out)
@@ -341,6 +330,18 @@ func (c *compiler) buildOp(n *Plan, out Sink) ([]Sink, any) {
 	default:
 		panic("temporal: cannot build operator for " + n.Kind.String())
 	}
+}
+
+// aggStateOf returns the constructor of Aggregate node n's accumulator.
+func aggStateOf(n *Plan) func() aggState {
+	in := n.Inputs[0].Out
+	col := -1
+	var kind Kind
+	if n.AggCol != "" {
+		col = in.MustIndex(n.AggCol)
+		kind = in.Field(col).Kind
+	}
+	return func() aggState { return newAggState(n.Agg, col, kind) }
 }
 
 // walkInputs visits the plan DAG following only Inputs edges (not

@@ -206,6 +206,9 @@ func (e *Engine) Restore(snap []byte) error {
 	if e.fed {
 		return fmt.Errorf("temporal: Restore on an engine that has processed input")
 	}
+	if len(snap) > 0 && snap[0] == ckEngineV1 {
+		return fmt.Errorf("temporal: checkpoint is in format 1, written before the grouped-aggregate kernel; this build reads format 2 only")
+	}
 	r := NewSnapshotReader(snap)
 	if err := r.Expect(ckEngine, "engine"); err != nil {
 		return err

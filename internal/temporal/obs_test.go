@@ -147,7 +147,7 @@ func TestObservedMatchesUnobserved(t *testing.T) {
 	}
 }
 
-// GroupApply's punctuation counters: two keys with a 10-tick window, key 1
+// GroupApply's punctuation counters, read off the grouped kernel: two keys with a 10-tick window, key 1
 // fed every 4 ticks from 0 and key 2 one tick later, the automatic
 // schedule at period 2. It punctuates at t = 0, 4, … 36 (at key 1's
 // events); the operator broadcasts the first and then one per extent
@@ -172,5 +172,8 @@ func TestObservedGroupApplyPunctuation(t *testing.T) {
 		if got := sc.Counter(name).Value(); got != want {
 			t.Errorf("%s = %d, want %d", name, got, want)
 		}
+	}
+	if got := sc.Gauge("groups_live").Value(); got != 2 {
+		t.Errorf("groups_live = %d, want 2", got)
 	}
 }

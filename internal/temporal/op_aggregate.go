@@ -4,7 +4,6 @@ import (
 	"cmp"
 	"math"
 	"slices"
-	"sort"
 
 	"timr/internal/obs"
 )
@@ -252,19 +251,110 @@ func newAggState(kind AggKind, col int, colKind Kind) aggState {
 	panic("temporal: unknown aggregate")
 }
 
-// expiration orders active events by their right endpoint for the sweep.
+// expiration is one active event awaiting its right endpoint.
 type expiration struct {
-	re  Time
-	row Row
+	re   Time
+	seq  uint64 // arrival order: breaks re ties in the heap
+	row  Row
+	slot *groupSlot // groupedAggOp only: whose active set the event is in
 }
 
-func expBefore(a, b expiration) bool { return a.re < b.re }
+// expQueue releases expirations in (re, arrival) order. Window and hop
+// lifetimes end in the order they start, so the queue is a FIFO for as
+// long as right endpoints arrive nondecreasing; the first one that does
+// not turns it into a heap (a sorted slice is one already) until it next
+// runs empty. Either way entries with equal re leave in arrival order — a
+// float accumulator's last bit depends on the order values are removed in
+// — so the representation is invisible, also across a restore.
+type expQueue struct {
+	h      minHeap[expiration] // h.items[head:] is the queue
+	head   int                 // consumed FIFO prefix; 0 while heaped
+	heaped bool
+	seq    uint64
+}
+
+func expBefore(a, b expiration) bool {
+	return a.re < b.re || a.re == b.re && a.seq < b.seq
+}
+
+func (q *expQueue) len() int { return len(q.h.items) - q.head }
+
+// top is the next expiration; the queue must not be empty.
+func (q *expQueue) top() *expiration { return &q.h.items[q.head] }
+
+func (q *expQueue) push(x expiration) {
+	x.seq = q.seq
+	q.seq++
+	if !q.heaped {
+		if n := len(q.h.items); n == q.head || q.h.items[n-1].re <= x.re {
+			q.h.items = append(q.h.items, x)
+			return
+		}
+		q.compact()
+		q.heaped, q.h.less = true, expBefore
+	}
+	q.h.push(x)
+}
+
+// compact moves the FIFO down over its consumed prefix.
+func (q *expQueue) compact() {
+	s := q.h.items
+	n := copy(s, s[q.head:])
+	clear(s[n:]) // the vacated tail must not pin rows
+	q.h.items, q.head = s[:n], 0
+}
+
+func (q *expQueue) pop() expiration {
+	if q.heaped {
+		x := q.h.pop()
+		q.heaped = len(q.h.items) > 0
+		return x
+	}
+	s := q.h.items
+	x := s[q.head]
+	s[q.head] = expiration{} // the consumed prefix must not pin x's row
+	q.head++
+	if q.head == len(s) || q.head > 64 && q.head*2 >= len(s) {
+		q.compact()
+	}
+	return x
+}
+
+// ordered returns the queue in pop order (its own array while a FIFO).
+func (q *expQueue) ordered() []expiration {
+	if !q.heaped {
+		return q.h.items[q.head:]
+	}
+	exp := slices.Clone(q.h.items)
+	slices.SortFunc(exp, func(a, b expiration) int {
+		return cmp.Or(cmp.Compare(a.re, b.re), cmp.Compare(a.seq, b.seq))
+	})
+	return exp
+}
+
+// aggSlot is one snapshot-aggregate sweep: the accumulator over the
+// active events (those whose lifetime contains the sweep position) and
+// the start of the open segment.
+type aggSlot struct {
+	state  aggState
+	active int
+	cur    Time
+}
+
+// closeAt ends the open segment at upto. ok reports that [le, upto) is a
+// segment to emit with state.Result(): non-empty, over a non-empty active
+// set.
+func (s *aggSlot) closeAt(upto Time) (le Time, ok bool) {
+	le, ok = s.cur, s.active > 0 && s.cur < upto
+	if upto > s.cur {
+		s.cur = upto
+	}
+	return le, ok
+}
 
 // aggregateOp implements snapshot aggregation (paper §II-A.2): it sweeps
-// the LE-ordered input, maintaining the set of active events (those whose
-// lifetime contains the sweep position) and emits one output event per
-// maximal interval over which the aggregate is constant and the active set
-// is non-empty.
+// the LE-ordered input and emits one output event per maximal interval
+// over which the aggregate is constant and the active set is non-empty.
 //
 // On OnCTI(t) the operator force-closes the open segment at t. This
 // fragments logically-contiguous output events at CTI boundaries — a
@@ -273,51 +363,44 @@ func expBefore(a, b expiration) bool { return a.re < b.re }
 // "output watermark >= input watermark" that GroupApply's order-restoring
 // merge relies on.
 type aggregateOp struct {
-	state  aggState
-	exp    minHeap[expiration]
-	active int
-	cur    Time // start of the open segment
-	arena  rowArena
-	out    Sink
+	aggSlot
+	exp   expQueue
+	arena rowArena
+	out   Sink
 	// Segments force-closed by a CTI. Nil unless the enclosing GroupApply
 	// is observed (groupApplyOp.newInstance).
 	fragments *obs.Counter
 }
 
 func newAggregateOp(state aggState, out Sink) *aggregateOp {
-	return &aggregateOp{state: state, exp: minHeap[expiration]{less: expBefore}, cur: MinTime, out: out}
+	return &aggregateOp{aggSlot: aggSlot{state: state, cur: MinTime}, out: out}
 }
 
 // liveState counts open lifetimes awaiting expiration — the sweep's
 // working set. At zero the accumulator is zero too (advanceTo) and only
 // the sweep position is left.
-func (a *aggregateOp) liveState() int { return len(a.exp.items) }
+func (a *aggregateOp) liveState() int { return a.exp.len() }
 
 // emitSegment closes the open segment at upto and reports whether there
 // was one to emit.
-func (a *aggregateOp) emitSegment(upto Time) (emitted bool) {
-	if emitted = a.active > 0 && a.cur < upto; emitted {
+func (a *aggregateOp) emitSegment(upto Time) bool {
+	le, ok := a.closeAt(upto)
+	if ok {
 		payload := a.arena.alloc(1)
 		payload[0] = a.state.Result()
-		a.out.OnEvent(Event{LE: a.cur, RE: upto, Payload: payload})
+		a.out.OnEvent(Event{LE: le, RE: upto, Payload: payload})
 	}
-	if upto > a.cur {
-		a.cur = upto
-	}
-	return emitted
+	return ok
 }
 
 // advanceTo processes all expirations at or before t, emitting the
 // segments they close.
 func (a *aggregateOp) advanceTo(t Time) {
-	for len(a.exp.items) > 0 && a.exp.items[0].re <= t {
-		re := a.exp.items[0].re
-		a.emitSegment(re)
-		for len(a.exp.items) > 0 && a.exp.items[0].re == re {
-			a.state.Remove(a.exp.pop().row)
-			a.active--
-		}
-		if a.active == 0 {
+	for a.exp.len() > 0 && a.exp.top().re <= t {
+		x := a.exp.pop()
+		a.emitSegment(x.re)
+		a.state.Remove(x.row)
+		if a.active--; a.active == 0 {
 			a.state.reset()
 		}
 	}
@@ -327,9 +410,8 @@ func (a *aggregateOp) OnEvent(e Event) {
 	a.advanceTo(e.LE)
 	a.emitSegment(e.LE)
 	a.state.Insert(e.Payload)
-	a.exp.push(expiration{re: e.RE, row: e.Payload})
 	a.active++
-	a.cur = maxTime(a.cur, e.LE)
+	a.exp.push(expiration{re: e.RE, row: e.Payload})
 }
 
 // OnBatch consumes a whole run in one call; the sweep itself is
@@ -350,20 +432,12 @@ func (a *aggregateOp) OnFlush() {
 	a.out.OnFlush()
 }
 
-// Snapshot serializes the sweep position, the open-lifetime heap (in
-// canonical (re, row) order — a sorted slice is still a valid
-// min-heap, and expirations at equal re are removed together, so the
-// tie order is output-neutral) and the accumulator itself.
+// Snapshot serializes the sweep position, the open lifetimes in the order
+// they will expire, and the accumulator itself.
 func (a *aggregateOp) Snapshot(w *SnapshotWriter) {
 	w.Byte(ckAggregate)
 	w.Varint(a.cur)
-	exp := append([]expiration(nil), a.exp.items...)
-	sort.Slice(exp, func(i, j int) bool {
-		if exp[i].re != exp[j].re {
-			return exp[i].re < exp[j].re
-		}
-		return compareRows(exp[i].row, exp[j].row) < 0
-	})
+	exp := a.exp.ordered()
 	w.Uvarint(uint64(len(exp)))
 	for _, x := range exp {
 		w.Varint(x.re)
@@ -380,25 +454,11 @@ func (a *aggregateOp) Restore(r *SnapshotReader) error {
 	n := r.Count("aggregate expirations")
 	for i := 0; i < n && r.Err() == nil; i++ {
 		re := r.Varint()
-		a.exp.items = append(a.exp.items, expiration{re: re, row: r.Row()})
+		a.exp.push(expiration{re: re, row: r.Row()})
 	}
-	a.active = len(a.exp.items) // every open lifetime is one active event
+	a.active = a.exp.len() // every open lifetime is one active event
 	a.state.restore(r)
 	return r.Err()
-}
-
-func maxTime(a, b Time) Time {
-	if a > b {
-		return a
-	}
-	return b
-}
-
-func minTime(a, b Time) Time {
-	if a < b {
-		return a
-	}
-	return b
 }
 
 // Coalesce merges abutting events with equal payloads ([a,b)+[b,c) with

@@ -70,12 +70,10 @@ type fusedOp struct {
 	m      *kernelMeter // nil unless observed
 }
 
-// newFusedOp compiles the k-node run ending at tail: the members are tail
-// and its Inputs[0] chain.
-func newFusedOp(tail *Plan, k int, out Sink) *fusedOp {
-	f := &fusedOp{stages: make([]fusedStage, k), out: out}
-	n := tail
-	for i := k - 1; i >= 0; i, n = i-1, n.Inputs[0] {
+// newFusedOp compiles a run of stateless nodes, first member first.
+func newFusedOp(run []*Plan, out Sink) *fusedOp {
+	f := &fusedOp{stages: make([]fusedStage, len(run)), out: out}
+	for i, n := range run {
 		in := n.Inputs[0].Out
 		st := &f.stages[i]
 		switch n.Kind {

@@ -150,7 +150,7 @@ func (m *merger) restore(r *SnapshotReader) {
 }
 
 func (m *merger) forwardCTI() {
-	t := minTime(m.bound(sideLeft), m.bound(sideRight))
+	t := min(m.bound(sideLeft), m.bound(sideRight))
 	if t > m.lastCTI && t != MaxTime {
 		m.lastCTI = t
 		m.cons.onMergedCTI(t)
@@ -282,6 +282,7 @@ type temporalJoinOp struct {
 	syn      [2]*synopsis
 	keys     [2][]int
 	cond     func(l, r Row) bool // nil = none
+	rdrop    int                 // leading right columns left out of the output (lowerGroupApply)
 	arena    rowArena
 	out      Sink
 	lastTidy Time
@@ -303,8 +304,8 @@ func newTemporalJoinOp(leftKeys, rightKeys []int, cond func(l, r Row) bool, out 
 func (j *temporalJoinOp) onMerged(side int, e Event) {
 	other := 1 - side
 	j.syn[other].probe(e.Payload, j.keys[side], func(o Event) {
-		le := maxTime(e.LE, o.LE)
-		re := minTime(e.RE, o.RE)
+		le := max(e.LE, o.LE)
+		re := min(e.RE, o.RE)
 		if le >= re {
 			return
 		}
@@ -319,7 +320,7 @@ func (j *temporalJoinOp) onMerged(side int, e Event) {
 		}
 		// le == max(e.LE, o.LE) == e.LE since o arrived earlier in merged
 		// order, so outputs are emitted in nondecreasing LE.
-		j.out.OnEvent(Event{LE: le, RE: re, Payload: j.arena.concat(l, r)})
+		j.out.OnEvent(Event{LE: le, RE: re, Payload: j.arena.concat(l, r[j.rdrop:])})
 	})
 	j.syn[side].insert(e)
 }

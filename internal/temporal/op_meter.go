@@ -21,13 +21,13 @@ import (
 //	wm_lag       worst observed punctuation lag: max over CTIs of
 //	             (max input LE seen) − (CTI time)
 //
-// GroupApply adds groups_live (instances left after the latest broadcast
-// CTI; last write wins across partitions), groups_reclaimed (drained
-// instances removed) and groups_recycled (new keys served from the free
-// list instead of a compile); and, for the cost of punctuation,
-// cti_broadcasts (CTIs delivered to every live group), cti_swallowed
-// (automatic CTIs thinned away) and fragments (aggregate segments of the
-// sub-plan, nested ones included, that a broadcast force-closed).
+// GroupApply, in either lowering, adds groups_live (groups holding state
+// after the latest delivery; last write wins across partitions) and
+// groups_reclaimed (groups dropped once empty); and, for the cost of
+// punctuation, cti_broadcasts (CTIs delivered to every live group),
+// cti_swallowed (automatic CTIs thinned away) and fragments (aggregate
+// segments of the sub-plan, nested ones included, that a broadcast
+// force-closed).
 //
 // Metric handles are resolved once at compile time; the cost is one
 // atomic add per meter per call (per event only on the per-event path).
@@ -49,9 +49,15 @@ type opMetrics struct {
 	ctis      *obs.Counter
 	state     *obs.Gauge
 	wmLag     *obs.Gauge
-	sizer     stateSizer // nil for stateless operators
-	maxLE     Time       // engine-local input high watermark
+	sizer     stateSizer     // nil for stateless operators
+	groups    []*groupOutput // a GroupApply's output halves
+	live      *obs.Gauge     // groups_live
+	maxLE     Time           // engine-local input high watermark
 }
+
+// groupApply is a GroupApply of either lowering: a generic one has one
+// output half, a lowered one as many as it has kernels.
+type groupApply interface{ outputs() []*groupOutput }
 
 func newOpMetrics(sc *obs.Scope) *opMetrics {
 	return &opMetrics{
@@ -68,14 +74,27 @@ func newOpMetrics(sc *obs.Scope) *opMetrics {
 // observe attaches the built operator's sizer and GroupApply's metrics.
 func (m *opMetrics) observe(op any) {
 	m.sizer, _ = op.(stateSizer)
-	if g, ok := op.(*groupApplyOp); ok {
-		g.live = m.scope.Gauge("groups_live")
-		g.reclaimed = m.scope.Counter("groups_reclaimed")
-		g.recycled = m.scope.Counter("groups_recycled")
-		g.broadcasts = m.scope.Counter("cti_broadcasts")
-		g.swallowed = m.scope.Counter("cti_swallowed")
-		g.frags = m.scope.Counter("fragments")
+	g, ok := op.(groupApply)
+	if !ok {
+		return
 	}
+	m.groups = g.outputs()
+	m.live = m.scope.Gauge("groups_live")
+	for i, o := range m.groups {
+		o.reclaimed = m.scope.Counter("groups_reclaimed")
+		o.frags = m.scope.Counter("fragments")
+		if i == 0 { // the kernels of one GroupApply broadcast in lockstep
+			o.broadcasts = m.scope.Counter("cti_broadcasts")
+			o.swallowed = m.scope.Counter("cti_swallowed")
+		}
+	}
+}
+
+func liveGroups(outs []*groupOutput) (n int) {
+	for _, o := range outs {
+		n += o.nlive
+	}
+	return n
 }
 
 // lag records how far a punctuation at t trails the operator's input.
@@ -88,6 +107,9 @@ func (m *opMetrics) lag(t Time) {
 func (m *opMetrics) pollState() {
 	if m.sizer != nil {
 		m.state.SetMax(int64(m.sizer.liveState()))
+	}
+	if m.groups != nil {
+		m.live.Set(int64(liveGroups(m.groups)))
 	}
 }
 

@@ -373,3 +373,37 @@ func TestAvgEmptyAndPredicateCombinators(t *testing.T) {
 		t.Fatalf("out = %v", out)
 	}
 }
+
+// TestGroupApplyTranslatesCTI: a sub-plan that shifts lifetimes back moves
+// the punctuation with them, in both lowerings. Both used to forward the
+// CTI unshifted — 20 here, and then [16,19).
+func TestGroupApplyTranslatesCTI(t *testing.T) {
+	for name, sub := range map[string]func(g *Plan) *Plan{
+		"kernel":  func(g *Plan) *Plan { return g.ShiftLifetime(-5).WithWindow(3).Count("C") },
+		"per-key": func(g *Plan) *Plan { return g.ShiftLifetime(-5).WithWindow(3).Count("C").ToPoint() },
+	} {
+		out := &seqSink{}
+		eng, err := NewEngine(Scan("in", propSchema()).GroupApply([]string{"V"}, sub), WithSink(out), WithCTIPeriod(0))
+		if err != nil {
+			t.Fatal(err)
+		}
+		eng.Feed("in", PointEvent(10, Row{Int(10), Int(1)}))
+		eng.Advance(20)
+		eng.Feed("in", PointEvent(21, Row{Int(21), Int(1)}))
+		eng.Flush()
+		watermark, events := MinTime, 0
+		for _, tok := range out.tokens {
+			switch {
+			case tok.isCTI:
+				watermark = tok.t
+			case tok.ev.LE < watermark:
+				t.Errorf("%s: %v delivered after CTI %d", name, tok.ev, watermark)
+			default:
+				events++
+			}
+		}
+		if watermark != 15 || events != 2 {
+			t.Errorf("%s: %d events under CTI %d, want 2 under 15: %v", name, events, watermark, out.tokens)
+		}
+	}
+}
