@@ -419,27 +419,45 @@ func BenchmarkGroupApplyPunctuation(b *testing.B) {
 }
 
 // BenchmarkCoalesce is the canonicalisation every reducer output and every
-// RunPlan / Engine.Results pays, on 10 000 events in engine (LE) order.
-// NoMerge is what TrainData, Label, Reduce and Model hand it: unique
-// payloads, so the result is the sorted argument itself and B/op is the
-// pending map alone. Fragmented is a windowed aggregate cut by CTIs: 100
-// keys, each a chain of 100 abutting pieces, merged into 100 events.
+// RunPlan / Engine.Results pays, on events in engine (LE) order. NoMerge is
+// 10 000 points with unique payloads, three to a tick on consecutive ticks.
+// TrainData is the shape of the BT stage that emits most: 60 000 points on
+// sparse timestamps, LE ties of six (one impression, six profile keywords)
+// whose rows differ only in the fifth column. Neither has anything to
+// merge: the result is the sorted argument itself. Fragmented is a windowed
+// aggregate cut by CTIs: 100 keys, each a chain of 100 abutting pieces,
+// merged into 100 events. MassBoundary is FeatureSelect's: 5 000 groups
+// all cut at the same 20 instants, merged into 5 000 events.
 func BenchmarkCoalesce(b *testing.B) {
 	const n = 10_000
 	noMerge := make([]temporal.Event, n)
 	for i := range noMerge {
 		noMerge[i] = temporal.PointEvent(temporal.Time(i/3), temporal.Row{temporal.Int(int64(i)), temporal.Float(0.5)})
 	}
-	fragmented := make([]temporal.Event, n)
-	for i := range fragmented {
-		t := temporal.Time(i / 100 * 10)
-		fragmented[i] = temporal.Event{LE: t, RE: t + 10, Payload: temporal.Row{temporal.Int(int64(i % 100))}}
+	trainData := make([]temporal.Event, 6*n)
+	for i := range trainData {
+		imp := int64(i / 6)
+		trainData[i] = temporal.PointEvent(temporal.Time(imp*37), temporal.Row{
+			temporal.Int(imp * 37), temporal.Int(imp % 997), temporal.Int(imp % 13), temporal.Int(imp % 2),
+			temporal.Int(int64(i % 6)), temporal.Int(int64(1 + i%4)),
+		})
+	}
+	chains := func(groups, cuts int) []temporal.Event {
+		evs := make([]temporal.Event, groups*cuts)
+		for i := range evs {
+			t := temporal.Time(i / groups * 10)
+			evs[i] = temporal.Event{LE: t, RE: t + 10, Payload: temporal.Row{temporal.Int(int64(i % groups))}}
+		}
+		return evs
 	}
 	for _, c := range []struct {
 		name   string
 		events []temporal.Event
 		want   int
-	}{{"NoMerge", noMerge, n}, {"Fragmented", fragmented, 100}} {
+	}{
+		{"NoMerge", noMerge, n}, {"TrainData", trainData, 6 * n},
+		{"Fragmented", chains(100, 100), 100}, {"MassBoundary", chains(5000, 20), 5000},
+	} {
 		b.Run(c.name, func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {

@@ -98,10 +98,45 @@ func coalesceInput(rng *rand.Rand, shape int) []Event {
 			t := Time(rng.Intn(4))
 			evs = append(evs, Event{LE: t, RE: t + Time(1+rng.Intn(2)), Payload: row(int64(n - i))})
 		}
+	case 7: // mass boundary: a CTI cuts every live group, several instants in a row
+		groups, cuts := 200+rng.Intn(50), 3+rng.Intn(4)
+		for c := 0; c < cuts; c++ {
+			for g := 0; g < groups; g++ {
+				if rng.Intn(20) == 0 {
+					continue // this group has nothing in this piece: a gap in its chain
+				}
+				// A few groups share a payload, so equal candidates compete.
+				evs = append(evs, Event{LE: Time(10 * c), RE: Time(10*c + 10), Payload: row(int64(g%(groups-5)), int64(g%3))})
+			}
+		}
+	case 8: // right endpoints that do not follow the left ones: the queue as a heap
+		t := Time(0)
+		for i := 0; i < n; i++ {
+			t += Time(rng.Intn(3))
+			evs = append(evs, Event{LE: t, RE: t + Time(1+rng.Intn(12)), Payload: row(int64(rng.Intn(3)))})
+			if rng.Intn(3) == 0 { // and something that abuts it
+				last := evs[len(evs)-1]
+				evs = append(evs, Event{LE: last.RE, RE: last.RE + Time(1+rng.Intn(12)), Payload: row(last.Payload[0].AsInt())})
+			}
+		}
+	case 9: // duplicates abutting duplicates, boundary after boundary
+		for c, cuts := 0, 3+rng.Intn(4); c < cuts; c++ {
+			for k := 0; k < 1+rng.Intn(4); k++ {
+				evs = append(evs, Event{LE: Time(2 * c), RE: Time(2*c + 2), Payload: row(int64(rng.Intn(2)))})
+			}
+		}
+	case 10: // never LE-ordered, with ties: the SortEvents fallback
+		for i := 0; i < n+2; i++ {
+			t := Time(rng.Intn(5))
+			evs = append(evs, Event{LE: t, RE: t + Time(1+rng.Intn(3)), Payload: row(int64(rng.Intn(4)))})
+		}
+		evs[0].LE, evs[0].RE = 9, 10
 	}
-	if rng.Intn(2) == 0 {
+	switch {
+	case shape == 10: // as drawn: the late event stays in front
+	case rng.Intn(2) == 0:
 		rng.Shuffle(len(evs), func(i, j int) { evs[i], evs[j] = evs[j], evs[i] })
-	} else {
+	default:
 		sort.SliceStable(evs, func(i, j int) bool { return evs[i].LE < evs[j].LE }) // what an engine emits
 	}
 	return evs
@@ -124,8 +159,8 @@ func sameEvents(got, want []Event) bool {
 func TestCoalesceMatchesReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(18))
 	aliased, fresh := 0, 0
-	for trial := 0; trial < 200; trial++ {
-		shape := trial % 7
+	for trial := 0; trial < 330; trial++ {
+		shape := trial % 11
 		in := coalesceInput(rng, shape)
 		arg := append([]Event(nil), in...)
 		want := coalesceReference(append([]Event(nil), in...))
@@ -170,30 +205,56 @@ func noMergeEvents(n int) []Event {
 }
 
 // TestCoalesceNoMergeAllocs counts, not times: with nothing to merge,
-// Coalesce allocates what its pending map does — an index slice per
-// distinct payload plus the map's growth, measured here by running the
-// map alone (10 079 objects) — and nothing else. At commit 270cf47 it also
-// allocated the 400 kB copy and sort.SliceStable's reflection swappers,
-// seven objects more.
+// Coalesce allocates the few arrays its queue of right endpoints and one
+// boundary grow into — a constant, whatever the number of events — and
+// returns its argument. (Up to PR 23 it hashed every payload into a map
+// with an index slice per event: 10 079 objects for 10 000 events.)
 func TestCoalesceNoMergeAllocs(t *testing.T) {
-	evs := noMergeEvents(10_000)
-	Coalesce(evs) // sort once; later runs see what a reducer hands over
-	pendingOnly := testing.AllocsPerRun(5, func() {
-		pending := make(map[uint64][]int)
-		for i, e := range evs {
-			h := HashSeed
-			for _, v := range e.Payload {
-				h = v.Hash(h)
+	var perSize []float64
+	for _, n := range []int{10_000, 40_000} {
+		evs := noMergeEvents(n)
+		Coalesce(evs) // sort once; later runs see what a reducer hands over
+		perSize = append(perSize, testing.AllocsPerRun(5, func() {
+			if got := Coalesce(evs); len(got) != len(evs) || &got[0] != &evs[0] {
+				t.Fatalf("a no-merge input came back as %d events, copied %v", len(got), &got[0] != &evs[0])
 			}
-			pending[h] = append(pending[h][:0:0], i)
-		}
-	})
-	allocs := testing.AllocsPerRun(5, func() {
-		if got := Coalesce(evs); len(got) != len(evs) || &got[0] != &evs[0] {
-			t.Fatalf("a no-merge input came back as %d events, copied %v", len(got), &got[0] != &evs[0])
-		}
-	})
-	if allocs > pendingOnly+2 {
-		t.Errorf("Coalesce allocates %.0f objects for 10 000 events with nothing to merge, its pending map alone %.0f; want at most 2 more", allocs, pendingOnly)
+		}))
 	}
+	if perSize[0] > 12 || perSize[1] != perSize[0] {
+		t.Errorf("Coalesce allocates %.0f objects for 10 000 events with nothing to merge and %.0f for 40 000; want at most 12, and the same", perSize[0], perSize[1])
+	}
+}
+
+// FuzzCoalesce: any small event list — few payloads and a small time
+// domain, so that pieces abut, overlap and repeat — coalesces to what the
+// reference makes of it, event for event; the result is a fixed point; and
+// the argument is left the stably sorted permutation of what was passed.
+func FuzzCoalesce(f *testing.F) {
+	f.Add([]byte{0, 1, 0, 2, 1, 0, 4, 1, 0})          // a chain
+	f.Add([]byte{3, 0, 1, 3, 0, 1, 4, 0, 1, 4, 0, 1}) // duplicates abutting duplicates
+	f.Add([]byte{9, 0, 0, 1, 7, 2, 1, 1, 2, 2, 6, 2}) // not LE-ordered, non-monotone right endpoints
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) > 3*400 {
+			data = data[:3*400]
+		}
+		var in []Event
+		for ; len(data) >= 3; data = data[3:] {
+			le := Time(data[0] % 16)
+			in = append(in, Event{LE: le, RE: le + 1 + Time(data[1]%4), Payload: Row{Int(int64(data[2] % 3)), Int(int64(data[2] / 3 % 2))}})
+		}
+		arg := append([]Event(nil), in...)
+		want := coalesceReference(append([]Event(nil), in...))
+		sortedIn := append([]Event(nil), in...)
+		sort.SliceStable(sortedIn, func(i, j int) bool { return eventBefore(sortedIn[i], sortedIn[j]) })
+		got := Coalesce(arg)
+		if !sameEvents(got, want) {
+			t.Fatalf("Coalesce differs from the reference\nin:   %v\ngot:  %v\nwant: %v", in, got, want)
+		}
+		if !sameEvents(arg, sortedIn) {
+			t.Fatalf("argument not left stably sorted and intact\nin:    %v\nafter: %v", in, arg)
+		}
+		if again := Coalesce(append([]Event(nil), got...)); !sameEvents(again, got) {
+			t.Fatalf("not a fixed point\nonce:  %v\ntwice: %v", got, again)
+		}
+	})
 }

@@ -143,8 +143,9 @@ func (c *Collector) OnFlush() {}
 
 // Reset drops collected events but keeps the backing capacity, so one
 // collector can be reused across engine runs (benchmark loops, repeated
-// partitions) without accumulating unbounded result slices.
-func (c *Collector) Reset() { c.Events = c.Events[:0] }
+// partitions) without accumulating unbounded result slices. The capacity
+// is cleared: it must not pin the rows of the run before.
+func (c *Collector) Reset() { clear(c.Events); c.Events = c.Events[:0] }
 
 // FuncSink adapts callbacks to the Sink interface; used to stream results
 // into application code (e.g. the real-time example and TiMR's blocking

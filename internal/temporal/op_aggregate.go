@@ -251,12 +251,12 @@ func newAggState(kind AggKind, col int, colKind Kind) aggState {
 	panic("temporal: unknown aggregate")
 }
 
-// expiration is one active event awaiting its right endpoint.
-type expiration struct {
-	re   Time
-	seq  uint64 // arrival order: breaks re ties in the heap
-	row  Row
-	slot *groupSlot // groupedAggOp only: whose active set the event is in
+// expiration is one right endpoint awaited, with what the owner of the
+// queue hangs on it (an aggregate: the active event's row).
+type expiration[T any] struct {
+	re  Time
+	seq uint64 // arrival order: breaks re ties in the heap
+	v   T
 }
 
 // expQueue releases expirations in (re, arrival) order. Window and hop
@@ -266,24 +266,24 @@ type expiration struct {
 // runs empty. Either way entries with equal re leave in arrival order — a
 // float accumulator's last bit depends on the order values are removed in
 // — so the representation is invisible, also across a restore.
-type expQueue struct {
-	h      minHeap[expiration] // h.items[head:] is the queue
-	head   int                 // consumed FIFO prefix; 0 while heaped
+type expQueue[T any] struct {
+	h      minHeap[expiration[T]] // h.items[head:] is the queue
+	head   int                    // consumed FIFO prefix; 0 while heaped
 	heaped bool
 	seq    uint64
 }
 
-func expBefore(a, b expiration) bool {
+func expBefore[T any](a, b expiration[T]) bool {
 	return a.re < b.re || a.re == b.re && a.seq < b.seq
 }
 
-func (q *expQueue) len() int { return len(q.h.items) - q.head }
+func (q *expQueue[T]) len() int { return len(q.h.items) - q.head }
 
 // top is the next expiration; the queue must not be empty.
-func (q *expQueue) top() *expiration { return &q.h.items[q.head] }
+func (q *expQueue[T]) top() *expiration[T] { return &q.h.items[q.head] }
 
-func (q *expQueue) push(x expiration) {
-	x.seq = q.seq
+func (q *expQueue[T]) push(re Time, v T) {
+	x := expiration[T]{re: re, seq: q.seq, v: v}
 	q.seq++
 	if !q.heaped {
 		if n := len(q.h.items); n == q.head || q.h.items[n-1].re <= x.re {
@@ -291,20 +291,20 @@ func (q *expQueue) push(x expiration) {
 			return
 		}
 		q.compact()
-		q.heaped, q.h.less = true, expBefore
+		q.heaped, q.h.less = true, expBefore[T]
 	}
 	q.h.push(x)
 }
 
 // compact moves the FIFO down over its consumed prefix.
-func (q *expQueue) compact() {
+func (q *expQueue[T]) compact() {
 	s := q.h.items
 	n := copy(s, s[q.head:])
 	clear(s[n:]) // the vacated tail must not pin rows
 	q.h.items, q.head = s[:n], 0
 }
 
-func (q *expQueue) pop() expiration {
+func (q *expQueue[T]) pop() expiration[T] {
 	if q.heaped {
 		x := q.h.pop()
 		q.heaped = len(q.h.items) > 0
@@ -312,7 +312,7 @@ func (q *expQueue) pop() expiration {
 	}
 	s := q.h.items
 	x := s[q.head]
-	s[q.head] = expiration{} // the consumed prefix must not pin x's row
+	s[q.head] = expiration[T]{} // the consumed prefix must not pin x's row
 	q.head++
 	if q.head == len(s) || q.head > 64 && q.head*2 >= len(s) {
 		q.compact()
@@ -321,12 +321,12 @@ func (q *expQueue) pop() expiration {
 }
 
 // ordered returns the queue in pop order (its own array while a FIFO).
-func (q *expQueue) ordered() []expiration {
+func (q *expQueue[T]) ordered() []expiration[T] {
 	if !q.heaped {
 		return q.h.items[q.head:]
 	}
 	exp := slices.Clone(q.h.items)
-	slices.SortFunc(exp, func(a, b expiration) int {
+	slices.SortFunc(exp, func(a, b expiration[T]) int {
 		return cmp.Or(cmp.Compare(a.re, b.re), cmp.Compare(a.seq, b.seq))
 	})
 	return exp
@@ -364,7 +364,7 @@ func (s *aggSlot) closeAt(upto Time) (le Time, ok bool) {
 // merge relies on.
 type aggregateOp struct {
 	aggSlot
-	exp   expQueue
+	exp   expQueue[Row] // the active events, by right endpoint
 	arena rowArena
 	out   Sink
 	// Segments force-closed by a CTI. Nil unless the enclosing GroupApply
@@ -399,7 +399,7 @@ func (a *aggregateOp) advanceTo(t Time) {
 	for a.exp.len() > 0 && a.exp.top().re <= t {
 		x := a.exp.pop()
 		a.emitSegment(x.re)
-		a.state.Remove(x.row)
+		a.state.Remove(x.v)
 		if a.active--; a.active == 0 {
 			a.state.reset()
 		}
@@ -411,7 +411,7 @@ func (a *aggregateOp) OnEvent(e Event) {
 	a.emitSegment(e.LE)
 	a.state.Insert(e.Payload)
 	a.active++
-	a.exp.push(expiration{re: e.RE, row: e.Payload})
+	a.exp.push(e.RE, e.Payload)
 }
 
 // OnBatch consumes a whole run in one call; the sweep itself is
@@ -441,7 +441,7 @@ func (a *aggregateOp) Snapshot(w *SnapshotWriter) {
 	w.Uvarint(uint64(len(exp)))
 	for _, x := range exp {
 		w.Varint(x.re)
-		w.Row(x.row)
+		w.Row(x.v)
 	}
 	a.state.snapshot(w)
 }
@@ -454,71 +454,9 @@ func (a *aggregateOp) Restore(r *SnapshotReader) error {
 	n := r.Count("aggregate expirations")
 	for i := 0; i < n && r.Err() == nil; i++ {
 		re := r.Varint()
-		a.exp.push(expiration{re: re, row: r.Row()})
+		a.exp.push(re, r.Row())
 	}
 	a.active = a.exp.len() // every open lifetime is one active event
 	a.state.restore(r)
 	return r.Err()
-}
-
-// Coalesce merges abutting events with equal payloads ([a,b)+[b,c) with
-// the same row become [a,c)). Snapshot aggregates fragmented by CTIs are
-// restored to canonical form. It sorts events in place (SortEvents order)
-// and otherwise leaves them intact; the result aliases events until the
-// first merge — with nothing to merge it is the sorted argument itself —
-// so a caller that reuses the argument's array must copy the result first.
-func Coalesce(events []Event) []Event {
-	if len(events) == 0 {
-		return events
-	}
-	// Group by payload, then merge abutting lifetimes per payload. For the
-	// common case (already mostly ordered), a single pass keyed on payload
-	// via a pending map is enough: fragments of one logical event are
-	// emitted in LE order.
-	SortEvents(events)
-	out := events[:0] // a prefix of events until the first merge copies it
-	copied := false
-	pending := make(map[uint64][]int) // payload hash -> indexes in out still extendable
-	for n, e := range events {
-		h := HashSeed
-		for _, v := range e.Payload {
-			h = v.Hash(h)
-		}
-		// Input is LE-ordered, so a candidate whose RE already fell below
-		// the current LE can never abut anything later — drop it while
-		// scanning, keeping each hash bucket at its live size (the sweep
-		// stays O(n) instead of O(n·k) on CTI-fragmented aggregates).
-		merged := false
-		cand := pending[h]
-		live := cand[:0]
-		for _, i := range cand {
-			if out[i].RE < e.LE {
-				continue
-			}
-			live = append(live, i)
-			if !merged && out[i].RE == e.LE && out[i].Payload.Equal(e.Payload) {
-				if !copied {
-					out = append(make([]Event, 0, len(events)), events[:n]...)
-					copied = true
-				}
-				out[i].RE = e.RE
-				merged = true
-			}
-		}
-		if !merged {
-			// Before the first merge this rewrites events[n] with itself.
-			out = append(out, e)
-			live = append(live, len(out)-1)
-		}
-		if len(live) > 0 {
-			pending[h] = live
-		} else {
-			delete(pending, h)
-		}
-	}
-	if copied {
-		// Extending an RE can only have moved events among their LE ties.
-		SortEvents(out)
-	}
-	return out
 }

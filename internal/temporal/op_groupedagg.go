@@ -25,8 +25,14 @@ type groupedAggOp struct {
 	pre, post *fusedOp // stateless stages below and above the aggregate
 	newState  func() aggState
 	slots     map[uint64]*groupSlot // key hash → chain of live slots
-	exp       expQueue
+	exp       expQueue[groupExp]
 	res       [1]Value // the aggregate's output row, before post and key
+}
+
+// groupExp is one active event: its row and whose active set it is in.
+type groupExp struct {
+	row  Row
+	slot *groupSlot
 }
 
 type groupSlot struct {
@@ -72,11 +78,11 @@ func (g *groupedAggOp) emit(s *groupSlot, le, re Time) {
 func (g *groupedAggOp) advance(t Time) {
 	for g.exp.len() > 0 && g.exp.top().re <= t {
 		x := g.exp.pop()
-		s := x.slot
+		s := x.v.slot
 		if le, ok := s.closeAt(x.re); ok {
 			g.emit(s, le, x.re)
 		}
-		s.state.Remove(x.row)
+		s.state.Remove(x.v.row)
 		if s.active--; s.active == 0 {
 			g.drop(s)
 		}
@@ -101,7 +107,7 @@ func (g *groupedAggOp) OnEvent(e Event) {
 	}
 	s.state.Insert(e.Payload)
 	s.active++
-	g.exp.push(expiration{re: e.RE, row: e.Payload, slot: s})
+	g.exp.push(e.RE, groupExp{e.Payload, s})
 }
 
 func (g *groupedAggOp) OnBatch(b *Batch) { loopBatch(g, b) }
@@ -155,8 +161,8 @@ func (g *groupedAggOp) Snapshot(w *SnapshotWriter) {
 	w.Uvarint(uint64(len(exp)))
 	for _, x := range exp {
 		w.Varint(x.re)
-		w.Uvarint(uint64(index[x.slot]))
-		w.Row(x.row)
+		w.Uvarint(uint64(index[x.v.slot]))
+		w.Row(x.v.row)
 	}
 }
 
@@ -179,7 +185,7 @@ func (g *groupedAggOp) Restore(r *SnapshotReader) error {
 			return r.Failf("expiration names slot %d of %d", si, len(slots))
 		}
 		slots[si].active++
-		g.exp.push(expiration{re: re, row: r.Row(), slot: slots[si]})
+		g.exp.push(re, groupExp{r.Row(), slots[si]})
 	}
 	for i, s := range slots {
 		if s.active == 0 && r.Err() == nil {

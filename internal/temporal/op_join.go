@@ -109,16 +109,22 @@ func (m *merger) release() {
 }
 
 func (m *merger) pop(side int) {
-	e := m.bufs[side][m.heads[side]]
+	buf := m.bufs[side]
+	e := buf[m.heads[side]]
+	buf[m.heads[side]] = Event{} // the consumed prefix must not pin e's row
 	m.heads[side]++
 	// Compact the consumed prefix once it dominates the buffer.
-	if m.heads[side] > 64 && m.heads[side]*2 >= len(m.bufs[side]) {
-		n := copy(m.bufs[side], m.bufs[side][m.heads[side]:])
-		m.bufs[side] = m.bufs[side][:n]
-		m.heads[side] = 0
+	if m.heads[side] > 64 && m.heads[side]*2 >= len(buf) {
+		n := copy(buf, buf[m.heads[side]:])
+		clear(buf[n:]) // nor the vacated tail the rows that moved down
+		m.bufs[side], m.heads[side] = buf[:n], 0
 	}
 	m.cons.onMerged(side, e)
 }
+
+// dead reports that e, just released from side, has ended where whatever
+// the other side still delivers begins: it probes but is never stored.
+func (m *merger) dead(side int, e Event) bool { return e.RE <= m.bound(1-side) }
 
 // bufferedLen reports how many events are held awaiting the other side
 // (live-state accounting for the observability layer).
@@ -271,6 +277,12 @@ func (s *synopsis) snapshot(w *SnapshotWriter) {
 
 func (s *synopsis) restore(r *SnapshotReader) {
 	for _, e := range r.Events() {
+		for _, k := range s.keys {
+			if k >= len(e.Payload) { // a corrupt image; insert would index past the row
+				r.Failf("synopsis row has %d columns, its key reads column %d", len(e.Payload), k)
+				return
+			}
+		}
 		s.insert(e)
 	}
 }
@@ -322,7 +334,9 @@ func (j *temporalJoinOp) onMerged(side int, e Event) {
 		// order, so outputs are emitted in nondecreasing LE.
 		j.out.OnEvent(Event{LE: le, RE: re, Payload: j.arena.concat(l, r[j.rdrop:])})
 	})
-	j.syn[side].insert(e)
+	if !j.m.dead(side, e) {
+		j.syn[side].insert(e)
+	}
 }
 
 func (j *temporalJoinOp) onMergedCTI(t Time) {
@@ -382,7 +396,9 @@ func newAntiSemiJoinOp(leftKeys, rightKeys []int, out Sink) *antiSemiJoinOp {
 
 func (a *antiSemiJoinOp) onMerged(side int, e Event) {
 	if side == sideRight {
-		a.syn.insert(e)
+		if !a.m.dead(side, e) {
+			a.syn.insert(e)
+		}
 		return
 	}
 	if !e.IsPoint() {
