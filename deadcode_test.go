@@ -10,12 +10,16 @@ import (
 	"testing"
 )
 
-// TestNoDeadUnexportedFuncs fails, by name, on every package-level
-// unexported function under internal/ and cmd/ that is declared in a
-// non-test file and referenced from no non-test file of its package: code
-// only its own tests keep alive. Methods are skipped (they may exist to
-// satisfy an interface). References are matched by identifier, so a
-// same-named local hides a dead function; the gate errs towards silence.
+// TestNoDeadUnexportedFuncs fails, by name, on every unexported function
+// under internal/ and cmd/ that is declared in a non-test file and that no
+// non-test file of its package names: code only its own tests keep alive.
+// A package-level function counts as named by any identifier; a method only
+// by a selector (x.m — a call, a method value or expression), as that is the
+// only way to reach it, an interface's dispatch included. A marker — an
+// empty method that only puts its type in a closed interface of the package
+// (tsql's isQuery, isExpr) — is never called, and stays. Matching is by
+// name, so a same-named identifier or method elsewhere in the package hides
+// a dead one; the gate errs towards silence.
 func TestNoDeadUnexportedFuncs(t *testing.T) {
 	dirs := map[string]bool{}
 	for _, root := range []string{"internal", "cmd"} {
@@ -38,26 +42,43 @@ func TestNoDeadUnexportedFuncs(t *testing.T) {
 			t.Fatal(err)
 		}
 		for _, pkg := range pkgs {
-			decls := map[*ast.Ident]bool{} // the declaring identifiers themselves
+			decls := map[*ast.Ident]bool{} // the declaring identifiers themselves; true for a method
 			for _, f := range pkg.Files {
 				for _, d := range f.Decls {
 					fn, ok := d.(*ast.FuncDecl)
-					if ok && fn.Recv == nil && !fn.Name.IsExported() && fn.Name.Name != "main" && fn.Name.Name != "init" {
-						decls[fn.Name] = true
+					if ok && !fn.Name.IsExported() && fn.Name.Name != "main" && fn.Name.Name != "init" {
+						decls[fn.Name] = fn.Recv != nil
 					}
 				}
 			}
-			used := map[string]bool{}
+			used, selected, inIface := map[string]bool{}, map[string]bool{}, map[string]bool{}
+			empty := map[*ast.Ident]bool{}
 			for _, f := range pkg.Files {
 				ast.Inspect(f, func(n ast.Node) bool {
-					if id, ok := n.(*ast.Ident); ok && !decls[id] {
-						used[id.Name] = true
+					switch n := n.(type) {
+					case *ast.SelectorExpr:
+						selected[n.Sel.Name] = true
+					case *ast.InterfaceType:
+						for _, m := range n.Methods.List {
+							for _, name := range m.Names {
+								inIface[name.Name] = true
+							}
+						}
+					case *ast.FuncDecl:
+						empty[n.Name] = n.Recv != nil && n.Body != nil && len(n.Body.List) == 0
+					case *ast.Ident:
+						if _, decl := decls[n]; !decl {
+							used[n.Name] = true
+						}
 					}
 					return true
 				})
 			}
-			for id := range decls {
-				if !used[id.Name] {
+			for id, method := range decls {
+				switch {
+				case method && !selected[id.Name] && !(empty[id] && inIface[id.Name]):
+					t.Errorf("%s: method %s is called from no non-test file", fset.Position(id.Pos()), id.Name)
+				case !method && !used[id.Name]:
 					t.Errorf("%s: func %s is referenced from no non-test file", fset.Position(id.Pos()), id.Name)
 				}
 			}

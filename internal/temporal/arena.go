@@ -18,9 +18,9 @@ func (a *rowArena) alloc(n int) Row {
 		return make(Row, n)
 	}
 	if len(a.buf) < n {
-		// Grow blocks geometrically from a tiny start: operators live
-		// inside per-group sub-pipelines, so there can be hundreds of
-		// thousands of arenas and most see only a handful of rows.
+		// Grow blocks geometrically from a tiny start: a plan is compiled
+		// once per reducer partition and per streaming shard, so there can
+		// be thousands of arenas and many see only a handful of rows.
 		if a.block < arenaMaxBlock {
 			a.block *= 4
 			if a.block < 16 {

@@ -39,7 +39,9 @@ type Checkpointer interface {
 // The engine header doubles as the format version: 0xE8 is format 2,
 // which introduced the grouped-aggregate section, writes expirations in
 // pop order and renumbered the tags; format 1 images (header 0xE7) are
-// refused by Engine.Restore.
+// refused by Engine.Restore. 0x07 was the per-key GroupApply, deleted when
+// every sub-plan became grouped kernels: it is never reused, so an image
+// holding one is refused by tag.
 const (
 	ckEngine     byte = 0xE8
 	ckEngineV1   byte = 0xE7
@@ -49,8 +51,8 @@ const (
 	ckJoin       byte = 0x04
 	ckAntiSemi   byte = 0x05
 	ckUDO        byte = 0x06
-	ckGroupApply byte = 0x07
 	ckGroupedAgg byte = 0x08
+	ckGroupedUDO byte = 0x09
 )
 
 // SnapshotWriter accumulates a checkpoint byte stream. It is the shared

@@ -282,6 +282,20 @@ func TestCheckpointErrors(t *testing.T) {
 		e3.Feed("in", PointEvent(ts, Row{Int(ts), Int(ts % 3)}))
 	}
 	snap = e3.Checkpoint()
+	// 0x07 was the per-key GroupApply's section: no build reads it again.
+	var hdr SnapshotWriter
+	hdr.Byte(ckEngine)
+	hdr.Varint(e3.lastCTI)
+	hdr.Uvarint(1)
+	if tag := len(hdr.Bytes()); snap[tag] != ckGroupedAgg {
+		t.Fatalf("byte %d of the image is 0x%02x, not the kernel's tag", tag, snap[tag])
+	} else {
+		old := append([]byte(nil), snap...)
+		old[tag] = 0x07
+		if err := restoreErr(mkB(), old); err == nil || !strings.Contains(err.Error(), "found 0x07") {
+			t.Fatalf("a 0x07 section must be refused by its tag, got %v", err)
+		}
+	}
 	seen := map[string]bool{}
 	for i := range snap {
 		for _, b := range []byte{0x00, 0x07, 0x7f} {
@@ -308,19 +322,39 @@ func restoreErr(plan *Plan, snap []byte) error {
 // FuzzCheckpointRoundtrip fuzzes two properties at once: (1) for states
 // reached by feeding decoded events, snapshot → restore → snapshot is the
 // byte identity; (2) arbitrary bytes fed to RestoreEngine never panic —
-// they either restore cleanly or fail with an error. Both over every
-// GroupApply lowering: one grouped kernel, a union and a join distributed
-// over kernels, and a sub-plan (ToPoint) still compiled per key.
+// they either restore cleanly or fail with an error. Both over every section
+// a GroupApply writes: a grouped aggregate, a union and a join distributed
+// over kernels, a grouped UDO, a nested GroupApply under ToPoint and an
+// AntiSemiJoin, and a keyed join with a condition.
 func FuzzCheckpointRoundtrip(f *testing.F) {
 	f.Add([]byte{1, 2, 3, 4, 5, 6, 7, 8})
 	f.Add([]byte{ckEngine, 0x00, 0x00})
 	f.Add([]byte{})
+	sum := UDOSpec{Name: "sum", Window: 6, Hop: 3, Out: NewSchema(Field{Name: "S", Kind: KindInt}),
+		Fn: func(ws, we Time, rows []Row) []Row {
+			s := int64(0)
+			for _, r := range rows {
+				s += r[0].AsInt()
+			}
+			return []Row{{Int(s)}}
+		}}
+	near := &JoinPred{LeftCols: []string{"C"}, RightCols: []string{"Time"}, Desc: "C < r.Time+3",
+		Make: func(li, ri []int) func(l, r Row) bool {
+			return func(l, r Row) bool { return l[li[0]].AsInt() < r[ri[0]].AsInt()+3 }
+		}}
 	plans := []func() *Plan{}
 	for _, sub := range []func(g *Plan) *Plan{
 		func(g *Plan) *Plan { return g.WithWindow(8).Sum("V", "S") },
 		func(g *Plan) *Plan { return g.WithWindow(8).Max("V", "S").Union(g.WithHop(6, 3).Sum("Time", "S")) },
 		func(g *Plan) *Plan { return g.WithHop(4, 4).Count("C").Join(g.Min("V", "M"), nil, nil, nil) },
-		func(g *Plan) *Plan { return g.WithWindow(8).Sum("V", "S").ToPoint() },
+		func(g *Plan) *Plan { return g.Apply(sum) },
+		func(g *Plan) *Plan {
+			return g.GroupApply([]string{"Time"}, func(h *Plan) *Plan { return h.WithWindow(4).Count("C") }).ToPoint().
+				AntiSemiJoin(g.WithWindow(2), []string{"Time"}, []string{"Time"})
+		},
+		func(g *Plan) *Plan {
+			return g.WithWindow(8).Count("C").Join(g.WithWindow(3), []string{"C"}, []string{"V"}, near).Project(Keep("C"), Keep("Time"))
+		},
 	} {
 		sub := sub
 		plans = append(plans, func() *Plan { return Scan("in", propSchema()).GroupApply([]string{"V"}, sub) })

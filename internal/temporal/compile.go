@@ -101,6 +101,9 @@ func Compile(root *Plan, out Sink) (*Pipeline, error) {
 // events/CTIs under "source.<name>" (op_meter.go). The operators built,
 // their wiring and the checkpoint layout are the same either way.
 func compile(root *Plan, out Sink, scope *obs.Scope) (*Pipeline, error) {
+	if err := checkLeaves(root, false); err != nil {
+		return nil, err
+	}
 	c := &compiler{
 		parents: make(map[*Plan][]parentRef),
 		ops:     make(map[*Plan][]Sink),
@@ -119,15 +122,12 @@ func compile(root *Plan, out Sink, scope *obs.Scope) (*Pipeline, error) {
 	pl := &Pipeline{inputs: make(map[string]Sink), schemas: make(map[string]*Schema), out: root.Out}
 	c.auto = &pl.auto
 	// Group scan leaves by source: one feed may supply several leaves.
-	// Only this plan's own DAG is walked; GroupApply sub-plans have their
-	// own leaves and are compiled per group.
+	// Only this plan's own DAG is walked; a GroupApply sub-plan's leaf is
+	// its group input (lowerGroupApply).
 	bySource := make(map[string][]*Plan)
 	walkInputs(root, func(n *Plan) {
 		if n.Kind == OpScan {
 			bySource[n.Source] = append(bySource[n.Source], n)
-		}
-		if n.Kind == OpGroupInput {
-			panic("temporal: GroupInput leaf outside a GroupApply sub-plan")
 		}
 	})
 	if len(bySource) == 0 {
@@ -172,7 +172,7 @@ type compiler struct {
 	rootOut Sink
 	obs     *obs.Scope    // nil = no instrumentation
 	ids     map[*Plan]int // deterministic operator ids (obs only)
-	auto    *bool         // Pipeline.auto; nil when compiling a sub-plan
+	auto    *bool         // Pipeline.auto
 }
 
 func (c *compiler) collectParents(n *Plan, seen map[*Plan]bool) {
@@ -184,8 +184,25 @@ func (c *compiler) collectParents(n *Plan, seen map[*Plan]bool) {
 		c.parents[in] = append(c.parents[in], parentRef{node: n, idx: i})
 		c.collectParents(in, seen)
 	}
-	// Sub-plans are compiled per group by the GroupApply factory, with
-	// their own compiler; they are not visited here.
+	// Sub-plans are lowered by their GroupApply (lowerGroupApply); they are
+	// not visited here.
+}
+
+// checkLeaves rejects a GroupInput leaf outside a GroupApply sub-plan and a
+// Scan inside one.
+func checkLeaves(root *Plan, sub bool) (err error) {
+	walkInputs(root, func(n *Plan) {
+		switch {
+		case err != nil:
+		case n.Kind == OpGroupInput && !sub:
+			err = fmt.Errorf("temporal: GroupInput leaf outside a GroupApply sub-plan")
+		case n.Kind == OpScan && sub:
+			err = fmt.Errorf("temporal: Scan(%s) leaf inside a GroupApply sub-plan", n.Source)
+		case n.Sub != nil:
+			err = checkLeaves(n.Sub, true)
+		}
+	})
+	return err
 }
 
 // outputSink returns the sink that consumes node n's output stream.
@@ -276,7 +293,7 @@ func (c *compiler) buildKernel(n *Plan) []Sink {
 		tail = c.parents[tail][0].node
 		run = append(run, tail)
 	}
-	f := newFusedOp(run, c.outputSink(run[len(run)-1]))
+	f := newFusedOp(run, 0, c.outputSink(run[len(run)-1]))
 	if c.obs != nil {
 		f.m = &kernelMeter{ops: make([]*opMetrics, len(run)), seen: make([]stageSeen, len(run)+1)}
 	}
@@ -294,7 +311,6 @@ func (c *compiler) buildKernel(n *Plan) []Sink {
 // buildOp constructs the physical operator itself, returning its entry
 // sink(s) plus the operator instance (for state-size instrumentation).
 func (c *compiler) buildOp(n *Plan, out Sink) ([]Sink, any) {
-	in := n.Inputs[0].Out // schema of the first input
 	switch n.Kind {
 	case OpAlterLifetime: // ToPoint; the other modes are kernel members
 		a := &alterLifetimeOp{out: out}
@@ -303,26 +319,19 @@ func (c *compiler) buildOp(n *Plan, out Sink) ([]Sink, any) {
 		a := newAggregateOp(aggStateOf(n)(), out)
 		return []Sink{a}, a
 	case OpGroupApply:
-		var l subOps
-		if entry, ok := c.lowerGroupApply(n, n.Sub, &l, out); ok {
-			return []Sink{entry}, l
+		entry, ops := c.lowerGroupApply(n, out)
+		if len(ops.ops) == 0 { // stateless throughout: no checkpoint section
+			return []Sink{entry}, nil
 		}
-		g := newGroupApplyOp(n, c.auto, out)
-		return []Sink{g}, g
+		return []Sink{entry}, ops
 	case OpUnion:
 		u := newUnionOp(out)
 		return []Sink{u.m.input(sideLeft), u.m.input(sideRight)}, u
 	case OpTemporalJoin:
-		rin := n.Inputs[1].Out
-		var cond func(l, r Row) bool
-		if n.JoinCond != nil {
-			cond = n.JoinCond.Make(in.Indexes(n.JoinCond.LeftCols...), rin.Indexes(n.JoinCond.RightCols...))
-		}
-		j := newTemporalJoinOp(in.Indexes(n.Keys...), rin.Indexes(n.RightKeys...), cond, out)
+		j := newJoin(n, 0, out)
 		return []Sink{j.m.input(sideLeft), j.m.input(sideRight)}, j
 	case OpAntiSemiJoin:
-		rin := n.Inputs[1].Out
-		a := newAntiSemiJoinOp(in.Indexes(n.Keys...), rin.Indexes(n.RightKeys...), out)
+		a := newAntiSemiJoin(n, 0, out)
 		return []Sink{a.m.input(sideLeft), a.m.input(sideRight)}, a
 	case OpUDO:
 		u := newHoppingUDOOp(n.UDO, out)
@@ -360,43 +369,4 @@ func walkInputs(root *Plan, visit func(*Plan)) {
 		}
 	}
 	rec(root)
-}
-
-// compileSub compiles a GroupApply sub-plan (rooted above an OpGroupInput
-// leaf) and returns the entry sink feeding the group's sub-stream plus the
-// sub-pipeline's stateful operators in pre-order DFS plan order (the order
-// groupApplyOp snapshots nest them in). Every stateful operator is a
-// subOperator; one that only checkpoints would be a bug caught here.
-func compileSub(root *Plan, out Sink) (Sink, []subOperator, error) {
-	c := &compiler{
-		parents: make(map[*Plan][]parentRef),
-		ops:     make(map[*Plan][]Sink),
-		insts:   make(map[*Plan]any),
-		root:    root,
-		rootOut: out,
-	}
-	c.collectParents(root, make(map[*Plan]bool))
-	var leaves []*Plan
-	walkInputs(root, func(n *Plan) {
-		if n.Kind == OpGroupInput {
-			leaves = append(leaves, n)
-		}
-		if n.Kind == OpScan {
-			panic("temporal: Scan leaf inside a GroupApply sub-plan")
-		}
-	})
-	if len(leaves) == 0 {
-		return nil, nil, fmt.Errorf("temporal: sub-plan has no GroupInput leaf")
-	}
-	sinks := make([]Sink, len(leaves))
-	for i, leaf := range leaves {
-		sinks[i] = c.outputSink(leaf)
-	}
-	var ops []subOperator
-	walkInputs(root, func(n *Plan) {
-		if ck, ok := c.insts[n].(Checkpointer); ok {
-			ops = append(ops, ck.(subOperator))
-		}
-	})
-	return fanOut(sinks), ops, nil
 }

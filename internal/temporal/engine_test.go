@@ -2,6 +2,7 @@ package temporal
 
 import (
 	"fmt"
+	"strings"
 	"testing"
 )
 
@@ -487,6 +488,25 @@ func TestPlanValidationPanics(t *testing.T) {
 	mustPanic(t, func() {
 		Scan("in", sch).Join(Scan("b", sch), []string{"ID", "Time"}, []string{"ID"}, nil)
 	})
+}
+
+// A plan leaf out of place is the caller's error, reported by NewEngine /
+// Compile — not a panic, at compile time or at the first event.
+func TestGroupInputOutsideGroupApplyIsAnError(t *testing.T) {
+	plan := GroupInput(readingSchema()).WithWindow(3).Count("C")
+	if _, err := NewEngine(plan); err == nil || !strings.Contains(err.Error(), "GroupInput leaf outside") {
+		t.Fatalf("NewEngine over a bare GroupInput: %v", err)
+	}
+}
+
+func TestScanInsideGroupApplyIsAnError(t *testing.T) {
+	sch := readingSchema()
+	plan := Scan("in", sch).GroupApply([]string{"ID"}, func(g *Plan) *Plan {
+		return g.Union(Scan("other", sch)).WithWindow(3).Count("C")
+	})
+	if _, err := Compile(plan, &Collector{}); err == nil || !strings.Contains(err.Error(), "Scan(other) leaf inside") {
+		t.Fatalf("Compile with a Scan in a sub-plan: %v", err)
+	}
 }
 
 func TestPlanString(t *testing.T) {

@@ -3,7 +3,6 @@ package temporal
 import (
 	"bytes"
 	"encoding/hex"
-	"runtime"
 	"testing"
 )
 
@@ -365,31 +364,3 @@ const (
 	goldenShiftedWindow   = "e870060168046c01010e700101107a01010e7e0101103c0200020002016e010110016e097003016603016101057203016803016201087403016a03016301167603016c03016101247803016e03016201327a03017003016301407c030172030161014e7e0301740301620107800103017603016301061202000200"
 	goldenGroupApplyCount = "e870010870037072020301610106707402030162010670760203016301040301030161720601030162740601030163760609780002016601057a0102016801087c0202016a01167e0002016c012480010102016e01328201020201700140840100020172014e86010102017401078801020201760106"
 )
-
-// TestFusedSubPlanFootprint keeps the per-group sub-pipeline small: a
-// generic GroupApply compiles its sub-plan once per live key. The measured
-// shape ends in a ToPoint, so it is still compiled per key; it allocated
-// 1648 B at the commit before windowed aggregates left for the grouped
-// kernel, and may cost 5% more.
-func TestFusedSubPlanFootprint(t *testing.T) {
-	const instances, budget = 10000, 1648 * 105 / 100
-	sub := GroupInput(readingSchema()).WithWindow(9).Count("C").ToPoint()
-	out := &Collector{}
-	keep := make([]Sink, 0, instances)
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	for i := 0; i < instances; i++ {
-		entry, _, err := compileSub(sub, out)
-		if err != nil {
-			t.Fatal(err)
-		}
-		keep = append(keep, entry)
-	}
-	runtime.ReadMemStats(&after)
-	runtime.KeepAlive(keep)
-	if per := (after.TotalAlloc - before.TotalAlloc) / instances; per > budget {
-		t.Errorf("sub-pipeline costs %d B to compile, budget %d B", per, budget)
-	} else {
-		t.Logf("sub-pipeline costs %d B to compile (budget %d B)", per, budget)
-	}
-}

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 	"os"
+	"reflect"
 	"testing"
 )
 
@@ -404,9 +405,9 @@ func TestJoinRestoresParentImage(t *testing.T) {
 }
 
 // spareIsZero reports whether buf holds nothing outside buf[from:].
-func spareIsZero(buf []Event, from int) bool {
-	for i, e := range buf[:cap(buf)] {
-		if (i < from || i >= len(buf)) && (e.LE != 0 || e.RE != 0 || e.Payload != nil) {
+func spareIsZero[T any](buf []T, from int) bool {
+	for i := range buf[:cap(buf)] {
+		if (i < from || i >= len(buf)) && !reflect.ValueOf(&buf[:cap(buf)][i]).Elem().IsZero() {
 			return false
 		}
 	}
@@ -418,11 +419,11 @@ func spareIsZero(buf []Event, from int) bool {
 // high-water capacity lasts; the same for a reset Collector.
 func TestMergerClearsReleasedRows(t *testing.T) {
 	var sink Collector
-	key := []int{0}
+	l, r, key := Scan("l", liveSchema("A")), Scan("r", liveSchema("A")), []string{"K"}
 	for name, m := range map[string]*merger{
 		"Union":        newUnionOp(&sink).m,
-		"TemporalJoin": newTemporalJoinOp(key, key, nil, &sink).m,
-		"AntiSemiJoin": newAntiSemiJoinOp(key, key, &sink).m,
+		"TemporalJoin": newJoin(l.Join(r, key, key, nil), 0, &sink).m,
+		"AntiSemiJoin": newAntiSemiJoin(l.AntiSemiJoin(r, key, key), 0, &sink).m,
 	} {
 		for i := 0; i < 1000; i++ {
 			m.input(sideLeft).OnEvent(PointEvent(Time(i), Row{Int(int64(i))}))
@@ -440,5 +441,56 @@ func TestMergerClearsReleasedRows(t *testing.T) {
 	sink.Reset()
 	if len(sink.Events) != 0 || !spareIsZero(sink.Events, 0) {
 		t.Fatal("a reset Collector keeps the last run's events in its capacity")
+	}
+}
+
+// The same for the loops that filter a slice in place: a join synopsis
+// bucket on expiry, ToPoint's continuation table on every event and on
+// every CTI, and a UDO's buffer on eviction (the grouped UDO's slots are the
+// same udoSlot).
+func TestSynopsisClearsExpiredRows(t *testing.T) {
+	s := newSynopsis([]int{0})
+	for i := 0; i < 10; i++ {
+		s.insert(Event{LE: 0, RE: Time(i + 1), Payload: Row{Int(7), Int(int64(i))}})
+	}
+	s.expire(5)
+	for _, bucket := range s.buckets {
+		if len(bucket) != 5 || !spareIsZero(bucket, 0) {
+			t.Fatalf("after expiring 5 of 10: %d kept, vacated capacity zeroed = %v", len(bucket), spareIsZero(bucket, 0))
+		}
+	}
+}
+
+func TestToPointClearsRetiredRows(t *testing.T) {
+	a := &alterLifetimeOp{out: &Collector{}}
+	for re := Time(1); re <= 10; re++ { // ten pending lifetimes of one payload, ending at 1..10
+		a.OnEvent(Event{LE: 0, RE: re, Payload: Row{Int(7)}})
+	}
+	check := func(when string, want int) {
+		t.Helper()
+		for _, bucket := range a.pending {
+			if len(bucket) != want || !spareIsZero(bucket, 0) {
+				t.Fatalf("%s: %d pending, want %d; vacated capacity zeroed = %v", when, len(bucket), want, spareIsZero(bucket, 0))
+			}
+		}
+	}
+	a.OnEvent(Event{LE: 6, RE: 20, Payload: Row{Int(7)}}) // continues the one ending at 6; those ending before it retire
+	check("after a continuation", 5)
+	a.OnCTI(9)
+	check("after a CTI", 3)
+}
+
+func TestUDOClearsEvictedRows(t *testing.T) {
+	spec := &UDOSpec{Window: 4, Hop: 1, Fn: func(ws, we Time, rows []Row) []Row { return nil }}
+	u := newHoppingUDOOp(spec, &Collector{})
+	for i := 0; i < 40; i++ {
+		u.OnEvent(PointEvent(Time(i/4), Row{Int(int64(i))})) // four at a time: the windows evict four at once
+		if len(u.buf) > 20 || !spareIsZero(u.buf, 0) {
+			t.Fatalf("after event %d: %d buffered, vacated capacity zeroed = %v", i, len(u.buf), spareIsZero(u.buf, 0))
+		}
+	}
+	u.OnCTI(100)
+	if len(u.buf) != 0 || !spareIsZero(u.buf, 0) {
+		t.Fatalf("after the last window: %d buffered, vacated capacity zeroed = %v", len(u.buf), spareIsZero(u.buf, 0))
 	}
 }

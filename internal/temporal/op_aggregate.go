@@ -4,8 +4,6 @@ import (
 	"cmp"
 	"math"
 	"slices"
-
-	"timr/internal/obs"
 )
 
 // aggState is the incremental state of one snapshot aggregate. Insert and
@@ -367,9 +365,6 @@ type aggregateOp struct {
 	exp   expQueue[Row] // the active events, by right endpoint
 	arena rowArena
 	out   Sink
-	// Segments force-closed by a CTI. Nil unless the enclosing GroupApply
-	// is observed (groupApplyOp.newInstance).
-	fragments *obs.Counter
 }
 
 func newAggregateOp(state aggState, out Sink) *aggregateOp {
@@ -381,16 +376,13 @@ func newAggregateOp(state aggState, out Sink) *aggregateOp {
 // the sweep position is left.
 func (a *aggregateOp) liveState() int { return a.exp.len() }
 
-// emitSegment closes the open segment at upto and reports whether there
-// was one to emit.
-func (a *aggregateOp) emitSegment(upto Time) bool {
-	le, ok := a.closeAt(upto)
-	if ok {
+// emitSegment closes the open segment at upto and emits it, if any.
+func (a *aggregateOp) emitSegment(upto Time) {
+	if le, ok := a.closeAt(upto); ok {
 		payload := a.arena.alloc(1)
 		payload[0] = a.state.Result()
 		a.out.OnEvent(Event{LE: le, RE: upto, Payload: payload})
 	}
-	return ok
 }
 
 // advanceTo processes all expirations at or before t, emitting the
@@ -421,9 +413,7 @@ func (a *aggregateOp) OnBatch(b *Batch) { loopBatch(a, b) }
 
 func (a *aggregateOp) OnCTI(t Time) {
 	a.advanceTo(t)
-	if a.emitSegment(t) { // force-close so downstream watermark can advance
-		a.fragments.Inc()
-	}
+	a.emitSegment(t) // force-close so downstream watermark can advance
 	a.out.OnCTI(t)
 }
 

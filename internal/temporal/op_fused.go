@@ -4,7 +4,10 @@ package temporal
 // implementation of Select, Project and AlterLifetime(window, hop, shift).
 // The compiler collapses every maximal run of them — at the top level and
 // inside GroupApply sub-plans, observed or not — into one fusedOp; a lone
-// Select is a one-member kernel. (ToPoint keeps continuation state and is
+// Select is a one-member kernel. Inside a GroupApply a run reads rows
+// that lead with the group key and keeps the key in front (newFusedOp's
+// kw), or runs inside a grouped kernel, before or after its stateful core,
+// on the rows without it. (ToPoint keeps continuation state and is
 // its own operator, alterLifetimeOp.) Its entry is the Batch push
 // contract, OnEvent/OnBatch/OnCTI/OnFlush: one loop applies every stage
 // per event, so a run of k members costs one dispatch and at most one copy
@@ -31,8 +34,7 @@ const (
 	fuseShift
 )
 
-// fusedStage is one member of the run. Per-group kernels make this the
-// most replicated struct in a BT job.
+// fusedStage is one member of the run.
 type fusedStage struct {
 	kind               fuseKind
 	pred               func(Row) bool // fuseFilter
@@ -53,6 +55,9 @@ func (p *fusedProject) row(in Row) Row {
 	return row
 }
 
+// column projects column c.
+func column(c int) func(Row) Value { return func(r Row) Value { return r[c] } }
+
 // shiftCTI translates a punctuation across the stage: only a backward
 // shift moves it.
 func (st *fusedStage) shiftCTI(t Time) Time {
@@ -70,25 +75,30 @@ type fusedOp struct {
 	m      *kernelMeter // nil unless observed
 }
 
-// newFusedOp compiles a run of stateless nodes, first member first.
-func newFusedOp(run []*Plan, out Sink) *fusedOp {
+// newFusedOp compiles a run of stateless nodes, first member first, over
+// rows that lead with a kw-column group key (0 outside a GroupApply): every
+// member reads its columns behind the key, and a Project keeps it in front.
+func newFusedOp(run []*Plan, kw int, out Sink) *fusedOp {
 	f := &fusedOp{stages: make([]fusedStage, len(run)), out: out}
+	cols := func(in *Schema, names []string) []int { return keyCols(kw, in.Indexes(names...))[kw:] }
 	for i, n := range run {
 		in := n.Inputs[0].Out
 		st := &f.stages[i]
 		switch n.Kind {
 		case OpSelect:
 			st.kind = fuseFilter
-			st.pred = n.Pred.compile(in)
+			st.pred = n.Pred.Make(cols(in, n.Pred.Cols))
 		case OpProject:
 			st.kind = fuseProject
-			st.proj = &fusedProject{fns: make([]func(Row) Value, len(n.Projs))}
-			for j, pr := range n.Projs {
+			st.proj = &fusedProject{}
+			for _, c := range keyCols(kw, nil) {
+				st.proj.fns = append(st.proj.fns, column(c))
+			}
+			for _, pr := range n.Projs {
 				if pr.Source != "" {
-					col := in.MustIndex(pr.Source)
-					st.proj.fns[j] = func(r Row) Value { return r[col] }
+					st.proj.fns = append(st.proj.fns, column(kw+in.MustIndex(pr.Source)))
 				} else {
-					st.proj.fns[j] = pr.Make(in.Indexes(pr.Cols...))
+					st.proj.fns = append(st.proj.fns, pr.Make(cols(in, pr.Cols)))
 				}
 			}
 		case OpAlterLifetime:
@@ -213,11 +223,8 @@ func (f *fusedOp) OnBatch(b *Batch) {
 
 // alterSection is the checkpoint section of a kernel's window, hop or
 // shift member: the empty continuation table a ToPoint operator with
-// nothing pending writes. A value of it carries nothing, so it costs a
-// per-group sub-pipeline no memory.
+// nothing pending writes. A value of it carries nothing.
 type alterSection struct{}
-
-func (alterSection) liveState() int { return 0 }
 
 func (alterSection) Snapshot(w *SnapshotWriter) {
 	w.Byte(ckAlterLife)

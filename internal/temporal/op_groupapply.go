@@ -7,75 +7,59 @@ import (
 	"timr/internal/obs"
 )
 
-// groupOutput is the downstream half of a GroupApply, shared by both
-// lowerings (groupApplyOp here, groupedAggOp in op_groupedagg.go): the
-// punctuation clock that thins the automatic schedule, and the staging
-// buffer that re-establishes global LE order across group outputs.
+// GroupApply (paper §II-A.2, Figure 4) applies a sub-plan to every group of
+// its input. It compiles once, however many keys are live (TiLT: one
+// operator per query over all keys and time, not one per key): lower
+// evaluates each sub-plan node for all keys at once, over keyed streams
+// whose rows are key ++ the node's own output row. Stateful nodes become
+// grouped kernels — one hash table of per-key slots each (op_groupedagg.go,
+// op_udo.go) — or the ordinary combiners with the key prefixed to their
+// join keys; stateless runs become kernels compiled over the keyed rows.
+
+// groupOutput is the downstream half of a grouped kernel: the punctuation
+// clock that thins the automatic schedule, and the staging buffer that
+// re-establishes global LE order across keys.
 //
-// Ordering: each group's results come out in nondecreasing LE, but
-// different groups progress at different rates, so raw interleaving would
-// violate the engine's order contract. Group outputs are therefore staged
-// and released in order up to the watermark. The watermark only advances
-// on CTIs, which reach every group first: after a group has seen a CTI at
-// t, its future output has LE >= t+lag (aggregates force-close their open
-// segment there), so releasing staged events below t+lag is safe.
+// Ordering: each key's results come out in nondecreasing LE, but different
+// keys progress at different rates, so raw interleaving would violate the
+// engine's order contract. Results are therefore staged and released in
+// order up to the watermark. The watermark only advances on CTIs, which
+// reach every slot first: after a broadcast at t, future output has LE >= t
+// (aggregates force-close their open segment there), so releasing staged
+// events below t is safe.
 type groupOutput struct {
-	// staged is group output awaiting release: staged[:sorted] in canonical
-	// order (what the last release left behind), the rest as it arrived.
-	// carry is scratch for merging the two. All are reused across releases.
+	// staged is output awaiting release: staged[:sorted] in canonical order
+	// (what the last release left behind), the rest as it arrived. carry is
+	// scratch for merging the two. All are reused across releases.
 	staged []Event
 	sorted int
 	carry  []Event
 	arena  rowArena
 	out    Sink
-	nlive  int // groups holding state: what a broadcast walks and a snapshot lists
+	nlive  int // live slots: what a broadcast walks and a snapshot lists
 	// Punctuations are a physical concern only — results are defined by
 	// application time — so the engine's automatic schedule (*auto is set
 	// while it punctuates) is thinned to one broadcast per gap, the
-	// sub-plan's maximum extent: a broadcast visits every live group and
-	// cuts every open aggregate segment, and once per extent is the
-	// sparsest schedule under which a group untouched since one broadcast
-	// is drained, by expiration alone, at the next. A swallowed CTI delays
-	// downstream release, never changes it. A punctuation the caller
-	// issued (Engine.Advance, a batch's trailing CTI) is never swallowed:
-	// the caller may act on it — a streaming stage punctuates its consumer
-	// at the same instant. Sub-plan operators have no auto: an enclosing
-	// broadcast is their only punctuation, and it is thinned already.
+	// sub-plan's maximum extent: a broadcast visits every live slot and cuts
+	// every open aggregate segment, and once per extent is the sparsest
+	// schedule under which a key untouched since one broadcast has expired
+	// everything by the next. A swallowed CTI delays downstream release,
+	// never changes it. A punctuation the caller issued (Engine.Advance, a
+	// batch's trailing CTI) is never swallowed: the caller may act on it — a
+	// streaming stage punctuates its consumer at the same instant. All
+	// kernels of a GroupApply thin to the same gap, so one fed by another
+	// passes every broadcast it is given on.
 	gap           Time
 	auto          *bool
 	lastBroadcast Time
-	// lag <= 0 is where the sub-plan's backward lifetime shifts move a
-	// punctuation (ctiLag): results are released, and the CTI forwarded,
-	// at t+lag — what fusedOp.cti does for a top-level run.
-	lag Time
 	// Nil unless observed (opMetrics.observe).
 	reclaimed, broadcasts, swallowed, frags *obs.Counter
 }
 
-func newGroupOutput(gap, lag Time, auto *bool, out Sink) groupOutput {
-	return groupOutput{out: out, gap: gap, auto: auto, lastBroadcast: MinTime, lag: lag}
-}
-
-// ctiLag is the farthest a punctuation entering n's leaves is moved back on
-// its way to n's output: the most negative sum of backward shifts along any
-// path, nested sub-plans included.
-func ctiLag(n *Plan) (lag Time) {
-	for _, in := range n.Inputs {
-		lag = min(lag, ctiLag(in))
-	}
-	if n.Kind == OpAlterLifetime && n.Mode == LifeShift {
-		lag += min(n.Shift, 0)
-	}
-	if n.Sub != nil {
-		lag += ctiLag(n.Sub)
-	}
-	return lag
-}
-
 func (o *groupOutput) liveState() int { return o.nlive + len(o.staged) }
 
-// stage prepends the group key to a sub-plan output row and holds the
-// event for release.
+// stage prepends the group key to a result row and holds the event for
+// release.
 func (o *groupOutput) stage(key Row, e Event) {
 	e.Payload = o.arena.concat(key, e.Payload)
 	o.staged = append(o.staged, e)
@@ -93,8 +77,8 @@ func (o *groupOutput) swallow(t Time) bool {
 	return false
 }
 
-// punctuate closes a broadcast every group has seen: t is already moved
-// by lag.
+// punctuate closes a broadcast every slot has seen: t is already moved by
+// the kernel's backward shifts.
 func (o *groupOutput) punctuate(t Time) {
 	o.release(t)
 	o.out.OnCTI(t)
@@ -163,63 +147,54 @@ func (o *groupOutput) sortStaged() {
 	o.sorted = len(st)
 }
 
-// groupApplyOp is the generic GroupApply (paper §II-A.2, Figure 4): it
-// routes each input event to a per-group instance of the compiled
-// sub-plan. It runs the sub-plans the grouped kernel does not cover (a
-// UDO, ToPoint, AntiSemiJoin, keyed or conditional join, nested GroupApply,
-// a lifetime change above the aggregate; see lowerGroupApply).
-//
-// State is O(live groups + staged output), not O(keys ever seen): once a
-// CTI has passed an instance's last input and every operator in it is
-// drained (see subOperator), nothing can tell it from one compiled for
-// that key's next event, so it leaves groups — and every later broadcast
-// and snapshot.
-type groupApplyOp struct {
-	groupOutput
-	keys   []int // key column positions in the input schema
-	sub    *Plan // compiled once per live key
-	groups map[uint64][]*groupInstance
+// keying says where a stream's rows hold the group key and the payload: the
+// key is row[keys[0]], row[keys[1]], …, the payload row[skip:]. A
+// GroupApply's input holds its key among the payload columns; a keyed
+// stream, what every lowered sub-plan node emits, leads with it.
+type keying struct {
+	keys []int
+	skip int
 }
 
-// subOperator is a stateful operator of a GroupApply sub-pipeline. It is
-// drained when liveState() is zero: it holds no event, expiration,
-// synopsis entry or buffered row — only clocks its key's next event would
-// move past anyway.
-type subOperator interface {
-	Checkpointer
-	stateSizer
-}
-
-// subOps is a list of stateful operators that checkpoints, and drains, as
-// one: a group instance's sub-pipeline, or a GroupApply lowered to grouped
-// kernels and their combiners (lowerGroupApply).
-type subOps []subOperator
-
-// outputs lists the kernels' output halves.
-func (ops subOps) outputs() (outs []*groupOutput) {
-	for _, op := range ops {
-		if k, ok := op.(*groupedAggOp); ok {
-			outs = append(outs, &k.groupOutput)
-		}
+// keyCols is cols, positions in a payload, moved behind kw leading key
+// columns and preceded by them: the columns a keyed row is matched on.
+func keyCols(kw int, cols []int) []int {
+	out := make([]int, kw, kw+len(cols))
+	for i := range out {
+		out[i] = i
 	}
-	return outs
+	for _, c := range cols {
+		out = append(out, kw+c)
+	}
+	return out
 }
 
-func (ops subOps) liveState() (n int) {
-	for _, op := range ops {
+// groupOps is a lowered GroupApply: its stateful operators — kernels and
+// the combiners between them — in sub-plan pre-order, the order its
+// checkpoint section lists theirs in, and its kernels' output halves.
+type groupOps struct {
+	ops []interface {
+		Checkpointer
+		stateSizer
+	}
+	outs []*groupOutput
+}
+
+func (g *groupOps) liveState() (n int) {
+	for _, op := range g.ops {
 		n += op.liveState()
 	}
 	return n
 }
 
-func (ops subOps) Snapshot(w *SnapshotWriter) {
-	for _, op := range ops {
+func (g *groupOps) Snapshot(w *SnapshotWriter) {
+	for _, op := range g.ops {
 		op.Snapshot(w)
 	}
 }
 
-func (ops subOps) Restore(r *SnapshotReader) error {
-	for _, op := range ops {
+func (g *groupOps) Restore(r *SnapshotReader) error {
+	for _, op := range g.ops {
 		if err := op.Restore(r); err != nil {
 			return err
 		}
@@ -227,70 +202,110 @@ func (ops subOps) Restore(r *SnapshotReader) error {
 	return nil
 }
 
-// groupInstance is one key's sub-pipeline, and the sink that stages its
-// output under the key.
-type groupInstance struct {
-	op      *groupApplyOp
-	key     Row
-	entry   Sink
-	ops     subOps // stateful ops of the sub-pipeline
-	lastLE  Time   // latest input event routed to this group
-	lastCTI Time   // latest punctuation delivered to this group
+// keyedKernel is what every grouped kernel shares: its output half, where
+// its input rows hold the key, the stateless stages around its stateful
+// core, and its live keys — a slot each, in a hash table chained by key
+// hash. A key without state has no slot.
+type keyedKernel[S any] struct {
+	groupOutput
+	keying
+	pre, post *fusedOp
+	slots     map[uint64]*keySlot[S]
 }
 
-func (inst *groupInstance) OnEvent(e Event) { inst.op.stage(inst.key, e) }
-func (inst *groupInstance) OnCTI(Time)      {}
-func (inst *groupInstance) OnFlush()        {}
+type keySlot[S any] struct {
+	slot S
+	key  Row
+	hash uint64
+	next *keySlot[S] // hash collision chain
+}
 
-func newGroupApplyOp(n *Plan, auto *bool, out Sink) *groupApplyOp {
-	return &groupApplyOp{
-		groupOutput: newGroupOutput(n.Sub.MaxWindow(), ctiLag(n.Sub), auto, out),
-		keys:        n.Inputs[0].Out.Indexes(n.Keys...),
-		sub:         n.Sub,
-		groups:      make(map[uint64][]*groupInstance),
+func newKeyedKernel[S any](lw *lowering, in keying, pre, post []*Plan, out Sink) keyedKernel[S] {
+	return keyedKernel[S]{
+		groupOutput: groupOutput{out: out, gap: lw.gap, auto: lw.auto, lastBroadcast: MinTime},
+		keying:      in,
+		pre:         newFusedOp(pre, 0, nil),
+		post:        newFusedOp(post, 0, nil),
+		slots:       make(map[uint64]*keySlot[S]),
 	}
 }
 
-func (g *groupApplyOp) instance(r Row) *groupInstance {
-	h := HashRow(r, g.keys)
-	for _, inst := range g.groups[h] {
-		if rowMatchesKey(r, g.keys, inst.key) {
-			return inst
+// find returns the slot of in's key, nil if it has none, and the key's hash.
+func (k *keyedKernel[S]) find(in Row) (*keySlot[S], uint64) {
+	h := HashRow(in, k.keys)
+	s := k.slots[h]
+	for s != nil && !rowMatchesKey(in, k.keys, s.key) {
+		s = s.next
+	}
+	return s, h
+}
+
+func (k *keyedKernel[S]) add(key Row, h uint64, slot S) *keySlot[S] {
+	s := &keySlot[S]{slot: slot, key: key, hash: h, next: k.slots[h]}
+	k.slots[h] = s
+	k.nlive++
+	return s
+}
+
+func (k *keyedKernel[S]) drop(s *keySlot[S]) {
+	switch p := k.slots[s.hash]; {
+	case p != s:
+		for p.next != s {
+			p = p.next
+		}
+		p.next = s.next
+	case s.next != nil:
+		k.slots[s.hash] = s.next
+	default:
+		delete(k.slots, s.hash)
+	}
+	k.nlive--
+	k.reclaimed.Inc()
+}
+
+// each calls fn on every live slot; fn may drop the one it is given.
+func (k *keyedKernel[S]) each(fn func(*keySlot[S])) {
+	for _, s := range k.slots {
+		for s != nil {
+			next := s.next
+			fn(s)
+			s = next
 		}
 	}
-	inst := g.newInstance(keyOfRow(r, g.keys))
-	g.groups[h] = append(g.groups[h], inst)
-	g.nlive++
-	return inst
 }
 
-// newInstance compiles the sub-pipeline for key.
-func (g *groupApplyOp) newInstance(key Row) *groupInstance {
-	inst := &groupInstance{op: g, key: key, lastLE: MinTime, lastCTI: MinTime}
-	var err error
-	if inst.entry, inst.ops, err = compileSub(g.sub, inst); err != nil {
-		panic(err) // the first compile validated the plan; it cannot fail per group
+// snapshotSlots writes tag, the output half, and the live slots in key
+// order — each its key, then what fn writes — and returns them in that order.
+func (k *keyedKernel[S]) snapshotSlots(w *SnapshotWriter, tag byte, fn func(*keySlot[S])) []*keySlot[S] {
+	w.Byte(tag)
+	k.snapshot(w)
+	slots := make([]*keySlot[S], 0, k.nlive)
+	k.each(func(s *keySlot[S]) { slots = append(slots, s) })
+	slices.SortFunc(slots, func(a, b *keySlot[S]) int { return compareRows(a.key, b.key) })
+	w.Uvarint(uint64(len(slots)))
+	for _, s := range slots {
+		w.Row(s.key)
+		fn(s)
 	}
-	if g.frags != nil { // nested aggregates count into this GroupApply's
-		for _, op := range inst.ops {
-			switch op := op.(type) {
-			case *aggregateOp:
-				op.fragments = g.frags
-			case groupApply:
-				for _, o := range op.outputs() {
-					o.frags = g.frags
-				}
-			}
+	return slots
+}
+
+// restoreSlots reads what snapshotSlots wrote, fn reading what it did.
+func (k *keyedKernel[S]) restoreSlots(r *SnapshotReader, tag byte, what string, fn func(*keySlot[S])) []*keySlot[S] {
+	if r.Expect(tag, what) != nil {
+		return nil
+	}
+	k.restore(r)
+	slots := make([]*keySlot[S], r.Count(what+" slots"))
+	for i := 0; i < len(slots) && r.Err() == nil; i++ {
+		key := r.Row()
+		if r.Err() == nil && len(key) != len(k.keys) {
+			r.Failf("slot key has %d columns, the kernel's %d", len(key), len(k.keys))
 		}
+		slots[i] = k.add(key, hashKey(key), *new(S))
+		fn(slots[i])
 	}
-	return inst
-}
-
-func (g *groupApplyOp) outputs() []*groupOutput { return []*groupOutput{&g.groupOutput} }
-
-// drained: a CTI has passed the last input and the sub-pipeline is empty.
-func (inst *groupInstance) drained() bool {
-	return inst.lastCTI > inst.lastLE && inst.ops.liveState() == 0
+	return slots
 }
 
 func keyOfRow(r Row, cols []int) Row {
@@ -310,113 +325,135 @@ func rowMatchesKey(r Row, cols []int, key Row) bool {
 	return true
 }
 
-func (g *groupApplyOp) OnEvent(e Event) {
-	inst := g.instance(e.Payload)
-	if e.LE > inst.lastLE {
-		inst.lastLE = e.LE
-	}
-	inst.entry.OnEvent(e)
-}
-
-// OnBatch consumes a whole run in one call, dispatching each event to
-// its group's sub-pipeline (see loopBatch).
-func (g *groupApplyOp) OnBatch(b *Batch) { loopBatch(g, b) }
-
-// OnCTI broadcasts t to every live instance and drops those it drains.
-func (g *groupApplyOp) OnCTI(t Time) {
-	if g.swallow(t) {
-		return
-	}
-	for h, bucket := range g.groups {
-		kept := bucket[:0]
-		for _, inst := range bucket {
-			inst.entry.OnCTI(t)
-			inst.lastCTI = t
-			if !inst.drained() {
-				kept = append(kept, inst)
-			}
-		}
-		if n := len(bucket) - len(kept); n > 0 {
-			g.nlive -= n
-			g.reclaimed.Add(int64(n))
-			clear(bucket[len(kept):])
-			if len(kept) == 0 {
-				delete(g.groups, h)
-			} else {
-				g.groups[h] = kept
-			}
-		}
-	}
-	g.punctuate(t + g.lag)
-}
-
-func (g *groupApplyOp) OnFlush() {
-	for _, bucket := range g.groups {
-		for _, inst := range bucket {
-			inst.entry.OnFlush()
-		}
-	}
-	g.flush()
-}
-
-// Snapshot serializes the shared output half, then every live group
-// instance in key order — each instance being its key, its clocks, and the
-// recursive snapshots of its sub-pipeline's stateful operators.
-func (g *groupApplyOp) Snapshot(w *SnapshotWriter) {
-	w.Byte(ckGroupApply)
-	g.snapshot(w)
-	insts := make([]*groupInstance, 0, g.nlive)
-	for _, bucket := range g.groups {
-		insts = append(insts, bucket...)
-	}
-	sort.Slice(insts, func(i, j int) bool {
-		return compareRows(insts[i].key, insts[j].key) < 0
-	})
-	w.Uvarint(uint64(len(insts)))
-	for _, inst := range insts {
-		w.Row(inst.key)
-		w.Varint(inst.lastLE)
-		w.Varint(inst.lastCTI)
-		w.Uvarint(uint64(len(inst.ops)))
-		inst.ops.Snapshot(w)
-	}
-}
-
-func (g *groupApplyOp) Restore(r *SnapshotReader) error {
-	if err := r.Expect(ckGroupApply, "group-apply"); err != nil {
-		return err
-	}
-	g.restore(r)
-	n := r.Count("group instances")
-	for i := 0; i < n && r.Err() == nil; i++ {
-		key := r.Row()
-		lastLE := r.Varint()
-		lastCTI := r.Varint()
-		nops := r.Count("group sub-pipeline operators")
-		if r.Err() != nil {
-			return r.Err()
-		}
-		inst := g.newInstance(key)
-		inst.lastLE, inst.lastCTI = lastLE, lastCTI
-		if nops != len(inst.ops) {
-			return r.Failf("group sub-pipeline has %d stateful operators, snapshot has %d", len(inst.ops), nops)
-		}
-		if err := inst.ops.Restore(r); err != nil {
-			return err
-		}
-		h := hashKey(key)
-		g.groups[h] = append(g.groups[h], inst)
-		g.nlive++
-	}
-	return r.Err()
-}
-
 // hashKey is HashRow's fold over the key columns, applied to an extracted
-// key row: a restored group must land in the bucket future lookups probe.
+// key row: a restored slot must land in the bucket future lookups probe.
 func hashKey(key Row) uint64 {
 	h := HashSeed
 	for _, v := range key {
 		h = HashCombine(h, v.Hash(HashSeed))
 	}
 	return h
+}
+
+// lowering is one GroupApply being compiled: how all its kernels thin —
+// to the sub-plan's extent, the automatic schedule only — and what is built.
+type lowering struct {
+	gap  Time
+	auto *bool
+	groupOps
+}
+
+// lowerGroupApply compiles GroupApply n, delivering its output to out, and
+// returns its entry and its operators.
+func (c *compiler) lowerGroupApply(n *Plan, out Sink) (Sink, *groupOps) {
+	lw := &lowering{gap: n.Sub.MaxWindow(), auto: c.auto}
+	return lw.lower(n.Sub, keying{keys: n.Inputs[0].Out.Indexes(n.Keys...)}, out), &lw.groupOps
+}
+
+func skipExchanges(n *Plan) *Plan {
+	for n.Kind == OpExchange {
+		n = n.Inputs[0]
+	}
+	return n
+}
+
+// peel returns the stateless run ending at s, first member first, and the
+// node below it: s itself when s is not stateless.
+func peel(s *Plan) (run []*Plan, below *Plan) {
+	for below = skipExchanges(s); fusable(below); below = skipExchanges(below.Inputs[0]) {
+		run = append(run, below)
+	}
+	slices.Reverse(run)
+	return run, below
+}
+
+// lower builds the evaluation of sub-plan node s for every key at once and
+// returns the sink the group input is fed to. Group-input rows are keyed
+// by in; out receives key ++ s.Out rows. The distribution rules:
+//
+//	GroupApply(k, A ∪ B)   = GroupApply(k, A) ∪ GroupApply(k, B)
+//	GroupApply(k, A ⋈c B)  = π(GroupApply(k, A) ⋈(k++c) GroupApply(k, B))
+//	GroupApply(k, A ▷c B)  = GroupApply(k, A) ▷(k++c) GroupApply(k, B)
+//	GroupApply(k, f(A))    = f over k ++ rows of GroupApply(k, A)      (stateless f, ToPoint)
+//	GroupApply(k, GroupApply(j, A)) = GroupApply(k ++ j, A)
+//
+// (π drops the second copy of k; join conditions read their columns behind
+// k.) An aggregate or UDO — with the stateless runs below and above it — is
+// a grouped kernel, reading the group input directly or a keyed stream. A
+// node two others read is lowered for each: operators are deterministic, so
+// the copies agree.
+func (lw *lowering) lower(s *Plan, in keying, out Sink) Sink {
+	kw := len(in.keys)
+	run, b := peel(s)
+	switch b.Kind {
+	case OpAggregate, OpUDO:
+		post := 0 // Selects and Projects above the kernel run in it, on each result
+		for post < len(run) && run[post].Kind != OpAlterLifetime {
+			post++
+		}
+		if post < len(run) {
+			out = newFusedOp(run[post:], kw, out)
+		}
+		pre, src := peel(b.Inputs[0])
+		kin := in
+		if src.Kind != OpGroupInput {
+			kin = keying{keys: keyCols(kw, nil), skip: kw} // a keyed stream: the payload is behind the key
+		}
+		var k Sink
+		if b.Kind == OpAggregate {
+			k = newGroupedAggOp(lw, kin, pre, b, run[:post], out)
+		} else {
+			k = newGroupedUDOOp(lw, kin, pre, b.UDO, run[:post], out)
+		}
+		if src.Kind == OpGroupInput {
+			return k
+		}
+		return lw.lower(src, in, k)
+	case OpGroupInput: // no stateful node: the rows themselves, behind their key
+		f := newFusedOp(run, kw, out)
+		f.stages = slices.Insert(f.stages, 0, keyStage(in, b.Out.Len()))
+		return f
+	}
+	if len(run) > 0 {
+		out = newFusedOp(run, kw, out)
+	}
+	var m *merger
+	switch b.Kind {
+	case OpAlterLifetime: // ToPoint: its continuation table keys on the whole row, key included
+		a := &alterLifetimeOp{out: out}
+		lw.ops = append(lw.ops, a)
+		return lw.lower(b.Inputs[0], in, a)
+	case OpGroupApply:
+		x := skipExchanges(b.Inputs[0])
+		inner := b.Inputs[0].Out.Indexes(b.Keys...)
+		if x.Kind == OpGroupInput { // both keys are columns of the group input
+			return lw.lower(b.Sub, keying{keys: append(slices.Clone(in.keys), keyCols(in.skip, inner)[in.skip:]...), skip: in.skip}, out)
+		}
+		return lw.lower(x, in, lw.lower(b.Sub, keying{keys: keyCols(kw, inner), skip: kw}, out))
+	case OpUnion:
+		u := newUnionOp(out)
+		lw.ops, m = append(lw.ops, u), u.m
+	case OpTemporalJoin:
+		j := newJoin(b, kw, out)
+		lw.ops, m = append(lw.ops, j), j.m
+	case OpAntiSemiJoin:
+		a := newAntiSemiJoin(b, kw, out)
+		lw.ops, m = append(lw.ops, a), a.m
+	default:
+		panic("temporal: cannot lower " + b.Kind.String() + " inside a GroupApply")
+	}
+	return fanOut([]Sink{lw.lower(b.Inputs[0], in, m.input(sideLeft)), lw.lower(b.Inputs[1], in, m.input(sideRight))})
+}
+
+// keyStage is the stage that puts the group key in front of a group-input
+// row of width columns: key ++ row[skip:].
+func keyStage(in keying, width int) fusedStage {
+	p := &fusedProject{}
+	for _, c := range in.keys {
+		p.fns = append(p.fns, column(c))
+	}
+	for c := in.skip; c < in.skip+width; c++ {
+		p.fns = append(p.fns, column(c))
+	}
+	return fusedStage{kind: fuseProject, proj: p}
 }

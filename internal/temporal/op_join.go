@@ -250,6 +250,7 @@ func (s *synopsis) expire(t Time) {
 				kept = append(kept, ent)
 			}
 		}
+		clear(bucket[len(kept):]) // the vacated tail must not pin rows
 		if len(kept) == 0 {
 			delete(s.buckets, h)
 		} else {
@@ -294,22 +295,24 @@ type temporalJoinOp struct {
 	syn      [2]*synopsis
 	keys     [2][]int
 	cond     func(l, r Row) bool // nil = none
-	rdrop    int                 // leading right columns left out of the output (lowerGroupApply)
+	rdrop    int                 // leading right columns left out of the output: the right copy of a group key
 	arena    rowArena
 	out      Sink
 	lastTidy Time
 }
 
-func newTemporalJoinOp(leftKeys, rightKeys []int, cond func(l, r Row) bool, out Sink) *temporalJoinOp {
-	j := &temporalJoinOp{
-		keys: [2][]int{leftKeys, rightKeys},
-		cond: cond,
-		out:  out,
+// newJoin builds TemporalJoin n over rows that lead with a kw-column group
+// key (0 outside a GroupApply): matched on the key first, the condition
+// reading the columns behind it, the key kept once in the output.
+func newJoin(n *Plan, kw int, out Sink) *temporalJoinOp {
+	lin, rin := n.Inputs[0].Out, n.Inputs[1].Out
+	j := &temporalJoinOp{keys: [2][]int{keyCols(kw, lin.Indexes(n.Keys...)), keyCols(kw, rin.Indexes(n.RightKeys...))},
+		rdrop: kw, out: out, lastTidy: MinTime}
+	if c := n.JoinCond; c != nil {
+		j.cond = c.Make(keyCols(kw, lin.Indexes(c.LeftCols...))[kw:], keyCols(kw, rin.Indexes(c.RightCols...))[kw:])
 	}
-	j.syn[sideLeft] = newSynopsis(leftKeys)
-	j.syn[sideRight] = newSynopsis(rightKeys)
+	j.syn = [2]*synopsis{newSynopsis(j.keys[sideLeft]), newSynopsis(j.keys[sideRight])}
 	j.m = newMerger(j)
-	j.lastTidy = MinTime
 	return j
 }
 
@@ -388,8 +391,11 @@ type antiSemiJoinOp struct {
 	lastTidy Time
 }
 
-func newAntiSemiJoinOp(leftKeys, rightKeys []int, out Sink) *antiSemiJoinOp {
-	a := &antiSemiJoinOp{syn: newSynopsis(rightKeys), lkey: leftKeys, out: out, lastTidy: MinTime}
+// newAntiSemiJoin builds AntiSemiJoin n over rows that lead with a
+// kw-column group key, matched on the key first.
+func newAntiSemiJoin(n *Plan, kw int, out Sink) *antiSemiJoinOp {
+	a := &antiSemiJoinOp{syn: newSynopsis(keyCols(kw, n.Inputs[1].Out.Indexes(n.RightKeys...))),
+		lkey: keyCols(kw, n.Inputs[0].Out.Indexes(n.Keys...)), out: out, lastTidy: MinTime}
 	a.m = newMerger(a)
 	return a
 }

@@ -21,13 +21,12 @@ import (
 //	wm_lag       worst observed punctuation lag: max over CTIs of
 //	             (max input LE seen) − (CTI time)
 //
-// GroupApply, in either lowering, adds groups_live (groups holding state
-// after the latest delivery; last write wins across partitions) and
-// groups_reclaimed (groups dropped once empty); and, for the cost of
-// punctuation, cti_broadcasts (CTIs delivered to every live group),
-// cti_swallowed (automatic CTIs thinned away) and fragments (aggregate
-// segments of the sub-plan, nested ones included, that a broadcast
-// force-closed).
+// GroupApply adds groups_live (its kernels' live slots after the latest
+// delivery; last write wins across partitions) and groups_reclaimed (slots
+// dropped once empty); and, for the cost of punctuation, cti_broadcasts
+// (CTIs delivered to every live slot), cti_swallowed (automatic CTIs
+// thinned away) and fragments (aggregate segments of the sub-plan, nested
+// ones included, that a broadcast force-closed).
 //
 // Metric handles are resolved once at compile time; the cost is one
 // atomic add per meter per call (per event only on the per-event path).
@@ -37,8 +36,7 @@ import (
 // per-instance fields (maxLE) stay engine-local and single-threaded.
 
 // stateSizer is implemented by every stateful operator: the number of
-// events/entries/groups it retains. Zero must mean it holds nothing at
-// all — GroupApply reclaims instances on it.
+// events/entries/slots it retains, what the state gauge reports.
 type stateSizer interface{ liveState() int }
 
 // opMetrics is the per-compiled-operator metric bundle.
@@ -50,14 +48,10 @@ type opMetrics struct {
 	state     *obs.Gauge
 	wmLag     *obs.Gauge
 	sizer     stateSizer     // nil for stateless operators
-	groups    []*groupOutput // a GroupApply's output halves
+	groups    []*groupOutput // a GroupApply's kernels' output halves
 	live      *obs.Gauge     // groups_live
 	maxLE     Time           // engine-local input high watermark
 }
-
-// groupApply is a GroupApply of either lowering: a generic one has one
-// output half, a lowered one as many as it has kernels.
-type groupApply interface{ outputs() []*groupOutput }
 
 func newOpMetrics(sc *obs.Scope) *opMetrics {
 	return &opMetrics{
@@ -74,16 +68,16 @@ func newOpMetrics(sc *obs.Scope) *opMetrics {
 // observe attaches the built operator's sizer and GroupApply's metrics.
 func (m *opMetrics) observe(op any) {
 	m.sizer, _ = op.(stateSizer)
-	g, ok := op.(groupApply)
+	g, ok := op.(*groupOps)
 	if !ok {
 		return
 	}
-	m.groups = g.outputs()
+	m.groups = g.outs
 	m.live = m.scope.Gauge("groups_live")
 	for i, o := range m.groups {
 		o.reclaimed = m.scope.Counter("groups_reclaimed")
 		o.frags = m.scope.Counter("fragments")
-		if i == 0 { // the kernels of one GroupApply broadcast in lockstep
+		if i == 0 { // the first kernel's broadcasts, to count each once
 			o.broadcasts = m.scope.Counter("cti_broadcasts")
 			o.swallowed = m.scope.Counter("cti_swallowed")
 		}

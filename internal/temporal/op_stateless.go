@@ -113,10 +113,7 @@ func (a *alterLifetimeOp) isContinuation(e *Event) bool {
 	if a.pending == nil {
 		a.pending = make(map[uint64][]pointPending)
 	}
-	h := HashSeed
-	for _, v := range e.Payload {
-		h = v.Hash(h)
-	}
+	h := hashKey(e.Payload)
 	bucket := a.pending[h]
 	kept := bucket[:0]
 	found := false
@@ -131,6 +128,7 @@ func (a *alterLifetimeOp) isContinuation(e *Event) bool {
 			kept = append(kept, p)
 		}
 	}
+	clear(bucket[len(kept):]) // the vacated tail must not pin rows
 	if !found {
 		kept = append(kept, pointPending{re: e.RE, payload: e.Payload})
 	}
@@ -145,7 +143,7 @@ func (a *alterLifetimeOp) isContinuation(e *Event) bool {
 
 // expirePending drops the continuation candidates a CTI at t retires:
 // later events have LE >= t and can only abut a lifetime ending at or
-// after t. Without it a LifePoint group that went quiet would never drain.
+// after t. Without it the table would keep a key that went quiet forever.
 func (a *alterLifetimeOp) expirePending(t Time) {
 	if a.npending == 0 {
 		return
@@ -157,6 +155,7 @@ func (a *alterLifetimeOp) expirePending(t Time) {
 				kept = append(kept, p)
 			}
 		}
+		clear(bucket[len(kept):]) // the vacated tail must not pin rows
 		a.npending -= len(bucket) - len(kept)
 		if len(kept) == 0 {
 			delete(a.pending, h)
@@ -205,10 +204,7 @@ func (a *alterLifetimeOp) Restore(r *SnapshotReader) error {
 		if a.pending == nil {
 			a.pending = make(map[uint64][]pointPending)
 		}
-		h := HashSeed
-		for _, v := range payload {
-			h = v.Hash(h)
-		}
+		h := hashKey(payload)
 		a.pending[h] = append(a.pending[h], pointPending{re: re, payload: payload})
 		a.npending++
 	}

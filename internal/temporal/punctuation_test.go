@@ -132,7 +132,8 @@ func TestCTIBoundsJoinSynopsis(t *testing.T) {
 	// must shrink (the engine's memory is bounded by the window, not the
 	// stream length).
 	col := &Collector{}
-	j := newTemporalJoinOp([]int{1}, []int{1}, nil, col)
+	sch := NewSchema(Field{Name: "Time", Kind: KindInt}, Field{Name: "ID", Kind: KindString})
+	j := newJoin(Scan("l", sch).Join(Scan("r", sch), []string{"ID"}, []string{"ID"}, nil), 0, col)
 	left, right := j.m.input(sideLeft), j.m.input(sideRight)
 	for i := 0; i < 100; i++ {
 		tm := Time(i * 10)
@@ -375,12 +376,12 @@ func TestAvgEmptyAndPredicateCombinators(t *testing.T) {
 }
 
 // TestGroupApplyTranslatesCTI: a sub-plan that shifts lifetimes back moves
-// the punctuation with them, in both lowerings. Both used to forward the
-// CTI unshifted — 20 here, and then [16,19).
+// the punctuation with them, through a combiner above the kernel too. It
+// used to be forwarded unshifted — 20 here, and then [16,19).
 func TestGroupApplyTranslatesCTI(t *testing.T) {
 	for name, sub := range map[string]func(g *Plan) *Plan{
 		"kernel":  func(g *Plan) *Plan { return g.ShiftLifetime(-5).WithWindow(3).Count("C") },
-		"per-key": func(g *Plan) *Plan { return g.ShiftLifetime(-5).WithWindow(3).Count("C").ToPoint() },
+		"topoint": func(g *Plan) *Plan { return g.ShiftLifetime(-5).WithWindow(3).Count("C").ToPoint() },
 	} {
 		out := &seqSink{}
 		eng, err := NewEngine(Scan("in", propSchema()).GroupApply([]string{"V"}, sub), WithSink(out), WithCTIPeriod(0))

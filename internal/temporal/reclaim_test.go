@@ -10,11 +10,11 @@ import (
 	"timr/internal/obs"
 )
 
-// GroupApply holds state for live groups only: the generic lowering drops
-// an instance once a CTI has passed its last input and its sub-pipeline is
-// drained, the grouped kernel a slot the instant its active set empties.
-// These tests pin that either is invisible in output and checkpoints, and
-// that it actually bounds state.
+// GroupApply holds state for live keys only: a grouped kernel drops a slot
+// the instant it holds nothing — an aggregate's when its active set
+// empties, a UDO's when a broadcast empties its buffer. These tests pin
+// that this is invisible in output and checkpoints, and that it actually
+// bounds state.
 
 func reclaimSchema() *Schema {
 	return NewSchema(
@@ -47,8 +47,7 @@ func genBursty(r *rand.Rand, bursts int) []Event {
 }
 
 // reclaimSubPlans are the GroupApply sub-plans under test; between them
-// they contain every stateful sub-pipeline operator. "topoint" and "udo"
-// compile to per-key instances, the rest to grouped kernels.
+// they contain both grouped kernels and the combiners between them.
 var reclaimSubPlans = map[string]func(g *Plan) *Plan{
 	"count":   func(g *Plan) *Plan { return g.WithWindow(9).Count("C") },
 	"sum":     func(g *Plan) *Plan { return g.WithWindow(9).Sum("F", "S") },
@@ -122,12 +121,12 @@ func driveSchedule(eng *Engine, schedule int, seed int64, events []Event, from, 
 	}
 }
 
-// groupApplyOf returns the pipeline's GroupApply, whichever its lowering.
+// groupApplyOf returns the output halves of the pipeline's GroupApply.
 func groupApplyOf(t *testing.T, eng *Engine) []*groupOutput {
 	t.Helper()
 	for _, ck := range eng.pipeline.ckpts {
-		if g, ok := ck.(groupApply); ok {
-			return g.outputs()
+		if g, ok := ck.(*groupOps); ok {
+			return g.outs
 		}
 	}
 	t.Fatal("pipeline has no GroupApply")
@@ -150,8 +149,8 @@ func TestReclamationIsInvisible(t *testing.T) {
 					}
 					driveSchedule(eng, schedule, seed, events, 0, len(events))
 					reclaimed := sc.Child("op00.GroupApply").Counter("groups_reclaimed").Value()
-					if _, perKey := eng.pipeline.ckpts[0].(*groupApplyOp); perKey && schedule == ctiNone && reclaimed != 0 {
-						t.Fatalf("seed %d: reclaimed %d instances without a single CTI", seed, reclaimed)
+					if name == "udo" && schedule == ctiNone && reclaimed != 0 { // a UDO slot dies at a broadcast only
+						t.Fatalf("seed %d: reclaimed %d slots without a single CTI", seed, reclaimed)
 					}
 					reclaimedSomewhere = reclaimedSomewhere || schedule != ctiNone && reclaimed > 0
 					eng.Flush()
@@ -170,7 +169,7 @@ func TestReclamationIsInvisible(t *testing.T) {
 				reclaimRoundtrip(t, sub, seed, events)
 			}
 			if !reclaimedSomewhere {
-				t.Fatal("no seed ever reclaimed an instance: the test exercises nothing")
+				t.Fatal("no seed ever reclaimed a slot: the test exercises nothing")
 			}
 		})
 	}
@@ -228,8 +227,8 @@ func reclaimRoundtrip(t *testing.T, sub func(g *Plan) *Plan, seed int64, events 
 
 // TestFloatSumForgetsAcrossEmpty: 0.1+0.2+0.3 leaves a rounding residue
 // when the same values are subtracted again. A group that empties and
-// refills must not carry it — otherwise a run that reclaimed the instance
-// in between (new accumulator) and one that kept it would disagree in the
+// refills must not carry it — otherwise a run that reclaimed the slot in
+// between (new accumulator) and one that kept it would disagree in the
 // last bits.
 func TestFloatSumForgetsAcrossEmpty(t *testing.T) {
 	ev := func(ts Time, f float64) Event { return PointEvent(ts, Row{Int(ts), Int(1), Int(0), Float(f)}) }
@@ -290,13 +289,13 @@ func TestGroupApplyDeliversRemainderBeforeWatermark(t *testing.T) {
 	}
 }
 
-// TestGroupApplyLiveStateIsLiveGroups: in both lowerings liveState counts
-// the groups that hold state (plus staged output), and a snapshot carries
-// those only.
+// TestGroupApplyLiveStateIsLiveGroups: liveState counts the keys that hold
+// state (plus staged output), and a snapshot carries those only — with a
+// combiner above the kernel too.
 func TestGroupApplyLiveStateIsLiveGroups(t *testing.T) {
 	for name, sub := range map[string]func(g *Plan) *Plan{
 		"kernel":  reclaimSubPlans["count"],
-		"per-key": func(g *Plan) *Plan { return g.WithWindow(9).Count("C").ToPoint() },
+		"topoint": func(g *Plan) *Plan { return g.WithWindow(9).Count("C").ToPoint() },
 	} {
 		sc := obs.New("t")
 		eng, err := NewEngine(reclaimPlan(sub), WithCTIPeriod(0), WithObs(sc))
@@ -421,5 +420,33 @@ func TestGroupApplyPunctuationDoesNotAllocatePerEvent(t *testing.T) {
 	wave() // warm: compile the groups, size the buffers
 	if allocs := testing.AllocsPerRun(20, wave); allocs >= 100 {
 		t.Fatalf("a 1000-event wave allocates %.0f objects, want < 100", allocs)
+	}
+}
+
+// TestGroupedUDONewKeyAllocs: a key's first event in GroupApply(k, UDO)
+// costs a slot, not a compiled sub-pipeline — its key row, the slot, its
+// buffer and the row list of each of the two windows it fills: five
+// objects, and the test's own input row makes six.
+func TestGroupedUDONewKeyAllocs(t *testing.T) {
+	out := []Row{{Int(1)}}
+	spec := UDOSpec{Name: "one", Window: 4, Hop: 2, Out: NewSchema(Field{Name: "N", Kind: KindInt}),
+		Fn: func(ws, we Time, rows []Row) []Row { return out }}
+	eng, err := NewEngine(reclaimPlan(func(g *Plan) *Plan { return g.Apply(spec) }), WithSink(&FuncSink{}), WithCTIPeriod(0))
+	if err != nil {
+		t.Fatal(err)
+	}
+	k, now := int64(0), Time(0)
+	newKey := func() { // an event of a new key, then a punctuation past its windows: the slot comes and goes
+		k, now = k+1, now+100
+		eng.Feed("in", PointEvent(now, Row{Int(now), Int(k), Int(0), Float(0)}))
+		eng.Advance(now + 10)
+	}
+	for i := 0; i < 100; i++ {
+		newKey() // warm: size the staging buffers and the slot table
+	}
+	if allocs := testing.AllocsPerRun(1000, newKey); allocs > 6 {
+		t.Fatalf("a new key allocates %.2f objects, want at most 6", allocs)
+	} else {
+		t.Logf("a new key allocates %.2f objects", allocs)
 	}
 }
