@@ -8,8 +8,12 @@ build:
 test:
 	$(GO) test ./...
 
+# core and serve run at GOMAXPROCS 1 and at 4: a punctuation wave runs
+# its partitions on up to GOMAXPROCS goroutines, so both the sequential and
+# the pooled path are raced, whatever the host's core count.
 race:
-	$(GO) test -race ./...
+	$(GO) test -race $$($(GO) list ./... | grep -v -e '/internal/core$$' -e '/internal/serve$$')
+	$(GO) test -race -cpu 1,4 ./internal/core ./internal/serve
 
 vet:
 	$(GO) vet ./...

@@ -1,6 +1,7 @@
 package bt
 
 import (
+	"math"
 	"sync"
 
 	"timr/internal/ml"
@@ -29,8 +30,8 @@ var ScoreSchemaOut = temporal.NewSchema(
 // produced by ModelPlan, scanned as SourceModels. Each feature row joins
 // the model valid at its instant, contributes w_kw · count, and the
 // per-impression contributions are summed by a GroupApply whose key
-// includes the model blob (constant per ad), so the final projection can
-// apply the bias and the logistic function.
+// includes the model's bias (constant per ad), so the final projection can
+// apply it and the logistic function.
 //
 // Impressions whose UBP was empty produce no rows here; a deployment
 // scores them with the model's bias alone (the evaluation harness does).
@@ -66,7 +67,9 @@ func ScorePlan(p Params, annotate bool) *temporal.Plan {
 		temporal.Keep("UserId"),
 		temporal.Keep("AdId"),
 		temporal.Keep("Clicked"),
-		temporal.Keep("Model"),
+		temporal.Compute("Bias", temporal.KindInt, func(v []temporal.Value) temporal.Value {
+			return temporal.Int(int64(math.Float64bits(lookup(v[0].AsString()).Bias)))
+		}, "Model"),
 		temporal.Compute("Part", temporal.KindFloat, func(v []temporal.Value) temporal.Value {
 			m := lookup(v[0].AsString())
 			return temporal.Float(m.Weights[v[1].AsInt()] * float64(v[2].AsInt()))
@@ -75,9 +78,13 @@ func ScorePlan(p Params, annotate bool) *temporal.Plan {
 
 	// One group per impression: sum the partial contributions. The
 	// rows of one impression share a timestamp, so the snapshot Sum over
-	// their point lifetimes is exactly the dot product.
+	// their point lifetimes is exactly the dot product. The key carries the
+	// model's bias to the final projection. ModelPlan's hops do not overlap,
+	// so one model per ad is valid at any instant and the bias groups
+	// exactly as the model would, without hashing the model's blob per row.
+	// It travels as its IEEE bits, so NaN and ±0 group exactly too.
 	perImpression := partial.GroupApply(
-		[]string{"Time", "UserId", "AdId", "Clicked", "Model"},
+		[]string{"Time", "UserId", "AdId", "Clicked", "Bias"},
 		func(g *temporal.Plan) *temporal.Plan { return g.Sum("Part", "Dot") },
 	)
 
@@ -87,9 +94,9 @@ func ScorePlan(p Params, annotate bool) *temporal.Plan {
 		temporal.Keep("AdId"),
 		temporal.Keep("Clicked"),
 		temporal.Compute("Score", temporal.KindFloat, func(v []temporal.Value) temporal.Value {
-			m := lookup(v[0].AsString())
-			return temporal.Float(stats.Sigmoid(m.Bias + v[1].AsFloat()))
-		}, "Model", "Dot"),
+			bias := math.Float64frombits(uint64(v[0].AsInt()))
+			return temporal.Float(stats.Sigmoid(bias + v[1].AsFloat()))
+		}, "Bias", "Dot"),
 	)
 }
 

@@ -11,16 +11,19 @@ import (
 
 	"timr/internal/bt"
 	"timr/internal/core"
+	"timr/internal/leakcheck"
 	"timr/internal/obs"
 	"timr/internal/temporal"
 	"timr/internal/workload"
 )
 
 // driveStream feeds one source's events in LE order with a punctuation
-// wave every period ticks, then flushes and returns coalesced results.
+// wave every period ticks, then flushes and returns coalesced results. No
+// goroutine may outlive the run.
 func driveStream(t *testing.T, plan *temporal.Plan, schemas map[string]*temporal.Schema,
 	source string, events []temporal.Event, machines int, cfg core.Config, period temporal.Time) []temporal.Event {
 	t.Helper()
+	defer leakcheck.Goroutines(t)()
 	job, err := core.NewStreamingJob(plan, schemas, core.WithMachines(machines), core.WithConfig(cfg))
 	if err != nil {
 		t.Fatal(err)

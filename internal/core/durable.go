@@ -38,8 +38,7 @@ func (j *StreamingJob) commitDurable(t temporal.Time) {
 		Pending: j.out.pending,
 	}
 	for _, st := range j.stages {
-		for _, id := range st.sortedParts() {
-			p := st.parts[id]
+		for _, p := range st.sortedParts() {
 			snap.Parts = append(snap.Parts, dur.PartitionState{
 				Frag: st.frag.Name, Part: p.id, Ckpt: p.ckpt, Log: p.log,
 			})
@@ -110,7 +109,7 @@ func (j *StreamingJob) applySnapshot(snap *dur.Snapshot) error {
 		}
 		p := st.partition(ps.Part)
 		if len(ps.Ckpt) > 0 {
-			eng := st.newEngine(p.id)
+			eng := st.newEngine(p)
 			if err := eng.Restore(ps.Ckpt); err != nil {
 				return fmt.Errorf("partition %s/%d: %w", ps.Frag, ps.Part, err)
 			}

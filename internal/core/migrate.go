@@ -231,7 +231,7 @@ func (st *streamStage) migrate(from, to *streamWorker, shards []int, kind string
 				ckpt = moved
 			}
 		}
-		p.eng = st.newEngine(p.id)
+		p.eng = st.newEngine(p)
 		if len(ckpt) > 0 {
 			if err := p.eng.Restore(ckpt); err != nil {
 				// Unreachable short of memory corruption: the checkpoint

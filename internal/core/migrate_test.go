@@ -10,6 +10,7 @@ import (
 	"errors"
 	"testing"
 
+	"timr/internal/leakcheck"
 	"timr/internal/obs"
 	"timr/internal/temporal"
 )
@@ -49,9 +50,11 @@ func migrEvents() []temporal.Event {
 // driveMigrating feeds events with a punctuation wave every period
 // ticks, calling hook(job, waveNo) after each wave and also mid-interval
 // (feedNo measured in events) via midHook — so migrations land both at
-// wave boundaries and in the middle of a feed interval.
+// wave boundaries and in the middle of a feed interval. No goroutine may
+// outlive the run.
 func driveMigrating(t *testing.T, cfg Config, hook func(*StreamingJob, int), midHook func(*StreamingJob, int), opts ...StreamOption) []temporal.Event {
 	t.Helper()
+	defer leakcheck.Goroutines(t)()
 	events := migrEvents()
 	opts = append([]StreamOption{WithMachines(4), WithConfig(cfg)}, opts...)
 	job, err := NewStreamingJob(chainedMigrPlan(true),

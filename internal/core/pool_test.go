@@ -1,0 +1,139 @@
+package core
+
+import (
+	"bytes"
+	"os"
+	"path/filepath"
+	"reflect"
+	"runtime"
+	"testing"
+
+	"timr/internal/dur"
+	"timr/internal/leakcheck"
+	"timr/internal/obs"
+	"timr/internal/temporal"
+)
+
+// poolRun is everything one drive of the wave-pool differential observed.
+type poolRun struct {
+	results   []temporal.Event
+	delivered []temporal.Event // WithOnEvent, in delivery order
+	waves     [][]byte         // per wave: every partition's checkpoint and replay log
+	gens      map[string][]byte
+	migs      []Migration
+	metrics   []obs.Point
+}
+
+// waveState encodes every partition's recovery state, stage by stage in
+// job order and partition by partition in id order.
+func waveState(j *StreamingJob) []byte {
+	var w temporal.Encoder
+	for _, st := range j.stages {
+		for _, p := range st.sortedParts() {
+			w.String(st.frag.Name)
+			w.Varint(int64(p.id))
+			w.BytesField(p.ckpt)
+			w.Events(p.log)
+		}
+	}
+	return w.Bytes()
+}
+
+// drivePool runs the chained two-stage plan on four machines under crash
+// chaos, with a forced split and merge and a durable store, at the given
+// GOMAXPROCS. No goroutine may outlive a wave or the flush.
+func drivePool(t *testing.T, procs int) poolRun {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+	var r poolRun
+	dir := t.TempDir()
+	store, err := dur.OpenStore(dir, dur.Options{Keep: 1 << 20})
+	if err != nil {
+		t.Fatal(err)
+	}
+	scope := obs.New("pool")
+	cfg := DefaultConfig()
+	cfg.Obs = scope
+	cfg.Crash = CrashConfig{Rate: 0.3, Seed: 7}
+	settled := leakcheck.Goroutines(t)
+	split, merged := false, false
+	hook := func(j *StreamingJob, wave int) {
+		settled()
+		r.waves = append(r.waves, waveState(j))
+		if parts := j.Partitions(); wave == 4 && parts["frag0"]+parts["frag1"] < 6 {
+			t.Fatalf("partitions %v; the pool needs several per stage to have work to share", parts)
+		}
+		for _, st := range j.stages {
+			switch wave {
+			case 4:
+				split = j.ForceSplit(st.frag.Name) == nil || split
+			case 12:
+				merged = j.ForceMerge(st.frag.Name) == nil || merged
+			}
+		}
+		r.migs = j.Migrations()
+	}
+	r.results = driveMigrating(t, cfg, hook, nil, WithDurable(store),
+		WithOnEvent(func(e temporal.Event) { r.delivered = append(r.delivered, e) }))
+	settled()
+	if !split || !merged {
+		t.Fatalf("GOMAXPROCS %d: forced split=%v merge=%v; the differential is vacuous", procs, split, merged)
+	}
+	if sumCounter(scope, "crashes") == 0 {
+		t.Fatalf("GOMAXPROCS %d: no crashes injected; the differential is vacuous", procs)
+	}
+	names, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r.gens = make(map[string][]byte)
+	for _, n := range names {
+		if r.gens[n.Name()], err = os.ReadFile(filepath.Join(dir, n.Name())); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, p := range scope.Snapshot() {
+		// groups_live is last-writer-wins across a stage's partitions; it
+		// is the one reading that depends on which worker finishes last.
+		if p.Name != "groups_live" {
+			r.metrics = append(r.metrics, p)
+		}
+	}
+	return r
+}
+
+// TestWavePoolInvisible: a wave runs its partitions on as many goroutines
+// as GOMAXPROCS allows, and routes their output afterwards in the order a
+// single goroutine would. So one P and four must agree on every byte: the
+// results and their delivery order, each wave's checkpoints and replay
+// logs, every committed durable generation, the migrations, the metrics.
+func TestWavePoolInvisible(t *testing.T) {
+	one, four := drivePool(t, 1), drivePool(t, 4)
+	if !temporal.EventsEqual(one.results, four.results) {
+		t.Fatalf("results differ: %d vs %d events", len(one.results), len(four.results))
+	}
+	if !temporal.EventsEqual(one.delivered, four.delivered) {
+		t.Fatalf("delivery order differs: %d vs %d events", len(one.delivered), len(four.delivered))
+	}
+	if len(one.waves) != len(four.waves) || len(one.waves) < 20 {
+		t.Fatalf("%d vs %d waves", len(one.waves), len(four.waves))
+	}
+	for i := range one.waves {
+		if !bytes.Equal(one.waves[i], four.waves[i]) {
+			t.Fatalf("wave %d: partition checkpoints or replay logs differ", i+1)
+		}
+	}
+	if len(one.gens) != len(four.gens) || len(one.gens) < 2*len(one.waves) {
+		t.Fatalf("%d vs %d store files for %d waves", len(one.gens), len(four.gens), len(one.waves))
+	}
+	for name, b := range one.gens {
+		if !bytes.Equal(b, four.gens[name]) {
+			t.Fatalf("committed %s differs", name)
+		}
+	}
+	if !reflect.DeepEqual(one.migs, four.migs) {
+		t.Fatalf("migrations differ:\n%v\n%v", one.migs, four.migs)
+	}
+	if !reflect.DeepEqual(one.metrics, four.metrics) {
+		t.Fatalf("metrics differ:\n%v\n%v", one.metrics, four.metrics)
+	}
+}

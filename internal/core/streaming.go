@@ -4,7 +4,10 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"runtime"
 	"sort"
+	"sync"
+	"sync/atomic"
 
 	"timr/internal/dur"
 	"timr/internal/obs"
@@ -226,8 +229,9 @@ func NewStreamingJob(plan *temporal.Plan, sources map[string]*temporal.Schema, o
 
 // Advance propagates a punctuation wave through the DAG: stage by stage
 // in topological order, each stage first releases everything the wave
-// guarantees complete, then punctuates its engines, whose flushed output
-// cascades into the next stage before that stage's own barrier runs.
+// guarantees complete, then punctuates its engines — its partitions in
+// parallel, up to GOMAXPROCS at a time — whose flushed output cascades
+// into the next stage before that stage's own barrier runs.
 // After the wave, every partition checkpoints its engine and resets its
 // replay log — the recovery line a crashed partition rolls back to.
 func (j *StreamingJob) Advance(t temporal.Time) error {
@@ -347,6 +351,10 @@ type streamPartition struct {
 	log     []temporal.Event
 	pushes  int // events admitted since the last wave
 	crashAt int // crash when pushes reaches this; -1 = disarmed
+
+	// out holds what the engine emitted during the current wave, in
+	// emission order, until the caller's goroutine routes it downstream.
+	out []temporal.Event
 }
 
 func (j *StreamingJob) newStage(frag *Fragment) (*streamStage, error) {
@@ -397,9 +405,9 @@ func (j *StreamingJob) newStage(frag *Fragment) (*streamStage, error) {
 	return st, nil
 }
 
-func (st *streamStage) newEngine(id int) *temporal.Engine {
+func (st *streamStage) newEngine(p *streamPartition) *temporal.Engine {
 	eng, err := temporal.NewEngine(st.frag.Root,
-		temporal.WithSink(&stageOutput{stage: st, span: id}),
+		temporal.WithSink(&stageOutput{stage: st, part: p}),
 		temporal.WithObs(st.scope),
 		temporal.WithCTIPeriod(0)) // punctuation comes from the wave, not per-feed
 	if err != nil {
@@ -412,7 +420,8 @@ func (st *streamStage) partition(id int) *streamPartition {
 	if p, ok := st.parts[id]; ok {
 		return p
 	}
-	p := &streamPartition{id: id, eng: st.newEngine(id), crashAt: -1}
+	p := &streamPartition{id: id, crashAt: -1}
+	p.eng = st.newEngine(p)
 	p.buf = &streamBuffer{
 		depth:    st.depth,
 		released: st.released,
@@ -556,7 +565,7 @@ func (st *streamStage) admitAll(p *streamPartition, evs []temporal.Event) {
 func (st *streamStage) crash(p *streamPartition) {
 	st.crashes.Inc()
 	p.crashAt = -1 // disarmed until the next wave re-arms
-	p.eng = st.newEngine(p.id)
+	p.eng = st.newEngine(p)
 	if p.ckpt != nil {
 		if err := p.eng.Restore(p.ckpt); err != nil {
 			// Unreachable short of memory corruption: the checkpoint came
@@ -592,25 +601,18 @@ func (st *streamStage) arm(p *streamPartition) {
 }
 
 // advance runs this stage's barrier at time t: release buffered events
-// below t into the engines, then punctuate the engines (flushing their
-// output into downstream buffers before those stages' barriers run).
-// Afterwards each partition checkpoints its engine, resets its replay log
-// to the events still pending, and draws its fate for the next interval.
+// below t into the engines, then punctuate the engines and checkpoint
+// them. Their output then flows into downstream buffers before those
+// stages' barriers run. Afterwards each partition resets its replay log to
+// the events still pending and draws its fate for the next interval.
 func (st *streamStage) advance(t temporal.Time) {
-	// Sorted order: per-partition work is independent, but the rebalance
-	// policy reads the per-shard loads this loop records, so the walk must
-	// not depend on map iteration order.
-	for _, id := range st.sortedParts() {
-		p := st.parts[id]
-		if p.crashAt >= 0 {
-			// Armed crash no feed reached: fire it at the wave boundary so
-			// quiet partitions crash too.
-			st.crash(p)
-		}
+	parts := st.wave(func(p *streamPartition) {
 		p.buf.advance(t)
 		p.eng.Advance(t)
 		p.ckpt = p.eng.Checkpoint()
 		st.ckptBytes.Add(int64(len(p.ckpt)))
+	})
+	for _, p := range parts {
 		p.log = resetEvents(p.log, p.buf.pending)
 		st.lastLoad[p.id] = p.pushes
 		p.pushes = 0
@@ -618,23 +620,72 @@ func (st *streamStage) advance(t temporal.Time) {
 	}
 }
 
-func (st *streamStage) sortedParts() []int {
-	ids := make([]int, 0, len(st.parts))
-	for id := range st.parts {
-		ids = append(ids, id)
-	}
-	sort.Ints(ids)
-	return ids
-}
-
 func (st *streamStage) flush() {
-	for _, p := range st.parts {
-		if p.crashAt >= 0 {
-			st.crash(p) // last chance for an armed crash to matter
-		}
+	st.wave(func(p *streamPartition) {
 		p.buf.flush()
 		p.eng.Flush()
+	})
+}
+
+// wave runs step on every partition of the stage, first firing any armed
+// crash no feed reached (so quiet partitions crash too), on
+// min(GOMAXPROCS, partitions) goroutines, the caller's among them.
+// Partitions share nothing a worker writes: each owns its engine, barrier
+// and recovery state, and the engines' output is held per partition. Once
+// every worker is done, the caller's goroutine routes the held output
+// partition by partition in id order, event by event — the order the
+// sequential walk routed it in — so every downstream admission, crash
+// draw and replay log is what a single goroutine would produce. It
+// returns the partitions in id order.
+func (st *streamStage) wave(step func(p *streamPartition)) []*streamPartition {
+	parts := st.sortedParts()
+	var next atomic.Int64
+	var once sync.Once
+	var failed any // the first worker panic, re-raised by the caller
+	work := func() {
+		defer func() {
+			if r := recover(); r != nil {
+				once.Do(func() { failed = r })
+			}
+		}()
+		for i := int(next.Add(1)) - 1; i < len(parts); i = int(next.Add(1)) - 1 {
+			p := parts[i]
+			if p.crashAt >= 0 {
+				st.crash(p)
+			}
+			step(p)
+		}
 	}
+	var wg sync.WaitGroup
+	for w := 1; w < min(runtime.GOMAXPROCS(0), len(parts)); w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			work()
+		}()
+	}
+	work()
+	wg.Wait()
+	if failed != nil {
+		panic(failed)
+	}
+	for _, p := range parts {
+		for _, e := range p.out {
+			st.emit(e)
+		}
+		p.out = resetEvents(p.out, nil)
+	}
+	return parts
+}
+
+// sortedParts returns the stage's partitions in id order.
+func (st *streamStage) sortedParts() []*streamPartition {
+	parts := make([]*streamPartition, 0, len(st.parts))
+	for _, p := range st.parts {
+		parts = append(parts, p)
+	}
+	sort.Slice(parts, func(a, b int) bool { return parts[a].id < parts[b].id })
+	return parts
 }
 
 // discardSink swallows output; newStage compiles a throwaway pipeline
@@ -645,19 +696,20 @@ func (discardSink) OnEvent(temporal.Event) {}
 func (discardSink) OnCTI(temporal.Time)    {}
 func (discardSink) OnFlush()               {}
 
-// stageOutput forwards a partition engine's output downstream, clipping
-// temporal partitions to their owned span.
+// stageOutput holds a partition engine's output for routing downstream
+// (streamStage.wave), clipping temporal partitions to their owned span.
 type stageOutput struct {
 	stage *streamStage
-	span  int
+	part  *streamPartition
 }
 
 func (o *stageOutput) OnEvent(e temporal.Event) {
 	st := o.stage
 	if st.spans != nil {
-		start := temporal.Time(o.span) * st.spans.Width
+		span := o.part.id
+		start := temporal.Time(span) * st.spans.Width
 		end := start + st.spans.Width
-		if o.span == st.minSpan {
+		if span == st.minSpan {
 			// The earliest *existing* span owns everything before it
 			// (shifted lifetimes can reach below the data's origin) —
 			// matching SpanSpec.Owned, where batch span 0 takes MinTime.
@@ -677,6 +729,12 @@ func (o *stageOutput) OnEvent(e temporal.Event) {
 		}
 		e.LE, e.RE = le, re
 	}
+	o.part.out = append(o.part.out, e)
+}
+
+// emit routes one output event of the stage to its consumers, or to the
+// job's output barrier from the final stage.
+func (st *streamStage) emit(e temporal.Event) {
 	if st.frag.Final {
 		st.job.out.push(e)
 		return

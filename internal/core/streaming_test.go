@@ -637,8 +637,8 @@ func TestBarrierDeliversRunsLikeEvents(t *testing.T) {
 			}
 			w := wave{results: len(job.results)}
 			for _, st := range job.stages {
-				for _, id := range st.sortedParts() {
-					w.ckpts = append(w.ckpts, st.parts[id].ckpt)
+				for _, p := range st.sortedParts() {
+					w.ckpts = append(w.ckpts, p.ckpt)
 				}
 			}
 			waves = append(waves, w)

@@ -56,13 +56,17 @@ type Config struct {
 	WaveEvery temporal.Time
 
 	// Rate, when positive, paces arrivals at this many per wall-clock
-	// second through a bounded queue (open loop: the schedule never
-	// slows down because the server lags, so queueing delay lands in
-	// the measured latency). Zero feeds as fast as the job admits.
+	// second (open loop: the schedule never slows down because the server
+	// lags, so queueing delay lands in the measured latency). Zero
+	// generates arrivals as fast as the serving loop takes them. Either
+	// way the load generator runs on its own goroutine, beside the
+	// serving loop, and hands arrivals over through the intake queue.
 	Rate float64
-	// Queue is the bounded intake queue depth in paced mode (default
-	// 256). A full queue blocks the generator goroutine — the blocking
-	// face of backpressure, complementing the non-blocking TryFeed.
+	// Queue is the bounded intake queue depth (default 256). A full queue
+	// blocks the generator goroutine — the blocking face of backpressure,
+	// complementing the non-blocking TryFeed. Unpaced, the generator
+	// outpaces the loop, so the queue runs full and a request's latency
+	// includes its wait in it.
 	Queue int
 
 	// Rebalance, when set, enables elastic placement (see
@@ -192,7 +196,8 @@ func (s *Server) Models() []temporal.Event {
 	return append([]temporal.Event(nil), s.models...)
 }
 
-// timedReq is one scheduled arrival in the paced intake queue.
+// timedReq is one arrival in the intake queue, stamped with the instant
+// it arrived: its slot on the paced schedule, or when it was generated.
 type timedReq struct {
 	req   workload.Request
 	sched time.Time
@@ -319,91 +324,37 @@ func (s *Server) run(killAfter int) (*Report, []temporal.Event, error) {
 		lastWave = rec.Snap.Wave
 	}
 
-	// In paced mode a generator goroutine emits requests on the fixed
-	// open-loop schedule into a bounded queue; a full queue blocks it
-	// (committed-path backpressure), but the schedule's timestamps keep
-	// marching, so the wait surfaces as measured latency.
-	var intake chan timedReq
-	if cfg.Rate > 0 {
-		intake = make(chan timedReq, cfg.Queue)
-		go func() {
-			defer close(intake)
-			start := time.Now()
-			gap := time.Duration(float64(time.Second) / cfg.Rate)
-			for i := startIdx; i < cfg.Requests; i++ {
-				sched := start.Add(time.Duration(i-startIdx) * gap)
-				if d := time.Until(sched); d > 0 {
-					time.Sleep(d)
-				}
-				intake <- timedReq{req: gen.Next(), sched: sched}
-			}
-		}()
-	}
-
-	ingest := func(tr timedReq) error {
-		req := tr.req
-		rep.Requests++
-		if req.Search {
-			rep.Searches++
-			return nil
-		}
-		rep.Impressions++
-		rep.RowsFed += len(req.Rows)
-		pending[req.Time] = tr.sched
-		return reduced.FeedBatch(temporal.RowsToPointEvents(req.Rows, 0))
-	}
-
 	start := time.Now()
-
 	processed, killed := 0, false
-	step := func(tr timedReq) error {
-		if t := tr.req.Time; t-lastWave >= cfg.WaveEvery {
+	err = feed(cfg, gen, startIdx, func(tr timedReq) (bool, error) {
+		req := tr.req
+		if t := req.Time; t-lastWave >= cfg.WaveEvery {
 			lastWave = t
 			// Publish the input offset the wave's generation will carry:
 			// the schedule index of the request triggering this wave —
 			// everything before it is admitted and about to be durable.
-			reduced.SetPosition(int64(tr.req.Seq))
+			reduced.SetPosition(int64(req.Seq))
 			if err := job.Advance(t); err != nil {
-				return err
+				return false, err
 			}
 		}
-		if err := ingest(tr); err != nil {
-			return err
+		rep.Requests++
+		if req.Search {
+			rep.Searches++
+		} else {
+			rep.Impressions++
+			rep.RowsFed += len(req.Rows)
+			pending[req.Time] = tr.sched
+			if err := reduced.FeedBatch(temporal.RowsToPointEvents(req.Rows, 0)); err != nil {
+				return false, err
+			}
 		}
 		processed++
-		return nil
-	}
-	var feedErr error
-	if intake != nil {
-		for tr := range intake {
-			if feedErr = step(tr); feedErr != nil {
-				break
-			}
-			if killAfter >= 0 && processed >= killAfter {
-				killed = true
-				break
-			}
-		}
-		if killed {
-			// Unblock the paced generator so it can run to completion.
-			go func() {
-				for range intake {
-				}
-			}()
-		}
-	} else {
-		for i := startIdx; i < cfg.Requests; i++ {
-			if feedErr = step(timedReq{req: gen.Next(), sched: time.Now()}); feedErr != nil {
-				break
-			}
-			if killAfter >= 0 && processed >= killAfter {
-				killed = true
-				break
-			}
-		}
-	}
-	if feedErr != nil {
-		return nil, nil, feedErr
+		killed = killAfter >= 0 && processed >= killAfter
+		return !killed, nil
+	})
+	if err != nil {
+		return nil, nil, err
 	}
 	if killed {
 		// kill -9: no flush, no graceful teardown. Whatever the durable
@@ -444,6 +395,51 @@ func (s *Server) run(killAfter int) (*Report, []temporal.Event, error) {
 		rep.MeanScoreUnclicked = sumUnclicked / float64(nUnclicked)
 	}
 	return rep, results, nil
+}
+
+// feed is Run's one intake path. A generator goroutine emits the schedule
+// from index from into a bounded queue of cfg.Queue requests, beside the
+// serving loop, which takes each in turn and hands it to serve on the
+// caller's goroutine. With cfg.Rate set the generator paces requests on
+// the fixed open-loop schedule: a full queue blocks it (committed-path
+// backpressure), but the schedule's timestamps keep marching, so the wait
+// surfaces as measured latency. Unpaced, it does not sleep: a request
+// arrives when it is generated and waits in the queue until served. feed
+// returns when the schedule ends, serve fails, or serve reports false;
+// the generator has exited by then.
+func feed(cfg Config, gen *workload.LoadGen, from int, serve func(timedReq) (bool, error)) error {
+	intake, stop := make(chan timedReq, cfg.Queue), make(chan struct{})
+	go func() {
+		defer close(intake)
+		var gap time.Duration
+		if cfg.Rate > 0 {
+			gap = time.Duration(float64(time.Second) / cfg.Rate)
+		}
+		start := time.Now()
+		for i := from; i < cfg.Requests; i++ {
+			sched := time.Now()
+			if gap > 0 {
+				sched = start.Add(time.Duration(i-from) * gap)
+				time.Sleep(time.Until(sched))
+			}
+			select {
+			case intake <- timedReq{req: gen.Next(), sched: sched}:
+			case <-stop:
+				return
+			}
+		}
+	}()
+	defer func() {
+		close(stop)
+		for range intake { // drained until the generator closes it
+		}
+	}()
+	for tr := range intake {
+		if more, err := serve(tr); err != nil || !more {
+			return err
+		}
+	}
+	return nil
 }
 
 // String renders the report as key=value lines.

@@ -1,11 +1,13 @@
 package serve
 
 import (
+	"errors"
 	"strings"
 	"testing"
 
 	"timr/internal/bt"
 	"timr/internal/core"
+	"timr/internal/leakcheck"
 	"timr/internal/obs"
 	"timr/internal/temporal"
 	"timr/internal/workload"
@@ -120,6 +122,41 @@ func TestServePacedMode(t *testing.T) {
 	if rep.Scored != rep.Impressions {
 		t.Fatalf("paced run scored %d of %d impressions", rep.Scored, rep.Impressions)
 	}
+}
+
+// TestServeLeavesNoGoroutine: the load generator drains and exits however
+// Run ends — a full run, paced or not, a kill mid-run, a serving error.
+func TestServeLeavesNoGoroutine(t *testing.T) {
+	unpaced := prepared(t, nil)
+	paced := prepared(t, func(c *Config) { c.Requests, c.Rate, c.Queue = 300, 50_000, 32 })
+	// Killed after 10 of 1500 requests at 200 per second: the rest of the
+	// schedule outlasts the settle deadline, so only a generator that
+	// stops with the run passes.
+	slow := prepared(t, func(c *Config) { c.Rate = 200 })
+	settled := leakcheck.Goroutines(t)
+	for _, srv := range []*Server{unpaced, paced} {
+		if _, _, err := srv.Run(); err != nil {
+			t.Fatal(err)
+		}
+		settled()
+	}
+	if _, err := slow.RunKilled(10); err != nil {
+		t.Fatal(err)
+	}
+	settled()
+
+	boom := errors.New("boom")
+	served := 0
+	err := feed(unpaced.cfg, workload.NewLoadGen(unpaced.data, unpaced.cfg.Load), 0, func(timedReq) (bool, error) {
+		if served++; served == 10 {
+			return false, boom
+		}
+		return true, nil
+	})
+	if !errors.Is(err, boom) || served != 10 {
+		t.Fatalf("feed returned %v after %d requests, want boom after 10", err, served)
+	}
+	settled()
 }
 
 func TestPrepareRejectsScheduleOverrun(t *testing.T) {

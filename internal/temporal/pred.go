@@ -98,21 +98,26 @@ func AbsGeFloat(col string, v float64) Predicate {
 }
 
 // FnPred wraps an arbitrary row function over the named columns. The
-// function receives the values of cols in order.
+// function receives the values of cols in order. vals is valid only during
+// the call: each compiled predicate reuses one argument slice (an engine
+// is single-threaded), so fn must not keep it.
 func FnPred(desc string, fn func(vals []Value) bool, cols ...string) Predicate {
 	return Predicate{
 		Cols: cols,
 		Make: func(ix []int) func(Row) bool {
-			return func(r Row) bool {
-				vals := make([]Value, len(ix))
-				for i, c := range ix {
-					vals[i] = r[c]
-				}
-				return fn(vals)
-			}
+			vals := make([]Value, len(ix))
+			return func(r Row) bool { return fn(gather(vals, r, ix)) }
 		},
 		Desc: desc,
 	}
+}
+
+// gather fills vals with r's columns at ix.
+func gather(vals []Value, r Row, ix []int) []Value {
+	for i, c := range ix {
+		vals[i] = r[c]
+	}
+	return vals
 }
 
 // And combines predicates conjunctively.
@@ -217,18 +222,14 @@ func ConstInt(name string, v int64) Projection {
 }
 
 // Compute projects a computed column over the named inputs. fn receives the
-// values of cols in order.
+// values of cols in order. As with FnPred, vals is valid only during the
+// call: each compiled projection reuses one argument slice.
 func Compute(name string, kind Kind, fn func(vals []Value) Value, cols ...string) Projection {
 	return Projection{
 		Name: name, Kind: kind, Cols: cols,
 		Make: func(ix []int) func(Row) Value {
-			return func(r Row) Value {
-				vals := make([]Value, len(ix))
-				for i, c := range ix {
-					vals[i] = r[c]
-				}
-				return fn(vals)
-			}
+			vals := make([]Value, len(ix))
+			return func(r Row) Value { return fn(gather(vals, r, ix)) }
 		},
 		Desc: "fn(" + strings.Join(cols, ",") + ")",
 	}

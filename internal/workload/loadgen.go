@@ -107,6 +107,11 @@ type LoadGen struct {
 	users map[int64]*userState
 	seq   int
 
+	// Per-impression scratch, reused across calls: keyword counts of the
+	// profile and the keywords in first-search order.
+	counts map[int64]int64
+	order  []int64
+
 	// Running tallies, for serve reports.
 	Searches    int
 	Impressions int
@@ -139,9 +144,10 @@ func NewLoadGen(d *Dataset, cfg LoadConfig) *LoadGen {
 	g := &LoadGen{
 		cfg: cfg, ads: d.Ads, kws: d.Cfg.Keywords,
 		base: d.Cfg.BaseCTR, cap_: 0.9,
-		eff:   make(map[int64][]kwEffect),
-		root:  rand.New(rand.NewSource(cfg.Seed*7_368_787 + 11)),
-		users: make(map[int64]*userState),
+		eff:    make(map[int64][]kwEffect),
+		root:   rand.New(rand.NewSource(cfg.Seed*7_368_787 + 11)),
+		users:  make(map[int64]*userState),
+		counts: make(map[int64]int64),
 	}
 	for _, cls := range d.Ads {
 		for _, k := range cls.Pos {
@@ -236,8 +242,8 @@ func (g *LoadGen) next(emit bool) Request {
 	ad := g.ads[st.rng.Intn(len(g.ads))]
 	req.AdId = ad.ID
 
-	counts := make(map[int64]int64)
-	var order []int64
+	clear(g.counts)
+	counts, order := g.counts, g.order[:0]
 	p := g.base
 	for _, rec := range st.hist {
 		if counts[rec.kw] == 0 {
@@ -250,6 +256,7 @@ func (g *LoadGen) next(emit bool) Request {
 		}
 		counts[rec.kw]++
 	}
+	g.order = order
 	if p > g.cap_ {
 		p = g.cap_
 	}
@@ -259,11 +266,15 @@ func (g *LoadGen) next(emit bool) Request {
 	if !emit {
 		return req
 	}
-	for _, kw := range order {
-		req.Rows = append(req.Rows, temporal.Row{
-			temporal.Int(int64(t)), temporal.Int(uid), temporal.Int(ad.ID),
-			temporal.Int(req.Clicked), temporal.Int(kw), temporal.Int(counts[kw]),
-		})
+	// The impression's rows are carved from one slab; the request owns it.
+	const width = 6
+	slab := make(temporal.Row, width*len(order))
+	req.Rows = make([]temporal.Row, len(order))
+	for i, kw := range order {
+		row := slab[i*width : (i+1)*width : (i+1)*width]
+		row[0], row[1], row[2] = temporal.Int(int64(t)), temporal.Int(uid), temporal.Int(ad.ID)
+		row[3], row[4], row[5] = temporal.Int(req.Clicked), temporal.Int(kw), temporal.Int(counts[kw])
+		req.Rows[i] = row
 	}
 	g.Impressions++
 	g.RowsEmitted += len(req.Rows)

@@ -1,10 +1,58 @@
 package workload
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
 	"testing"
 
 	"timr/internal/temporal"
 )
+
+// requestDigest hashes every field of the first n requests, rows included.
+func requestDigest(g *LoadGen, n int) string {
+	var w temporal.Encoder
+	h := sha256.New()
+	for i := 0; i < n; i++ {
+		r := g.Next()
+		w.Reset()
+		w.Varint(int64(r.Seq))
+		w.Varint(int64(r.Time))
+		w.Varint(r.UserId)
+		w.Bool(r.Search)
+		w.Varint(r.Keyword)
+		w.Varint(r.AdId)
+		w.Varint(r.Clicked)
+		w.Uvarint(uint64(len(r.Rows)))
+		for _, row := range r.Rows {
+			w.Row(row)
+		}
+		h.Write(w.Bytes())
+	}
+	return hex.EncodeToString(h.Sum(nil))
+}
+
+// TestLoadGenStreamPinned pins the request stream of a fixed seed: a
+// change to how requests are built must not change a byte of them.
+func TestLoadGenStreamPinned(t *testing.T) {
+	_, g := loadGenPair(t)
+	const want = "5a5498b09f799615166616a64c10c48306a66390f48588c6a2bd51e33f58f3ae"
+	if got := requestDigest(g, 4000); got != want {
+		t.Fatalf("request stream digest %s, want %s", got, want)
+	}
+}
+
+// TestLoadGenAllocsPerRequest pins the allocation cost of a request:
+// an impression's rows come from one slab, so a call makes a bounded
+// number of allocations however many keywords the profile holds.
+func TestLoadGenAllocsPerRequest(t *testing.T) {
+	_, g := loadGenPair(t)
+	for i := 0; i < 2000; i++ { // warm the per-user state and scratch
+		g.Next()
+	}
+	if a := testing.AllocsPerRun(2000, func() { g.Next() }); a > 1.5 {
+		t.Fatalf("%.2f allocations per request, want <= 1.5 (two per impression)", a)
+	}
+}
 
 func loadGenPair(t *testing.T) (*Dataset, *LoadGen) {
 	t.Helper()
