@@ -212,10 +212,15 @@ const (
 	nshapes
 )
 
+// keylessShapes are the shapes that also run key-less: the sub-plan over
+// the whole input, with no GroupApply.
+var keylessShapes = []int{shapeAgg, shapeUnion, shapeJoin, shapeUDO, shapeAbove, shapeAggKeyed, shapeStateless}
+
 // diffDraw is one seeded case: a sub-plan and its input.
 type diffDraw struct {
 	shape    int
-	variant  int // a choice within the shape
+	variant  int  // a choice within the shape
+	keyless  bool // the sub-plan over Scan("in") itself, one key
 	branches [2]diffBranch
 	w, h     Time // the shape's own extents
 	events   []Event
@@ -267,7 +272,11 @@ var fLess = &JoinPred{LeftCols: []string{"F"}, RightCols: []string{"F"}, Desc: "
 	}}
 
 func (d diffDraw) plan() *Plan {
-	return reclaimPlan(func(g *Plan) *Plan {
+	build := reclaimPlan
+	if d.keyless {
+		build = func(sub func(g *Plan) *Plan) *Plan { return sub(Scan("in", reclaimSchema())) }
+	}
+	return build(func(g *Plan) *Plan {
 		a, b := d.branches[0], d.branches[1]
 		filtered := g
 		if a.minV >= 0 {
@@ -439,8 +448,11 @@ func keyed(key Value, rel []Event) []Event {
 }
 
 // oracle evaluates d under snapshot semantics with no operator: per key,
-// relationally.
+// relationally, or over the whole stream when d is key-less.
 func (d diffDraw) oracle() []Event {
+	if d.keyless {
+		return Coalesce(d.rel(d.events))
+	}
 	var out []Event
 	for k := int64(0); k < 3; k++ {
 		out = append(out, keyed(Int(k), d.rel(where(d.events, func(r Row) bool { return r[1].AsInt() == k })))...)
@@ -464,22 +476,30 @@ func below(rel []Event, t Time) []Event {
 // GroupApply distributes over and runs each under one drawn punctuation
 // schedule, feed path and checkpoint→restore point. After every step, what
 // has been delivered below the watermark must be the oracle's relation
-// there; after Flush, all of it.
+// there; after Flush, all of it. The same draws of the key-less shapes run
+// again with no GroupApply: a top-level aggregate, UDO and their
+// combinations, judged over the whole stream.
 func TestGroupApplyLoweringDifferential(t *testing.T) {
-	outputs := make([]int, nshapes)
-	for seed := int64(1); seed <= 400; seed++ {
+	var outputs [2][nshapes]int
+	for i := 0; i < 800; i++ {
+		seed, mode := int64(i%400+1), i/400 // mode 1: key-less
+		keyless := mode == 1
+		if keyless && !slices.Contains(keylessShapes, int(seed)%nshapes) {
+			continue
+		}
 		r := rand.New(rand.NewSource(seed))
 		d := drawDiff(r, int(seed)%nshapes)
+		d.keyless = keyless
 		period := []Time{0, 0, 1, 7}[r.Intn(4)] // 0: explicit Advance only, or none
 		advanceOdds := r.Intn(3) * 4            // 0 (never), 1 in 4, 1 in 8 events
 		feedPath, split := r.Intn(3), r.Intn(len(d.events)+1)
 		fail := func(format string, args ...any) {
 			t.Helper()
-			t.Fatalf("seed %d (shape %d/%d, period %d, feed path %d, restore at %d): %s\n%v%+v w=%d h=%d", seed, d.shape, d.variant,
-				period, feedPath, split, fmt.Sprintf(format, args...), d.plan(), d.branches, d.w, d.h)
+			t.Fatalf("seed %d (shape %d/%d, key-less %t, period %d, feed path %d, restore at %d): %s\n%v%+v w=%d h=%d", seed, d.shape, d.variant,
+				keyless, period, feedPath, split, fmt.Sprintf(format, args...), d.plan(), d.branches, d.w, d.h)
 		}
 		want := d.oracle()
-		outputs[d.shape] += len(want)
+		outputs[mode][d.shape] += len(want)
 
 		sink := &seqSink{}
 		build := func() *Engine {
@@ -552,10 +572,12 @@ func TestGroupApplyLoweringDifferential(t *testing.T) {
 		eng.Flush()
 		compare("flush", true)
 	}
-	t.Logf("oracle events per shape: %v", outputs)
-	for shape, n := range outputs {
-		if n < 100 {
-			t.Errorf("shape %d: the oracle produced %d events over all its draws; too few to mean anything", shape, n)
+	t.Logf("oracle events per shape, grouped then key-less: %v", outputs)
+	for shape := range nshapes {
+		for mode, n := range outputs {
+			if n[shape] < 100 && (mode == 0 || slices.Contains(keylessShapes, shape)) {
+				t.Errorf("shape %d (key-less %t): the oracle produced %d events over all its draws; too few to mean anything", shape, mode == 1, n[shape])
+			}
 		}
 	}
 }
