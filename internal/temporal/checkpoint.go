@@ -39,18 +39,22 @@ type Checkpointer interface {
 // The engine header doubles as the format version: 0xE8 is format 2,
 // which introduced the grouped-aggregate section, writes expirations in
 // pop order and renumbered the tags; format 1 images (header 0xE7) are
-// refused by Engine.Restore. 0x07 was the per-key GroupApply, deleted when
-// every sub-plan became grouped kernels: it is never reused, so an image
-// holding one is refused by tag.
+// refused by Engine.Restore. A retired tag is never reused, so an image
+// holding one is refused by tag: 0x07 was the per-key GroupApply, deleted
+// when every sub-plan became grouped kernels; 0x01 and 0x06 were the
+// top-level aggregate and hopping UDO, which are now grouped kernels with
+// no key and write 0x08 and 0x09. Retiring them did not bump the header:
+// an image holding no top-level aggregate or UDO reads the same as before,
+// and such images (GroupApply and join ones among them) must still restore.
 const (
-	ckEngine     byte = 0xE8
-	ckEngineV1   byte = 0xE7
-	ckAggregate  byte = 0x01
-	ckAlterLife  byte = 0x02
-	ckUnion      byte = 0x03
-	ckJoin       byte = 0x04
-	ckAntiSemi   byte = 0x05
-	ckUDO        byte = 0x06
+	ckEngine   byte = 0xE8
+	ckEngineV1 byte = 0xE7
+	// 0x01 retired (top-level aggregate)
+	ckAlterLife byte = 0x02
+	ckUnion     byte = 0x03
+	ckJoin      byte = 0x04
+	ckAntiSemi  byte = 0x05
+	// 0x06 retired (hopping UDO), 0x07 retired (per-key GroupApply)
 	ckGroupedAgg byte = 0x08
 	ckGroupedUDO byte = 0x09
 )

@@ -2,6 +2,7 @@ package temporal
 
 import (
 	"bytes"
+	"fmt"
 	"math/rand"
 	"strings"
 	"testing"
@@ -282,18 +283,35 @@ func TestCheckpointErrors(t *testing.T) {
 		e3.Feed("in", PointEvent(ts, Row{Int(ts), Int(ts % 3)}))
 	}
 	snap = e3.Checkpoint()
-	// 0x07 was the per-key GroupApply's section: no build reads it again.
-	var hdr SnapshotWriter
-	hdr.Byte(ckEngine)
-	hdr.Varint(e3.lastCTI)
-	hdr.Uvarint(1)
-	if tag := len(hdr.Bytes()); snap[tag] != ckGroupedAgg {
-		t.Fatalf("byte %d of the image is 0x%02x, not the kernel's tag", tag, snap[tag])
-	} else {
-		old := append([]byte(nil), snap...)
-		old[tag] = 0x07
-		if err := restoreErr(mkB(), old); err == nil || !strings.Contains(err.Error(), "found 0x07") {
-			t.Fatalf("a 0x07 section must be refused by its tag, got %v", err)
+	// Retired sections no build reads again, each refused by its tag: 0x07
+	// was the per-key GroupApply's, 0x01 and 0x06 the top-level aggregate's
+	// and hopping UDO's — kernels with no key now, writing 0x08 and 0x09.
+	mkU := func() *Plan {
+		return Scan("in", propSchema()).Apply(UDOSpec{Name: "none", Window: 4, Hop: 2, Out: propSchema(),
+			Fn: func(ws, we Time, rows []Row) []Row { return nil }})
+	}
+	e4, err := NewEngine(mkU(), WithCTIPeriod(0))
+	if err != nil {
+		t.Fatal(err)
+	}
+	e4.Feed("in", PointEvent(1, Row{Int(1), Int(2)}))
+	for _, c := range []struct {
+		eng      *Engine
+		mk       func() *Plan
+		tag, old byte
+	}{{e3, mkB, ckGroupedAgg, 0x07}, {e1, mkA, ckGroupedAgg, 0x01}, {e4, mkU, ckGroupedUDO, 0x06}} {
+		image := c.eng.Checkpoint()
+		var hdr SnapshotWriter
+		hdr.Byte(ckEngine)
+		hdr.Varint(c.eng.lastCTI)
+		hdr.Uvarint(uint64(len(c.eng.pipeline.ckpts)))
+		if at := len(hdr.Bytes()); image[at] != c.tag {
+			t.Fatalf("byte %d of the image is 0x%02x, not the kernel's tag 0x%02x", at, image[at], c.tag)
+		} else {
+			image[at] = c.old
+			if err := restoreErr(c.mk(), image); err == nil || !strings.Contains(err.Error(), fmt.Sprintf("found 0x%02x", c.old)) {
+				t.Fatalf("a 0x%02x section must be refused by its tag, got %v", c.old, err)
+			}
 		}
 	}
 	seen := map[string]bool{}
@@ -325,7 +343,8 @@ func restoreErr(plan *Plan, snap []byte) error {
 // they either restore cleanly or fail with an error. Both over every section
 // a GroupApply writes: a grouped aggregate, a union and a join distributed
 // over kernels, a grouped UDO, a nested GroupApply under ToPoint and an
-// AntiSemiJoin, and a keyed join with a condition.
+// AntiSemiJoin, and a keyed join with a condition; and over the key-less
+// kernel sections of a top-level aggregate and UDO.
 func FuzzCheckpointRoundtrip(f *testing.F) {
 	f.Add([]byte{1, 2, 3, 4, 5, 6, 7, 8})
 	f.Add([]byte{ckEngine, 0x00, 0x00})
@@ -359,6 +378,9 @@ func FuzzCheckpointRoundtrip(f *testing.F) {
 		sub := sub
 		plans = append(plans, func() *Plan { return Scan("in", propSchema()).GroupApply([]string{"V"}, sub) })
 	}
+	plans = append(plans, // key-less kernels: a top-level aggregate and UDO
+		func() *Plan { return Scan("in", propSchema()).WithWindow(8).Sum("V", "S") },
+		func() *Plan { return Scan("in", propSchema()).Apply(sum) })
 	for _, mk := range plans {
 		// A real image after groups drained and one key returned...
 		post, err := NewEngine(mk(), WithCTIPeriod(0))

@@ -101,7 +101,7 @@ func Compile(root *Plan, out Sink) (*Pipeline, error) {
 // events/CTIs under "source.<name>" (op_meter.go). The operators built,
 // their wiring and the checkpoint layout are the same either way.
 func compile(root *Plan, out Sink, scope *obs.Scope) (*Pipeline, error) {
-	if err := checkLeaves(root, false); err != nil {
+	if err := checkPlan(root, false); err != nil {
 		return nil, err
 	}
 	c := &compiler{
@@ -188,9 +188,9 @@ func (c *compiler) collectParents(n *Plan, seen map[*Plan]bool) {
 	// not visited here.
 }
 
-// checkLeaves rejects a GroupInput leaf outside a GroupApply sub-plan and a
-// Scan inside one.
-func checkLeaves(root *Plan, sub bool) (err error) {
+// checkPlan rejects a GroupInput leaf outside a GroupApply sub-plan, a
+// Scan inside one, and an Aggregate of no known kind.
+func checkPlan(root *Plan, sub bool) (err error) {
 	walkInputs(root, func(n *Plan) {
 		switch {
 		case err != nil:
@@ -198,8 +198,10 @@ func checkLeaves(root *Plan, sub bool) (err error) {
 			err = fmt.Errorf("temporal: GroupInput leaf outside a GroupApply sub-plan")
 		case n.Kind == OpScan && sub:
 			err = fmt.Errorf("temporal: Scan(%s) leaf inside a GroupApply sub-plan", n.Source)
+		case n.Kind == OpAggregate:
+			_, err = aggStateOf(n)
 		case n.Sub != nil:
-			err = checkLeaves(n.Sub, true)
+			err = checkPlan(n.Sub, true)
 		}
 	})
 	return err
@@ -315,8 +317,8 @@ func (c *compiler) buildOp(n *Plan, out Sink) ([]Sink, any) {
 	case OpAlterLifetime: // ToPoint; the other modes are kernel members
 		a := &alterLifetimeOp{out: out}
 		return []Sink{a}, a
-	case OpAggregate:
-		a := newAggregateOp(aggStateOf(n)(), out)
+	case OpAggregate: // the grouped kernel with no key: one slot
+		a := newGroupedAggOp(&lowering{}, keying{}, nil, n, nil, out)
 		return []Sink{a}, a
 	case OpGroupApply:
 		entry, ops := c.lowerGroupApply(n, out)
@@ -334,15 +336,19 @@ func (c *compiler) buildOp(n *Plan, out Sink) ([]Sink, any) {
 		a := newAntiSemiJoin(n, 0, out)
 		return []Sink{a.m.input(sideLeft), a.m.input(sideRight)}, a
 	case OpUDO:
-		u := newHoppingUDOOp(n.UDO, out)
+		u := newGroupedUDOOp(&lowering{}, keying{}, nil, n.UDO, nil, out)
 		return []Sink{u}, u
 	default:
 		panic("temporal: cannot build operator for " + n.Kind.String())
 	}
 }
 
-// aggStateOf returns the constructor of Aggregate node n's accumulator.
-func aggStateOf(n *Plan) func() aggState {
+// aggStateOf returns the constructor of Aggregate node n's accumulator, or
+// an error if n's kind names no aggregate.
+func aggStateOf(n *Plan) (func() aggState, error) {
+	if n.Agg < 0 || int(n.Agg) >= len(newAggStates) {
+		return nil, fmt.Errorf("temporal: unknown aggregate %v", n.Agg)
+	}
 	in := n.Inputs[0].Out
 	col := -1
 	var kind Kind
@@ -350,7 +356,8 @@ func aggStateOf(n *Plan) func() aggState {
 		col = in.MustIndex(n.AggCol)
 		kind = in.Field(col).Kind
 	}
-	return func() aggState { return newAggState(n.Agg, col, kind) }
+	mk := newAggStates[n.Agg]
+	return func() aggState { return mk(col, kind) }, nil
 }
 
 // walkInputs visits the plan DAG following only Inputs edges (not

@@ -312,7 +312,10 @@ func TestFusedSnapshotCompatibility(t *testing.T) {
 // uninterrupted run. (Checkpoint format 2 changed the header byte of both;
 // the GroupApply image was regenerated once, at the commit that lowered
 // windowed-aggregate sub-plans to the grouped kernel — its section is the
-// kernel's slots and one expiration queue, no longer per-key pipelines.)
+// kernel's slots and one expiration queue, no longer per-key pipelines.
+// The shifted-window image was regenerated once, at the commit that made a
+// top-level Aggregate the grouped kernel with no key: its two aggregates
+// write kernel sections, 0x08, where they wrote the retired 0x01.)
 func TestFusedGoldenCheckpoints(t *testing.T) {
 	sch := readingSchema()
 	for _, c := range []struct {
@@ -361,6 +364,6 @@ func TestFusedGoldenCheckpoints(t *testing.T) {
 }
 
 const (
-	goldenShiftedWindow   = "e870060168046c01010e700101107a01010e7e0101103c0200020002016e010110016e097003016603016101057203016803016201087403016a03016301167603016c03016101247803016e03016201327a03017003016301407c030172030161014e7e0301740301620107800103017603016301061202000200"
+	goldenShiftedWindow   = "e870060868000100683c0200046c0001010e70000101107a0001010e7e00010110020002016e01011008680001006e12097000030166030161010572000301680301620108740003016a0301630116760003016c0301610124780003016e03016201327a0003017003016301407c00030172030161014e7e000301740301620107800100030176030163010602000200"
 	goldenGroupApplyCount = "e870010870037072020301610106707402030162010670760203016301040301030161720601030162740601030163760609780002016601057a0102016801087c0202016a01167e0002016c012480010102016e01328201020201700140840100020172014e86010102017401078801020201760106"
 )

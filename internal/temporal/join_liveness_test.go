@@ -482,15 +482,16 @@ func TestToPointClearsRetiredRows(t *testing.T) {
 
 func TestUDOClearsEvictedRows(t *testing.T) {
 	spec := &UDOSpec{Window: 4, Hop: 1, Fn: func(ws, we Time, rows []Row) []Row { return nil }}
-	u := newHoppingUDOOp(spec, &Collector{})
+	u := newGroupedUDOOp(&lowering{}, keying{}, nil, spec, nil, &Collector{}) // a top-level UDO's kernel
+	var s *keySlot[udoSlot]
 	for i := 0; i < 40; i++ {
 		u.OnEvent(PointEvent(Time(i/4), Row{Int(int64(i))})) // four at a time: the windows evict four at once
-		if len(u.buf) > 20 || !spareIsZero(u.buf, 0) {
-			t.Fatalf("after event %d: %d buffered, vacated capacity zeroed = %v", i, len(u.buf), spareIsZero(u.buf, 0))
+		if s, _ = u.find(nil); len(s.slot.buf) > 20 || !spareIsZero(s.slot.buf, 0) {
+			t.Fatalf("after event %d: %d buffered, vacated capacity zeroed = %v", i, len(s.slot.buf), spareIsZero(s.slot.buf, 0))
 		}
 	}
 	u.OnCTI(100)
-	if len(u.buf) != 0 || !spareIsZero(u.buf, 0) {
-		t.Fatalf("after the last window: %d buffered, vacated capacity zeroed = %v", len(u.buf), spareIsZero(u.buf, 0))
+	if len(s.slot.buf) != 0 || !spareIsZero(s.slot.buf, 0) || u.nlive != 0 {
+		t.Fatalf("after the last window: %d buffered, vacated capacity zeroed = %v, %d live slots", len(s.slot.buf), spareIsZero(s.slot.buf, 0), u.nlive)
 	}
 }

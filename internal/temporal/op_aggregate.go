@@ -14,15 +14,14 @@ import (
 // a canonical order would perturb sums by an ULP and break the exactness
 // of recovery.
 //
-// reset zeroes the accumulator. The operator calls it whenever the active
-// set empties — a logical event, however the input was batched or
+// An accumulator lives as long as its active set: the kernel drops it when
+// the set empties — a logical event, however the input was batched or
 // punctuated — so a float sum carries no rounding residue across an empty
 // snapshot and an aggregate with no open lifetime equals a new one.
 type aggState interface {
 	Insert(Row)
 	Remove(Row)
 	Result() Value
-	reset()
 	snapshot(w *SnapshotWriter)
 	restore(r *SnapshotReader)
 }
@@ -34,7 +33,6 @@ type countState struct{ n int64 }
 func (s *countState) Insert(Row)    { s.n++ }
 func (s *countState) Remove(Row)    { s.n-- }
 func (s *countState) Result() Value { return Int(s.n) }
-func (s *countState) reset()        { s.n = 0 }
 
 func (s *countState) snapshot(w *SnapshotWriter) { w.Varint(s.n) }
 func (s *countState) restore(r *SnapshotReader)  { s.n = r.Varint() }
@@ -69,8 +67,6 @@ func (s *sumState) Result() Value {
 	return Int(s.i)
 }
 
-func (s *sumState) reset() { s.i, s.f = 0, 0 }
-
 func (s *sumState) snapshot(w *SnapshotWriter) {
 	w.Varint(s.i)
 	w.Value(Float(s.f))
@@ -97,8 +93,6 @@ func (s *avgState) Result() Value {
 	}
 	return Float(s.f / float64(s.n))
 }
-
-func (s *avgState) reset() { s.n, s.f = 0, 0 }
 
 func (s *avgState) snapshot(w *SnapshotWriter) {
 	w.Varint(s.n)
@@ -190,12 +184,6 @@ func (s *minMaxState) Result() Value {
 	return Null
 }
 
-// reset drops the stale heap candidates an emptied multiset leaves behind.
-func (s *minMaxState) reset() {
-	clear(s.counts)
-	s.h.items = s.h.items[:0]
-}
-
 // snapshot writes the live multiset in value order (a NaN, which Compare
 // ties with every float, first among floats). The lazily-cleaned
 // candidate heap is not serialized: it only ever holds a superset of the
@@ -233,24 +221,18 @@ func (s *minMaxState) restore(r *SnapshotReader) {
 	}
 }
 
-func newAggState(kind AggKind, col int, colKind Kind) aggState {
-	switch kind {
-	case AggCount:
-		return &countState{}
-	case AggSum:
-		return &sumState{col: col, isFloat: colKind == KindFloat}
-	case AggAvg:
-		return &avgState{col: col}
-	case AggMin:
-		return newMinMaxState(col, false)
-	case AggMax:
-		return newMinMaxState(col, true)
-	}
-	panic("temporal: unknown aggregate")
+// newAggStates holds the accumulator constructor of every AggKind, by kind:
+// one outside it names no aggregate (aggStateOf).
+var newAggStates = [...]func(col int, colKind Kind) aggState{
+	AggCount: func(int, Kind) aggState { return &countState{} },
+	AggSum:   func(col int, k Kind) aggState { return &sumState{col: col, isFloat: k == KindFloat} },
+	AggMin:   func(col int, _ Kind) aggState { return newMinMaxState(col, false) },
+	AggMax:   func(col int, _ Kind) aggState { return newMinMaxState(col, true) },
+	AggAvg:   func(col int, _ Kind) aggState { return &avgState{col: col} },
 }
 
 // expiration is one right endpoint awaited, with what the owner of the
-// queue hangs on it (an aggregate: the active event's row).
+// queue hangs on it (an aggregate: the active event's row and its slot).
 type expiration[T any] struct {
 	re  Time
 	seq uint64 // arrival order: breaks re ties in the heap
@@ -348,105 +330,4 @@ func (s *aggSlot) closeAt(upto Time) (le Time, ok bool) {
 		s.cur = upto
 	}
 	return le, ok
-}
-
-// aggregateOp implements snapshot aggregation (paper §II-A.2): it sweeps
-// the LE-ordered input and emits one output event per maximal interval
-// over which the aggregate is constant and the active set is non-empty.
-//
-// On OnCTI(t) the operator force-closes the open segment at t. This
-// fragments logically-contiguous output events at CTI boundaries — a
-// semantically neutral transformation under snapshot semantics (see
-// Coalesce) — and is what gives every operator the invariant
-// "output watermark >= input watermark" that GroupApply's order-restoring
-// merge relies on.
-type aggregateOp struct {
-	aggSlot
-	exp   expQueue[Row] // the active events, by right endpoint
-	arena rowArena
-	out   Sink
-}
-
-func newAggregateOp(state aggState, out Sink) *aggregateOp {
-	return &aggregateOp{aggSlot: aggSlot{state: state, cur: MinTime}, out: out}
-}
-
-// liveState counts open lifetimes awaiting expiration — the sweep's
-// working set. At zero the accumulator is zero too (advanceTo) and only
-// the sweep position is left.
-func (a *aggregateOp) liveState() int { return a.exp.len() }
-
-// emitSegment closes the open segment at upto and emits it, if any.
-func (a *aggregateOp) emitSegment(upto Time) {
-	if le, ok := a.closeAt(upto); ok {
-		payload := a.arena.alloc(1)
-		payload[0] = a.state.Result()
-		a.out.OnEvent(Event{LE: le, RE: upto, Payload: payload})
-	}
-}
-
-// advanceTo processes all expirations at or before t, emitting the
-// segments they close.
-func (a *aggregateOp) advanceTo(t Time) {
-	for a.exp.len() > 0 && a.exp.top().re <= t {
-		x := a.exp.pop()
-		a.emitSegment(x.re)
-		a.state.Remove(x.v)
-		if a.active--; a.active == 0 {
-			a.state.reset()
-		}
-	}
-}
-
-func (a *aggregateOp) OnEvent(e Event) {
-	a.advanceTo(e.LE)
-	a.emitSegment(e.LE)
-	a.state.Insert(e.Payload)
-	a.active++
-	a.exp.push(e.RE, e.Payload)
-}
-
-// OnBatch consumes a whole run in one call; the sweep itself is
-// inherently event-at-a-time (each arrival can close segments), so the
-// batch win is the amortized upstream dispatch and metering.
-func (a *aggregateOp) OnBatch(b *Batch) { loopBatch(a, b) }
-
-func (a *aggregateOp) OnCTI(t Time) {
-	a.advanceTo(t)
-	a.emitSegment(t) // force-close so downstream watermark can advance
-	a.out.OnCTI(t)
-}
-
-func (a *aggregateOp) OnFlush() {
-	a.advanceTo(MaxTime)
-	a.out.OnFlush()
-}
-
-// Snapshot serializes the sweep position, the open lifetimes in the order
-// they will expire, and the accumulator itself.
-func (a *aggregateOp) Snapshot(w *SnapshotWriter) {
-	w.Byte(ckAggregate)
-	w.Varint(a.cur)
-	exp := a.exp.ordered()
-	w.Uvarint(uint64(len(exp)))
-	for _, x := range exp {
-		w.Varint(x.re)
-		w.Row(x.v)
-	}
-	a.state.snapshot(w)
-}
-
-func (a *aggregateOp) Restore(r *SnapshotReader) error {
-	if err := r.Expect(ckAggregate, "aggregate"); err != nil {
-		return err
-	}
-	a.cur = r.Varint()
-	n := r.Count("aggregate expirations")
-	for i := 0; i < n && r.Err() == nil; i++ {
-		re := r.Varint()
-		a.exp.push(re, r.Row())
-	}
-	a.active = a.exp.len() // every open lifetime is one active event
-	a.state.restore(r)
-	return r.Err()
 }

@@ -3,6 +3,7 @@ package temporal
 import (
 	"bytes"
 	"math"
+	"strings"
 	"testing"
 )
 
@@ -27,17 +28,21 @@ func TestMinMaxNaNDoesNotLeak(t *testing.T) {
 		t.Errorf("Result = %v with %d heap candidates left, want NULL and 0", got, len(s.h.items))
 	}
 
-	// The same through the operator, with lifetimes that overlap so the
-	// active set does not empty (and reset the state) between events.
+	// The same through the kernel a top-level Max compiles to, with
+	// lifetimes that overlap so the active set does not empty (and the
+	// slot die) between events.
 	var out Collector
-	op := newAggregateOp(newMinMaxState(0, true), &out)
-	for i := Time(0); i < 1000; i++ {
+	plan := Scan("in", NewSchema(Field{Name: "F", Kind: KindFloat})).Max("F", "M")
+	op := newGroupedAggOp(&lowering{}, keying{}, nil, plan, nil, &out)
+	op.OnEvent(Event{LE: 0, RE: 5, Payload: nan})
+	slot, _ := op.find(nan)
+	ms := slot.slot.state.(*minMaxState)
+	for i := Time(1); i < 1000; i++ {
 		op.OnEvent(Event{LE: i, RE: i + 5, Payload: nan})
 	}
 	op.OnCTI(2000)
-	if op.liveState() != 0 || len(op.state.(*minMaxState).counts) != 0 {
-		t.Errorf("after the last lifetime closed: liveState %d, multiset %d entries, want 0, 0",
-			op.liveState(), len(op.state.(*minMaxState).counts))
+	if op.liveState() != 0 || len(ms.counts) != 0 {
+		t.Errorf("after the last lifetime closed: liveState %d, multiset %d entries, want 0, 0", op.liveState(), len(ms.counts))
 	}
 	for _, e := range out.Events {
 		if !math.IsNaN(e.Payload[0].AsFloat()) {
@@ -98,5 +103,29 @@ func TestMinMaxFloatKeys(t *testing.T) {
 	r.restore(NewDecoder(first))
 	if len(r.counts) != 4 || r.counts[keyOf(Float(math.NaN()))].n != 2 || r.counts[keyOf(Float(2.5))].n != 2 {
 		t.Errorf("restored multiset = %v", r.counts)
+	}
+}
+
+// TestUnknownAggKindIsACompileError: Plan's fields are exported, so a plan
+// can name an aggregate kind that does not exist. It prints, and Compile
+// refuses it — at the top level and under a GroupApply alike — instead of
+// panicking at compile or at the first event.
+func TestUnknownAggKindIsACompileError(t *testing.T) {
+	if got := AggKind(99).String(); got != "Agg(99)" {
+		t.Errorf("AggKind(99).String() = %q, want Agg(99)", got)
+	}
+	bad := func(p *Plan) *Plan { p.Agg = 99; return p }
+	for name, plan := range map[string]*Plan{
+		"top-level": bad(Scan("in", propSchema()).Count("C")),
+		"grouped":   Scan("in", propSchema()).GroupApply([]string{"V"}, func(g *Plan) *Plan { return bad(g.WithWindow(3).Count("C")) }),
+	} {
+		eng, err := NewEngine(plan)
+		if err == nil {
+			eng.Feed("in", PointEvent(1, Row{Int(1), Int(2)}))
+			t.Fatalf("%s: an Agg(99) plan compiles", name)
+		}
+		if !strings.Contains(err.Error(), "Agg(99)") {
+			t.Errorf("%s: error %q does not name the kind", name, err)
+		}
 	}
 }

@@ -15,6 +15,8 @@ import (
 // grouped kernels — one hash table of per-key slots each (op_groupedagg.go,
 // op_udo.go) — or the ordinary combiners with the key prefixed to their
 // join keys; stateless runs become kernels compiled over the keyed rows.
+// A top-level Aggregate or UDO is the same grouped kernel with no key
+// columns (compiler.buildOp): one slot, its results never staged.
 
 // groupOutput is the downstream half of a grouped kernel: the punctuation
 // clock that thins the automatic schedule, and the staging buffer that
@@ -59,9 +61,14 @@ type groupOutput struct {
 func (o *groupOutput) liveState() int { return o.nlive + len(o.staged) }
 
 // stage prepends the group key to a result row and holds the event for
-// release.
+// release. A kernel with no key columns has one slot, which emits in LE
+// order: its results go straight out, and nothing is staged.
 func (o *groupOutput) stage(key Row, e Event) {
 	e.Payload = o.arena.concat(key, e.Payload)
+	if len(key) == 0 {
+		o.out.OnEvent(e)
+		return
+	}
 	o.staged = append(o.staged, e)
 }
 

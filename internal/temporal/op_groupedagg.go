@@ -8,13 +8,14 @@ package temporal
 // evaluated for all keys at once. It keeps one hash table of per-key sweeps
 // and ONE expiration queue for all of them, runs the stateless stages as two
 // shared kernels, and writes each result once, as key ++ result, into its
-// staging buffer.
+// staging buffer. A top-level Aggregate is the same kernel with no key
+// columns and no stages: one slot, whose results go straight out.
 //
 // A slot dies the instant its active set empties. Nothing is lost: an
-// empty set's accumulator is a new accumulator (aggState.reset), and the
-// start of the open segment, the only other thing a slot holds, is
-// overtaken by the key's next event (closeAt moves it to max(cur, LE)). So
-// a broadcast visits live slots only.
+// empty set's accumulator is a new accumulator, and the start of the open
+// segment, the only other thing a slot holds, is overtaken by the key's
+// next event (closeAt moves it to max(cur, LE)). So a broadcast visits live
+// slots only.
 type groupedAggOp struct {
 	keyedKernel[aggSlot]
 	newState func() aggState
@@ -29,10 +30,15 @@ type groupExp struct {
 }
 
 func newGroupedAggOp(lw *lowering, in keying, pre []*Plan, agg *Plan, post []*Plan, out Sink) *groupedAggOp {
-	g := &groupedAggOp{keyedKernel: newKeyedKernel[aggSlot](lw, in, pre, post, out), newState: aggStateOf(agg)}
+	newState, _ := aggStateOf(agg) // the kind was checked at compile (checkPlan)
+	g := &groupedAggOp{keyedKernel: newKeyedKernel[aggSlot](lw, in, pre, post, out), newState: newState}
 	lw.ops, lw.outs = append(lw.ops, g), append(lw.outs, &g.groupOutput)
 	return g
 }
+
+// liveState counts the open lifetimes — the rows the kernel holds, one or
+// more per live slot — and the staged output.
+func (g *groupedAggOp) liveState() int { return g.exp.len() + len(g.staged) }
 
 // emit stages s's result over [le, re), if the stages above let it pass.
 func (g *groupedAggOp) emit(s *keySlot[aggSlot], le, re Time) {

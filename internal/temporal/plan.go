@@ -69,7 +69,11 @@ const (
 
 // String names the aggregate.
 func (k AggKind) String() string {
-	return [...]string{"Count", "Sum", "Min", "Max", "Avg"}[k]
+	names := [...]string{"Count", "Sum", "Min", "Max", "Avg"}
+	if k >= 0 && int(k) < len(names) {
+		return names[k]
+	}
+	return fmt.Sprintf("Agg(%d)", int(k))
 }
 
 // UDOSpec configures a user-defined operator over hopping windows

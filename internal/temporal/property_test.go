@@ -12,7 +12,7 @@ import (
 // bruteSnapshotCount computes the canonical windowed-count output of a set
 // of interval events by explicit snapshot enumeration: for every maximal
 // interval between lifetime endpoints, count the events containing it.
-// This is the oracle the incremental aggregateOp must match.
+// This is the oracle the incremental aggregate kernel must match.
 func bruteSnapshotCount(events []Event) []Event {
 	if len(events) == 0 {
 		return nil

@@ -289,9 +289,9 @@ func TestGroupApplyDeliversRemainderBeforeWatermark(t *testing.T) {
 	}
 }
 
-// TestGroupApplyLiveStateIsLiveGroups: liveState counts the keys that hold
-// state (plus staged output), and a snapshot carries those only — with a
-// combiner above the kernel too.
+// TestGroupApplyLiveStateIsLiveGroups: only keys that hold state have a
+// slot, liveState is zero once none does, and a snapshot carries live slots
+// only — with a combiner above the kernel too.
 func TestGroupApplyLiveStateIsLiveGroups(t *testing.T) {
 	for name, sub := range map[string]func(g *Plan) *Plan{
 		"kernel":  reclaimSubPlans["count"],
