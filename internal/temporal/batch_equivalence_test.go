@@ -6,14 +6,15 @@ import (
 	"testing"
 )
 
-// Batched delivery must be indistinguishable from per-event delivery: a
-// batch is exactly its events in order followed by its trailing CTI, and
-// batch boundaries carry no semantics. These property tests drive every
-// operator kind with randomized streams, randomized CTI placement and
-// randomized batch boundaries, and require the *exact* downstream call
+// Feeding a stream in runs must be indistinguishable from feeding it event
+// by event: run boundaries carry no semantics, and the automatic CTI
+// schedule fires at the same events whichever entry a stream takes. These
+// property tests drive every operator kind with randomized streams,
+// randomized per-source punctuation, randomized run boundaries and an
+// automatic schedule on or off, and require the *exact* downstream call
 // sequence — each emitted event (lifetime and payload) and each CTI, in
 // order — to match the per-event run. This is stronger than comparing
-// coalesced results: it pins the contract at the Sink/BatchSink seam.
+// coalesced results: it pins the engine's run entry, FeedMerged, to Feed.
 
 // feedToken is one delivery step of a randomized input script.
 type feedToken struct {
@@ -57,11 +58,11 @@ func diffTokens(got, want []feedToken) string {
 	}
 	for i := 0; i < n; i++ {
 		if !tokensEqual(got[i], want[i]) {
-			return fmt.Sprintf("call %d: batched %+v, per-event %+v", i, got[i], want[i])
+			return fmt.Sprintf("call %d: got %+v, want %+v", i, got[i], want[i])
 		}
 	}
 	if len(got) != len(want) {
-		return fmt.Sprintf("call count: batched %d, per-event %d", len(got), len(want))
+		return fmt.Sprintf("call count: got %d, want %d", len(got), len(want))
 	}
 	return ""
 }
@@ -85,78 +86,79 @@ func genScript(rng *rand.Rand, srcs []string, n int) []feedToken {
 	return toks
 }
 
-func feedPerEvent(p *Pipeline, toks []feedToken, srcs []string) {
+func feedPerEvent(eng *Engine, toks []feedToken) {
 	for _, tk := range toks {
 		if tk.isCTI {
-			p.Input(tk.src).OnCTI(tk.t)
+			eng.Pipeline().Input(tk.src).OnCTI(tk.t)
 		} else {
-			p.Input(tk.src).OnEvent(tk.ev)
+			eng.Feed(tk.src, tk.ev)
 		}
 	}
-	// Flush sources in a fixed order: FlushAll ranges over a map, and a
-	// merger's end-of-stream drain order depends on which side ends first.
-	for _, src := range srcs {
-		p.Input(src).OnFlush()
-	}
+	eng.Flush()
 }
 
-// feedBatched replays the same script through the batch entries, cutting
-// batches at source changes, after every trailing CTI, and at random
-// extra points.
-func feedBatched(rng *rand.Rand, p *Pipeline, toks []feedToken, srcs []string) {
-	var b Batch
+// feedRuns replays the same script through FeedMerged, in same-source
+// stretches cut at every punctuation and at random extra points. A stretch
+// goes in as one run or, cut in two, as two runs the merge must put back in
+// order.
+func feedRuns(t *testing.T, rng *rand.Rand, eng *Engine, toks []feedToken) {
+	var run []Event
 	cur := ""
 	flush := func() {
-		if len(b.Events) > 0 || b.HasCTI {
-			p.BatchInput(cur).OnBatch(&b)
-			b = Batch{Events: b.Events[:0]}
+		if len(run) == 0 {
+			return
 		}
+		runs := []Run{{Source: cur, Events: run}}
+		if cut := rng.Intn(len(run)); cut > 0 {
+			runs = []Run{{Source: cur, Events: run[:cut]}, {Source: cur, Events: run[cut:]}}
+		}
+		if _, err := eng.FeedMerged(runs); err != nil {
+			t.Fatal(err)
+		}
+		run = run[:0]
 	}
 	for _, tk := range toks {
-		if tk.src != cur {
+		if tk.src != cur || tk.isCTI {
 			flush()
 			cur = tk.src
 		}
 		if tk.isCTI {
-			b.CTI, b.HasCTI = tk.t, true
-			flush() // a CTI is always trailing: it ends its batch
+			eng.Pipeline().Input(tk.src).OnCTI(tk.t)
 			continue
 		}
-		b.Events = append(b.Events, tk.ev)
+		run = append(run, tk.ev)
 		if rng.Intn(3) == 0 {
 			flush() // random boundary: must not be observable downstream
 		}
 	}
 	flush()
-	for _, src := range srcs {
-		p.Input(src).OnFlush()
-	}
+	eng.Flush()
 }
 
 // checkBatchEquivalence compiles the plan twice and compares the exact
-// output call sequence of a per-event run against a batched run of the
-// same script, across several random seeds.
+// output call sequence of a per-event run against a run-fed run of the
+// same script, across several random seeds; odd seeds punctuate
+// automatically too.
 func checkBatchEquivalence(t *testing.T, name string, mk func() *Plan, srcs []string) {
 	t.Helper()
 	for seed := int64(0); seed < 8; seed++ {
 		toks := genScript(rand.New(rand.NewSource(seed)), srcs, 120)
+		period := []Time{0, 5}[seed%2]
+		build := func(out Sink) *Engine {
+			eng, err := NewEngine(mk(), WithSink(out), WithCTIPeriod(period))
+			if err != nil {
+				t.Fatalf("%s: %v", name, err)
+			}
+			return eng
+		}
 
 		ref := &seqSink{}
-		p1, err := Compile(mk(), ref)
-		if err != nil {
-			t.Fatalf("%s: %v", name, err)
-		}
-		feedPerEvent(p1, toks, srcs)
-
+		feedPerEvent(build(ref), toks)
 		got := &seqSink{}
-		p2, err := Compile(mk(), got)
-		if err != nil {
-			t.Fatalf("%s: %v", name, err)
-		}
-		feedBatched(rand.New(rand.NewSource(seed+1000)), p2, toks, srcs)
+		feedRuns(t, rand.New(rand.NewSource(seed+1000)), build(got), toks)
 
 		if d := diffTokens(got.tokens, ref.tokens); d != "" {
-			t.Fatalf("%s seed %d: batched run diverged: %s", name, seed, d)
+			t.Fatalf("%s seed %d: run-fed engine diverged: %s", name, seed, d)
 		}
 	}
 }
