@@ -471,16 +471,12 @@ func BenchmarkCoalesce(b *testing.B) {
 	}
 }
 
-// ---- Engine feed path: per-event vs batched push ----
-
-// engineFeedFixture builds a stateless hot chain (filters → window) over
-// the click log — the shape of a TiMR reducer's inner loop, where
-// per-call overhead dominates because each operator does almost no work
-// per event. No allocating operator (project, aggregate) is included:
-// those costs are identical on both paths and would mask the dispatch
-// saving this benchmark isolates.
-func engineFeedFixture(b *testing.B) (*temporal.Plan, []temporal.Event) {
-	b.Helper()
+// BenchmarkEngineFeed is the engine's run entry over a stateless hot chain
+// (filters → window) of the click log — the shape of a TiMR reducer's
+// inner loop, where per-call overhead dominates because each operator does
+// almost no work per event. No allocating operator (project, aggregate) is
+// included, so the number is the per-event push and dispatch cost.
+func BenchmarkEngineFeed(b *testing.B) {
 	d, _ := fixtures(b)
 	schema, clicks := clickLog(d)
 	events := temporal.RowsToPointEvents(clicks, 0)
@@ -488,11 +484,6 @@ func engineFeedFixture(b *testing.B) (*temporal.Plan, []temporal.Event) {
 		Where(temporal.ColGtInt("AdId", -1)). // always true: measures dispatch, not selectivity
 		Where(temporal.ColGtInt("UserId", -1)).
 		WithWindow(temporal.Hour)
-	return plan, events
-}
-
-func BenchmarkEngineFeed_PerEvent(b *testing.B) {
-	plan, events := engineFeedFixture(b)
 	sink := &temporal.Collector{}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -501,33 +492,8 @@ func BenchmarkEngineFeed_PerEvent(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		for _, e := range events {
-			eng.Feed("in", e)
-		}
-		eng.Flush()
-	}
-	b.ReportMetric(float64(len(events))*float64(b.N)/b.Elapsed().Seconds(), "events/sec")
-}
-
-func BenchmarkEngineFeed_Batched(b *testing.B) {
-	plan, events := engineFeedFixture(b)
-	sink := &temporal.Collector{}
-	const batchSize = 1024
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		sink.Reset()
-		eng, err := temporal.NewEngine(plan, temporal.WithSink(sink))
-		if err != nil {
+		if _, err := eng.FeedMerged([]temporal.Run{{Source: "in", Events: events}}); err != nil {
 			b.Fatal(err)
-		}
-		var batch temporal.Batch
-		for off := 0; off < len(events); off += batchSize {
-			end := off + batchSize
-			if end > len(events) {
-				end = len(events)
-			}
-			batch = temporal.Batch{Events: events[off:end]}
-			eng.FeedBatch("in", &batch)
 		}
 		eng.Flush()
 	}

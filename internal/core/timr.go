@@ -141,9 +141,9 @@ func (t *TiMR) ResultEvents(name string) ([]temporal.Event, error) {
 
 // Stage converts one fragment into a map-reduce stage whose reducer is
 // the generated method P of the paper: it converts partition rows to
-// events, feeds them in batches to an embedded engine instance running
+// events, feeds them in time order to an embedded engine instance running
 // the fragment plan (the generated method P'), and emits result events
-// back as rows directly from the engine's batched output (the paper's
+// back as rows directly from the engine's output sink (the paper's
 // blocking-queue bridge of §III-C.2 collapses to a synchronous sink when
 // reducer and engine share one thread).
 func (t *TiMR) Stage(frag *Fragment) (mapreduce.Stage, error) {
@@ -248,7 +248,7 @@ func partitionCols(in FragmentInput, cols []string) []int {
 // (mapreduce.Stage.ReduceSegments): each input arrives as a list of
 // shuffle-run segments, resident or spilled, and P streams them through
 // the engine's k-way merge instead of materializing the partition — its
-// working set is the merge frontier plus one feed batch.
+// working set is the merge frontier.
 func (t *TiMR) reducer(frag *Fragment, spans *SpanSpec) func(int, [][]mapreduce.Segment, func([]mapreduce.Row)) error {
 	// Capture per-input conversion metadata once.
 	type inMeta struct {
@@ -276,7 +276,7 @@ func (t *TiMR) reducer(frag *Fragment, spans *SpanSpec) func(int, [][]mapreduce.
 	return func(part int, in [][]mapreduce.Segment, emit func([]mapreduce.Row)) error {
 		// The paper's deployment bridges the DSMS's asynchronous push to
 		// M-R's synchronous pull with a blocking queue (§III-C.2). Here
-		// both sides live in one goroutine, so the engine's batched output
+		// both sides live in one goroutine, so the engine's output
 		// lands directly in the result sink — no channel, no per-event
 		// handoff — and the rows go to emit, whole, after the final coalesce.
 		sink := &reduceSink{clip: spans != nil}
@@ -336,9 +336,8 @@ func (t *TiMR) reducer(frag *Fragment, spans *SpanSpec) func(int, [][]mapreduce.
 
 // reduceSink collects a partition engine's output for the reducer,
 // clipping events to the partition's owned span under temporal
-// partitioning. It implements BatchSink, so the engine's batched tail
-// delivers whole runs in one call. It gathers in fixed 20 kB chunks, so
-// nothing collected is copied to make room, and events flattens them once.
+// partitioning. It gathers in fixed 20 kB chunks, so nothing collected is
+// copied to make room, and events flattens them once.
 type reduceSink struct {
 	clip       bool
 	start, end temporal.Time
@@ -362,12 +361,6 @@ func (s *reduceSink) OnEvent(e temporal.Event) {
 		s.cur = make([]temporal.Event, 0, reduceSinkChunk)
 	}
 	s.cur = append(s.cur, e)
-}
-
-func (s *reduceSink) OnBatch(b *temporal.Batch) {
-	for _, e := range b.Events {
-		s.OnEvent(e)
-	}
 }
 
 // events returns everything collected as one slice.

@@ -19,15 +19,14 @@ type Engine struct {
 	pipeline *Pipeline
 	collect  *Collector
 	sink     Sink
-	// CTIPeriod controls automatic punctuation injection by Feed,
-	// FeedBatch and FeedMerged: a CTI is broadcast whenever application
-	// time advances past the next period boundary (the schedule is
-	// anchored at the first event's time). Zero disables automatic CTIs
-	// (state is bounded only by Flush).
+	// CTIPeriod controls automatic punctuation injection by Feed and
+	// FeedMerged: a CTI is broadcast whenever application time advances
+	// past the next period boundary (the schedule is anchored at the first
+	// event's time). Zero disables automatic CTIs (state is bounded only
+	// by Flush).
 	CTIPeriod Time
 	lastCTI   Time
-	fed       bool  // any input seen; Restore on a fed engine is an error
-	feedBatch Batch // reused batch header for FeedBatch/FeedMerged
+	fed       bool // any input seen; Restore on a fed engine is an error
 }
 
 // Option configures an Engine at construction.
@@ -82,60 +81,15 @@ func (e *Engine) Pipeline() *Pipeline { return e.pipeline }
 
 // Feed pushes one event into the named source.
 func (e *Engine) Feed(source string, ev Event) {
-	e.fed = true
-	e.pipeline.Input(source).OnEvent(ev)
-	e.maybeCTI(ev.LE)
+	e.push(e.pipeline.Input(source), ev)
 }
 
-// FeedBatch pushes a run of events (nondecreasing LE) into the named
-// source as one batch — the batched counterpart of a Feed loop, with one
-// pipeline entry call per run instead of per event. The run is split
-// only where the automatic CTI schedule fires, so downstream observes
-// exactly the per-event call sequence. An optional trailing CTI on the
-// batch punctuates this source after its events.
-//
-// The batch and its Events slice remain owned by the caller and may be
-// reused after the call returns.
-func (e *Engine) FeedBatch(source string, b *Batch) {
+// push delivers one event to a source entry, then lets the automatic
+// schedule punctuate: every event reaches the pipeline through here.
+func (e *Engine) push(in Sink, ev Event) {
 	e.fed = true
-	in := e.pipeline.BatchInput(source)
-	// Snapshot the header: b may alias e.feedBatch (FeedMerged does), and
-	// mid-run punctuation below reuses that header for sub-batches.
-	evs, cti, hasCTI := b.Events, b.CTI, b.HasCTI
-	start := 0
-	if e.CTIPeriod > 0 && len(evs) > 0 {
-		if e.lastCTI == MinTime {
-			e.anchorCTI(evs[0].LE)
-		}
-		// One compare per event against the precomputed next boundary.
-		next := e.lastCTI + e.CTIPeriod
-		for i := range evs {
-			t := evs[i].LE
-			if t < next {
-				continue
-			}
-			// Deliver the run up to and including the triggering event,
-			// then punctuate — the same order Feed+maybeCTI produces.
-			e.feedBatch = Batch{Events: evs[start : i+1]}
-			in.OnBatch(&e.feedBatch)
-			start = i + 1
-			e.pipeline.autoAdvance(t)
-			e.lastCTI += ((t - e.lastCTI) / e.CTIPeriod) * e.CTIPeriod
-			next = e.lastCTI + e.CTIPeriod
-		}
-	}
-	if start == 0 {
-		// No mid-run punctuation: forward the caller's batch as-is.
-		if len(evs) > 0 || hasCTI {
-			in.OnBatch(b)
-		}
-	} else if start < len(evs) || hasCTI {
-		e.feedBatch = Batch{Events: evs[start:], CTI: cti, HasCTI: hasCTI}
-		in.OnBatch(&e.feedBatch)
-	}
-	if hasCTI && cti > e.lastCTI {
-		e.lastCTI = cti
-	}
+	in.OnEvent(ev)
+	e.maybeCTI(ev.LE)
 }
 
 // anchorCTI anchors the automatic punctuation schedule at the first

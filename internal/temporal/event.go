@@ -108,10 +108,9 @@ func RowsEqual(a, b []Row) bool {
 	return slices.EqualFunc(a, b, Row.Equal)
 }
 
-// Sink is the per-event push interface every physical operator
-// implements. The hot-path operators additionally implement BatchSink
-// (batch.go), which carries a whole run of events per call; AsBatchSink
-// bridges the two, so per-event and batched producers compose freely.
+// Sink is the push contract: every physical operator, every engine output
+// and every pipeline entry is one, and nothing else crosses an operator
+// boundary.
 //
 // Contract: OnEvent is called with nondecreasing e.LE; OnCTI(t) promises
 // that every later event has LE >= t (a punctuation, used for state
@@ -123,17 +122,13 @@ type Sink interface {
 	OnFlush()
 }
 
-// Collector is a terminal Sink that accumulates results. It also
-// implements BatchSink, so a batched pipeline hands it whole runs.
+// Collector is a terminal Sink that accumulates results.
 type Collector struct {
 	Events []Event
 }
 
 // OnEvent appends the event.
 func (c *Collector) OnEvent(e Event) { c.Events = append(c.Events, e) }
-
-// OnBatch appends the batch's events wholesale.
-func (c *Collector) OnBatch(b *Batch) { c.Events = append(c.Events, b.Events...) }
 
 // OnCTI is a no-op for a collector.
 func (c *Collector) OnCTI(Time) {}

@@ -168,14 +168,14 @@ func liveSteps(rng *rand.Rand, l, r []Event) []liveStep {
 
 // liveSchedule is one way of driving an engine over the steps.
 type liveSchedule struct {
-	mode      int  // 0 Feed, 1 FeedBatch, 2 FeedMerged
+	mode      int  // 0 Feed, 1 FeedMerged over one run, 2 FeedMerged over both sides
 	period    Time // automatic CTIs; 0: none
 	advance   bool // explicit Advance calls at drawn steps
 	restoreAt int  // checkpoint before this step and go on in a restored engine; -1: never
 }
 
 func (s liveSchedule) String() string {
-	return fmt.Sprintf("%s/period %d/advance %v/restore at %d", []string{"Feed", "FeedBatch", "FeedMerged"}[s.mode], s.period, s.advance, s.restoreAt)
+	return fmt.Sprintf("%s/period %d/advance %v/restore at %d", []string{"Feed", "FeedMerged one run", "FeedMerged"}[s.mode], s.period, s.advance, s.restoreAt)
 }
 
 // runLive drives plan over the steps of its sources and returns everything
@@ -228,11 +228,13 @@ func runLive(t *testing.T, rng *rand.Rand, plan *Plan, steps []liveStep, s liveS
 		case 1:
 			for n := 1 + rng.Intn(5); j < limit && j-i < n && mine[j].src == mine[i].src; j++ {
 			}
-			b := &Batch{}
+			run := Run{Source: mine[i].src}
 			for _, st := range mine[i:j] {
-				b.Events = append(b.Events, st.ev)
+				run.Events = append(run.Events, st.ev)
 			}
-			eng.FeedBatch(mine[i].src, b)
+			if _, err := eng.FeedMerged([]Run{run}); err != nil {
+				t.Fatal(err)
+			}
 		case 2:
 			j = min(limit, i+1+rng.Intn(12))
 			runs := []Run{{Source: "l"}, {Source: "r"}}

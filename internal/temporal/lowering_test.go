@@ -556,7 +556,9 @@ func TestGroupApplyLoweringDifferential(t *testing.T) {
 					eng.Feed("in", e)
 				}
 			case 1:
-				eng.FeedBatch("in", &Batch{Events: run})
+				if _, err := eng.FeedMerged([]Run{{Source: "in", Events: run}}); err != nil {
+					fail("FeedMerged: %v", err)
+				}
 			case 2: // two runs, the later half first: LE ties across the cut swap
 				cut := len(run) / 2
 				if _, err := eng.FeedMerged([]Run{{Source: "in", Events: run[cut:]}, {Source: "in", Events: run[:cut]}}); err != nil {

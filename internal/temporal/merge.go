@@ -16,18 +16,12 @@ type Run struct {
 	Next   func() (Event, bool, error)
 }
 
-// feedRunCap bounds the batches FeedMerged cuts: large enough to amortize
-// per-batch costs to noise, small enough that the buffers operators size to
-// a batch stay cache-resident.
-const feedRunCap = 1024
-
 // FeedMerged feeds the k-way merge of runs: events in nondecreasing LE
 // order, ties broken by position in runs and then by position in the run —
-// the order a stable LE sort of the concatenated runs produces — cut into
-// same-source stretches of at most feedRunCap events, each pushed through
-// FeedBatch. It is the one place time order is established: the TiMR
-// reducer hands it a cursor per shuffle run, RunPlan a run per input, the
-// streaming barrier each released stretch.
+// the order a stable LE sort of the concatenated runs produces — each
+// pushed as Feed would push it. It is the one place time order is
+// established: the TiMR reducer hands it a cursor per shuffle run, RunPlan
+// a run per input, the streaming barrier each released stretch.
 //
 // A resident run that is not in LE order is stable-sorted on a copy first
 // (the caller's slice is never written); resorted counts those runs, so the
@@ -35,13 +29,13 @@ const feedRunCap = 1024
 // as is; the engine must then be discarded.
 func (e *Engine) FeedMerged(runs []Run) (int, error) {
 	if len(runs) == 1 && runs[0].Next == nil {
-		// One resident run is its own merged order: cut it in place.
+		// One resident run is its own merged order.
 		evs, resorted := sortedByLE(runs[0].Events)
-		for len(evs) > 0 {
-			n := min(len(evs), feedRunCap)
-			e.feedBatch = Batch{Events: evs[:n]}
-			e.FeedBatch(runs[0].Source, &e.feedBatch)
-			evs = evs[n:]
+		if len(evs) > 0 {
+			in := e.pipeline.Input(runs[0].Source)
+			for _, ev := range evs {
+				e.push(in, ev)
+			}
 		}
 		return resorted, nil
 	}
@@ -59,25 +53,13 @@ func (e *Engine) FeedMerged(runs []Run) (int, error) {
 			return resorted, err
 		}
 		if ok {
+			m.in = e.pipeline.Input(m.Source)
 			h.push(m)
-		}
-	}
-	buf := make([]Event, 0, feedRunCap)
-	cur := ""
-	flush := func() {
-		if len(buf) > 0 {
-			e.feedBatch = Batch{Events: buf}
-			e.FeedBatch(cur, &e.feedBatch)
-			buf = buf[:0]
 		}
 	}
 	for len(h.items) > 0 {
 		m := h.items[0]
-		if m.Source != cur || len(buf) == feedRunCap {
-			flush()
-			cur = m.Source
-		}
-		buf = append(buf, m.cur)
+		e.push(m.in, m.cur)
 		ok, err := m.advance()
 		if err != nil {
 			return resorted, err
@@ -88,16 +70,17 @@ func (e *Engine) FeedMerged(runs []Run) (int, error) {
 			h.pop()
 		}
 	}
-	flush()
 	return resorted, nil
 }
 
 // mergeRun is one run's cursor in the merge: cur is its next event, Events
-// what a resident run has left after it.
+// what a resident run has left after it, and in its source's pipeline
+// entry.
 type mergeRun struct {
 	Run
 	ord int // position in runs — the merge's stability tie-break
 	cur Event
+	in  Sink
 }
 
 func mergeBefore(a, b *mergeRun) bool {

@@ -33,7 +33,11 @@ func TestObservedOperatorCounts(t *testing.T) {
 				eng.Feed("s", e)
 			}
 		}},
-		{"row-batch", func(eng *Engine) { eng.FeedBatch("s", &Batch{Events: evs}) }},
+		{"row-batch", func(eng *Engine) {
+			if _, err := eng.FeedMerged([]Run{{Source: "s", Events: evs}}); err != nil {
+				t.Fatal(err)
+			}
+		}},
 	} {
 		t.Run(c.name, func(t *testing.T) {
 			root := obs.New("engine")

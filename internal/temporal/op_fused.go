@@ -8,17 +8,15 @@ package temporal
 // that lead with the group key and keeps the key in front (newFusedOp's
 // kw), or runs inside a grouped kernel, before or after its stateful core,
 // on the rows without it. (ToPoint keeps continuation state and is
-// its own operator, alterLifetimeOp.) Its entry is the Batch push
-// contract, OnEvent/OnBatch/OnCTI/OnFlush: one loop applies every stage
-// per event, so a run of k members costs one dispatch and at most one copy
-// per batch, and produces the downstream call sequence chaining the
-// members would — bit-identical events, identically shifted CTIs
-// (TestFused*, fused_test.go).
+// its own operator, alterLifetimeOp.) One loop applies every stage per
+// event, so a run of k members costs one dispatch per event, and produces
+// the downstream call sequence chaining the members would — bit-identical
+// events, identically shifted CTIs (TestFused*, fused_test.go).
 //
 // Metering: under a scope the kernel meters itself (kernelMeter,
-// op_meter.go), each member into its own "opNN.Kind" scope, from counts
-// the loop keeps in locals; no sink is interposed, so an observed
-// pipeline runs this same code.
+// op_meter.go), each member into its own "opNN.Kind" scope, as the loop
+// passes it; no sink is interposed, so an observed pipeline runs this same
+// code.
 //
 // Checkpoints: the kernel holds no state. The snapshot layout is a
 // function of the logical plan alone and gives every AlterLifetime node a
@@ -71,7 +69,6 @@ func (st *fusedStage) shiftCTI(t Time) Time {
 type fusedOp struct {
 	stages []fusedStage
 	out    Sink
-	bo     batchOut
 	m      *kernelMeter // nil unless observed
 }
 
@@ -110,13 +107,11 @@ func newFusedOp(run []*Plan, kw int, out Sink) *fusedOp {
 }
 
 // applyRow runs every stage against one event in place; false drops it.
-// seen (nil unless observed) records what reached each stage.
-func (f *fusedOp) applyRow(e *Event, seen []stageSeen) bool {
+func (f *fusedOp) applyRow(e *Event) bool {
 	for si := range f.stages {
 		st := &f.stages[si]
-		if seen != nil {
-			seen[si].n++
-			seen[si].le = e.LE // input LE is nondecreasing and every stage monotone
+		if f.m != nil {
+			f.m.reach(si, e.LE)
 		}
 		switch st.kind {
 		case fuseFilter:
@@ -143,16 +138,14 @@ func (f *fusedOp) applyRow(e *Event, seen []stageSeen) bool {
 			e.RE = e.LE + Tick
 		}
 	}
-	if seen != nil {
-		seen[len(f.stages)].n++
+	if f.m != nil {
+		f.m.reach(len(f.stages), e.LE)
 	}
 	return true
 }
 
 func (f *fusedOp) OnEvent(e Event) {
-	ok := f.applyRow(&e, f.m.scratch())
-	f.m.commit()
-	if ok {
+	if f.applyRow(&e) {
 		f.out.OnEvent(e)
 	}
 }
@@ -172,54 +165,6 @@ func (f *fusedOp) cti(t Time) Time {
 }
 
 func (f *fusedOp) OnFlush() { f.out.OnFlush() }
-
-// pureFilter: every stage is a filter, so a batch nothing is dropped from
-// is forwarded as it came, without a copy.
-func (f *fusedOp) pureFilter() bool {
-	for si := range f.stages {
-		if f.stages[si].kind != fuseFilter {
-			return false
-		}
-	}
-	return true
-}
-
-func (f *fusedOp) OnBatch(b *Batch) {
-	seen := f.m.scratch()
-	evs := b.Events
-	outEvs := f.bo.buf[:0]
-	start := 0
-	if f.pureFilter() {
-		for start < len(evs) && f.applyRow(&evs[start], seen) {
-			start++
-		}
-		if start == len(evs) {
-			// Nothing dropped: forward the producer's batch untouched (a
-			// filter-only run does not move the CTI either).
-			f.m.commit()
-			if b.HasCTI {
-				f.cti(b.CTI)
-			}
-			if len(evs) > 0 || b.HasCTI {
-				f.bo.resolve(f.out).OnBatch(b)
-			}
-			return
-		}
-		outEvs = append(outEvs, evs[:start]...)
-		start++ // the scan saw evs[start] dropped
-	}
-	for _, e := range evs[start:] {
-		if f.applyRow(&e, seen) {
-			outEvs = append(outEvs, e)
-		}
-	}
-	f.m.commit()
-	cti := b.CTI
-	if b.HasCTI {
-		cti = f.cti(cti)
-	}
-	f.bo.emit(f.out, outEvs, cti, b.HasCTI)
-}
 
 // alterSection is the checkpoint section of a kernel's window, hop or
 // shift member: the empty continuation table a ToPoint operator with

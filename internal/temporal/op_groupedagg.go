@@ -44,7 +44,7 @@ func (g *groupedAggOp) liveState() int { return g.exp.len() + len(g.staged) }
 func (g *groupedAggOp) emit(s *keySlot[aggSlot], le, re Time) {
 	g.res[0] = s.slot.state.Result()
 	e := Event{LE: le, RE: re, Payload: g.res[:]}
-	if g.post.applyRow(&e, nil) {
+	if g.post.applyRow(&e) {
 		g.stage(s.key, e)
 	}
 }
@@ -67,7 +67,7 @@ func (g *groupedAggOp) advance(t Time) {
 func (g *groupedAggOp) OnEvent(e Event) {
 	in := e.Payload // the key columns are the input's, whatever pre projects
 	e.Payload = in[g.skip:]
-	if !g.pre.applyRow(&e, nil) {
+	if !g.pre.applyRow(&e) {
 		return
 	}
 	g.advance(e.LE)
@@ -81,8 +81,6 @@ func (g *groupedAggOp) OnEvent(e Event) {
 	s.slot.active++
 	g.exp.push(e.RE, groupExp{e.Payload, s})
 }
-
-func (g *groupedAggOp) OnBatch(b *Batch) { loopBatch(g, b) }
 
 // OnCTI force-closes every live slot's open segment at the punctuation, as
 // an aggregate per key would.

@@ -49,11 +49,6 @@ func (in *mergerInput) OnEvent(e Event) { in.m.push(in.side, e) }
 func (in *mergerInput) OnCTI(t Time)    { in.m.cti(in.side, t) }
 func (in *mergerInput) OnFlush()        { in.m.flush(in.side) }
 
-// OnBatch consumes a whole run for one side in one call. Pushes release
-// merged events exactly as the per-event path does; batching amortizes
-// the upstream dispatch per side.
-func (in *mergerInput) OnBatch(b *Batch) { loopBatch(in, b) }
-
 func (m *merger) push(side int, e Event) {
 	m.bufs[side] = append(m.bufs[side], e)
 	if e.LE > m.wm[side] {

@@ -29,7 +29,7 @@ import (
 // ones included, that a broadcast force-closed).
 //
 // Metric handles are resolved once at compile time; the cost is one
-// atomic add per meter per call (per event only on the per-event path).
+// atomic add per meter per event or punctuation.
 // Handles are shared across engine instances that compile the same plan
 // into the same scope (TiMR runs one engine per partition), so
 // per-operator metrics aggregate across partitions, while the
@@ -111,9 +111,8 @@ func (m *opMetrics) pollState() {
 // high watermark against punctuations, and polls live state after the
 // operator has absorbed each delivery.
 type meterIn struct {
-	m    *opMetrics
-	out  Sink
-	bout BatchSink // lazily resolved batch view of out
+	m   *opMetrics
+	out Sink
 }
 
 func (s *meterIn) OnEvent(e Event) {
@@ -131,27 +130,6 @@ func (s *meterIn) OnCTI(t Time) {
 	s.m.pollState()
 }
 
-// OnBatch meters a whole run with one counter add, then forwards the
-// batch intact. Input LE is nondecreasing, so the run's high watermark is
-// its last event. Live state is polled once per batch rather than per
-// event: the state gauge remains a high-watermark, sampled more coarsely.
-func (s *meterIn) OnBatch(b *Batch) {
-	if n := len(b.Events); n > 0 {
-		s.m.eventsIn.Add(int64(n))
-		if le := b.Events[n-1].LE; le > s.m.maxLE {
-			s.m.maxLE = le
-		}
-	}
-	if b.HasCTI {
-		s.m.lag(b.CTI)
-	}
-	if s.bout == nil {
-		s.bout = AsBatchSink(s.out)
-	}
-	s.bout.OnBatch(b)
-	s.m.pollState()
-}
-
 func (s *meterIn) OnFlush() { s.out.OnFlush() }
 
 // meterOut sits on an operator (or pipeline source) output: counts events
@@ -160,7 +138,6 @@ type meterOut struct {
 	events *obs.Counter
 	ctis   *obs.Counter
 	out    Sink
-	bout   BatchSink // lazily resolved batch view of out
 }
 
 func (s *meterOut) OnEvent(e Event) {
@@ -173,62 +150,25 @@ func (s *meterOut) OnCTI(t Time) {
 	s.out.OnCTI(t)
 }
 
-// OnBatch meters a whole run with one counter add per metric.
-func (s *meterOut) OnBatch(b *Batch) {
-	if n := len(b.Events); n > 0 {
-		s.events.Add(int64(n))
-	}
-	if b.HasCTI {
-		s.ctis.Inc()
-	}
-	if s.bout == nil {
-		s.bout = AsBatchSink(s.out)
-	}
-	s.bout.OnBatch(b)
-}
-
 func (s *meterOut) OnFlush() { s.out.OnFlush() }
 
 // kernelMeter is a stateless kernel's instrumentation: one opMetrics per
-// member. The kernel's loops count into seen — plain memory — and commit
-// adds the totals once per call: no more atomics per event than the two
-// meter sinks a stateful operator pays.
+// member.
 type kernelMeter struct {
 	ops []*opMetrics
-	// seen[i] is what entered member i during the current call, and
-	// seen[len(ops)] what left the last; zero between calls.
-	seen []stageSeen
 }
 
-type stageSeen struct {
-	n  int64
-	le Time // LE of the last event counted, as the member received it
-}
-
-// scratch returns seen, or nil for an unobserved kernel's nil meter.
-func (m *kernelMeter) scratch() []stageSeen {
-	if m == nil {
-		return nil
+// reach records an event reaching member i as that member receives it
+// (i = len(ops): leaving the kernel); the member before emitted it.
+func (m *kernelMeter) reach(i int, le Time) {
+	if i > 0 {
+		m.ops[i-1].eventsOut.Inc()
 	}
-	return m.seen
-}
-
-func (m *kernelMeter) commit() {
-	if m == nil {
-		return
+	if i < len(m.ops) {
+		op := m.ops[i]
+		op.eventsIn.Inc()
+		op.maxLE = max(op.maxLE, le)
 	}
-	for i, op := range m.ops {
-		if s := m.seen[i]; s.n > 0 {
-			op.eventsIn.Add(s.n)
-			if s.le > op.maxLE {
-				op.maxLE = s.le
-			}
-		}
-		if n := m.seen[i+1].n; n > 0 {
-			op.eventsOut.Add(n)
-		}
-	}
-	clear(m.seen)
 }
 
 // cti records a punctuation arriving at t: every member propagates it,

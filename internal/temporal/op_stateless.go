@@ -3,17 +3,11 @@ package temporal
 import "sort"
 
 // The plumbing operators around the stateless kernel (op_fused.go):
-// multicast and ToPoint. Each implements both Sink (per-event)
-// and BatchSink (batch-at-a-time). The batch methods are the primary path:
-// they process a whole run in a tight loop and make one downstream call,
-// reusing a per-operator output buffer (see batchOut). The per-event
-// methods remain for drivers and operators that have not been converted.
+// multicast and ToPoint.
 
 // multicast fans one ordered stream out to several downstream sinks.
 type multicast struct {
-	outs  []Sink
-	bouts []BatchSink // lazily resolved batch views of outs
-	b     Batch       // reused header for the events-only sub-batch
+	outs []Sink
 }
 
 func (m *multicast) OnEvent(e Event) {
@@ -21,32 +15,6 @@ func (m *multicast) OnEvent(e Event) {
 	// input payloads in place, so sharing is safe and allocation-free.
 	for _, o := range m.outs {
 		o.OnEvent(e)
-	}
-}
-
-func (m *multicast) OnBatch(b *Batch) {
-	if m.bouts == nil {
-		m.bouts = make([]BatchSink, len(m.outs))
-		for i, o := range m.outs {
-			m.bouts[i] = AsBatchSink(o)
-		}
-	}
-	// Events go branch-major (each branch gets the whole run in one
-	// call); the trailing punctuation is then delivered branch by branch,
-	// exactly as OnCTI would. Branch-major event delivery is safe because
-	// event pushes alone never emit punctuations, and a merge operator
-	// fed by two branches reaches the same state and releases the same
-	// sequence regardless of the interleaving of its ordered inputs.
-	if len(b.Events) > 0 {
-		m.b = Batch{Events: b.Events}
-		for _, o := range m.bouts {
-			o.OnBatch(&m.b)
-		}
-	}
-	if b.HasCTI {
-		for _, o := range m.outs {
-			o.OnCTI(b.CTI)
-		}
 	}
 }
 
@@ -75,7 +43,6 @@ func (m *multicast) OnFlush() {
 // punctuation rate — the repeatability property the whole system leans on.
 type alterLifetimeOp struct {
 	out Sink
-	bo  batchOut
 	// continuation-suppression state
 	pending  map[uint64][]pointPending
 	npending int // live entries across pending buckets
@@ -91,20 +58,6 @@ func (a *alterLifetimeOp) OnEvent(e Event) {
 		e.RE = e.LE + Tick
 		a.out.OnEvent(e)
 	}
-}
-
-func (a *alterLifetimeOp) OnBatch(b *Batch) {
-	outEvs := a.bo.buf[:0]
-	for _, e := range b.Events {
-		if !a.isContinuation(&e) {
-			e.RE = e.LE + Tick
-			outEvs = append(outEvs, e)
-		}
-	}
-	if b.HasCTI {
-		a.expirePending(b.CTI)
-	}
-	a.bo.emit(a.out, outEvs, b.CTI, b.HasCTI)
 }
 
 // isContinuation records e's lifetime and reports whether it extends a

@@ -106,7 +106,7 @@ type groupedUDOOp struct {
 func newGroupedUDOOp(lw *lowering, in keying, pre []*Plan, spec *UDOSpec, post []*Plan, out Sink) *groupedUDOOp {
 	k := &groupedUDOOp{keyedKernel: newKeyedKernel[udoSlot](lw, in, pre, post, out), spec: spec}
 	k.emit = func(e Event) {
-		if k.post.applyRow(&e, nil) {
+		if k.post.applyRow(&e) {
 			k.stage(k.cur.key, e)
 		}
 	}
@@ -117,7 +117,7 @@ func newGroupedUDOOp(lw *lowering, in keying, pre []*Plan, spec *UDOSpec, post [
 func (k *groupedUDOOp) OnEvent(e Event) {
 	in := e.Payload
 	e.Payload = in[k.skip:]
-	if !k.pre.applyRow(&e, nil) {
+	if !k.pre.applyRow(&e) {
 		return
 	}
 	s, h := k.find(in)
@@ -127,8 +127,6 @@ func (k *groupedUDOOp) OnEvent(e Event) {
 	k.cur = s
 	s.slot.push(k.spec, e, k.emit)
 }
-
-func (k *groupedUDOOp) OnBatch(b *Batch) { loopBatch(k, b) }
 
 func (k *groupedUDOOp) OnCTI(t Time) {
 	if k.swallow(t) {

@@ -182,7 +182,7 @@ func autoCTICount(t *testing.T, P Time, drive func(eng *Engine)) int {
 	return ctis
 }
 
-// ctiFeeds returns one driver per feed entry point (per-event, batched),
+// ctiFeeds returns one driver per feed entry point (Feed, FeedMerged),
 // all over the same point events; every entry must punctuate on the
 // identical schedule.
 func ctiFeeds(feed []Time) map[string]func(eng *Engine) {
@@ -197,7 +197,9 @@ func ctiFeeds(feed []Time) map[string]func(eng *Engine) {
 			}
 		},
 		"batched": func(eng *Engine) {
-			eng.FeedBatch("s", &Batch{Events: append([]Event(nil), evs...)})
+			if _, err := eng.FeedMerged([]Run{{Source: "s", Events: evs}}); err != nil {
+				panic(err)
+			}
 		},
 	}
 }
