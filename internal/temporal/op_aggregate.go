@@ -15,8 +15,8 @@ import (
 // of recovery.
 //
 // An accumulator lives as long as its active set: the kernel drops it when
-// the set empties — a logical event, however the input was batched or
-// punctuated — so a float sum carries no rounding residue across an empty
+// the set empties — a logical event, however the input was cut into runs
+// or punctuated — so a float sum carries no rounding residue across an empty
 // snapshot and an aggregate with no open lifetime equals a new one.
 type aggState interface {
 	Insert(Row)

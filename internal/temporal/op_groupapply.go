@@ -47,10 +47,10 @@ type groupOutput struct {
 	// schedule under which a key untouched since one broadcast has expired
 	// everything by the next. A swallowed CTI delays downstream release,
 	// never changes it. A punctuation the caller issued (Engine.Advance, a
-	// batch's trailing CTI) is never swallowed: the caller may act on it — a
-	// streaming stage punctuates its consumer at the same instant. All
-	// kernels of a GroupApply thin to the same gap, so one fed by another
-	// passes every broadcast it is given on.
+	// CTI pushed into a source entry) is never swallowed: the caller may
+	// act on it — a streaming stage punctuates its consumer at the same
+	// instant. All kernels of a GroupApply thin to the same gap, so one fed
+	// by another passes every broadcast it is given on.
 	gap           Time
 	auto          *bool
 	lastBroadcast Time
