@@ -2,9 +2,9 @@
 //
 //	timr run        one-shot temporal queries over advertising logs on
 //	                the simulated map-reduce cluster (the original mode)
-//	timr serve      long-running elastic serving tier: score arriving ad
-//	                events against the trained BT model under an
-//	                open-loop Zipf load, with live partition migration
+//	timr serve      long-running serving tier: score arriving ad events
+//	                against the trained BT model under an open-loop Zipf
+//	                load, on a fixed set of hash partitions
 //	timr refresh    incremental BT maintenance: ingest the log one day at
 //	                a time, merging summaries instead of recomputing, and
 //	                resume a killed run from its durable state
@@ -15,7 +15,7 @@
 //	timr run -q bt         [-in events.tsv] [-machines N] [-z 1.28]
 //	timr run -sql "SELECT AdId, COUNT(*) AS C FROM events WHERE StreamId = 1
 //	               GROUP BY AdId WINDOW 6h" [-in events.tsv]
-//	timr serve [-requests N] [-rate R] [-machines N] [-rebalance] [-metrics]
+//	timr serve [-requests N] [-rate R] [-machines N] [-durdir DIR] [-metrics]
 //	timr refresh [-days N] [-mode auto|full|delta] [-warm] [-durdir DIR]
 package main
 

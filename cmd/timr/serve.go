@@ -1,13 +1,10 @@
 package main
 
-// timr serve: the elastic serving tier. Trains the BT models on the
-// first half of a generated workload, then scores an open-loop,
-// Zipf-skewed stream of ad events against them through the streaming
-// ScorePlan job, reporting p50/p99 scoring latency and sustained
-// events/s per partition. -rebalance turns on live partition migration
-// (split hot workers, merge cold ones); -intake bounds per-wave
-// admission so shed/deferred load becomes visible in the metrics.
-// -durdir makes the run durable: every wave commits a checkpoint
+// timr serve: the serving tier. Trains the BT models on the first half
+// of a generated workload, then scores an open-loop, Zipf-skewed stream
+// of ad events against them through the streaming ScorePlan job on
+// -machines hash partitions, reporting p50/p99 scoring latency and
+// sustained events/s per partition. -durdir makes the run durable: every wave commits a checkpoint
 // generation, and rerunning the same command after a kill -9 resumes
 // from the newest intact generation with bit-identical output.
 
@@ -17,7 +14,6 @@ import (
 	"log"
 	"os"
 
-	"timr/internal/core"
 	"timr/internal/obs"
 	"timr/internal/serve"
 	"timr/internal/workload"
@@ -30,10 +26,6 @@ type serveOpts struct {
 	zipf                 float64
 	searchFrac           float64
 	seed                 int64
-	rebalance            bool
-	splitAbove           int
-	mergeBelow           int
-	intake               int
 	metrics              bool
 	durdir               string
 }
@@ -52,10 +44,6 @@ func serveFlags(o *serveOpts) *flag.FlagSet {
 	fs.Float64Var(&o.zipf, "zipf", 1.2, "user skew exponent (> 1)")
 	fs.Float64Var(&o.searchFrac, "searchfrac", 0.4, "fraction of arrivals that are profile updates")
 	fs.Int64Var(&o.seed, "seed", 1, "workload and load-generator seed")
-	fs.BoolVar(&o.rebalance, "rebalance", false, "enable live partition migration (elastic placement)")
-	fs.IntVar(&o.splitAbove, "split-above", 0, "rebalance: split a worker over this many events/wave (0 = default)")
-	fs.IntVar(&o.mergeBelow, "merge-below", 0, "rebalance: retire a worker under this many events/wave (0 = default)")
-	fs.IntVar(&o.intake, "intake", 0, "per-source admission budget per wave (0 = unbounded)")
 	fs.BoolVar(&o.metrics, "metrics", false, "print the full metrics table to stderr after the run")
 	fs.StringVar(&o.durdir, "durdir", "", "durable checkpoint directory: commit every wave, resume a killed run on restart")
 	return fs
@@ -77,14 +65,8 @@ func serveCmd(args []string) {
 		Requests: o.requests,
 		Machines: o.machines,
 		Rate:     o.rate,
-		Intake:   o.intake,
 		Obs:      scope,
 		DurDir:   o.durdir,
-	}
-	if o.rebalance {
-		cfg.Rebalance = &core.RebalanceConfig{
-			SplitAbove: o.splitAbove, MergeBelow: o.mergeBelow, MaxWorkers: o.machines,
-		}
 	}
 
 	fmt.Fprintf(os.Stderr, "serve: training models (users=%d keywords=%d ads=%d seed=%d)...\n",
@@ -108,9 +90,6 @@ func serveCmd(args []string) {
 			o.durdir, rep.Requests)
 	}
 	fmt.Println(rep)
-	if rep.Migrations > 0 {
-		fmt.Printf("serve: workers=%v\n", rep.Workers)
-	}
 	if o.metrics {
 		fmt.Fprintf(os.Stderr, "\nmetrics:\n%s", scope.Table())
 	}

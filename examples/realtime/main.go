@@ -13,6 +13,7 @@ package main
 import (
 	"fmt"
 	"log"
+	"os"
 
 	"timr"
 	"timr/internal/bt"
@@ -85,7 +86,8 @@ func main() {
 		log.Fatal(err)
 	}
 	fmt.Printf("\noffline batch run of the same plan: %d events passed\n", len(batch))
-	if len(batch) == kept {
+	agree := len(batch) == kept
+	if agree {
 		fmt.Println("real-time and offline results agree — the temporal algebra at work (§III-C.1)")
 	} else {
 		fmt.Printf("MISMATCH: live=%d batch=%d\n", kept, len(batch))
@@ -94,12 +96,10 @@ func main() {
 	// ---- Scaled live deployment (§VII): the ANNOTATED plan as a
 	// pipelined dataflow over 8 partitions, fed the same way.
 	annotated := timr.BotElimPlan(p, true)
-	streamed := 0
 	job, err := timr.NewStreamingJob(annotated,
 		map[string]*timr.Schema{bt.SourceEvents: timr.UnifiedSchema()},
 		timr.WithMachines(8),
-		timr.WithStreamConfig(timr.DefaultTiMRConfig()),
-		timr.WithOnEvent(func(timr.Event) { streamed++ }))
+		timr.WithStreamConfig(timr.DefaultTiMRConfig()))
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -130,6 +130,9 @@ func main() {
 		fmt.Println("distributed streaming execution matches too — write once, run anywhere (§VII)")
 	} else {
 		fmt.Printf("MISMATCH: streaming=%d single=%d\n", len(streamRes), kept)
+		agree = false
 	}
-	_ = streamed
+	if !agree {
+		os.Exit(1)
+	}
 }

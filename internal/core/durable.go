@@ -32,10 +32,11 @@ import (
 // line, costing only extended replay.
 func (j *StreamingJob) commitDurable(t temporal.Time) {
 	snap := &dur.Snapshot{
-		Wave:    t,
-		Waves:   j.waves,
-		Results: j.results,
-		Pending: j.out.pending,
+		Wave:     t,
+		Waves:    j.waves,
+		Machines: j.machines,
+		Results:  j.results,
+		Pending:  j.out.pending,
 	}
 	for _, st := range j.stages {
 		for _, p := range st.sortedParts() {
@@ -73,9 +74,11 @@ func (j *StreamingJob) DurableErr() error { return j.durErr }
 // admitted before it but not yet consumed are inside the generation's
 // replay logs and need no re-feeding.
 //
-// The plan, sources, and options must match the crashed process's — the
-// shard space (machines) in particular, since partition ids are recorded
-// against it.
+// The plan and sources must match the crashed process's. So must the
+// machine count, since hash partition ids are recorded against it: a
+// generation written with a different count is refused with an error
+// naming both, and one that records no count (written before counts were
+// recorded) is refused by name.
 func RestoreFromDir(plan *temporal.Plan, sources map[string]*temporal.Schema, store *dur.Store, opts ...StreamOption) (*StreamingJob, *dur.Recovery, error) {
 	rec, err := store.Load()
 	if err != nil {
@@ -95,31 +98,26 @@ func RestoreFromDir(plan *temporal.Plan, sources map[string]*temporal.Schema, st
 }
 
 // applySnapshot rebuilds the job's live state from a recovered
-// generation — the durable analogue of crash(): for every recorded
-// partition, a fresh engine restored from the checkpoint, the replay log
-// repopulating the barrier; plus the job-level output record. j.waves is
+// generation: every recorded partition goes through the same rebuild a
+// crash does, then the job-level output record is restored. j.waves is
 // set before any partition is created so the crash-injection draws of
 // the restored run are well-defined from the first arm.
 func (j *StreamingJob) applySnapshot(snap *dur.Snapshot) error {
+	switch {
+	case snap.Machines == 0:
+		return fmt.Errorf("generation records no machine count (written by an older build); cannot restore")
+	case snap.Machines != j.machines:
+		return fmt.Errorf("generation was written with %d machines, this job has %d; partition ids would not match", snap.Machines, j.machines)
+	}
 	j.waves = snap.Waves
 	for _, ps := range snap.Parts {
 		st, err := j.stageByName(ps.Frag)
 		if err != nil {
 			return err
 		}
-		p := st.partition(ps.Part)
-		if len(ps.Ckpt) > 0 {
-			eng := st.newEngine(p)
-			if err := eng.Restore(ps.Ckpt); err != nil {
-				return fmt.Errorf("partition %s/%d: %w", ps.Frag, ps.Part, err)
-			}
-			p.eng = eng
-			p.ckpt = append([]byte(nil), ps.Ckpt...)
+		if err := st.rebuild(st.partition(ps.Part), ps.Ckpt, ps.Log); err != nil {
+			return fmt.Errorf("partition %s/%d: %w", ps.Frag, ps.Part, err)
 		}
-		p.log = append(p.log[:0], ps.Log...)
-		p.buf.pending = append(p.buf.pending[:0], ps.Log...)
-		st.replayed.Add(int64(len(ps.Log)))
-		st.recoveries.Inc()
 	}
 	j.results = append(j.results[:0], snap.Results...)
 	j.out.pending = append(j.out.pending[:0], snap.Pending...)
@@ -129,4 +127,13 @@ func (j *StreamingJob) applySnapshot(snap *dur.Snapshot) error {
 		}
 	}
 	return nil
+}
+
+func (j *StreamingJob) stageByName(frag string) (*streamStage, error) {
+	for _, st := range j.stages {
+		if st.frag.Name == frag {
+			return st, nil
+		}
+	}
+	return nil, fmt.Errorf("timr: no streaming stage %q", frag)
 }

@@ -5,14 +5,15 @@ package core_test
 // the process state simply dropped) at an arbitrary point, restarted via
 // RestoreFromDir, re-fed everything its sources admitted after the
 // recovered wave, and must produce bit-identical results — including
-// under injected I/O faults, with generation fallback, composed with
-// crash chaos, and with live shard migration routed through the store.
+// under injected I/O faults, with generation fallback, and composed with
+// crash chaos. A restart with a different machine count is refused.
 
 import (
 	"fmt"
 	"os"
 	"path/filepath"
 	"sort"
+	"strings"
 	"testing"
 
 	"timr/internal/core"
@@ -414,69 +415,49 @@ func TestDurableRestartComposesWithChaos(t *testing.T) {
 	}
 }
 
-func TestDurableMigrationThroughStore(t *testing.T) {
+// TestDurableRestoreRefusesOtherMachineCount: hash partition ids are
+// assigned modulo the machine count, so a generation restored into a job
+// of another count would put each recorded partition's state where other
+// keys route. RestoreFromDir refuses it, naming both counts, and refuses
+// a generation that records no count at all.
+func TestDurableRestoreRefusesOtherMachineCount(t *testing.T) {
 	mk, sch := durablePlan()
 	events := durableEvents(900)
 	schemas := map[string]*temporal.Schema{"clicks": sch}
 	period := temporal.Time(20)
 
-	clean := driveStream(t, mk(true), schemas, "clicks", events, 3, core.DefaultConfig(), period)
-
-	dir := t.TempDir()
-	scope := obs.New("dur")
-	store, err := dur.OpenStore(dir, dur.Options{Obs: scope})
-	if err != nil {
-		t.Fatal(err)
-	}
-	sj, err := core.NewStreamingJob(mk(true), schemas,
-		core.WithMachines(3), core.WithConfig(core.DefaultConfig()), core.WithDurable(store))
-	if err != nil {
-		t.Fatal(err)
-	}
-	src, err := sj.Source("clicks")
-	if err != nil {
-		t.Fatal(err)
-	}
-	last := temporal.Time(temporal.MinTime)
-	split := false
-	for i, e := range events {
-		if last == temporal.MinTime {
-			last = e.LE
-		} else if e.LE-last >= period {
-			if err := sj.Advance(e.LE); err != nil {
+	for _, c := range []struct{ killed, resumed int }{{4, 2}, {2, 4}} {
+		t.Run(fmt.Sprintf("%dto%d", c.killed, c.resumed), func(t *testing.T) {
+			dir := t.TempDir()
+			store, err := dur.OpenStore(dir, dur.Options{})
+			if err != nil {
 				t.Fatal(err)
 			}
-			last = e.LE
-			if !split && i > len(events)/2 {
-				// Mid-run live migration: with a durable store attached, the
-				// shard checkpoint must round-trip through the disk.
-				if err := sj.ForceSplit("frag0"); err == nil {
-					split = true
-				}
+			runKilled(t, mk(true), schemas, "clicks", events, c.killed, core.DefaultConfig(), period, store, 500)
+			store2, err := dur.OpenStore(dir, dur.Options{})
+			if err != nil {
+				t.Fatal(err)
 			}
-		}
-		if err := src.Feed(e); err != nil {
+			_, _, err = core.RestoreFromDir(mk(true), schemas, store2, core.WithMachines(c.resumed))
+			want := fmt.Sprintf("written with %d machines, this job has %d", c.killed, c.resumed)
+			if err == nil || !strings.Contains(err.Error(), want) {
+				t.Fatalf("restore with %d machines of a %d-machine generation: err = %v, want it to say %q",
+					c.resumed, c.killed, err, want)
+			}
+		})
+	}
+
+	t.Run("nocount", func(t *testing.T) {
+		store, err := dur.OpenStore(t.TempDir(), dur.Options{})
+		if err != nil {
 			t.Fatal(err)
 		}
-	}
-	sj.Flush()
-	got, err := sj.Results()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !temporal.EventsEqual(got, clean) {
-		t.Fatalf("store-routed migration diverges: %d vs %d events", len(got), len(clean))
-	}
-	if !split {
-		t.Fatal("ForceSplit never succeeded; migration path not exercised")
-	}
-	if scope.Counter("transfer_bytes").Value() == 0 {
-		t.Fatal("migration did not route checkpoint bytes through the store")
-	}
-	if sj.DurableErr() != nil {
-		t.Fatalf("unexpected durable commit error: %v", sj.DurableErr())
-	}
-	if scope.Counter("generations").Value() == 0 {
-		t.Fatal("no generations committed")
-	}
+		if err := store.Commit(&dur.Snapshot{Wave: 20, Waves: 1}); err != nil {
+			t.Fatal(err)
+		}
+		_, _, err = core.RestoreFromDir(mk(true), schemas, store, core.WithMachines(3))
+		if err == nil || !strings.Contains(err.Error(), "records no machine count") {
+			t.Fatalf("restore of a generation without a machine count: err = %v", err)
+		}
+	})
 }

@@ -14,13 +14,90 @@ import (
 	"timr/internal/temporal"
 )
 
+// chainedPlan is a two-fragment chained plan (UserId exchange, then C
+// exchange), so a wave crosses inter-stage routing, not just a single
+// barrier.
+func chainedPlan() *temporal.Plan {
+	perUser := temporal.Scan("clicks", clickSchema()).
+		Exchange(temporal.PartitionBy{Cols: []string{"UserId"}}).
+		GroupApply([]string{"UserId"}, func(g *temporal.Plan) *temporal.Plan {
+			return g.WithWindow(30).Count("C")
+		}).ToPoint()
+	return perUser.Exchange(temporal.PartitionBy{Cols: []string{"C"}}).
+		GroupApply([]string{"C"}, func(g *temporal.Plan) *temporal.Plan {
+			return g.WithWindow(50).Count("N")
+		})
+}
+
+func chainedEvents() []temporal.Event {
+	var events []temporal.Event
+	tm := temporal.Time(0)
+	for i := 0; i < 900; i++ {
+		tm += temporal.Time(i % 3)
+		events = append(events, temporal.PointEvent(tm, temporal.Row{
+			temporal.Int(int64(tm)), temporal.Int(int64(i % 17)), temporal.Int(int64(i % 5)),
+		}))
+	}
+	return events
+}
+
+// driveChained feeds chainedEvents to chainedPlan on four machines with a
+// punctuation wave every 20 ticks, calling hook(job, waveNo) after each
+// wave. No goroutine may outlive the run.
+func driveChained(t *testing.T, cfg Config, hook func(*StreamingJob, int), opts ...StreamOption) []temporal.Event {
+	t.Helper()
+	defer leakcheck.Goroutines(t)()
+	opts = append([]StreamOption{WithMachines(4), WithConfig(cfg)}, opts...)
+	job, err := NewStreamingJob(chainedPlan(),
+		map[string]*temporal.Schema{"clicks": clickSchema()}, opts...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	clicks, err := job.Source("clicks")
+	if err != nil {
+		t.Fatal(err)
+	}
+	const period = 20
+	last, wave := temporal.Time(temporal.MinTime), 0
+	for _, e := range chainedEvents() {
+		if last == temporal.MinTime {
+			last = e.LE
+		} else if e.LE-last >= period {
+			if err := job.Advance(e.LE); err != nil {
+				t.Fatal(err)
+			}
+			last = e.LE
+			wave++
+			hook(job, wave)
+		}
+		if err := clicks.Feed(e); err != nil {
+			t.Fatal(err)
+		}
+	}
+	job.Flush()
+	res, err := job.Results()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res
+}
+
+func sumCounter(sc *obs.Scope, name string) int64 {
+	var n int64
+	for _, p := range sc.Snapshot() {
+		if p.Name == name {
+			n += p.Value
+		}
+	}
+	return n
+}
+
 // poolRun is everything one drive of the wave-pool differential observed.
 type poolRun struct {
 	results   []temporal.Event
 	delivered []temporal.Event // WithOnEvent, in delivery order
 	waves     [][]byte         // per wave: every partition's checkpoint and replay log
 	gens      map[string][]byte
-	migs      []Migration
 	metrics   []obs.Point
 }
 
@@ -40,8 +117,8 @@ func waveState(j *StreamingJob) []byte {
 }
 
 // drivePool runs the chained two-stage plan on four machines under crash
-// chaos, with a forced split and merge and a durable store, at the given
-// GOMAXPROCS. No goroutine may outlive a wave or the flush.
+// chaos and with a durable store, at the given GOMAXPROCS. No goroutine
+// may outlive a wave or the flush.
 func drivePool(t *testing.T, procs int) poolRun {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
 	var r poolRun
@@ -55,29 +132,16 @@ func drivePool(t *testing.T, procs int) poolRun {
 	cfg.Obs = scope
 	cfg.Crash = CrashConfig{Rate: 0.3, Seed: 7}
 	settled := leakcheck.Goroutines(t)
-	split, merged := false, false
 	hook := func(j *StreamingJob, wave int) {
 		settled()
 		r.waves = append(r.waves, waveState(j))
 		if parts := j.Partitions(); wave == 4 && parts["frag0"]+parts["frag1"] < 6 {
 			t.Fatalf("partitions %v; the pool needs several per stage to have work to share", parts)
 		}
-		for _, st := range j.stages {
-			switch wave {
-			case 4:
-				split = j.ForceSplit(st.frag.Name) == nil || split
-			case 12:
-				merged = j.ForceMerge(st.frag.Name) == nil || merged
-			}
-		}
-		r.migs = j.Migrations()
 	}
-	r.results = driveMigrating(t, cfg, hook, nil, WithDurable(store),
+	r.results = driveChained(t, cfg, hook, WithDurable(store),
 		WithOnEvent(func(e temporal.Event) { r.delivered = append(r.delivered, e) }))
 	settled()
-	if !split || !merged {
-		t.Fatalf("GOMAXPROCS %d: forced split=%v merge=%v; the differential is vacuous", procs, split, merged)
-	}
 	if sumCounter(scope, "crashes") == 0 {
 		t.Fatalf("GOMAXPROCS %d: no crashes injected; the differential is vacuous", procs)
 	}
@@ -93,7 +157,7 @@ func drivePool(t *testing.T, procs int) poolRun {
 	}
 	for _, p := range scope.Snapshot() {
 		// groups_live is last-writer-wins across a stage's partitions; it
-		// is the one reading that depends on which worker finishes last.
+		// is the one reading that depends on which goroutine finishes last.
 		if p.Name != "groups_live" {
 			r.metrics = append(r.metrics, p)
 		}
@@ -105,7 +169,7 @@ func drivePool(t *testing.T, procs int) poolRun {
 // as GOMAXPROCS allows, and routes their output afterwards in the order a
 // single goroutine would. So one P and four must agree on every byte: the
 // results and their delivery order, each wave's checkpoints and replay
-// logs, every committed durable generation, the migrations, the metrics.
+// logs, every committed durable generation, the metrics.
 func TestWavePoolInvisible(t *testing.T) {
 	one, four := drivePool(t, 1), drivePool(t, 4)
 	if !temporal.EventsEqual(one.results, four.results) {
@@ -129,9 +193,6 @@ func TestWavePoolInvisible(t *testing.T) {
 		if !bytes.Equal(b, four.gens[name]) {
 			t.Fatalf("committed %s differs", name)
 		}
-	}
-	if !reflect.DeepEqual(one.migs, four.migs) {
-		t.Fatalf("migrations differ:\n%v\n%v", one.migs, four.migs)
 	}
 	if !reflect.DeepEqual(one.metrics, four.metrics) {
 		t.Fatalf("metrics differ:\n%v\n%v", one.metrics, four.metrics)

@@ -41,9 +41,6 @@ type StreamingJob struct {
 	results  []temporal.Event
 	cfg      Config
 	machines int
-	rebal    RebalanceConfig
-	autoRbl  bool // run the rebalance policy at every wave
-	migs     []Migration
 	waves    int // completed punctuation waves (crash-draw input)
 	flushed  bool
 
@@ -88,9 +85,6 @@ type streamOptions struct {
 	machines int
 	cfg      Config
 	onEvent  func(temporal.Event)
-	crash    *CrashConfig
-	intake   int64
-	rebal    *RebalanceConfig
 	store    *dur.Store
 }
 
@@ -101,7 +95,7 @@ func WithMachines(n int) StreamOption {
 }
 
 // WithConfig replaces the whole runtime Config (defaults to
-// DefaultConfig). Options applied after it — WithCrash — still win.
+// DefaultConfig); its Crash field enables crash injection.
 func WithConfig(cfg Config) StreamOption {
 	return func(o *streamOptions) { o.cfg = cfg }
 }
@@ -113,50 +107,23 @@ func WithOnEvent(f func(temporal.Event)) StreamOption {
 	return func(o *streamOptions) { o.onEvent = f }
 }
 
-// WithCrash enables deterministic partition crash injection (overrides
-// any Config.Crash set via WithConfig, regardless of option order).
-func WithCrash(cc CrashConfig) StreamOption {
-	return func(o *streamOptions) { o.crash = &cc }
-}
-
-// WithIntake bounds per-source admission to perWave events between
-// punctuation waves: TryFeed refuses (ErrBacklogged) beyond the budget,
-// while the committed Feed paths still admit but count the overflow as
-// deferred load. Zero (the default) leaves intake unbounded.
-func WithIntake(perWave int) StreamOption {
-	return func(o *streamOptions) { o.intake = int64(perWave) }
-}
-
 // WithDurable attaches a durable checkpoint store: every punctuation
-// wave commits the job's full recovery state as one store generation,
-// and shard migrations route their checkpoint bytes through the store.
+// wave commits the job's full recovery state as one store generation.
 // A job killed between commits restarts via RestoreFromDir and replays
 // forward bit-identically (see internal/dur).
 func WithDurable(store *dur.Store) StreamOption {
 	return func(o *streamOptions) { o.store = store }
 }
 
-// WithRebalance enables the elastic placement policy: at every
-// punctuation wave each stage may split its hottest worker or merge its
-// coldest one (see RebalanceConfig). Without this option workers stay
-// static unless ForceSplit/ForceMerge is called.
-func WithRebalance(rc RebalanceConfig) StreamOption {
-	return func(o *streamOptions) { o.rebal = &rc }
-}
-
 // NewStreamingJob fragments an annotated plan and wires the live DAG.
 // sources maps scan names to their schemas; output events are delivered
 // to Results after Flush (coalesced), and incrementally to the
 // WithOnEvent callback if set. Remaining knobs arrive as functional
-// options: WithMachines, WithConfig, WithCrash, WithIntake,
-// WithRebalance.
+// options: WithMachines, WithConfig, WithDurable.
 func NewStreamingJob(plan *temporal.Plan, sources map[string]*temporal.Schema, opts ...StreamOption) (*StreamingJob, error) {
 	o := streamOptions{machines: 1, cfg: DefaultConfig()}
 	for _, opt := range opts {
 		opt(&o)
-	}
-	if o.crash != nil {
-		o.cfg.Crash = *o.crash
 	}
 	cfg, onEvent := o.cfg, o.onEvent
 	// MakeFragments wants dataset bindings; in streaming mode the
@@ -179,8 +146,6 @@ func NewStreamingJob(plan *temporal.Plan, sources map[string]*temporal.Schema, o
 		feeders:  make(map[string]*Feeder),
 		cfg:      cfg,
 		machines: machines,
-		rebal:    defaultRebalance(o.rebal, machines),
-		autoRbl:  o.rebal != nil,
 		durStore: o.store,
 	}
 	outScope := cfg.Obs.Child("stream.out")
@@ -222,7 +187,7 @@ func NewStreamingJob(plan *temporal.Plan, sources map[string]*temporal.Schema, o
 		}
 	}
 	for name, ins := range j.bySource {
-		j.feeders[name] = newFeeder(j, name, ins, o.intake)
+		j.feeders[name] = newFeeder(j, name, ins)
 	}
 	return j, nil
 }
@@ -243,14 +208,6 @@ func (j *StreamingJob) Advance(t temporal.Time) error {
 	}
 	j.out.advance(t)
 	j.waves++
-	if j.autoRbl {
-		for _, st := range j.stages {
-			st.rebalance()
-		}
-	}
-	for _, f := range j.feeders {
-		f.resetWave()
-	}
 	if j.durStore != nil {
 		j.commitDurable(t)
 	}
@@ -279,6 +236,15 @@ func (j *StreamingJob) Results() ([]temporal.Event, error) {
 	return temporal.Coalesce(append([]temporal.Event(nil), j.results...)), nil
 }
 
+// Partitions reports the current shard count per stage.
+func (j *StreamingJob) Partitions() map[string]int {
+	out := make(map[string]int, len(j.stages))
+	for _, st := range j.stages {
+		out[st.frag.Name] = len(st.parts)
+	}
+	return out
+}
+
 // ---- stage ----
 
 type streamStage struct {
@@ -287,8 +253,9 @@ type streamStage struct {
 	intermediate []bool       // per input: fed by an upstream stage?
 	job          *StreamingJob
 
-	// Partition engines. Column-keyed fragments use a fixed modulo table;
-	// time-keyed fragments grow one partition per span lazily.
+	// Partition engines, one per shard of a shard space fixed at plan
+	// time: column-keyed fragments use a modulo table over the job's
+	// machines, time-keyed fragments grow one partition per span lazily.
 	parts   map[int]*streamPartition
 	nparts  int // 0 for temporal fragments (unbounded spans)
 	spans   *SpanSpec
@@ -298,15 +265,6 @@ type streamStage struct {
 	// batch mode), wherever the data's time origin lies.
 	minSpan int
 	hasSpan bool
-
-	// Elastic placement: partitions (shards) are assigned to workers, and
-	// the rebalance policy moves shards between workers by checkpoint
-	// transfer + replay (see migrate.go). The shard space itself — hash
-	// modulo or span id — never changes, so routing is placement-blind.
-	workers    []*streamWorker
-	assign     map[int]int // shard (partition id) → worker id
-	nextWorker int
-	lastLoad   map[int]int // per shard: events admitted in the last wave
 
 	// Routing scratch, reused across runs (barrier buffers copy event
 	// structs on push, so recycling these is safe).
@@ -324,10 +282,6 @@ type streamStage struct {
 	recoveries *obs.Counter // partitions rebuilt from checkpoint + replay
 	ckptBytes  *obs.Counter // checkpoint bytes written at waves
 	replayed   *obs.Counter // events replayed from the log after a crash
-
-	migrations *obs.Counter // shards moved between workers
-	migBytes   *obs.Counter // checkpoint bytes transferred by migrations
-	workersG   *obs.Gauge   // current worker count
 }
 
 // maxSpanFanout bounds how many lazy span partitions one event may be
@@ -375,11 +329,6 @@ func (j *StreamingJob) newStage(frag *Fragment) (*streamStage, error) {
 		recoveries:   sc.Counter("recoveries"),
 		ckptBytes:    sc.Counter("checkpoint_bytes"),
 		replayed:     sc.Counter("replayed_events"),
-		migrations:   sc.Counter("migrations"),
-		migBytes:     sc.Counter("migrated_bytes"),
-		workersG:     sc.Gauge("workers"),
-		assign:       make(map[int]int),
-		lastLoad:     make(map[int]int),
 	}
 	// Validate the fragment root up front: partitions compile engines
 	// lazily (possibly mid-feed, on the first event into a new span), and
@@ -442,7 +391,6 @@ func (st *streamStage) partition(id int) *streamPartition {
 		},
 	}
 	st.parts[id] = p
-	st.place(id)
 	st.arm(p)
 	if st.spans != nil && (!st.hasSpan || id < st.minSpan) {
 		// New earliest span: it inherits ownership of everything before
@@ -556,26 +504,39 @@ func (st *streamStage) admitAll(p *streamPartition, evs []temporal.Event) {
 	p.pushes += len(evs)
 }
 
-// crash kills a partition and immediately recovers it: the engine and
-// barrier buffer are discarded, a fresh engine is restored from the last
-// wave's checkpoint, and the replay log repopulates the barrier. Because
-// engines consume input only during waves (the barrier releases nothing
-// between them), the checkpoint plus the log reconstruct the partition
-// exactly, at whatever moment the crash fires.
+// crash kills a partition and immediately rebuilds it from the last
+// wave's checkpoint and its replay log. Because engines consume input only
+// during waves (the barrier releases nothing between them), the
+// checkpoint plus the log reconstruct the partition exactly, at whatever
+// moment the crash fires.
 func (st *streamStage) crash(p *streamPartition) {
 	st.crashes.Inc()
 	p.crashAt = -1 // disarmed until the next wave re-arms
-	p.eng = st.newEngine(p)
-	if p.ckpt != nil {
-		if err := p.eng.Restore(p.ckpt); err != nil {
-			// Unreachable short of memory corruption: the checkpoint came
-			// from an engine compiled from this same fragment root.
-			panic(fmt.Sprintf("timr: partition recovery failed: %v", err))
+	if err := st.rebuild(p, p.ckpt, p.log); err != nil {
+		// Unreachable short of memory corruption: the checkpoint came
+		// from an engine compiled from this same fragment root.
+		panic(fmt.Sprintf("timr: partition recovery failed: %v", err))
+	}
+}
+
+// rebuild is the one reconstruction of a partition, shared by crash
+// recovery and durable restore: the engine and barrier contents are
+// discarded, a fresh engine is restored from ckpt (nil before the first
+// wave), and log becomes both the replay log and the barrier's pending
+// events.
+func (st *streamStage) rebuild(p *streamPartition, ckpt []byte, log []temporal.Event) error {
+	eng := st.newEngine(p)
+	if len(ckpt) > 0 {
+		if err := eng.Restore(ckpt); err != nil {
+			return err
 		}
 	}
-	p.buf.pending = append(p.buf.pending[:0], p.log...)
-	st.replayed.Add(int64(len(p.log)))
+	p.eng, p.ckpt = eng, ckpt
+	p.log = append(p.log[:0], log...)
+	p.buf.pending = append(p.buf.pending[:0], log...)
+	st.replayed.Add(int64(len(log)))
 	st.recoveries.Inc()
+	return nil
 }
 
 // arm draws the partition's fate for the coming feed interval. The draw
@@ -614,7 +575,6 @@ func (st *streamStage) advance(t temporal.Time) {
 	})
 	for _, p := range parts {
 		p.log = resetEvents(p.log, p.buf.pending)
-		st.lastLoad[p.id] = p.pushes
 		p.pushes = 0
 		st.arm(p)
 	}

@@ -50,12 +50,11 @@ type Store struct {
 	mu      sync.Mutex
 	nextGen uint64
 
-	bytes     *obs.Counter // dur_bytes: bytes committed (ckpt + manifest)
-	gens      *obs.Counter // generations: successful commits
-	corrupt   *obs.Counter // corrupt_detected: generations quarantined
-	retriesC  *obs.Counter // retries: I/O bundles re-attempted
-	skips     *obs.Counter // commit_failures: commits abandoned after retries
-	transferB *obs.Counter // transfer_bytes: migration bytes round-tripped
+	bytes    *obs.Counter // dur_bytes: bytes committed (ckpt + manifest)
+	gens     *obs.Counter // generations: successful commits
+	corrupt  *obs.Counter // corrupt_detected: generations quarantined
+	retriesC *obs.Counter // retries: I/O bundles re-attempted
+	skips    *obs.Counter // commit_failures: commits abandoned after retries
 }
 
 // Options tunes OpenStore. Zero fields take defaults.
@@ -73,8 +72,8 @@ type Options struct {
 	// deployments pass a sleep.
 	Backoff func(attempt int)
 	// Obs receives the store's counters (dur_bytes, generations,
-	// corrupt_detected, retries, commit_failures, transfer_bytes). Nil
-	// disables instrumentation.
+	// corrupt_detected, retries, commit_failures). Nil disables
+	// instrumentation.
 	Obs *obs.Scope
 }
 
@@ -103,7 +102,10 @@ type SourceOffset struct {
 type Snapshot struct {
 	Wave  temporal.Time // punctuation time of the committed wave
 	Waves int           // completed waves (the crash-draw clock)
-	Parts []PartitionState
+	// Machines is the job's hash fan-out, against which Parts' ids were
+	// assigned. Zero in a generation written before counts were recorded.
+	Machines int
+	Parts    []PartitionState
 	// Results are the output events delivered so far; Pending are output
 	// events buffered behind the final barrier (LE at or beyond Wave).
 	Results []temporal.Event
@@ -129,13 +131,16 @@ type Recovery struct {
 	Snap *Snapshot
 }
 
-// Record tags inside checkpoint-file frames.
+// Record tags inside checkpoint-file frames. recHeaderV1 is the snapshot
+// header written before the machine count was recorded; it still decodes,
+// with Machines zero, so a restore can refuse it by name.
 const (
-	recHeader    byte = 0xD0
+	recHeaderV1  byte = 0xD0
 	recPartition byte = 0xD1
 	recOut       byte = 0xD2
 	recManifest  byte = 0xD3
 	recState     byte = 0xD4
+	recHeader    byte = 0xD5
 )
 
 // OpenStore opens (creating if needed) a durable store rooted at dir.
@@ -156,12 +161,11 @@ func OpenStore(dir string, o Options) (*Store, error) {
 	}
 	s := &Store{
 		dir: dir, fs: o.FS, keep: o.Keep, retries: o.Retries, backoff: o.Backoff,
-		bytes:     o.Obs.Counter("dur_bytes"),
-		gens:      o.Obs.Counter("generations"),
-		corrupt:   o.Obs.Counter("corrupt_detected"),
-		retriesC:  o.Obs.Counter("retries"),
-		skips:     o.Obs.Counter("commit_failures"),
-		transferB: o.Obs.Counter("transfer_bytes"),
+		bytes:    o.Obs.Counter("dur_bytes"),
+		gens:     o.Obs.Counter("generations"),
+		corrupt:  o.Obs.Counter("corrupt_detected"),
+		retriesC: o.Obs.Counter("retries"),
+		skips:    o.Obs.Counter("commit_failures"),
 	}
 	if err := s.fs.MkdirAll(dir); err != nil {
 		return nil, fmt.Errorf("dur: open store: %w", err)
@@ -521,52 +525,6 @@ func (s *Store) quarantine(gen uint64) {
 	}
 }
 
-// Transfer round-trips a migration's checkpoint bytes through the store:
-// the bytes are committed as a framed transfer artifact (same atomic
-// protocol as generations), read back, verified, and returned — so a
-// shard migration's "byte copy" is a genuine durable transport, with the
-// same retry/verification behavior checkpoint commits get.
-func (s *Store) Transfer(frag string, shard int, ckpt []byte) ([]byte, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	path := filepath.Join(s.dir, fmt.Sprintf("transfer-%s-%d.bin", sanitizeName(frag), shard))
-	if err := s.writeFileAtomic(path, temporal.AppendFrame(nil, ckpt)); err != nil {
-		return nil, fmt.Errorf("dur: transfer %s/%d: %w", frag, shard, err)
-	}
-	var out []byte
-	err := s.retry(func() error {
-		data, err := s.readFile(path)
-		if err != nil {
-			return err
-		}
-		payload, rest, err := temporal.DecodeFrame(data)
-		if err != nil {
-			return err
-		}
-		if len(rest) != 0 {
-			return fmt.Errorf("transfer artifact: %d trailing bytes", len(rest))
-		}
-		out = payload
-		return nil
-	})
-	_ = s.fs.Remove(path)
-	if err != nil {
-		return nil, fmt.Errorf("dur: transfer %s/%d read-back: %w", frag, shard, err)
-	}
-	s.transferB.Add(int64(len(out)))
-	return out, nil
-}
-
-func sanitizeName(s string) string {
-	return strings.Map(func(r rune) rune {
-		switch {
-		case r >= 'a' && r <= 'z', r >= 'A' && r <= 'Z', r >= '0' && r <= '9', r == '-', r == '_', r == '.':
-			return r
-		}
-		return '_'
-	}, s)
-}
-
 // ---- snapshot encoding ----
 
 // encodeSnapshot lays snap out as frames: a header record, one record
@@ -580,6 +538,7 @@ func encodeSnapshot(gen uint64, snap *Snapshot) []byte {
 	w.Uvarint(gen)
 	w.Varint(int64(snap.Wave))
 	w.Uvarint(uint64(snap.Waves))
+	w.Uvarint(uint64(snap.Machines))
 	w.Uvarint(uint64(len(snap.Parts)))
 	w.Uvarint(uint64(len(snap.Offsets)))
 	for _, o := range snap.Offsets {
@@ -612,15 +571,19 @@ func decodeSnapshot(gen uint64, wave temporal.Time, waves int, data []byte) (*Sn
 		return nil, fmt.Errorf("header frame: %w", err)
 	}
 	hr := temporal.NewDecoder(payload)
-	if err := hr.Expect(recHeader, "snapshot header"); err != nil {
-		return nil, err
+	tag := hr.Byte()
+	if tag != recHeader && tag != recHeaderV1 {
+		return nil, hr.Failf("expected snapshot header tag 0x%02x, found 0x%02x", recHeader, tag)
 	}
 	hgen := hr.Uvarint()
 	hwave := temporal.Time(hr.Varint())
 	hwaves := int(hr.Uvarint())
+	snap := &Snapshot{Wave: wave, Waves: waves}
+	if tag == recHeader {
+		snap.Machines = int(hr.Uvarint())
+	}
 	nparts := int(hr.Uvarint())
 	noffs := hr.Count("source offsets")
-	snap := &Snapshot{Wave: wave, Waves: waves}
 	for i := 0; i < noffs; i++ {
 		snap.Offsets = append(snap.Offsets, SourceOffset{Name: hr.String(), Pos: hr.Varint()})
 	}

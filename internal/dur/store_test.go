@@ -16,8 +16,9 @@ import (
 
 func testSnapshot(wave temporal.Time, waves int) *Snapshot {
 	return &Snapshot{
-		Wave:  wave,
-		Waves: waves,
+		Wave:     wave,
+		Waves:    waves,
+		Machines: 3,
 		Parts: []PartitionState{
 			{
 				Frag: "counts", Part: 0,
@@ -85,6 +86,40 @@ func TestDurableStoreRoundtrip(t *testing.T) {
 	}
 	if got := sc.Counter("dur_bytes").Value(); got <= 0 {
 		t.Fatalf("dur_bytes counter = %d, want > 0", got)
+	}
+}
+
+// TestDurableStoreHeaderWithoutMachines: a generation whose header was
+// written before the machine count was recorded still decodes, with
+// Machines zero, so a restore can refuse it by name instead of
+// quarantining it as corrupt.
+func TestDurableStoreHeaderWithoutMachines(t *testing.T) {
+	snap := testSnapshot(100, 3)
+	var w temporal.Encoder
+	w.Byte(recHeaderV1)
+	w.Uvarint(7)
+	w.Varint(100)
+	w.Uvarint(3)
+	w.Uvarint(uint64(len(snap.Parts)))
+	w.Uvarint(uint64(len(snap.Offsets)))
+	for _, o := range snap.Offsets {
+		w.String(o.Name)
+		w.Varint(o.Pos)
+	}
+	_, body, err := temporal.DecodeFrame(encodeSnapshot(7, snap))
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := decodeSnapshot(7, 100, 3, append(temporal.AppendFrame(nil, w.Bytes()), body...))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.Machines != 0 {
+		t.Fatalf("Machines = %d, want 0 for a header that records none", got.Machines)
+	}
+	got.Machines = snap.Machines
+	if !eqSnapshot(got, snap) {
+		t.Fatal("the rest of the generation decodes differently")
 	}
 }
 
@@ -401,33 +436,6 @@ func TestDurableStoreENOSPCSurfaces(t *testing.T) {
 	}
 	if !errors.Is(err, ErrInjected) {
 		t.Fatalf("injected fault lost its ErrInjected mark: %v", err)
-	}
-}
-
-func TestDurableStoreTransferRoundtrip(t *testing.T) {
-	dir := t.TempDir()
-	sc := obs.New("dur")
-	ffs := NewFaultFS(OS{}, FaultConfig{Rate: 0.25, Seed: 7})
-	st, err := OpenStore(dir, Options{FS: ffs, Obs: sc, Retries: 16})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ckpt := bytes.Repeat([]byte{0xE7, 0x55, 0x01}, 300)
-	got, err := st.Transfer("counts", 2, ckpt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(got, ckpt) {
-		t.Fatal("transferred checkpoint bytes differ")
-	}
-	if got := sc.Counter("transfer_bytes").Value(); got != int64(len(ckpt)) {
-		t.Fatalf("transfer_bytes = %d, want %d", got, len(ckpt))
-	}
-	names, _ := OS{}.ReadDir(dir)
-	for _, n := range names {
-		if strings.HasPrefix(n, "transfer-") && !strings.HasSuffix(n, ".tmp") {
-			t.Fatalf("transfer artifact not cleaned up: %v", names)
-		}
 	}
 }
 

@@ -32,10 +32,10 @@ func StreamingChaos(c *Context) (*Table, error) {
 		scope := obs.New("chaos")
 		ccfg := core.DefaultConfig()
 		ccfg.Obs = scope
+		ccfg.Crash = core.CrashConfig{Rate: rate, Seed: seed}
 		job, err := core.NewStreamingJob(bt.BotElimPlan(p, true), schemas,
 			core.WithMachines(c.Opt.Machines),
-			core.WithConfig(ccfg),
-			core.WithCrash(core.CrashConfig{Rate: rate, Seed: seed}))
+			core.WithConfig(ccfg))
 		if err != nil {
 			return nil, nil, 0, err
 		}

@@ -1,4 +1,4 @@
-// Package serve is the elastic serving tier behind `timr serve`: a
+// Package serve is the serving tier behind `timr serve`: a
 // long-running scoring service that joins arriving ad impressions
 // against the trained BT models through the streaming execution of
 // ScorePlan (the paper's M3 loop — "we can generate a prediction
@@ -11,9 +11,8 @@
 // into the left input, measuring per-impression scoring latency —
 // arrival to incremental delivery — on an obs histogram, and reporting
 // p50/p99 together with sustained events/s per partition. The serving
-// job is an ordinary StreamingJob, so admission control (WithIntake),
-// crash chaos (WithCrash) and elastic placement (WithRebalance) all
-// compose with serving unchanged.
+// job is an ordinary StreamingJob on a fixed shard space of Machines
+// hash partitions, whose waves run the partitions in parallel.
 package serve
 
 import (
@@ -51,8 +50,7 @@ type Config struct {
 	Machines int
 	// WaveEvery is the event time between punctuation waves (default:
 	// 1/64 of the request schedule's span, so a run sees ~64 waves).
-	// Shorter waves deliver scores — and run the rebalance policy —
-	// more often.
+	// Shorter waves deliver scores more often.
 	WaveEvery temporal.Time
 
 	// Rate, when positive, paces arrivals at this many per wall-clock
@@ -63,18 +61,10 @@ type Config struct {
 	// serving loop, and hands arrivals over through the intake queue.
 	Rate float64
 	// Queue is the bounded intake queue depth (default 256). A full queue
-	// blocks the generator goroutine — the blocking face of backpressure,
-	// complementing the non-blocking TryFeed. Unpaced, the generator
-	// outpaces the loop, so the queue runs full and a request's latency
-	// includes its wait in it.
+	// blocks the generator goroutine: that is the service's one form of
+	// backpressure. Unpaced, the generator outpaces the loop, so the queue
+	// runs full and a request's latency includes its wait in it.
 	Queue int
-
-	// Rebalance, when set, enables elastic placement (see
-	// core.WithRebalance).
-	Rebalance *core.RebalanceConfig
-	// Intake, when positive, bounds per-source admission per wave (see
-	// core.WithIntake).
-	Intake int
 
 	// Obs receives serving metrics (latency histogram, streaming stage
 	// counters). Defaults to a fresh "serve" scope.
@@ -121,10 +111,6 @@ type Report struct {
 	EventsPerSec float64 // impressions scored per wall-clock second
 	Partitions   int     // shards of the scoring stage
 	PerPartition float64 // EventsPerSec / Partitions
-
-	Workers    map[string]int // final worker count per stage
-	Migrations int            // shard transfers performed by the policy
-	Deferred   int64          // events admitted over the intake budget
 
 	// Planted-ground-truth sanity: a model that learned anything scores
 	// clicked impressions above unclicked ones on average.
@@ -206,7 +192,7 @@ type timedReq struct {
 // Run drives one serving session and returns its report plus the
 // coalesced score events (for differential tests: the delivered scores
 // are deterministic in the dataset and load config, whatever the
-// pacing, placement, or chaos). With DurDir set, Run is also the
+// pacing or machine count). With DurDir set, Run is also the
 // restart path: if the directory holds a committed generation from an
 // earlier (killed) process, the job resumes from it.
 func (s *Server) Run() (*Report, []temporal.Event, error) {
@@ -258,12 +244,6 @@ func (s *Server) run(killAfter int) (*Report, []temporal.Event, error) {
 		core.WithMachines(cfg.Machines),
 		core.WithConfig(streamCfg),
 		core.WithOnEvent(onEvent),
-	}
-	if cfg.Rebalance != nil {
-		opts = append(opts, core.WithRebalance(*cfg.Rebalance))
-	}
-	if cfg.Intake > 0 {
-		opts = append(opts, core.WithIntake(cfg.Intake))
 	}
 	plan := bt.ScorePlan(s.params, true)
 	schemas := map[string]*temporal.Schema{
@@ -373,7 +353,6 @@ func (s *Server) run(killAfter int) (*Report, []temporal.Event, error) {
 	if secs := rep.Duration.Seconds(); secs > 0 {
 		rep.EventsPerSec = float64(rep.Scored) / secs
 	}
-	rep.Workers = job.Workers()
 	for _, n := range job.Partitions() {
 		if n > rep.Partitions {
 			rep.Partitions = n
@@ -381,12 +360,6 @@ func (s *Server) run(killAfter int) (*Report, []temporal.Event, error) {
 	}
 	if rep.Partitions > 0 {
 		rep.PerPartition = rep.EventsPerSec / float64(rep.Partitions)
-	}
-	rep.Migrations = len(job.Migrations())
-	for _, p := range cfg.Obs.Snapshot() {
-		if p.Name == "deferred_events" {
-			rep.Deferred += p.Value
-		}
 	}
 	if nClicked > 0 {
 		rep.MeanScoreClicked = sumClicked / float64(nClicked)
@@ -447,11 +420,11 @@ func (r *Report) String() string {
 	return fmt.Sprintf(
 		"serve: requests=%d impressions=%d scored=%d rows=%d duration=%s\n"+
 			"serve: p50_us=%d p99_us=%d max_us=%d\n"+
-			"serve: events_per_sec=%.1f partitions=%d events_per_sec_per_partition=%.1f migrations=%d deferred=%d\n"+
+			"serve: events_per_sec=%.1f partitions=%d events_per_sec_per_partition=%.1f\n"+
 			"serve: mean_score_clicked=%.4f mean_score_unclicked=%.4f",
 		r.Requests, r.Impressions, r.Scored, r.RowsFed, r.Duration.Round(time.Millisecond),
 		r.P50.Microseconds(), r.P99.Microseconds(), r.MaxLatency.Microseconds(),
-		r.EventsPerSec, r.Partitions, r.PerPartition, r.Migrations, r.Deferred,
+		r.EventsPerSec, r.Partitions, r.PerPartition,
 		r.MeanScoreClicked, r.MeanScoreUnclicked,
 	)
 }

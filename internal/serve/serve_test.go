@@ -73,33 +73,30 @@ func TestServeScoresArrivals(t *testing.T) {
 
 func TestServeDeterministicAcrossPlacementAndChaos(t *testing.T) {
 	// The delivered scores are a pure function of dataset + load config:
-	// pacing, elastic placement, and admission bounds must not change a
+	// neither the machine count (the shard space) nor pacing may change a
 	// byte of output.
 	srv, err := Prepare(testConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, static, err := srv.Run()
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	cfg := testConfig()
-	cfg.Rebalance = &core.RebalanceConfig{SplitAbove: 50, MergeBelow: 4, MaxWorkers: 4}
-	cfg.Intake = 64
-	elastic, err := Prepare(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rep, got, err := elastic.Run()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !temporal.EventsEqual(got, static) {
-		t.Fatalf("elastic serving diverges: %d vs %d events", len(got), len(static))
-	}
-	if rep.Migrations == 0 {
-		t.Log("note: rebalance policy performed no migrations at this load")
+	var ref []temporal.Event
+	for _, machines := range []int{1, 4, 7} {
+		for _, rate := range []float64{0, 50_000} {
+			run := *srv
+			run.cfg.Machines, run.cfg.Rate = machines, rate
+			rep, got, err := run.Run()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if ref == nil {
+				ref = got
+			} else if !temporal.EventsEqual(got, ref) {
+				t.Fatalf("%d machines, rate %v: %d vs %d events", machines, rate, len(got), len(ref))
+			}
+			if machines > 1 && rep.Partitions < 2 {
+				t.Fatalf("%d machines ran %d partitions; the shard space is not varied", machines, rep.Partitions)
+			}
+		}
 	}
 }
 

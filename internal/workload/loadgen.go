@@ -17,8 +17,7 @@ import (
 // feature rows (Time, UserId, AdId, Clicked, Keyword, KwCount) that the
 // reducer would produce. Searches and impressions interleave on one
 // deterministic arrival schedule, and users are drawn Zipf-skewed so a
-// hot head of users concentrates load on few partitions — the imbalance
-// the elastic placement policy exists to absorb.
+// hot head of users concentrates load on few partitions.
 //
 // The generator is open-loop: arrival times are fixed up front
 // (Seq → Start + Seq·TickEvery in event time; the serve tier maps
@@ -93,7 +92,7 @@ type Request struct {
 // LoadGen produces the deterministic arrival sequence. Determinism is
 // in (dataset, config, call order): two generators over the same inputs
 // yield byte-identical request streams, which is what makes serve
-// benchmarks and the migration differential reproducible.
+// benchmarks and the serve differentials reproducible.
 type LoadGen struct {
 	cfg  LoadConfig
 	ads  []AdClass
