@@ -34,6 +34,11 @@ type Stage struct {
 	NumPartitions int
 	// Partition maps a row (from input src) to a partition key hash.
 	// Rows with equal hashes meet in the same reducer invocation.
+	//
+	// The row given to Partition, MultiPartition and RunKey is valid only
+	// during the call: a spilled input segment is decoded frame by frame
+	// into one scratch row that the next frame overwrites, its strings
+	// reading the segment's bytes in place. Copy what must outlive the call.
 	Partition func(r Row, src int) uint64
 	// PartitionCols, when set instead of Partition, declares the key
 	// columns per input source: the declarative form of
@@ -43,7 +48,8 @@ type Stage struct {
 	// MultiPartition, when set, supersedes Partition and may replicate a
 	// row into several partitions (given directly as partition indexes in
 	// [0, NumPartitions)). TiMR's temporal partitioning uses this: events
-	// in a span-overlap region belong to both adjacent spans (§III-B).
+	// in a span-overlap region belong to both adjacent spans (§III-B). r is
+	// valid only during the call (see Partition).
 	MultiPartition func(r Row, src int, nparts int) []int
 	Reduce         Reducer
 	// ReduceSegments, when set, supersedes Reduce: the reducer receives
@@ -61,7 +67,8 @@ type Stage struct {
 	// ordered by (per source). The map phase uses it to annotate every
 	// shuffle run's Segment.Sorted flag inline, which is the only moment
 	// sortedness can be established without re-reading a spilled run.
-	// When nil, runs are conservatively marked unsorted.
+	// When nil, runs are conservatively marked unsorted. r is valid only
+	// during the call (see Partition).
 	RunKey func(r Row, src int) int64
 }
 
@@ -402,15 +409,38 @@ const mapChunkRows = 64 << 10
 type mapTask struct {
 	src  int
 	rows []Row   // resident input chunk …
-	seg  Segment // … or a spilled segment, decoded by the worker
+	seg  Segment // … or a spilled segment, read by the worker as row frames
 
-	buckets      [][]Row // per destination partition, filled by the worker
-	bucketBytes  []int   // RowBytes per bucket (budget accounting)
-	bucketSorted []bool  // per-bucket RunKey order, nil when RunKey unset
-	bytes        int     // shuffle bytes produced (RowBytes per destination copy)
-	dups         int     // shuffle rows produced (>= input rows under MultiPartition)
+	// Per destination partition, filled by the worker: a resident chunk's
+	// rows, or a spilled segment's row frames copied verbatim (its rows are
+	// decoded only to route them, and not kept).
+	buckets      [][]Row
+	frames       [][]byte
+	counts       []int  // rows per bucket
+	bucketBytes  []int  // RowBytes per bucket (budget accounting)
+	bucketSorted []bool // per-bucket RunKey order, nil when RunKey unset
+	bytes        int    // shuffle bytes produced (RowBytes per destination copy)
+	dups         int    // shuffle rows produced (>= input rows under MultiPartition)
 	stat         TaskStat
 	err          error // user partition-fn panic or spill I/O, isolated by the worker
+}
+
+// bucketRows returns bucket p as rows, decoding a spilled task's frames
+// (the bucket stays resident, so its rows must own their bytes).
+func (t *mapTask) bucketRows(p int) ([]Row, error) {
+	if t.frames == nil {
+		return t.buckets[p], nil
+	}
+	return decodeFrames(t.frames[p], t.counts[p])
+}
+
+// evict drops bucket p once the walk has placed it.
+func (t *mapTask) evict(p int) {
+	if t.frames != nil {
+		t.frames[p] = nil
+	} else {
+		t.buckets[p] = nil
+	}
 }
 
 // workers resolves the worker-pool size for a phase with n parallel
@@ -437,17 +467,38 @@ func (c *Cluster) workers(n int) int {
 // runMapTask partitions one task's rows into per-destination buckets,
 // tracking per-bucket byte volume and (when the stage declares a
 // RunKey) whether each bucket remains sorted by it — the only moment
-// run sortedness can be recorded without re-reading the run.
+// run sortedness can be recorded without re-reading the run. A spilled
+// segment is read with one ReadAt and never materialized: each frame is
+// decoded into one scratch row to call the stage's functions on, and the
+// frame itself is copied into its bucket, so a bucket that spills again
+// is written without re-encoding.
 func runMapTask(s *Stage, t *mapTask, nparts int) error {
-	rows := t.rows
-	if rows == nil && t.seg.Len() > 0 {
+	n := len(t.rows)
+	var data []byte
+	var fr frameReader
+	if t.seg.Spilled() {
 		var err error
-		if rows, err = t.seg.Materialize(); err != nil {
+		if data, err = t.seg.readFrames(); err != nil {
 			return err
 		}
+		n = t.seg.Len()
+		fr = frameReader{data: data, left: n}
+		t.frames = make([][]byte, nparts)
+	} else {
+		t.buckets = make([][]Row, nparts)
 	}
-	t.stat.Rows = len(rows)
-	t.buckets = make([][]Row, nparts)
+	// input returns input row i, its RowBytes and, for a spilled segment,
+	// its frame. Frames are read in order, so i counts up from 0, and a
+	// frame's row is the reader's scratch row, valid until the next call.
+	input := func(i int) (Row, int, []byte, error) {
+		if t.frames == nil {
+			r := t.rows[i]
+			return r, RowBytes(r), nil, nil
+		}
+		return fr.next()
+	}
+	t.stat.Rows = n
+	t.counts = make([]int, nparts)
 	t.bucketBytes = make([]int, nparts)
 	var bucketLast []int64
 	if s.RunKey != nil {
@@ -458,44 +509,79 @@ func runMapTask(s *Stage, t *mapTask, nparts int) error {
 		bucketLast = make([]int64, nparts)
 	}
 	// account tallies row r under bucket p; counts[p] rows went there so far.
-	counts := make([]int, nparts)
 	account := func(p int, r Row, b int) {
 		if bucketLast != nil {
 			key := s.RunKey(r, t.src)
-			if counts[p] > 0 && key < bucketLast[p] {
+			if t.counts[p] > 0 && key < bucketLast[p] {
 				t.bucketSorted[p] = false
 			}
 			bucketLast[p] = key
 		}
-		counts[p]++
+		t.counts[p]++
 		t.bucketBytes[p] += b
 		t.dups++
 		t.bytes += b
 	}
 	if s.MultiPartition != nil {
 		// Bucket sizes are unknown until the user function has run: grow.
-		for _, r := range rows {
-			b := RowBytes(r)
+		for i := 0; i < n; i++ {
+			r, b, frame, err := input(i)
+			if err != nil {
+				return err
+			}
 			for _, p := range s.MultiPartition(r, t.src, nparts) {
 				account(p, r, b)
-				t.buckets[p] = append(t.buckets[p], r)
+				if frame != nil {
+					t.frames[p] = append(t.frames[p], frame...)
+				} else {
+					t.buckets[p] = append(t.buckets[p], r)
+				}
 			}
 		}
-		return nil
+		return fr.done()
 	}
 	// One destination per row: account first, remembering destinations,
 	// then scatter into buckets allocated once at their final size.
-	dest := make([]int32, len(rows))
-	for i, r := range rows {
+	dest := make([]int32, n)
+	var frameBytes []int
+	if t.frames != nil {
+		frameBytes = make([]int, nparts)
+	}
+	for i := 0; i < n; i++ {
+		r, b, frame, err := input(i)
+		if err != nil {
+			return err
+		}
 		p := int(s.Partition(r, t.src) % uint64(nparts))
 		dest[i] = int32(p)
-		account(p, r, RowBytes(r))
+		account(p, r, b)
+		if frame != nil {
+			frameBytes[p] += len(frame)
+		}
 	}
-	for p, n := range counts {
-		t.buckets[p] = make([]Row, 0, n)
+	if t.frames == nil {
+		for p, c := range t.counts {
+			t.buckets[p] = make([]Row, 0, c)
+		}
+		for i, r := range t.rows {
+			t.buckets[dest[i]] = append(t.buckets[dest[i]], r)
+		}
+		return nil
 	}
-	for i, r := range rows {
-		t.buckets[dest[i]] = append(t.buckets[dest[i]], r)
+	if err := fr.done(); err != nil {
+		return err
+	}
+	// The frames were checked on the first pass; the second only splits
+	// them off again.
+	for p, nb := range frameBytes {
+		if nb > 0 {
+			t.frames[p] = make([]byte, 0, nb)
+		}
+	}
+	fr = frameReader{data: data, left: n}
+	for i := 0; i < n; i++ {
+		frame, _, _ := fr.skip()
+		t.frames[dest[i]] = append(t.frames[dest[i]], frame...)
 	}
 	return nil
 }
@@ -654,6 +740,7 @@ func (c *Cluster) runStageFiles(s *Stage, files *stageFiles) (*StageStat, error)
 	budget := c.Cfg.MemoryBudget
 	parts := make([][][]Segment, nparts)
 	var resident int64
+	var enc []byte // encoding scratch for resident rows that spill
 	for p := 0; p < nparts; p++ {
 		parts[p] = make([][]Segment, len(s.Inputs))
 		for src := range s.Inputs {
@@ -661,14 +748,19 @@ func (c *Cluster) runStageFiles(s *Stage, files *stageFiles) (*StageStat, error)
 				if t.src != src {
 					continue
 				}
-				if len(t.buckets[p]) == 0 {
+				if t.counts[p] == 0 {
 					continue
 				}
 				sorted := t.bucketSorted != nil && t.bucketSorted[p]
 				keep := budget == 0 || (budget > 0 && resident+int64(t.bucketBytes[p]) <= budget)
 				if keep {
+					rows, err := t.bucketRows(p)
+					if err != nil {
+						return stat, err
+					}
+					t.evict(p)
 					resident += int64(t.bucketBytes[p])
-					parts[p][src] = append(parts[p][src], ResidentSegment(t.buckets[p], sorted))
+					parts[p][src] = append(parts[p][src], ResidentSegment(rows, sorted))
 					continue
 				}
 				// Shuffle runs are consumed only by this stage's reducers;
@@ -677,8 +769,15 @@ func (c *Cluster) runStageFiles(s *Stage, files *stageFiles) (*StageStat, error)
 				if err != nil {
 					return stat, err
 				}
-				seg, err := sf.writeSegment(t.buckets[p], sorted)
-				t.buckets[p] = nil // evicted
+				var frames []byte
+				if t.frames != nil {
+					frames = t.frames[p] // copied from a spilled input as they are
+				} else {
+					enc = appendFrames(enc[:0], t.buckets[p])
+					frames = enc
+				}
+				seg, err := sf.writeSegment(frames, t.counts[p], sorted)
+				t.evict(p)
 				if err != nil {
 					return stat, err
 				}
@@ -692,7 +791,7 @@ func (c *Cluster) runStageFiles(s *Stage, files *stageFiles) (*StageStat, error)
 		stat.ShuffleBytes += t.bytes
 		stat.Maps = append(stat.Maps, t.stat)
 		// Resident runs stay referenced by their segments.
-		t.buckets = nil
+		t.buckets, t.frames = nil, nil
 	}
 
 	// ---- Reduce phase: run reducers on a bounded worker pool ----
@@ -823,7 +922,8 @@ func (c *Cluster) runStageFiles(s *Stage, files *stageFiles) (*StageStat, error)
 			if err != nil {
 				return stat, err
 			}
-			seg, err := of.writeSegment(chunk, false)
+			enc = appendFrames(enc[:0], chunk)
+			seg, err := of.writeSegment(enc, len(chunk), false)
 			if err != nil {
 				return stat, err
 			}

@@ -19,7 +19,9 @@ import (
 // either resident (a []Row) or spilled to a temp file. Spilled segments
 // are streams of length-prefixed rows in the shared binary row codec
 // (internal/temporal/codec.go), the same encoding operator checkpoints
-// use, so one codec serves both persistence layers.
+// use, so one codec serves both persistence layers. Reducers stream a
+// spilled segment through a RowReader; a map task reads it whole and
+// routes its frames without materializing rows (frameReader).
 //
 // Spill is a budget decision, not a correctness one: the row order a
 // consumer observes through a RowReader is identical whether a segment
@@ -90,40 +92,43 @@ func createSpillFile(fs dur.FS, dir string, acct *spillIO) (*spillFile, error) {
 	}, nil
 }
 
-// writeSegment appends rows as one spilled segment and returns it.
-func (sf *spillFile) writeSegment(rows []Row, sorted bool) (Segment, error) {
+// writeSegment appends n row frames as one spilled segment and returns
+// it. frames is written as given, in one Write: it is either a map task's
+// bucket of frames copied verbatim from a spilled input, or rows encoded
+// by appendFrames.
+func (sf *spillFile) writeSegment(frames []byte, n int, sorted bool) (Segment, error) {
 	sf.mu.Lock()
 	defer sf.mu.Unlock()
 	if sf.w == nil {
 		return Segment{}, fmt.Errorf("mapreduce: spill file %s already sealed for reading", sf.path)
 	}
 	start := sf.off
-	var enc temporal.Encoder
-	var hdr [binary.MaxVarintLen64]byte
-	for _, r := range rows {
-		enc.Reset()
-		enc.Row(r)
-		n := binary.PutUvarint(hdr[:], uint64(enc.Len()))
-		if _, err := sf.w.Write(hdr[:n]); err != nil {
-			return Segment{}, fmt.Errorf("mapreduce: spill write: %w", err)
-		}
-		if _, err := sf.w.Write(enc.Bytes()); err != nil {
-			return Segment{}, fmt.Errorf("mapreduce: spill write: %w", err)
-		}
-		sf.off += int64(n) + int64(enc.Len())
+	if _, err := sf.w.Write(frames); err != nil {
+		return Segment{}, fmt.Errorf("mapreduce: spill write: %w", err)
 	}
-	size := sf.off - start
+	sf.off += int64(len(frames))
 	sf.io.segments.Add(1)
-	sf.io.bytes.Add(size)
-	return Segment{file: sf, off: start, size: size, n: len(rows), sorted: sorted}, nil
+	sf.io.bytes.Add(int64(len(frames)))
+	return Segment{file: sf, off: start, size: int64(len(frames)), n: n, sorted: sorted}, nil
+}
+
+// appendFrames appends one row frame per row to dst: uvarint(len)
+// followed by the codec's row bytes, len being the row's RowBytes.
+func appendFrames(dst []byte, rows []Row) []byte {
+	for _, r := range rows {
+		dst = binary.AppendUvarint(dst, uint64(RowBytes(r)))
+		dst = temporal.AppendRow(dst, r)
+	}
+	return dst
 }
 
 // seal flushes buffered writes, fsyncs the file, and switches it to
-// read mode. The sync matters: a sealed segment may be re-read long
-// after the writing stage finished, and an OS crash in between must not
-// be able to feed a reducer a hole where its shuffle run was. Flush and
-// sync failures are wrapped distinctly so callers can tell a full
-// buffer drain from a storage-layer refusal.
+// read mode. A spill file never outlives its process (and stale spill
+// dirs are swept), so the sync is not there for crash durability: it
+// makes deferred write-back failures (ENOSPC, EIO) surface here, as a
+// distinct "spill sync" error, before any segment is read back. Flush and
+// sync failures are wrapped distinctly so callers can tell a full buffer
+// drain from a storage-layer refusal.
 func (sf *spillFile) seal() error {
 	sf.mu.Lock()
 	defer sf.mu.Unlock()
@@ -231,6 +236,110 @@ func (s *Segment) Materialize() ([]Row, error) {
 // Open returns a pull iterator over the segment's rows.
 func (s *Segment) Open() *RowReader { return NewRowReader(*s) }
 
+// readFrames reads a spilled segment's whole byte range, its row frames,
+// with one ReadAt into a buffer of its own.
+func (s *Segment) readFrames() ([]byte, error) {
+	if err := s.file.seal(); err != nil {
+		return nil, err
+	}
+	buf := make([]byte, s.size)
+	t0 := time.Now()
+	n, err := s.file.f.ReadAt(buf, s.off)
+	s.file.io.readBytes.Add(int64(n))
+	s.file.io.readNs.Add(int64(time.Since(t0)))
+	if n < len(buf) {
+		if err == nil || err == io.EOF {
+			err = io.ErrUnexpectedEOF
+		}
+		return nil, fmt.Errorf("mapreduce: spill read: %w", err)
+	}
+	return buf, nil
+}
+
+// frameReader walks the row frames of a spilled segment held in memory.
+// Every length it reads is checked against the bytes left, so corrupt
+// input fails with an error, never with a panic or an out-of-range slice.
+type frameReader struct {
+	data []byte // frames not read yet
+	left int    // frames still expected
+	dec  temporal.Decoder
+	row  Row // scratch row that next decodes into
+}
+
+// skip splits off the next frame without decoding it: the whole frame,
+// length prefix included, and its row payload.
+func (fr *frameReader) skip() (frame, body []byte, err error) {
+	if fr.left <= 0 {
+		return nil, nil, errors.New("mapreduce: spill read: segment holds more frames than its row count")
+	}
+	ln, k := binary.Uvarint(fr.data)
+	if k <= 0 {
+		return nil, nil, fmt.Errorf("mapreduce: spill read: bad frame length prefix (%d frames short)", fr.left)
+	}
+	if ln > uint64(len(fr.data)-k) {
+		return nil, nil, fmt.Errorf("mapreduce: spill frame of %d bytes overruns its segment (%d bytes left, corrupt spill file)", ln, len(fr.data)-k)
+	}
+	end := k + int(ln)
+	frame, body = fr.data[:end], fr.data[k:end]
+	fr.data = fr.data[end:]
+	fr.left--
+	return frame, body, nil
+}
+
+// next splits off the next frame and decodes its row into the reader's
+// scratch row, which the following call overwrites; string values alias
+// the segment's bytes (temporal.Decoder.RowView). It returns the row, its
+// RowBytes and the whole frame, length prefix included. A frame must be
+// exactly what appendFrames writes for the row it decodes to, so the
+// payload length is the row's RowBytes and the frame can be copied into a
+// spill file in place of re-encoding the row.
+func (fr *frameReader) next() (row Row, size int, frame []byte, err error) {
+	frame, body, err := fr.skip()
+	if err != nil {
+		return nil, 0, nil, err
+	}
+	fr.dec.Reset(body)
+	fr.row = fr.dec.RowView(fr.row)
+	if err := fr.dec.Done(); err != nil {
+		return nil, 0, nil, err
+	}
+	var hdr [binary.MaxVarintLen64]byte
+	if len(body) != RowBytes(fr.row) || len(frame)-len(body) != len(binary.AppendUvarint(hdr[:0], uint64(len(body)))) {
+		return nil, 0, nil, errors.New("mapreduce: spill read: frame is not the canonical encoding of its row (corrupt spill file)")
+	}
+	return fr.row, len(body), frame, nil
+}
+
+// done fails unless every frame and every byte was read.
+func (fr *frameReader) done() error {
+	if fr.left != 0 || len(fr.data) != 0 {
+		return fmt.Errorf("mapreduce: spill read: segment ends with %d frames unread and %d bytes left over (corrupt spill file)", fr.left, len(fr.data))
+	}
+	return nil
+}
+
+// decodeFrames decodes n row frames into rows that own their values and
+// strings: a kept bucket of a map task over a spilled input.
+func decodeFrames(frames []byte, n int) ([]Row, error) {
+	fr := frameReader{data: frames, left: n}
+	rows := make([]Row, n)
+	for i := range rows {
+		_, body, err := fr.skip()
+		if err != nil {
+			return nil, err
+		}
+		fr.dec.Reset(body)
+		rows[i] = fr.dec.Row()
+		if err := fr.dec.Done(); err != nil {
+			return nil, err
+		}
+	}
+	if err := fr.done(); err != nil {
+		return nil, err
+	}
+	return rows, nil
+}
+
 // SpillRows writes rows as one spilled segment into a fresh temp file
 // under dir, created through fs (nil: the real OS), returning the segment
 // and a release func that closes and deletes the file. It exists for tests
@@ -242,7 +351,7 @@ func SpillRows(fs dur.FS, dir string, rows []Row, sorted bool) (Segment, func() 
 	if err != nil {
 		return Segment{}, nil, err
 	}
-	seg, err := sf.writeSegment(rows, sorted)
+	seg, err := sf.writeSegment(appendFrames(nil, rows), len(rows), sorted)
 	if err != nil {
 		sf.close()
 		return Segment{}, nil, err

@@ -34,7 +34,7 @@ func TestSpillWriteENOSPCSurfaces(t *testing.T) {
 		}
 		// A run larger than the 64KB bufio layer forces real file writes,
 		// which hit the injected ENOSPC.
-		_, werr := sf.writeSegment(rows, false)
+		_, werr := sf.writeSegment(appendFrames(nil, rows), len(rows), false)
 		if werr == nil {
 			werr = sf.seal()
 		}
@@ -60,7 +60,7 @@ func TestSpillSealSurfacesSyncFailure(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer sf.close()
-	if _, err := sf.writeSegment([]Row{spillRow(1)}, false); err != nil {
+	if _, err := sf.writeSegment(appendFrames(nil, []Row{spillRow(1)}), 1, false); err != nil {
 		t.Fatal(err)
 	}
 	err = sf.seal()

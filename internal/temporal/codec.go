@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math/bits"
+	"unsafe"
 )
 
 // The shared binary row codec: a compact, deterministic, stdlib-varint
@@ -127,6 +128,14 @@ func (w *Encoder) Row(r Row) {
 	}
 }
 
+// AppendRow appends the bytes Encoder.Row writes for r to dst and returns
+// the extended slice.
+func AppendRow(dst []byte, r Row) []byte {
+	w := Encoder{buf: dst}
+	w.Row(r)
+	return w.buf
+}
+
 // Event appends one event (lifetime + payload).
 func (w *Encoder) Event(e Event) {
 	w.Varint(e.LE)
@@ -246,22 +255,30 @@ func (r *Decoder) Count(what string) int {
 }
 
 // String reads a length-prefixed string.
-func (r *Decoder) String() string {
+func (r *Decoder) String() string { return string(r.bytes()) }
+
+// bytes reads a length-prefixed byte string and returns it in place, a
+// sub-slice of the input.
+func (r *Decoder) bytes() []byte {
 	n := r.Uvarint()
 	if r.err != nil {
-		return ""
+		return nil
 	}
 	if n > uint64(r.remaining()) {
 		r.fail("string length %d exceeds remaining %d bytes", n, r.remaining())
-		return ""
+		return nil
 	}
-	s := string(r.data[r.pos : r.pos+int(n)])
+	b := r.data[r.pos : r.pos+int(n)]
 	r.pos += int(n)
-	return s
+	return b
 }
 
 // Value reads one tagged value.
-func (r *Decoder) Value() Value {
+func (r *Decoder) Value() Value { return r.value(false) }
+
+// value reads one tagged value; with view set, a string value aliases the
+// input instead of owning a copy of its bytes.
+func (r *Decoder) value(view bool) Value {
 	kind := Kind(r.Byte())
 	switch kind {
 	case KindNull:
@@ -269,7 +286,11 @@ func (r *Decoder) Value() Value {
 	case KindFloat:
 		return Value{kind: KindFloat, n: r.Uvarint()}
 	case KindString:
-		return String(r.String())
+		b := r.bytes()
+		if view && len(b) > 0 {
+			return String(unsafe.String(&b[0], len(b)))
+		}
+		return String(string(b))
 	case KindInt, KindBool:
 		return Value{kind: kind, n: uint64(r.Varint())}
 	default:
@@ -289,6 +310,27 @@ func (r *Decoder) Row() Row {
 		row[i] = r.Value()
 	}
 	return row
+}
+
+// RowView reads a length-prefixed row into dst's storage, growing it only
+// when dst is too short, and returns it. Its string values alias the
+// decoder's input instead of copying it, so the row reads true only while
+// dst and that input are left unmodified. A caller that decodes row after
+// row into one scratch row allocates nothing once the scratch is as wide
+// as the widest row.
+func (r *Decoder) RowView(dst Row) Row {
+	n := r.Count("row")
+	if r.err != nil {
+		return dst[:0]
+	}
+	if cap(dst) < n {
+		dst = make(Row, n)
+	}
+	dst = dst[:n]
+	for i := range dst {
+		dst[i] = r.value(true)
+	}
+	return dst
 }
 
 // Event reads one event.
