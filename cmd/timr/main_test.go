@@ -132,4 +132,16 @@ func TestRefreshResumesFromDurdir(t *testing.T) {
 	if n := strings.Count(stdout, "refresh: day="); n != 1 || !strings.Contains(stderr, "refresh: resumed from") {
 		t.Errorf("second run: %d day lines, want exactly 1 after a resume\nstdout: %s\nstderr: %s", n, stdout, stderr)
 	}
+
+	// A full refresh recomputes from the raw log, which is not persisted:
+	// resumed, it must refuse rather than drop the days before the restart.
+	dir = filepath.Join(t.TempDir(), "full")
+	small := []string{"refresh", "-users", "300", "-keywords", "300", "-mode", "full", "-durdir", dir}
+	if _, stderr, exit := runTimr(t, bin, append(small, "-days", "2")...); exit != 0 {
+		t.Fatalf("timr refresh -mode full exited %d\n%s", exit, stderr)
+	}
+	stdout, stderr, exit = runTimr(t, bin, append(small, "-days", "3")...)
+	if exit == 0 || !strings.Contains(stderr, "full recompute needs the whole raw history") {
+		t.Errorf("resumed -mode full exited %d, want non-zero and the history error\nstdout: %s\nstderr: %s", exit, stdout, stderr)
+	}
 }

@@ -1,14 +1,17 @@
 package main
 
 // timr refresh: the incremental BT maintenance loop. Ingests a synthetic
-// log one day at a time, maintaining the pipeline's back stages from
-// mergeable summaries (click counts merge, z-tests replay exactly,
-// frozen-window models are trained once) and choosing full-vs-delta per
-// ingest with the optimizer's cost model. With -durdir every ingested
-// day commits one durable generation; rerunning the same command resumes
-// from the newest intact one — the persisted state carries the workload
-// config, so the resumed process regenerates the identical log and
-// continues where the dead one stopped.
+// log one day at a time on the delta path, maintaining the pipeline's
+// back stages from mergeable summaries (click counts merge, z-tests
+// replay exactly, frozen-window models are trained once). -mode full
+// recomputes every day from the whole retained log instead: the
+// reference the delta path is byte-identical to. With -durdir every
+// ingested day commits one durable generation; rerunning the same
+// command resumes from the newest intact one — the persisted state
+// carries the workload config, so the resumed process regenerates the
+// identical log and continues where the dead one stopped. A full
+// refresh cannot resume: the raw history it recomputes from is not
+// persisted.
 
 import (
 	"flag"
@@ -29,8 +32,6 @@ type refreshOpts struct {
 	days                 int
 	seed                 int64
 	mode                 string
-	retain               bool
-	warm                 bool
 	durdir               string
 	metrics              bool
 }
@@ -45,9 +46,7 @@ func refreshFlags(o *refreshOpts) *flag.FlagSet {
 	fs.IntVar(&o.ads, "ads", 8, "ad classes")
 	fs.IntVar(&o.days, "days", 7, "days of log to ingest, one per generation")
 	fs.Int64Var(&o.seed, "seed", 1, "workload seed")
-	fs.StringVar(&o.mode, "mode", "auto", "refresh path: auto (cost chooser), full, or delta")
-	fs.BoolVar(&o.retain, "retain", false, "retain full raw history in memory so the full path stays available")
-	fs.BoolVar(&o.warm, "warm", false, "warm-start partial-window retrains behind the lift-parity gate")
+	fs.StringVar(&o.mode, "mode", "delta", "refresh path: delta, or full (recompute from the whole log held in memory; the delta path's reference)")
 	fs.StringVar(&o.durdir, "durdir", "", "durable state directory: commit one generation per day, resume on restart")
 	fs.BoolVar(&o.metrics, "metrics", false, "print the durable-store metrics table to stderr after the run")
 	return fs
@@ -57,15 +56,13 @@ func refreshCmd(args []string) {
 	var o refreshOpts
 	refreshFlags(&o).Parse(args)
 
-	mode := bt.ModeAuto
+	var opts bt.RefreshOptions
 	switch o.mode {
-	case "auto":
-	case "full":
-		mode, o.retain = bt.ModeFull, true
 	case "delta":
-		mode = bt.ModeDelta
+	case "full":
+		opts = bt.RefreshOptions{Mode: bt.ModeFull, RetainHistory: true}
 	default:
-		log.Fatalf("refresh: unknown -mode %q (want auto, full, or delta)", o.mode)
+		log.Fatalf("refresh: unknown -mode %q (want delta or full)", o.mode)
 	}
 
 	w := workload.Config{Users: o.users, Keywords: o.keywords, AdClasses: o.ads, Days: o.days, Seed: o.seed}
@@ -73,7 +70,6 @@ func refreshCmd(args []string) {
 	p.TrainPeriod = temporal.Day
 
 	scope := obs.New("refresh")
-	opts := bt.RefreshOptions{Mode: mode, RetainHistory: o.retain, AllowWarmStart: o.warm}
 	if o.durdir != "" {
 		store, err := dur.OpenStore(o.durdir, dur.Options{Obs: scope.Child("dur")})
 		if err != nil {
@@ -114,13 +110,8 @@ func refreshCmd(args []string) {
 		if err := r.IngestDay(rows, temporal.Time(day+1)*temporal.Day); err != nil {
 			log.Fatal(err)
 		}
-		path := "full"
-		if r.LastDelta {
-			path = "delta"
-		}
-		fmt.Printf("refresh: day=%d rows=%d path=%s duration=%s models=%d warm=%d/%d\n",
-			day, len(rows), path, time.Since(start).Round(time.Millisecond),
-			len(r.State.Models), r.WarmStarts, r.WarmStarts+r.WarmRejects)
+		fmt.Printf("refresh: day=%d rows=%d path=%s duration=%s models=%d\n",
+			day, len(rows), o.mode, time.Since(start).Round(time.Millisecond), len(r.State.Models))
 		if r.DurErr != nil {
 			fmt.Fprintf(os.Stderr, "refresh: warning: day %d commit failed (%v); previous generation remains the recovery line\n", day, r.DurErr)
 		}

@@ -6,7 +6,6 @@ import (
 	"sort"
 	"time"
 
-	"timr/internal/core"
 	"timr/internal/dur"
 	"timr/internal/ml"
 	"timr/internal/temporal"
@@ -26,41 +25,27 @@ import (
 // z-tests replay exactly on the merged counts, reduced training rows
 // concatenate, and frozen-window models are trained once and reused.
 //
-// Whether an ingest runs the delta path or a full recompute is a cost
-// decision (core.Optimizer.PlanRefresh), calibrated from the previous
-// ingests' recorded stage timings. Both paths land in byte-identical
-// state (RefreshState.SummaryBytes), which the incgate drill asserts
-// daily under injected storage faults.
+// The delta path is the refresher. A full recompute from complete raw
+// history (ModeFull) is kept only as its reference: both land in
+// byte-identical state (RefreshState.SummaryBytes), which
+// TestRefreshDeltaMatchesFull asserts after every day.
 
-// RefreshMode overrides the cost chooser.
+// RefreshMode selects the refresh path.
 type RefreshMode int
 
 const (
-	ModeAuto  RefreshMode = iota // chooser decides
-	ModeFull                     // always recompute from full history
-	ModeDelta                    // always apply the day's delta
+	ModeDelta RefreshMode = iota // apply the day's delta: the refresher
+	ModeFull                     // recompute from full history: the reference
 )
 
 // RefreshOptions configure a Refresher.
 type RefreshOptions struct {
 	Mode RefreshMode
 
-	// RetainHistory keeps every ingested raw row in memory so the full
-	// path stays available; without it the chooser is forced onto the
-	// delta path (the refresher only retains Lookback history).
+	// RetainHistory keeps every ingested raw row in memory, which
+	// ModeFull recomputes from (the delta path only needs the Lookback
+	// tail the state carries).
 	RetainHistory bool
-
-	// AllowWarmStart lets the chooser initialize a partial window's
-	// retrain from the previous ingest's model for that window, with
-	// WarmEpochs passes instead of ModelEpochs. The result is kept only
-	// if its lift-curve area stays within WarmTolerance of the window's
-	// previously recorded area; otherwise the exact retrain runs.
-	AllowWarmStart bool
-	WarmEpochs     int     // default max(3, ModelEpochs/3)
-	WarmTolerance  float64 // default 0.05
-
-	// Opt prices full vs delta (nil: core.DefaultStats).
-	Opt *core.Optimizer
 
 	// Store persists one generation per ingest (nil: in-memory only).
 	Store *dur.Store
@@ -71,47 +56,25 @@ type Refresher struct {
 	State *RefreshState
 	Opts  RefreshOptions
 
-	// Choices holds the chooser's verdicts from the newest ingest, and
-	// LastDelta whether it ran the delta path.
-	Choices   []core.RefreshChoice
-	LastDelta bool
-
 	// DurErr is the newest persistence error (nil after a successful
 	// commit). Commit failure does not fail the ingest — the previous
 	// generation remains a correct, older recovery line.
 	DurErr error
-
-	// WarmStarts counts partial-window retrains that kept the warm
-	// model; WarmRejects counts warm attempts that failed the parity
-	// gate and fell back to the exact retrain.
-	WarmStarts  int
-	WarmRejects int
 
 	history []temporal.Row // full raw log, kept only with RetainHistory
 }
 
 // NewRefresher builds a refresher with empty state.
 func NewRefresher(p Params, cfg workload.Config, opts RefreshOptions) *Refresher {
-	if opts.Opt == nil {
-		opts.Opt = core.NewOptimizer(core.DefaultStats())
-	}
-	if opts.WarmEpochs <= 0 {
-		opts.WarmEpochs = p.ModelEpochs / 3
-		if opts.WarmEpochs < 3 {
-			opts.WarmEpochs = 3
-		}
-	}
-	if opts.WarmTolerance <= 0 {
-		opts.WarmTolerance = 0.05
-	}
 	return &Refresher{State: NewRefreshState(p, cfg), Opts: opts}
 }
 
 // Restore loads the newest intact persisted generation from the
 // configured store, replacing the in-memory state. Returns false when
 // the store holds none (the refresher starts empty). Raw history is not
-// persisted beyond the lookback tail, so a restored refresher runs
-// delta-only until RetainHistory re-accumulates.
+// persisted beyond the lookback tail, so a restored refresher continues
+// on the delta path only: a ModeFull ingest after a restore errors,
+// because its retained history no longer covers State.RawRows.
 func (r *Refresher) Restore() (bool, error) {
 	if r.Opts.Store == nil {
 		return false, fmt.Errorf("bt: refresher has no store to restore from")
@@ -134,34 +97,25 @@ func (r *Refresher) Restore() (bool, error) {
 }
 
 // IngestDay advances the refresher by one day of raw log rows (Time-
-// sorted, all within [previous dayEnd, dayEnd)). The chooser picks full
-// vs delta unless the mode forces one; both paths finalize rows up to
-// the new watermark dayEnd − D and leave byte-identical SummaryBytes.
+// sorted, all within [previous dayEnd, dayEnd)). Both modes finalize
+// rows up to the new watermark dayEnd − D and leave byte-identical
+// SummaryBytes.
 func (r *Refresher) IngestDay(dayRows []temporal.Row, dayEnd temporal.Time) error {
 	st := r.State
 	if newF := dayEnd - st.P.D; newF <= st.Watermark && st.Days > 0 {
 		return fmt.Errorf("bt: refresh ingest does not advance the watermark (%d -> %d)", st.Watermark, newF)
 	}
 
-	r.Choices = r.planChoices(int64(len(dayRows)))
-	delta := core.ChooseDelta(r.Choices)
-	switch r.Opts.Mode {
-	case ModeFull:
-		delta = false
-	case ModeDelta:
-		delta = true
-	}
-	if !delta && !r.Opts.RetainHistory {
-		if r.Opts.Mode == ModeFull {
-			return fmt.Errorf("bt: ModeFull requires RetainHistory")
-		}
-		delta = true
-	}
-
 	var err error
-	if delta {
+	switch {
+	case r.Opts.Mode != ModeFull:
 		err = r.ingestDelta(dayRows, dayEnd)
-	} else {
+	case !r.Opts.RetainHistory:
+		return fmt.Errorf("bt: ModeFull requires RetainHistory")
+	case int64(len(r.history)) < st.RawRows:
+		return fmt.Errorf("bt: full recompute needs the whole raw history: %d rows retained, %d ingested (a restored refresher runs delta only)",
+			len(r.history), st.RawRows)
+	default:
 		all := make([]temporal.Row, 0, len(r.history)+len(dayRows))
 		all = append(all, r.history...)
 		all = append(all, dayRows...)
@@ -170,7 +124,6 @@ func (r *Refresher) IngestDay(dayRows []temporal.Row, dayEnd temporal.Time) erro
 	if err != nil {
 		return err
 	}
-	r.LastDelta = delta
 	if r.Opts.RetainHistory {
 		r.history = append(r.history, dayRows...)
 	}
@@ -182,52 +135,12 @@ func (r *Refresher) persist() error {
 	if r.Opts.Store == nil {
 		return nil
 	}
-	payload, err := EncodeState(r.State)
+	payload, err := r.State.SummaryBytes()
 	if err != nil {
 		return err
 	}
 	r.DurErr = r.Opts.Store.CommitState(r.State.Watermark, r.State.Days, payload)
 	return nil
-}
-
-// planChoices builds the chooser's stage descriptions from the current
-// state and prices them.
-func (r *Refresher) planChoices(dayRows int64) []core.RefreshChoice {
-	st := r.State
-	tail := int64(len(st.TailRaw))
-	finalized := int64(len(st.Labeled) + len(st.Train))
-	newPerDay := finalized + dayRows // day-1 guess: front output ~ input
-	if st.Days > 0 {
-		newPerDay = finalized/int64(st.Days) + 1
-	}
-	mergeUnits := int64(len(st.Counts.Totals) + len(st.Counts.PerKw))
-	var partialRows int64
-	frozenCut := int64(st.Watermark)
-	for _, row := range st.Train {
-		if w := Window(temporal.Time(row[0].AsInt()), st.P.TrainPeriod); (w+1)*int64(st.P.TrainPeriod) > frozenCut {
-			partialRows++
-		}
-	}
-	stages := []core.RefreshStage{
-		{
-			Name:     "Front",
-			FullRows: st.RawRows + dayRows, DeltaRows: tail + dayRows,
-			Observed: st.Observation("Front"), Factor: 4.0,
-			ForceDelta: !r.Opts.RetainHistory,
-		},
-		{
-			Name:     "Counts",
-			FullRows: finalized + newPerDay, DeltaRows: newPerDay,
-			MergeUnits: mergeUnits,
-			Observed:   st.Observation("Counts"), Factor: 0.2,
-		},
-		{
-			Name:     "Model",
-			FullRows: finalized/2 + newPerDay, DeltaRows: partialRows + newPerDay,
-			Observed: st.Observation("Model"), Factor: 5.0,
-		},
-	}
-	return r.Opts.Opt.PlanRefresh(stages)
 }
 
 // rowLess is the canonical row order: column-wise integer compare, Time
@@ -274,7 +187,7 @@ func rowsInRange(rows []temporal.Row, lo, hi temporal.Time) []temporal.Row {
 // runFront executes the front stages single-node over a raw-row window,
 // recording one aggregate timing observation, and returns the labeled
 // and train output rows.
-func (r *Refresher) runFront(st *RefreshState, input []temporal.Row) (labeled, train []temporal.Row, err error) {
+func (st *RefreshState) runFront(input []temporal.Row) (labeled, train []temporal.Row, err error) {
 	ds := map[string][]temporal.Event{DSEvents: temporal.RowsToPointEvents(input, 0)}
 	start := time.Now()
 	if err := RunStagesSingleNode(st.P, FrontStages(false), ds); err != nil {
@@ -310,7 +223,7 @@ func (r *Refresher) ingestDelta(dayRows []temporal.Row, dayEnd temporal.Time) er
 	input = append(input, st.TailRaw...)
 	input = append(input, dayRows...)
 
-	labeled, train, err := r.runFront(st, input)
+	labeled, train, err := st.runFront(input)
 	if err != nil {
 		return err
 	}
@@ -322,7 +235,7 @@ func (r *Refresher) ingestDelta(dayRows []temporal.Row, dayEnd temporal.Time) er
 	st.Watermark = fNew
 	st.Days++
 	st.RawRows += int64(len(dayRows))
-	r.rebuildModels(st.Models)
+	st.rebuildModels(st.Models)
 	return nil
 }
 
@@ -334,7 +247,7 @@ func (r *Refresher) fullRecompute(allRaw []temporal.Row, dayEnd temporal.Time) e
 	ns.Timings = old.Timings
 	fNew := dayEnd - ns.P.D
 
-	labeled, train, err := r.runFront(ns, allRaw)
+	labeled, train, err := ns.runFront(allRaw)
 	if err != nil {
 		return err
 	}
@@ -343,8 +256,8 @@ func (r *Refresher) fullRecompute(allRaw []temporal.Row, dayEnd temporal.Time) e
 	ns.Watermark = fNew
 	ns.Days = old.Days + 1
 	ns.RawRows = int64(len(allRaw))
+	ns.rebuildModels(nil) // no cache: every window trains from scratch
 	r.State = ns
-	r.rebuildModels(nil) // no cache: every window trains from scratch
 	return nil
 }
 
@@ -352,10 +265,8 @@ type winAd struct{ win, ad int64 }
 
 // rebuildModels recomputes the model cache from the finalized training
 // rows: frozen windows reuse their cached model verbatim (their inputs
-// can never change), non-frozen windows retrain — exactly, or warm-
-// started behind the parity gate.
-func (r *Refresher) rebuildModels(prev []WindowModel) {
-	st := r.State
+// can never change), non-frozen windows retrain from scratch.
+func (st *RefreshState) rebuildModels(prev []WindowModel) {
 	start := time.Now()
 	selected := st.Counts.SelectFeatures(st.P)
 	reduced := ReduceRows(st.Train, selected, st.P.TrainPeriod)
@@ -380,6 +291,8 @@ func (r *Refresher) rebuildModels(prev []WindowModel) {
 	for _, m := range prev {
 		cache[winAd{m.Win, m.Ad}] = m
 	}
+	cfg := ml.DefaultLRConfig()
+	cfg.Epochs = st.P.ModelEpochs
 	var trained int64
 	models := make([]WindowModel, 0, len(keys))
 	for _, k := range keys {
@@ -389,49 +302,13 @@ func (r *Refresher) rebuildModels(prev []WindowModel) {
 		}
 		rows := groups[k]
 		trained += int64(len(rows))
-		pm, hasPrev := cache[k]
-		frozen := (k.win+1)*int64(st.P.TrainPeriod) <= int64(st.Watermark)
-		models = append(models, r.trainWindow(k, rows, frozen, pm, hasPrev))
+		models = append(models, WindowModel{
+			Win:    k.win,
+			Ad:     k.ad,
+			Frozen: (k.win+1)*int64(st.P.TrainPeriod) <= int64(st.Watermark),
+			Model:  ml.TrainLR(RowsToExamples(rows), cfg),
+		})
 	}
 	st.Models = models
 	st.RecordTiming("Model", trained, time.Since(start).Nanoseconds())
-}
-
-// trainWindow fits one (window, ad) model. The warm path runs only when
-// allowed, when the window had a previous model to start from, and is
-// kept only if its lift-curve area stays within WarmTolerance of the
-// previously recorded area.
-func (r *Refresher) trainWindow(k winAd, rows []temporal.Row, frozen bool, prev WindowModel, hasPrev bool) WindowModel {
-	exs := RowsToExamples(rows)
-	cfg := ml.DefaultLRConfig()
-	cfg.Epochs = r.State.P.ModelEpochs
-
-	if r.Opts.AllowWarmStart && hasPrev && prev.Model != nil {
-		wcfg := cfg
-		wcfg.Epochs = r.Opts.WarmEpochs
-		wm := ml.TrainLRWarm(exs, wcfg, prev.Model)
-		if area := windowArea(wm, exs); math.Abs(area-prev.Area) <= r.Opts.WarmTolerance {
-			r.WarmStarts++
-			return WindowModel{Win: k.win, Ad: k.ad, Frozen: frozen, Model: wm, Area: area}
-		}
-		r.WarmRejects++
-	}
-	m := ml.TrainLR(exs, cfg)
-	return WindowModel{Win: k.win, Ad: k.ad, Frozen: frozen, Model: m, Area: windowArea(m, exs)}
-}
-
-// windowArea scores a model on its own window's examples and integrates
-// the lift-coverage curve — the self-referential quality number the
-// warm gate compares across ingests.
-func windowArea(m *ml.Model, exs []ml.Example) float64 {
-	if len(exs) == 0 {
-		return 0
-	}
-	preds := make([]float64, len(exs))
-	labels := make([]bool, len(exs))
-	for i, ex := range exs {
-		preds[i] = m.Predict(ex.Features)
-		labels[i] = ex.Clicked
-	}
-	return ml.CurveArea(ml.LiftCoverageCurve(preds, labels, 20))
 }

@@ -3,7 +3,6 @@ package bt
 import (
 	"testing"
 
-	"timr/internal/core"
 	"timr/internal/temporal"
 	"timr/internal/workload"
 )
@@ -13,8 +12,9 @@ import (
 // accumulated state (front stages over the lookback tail only, counts
 // merged, frozen models reused), Refresh_Full recomputes the whole
 // seven-day history from scratch — the work the full path performs at
-// the same point. The BENCH trajectory tracks the ratio; the incgate
-// tests separately prove both land on byte-identical state.
+// the same point. The benchmark ledger's refresh_week workload tracks
+// the ratio (bt.delta_speedup_day3); TestRefreshDeltaMatchesFull
+// separately proves both land on byte-identical state.
 
 // benchSetup ingests the first six days on the delta path and returns
 // the encoded state plus the seventh day's rows.
@@ -28,7 +28,7 @@ func benchSetup(b *testing.B) (Params, workload.Config, []byte, *workload.Datase
 			b.Fatal(err)
 		}
 	}
-	enc, err := EncodeState(r.State)
+	enc, err := r.State.SummaryBytes()
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -46,7 +46,7 @@ func BenchmarkRefresh_Delta(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		r := &Refresher{State: st, Opts: RefreshOptions{Mode: ModeDelta, Opt: core.NewOptimizer(core.DefaultStats())}}
+		r := &Refresher{State: st}
 		b.StartTimer()
 		if err := r.IngestDay(day7, 7*temporal.Day); err != nil {
 			b.Fatal(err)

@@ -2,7 +2,7 @@ package bt
 
 import (
 	"bytes"
-	"math"
+	"fmt"
 	"os"
 	"path/filepath"
 	"sort"
@@ -86,9 +86,6 @@ func TestRefreshDeltaMatchesFull(t *testing.T) {
 		if !bytes.Equal(db, fb) {
 			t.Fatalf("day %d: delta state diverged from full recompute (%d vs %d bytes)", day, len(db), len(fb))
 		}
-		if !deltaR.LastDelta || fullR.LastDelta {
-			t.Fatalf("day %d: forced modes not honored (delta=%v full=%v)", day, deltaR.LastDelta, fullR.LastDelta)
-		}
 	}
 	st := deltaR.State
 	if st.Days != cfg.Days || len(st.Train) == 0 || len(st.Models) == 0 {
@@ -163,44 +160,61 @@ func TestRefreshSummaryMatchesEnginePipeline(t *testing.T) {
 	}
 }
 
-// The chooser: with history retained and per-row costs observed, small
-// daily deltas against a growing history must flip the decision to the
-// delta path; without history the decision is forced.
-func TestRefreshCostChooser(t *testing.T) {
+// The full path is only a reference, and it needs the whole raw log:
+// without RetainHistory it refuses to run.
+func TestRefreshFullRequiresHistory(t *testing.T) {
 	p, cfg := refreshWorkload()
-	cfg.Days = 4
+	cfg.Users = 120
+	cfg.Days = 1
 	d := workload.Generate(cfg)
-
-	auto := NewRefresher(p, cfg, RefreshOptions{RetainHistory: true})
-	ingestAllDays(t, auto, d, nil)
-	if len(auto.Choices) == 0 {
-		t.Fatal("chooser recorded no decisions")
-	}
-	if !auto.LastDelta {
-		t.Fatalf("day %d of a growing history should choose the delta path: %+v", cfg.Days, auto.Choices)
-	}
-	for _, c := range auto.Choices {
-		if c.PerRow <= 0 || c.FullCost < 0 || c.DeltaCost < 0 {
-			t.Fatalf("implausible choice pricing: %+v", c)
-		}
-	}
-	front := auto.Choices[0]
-	if front.Stage != "Front" || !front.Delta || front.DeltaCost >= front.FullCost {
-		t.Fatalf("front stage should be cheaper as delta by day 4: %+v", front)
-	}
-	if obs := auto.State.Observation("Front"); obs.PerRow() == 0 {
-		t.Fatal("front stage timings were never recorded")
-	}
-
-	noHist := NewRefresher(p, cfg, RefreshOptions{})
-	if err := noHist.IngestDay(d.DayRows(0), temporal.Day); err != nil {
-		t.Fatal(err)
-	}
-	if !noHist.LastDelta || !noHist.Choices[0].Forced {
-		t.Fatalf("without retained history the front stage must force delta: %+v", noHist.Choices[0])
-	}
 	if err := NewRefresher(p, cfg, RefreshOptions{Mode: ModeFull}).IngestDay(d.DayRows(0), temporal.Day); err == nil {
 		t.Fatal("ModeFull without RetainHistory must error")
+	}
+}
+
+// A restored refresher holds only the lookback tail of the raw log, so a
+// full recompute from it would silently drop every day ingested before
+// the restart. It must refuse instead, naming both row counts, and leave
+// the state as restored.
+func TestRefreshFullRefusesPartialHistory(t *testing.T) {
+	p, cfg := refreshWorkload()
+	cfg.Users = 120
+	cfg.Days = 3
+	d := workload.Generate(cfg)
+	dir := t.TempDir()
+
+	open := func() *dur.Store {
+		st, err := dur.OpenStore(dir, dur.Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return st
+	}
+	full := RefreshOptions{Mode: ModeFull, RetainHistory: true}
+	full.Store = open()
+	r1 := NewRefresher(p, cfg, full)
+	for day := 0; day < 2; day++ {
+		if err := r1.IngestDay(d.DayRows(day), temporal.Time(day+1)*temporal.Day); err != nil {
+			t.Fatalf("day %d: %v", day, err)
+		}
+	}
+	ingested := r1.State.RawRows
+
+	full.Store = open()
+	r2 := NewRefresher(p, cfg, full)
+	if resumed, err := r2.Restore(); err != nil || !resumed {
+		t.Fatalf("restore: resumed=%v err=%v", resumed, err)
+	}
+	before := summaryBytes(t, r2)
+	err := r2.IngestDay(d.DayRows(2), 3*temporal.Day)
+	if err == nil {
+		t.Fatalf("full recompute after a restore ran on partial history (raw rows %d, want %d + day 2)", r2.State.RawRows, ingested)
+	}
+	if msg := err.Error(); !strings.Contains(msg, "0 rows retained") || !strings.Contains(msg, fmt.Sprintf("%d ingested", ingested)) {
+		t.Fatalf("error does not name both row counts: %v", err)
+	}
+	if !bytes.Equal(summaryBytes(t, r2), before) {
+		t.Fatal("refused full recompute changed the restored state")
 	}
 }
 
@@ -317,42 +331,6 @@ func TestRefreshQuarantineFallback(t *testing.T) {
 	}
 }
 
-// Warm start: enabled, it must actually fire, every kept warm model has
-// passed the parity gate, and the final models stay close in quality to
-// the exact refresher's.
-func TestRefreshWarmStartParity(t *testing.T) {
-	p, cfg := refreshWorkload()
-	cfg.Days = 5
-	d := workload.Generate(cfg)
-
-	exact := NewRefresher(p, cfg, RefreshOptions{Mode: ModeDelta})
-	warm := NewRefresher(p, cfg, RefreshOptions{Mode: ModeDelta, AllowWarmStart: true, WarmTolerance: 0.1})
-	ingestAllDays(t, exact, d, nil)
-	ingestAllDays(t, warm, d, nil)
-
-	if warm.WarmStarts == 0 {
-		t.Fatalf("warm start never fired (rejects=%d)", warm.WarmRejects)
-	}
-	exactAreas := make(map[winAd]float64)
-	for _, m := range exact.State.Models {
-		exactAreas[winAd{m.Win, m.Ad}] = m.Area
-	}
-	compared := 0
-	for _, m := range warm.State.Models {
-		ea, ok := exactAreas[winAd{m.Win, m.Ad}]
-		if !ok {
-			continue
-		}
-		compared++
-		if diff := math.Abs(m.Area - ea); diff > 3*warm.Opts.WarmTolerance {
-			t.Fatalf("window (%d,%d): warm area %v drifted %v from exact %v", m.Win, m.Ad, m.Area, diff, ea)
-		}
-	}
-	if compared == 0 {
-		t.Fatal("no overlapping window models to compare")
-	}
-}
-
 func TestRefreshStateRoundtrip(t *testing.T) {
 	p, cfg := refreshWorkload()
 	cfg.Users = 120
@@ -361,40 +339,44 @@ func TestRefreshStateRoundtrip(t *testing.T) {
 	r := NewRefresher(p, cfg, RefreshOptions{Mode: ModeDelta})
 	ingestAllDays(t, r, d, nil)
 
-	enc, err := EncodeState(r.State)
-	if err != nil {
-		t.Fatal(err)
-	}
+	enc := summaryBytes(t, r)
 	st2, err := DecodeState(enc)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b1, err := r.State.SummaryBytes()
-	if err != nil {
-		t.Fatal(err)
-	}
-	b2, err := st2.SummaryBytes()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(b1, b2) {
-		t.Fatal("state round-trip changed SummaryBytes")
-	}
-	enc2, err := EncodeState(st2)
+	enc2, err := st2.SummaryBytes()
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(enc, enc2) {
-		t.Fatal("state round-trip changed full encoding (timings included)")
+		t.Fatal("state round-trip changed SummaryBytes")
 	}
 	if st2.P != r.State.P || st2.Cfg != r.State.Cfg || st2.Days != r.State.Days {
 		t.Fatal("state round-trip changed header fields")
 	}
 }
 
+// version1Header is the header frame of a version-1 state, the format
+// that carried model areas and a timing section.
+func version1Header() []byte {
+	var w temporal.Encoder
+	w.Byte(tagRefreshHeader)
+	w.Uvarint(1)
+	return temporal.AppendFrame(nil, w.Bytes())
+}
+
+// A version-1 state is refused by its header, with both versions named,
+// before any section is parsed.
+func TestDecodeStateRefusesVersion1(t *testing.T) {
+	_, err := DecodeState(version1Header())
+	if err == nil || !strings.Contains(err.Error(), "version 1") || !strings.Contains(err.Error(), fmt.Sprintf("version %d", refreshVersion)) {
+		t.Fatalf("version-1 state: got %v, want an error naming versions 1 and %d", err, refreshVersion)
+	}
+}
+
 // FuzzSummaryRoundtrip: DecodeState must never panic on arbitrary
 // bytes, and any state it accepts must re-encode and re-decode to the
-// same canonical bytes (both with and without timings).
+// same canonical bytes.
 func FuzzSummaryRoundtrip(f *testing.F) {
 	p, cfg := refreshWorkload()
 	cfg.Users = 12
@@ -404,26 +386,24 @@ func FuzzSummaryRoundtrip(f *testing.F) {
 	if err := r.IngestDay(d.DayRows(0), temporal.Day); err != nil {
 		f.Fatal(err)
 	}
-	if seed, err := EncodeState(r.State); err == nil {
-		f.Add(seed)
-	}
 	if seed, err := r.State.SummaryBytes(); err == nil {
 		f.Add(seed)
 	}
-	empty, err := EncodeState(NewRefreshState(p, cfg))
+	empty, err := NewRefreshState(p, cfg).SummaryBytes()
 	if err != nil {
 		f.Fatal(err)
 	}
 	f.Add(empty)
 	f.Add([]byte{})
 	f.Add([]byte{0x52, 0x01})
+	f.Add(version1Header())
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		st, err := DecodeState(data)
 		if err != nil {
 			return
 		}
-		enc, err := EncodeState(st)
+		enc, err := st.SummaryBytes()
 		if err != nil {
 			t.Fatalf("re-encode of accepted state failed: %v", err)
 		}
@@ -431,17 +411,12 @@ func FuzzSummaryRoundtrip(f *testing.F) {
 		if err != nil {
 			t.Fatalf("re-decode of canonical encoding failed: %v", err)
 		}
-		enc2, err := EncodeState(st2)
+		enc2, err := st2.SummaryBytes()
 		if err != nil {
 			t.Fatal(err)
 		}
 		if !bytes.Equal(enc, enc2) {
 			t.Fatal("canonical encoding not a fixed point")
-		}
-		s1, err1 := st.SummaryBytes()
-		s2, err2 := st2.SummaryBytes()
-		if err1 != nil || err2 != nil || !bytes.Equal(s1, s2) {
-			t.Fatal("SummaryBytes not stable across round-trip")
 		}
 	})
 }

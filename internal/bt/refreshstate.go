@@ -3,10 +3,8 @@ package bt
 import (
 	"encoding/json"
 	"fmt"
-	"math"
 	"sort"
 
-	"timr/internal/core"
 	"timr/internal/ml"
 	"timr/internal/temporal"
 	"timr/internal/workload"
@@ -27,17 +25,11 @@ type WindowModel struct {
 	Ad     int64
 	Frozen bool
 	Model  *ml.Model
-	// Area is the model's lift-curve area over its own window examples,
-	// recorded at training time — the reference the warm-start parity
-	// gate compares against.
-	Area float64
 }
 
 // StageTiming is the refresher's newest observation of one stage's
-// cost, feeding the optimizer's full-vs-delta chooser. Wall-clock
-// measurements vary run to run, so timings are excluded from
-// SummaryBytes (the canonical state digest) and only ride the
-// persisted encoding.
+// cost: in-memory instrumentation only. Wall-clock measurements vary
+// run to run, so timings are not part of the encoded state.
 type StageTiming struct {
 	Stage string
 	Rows  int64
@@ -83,15 +75,15 @@ func Lookback(p Params) temporal.Time {
 	return 2*p.Tau + p.BotHop + 2*p.D
 }
 
-// Observation returns the newest recorded timing for a stage as the
-// chooser's StageObs (zero-valued when never observed).
-func (st *RefreshState) Observation(stage string) core.StageObs {
+// Observation returns the newest recorded timing for a stage
+// (zero-valued when never observed).
+func (st *RefreshState) Observation(stage string) StageTiming {
 	for _, t := range st.Timings {
 		if t.Stage == stage {
-			return core.StageObs{Rows: t.Rows, Ns: t.Ns}
+			return t
 		}
 	}
-	return core.StageObs{}
+	return StageTiming{}
 }
 
 // RecordTiming replaces the stage's observation with a newer one.
@@ -109,12 +101,8 @@ const (
 	tagRefreshHeader byte = 0x52 // 'R'
 	tagRowSection    byte = 0x72 // 'r'
 	tagModelSection  byte = 0x6D // 'm'
-	tagTimingSection byte = 0x74 // 't'
-	refreshVersion        = 1
+	refreshVersion        = 2    // 1 carried model areas and stage timings
 )
-
-func putF64(w *temporal.Encoder, f float64) { w.Uvarint(math.Float64bits(f)) }
-func getF64(r *temporal.Decoder) float64    { return math.Float64frombits(r.Uvarint()) }
 
 func encodeRowSection(w *temporal.Encoder, rows []temporal.Row) {
 	w.Byte(tagRowSection)
@@ -147,7 +135,11 @@ func appendSection(dst []byte, fn func(w *temporal.Encoder)) []byte {
 	return temporal.AppendFrame(dst, w.Bytes())
 }
 
-func (st *RefreshState) encode(withTimings bool) ([]byte, error) {
+// SummaryBytes serializes the refresher's state: the payload each
+// ingest persists, and the canonical digest the full-vs-delta drills
+// compare — two refresh paths are equivalent iff their SummaryBytes are
+// byte-identical.
+func (st *RefreshState) SummaryBytes() ([]byte, error) {
 	pj, err := json.Marshal(st.P)
 	if err != nil {
 		return nil, fmt.Errorf("bt: encode refresh params: %w", err)
@@ -177,36 +169,10 @@ func (st *RefreshState) encode(withTimings bool) ([]byte, error) {
 			w.Varint(m.Win)
 			w.Varint(m.Ad)
 			w.Bool(m.Frozen)
-			putF64(w, m.Area)
 			m.Model.Snapshot(w)
 		}
 	})
-	if withTimings {
-		out = appendSection(out, func(w *temporal.Encoder) {
-			w.Byte(tagTimingSection)
-			w.Uvarint(uint64(len(st.Timings)))
-			for _, t := range st.Timings {
-				w.String(t.Stage)
-				w.Uvarint(uint64(t.Rows))
-				w.Varint(t.Ns)
-			}
-		})
-	}
 	return out, nil
-}
-
-// EncodeState serializes the full state (timings included) for the
-// durable store.
-func EncodeState(st *RefreshState) ([]byte, error) {
-	return st.encode(true)
-}
-
-// SummaryBytes is the canonical digest of the refresher's semantic
-// state: everything EncodeState carries except the wall-clock stage
-// timings. Two refresh paths are equivalent iff their SummaryBytes are
-// byte-identical — the full-vs-delta drill's comparison key.
-func (st *RefreshState) SummaryBytes() ([]byte, error) {
-	return st.encode(false)
 }
 
 // takeSection pops one CRC frame off data and returns a decoder over it.
@@ -228,8 +194,8 @@ func sectionDone(r *temporal.Decoder, what string) error {
 	return nil
 }
 
-// DecodeState parses a persisted refresh state. The timings section is
-// optional (SummaryBytes output omits it), trailing bytes are an error.
+// DecodeState parses a persisted refresh state (SummaryBytes output).
+// A state of another version and trailing bytes are errors.
 func DecodeState(data []byte) (*RefreshState, error) {
 	st := &RefreshState{}
 
@@ -241,7 +207,7 @@ func DecodeState(data []byte) (*RefreshState, error) {
 		return nil, err
 	}
 	if v := r.Uvarint(); r.Err() == nil && v != refreshVersion {
-		return nil, fmt.Errorf("bt: refresh state version %d (want %d)", v, refreshVersion)
+		return nil, fmt.Errorf("bt: refresh state is version %d, this build reads version %d", v, refreshVersion)
 	}
 	st.Days = int(r.Uvarint())
 	st.RawRows = int64(r.Uvarint())
@@ -296,7 +262,7 @@ func DecodeState(data []byte) (*RefreshState, error) {
 	}
 	nm := r.Count("window models")
 	for i := 0; i < nm; i++ {
-		wm := WindowModel{Win: r.Varint(), Ad: r.Varint(), Frozen: r.Bool(), Area: getF64(r)}
+		wm := WindowModel{Win: r.Varint(), Ad: r.Varint(), Frozen: r.Bool()}
 		if r.Err() != nil {
 			return nil, fmt.Errorf("bt: refresh state models section: %w", r.Err())
 		}
@@ -319,26 +285,6 @@ func DecodeState(data []byte) (*RefreshState, error) {
 		return nil, fmt.Errorf("bt: refresh state models section: entries not sorted")
 	}
 
-	if len(rest) > 0 {
-		r, rest, err = takeSection(rest, "timings")
-		if err != nil {
-			return nil, err
-		}
-		if err := r.Expect(tagTimingSection, "refresh timing section"); err != nil {
-			return nil, err
-		}
-		ntm := r.Count("stage timings")
-		for i := 0; i < ntm; i++ {
-			t := StageTiming{Stage: r.String(), Rows: int64(r.Uvarint()), Ns: r.Varint()}
-			if r.Err() != nil {
-				return nil, fmt.Errorf("bt: refresh state timings section: %w", r.Err())
-			}
-			st.Timings = append(st.Timings, t)
-		}
-		if err := sectionDone(r, "timings"); err != nil {
-			return nil, err
-		}
-	}
 	if len(rest) > 0 {
 		return nil, fmt.Errorf("bt: refresh state: %d trailing bytes", len(rest))
 	}

@@ -172,3 +172,24 @@ func TestExperimentsRunAtQuickScale(t *testing.T) {
 		})
 	}
 }
+
+// The refresh drill at quick scale: one row per day of the 7-day log,
+// each with the delta state byte-identical to the full recompute's.
+func TestRefreshQuickScale(t *testing.T) {
+	tab, err := Refresh(sharedCtx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(tab.Rows) != 7 {
+		t.Fatalf("%d day rows, want 7:\n%s", len(tab.Rows), tab)
+	}
+	eq := len(tab.Header) - 1
+	if tab.Header[eq] != "equal" {
+		t.Fatalf("last column is %q, want equal", tab.Header[eq])
+	}
+	for _, row := range tab.Rows {
+		if row[eq] != "yes" {
+			t.Fatalf("day %s: equal = %q\n%s", row[0], row[eq], tab)
+		}
+	}
+}

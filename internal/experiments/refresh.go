@@ -33,20 +33,18 @@ func refreshWorkload(o Options) (workload.Config, bt.Params) {
 // slides over a 7-day log one day at a time, once on the delta path
 // (mergeable summaries, frozen-window model cache) and once as a full
 // recompute of all history, asserting after every day that both leave
-// byte-identical state (RefreshState.SummaryBytes). A third refresher
-// runs in auto mode so the table also shows what the cost chooser —
-// calibrated from the recorded stage timings — actually picks.
+// byte-identical state (RefreshState.SummaryBytes). The full
+// recompute is the reference; the delta path is the refresher.
 func Refresh(c *Context) (*Table, error) {
 	w, p := refreshWorkload(c.Opt)
 	data := workload.Generate(w)
 
 	delta := bt.NewRefresher(p, w, bt.RefreshOptions{Mode: bt.ModeDelta})
 	full := bt.NewRefresher(p, w, bt.RefreshOptions{Mode: bt.ModeFull, RetainHistory: true})
-	auto := bt.NewRefresher(p, w, bt.RefreshOptions{Mode: bt.ModeAuto, RetainHistory: true})
 
 	t := &Table{
 		Title:  "incremental refresh: delta vs full recompute over a 7-day sliding window",
-		Header: []string{"day", "raw rows", "delta", "full", "speedup", "chooser", "state", "equal"},
+		Header: []string{"day", "raw rows", "delta", "full", "speedup", "state", "equal"},
 	}
 	var totDelta, totFull time.Duration
 	for day := 0; day < w.Days; day++ {
@@ -65,10 +63,6 @@ func Refresh(c *Context) (*Table, error) {
 		}
 		dFull := time.Since(start)
 
-		if err := auto.IngestDay(rows, dayEnd); err != nil {
-			return nil, fmt.Errorf("refresh drill: auto day %d: %w", day, err)
-		}
-
 		db, err := delta.State.SummaryBytes()
 		if err != nil {
 			return nil, err
@@ -77,25 +71,15 @@ func Refresh(c *Context) (*Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		ab, err := auto.State.SummaryBytes()
-		if err != nil {
-			return nil, err
-		}
-		equal := bytes.Equal(db, fb) && bytes.Equal(ab, fb)
-		if !equal {
-			return nil, fmt.Errorf("refresh drill: day %d state diverged (delta %d bytes, full %d, auto %d)", day, len(db), len(fb), len(ab))
-		}
-
-		choice := "full"
-		if auto.LastDelta {
-			choice = "delta"
+		if !bytes.Equal(db, fb) {
+			return nil, fmt.Errorf("refresh drill: day %d state diverged (delta %d bytes, full %d)", day, len(db), len(fb))
 		}
 		totDelta += dDelta
 		totFull += dFull
 		t.AddRow(fi(int64(day)), fi(int64(len(rows))),
 			dDelta.Round(time.Millisecond).String(), dFull.Round(time.Millisecond).String(),
 			fmt.Sprintf("%.2fx", float64(dFull)/float64(dDelta)),
-			choice, fmt.Sprintf("%dKB", len(fb)/1024), "yes")
+			fmt.Sprintf("%dKB", len(fb)/1024), "yes")
 	}
 
 	frozen := 0
@@ -104,7 +88,7 @@ func Refresh(c *Context) (*Table, error) {
 			frozen++
 		}
 	}
-	t.AddNote("all %d days byte-identical across delta, full, and auto paths", w.Days)
+	t.AddNote("all %d days byte-identical across the delta and full paths", w.Days)
 	t.AddNote("cumulative: delta %s vs full %s — %.2fx; %d/%d window models frozen (trained once, reused)",
 		totDelta.Round(time.Millisecond), totFull.Round(time.Millisecond),
 		float64(totFull)/float64(totDelta), frozen, len(delta.State.Models))

@@ -2,7 +2,6 @@ package ml
 
 import (
 	"math"
-	"math/rand"
 	"sort"
 
 	"timr/internal/temporal"
@@ -117,61 +116,4 @@ func RestoreCalibrator(r *temporal.Decoder) (*Calibrator, error) {
 		}
 	}
 	return c, nil
-}
-
-// TrainLRWarm fits a logistic regression like TrainLR but starts SGD
-// from a previous model's parameters instead of zero — the delta
-// refresher's cheap path when a window's example set changed little
-// between days. Deterministic for fixed (examples, cfg, init); init is
-// not mutated. With init == nil it is exactly TrainLR.
-func TrainLRWarm(examples []Example, cfg LRConfig, init *Model) *Model {
-	if init == nil {
-		return TrainLR(examples, cfg)
-	}
-	if cfg.Epochs <= 0 {
-		cfg.Epochs = 50
-	}
-	if cfg.LearningRate <= 0 {
-		cfg.LearningRate = 0.1
-	}
-	rng := rand.New(rand.NewSource(cfg.Seed))
-
-	data := examples
-	if cfg.Balance {
-		data = BalanceExamples(examples, rng)
-	}
-	m := &Model{Bias: init.Bias, Weights: make(map[int64]float64, len(init.Weights))}
-	for id, w := range init.Weights {
-		m.Weights[id] = w
-	}
-	if len(data) == 0 {
-		return m
-	}
-	order := rng.Perm(len(data))
-	for epoch := 0; epoch < cfg.Epochs; epoch++ {
-		lr := cfg.LearningRate / (1 + 0.1*float64(epoch))
-		var loss float64
-		for _, i := range order {
-			ex := data[i]
-			p := m.score(ex.Features)
-			y := 0.0
-			if ex.Clicked {
-				y = 1.0
-			}
-			g := p - y
-			m.Bias -= lr * g
-			for _, f := range ex.Features {
-				w := m.Weights[f.ID]
-				m.Weights[f.ID] = w - lr*(g*f.Val+cfg.L2*w)
-			}
-			if ex.Clicked {
-				loss -= math.Log(math.Max(p, 1e-12))
-			} else {
-				loss -= math.Log(math.Max(1-p, 1e-12))
-			}
-		}
-		m.Loss = loss / float64(len(data))
-		m.Epochs = epoch + 1
-	}
-	return m
 }

@@ -157,37 +157,3 @@ func TestRestoreCalibratorRejectsUnsortedPreds(t *testing.T) {
 		t.Fatal("unsorted preds accepted")
 	}
 }
-
-// Warm start from nil equals cold TrainLR; warm start from a trained
-// model is deterministic and returns an independent copy of the init
-// parameters (init unmutated).
-func TestTrainLRWarm(t *testing.T) {
-	rng := rand.New(rand.NewSource(3))
-	var exs []Example
-	for i := 0; i < 300; i++ {
-		exs = append(exs, Example{
-			Features: SortFeatures([]Feature{{ID: rng.Int63n(20), Val: 1}}),
-			Clicked:  rng.Float64() < 0.4,
-		})
-	}
-	cfg := DefaultLRConfig()
-	cold := TrainLR(exs, cfg)
-	if got := TrainLRWarm(exs, cfg, nil); !reflect.DeepEqual(got, cold) {
-		t.Fatal("TrainLRWarm(nil init) differs from TrainLR")
-	}
-
-	initCopy := modelRoundtrip(t, cold) // deep copy via codec
-	warmCfg := cfg
-	warmCfg.Epochs = 5
-	a := TrainLRWarm(exs, warmCfg, cold)
-	b := TrainLRWarm(exs, warmCfg, cold)
-	if !reflect.DeepEqual(a, b) {
-		t.Fatal("TrainLRWarm not deterministic")
-	}
-	if !reflect.DeepEqual(cold, initCopy) {
-		t.Fatal("TrainLRWarm mutated its init model")
-	}
-	if reflect.DeepEqual(a, cold) {
-		t.Fatal("warm training with fresh epochs should move the parameters")
-	}
-}
