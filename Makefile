@@ -8,12 +8,14 @@ build:
 test:
 	$(GO) test ./...
 
-# core and serve run at GOMAXPROCS 1 and at 4: a punctuation wave runs
-# its partitions on up to GOMAXPROCS goroutines, so both the sequential and
-# the pooled path are raced, whatever the host's core count.
+# core, serve and bt run at GOMAXPROCS 1 and at 4: a punctuation wave runs
+# its partitions on up to GOMAXPROCS goroutines, and a refresh ingest runs
+# its per-user front partitions and its window models the same way, so
+# both the sequential and the pooled path are raced, whatever the host's
+# core count.
 race:
-	$(GO) test -race $$($(GO) list ./... | grep -v -e '/internal/core$$' -e '/internal/serve$$')
-	$(GO) test -race -cpu 1,4 ./internal/core ./internal/serve
+	$(GO) test -race $$($(GO) list ./... | grep -v -e '/internal/core$$' -e '/internal/serve$$' -e '/internal/bt$$')
+	$(GO) test -race -cpu 1,4 ./internal/core ./internal/serve ./internal/bt
 
 vet:
 	$(GO) vet ./...
