@@ -69,7 +69,7 @@ func CustomRunningClickCountStage(input, output string, window temporal.Time) ma
 	)
 	return mapreduce.Stage{
 		Name: "custom-rcc", Inputs: []string{input}, Output: output, OutSchema: outSchema,
-		Partition: mapreduce.PartitionByCols([][]int{{2}}),
+		PartitionCols: [][]int{{2}},
 		Reduce: func(part int, in [][]mapreduce.Row, emit func(mapreduce.Row)) error {
 			for _, r := range CustomRunningClickCount(in[0], window) {
 				emit(r)

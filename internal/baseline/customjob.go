@@ -76,13 +76,10 @@ var (
 // on the cluster — the configuration the paper times against TiMR in
 // Figure 14 (right). Unlike TiMR, every reducer is query-specific code.
 func CustomBTJob(c *mapreduce.Cluster, input string, p CustomParams) (*mapreduce.JobStat, error) {
-	userCol := func(col int) func(temporal.Row, int) uint64 {
-		return mapreduce.PartitionByCols([][]int{{col}})
-	}
 	stages := []mapreduce.Stage{
 		{
 			Name: "custom-botelim", Inputs: []string{input}, Output: CustomDSClean,
-			OutSchema: workload.UnifiedSchema(), Partition: userCol(2),
+			OutSchema: workload.UnifiedSchema(), PartitionCols: [][]int{{2}},
 			Reduce: func(part int, in [][]mapreduce.Row, emit func(mapreduce.Row)) error {
 				for _, r := range CustomBotElim(in[0], p) {
 					emit(r)
@@ -92,7 +89,7 @@ func CustomBTJob(c *mapreduce.Cluster, input string, p CustomParams) (*mapreduce
 		},
 		{
 			Name: "custom-label", Inputs: []string{CustomDSClean}, Output: CustomDSLabeled,
-			OutSchema: customLabeledSchema, Partition: userCol(2),
+			OutSchema: customLabeledSchema, PartitionCols: [][]int{{2}},
 			Reduce: func(part int, in [][]mapreduce.Row, emit func(mapreduce.Row)) error {
 				for _, r := range CustomLabel(in[0], p) {
 					emit(r)
@@ -103,8 +100,8 @@ func CustomBTJob(c *mapreduce.Cluster, input string, p CustomParams) (*mapreduce
 		{
 			Name:   "custom-traindata",
 			Inputs: []string{CustomDSLabeled, CustomDSClean}, Output: CustomDSTrain,
-			OutSchema: customTrainSchema,
-			Partition: mapreduce.PartitionByCols([][]int{{1}, {2}}), // UserId in each schema
+			OutSchema:     customTrainSchema,
+			PartitionCols: [][]int{{1}, {2}}, // UserId in each schema
 			Reduce: func(part int, in [][]mapreduce.Row, emit func(mapreduce.Row)) error {
 				for _, r := range CustomTrainData(in[0], in[1], p) {
 					emit(r)
@@ -115,8 +112,8 @@ func CustomBTJob(c *mapreduce.Cluster, input string, p CustomParams) (*mapreduce
 		{
 			Name:   "custom-featureselect",
 			Inputs: []string{CustomDSLabeled, CustomDSTrain}, Output: CustomDSScores,
-			OutSchema: customScoreSchema,
-			Partition: mapreduce.PartitionByCols([][]int{{2}, {2}}), // AdId in each schema
+			OutSchema:     customScoreSchema,
+			PartitionCols: [][]int{{2}, {2}}, // AdId in each schema
 			Reduce: func(part int, in [][]mapreduce.Row, emit func(mapreduce.Row)) error {
 				for _, s := range CustomFeatureSelect(in[0], in[1], p) {
 					emit(temporal.Row{
@@ -130,8 +127,8 @@ func CustomBTJob(c *mapreduce.Cluster, input string, p CustomParams) (*mapreduce
 		{
 			Name:   "custom-reduce",
 			Inputs: []string{CustomDSTrain, CustomDSScores}, Output: CustomDSReduced,
-			OutSchema: customTrainSchema,
-			Partition: mapreduce.PartitionByCols([][]int{{2}, {0}}), // AdId
+			OutSchema:     customTrainSchema,
+			PartitionCols: [][]int{{2}, {0}}, // AdId
 			Reduce: func(part int, in [][]mapreduce.Row, emit func(mapreduce.Row)) error {
 				scores := make([]KeywordScore, len(in[1]))
 				for i, r := range in[1] {
@@ -149,8 +146,8 @@ func CustomBTJob(c *mapreduce.Cluster, input string, p CustomParams) (*mapreduce
 		{
 			Name:   "custom-models",
 			Inputs: []string{CustomDSReduced}, Output: CustomDSModels,
-			OutSchema: customModelSchema,
-			Partition: mapreduce.PartitionByCols([][]int{{2}}), // AdId
+			OutSchema:     customModelSchema,
+			PartitionCols: [][]int{{2}}, // AdId
 			Reduce: func(part int, in [][]mapreduce.Row, emit func(mapreduce.Row)) error {
 				models := CustomModels(in[0], p)
 				ads := make([]int64, 0, len(models))

@@ -7,12 +7,11 @@ import (
 	"runtime"
 	"slices"
 	"sort"
-	"sync"
-	"sync/atomic"
 	"time"
 
 	"timr/internal/dur"
 	"timr/internal/ml"
+	"timr/internal/par"
 	"timr/internal/temporal"
 	"timr/internal/workload"
 )
@@ -31,8 +30,9 @@ import (
 // concatenate, and frozen-window models are trained once and reused.
 //
 // Every front operator is keyed on UserId, and UserId is in every output
-// row, so the front stages run as independent per-user partitions, one
-// engine each, on up to GOMAXPROCS goroutines (the paper's {UserId}
+// row, so the front stages run as independent partitions of the rows'
+// UserId hash (the one TiMR's PartitionCols routes by), one engine each,
+// on up to GOMAXPROCS goroutines (the paper's {UserId}
 // annotation of Example 3). Each partition sorts its own output in the
 // canonical row order and the parts are merged on that order, so the
 // state is the bytes one engine over all users would leave.
@@ -235,47 +235,6 @@ func rowsInRange(rows []temporal.Row, lo, hi temporal.Time) []temporal.Row {
 	return out
 }
 
-// forEach calls fn(i) for every i in [0, n) on min(GOMAXPROCS, n)
-// goroutines, the caller's among them, each taking the next i from a
-// shared index. Calls share nothing fn writes but their own index's
-// slot. A worker panic is re-raised on the caller once every worker is
-// done; otherwise the error of the lowest failing i is returned.
-func forEach(n int, fn func(i int) error) error {
-	errs := make([]error, n)
-	var next atomic.Int64
-	var once sync.Once
-	var failed any
-	work := func() {
-		defer func() {
-			if r := recover(); r != nil {
-				once.Do(func() { failed = r })
-			}
-		}()
-		for i := int(next.Add(1)) - 1; i < n; i = int(next.Add(1)) - 1 {
-			errs[i] = fn(i)
-		}
-	}
-	var wg sync.WaitGroup
-	for w := 1; w < min(runtime.GOMAXPROCS(0), n); w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			work()
-		}()
-	}
-	work()
-	wg.Wait()
-	if failed != nil {
-		panic(failed)
-	}
-	for _, err := range errs {
-		if err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
 // runFront executes the front stages over a raw-row window as parts
 // per-user partitions (0: GOMAXPROCS), one single-node engine each,
 // recording one aggregate timing observation, and returns the labeled
@@ -286,10 +245,9 @@ func (st *RefreshState) runFront(input []temporal.Row, lo, hi temporal.Time, par
 	if parts <= 0 {
 		parts = runtime.GOMAXPROCS(0)
 	}
+	userID := []int{2} // UserId's column in the unified schema
 	part := func(row temporal.Row) int {
-		// UserId is column 2 of the unified schema; a multiplicative
-		// hash spreads dense ids and strided ones alike.
-		return int((uint64(row[2].AsInt()) * 0x9E3779B97F4A7C15 >> 32) % uint64(parts))
+		return int(temporal.HashRow(row, userID) % uint64(parts))
 	}
 	sizes := make([]int, parts)
 	for _, row := range input {
@@ -306,7 +264,7 @@ func (st *RefreshState) runFront(input []temporal.Row, lo, hi temporal.Time, par
 
 	labeledRuns := make([][]temporal.Row, parts)
 	trainRuns := make([][]temporal.Row, parts)
-	if err := forEach(parts, func(i int) error {
+	if err := par.ForEach(runtime.GOMAXPROCS(0), parts, func(i int) error {
 		ds := map[string][]temporal.Event{DSEvents: temporal.RowsToPointEvents(split[i], 0)}
 		if err := RunStagesSingleNode(st.P, FrontStages(false), ds); err != nil {
 			return err
@@ -427,7 +385,7 @@ func (st *RefreshState) rebuildModels(prev []WindowModel) {
 	models = append(models, make([]WindowModel, len(keys))...)
 	// ml.TrainLR seeds its own generator, so a model is the same bytes
 	// whichever goroutine trains it.
-	_ = forEach(len(keys), func(i int) error {
+	_ = par.ForEach(runtime.GOMAXPROCS(0), len(keys), func(i int) error {
 		k := keys[i]
 		models[frozen+i] = WindowModel{
 			Win:    k.win,

@@ -10,7 +10,6 @@ import (
 	"path/filepath"
 	"sort"
 	"strings"
-	"sync/atomic"
 	"testing"
 
 	"timr/internal/dur"
@@ -528,40 +527,4 @@ func TestRefreshPartitionCountInvariant(t *testing.T) {
 			}
 		}
 	}
-}
-
-// forEach visits every index once, reports the lowest failing index's
-// error whatever order the workers ran in, and re-raises a worker's
-// panic on the caller after every worker has returned.
-func TestForEach(t *testing.T) {
-	defer leakcheck.Goroutines(t)()
-	var visits [64]atomic.Int32
-	err := forEach(len(visits), func(i int) error {
-		visits[i].Add(1)
-		if i == 41 || i == 17 {
-			return fmt.Errorf("part %d", i)
-		}
-		return nil
-	})
-	if err == nil || err.Error() != "part 17" {
-		t.Fatalf("got error %v, want part 17's", err)
-	}
-	for i := range visits {
-		if n := visits[i].Load(); n != 1 {
-			t.Fatalf("index %d visited %d times", i, n)
-		}
-	}
-
-	defer func() {
-		if r := recover(); r != "boom" {
-			t.Fatalf("recovered %v, want the worker's panic", r)
-		}
-	}()
-	_ = forEach(8, func(i int) error {
-		if i == 5 {
-			panic("boom")
-		}
-		return nil
-	})
-	t.Fatal("forEach returned after a worker panicked")
 }

@@ -6,11 +6,10 @@ import (
 	"math/rand"
 	"runtime"
 	"sort"
-	"sync"
-	"sync/atomic"
 
 	"timr/internal/dur"
 	"timr/internal/obs"
+	"timr/internal/par"
 	"timr/internal/temporal"
 )
 
@@ -588,47 +587,25 @@ func (st *streamStage) flush() {
 }
 
 // wave runs step on every partition of the stage, first firing any armed
-// crash no feed reached (so quiet partitions crash too), on
-// min(GOMAXPROCS, partitions) goroutines, the caller's among them.
-// Partitions share nothing a worker writes: each owns its engine, barrier
-// and recovery state, and the engines' output is held per partition. Once
-// every worker is done, the caller's goroutine routes the held output
-// partition by partition in id order, event by event — the order the
-// sequential walk routed it in — so every downstream admission, crash
-// draw and replay log is what a single goroutine would produce. It
-// returns the partitions in id order.
+// crash no feed reached (so quiet partitions crash too), on par.ForEach
+// with GOMAXPROCS workers, the caller's goroutine among them; a worker's
+// panic is re-raised on the caller. Partitions share nothing a worker
+// writes: each owns its engine, barrier and recovery state, and the
+// engines' output is held per partition. Once every worker is done, the
+// caller's goroutine routes the held output partition by partition in id
+// order, event by event — the order the sequential walk routed it in —
+// so every downstream admission, crash draw and replay log is what a
+// single goroutine would produce. It returns the partitions in id order.
 func (st *streamStage) wave(step func(p *streamPartition)) []*streamPartition {
 	parts := st.sortedParts()
-	var next atomic.Int64
-	var once sync.Once
-	var failed any // the first worker panic, re-raised by the caller
-	work := func() {
-		defer func() {
-			if r := recover(); r != nil {
-				once.Do(func() { failed = r })
-			}
-		}()
-		for i := int(next.Add(1)) - 1; i < len(parts); i = int(next.Add(1)) - 1 {
-			p := parts[i]
-			if p.crashAt >= 0 {
-				st.crash(p)
-			}
-			step(p)
+	_ = par.ForEach(runtime.GOMAXPROCS(0), len(parts), func(i int) error {
+		p := parts[i]
+		if p.crashAt >= 0 {
+			st.crash(p)
 		}
-	}
-	var wg sync.WaitGroup
-	for w := 1; w < min(runtime.GOMAXPROCS(0), len(parts)); w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			work()
-		}()
-	}
-	work()
-	wg.Wait()
-	if failed != nil {
-		panic(failed)
-	}
+		step(p)
+		return nil
+	})
 	for _, p := range parts {
 		for _, e := range p.out {
 			st.emit(e)

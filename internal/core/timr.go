@@ -185,19 +185,18 @@ func (t *TiMR) Stage(frag *Fragment) (mapreduce.Stage, error) {
 		return st, nil
 	}
 
+	// hash(key) mod #machines (§III-C.3): one engine instance serves a
+	// whole hash bucket of logical groups. A non-partitionable fragment
+	// has no key columns and runs as a single task.
+	cols := make([][]int, len(frag.Inputs))
 	if len(frag.Part.Cols) == 0 {
-		// Non-partitionable fragment: single task.
 		st.NumPartitions = 1
-		st.Partition = func(mapreduce.Row, int) uint64 { return 0 }
 	} else {
-		// hash(key) mod #machines (§III-C.3): one engine instance serves
-		// a whole hash bucket of logical groups.
-		cols := make([][]int, len(frag.Inputs))
 		for i, in := range frag.Inputs {
 			cols[i] = partitionCols(in, frag.Inputs[i].Part.Cols)
 		}
-		st.PartitionCols = cols
 	}
+	st.PartitionCols = cols
 
 	st.ReduceSegments = t.reducer(frag, nil)
 	return st, nil

@@ -40,7 +40,7 @@ func Shuffle(c *Context) (*Table, error) {
 	st := mapreduce.Stage{
 		Name: "repartition", Inputs: []string{"in"}, Output: "out", OutSchema: schema,
 		NumPartitions: 64,
-		Partition:     mapreduce.PartitionByCols([][]int{{0, 2}}),
+		PartitionCols: [][]int{{0, 2}},
 		Reduce: func(part int, in [][]mapreduce.Row, emit func(mapreduce.Row)) error {
 			for _, r := range in[0] {
 				emit(r)

@@ -7,11 +7,11 @@ import (
 	"runtime"
 	"sort"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"timr/internal/dur"
 	"timr/internal/obs"
+	"timr/internal/par"
 	"timr/internal/temporal"
 )
 
@@ -22,8 +22,9 @@ import (
 // restarts failed attempts and verifies repeatability.
 type Reducer func(part int, in [][]Row, emit func(Row)) error
 
-// Stage is one map-reduce stage: a partitioning function (the "map" side)
-// plus a reducer applied to every partition.
+// Stage is one map-reduce stage: a routing of rows to partitions (the
+// "map" side) plus a reducer applied to every partition. A stage routes
+// by PartitionCols or by MultiPartition; one of them must be set.
 type Stage struct {
 	Name      string
 	Inputs    []string
@@ -32,24 +33,22 @@ type Stage struct {
 	// NumPartitions defaults to the cluster's machine count — the paper's
 	// hash(key) mod #machines scheme (§III-C.3).
 	NumPartitions int
-	// Partition maps a row (from input src) to a partition key hash.
-	// Rows with equal hashes meet in the same reducer invocation.
-	//
-	// The row given to Partition, MultiPartition and RunKey is valid only
-	// during the call: a spilled input segment is decoded frame by frame
-	// into one scratch row that the next frame overwrites, its strings
-	// reading the segment's bytes in place. Copy what must outlive the call.
-	Partition func(r Row, src int) uint64
-	// PartitionCols, when set instead of Partition, declares the key
-	// columns per input source: the declarative form of
-	// Partition = PartitionByCols(PartitionCols), i.e. temporal.HashRow
-	// over the named columns.
+	// PartitionCols declares the key columns per input source: a row goes
+	// to partition temporal.HashRow(row, PartitionCols[src]) mod
+	// NumPartitions, so rows with equal keys meet in the same reducer
+	// invocation. A key-less stage declares empty columns and one
+	// partition.
 	PartitionCols [][]int
-	// MultiPartition, when set, supersedes Partition and may replicate a
-	// row into several partitions (given directly as partition indexes in
-	// [0, NumPartitions)). TiMR's temporal partitioning uses this: events
-	// in a span-overlap region belong to both adjacent spans (§III-B). r is
-	// valid only during the call (see Partition).
+	// MultiPartition, when set, supersedes PartitionCols and may replicate
+	// a row into several partitions (given directly as partition indexes
+	// in [0, NumPartitions)). TiMR's temporal partitioning uses this:
+	// events in a span-overlap region belong to both adjacent spans
+	// (§III-B).
+	//
+	// The row given to MultiPartition and RunKey is valid only during the
+	// call: a spilled input segment is decoded frame by frame into one
+	// scratch row that the next frame overwrites, its strings reading the
+	// segment's bytes in place. Copy what must outlive the call.
 	MultiPartition func(r Row, src int, nparts int) []int
 	Reduce         Reducer
 	// ReduceSegments, when set, supersedes Reduce: the reducer receives
@@ -68,7 +67,7 @@ type Stage struct {
 	// shuffle run's Segment.Sorted flag inline, which is the only moment
 	// sortedness can be established without re-reading a spilled run.
 	// When nil, runs are conservatively marked unsorted. r is valid only
-	// during the call (see Partition).
+	// during the call (see MultiPartition).
 	RunKey func(r Row, src int) int64
 }
 
@@ -366,7 +365,8 @@ func (c *Cluster) Close() error {
 	return first
 }
 
-// Run executes the stages in order, returning accounting for the job.
+// Run executes the stages in order, returning accounting for the job. It
+// only reads the stages, so the same stages may run again.
 func (c *Cluster) Run(stages ...Stage) (*JobStat, error) {
 	job := &JobStat{}
 	for i := range stages {
@@ -422,7 +422,6 @@ type mapTask struct {
 	bytes        int    // shuffle bytes produced (RowBytes per destination copy)
 	dups         int    // shuffle rows produced (>= input rows under MultiPartition)
 	stat         TaskStat
-	err          error // user partition-fn panic or spill I/O, isolated by the worker
 }
 
 // bucketRows returns bucket p as rows, decoding a spilled task's frames
@@ -443,25 +442,15 @@ func (t *mapTask) evict(p int) {
 	}
 }
 
-// workers resolves the worker-pool size for a phase with n parallel
-// tasks: MapWorkers when set, otherwise min(Machines, GOMAXPROCS),
-// clamped to [1, n]. The map and reduce phases share this derivation so
-// MapWorkers applies uniformly.
-func (c *Cluster) workers(n int) int {
-	w := c.Cfg.MapWorkers
-	if w <= 0 {
-		w = c.Cfg.Machines
-		if max := runtime.GOMAXPROCS(0); w > max {
-			w = max
-		}
+// workers resolves the worker-pool size of a stage phase: MapWorkers when
+// set, otherwise min(Machines, GOMAXPROCS). The map and reduce phases
+// share it so MapWorkers applies uniformly; par.ForEach clamps it to the
+// phase's task count.
+func (c *Cluster) workers() int {
+	if c.Cfg.MapWorkers > 0 {
+		return c.Cfg.MapWorkers
 	}
-	if w > n {
-		w = n
-	}
-	if w < 1 {
-		w = 1
-	}
-	return w
+	return min(c.Cfg.Machines, runtime.GOMAXPROCS(0))
 }
 
 // runMapTask partitions one task's rows into per-destination buckets,
@@ -547,12 +536,20 @@ func runMapTask(s *Stage, t *mapTask, nparts int) error {
 	if t.frames != nil {
 		frameBytes = make([]int, nparts)
 	}
+	cols := s.PartitionCols[t.src]
+	width := 0 // columns a row needs to hold its key
+	for _, c := range cols {
+		width = max(width, c+1)
+	}
 	for i := 0; i < n; i++ {
 		r, b, frame, err := input(i)
 		if err != nil {
 			return err
 		}
-		p := int(s.Partition(r, t.src) % uint64(nparts))
+		if len(r) < width {
+			return fmt.Errorf("mapreduce: a row of %d columns has no key column %d", len(r), width-1)
+		}
+		p := int(temporal.HashRow(r, cols) % uint64(nparts))
 		dest[i] = int32(p)
 		account(p, r, b)
 		if frame != nil {
@@ -650,15 +647,16 @@ func (c *Cluster) runStageFiles(s *Stage, files *stageFiles) (*StageStat, error)
 	reduce := s.ReduceSegments
 	if reduce == nil {
 		if s.Reduce == nil {
-			return stat, fmt.Errorf("stage %s: no reducer", s.Name)
+			return stat, fmt.Errorf("no reducer")
 		}
 		reduce = materialized(s.Reduce)
 	}
-	if s.PartitionCols != nil {
-		if s.Partition != nil {
-			return stat, fmt.Errorf("stage %s: set Partition or PartitionCols, not both", s.Name)
-		}
-		s.Partition = PartitionByCols(s.PartitionCols)
+	switch {
+	case s.MultiPartition != nil:
+	case s.PartitionCols == nil:
+		return stat, fmt.Errorf("no partitioning: set PartitionCols or MultiPartition")
+	case len(s.PartitionCols) != len(s.Inputs):
+		return stat, fmt.Errorf("PartitionCols declares keys for %d inputs, the stage reads %d", len(s.PartitionCols), len(s.Inputs))
 	}
 
 	// ---- Map phase: read inputs, partition rows in parallel ----
@@ -691,43 +689,24 @@ func (c *Cluster) runStageFiles(s *Stage, files *stageFiles) (*StageStat, error)
 			}
 		}
 	}
-	workers := c.workers(len(tasks))
-	var next atomic.Int64
-	var mwg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		mwg.Add(1)
-		go func() {
-			defer mwg.Done()
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= len(tasks) {
-					return
-				}
-				t := tasks[i]
-				t0 := time.Now()
-				// Isolate user partition-fn panics: one poisoned row must
-				// fail the job with a diagnosable error, not kill the
-				// process (and every other in-flight task) with it.
-				func() {
-					defer func() {
-						if rec := recover(); rec != nil {
-							t.err = fmt.Errorf("mapreduce: stage %s: map task %d panicked: %v", s.Name, i, rec)
-						}
-					}()
-					t.err = runMapTask(s, t, nparts)
-				}()
-				t.stat.Stage = s.Name
-				t.stat.Partition = i
-				t.stat.Attempts = 1
-				t.stat.Duration = time.Since(t0)
+	if err := par.ForEach(c.workers(), len(tasks), func(i int) (err error) {
+		t := tasks[i]
+		t0 := time.Now()
+		// Isolate user partition-fn panics: one poisoned row must fail the
+		// job with a diagnosable error, not kill the process (and every
+		// other in-flight task) with it.
+		defer func() {
+			if rec := recover(); rec != nil {
+				err = fmt.Errorf("mapreduce: map task %d panicked: %v", i, rec)
 			}
+			t.stat.Stage = s.Name
+			t.stat.Partition = i
+			t.stat.Attempts = 1
+			t.stat.Duration = time.Since(t0)
 		}()
-	}
-	mwg.Wait()
-	for _, t := range tasks {
-		if t.err != nil {
-			return stat, t.err
-		}
+		return runMapTask(s, t, nparts)
+	}); err != nil {
+		return stat, err
 	}
 
 	// ---- Shuffle-run walk: assemble per-partition segment lists ----
@@ -794,18 +773,13 @@ func (c *Cluster) runStageFiles(s *Stage, files *stageFiles) (*StageStat, error)
 		t.buckets, t.frames = nil, nil
 	}
 
-	// ---- Reduce phase: run reducers on a bounded worker pool ----
-	workers = c.workers(nparts)
+	// ---- Reduce phase: run reducers on the bounded worker pool ----
 	type result struct {
-		part int
 		rows []Row
 		stat TaskStat
-		err  error
 	}
-	sem := make(chan struct{}, workers)
 	results := make([]result, nparts)
-	var wg sync.WaitGroup
-	for p := 0; p < nparts; p++ {
+	if err := par.ForEach(c.workers(), nparts, func(p int) error {
 		n := 0
 		for _, segs := range parts[p] {
 			for i := range segs {
@@ -813,74 +787,63 @@ func (c *Cluster) runStageFiles(s *Stage, files *stageFiles) (*StageStat, error)
 			}
 		}
 		if n == 0 {
-			continue
+			return nil
 		}
-		wg.Add(1)
-		go func(p, n int) {
-			defer wg.Done()
-			sem <- struct{}{}
-			defer func() { <-sem }()
-			res := result{part: p, stat: TaskStat{Stage: s.Name, Partition: p, Rows: n}}
-			succeeded := false
-			var lastPanic any
-			for attempt := 1; attempt <= c.Cfg.MaxAttempts; attempt++ {
-				res.stat.Attempts = attempt
-				var out []Row
-				t0 := time.Now()
-				fail := c.injectedFailure(s.Name, p, attempt)
-				emit := func(rows []Row) {
-					if out == nil {
-						// Capacity clipped: a later append copies instead of
-						// growing into an array the reducer may still read.
-						out = rows[:len(rows):len(rows)]
-					} else {
-						out = append(out, rows...)
-					}
-				}
-				var err error
-				panicked := false
-				// Isolate user reducer panics: a panicking reducer is a
-				// failed attempt — output discarded, time charged, task
-				// restarted — exactly like an injected machine failure,
-				// instead of taking down the whole process.
-				func() {
-					defer func() {
-						if rec := recover(); rec != nil {
-							panicked = true
-							lastPanic = rec
-						}
-					}()
-					err = reduce(p, parts[p], emit)
-				}()
-				if fail || panicked {
-					// The attempt's partial output is discarded, exactly
-					// as M-R discards output of failed reducers; the task
-					// is then restarted from scratch (§III-C.1). The time
-					// it burned is real machine occupancy, though — charge
-					// it, or makespans would be blind to the failure rate.
-					res.stat.RetryTime += time.Since(t0)
-					continue
-				}
-				if err != nil {
-					res.err = err
-					break
-				}
-				res.stat.Duration = time.Since(t0)
-				res.rows = out
-				succeeded = true
-				break
-			}
-			if !succeeded && res.err == nil {
-				if lastPanic != nil {
-					res.err = fmt.Errorf("partition %d failed after %d attempts (last panic: %v)", p, c.Cfg.MaxAttempts, lastPanic)
+		res := &results[p]
+		res.stat = TaskStat{Stage: s.Name, Partition: p, Rows: n}
+		var lastPanic any
+		for attempt := 1; attempt <= c.Cfg.MaxAttempts; attempt++ {
+			res.stat.Attempts = attempt
+			var out []Row
+			t0 := time.Now()
+			fail := c.injectedFailure(s.Name, p, attempt)
+			emit := func(rows []Row) {
+				if out == nil {
+					// Capacity clipped: a later append copies instead of
+					// growing into an array the reducer may still read.
+					out = rows[:len(rows):len(rows)]
 				} else {
-					res.err = fmt.Errorf("partition %d failed after %d attempts", p, c.Cfg.MaxAttempts)
+					out = append(out, rows...)
 				}
 			}
-			results[p] = res
-		}(p, n)
+			var err error
+			panicked := false
+			// Isolate user reducer panics: a panicking reducer is a failed
+			// attempt — output discarded, time charged, task restarted —
+			// exactly like an injected machine failure, instead of taking
+			// down the whole process.
+			func() {
+				defer func() {
+					if rec := recover(); rec != nil {
+						panicked = true
+						lastPanic = rec
+					}
+				}()
+				err = reduce(p, parts[p], emit)
+			}()
+			if fail || panicked {
+				// The attempt's partial output is discarded, exactly as M-R
+				// discards output of failed reducers; the task is then
+				// restarted from scratch (§III-C.1). The time it burned is
+				// real machine occupancy, though — charge it, or makespans
+				// would be blind to the failure rate.
+				res.stat.RetryTime += time.Since(t0)
+				continue
+			}
+			if err != nil {
+				return err
+			}
+			res.stat.Duration = time.Since(t0)
+			res.rows = out
+			return nil
+		}
+		if lastPanic != nil {
+			return fmt.Errorf("partition %d failed after %d attempts (last panic: %v)", p, c.Cfg.MaxAttempts, lastPanic)
+		}
+		return fmt.Errorf("partition %d failed after %d attempts", p, c.Cfg.MaxAttempts)
+	}); err != nil {
+		return stat, err
 	}
-	wg.Wait()
 
 	// ---- Output assembly: resident up to the budget, spilled beyond ----
 	// Output keeps its own budget pass (the shuffle runs are dead by now).
@@ -892,9 +855,6 @@ func (c *Cluster) runStageFiles(s *Stage, files *stageFiles) (*StageStat, error)
 		res := &results[p]
 		if res.stat.Rows == 0 {
 			continue
-		}
-		if res.err != nil {
-			return stat, res.err
 		}
 		stat.Failures += res.stat.Attempts - 1
 		stat.Tasks = append(stat.Tasks, res.stat)
@@ -1019,12 +979,4 @@ func (c *Cluster) emitStageMetrics(stat *StageStat) {
 // arbitrarily more than their nominal limit.
 func RowBytes(r Row) int {
 	return temporal.RowEncodedLen(r)
-}
-
-// PartitionByCols builds a Partition function hashing the given column
-// positions (per input source).
-func PartitionByCols(colsPerSrc [][]int) func(Row, int) uint64 {
-	return func(r Row, src int) uint64 {
-		return temporal.HashRow(r, colsPerSrc[src])
-	}
 }

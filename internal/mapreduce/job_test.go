@@ -34,7 +34,7 @@ func sumStage(in, out string, nparts int) Stage {
 	return Stage{
 		Name: "sum", Inputs: []string{in}, Output: out, OutSchema: kvSchema(),
 		NumPartitions: nparts,
-		Partition:     PartitionByCols([][]int{{0}}),
+		PartitionCols: [][]int{{0}},
 		Reduce: func(part int, in [][]Row, emit func(Row)) error {
 			sums := map[int64]int64{}
 			for _, r := range in[0] {
@@ -138,7 +138,7 @@ func TestPartitionGrouping(t *testing.T) {
 	stage := Stage{
 		Name: "check", Inputs: []string{"in"}, Output: "out", OutSchema: kvSchema(),
 		NumPartitions: 5,
-		Partition:     PartitionByCols([][]int{{0}}),
+		PartitionCols: [][]int{{0}},
 		Reduce: func(part int, in [][]Row, emit func(Row)) error {
 			for _, r := range in[0] {
 				emit(Row{r[0], temporal.Int(int64(part))})
@@ -164,7 +164,7 @@ func TestMultiStageJob(t *testing.T) {
 	// Stage 1: identity repartition; stage 2: sum.
 	ident := Stage{
 		Name: "ident", Inputs: []string{"in"}, Output: "mid", OutSchema: kvSchema(),
-		Partition: PartitionByCols([][]int{{1}}),
+		PartitionCols: [][]int{{1}},
 		Reduce: func(part int, in [][]Row, emit func(Row)) error {
 			for _, r := range in[0] {
 				emit(r)
@@ -189,7 +189,7 @@ func TestMultipleInputs(t *testing.T) {
 	stage := Stage{
 		Name: "join", Inputs: []string{"a", "b"}, Output: "out", OutSchema: kvSchema(),
 		NumPartitions: 3,
-		Partition:     PartitionByCols([][]int{{0}, {0}}),
+		PartitionCols: [][]int{{0}, {0}},
 		Reduce: func(part int, in [][]Row, emit func(Row)) error {
 			emit(Row{temporal.Int(int64(len(in[0]))), temporal.Int(int64(len(in[1])))})
 			return nil
@@ -253,7 +253,7 @@ func TestReducerErrorPropagates(t *testing.T) {
 	stage := Stage{
 		Name: "boom", Inputs: []string{"in"}, Output: "out", OutSchema: kvSchema(),
 		NumPartitions: 1,
-		Partition:     func(Row, int) uint64 { return 0 },
+		PartitionCols: [][]int{{}},
 		Reduce: func(int, [][]Row, func(Row)) error {
 			return fmt.Errorf("kaput")
 		},
@@ -304,7 +304,7 @@ func TestAlwaysPanickingReducerFailsJob(t *testing.T) {
 	stage := Stage{
 		Name: "boom", Inputs: []string{"in"}, Output: "out", OutSchema: kvSchema(),
 		NumPartitions: 1,
-		Partition:     func(Row, int) uint64 { return 0 },
+		PartitionCols: [][]int{{}},
 		Reduce: func(int, [][]Row, func(Row)) error {
 			panic("always")
 		},
@@ -322,11 +322,12 @@ func TestPanickingPartitionFnFailsJobCleanly(t *testing.T) {
 	c := NewCluster(Config{Machines: 2})
 	c.FS.Write("in", SinglePartition(kvSchema(), kvRows(10)))
 	stage := sumStage("in", "out", 2)
-	stage.Partition = func(r Row, src int) uint64 {
+	stage.PartitionCols = nil
+	stage.MultiPartition = func(r Row, src, nparts int) []int {
 		if r[1].AsInt() == 7 {
 			panic("poison row in map")
 		}
-		return uint64(r[0].AsInt())
+		return []int{int(r[0].AsInt()) % nparts}
 	}
 	_, err := c.Run(stage)
 	if err == nil {
@@ -460,11 +461,11 @@ func TestStageSkewAndShuffleBytes(t *testing.T) {
 	c.FS.Write("in", SinglePartition(kvSchema(), rows))
 	// Route everything to partition 0 except key 1: maximal skew.
 	stage := sumStage("in", "out", 2)
-	stage.Partition = func(r Row, src int) uint64 {
+	stage.MultiPartition = func(r Row, src, nparts int) []int {
 		if r[0].AsInt() == 1 {
-			return 1
+			return []int{1}
 		}
-		return 0
+		return []int{0}
 	}
 	stat, err := c.Run(stage)
 	if err != nil {
@@ -605,8 +606,7 @@ func TestMultiPartitionReplication(t *testing.T) {
 func TestPropertyPartitioningIsDeterministic(t *testing.T) {
 	err := quick.Check(func(k, v int64) bool {
 		r := Row{temporal.Int(k), temporal.Int(v)}
-		f := PartitionByCols([][]int{{0}})
-		return f(r, 0) == f(r, 0)
+		return temporal.HashRow(r, []int{0}) == temporal.HashRow(r, []int{0})
 	}, nil)
 	if err != nil {
 		t.Error(err)
@@ -646,15 +646,58 @@ func TestPropertyJobEquivalentAcrossPartitionCounts(t *testing.T) {
 	}
 }
 
-// TestPartitionColsExclusiveWithPartition pins the Stage-validation
-// contract: declaring both the closure and the columns is a config bug.
-func TestPartitionColsExclusiveWithPartition(t *testing.T) {
-	c := NewCluster(Config{Machines: 2})
-	defer c.Close()
-	c.FS.Write("in", SinglePartition(kvSchema(), kvRows(10)))
-	st := sumStage("in", "out", 2)
-	st.PartitionCols = [][]int{{0}}
-	if _, err := c.Run(st); err == nil {
-		t.Fatal("stage with both Partition and PartitionCols must be rejected")
+// Run reads its stages and writes none of them: one []Stage runs twice,
+// on two clusters, to the same output.
+func TestRunSameStagesTwice(t *testing.T) {
+	stages := []Stage{sumStage("in", "mid", 3), sumStage("mid", "out", 2)}
+	stages[0].Name = "first"
+	var want []Row
+	for run := 0; run < 2; run++ {
+		c := NewCluster(Config{Machines: 4})
+		c.FS.Write("in", SinglePartition(kvSchema(), kvRows(50)))
+		if _, err := c.Run(stages...); err != nil {
+			if n := strings.Count(err.Error(), "first"); n != 1 {
+				t.Errorf("run %d: error names the stage %d times: %v", run, n, err)
+			}
+			t.Fatalf("run %d: %v", run, err)
+		}
+		got := mustReadAll(t, c.FS.MustRead("out"))
+		if run == 0 {
+			want = got
+		} else if !temporal.RowsEqual(got, want) {
+			t.Fatalf("second run of the same stages: %v, first: %v", got, want)
+		}
+	}
+}
+
+// A stage that cannot run fails the job with an error naming the stage
+// once: no reducer, no routing, keys for the wrong number of inputs, a
+// key column past the row's end, a panicking routing.
+func TestStageErrorNamesStageOnce(t *testing.T) {
+	for _, c := range []struct {
+		what string
+		edit func(*Stage)
+		want string
+	}{
+		{"no reducer", func(s *Stage) { s.Reduce = nil }, "no reducer"},
+		{"no routing", func(s *Stage) { s.PartitionCols = nil }, "no partitioning"},
+		{"keys per input", func(s *Stage) { s.PartitionCols = [][]int{{0}, {0}} }, "2 inputs"},
+		{"key past the row", func(s *Stage) { s.PartitionCols = [][]int{{5}} }, "no key column 5"},
+		{"panicking routing", func(s *Stage) {
+			s.MultiPartition = func(Row, int, int) []int { panic("poison") }
+		}, "panicked"},
+	} {
+		cl := NewCluster(Config{Machines: 2})
+		cl.FS.Write("in", SinglePartition(kvSchema(), kvRows(10)))
+		st := sumStage("in", "out", 2)
+		st.Name = "lonely"
+		c.edit(&st)
+		_, err := cl.Run(st)
+		if err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Fatalf("%s: got %v, want an error containing %q", c.what, err, c.want)
+		}
+		if n := strings.Count(err.Error(), "lonely"); n != 1 {
+			t.Errorf("%s: error names the stage %d times: %v", c.what, n, err)
+		}
 	}
 }

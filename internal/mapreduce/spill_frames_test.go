@@ -25,8 +25,8 @@ func spillTestSchema() *Schema {
 	)
 }
 
-// hashAll partitions by every value of the row, whatever its width and
-// kinds: a partition function a corrupt frame cannot make panic.
+// hashAll hashes every value of the row, whatever its width and kinds: a
+// MultiPartition routing a corrupt frame cannot make panic.
 func hashAll(r Row, _ int) uint64 {
 	h := temporal.HashSeed
 	for _, v := range r {
@@ -154,8 +154,8 @@ func TestSpilledMapTaskAllocations(t *testing.T) {
 	}
 	defer release()
 	for _, st := range []*Stage{
-		{Partition: PartitionByCols([][]int{{0}})},
-		{Partition: PartitionByCols([][]int{{0, 2}}), RunKey: func(r Row, _ int) int64 { return r[0].AsInt() }},
+		{PartitionCols: [][]int{{0}}},
+		{PartitionCols: [][]int{{0, 2}}, RunKey: func(r Row, _ int) int64 { return r[0].AsInt() }},
 	} {
 		var task *mapTask
 		allocs := testing.AllocsPerRun(10, func() {
@@ -191,8 +191,8 @@ func TestSpilledMapTaskShortReadFailsCleanly(t *testing.T) {
 	c.FS.Write("in", in)
 	_, err = c.Run(Stage{
 		Name: "short", Inputs: []string{"in"}, Output: "out", OutSchema: spillTestSchema(),
-		Partition: PartitionByCols([][]int{{0}}),
-		Reduce:    func(int, [][]Row, func(Row)) error { return nil },
+		PartitionCols: [][]int{{0}},
+		Reduce:        func(int, [][]Row, func(Row)) error { return nil },
 	})
 	if !errors.Is(err, dur.ErrInjected) || !strings.Contains(err.Error(), "spill read") {
 		t.Fatalf("short read: got %v, want a spill read error wrapping dur.ErrInjected", err)
@@ -240,7 +240,7 @@ func TestSpilledMapTaskBitFlipNeverPanics(t *testing.T) {
 	}
 	errs := 0
 	for _, st := range []*Stage{
-		{Partition: hashAll},
+		{PartitionCols: [][]int{{0}}},
 		{MultiPartition: func(r Row, src, nparts int) []int {
 			return []int{int(hashAll(r, src) % uint64(nparts)), 0}
 		}},
@@ -276,8 +276,8 @@ func TestSpilledMapTaskBitFlipNeverPanics(t *testing.T) {
 		c.FS.Write("in", in)
 		_, err = c.Run(Stage{
 			Name: "flip", Inputs: []string{"in"}, Output: "out", OutSchema: spillTestSchema(),
-			Partition: hashAll,
-			Reduce:    func(int, [][]Row, func(Row)) error { return nil },
+			PartitionCols: [][]int{{0}},
+			Reduce:        func(int, [][]Row, func(Row)) error { return nil },
 		})
 		if err != nil && strings.Contains(err.Error(), "panicked") {
 			t.Fatalf("segment %d: a bit flip made the map task panic: %v", i, err)
@@ -342,7 +342,7 @@ func BenchmarkMapSpilledSegment(b *testing.B) {
 		b.Fatal(err)
 	}
 	defer release()
-	st := &Stage{Partition: PartitionByCols([][]int{{0, 2}}), RunKey: func(r Row, _ int) int64 { return r[1].AsInt() }}
+	st := &Stage{PartitionCols: [][]int{{0, 2}}, RunKey: func(r Row, _ int) int64 { return r[1].AsInt() }}
 	b.SetBytes(seg.size)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
