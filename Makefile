@@ -29,10 +29,11 @@ fmt:
 # Short fuzz sweep over every decoder that parses untrusted bytes: the
 # row codec, checkpoint images, durable frames, bt summaries and the map
 # phase's spill frame walker. Corrupt input must error — never panic,
-# never over-allocate. FuzzCoalesce is the one differential among them:
-# any small event list coalesces to what the reference implementation
-# makes of it. 10s per target keeps the gate fast; longer runs reuse the
-# same corpus.
+# never over-allocate. FuzzCompile holds the StreamSQL compiler to the
+# same rule for any query text. FuzzCoalesce is the one differential
+# among them: any small event list coalesces to what the reference
+# implementation makes of it. 10s per target keeps the gate fast; longer
+# runs reuse the same corpus.
 fuzzgate:
 	$(GO) test -run '^$$' -fuzz 'FuzzRowCodecRoundtrip' -fuzztime 10s ./internal/temporal/
 	$(GO) test -run '^$$' -fuzz 'FuzzCheckpointRoundtrip' -fuzztime 10s ./internal/temporal/
@@ -40,6 +41,7 @@ fuzzgate:
 	$(GO) test -run '^$$' -fuzz 'FuzzCoalesce' -fuzztime 10s ./internal/temporal/
 	$(GO) test -run '^$$' -fuzz 'FuzzSummaryRoundtrip' -fuzztime 10s ./internal/bt/
 	$(GO) test -run '^$$' -fuzz 'FuzzSpillFrames' -fuzztime 10s ./internal/mapreduce/
+	$(GO) test -run '^$$' -fuzz 'FuzzCompile' -fuzztime 10s ./internal/tsql/
 
 # The full pre-merge gate. `race` runs every test, the bit-identity
 # differentials included, under the race detector (DESIGN.md names the

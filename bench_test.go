@@ -28,6 +28,7 @@ var (
 	fixOnce sync.Once
 	fixData *workload.Dataset
 	fixBT   *experiments.BTRun
+	fixCtx  *experiments.Context // holds fixBT, for the experiment benchmarks
 	fixErr  error
 )
 
@@ -36,7 +37,8 @@ func fixtures(b *testing.B) (*workload.Dataset, *experiments.BTRun) {
 	fixOnce.Do(func() {
 		opt := experiments.QuickOptions()
 		fixData = workload.Generate(opt.Workload)
-		fixBT, fixErr = experiments.RunBT(opt)
+		fixCtx = experiments.NewContext(opt)
+		fixBT, fixErr = fixCtx.BT()
 	})
 	if fixErr != nil {
 		b.Fatal(fixErr)
@@ -74,7 +76,7 @@ func BenchmarkStrawman_ScopeSelfJoin(b *testing.B) {
 		// The set-oriented plan materializes the full band self-join; the
 		// cap keeps the benchmark bounded when it explodes (the paper's
 		// "intractable" outcome still costs the work done up to the cap).
-		if _, _, err := baseline.ScopeRunningClickCount(baseline.SliceSource(clicks), window, 50_000_000); err != nil {
+		if _, _, err := baseline.ScopeRunningClickCount(mapreduce.NewRowReader(mapreduce.ResidentSegment(clicks, false)).Next, window, 50_000_000); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -290,11 +292,10 @@ func BenchmarkFig20_DimReduction(b *testing.B) {
 // ---- Figures 21-23 + §V-D: model quality and learning time ----
 
 func BenchmarkFig21_CTRLiftSubsets(b *testing.B) {
-	_, r := fixtures(b)
-	ctx := experiments.NewContextWithRun(r)
+	fixtures(b)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := experiments.Fig21(ctx); err != nil {
+		if _, err := experiments.Fig21(fixCtx); err != nil {
 			b.Fatal(err)
 		}
 	}

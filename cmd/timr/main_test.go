@@ -145,3 +145,12 @@ func TestRefreshResumesFromDurdir(t *testing.T) {
 		t.Errorf("resumed -mode full exited %d, want non-zero and the history error\nstdout: %s\nstderr: %s", exit, stdout, stderr)
 	}
 }
+
+// TestSQLCompileErrorExitsCleanly: a query the binder rejects ends the run
+// with exit 1 and the binder's error, not a panic's goroutine dump.
+func TestSQLCompileErrorExitsCleanly(t *testing.T) {
+	_, stderr, exit := runTimr(t, buildTimr(t), "run", "-sql", "SELECT UserId, UserId FROM events")
+	if exit != 1 || !strings.Contains(stderr, `duplicate column "UserId"`) || strings.Contains(stderr, "goroutine ") {
+		t.Fatalf("timr run -sql with a duplicate column exited %d, want 1 with the error and no goroutine trace:\n%s", exit, stderr)
+	}
+}

@@ -89,6 +89,9 @@ func serveCmd(args []string) {
 		fmt.Fprintf(os.Stderr, "serve: resumed from durable checkpoints in %s (re-fed %d requests)\n",
 			o.durdir, rep.Requests)
 	}
+	if rep.CommitFailures > 0 {
+		fmt.Fprintf(os.Stderr, "serve: warning: %d wave commits failed; the last committed generation remains the recovery line\n", rep.CommitFailures)
+	}
 	fmt.Println(rep)
 	if o.metrics {
 		fmt.Fprintf(os.Stderr, "\nmetrics:\n%s", scope.Table())

@@ -6,10 +6,16 @@ import (
 	"testing"
 
 	"timr/internal/bt"
+	"timr/internal/mapreduce"
 	"timr/internal/ml"
 	"timr/internal/temporal"
 	"timr/internal/workload"
 )
+
+// rowSource reads rows through the RowReader of a resident segment.
+func rowSource(rows []temporal.Row) RowSource {
+	return mapreduce.NewRowReader(mapreduce.ResidentSegment(rows, false)).Next
+}
 
 func clickRow(t temporal.Time, user, ad int64) temporal.Row {
 	return temporal.Row{temporal.Int(t), temporal.Int(user), temporal.Int(ad)}
@@ -22,7 +28,7 @@ func TestScopeSelfJoinMatchesOracle(t *testing.T) {
 		clickRow(30, 3, 100),
 		clickRow(12, 4, 200),
 	}
-	out, ok, err := ScopeRunningClickCount(SliceSource(rows), 10, 1000)
+	out, ok, err := ScopeRunningClickCount(rowSource(rows), 10, 1000)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -47,10 +53,10 @@ func TestScopeSelfJoinIntractable(t *testing.T) {
 	for i := 0; i < 2000; i++ {
 		rows = append(rows, clickRow(temporal.Time(i), int64(i), 1))
 	}
-	if _, ok, err := ScopeRunningClickCount(SliceSource(rows), 10_000, 100_000); err != nil || ok {
+	if _, ok, err := ScopeRunningClickCount(rowSource(rows), 10_000, 100_000); err != nil || ok {
 		t.Fatalf("expected the self-join to exceed the output cap (ok=%v err=%v)", ok, err)
 	}
-	if n, err := ScopeJoinOutputSize(SliceSource(rows), 10_000); err != nil || n < 1_000_000 {
+	if n, err := ScopeJoinOutputSize(rowSource(rows), 10_000); err != nil || n < 1_000_000 {
 		t.Errorf("predicted join size %d, want ~2M (err=%v)", n, err)
 	}
 }
@@ -60,7 +66,7 @@ func TestScopeJoinSizePredictionMatches(t *testing.T) {
 	for i := 0; i < 300; i++ {
 		rows = append(rows, clickRow(temporal.Time(i*3%101), int64(i), int64(i%5)))
 	}
-	out, ok, err := ScopeRunningClickCount(SliceSource(rows), 50, 1_000_000)
+	out, ok, err := ScopeRunningClickCount(rowSource(rows), 50, 1_000_000)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -71,7 +77,7 @@ func TestScopeJoinSizePredictionMatches(t *testing.T) {
 	for _, c := range out {
 		materialized += c
 	}
-	if predicted, err := ScopeJoinOutputSize(SliceSource(rows), 50); err != nil || predicted != materialized {
+	if predicted, err := ScopeJoinOutputSize(rowSource(rows), 50); err != nil || predicted != materialized {
 		t.Errorf("predicted %d != materialized %d (err=%v)", predicted, materialized, err)
 	}
 }
@@ -176,7 +182,11 @@ func TestCustomBTPipelineMatchesCQPipeline(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	clean, labeled, train, scores, models := CustomBTPipeline(d.Rows, cp)
+	clean := CustomBotElim(d.Rows, cp)
+	labeled := CustomLabel(clean, cp)
+	train := CustomTrainData(labeled, clean, cp)
+	scores := CustomFeatureSelect(labeled, train, cp)
+	models := CustomModels(CustomReduce(train, scores, cp.TrainPeriod), cp)
 
 	sameRowMultiset(t, "clean", clean, eventPayloadRows(cq[bt.DSClean]))
 	sameRowMultiset(t, "labeled", labeled, eventPayloadRows(cq[bt.DSLabeled]))

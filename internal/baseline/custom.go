@@ -380,13 +380,9 @@ func CustomModels(reduced []temporal.Row, p CustomParams) map[int64]*ml.Model {
 	for _, r := range reduced {
 		byAd[r[2].AsInt()] = append(byAd[r[2].AsInt()], r)
 	}
-	cfg := ml.DefaultLRConfig()
-	if p.ModelEpochs > 0 {
-		cfg.Epochs = p.ModelEpochs
-	}
 	models := make(map[int64]*ml.Model, len(byAd))
 	for ad, rows := range byAd {
-		models[ad] = ml.TrainLR(customExamples(rows), cfg)
+		models[ad] = ml.TrainLR(customExamples(rows), p.ModelEpochs)
 	}
 	return models
 }
@@ -415,16 +411,4 @@ func customExamples(rows []temporal.Row) []ml.Example {
 	}
 	_ = order
 	return out
-}
-
-// CustomBTPipeline runs every custom phase in sequence, single-node —
-// the end-to-end hand-written solution measured in Figure 14.
-func CustomBTPipeline(rows []temporal.Row, p CustomParams) (clean, labeled, train []temporal.Row, scores []KeywordScore, models map[int64]*ml.Model) {
-	clean = CustomBotElim(rows, p)
-	labeled = CustomLabel(clean, p)
-	train = CustomTrainData(labeled, clean, p)
-	scores = CustomFeatureSelect(labeled, train, p)
-	reduced := CustomReduce(train, scores, p.TrainPeriod)
-	models = CustomModels(reduced, p)
-	return clean, labeled, train, scores, models
 }

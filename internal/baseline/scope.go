@@ -22,19 +22,6 @@ import (
 // spilled) one row at a time instead of requiring a materialized slice.
 type RowSource = func() (temporal.Row, bool, error)
 
-// SliceSource adapts an in-memory row slice to a RowSource.
-func SliceSource(rows []temporal.Row) RowSource {
-	i := 0
-	return func() (temporal.Row, bool, error) {
-		if i >= len(rows) {
-			return nil, false, nil
-		}
-		r := rows[i]
-		i++
-		return r, true, nil
-	}
-}
-
 // scanByAd drains src grouping click times by AdId — the build side of
 // the strawman's hash join. Only (Time, AdId) survive the scan, so even
 // a spilled input costs one streaming pass, not a resident copy.

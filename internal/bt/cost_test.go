@@ -94,3 +94,21 @@ func TestEstimateCostGolden(t *testing.T) {
 		}
 	}
 }
+
+// TestOptimizeCostIsEstimateCost: for every stage, the cost Optimize
+// reports is the EstimateCost of the plan it returns. A subplan shared by
+// several consumers (a scan feeding two branches) is priced once by both.
+func TestOptimizeCostIsEstimateCost(t *testing.T) {
+	p := DefaultParams()
+	for _, stats := range []*core.Stats{core.DefaultStats(), costStats()} {
+		for _, st := range Stages(false) {
+			plan, cost, err := core.NewOptimizer(stats).Optimize(st.Plan(p, false))
+			if err != nil {
+				t.Fatalf("%s: %v", st.Name, err)
+			}
+			if est := core.NewOptimizer(stats).EstimateCost(plan); cost != est {
+				t.Errorf("%s: Optimize prices its plan at %.6f, EstimateCost at %.6f", st.Name, cost, est)
+			}
+		}
+	}
+}

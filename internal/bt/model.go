@@ -65,9 +65,7 @@ func modelUDO(p Params) func(ws, we temporal.Time, rows []temporal.Row) []tempor
 		// Inside the GroupApply the AdId column is still present; rows
 		// here carry the full TrainSchema.
 		examples := RowsToExamples(rows)
-		cfg := ml.DefaultLRConfig()
-		cfg.Epochs = p.ModelEpochs
-		m := ml.TrainLR(examples, cfg)
+		m := ml.TrainLR(examples, p.ModelEpochs)
 		return []temporal.Row{{temporal.String(SerializeModel(m))}}
 	}
 }

@@ -379,8 +379,6 @@ func (st *RefreshState) rebuildModels(prev []WindowModel) {
 		return keys[i].ad < keys[j].ad
 	})
 
-	cfg := ml.DefaultLRConfig()
-	cfg.Epochs = st.P.ModelEpochs
 	frozen := len(models)
 	models = append(models, make([]WindowModel, len(keys))...)
 	// ml.TrainLR seeds its own generator, so a model is the same bytes
@@ -391,7 +389,7 @@ func (st *RefreshState) rebuildModels(prev []WindowModel) {
 			Win:    k.win,
 			Ad:     k.ad,
 			Frozen: temporal.Time(k.win+1)*tp <= st.Watermark,
-			Model:  ml.TrainLR(RowsToExamples(groups[k]), cfg),
+			Model:  ml.TrainLR(RowsToExamples(groups[k]), st.P.ModelEpochs),
 		}
 		return nil
 	})

@@ -9,16 +9,6 @@ import (
 	"timr/internal/temporal"
 )
 
-// ScoreSchemaOut is the output of ScorePlan: one prediction per scored
-// impression.
-var ScoreSchemaOut = temporal.NewSchema(
-	temporal.Field{Name: "Time", Kind: temporal.KindInt},
-	temporal.Field{Name: "UserId", Kind: temporal.KindInt},
-	temporal.Field{Name: "AdId", Kind: temporal.KindInt},
-	temporal.Field{Name: "Clicked", Kind: temporal.KindInt},
-	temporal.Field{Name: "Score", Kind: temporal.KindFloat},
-)
-
 // ScorePlan closes the M3 loop (paper §IV-B.4): "The output model weights
 // are lodged in the right synopsis of a TemporalJoin operator (for
 // scoring), so we can generate a prediction whenever a new UBP is fed on

@@ -265,8 +265,8 @@ func TestDurableOffsetSeekResume(t *testing.T) {
 				if !ok {
 					t.Fatal("recovered generation carries no input offset")
 				}
-				if snapPos, snapOK := rec.Snap.Offset("clicks"); !snapOK || snapPos != pos {
-					t.Fatalf("snapshot offset %d/%v disagrees with restored feeder position %d", snapPos, snapOK, pos)
+				if offs := rec.Snap.Offsets; len(offs) != 1 || offs[0].Name != "clicks" || offs[0].Pos != pos {
+					t.Fatalf("snapshot offsets %v disagree with restored feeder position %d of clicks", offs, pos)
 				}
 				start, last = int(pos), rec.Snap.Wave
 			}

@@ -16,30 +16,31 @@ type Stats struct {
 	// SourceRows estimates the row count of each scan source.
 	SourceRows map[string]int64
 	// Distinct estimates the number of distinct values of a column set;
-	// nil entries fall back to DefaultDistinct.
+	// a set with no entry, and none for any of its columns, has
+	// defaultDistinct.
 	Distinct map[string]int64
-	// DefaultDistinct is used for unknown column sets (default 1024).
-	DefaultDistinct int64
 	// TimeSpans estimates the parallelism of temporal partitioning
 	// (default: Machines).
 	TimeSpans int64
 	// Machines is the cluster size (default 150).
 	Machines int64
-	// ExchangePerRow and CPUPerRow weight shuffle vs compute (defaults
-	// 3.0 and 1.0 — an exchange is a disk write + transfer + read).
-	ExchangePerRow float64
-	CPUPerRow      float64
 }
+
+// Cost-model constants: the distinct count of a column set with no
+// estimate, and the per-row weights of shuffle and compute (an exchange
+// is a disk write + transfer + read).
+const (
+	defaultDistinct = 1024
+	exchangePerRow  = 3.0
+	cpuPerRow       = 1.0
+)
 
 // DefaultStats returns a usable baseline cost model.
 func DefaultStats() *Stats {
 	return &Stats{
-		SourceRows:      map[string]int64{},
-		Distinct:        map[string]int64{},
-		DefaultDistinct: 1024,
-		Machines:        150,
-		ExchangePerRow:  3.0,
-		CPUPerRow:       1.0,
+		SourceRows: map[string]int64{},
+		Distinct:   map[string]int64{},
+		Machines:   150,
 	}
 }
 
@@ -58,10 +59,7 @@ func (s *Stats) distinct(cols []string) int64 {
 	if best > 0 {
 		return best
 	}
-	if s.DefaultDistinct > 0 {
-		return s.DefaultDistinct
-	}
-	return 1024
+	return defaultDistinct
 }
 
 func (s *Stats) parallelism(k pkey) float64 {
@@ -204,30 +202,40 @@ func (o *Optimizer) Optimize(plan *temporal.Plan) (*temporal.Plan, float64, erro
 	return res.plan, res.cost, nil
 }
 
-// EstimateCost prices an already-annotated plan under the same cost model
-// (used by tests and the Example-3 experiment to compare plans).
+// EstimateCost prices an annotated plan as a DAG: each node once, however
+// many consumers share it. A scan costs one read of its rows — the
+// map-side read and shuffle every stage pays for its raw input, whether it
+// lands on one reducer or many — so an exchange directly over a scan adds
+// nothing; any other exchange costs a shuffle of its input's rows, and an
+// operator its compute under the partitioning in force below it. The
+// search prices every candidate with it, so the cost Optimize returns is
+// the EstimateCost of the plan it returns.
 func (o *Optimizer) EstimateCost(plan *temporal.Plan) float64 {
-	return o.costAnnotated(plan, make(map[*temporal.Plan]bool))
-}
-
-func (o *Optimizer) costAnnotated(n *temporal.Plan, seen map[*temporal.Plan]bool) float64 {
-	if seen[n] {
-		return 0
+	var cost float64
+	seen := make(map[*temporal.Plan]bool)
+	var walk func(n *temporal.Plan)
+	walk = func(n *temporal.Plan) {
+		if seen[n] {
+			return
+		}
+		seen[n] = true
+		for _, in := range n.Inputs {
+			walk(in)
+		}
+		switch n.Kind {
+		case temporal.OpScan:
+			cost += o.exchangeCost(n)
+		case temporal.OpGroupInput:
+		case temporal.OpExchange:
+			if n.Inputs[0].Kind != temporal.OpScan {
+				cost += o.exchangeCost(n.Inputs[0])
+			}
+		default:
+			cost += o.opCost(n, o.annotatedKeyBelow(n))
+		}
 	}
-	seen[n] = true
-	var c float64
-	for _, in := range n.Inputs {
-		c += o.costAnnotated(in, seen)
-	}
-	switch n.Kind {
-	case temporal.OpScan, temporal.OpGroupInput:
-		return c
-	case temporal.OpExchange:
-		return c + o.Stats.ExchangePerRow*o.card(n.Inputs[0])
-	default:
-		k := o.annotatedKeyBelow(n)
-		return c + o.opCost(n, k)
-	}
+	walk(plan)
+	return cost
 }
 
 // annotatedKeyBelow finds the partitioning in force at node n in an
@@ -304,11 +312,11 @@ func (o *Optimizer) opCost(n *temporal.Plan, k pkey) float64 {
 	for _, c := range n.Inputs {
 		in += o.card(c)
 	}
-	return o.Stats.CPUPerRow * in * opFactor(n.Kind) / o.Stats.parallelism(k)
+	return cpuPerRow * in * opFactor(n.Kind) / o.Stats.parallelism(k)
 }
 
 func (o *Optimizer) exchangeCost(n *temporal.Plan) float64 {
-	return o.Stats.ExchangePerRow * o.card(n)
+	return exchangePerRow * o.card(n)
 }
 
 // candidateKeys enumerates the interesting partitioning keys of a plan:
@@ -361,12 +369,11 @@ func fail(format string, args ...interface{}) *optResult {
 func (o *Optimizer) optimizeNode(n *temporal.Plan, req pkey) *optResult {
 	switch n.Kind {
 	case temporal.OpScan:
-		// Every stage pays the initial map-side read+shuffle of its raw
-		// input once, whether it lands on one reducer (none) or many —
-		// so the scan cost is uniform and plans are compared on their
-		// *inter-fragment* exchanges and per-operator parallelism.
+		// A scan costs the same read whether it lands on one reducer
+		// (none) or many (see EstimateCost), so plans are compared on
+		// their inter-fragment exchanges and per-operator parallelism.
 		if req.any || req.equal(noneKey) {
-			return &optResult{plan: n, cost: o.exchangeCost(n), delivered: noneKey}
+			return &optResult{plan: n, cost: o.EstimateCost(n), delivered: noneKey}
 		}
 		if req.isSpecificCols() {
 			for _, c := range req.cols {
@@ -375,11 +382,8 @@ func (o *Optimizer) optimizeNode(n *temporal.Plan, req pkey) *optResult {
 				}
 			}
 		}
-		return &optResult{
-			plan:      n.Exchange(req.toPartitionBy()),
-			cost:      o.exchangeCost(n),
-			delivered: req,
-		}
+		plan := n.Exchange(req.toPartitionBy())
+		return &optResult{plan: plan, cost: o.EstimateCost(plan), delivered: req}
 	case temporal.OpExchange:
 		return fail("timr: optimizer input must not be pre-annotated")
 	}
@@ -449,42 +453,36 @@ func (o *Optimizer) candidates(n *temporal.Plan) []pkey {
 	return candidateKeys(n)
 }
 
-// tryKey prices running node n under key k, repartitioning to req above
-// if needed.
+// tryKey builds the plan running node n under key k, repartitioned to req
+// above if needed, and prices it with EstimateCost.
 func (o *Optimizer) tryKey(n *temporal.Plan, k, req pkey) *optResult {
 	// Children requirements under k.
 	childReqs, ok := o.childRequirements(n, k)
 	if !ok {
 		return fail("timr: key %s not derivable through %s", k, n.Kind)
 	}
-	cost := o.opCost(n, k)
 	newInputs := make([]*temporal.Plan, len(n.Inputs))
 	for i, c := range n.Inputs {
 		cr := o.opt(c, childReqs[i])
 		if cr.err != nil {
 			return cr
 		}
-		cost += cr.cost
 		newInputs[i] = cr.plan
 	}
 	cp := *n
 	cp.Inputs = newInputs
-	out := &optResult{plan: &cp, cost: cost, delivered: k}
+	out := &optResult{plan: &cp, delivered: k}
 
-	if !req.any && !req.equal(k) {
-		// The key k does not satisfy req: check implication first —
-		// partitioning by a subset implies partitioning by the superset.
-		if req.isSpecificCols() && k.isSpecificCols() && k.subsetOf(req.cols) {
-			out.delivered = k // still partitioned by k, which implies req
-			return out
-		}
+	// Unless k satisfies req, or implies it — partitioning by a subset
+	// implies partitioning by the superset — repartition to req.
+	if !req.any && !req.equal(k) && !(req.isSpecificCols() && k.isSpecificCols() && k.subsetOf(req.cols)) {
 		if !keySurvives(n.Out, req) {
 			return fail("timr: required key %s not present in output of %s", req, n.Kind)
 		}
 		out.plan = out.plan.Exchange(req.toPartitionBy())
-		out.cost += o.exchangeCost(n)
 		out.delivered = req
 	}
+	out.cost = o.EstimateCost(out.plan)
 	return out
 }
 

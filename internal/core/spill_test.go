@@ -2,6 +2,7 @@ package core
 
 import (
 	"errors"
+	"fmt"
 	"math/rand"
 	"reflect"
 	"sort"
@@ -24,6 +25,45 @@ func mergeTestRows(les []temporal.Time, idBase int) []mapreduce.Row {
 
 func mergeTestToEvent(r mapreduce.Row) temporal.Event {
 	return temporal.PointEvent(r[0].AsInt(), r)
+}
+
+// withSpilledRuns calls use with each of runs as one spilled segment: the
+// shuffle runs of a one-partition SpillAll stage with one input per run,
+// whose files are created through fs (nil: the real OS) under dir. With
+// sorted, LE is the stage's run key, so every run is marked sorted. A
+// shuffle run lives only as long as its stage, so use runs inside the
+// stage's reducer, and the error it returns is the stage's. A stage makes
+// no run of no rows, so every run must be non-empty.
+func withSpilledRuns(fs dur.FS, dir string, runs [][]mapreduce.Row, sorted bool, use func([]mapreduce.Segment) error) error {
+	if len(runs) == 0 {
+		return use(nil) // a stage with no input runs no reducer
+	}
+	c := mapreduce.NewCluster(mapreduce.Config{Machines: 1, MemoryBudget: mapreduce.SpillAll, SpillDir: dir, SpillFS: fs})
+	defer c.Close()
+	st := mapreduce.Stage{
+		Name: "spill", NumPartitions: 1,
+		ReduceSegments: func(_ int, in [][]mapreduce.Segment, _ func([]mapreduce.Row)) error {
+			segs := make([]mapreduce.Segment, len(in))
+			for i, s := range in {
+				if len(s) != 1 || !s[0].Spilled() {
+					return fmt.Errorf("run %d is %d segments, want one spilled", i, len(s))
+				}
+				segs[i] = s[0]
+			}
+			return use(segs)
+		},
+	}
+	if sorted {
+		st.RunKey = func(r mapreduce.Row, _ int) int64 { return r[0].AsInt() }
+	}
+	for i, rows := range runs {
+		name := fmt.Sprint("run", i)
+		c.FS.Write(name, mapreduce.SinglePartition(nil, rows))
+		st.Inputs = append(st.Inputs, name)
+		st.PartitionCols = append(st.PartitionCols, nil)
+	}
+	_, err := c.Run(st)
+	return err
 }
 
 // segmentRuns builds the reducer's merge inputs over segs, in order.
@@ -78,8 +118,8 @@ func TestMergeEventRunsMixedResidentAndSpilled(t *testing.T) {
 	dir := t.TempDir()
 	for trial := 0; trial < 50; trial++ {
 		nruns := 1 + r.Intn(8)
-		var runRows [][]mapreduce.Row
-		var segs []mapreduce.Segment
+		var runRows, spillRows [][]mapreduce.Row
+		var spill []bool
 		id := 0
 		for ord := 0; ord < nruns; ord++ {
 			n := r.Intn(60) // zero-length runs included
@@ -92,18 +132,27 @@ func TestMergeEventRunsMixedResidentAndSpilled(t *testing.T) {
 			rows := mergeTestRows(les, id)
 			id += n
 			runRows = append(runRows, rows)
-			if r.Intn(2) == 0 {
-				spilled, release, err := mapreduce.SpillRows(nil, dir, rows, true)
-				if err != nil {
-					t.Fatal(err)
-				}
-				defer release()
-				segs = append(segs, spilled)
-			} else {
-				segs = append(segs, mapreduce.ResidentSegment(rows, true))
+			spill = append(spill, n > 0 && r.Intn(2) == 0) // a stage spills no empty run
+			if spill[ord] {
+				spillRows = append(spillRows, rows)
 			}
 		}
-		got, resorted := collectMergeIDs(t, segs)
+		var got []int32
+		var resorted int
+		if err := withSpilledRuns(nil, dir, spillRows, true, func(spilled []mapreduce.Segment) error {
+			var segs []mapreduce.Segment
+			for ord, rows := range runRows {
+				if spill[ord] {
+					segs, spilled = append(segs, spilled[0]), spilled[1:]
+				} else {
+					segs = append(segs, mapreduce.ResidentSegment(rows, true))
+				}
+			}
+			got, resorted = collectMergeIDs(t, segs)
+			return nil
+		}); err != nil {
+			t.Fatal(err)
+		}
 		if resorted != 0 {
 			t.Error("sorted run must not fall back")
 		}
@@ -119,13 +168,12 @@ func TestMergeEventRunsMixedResidentAndSpilled(t *testing.T) {
 	// A spilled run that cannot be read back fails the ingest call with the
 	// storage error, whichever of its neighbours are resident.
 	ffs := dur.NewFaultFS(dur.OS{}, dur.FaultConfig{Rate: 1, Seed: 1, Kinds: []string{dur.FaultShortRead}})
-	bad, release, err := mapreduce.SpillRows(ffs, dir, mergeTestRows([]temporal.Time{2, 4, 6}, 0), true)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer release()
-	segs := []mapreduce.Segment{mapreduce.ResidentSegment(mergeTestRows([]temporal.Time{1, 5}, 3), true), bad}
-	if _, _, err := mergedIDs(t, segmentRuns(t, segs)); !errors.Is(err, dur.ErrInjected) {
+	err := withSpilledRuns(ffs, dir, [][]mapreduce.Row{mergeTestRows([]temporal.Time{2, 4, 6}, 0)}, true, func(bad []mapreduce.Segment) error {
+		segs := []mapreduce.Segment{mapreduce.ResidentSegment(mergeTestRows([]temporal.Time{1, 5}, 3), true), bad[0]}
+		_, _, err := mergedIDs(t, segmentRuns(t, segs))
+		return err
+	})
+	if !errors.Is(err, dur.ErrInjected) {
 		t.Fatalf("ingest over an unreadable spilled run returned %v, want the injected read error", err)
 	}
 }
@@ -133,12 +181,14 @@ func TestMergeEventRunsMixedResidentAndSpilled(t *testing.T) {
 func TestMergeEventRunsSingleSpilledRun(t *testing.T) {
 	// One sorted spilled run must stream back in file order.
 	rows := mergeTestRows([]temporal.Time{1, 3, 3, 7, 9}, 0)
-	seg, release, err := mapreduce.SpillRows(nil, t.TempDir(), rows, true)
-	if err != nil {
+	var got []int32
+	var resorted int
+	if err := withSpilledRuns(nil, t.TempDir(), [][]mapreduce.Row{rows}, true, func(segs []mapreduce.Segment) error {
+		got, resorted = collectMergeIDs(t, segs)
+		return nil
+	}); err != nil {
 		t.Fatal(err)
 	}
-	defer release()
-	got, resorted := collectMergeIDs(t, []mapreduce.Segment{seg})
 	if resorted != 0 {
 		t.Error("sorted spilled run must not fall back")
 	}
@@ -148,17 +198,12 @@ func TestMergeEventRunsSingleSpilledRun(t *testing.T) {
 }
 
 func TestMergeEventRunsEmpty(t *testing.T) {
-	// No runs at all, and runs that are all empty (resident and spilled),
-	// must emit nothing.
+	// No runs at all, and runs that are all empty, must emit nothing. (A
+	// stage spills no empty run, so an empty run is resident.)
 	if got, _ := collectMergeIDs(t, nil); len(got) != 0 {
 		t.Fatalf("no runs emitted %v", got)
 	}
-	emptySpilled, release, err := mapreduce.SpillRows(nil, t.TempDir(), nil, true)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer release()
-	segs := []mapreduce.Segment{mapreduce.ResidentSegment(nil, true), emptySpilled}
+	segs := []mapreduce.Segment{mapreduce.ResidentSegment(nil, true), mapreduce.ResidentSegment(nil, true)}
 	if got, _ := collectMergeIDs(t, segs); len(got) != 0 {
 		t.Fatalf("empty runs emitted %v", got)
 	}
@@ -175,20 +220,15 @@ func TestMergeEventRunsEqualKeysAcrossSpillBoundary(t *testing.T) {
 		mergeTestRows([]temporal.Time{5, 5}, 3),
 		mergeTestRows([]temporal.Time{5}, 5),
 	}
-	var segs []mapreduce.Segment
-	for ord, rows := range runRows {
-		if ord == 1 { // middle run spilled, neighbours resident
-			spilled, release, err := mapreduce.SpillRows(nil, dir, rows, true)
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer release()
-			segs = append(segs, spilled)
-		} else {
-			segs = append(segs, mapreduce.ResidentSegment(rows, true))
-		}
+	var got []int32
+	// The middle run spilled, its neighbours resident.
+	if err := withSpilledRuns(nil, dir, runRows[1:2], true, func(spilled []mapreduce.Segment) error {
+		segs := []mapreduce.Segment{mapreduce.ResidentSegment(runRows[0], true), spilled[0], mapreduce.ResidentSegment(runRows[2], true)}
+		got, _ = collectMergeIDs(t, segs)
+		return nil
+	}); err != nil {
+		t.Fatal(err)
 	}
-	got, _ := collectMergeIDs(t, segs)
 	if want := []int32{0, 1, 2, 3, 4, 5}; !reflect.DeepEqual(got, want) {
 		t.Fatalf("equal-key order across spill boundary = %v, want %v", got, want)
 	}
@@ -200,12 +240,14 @@ func TestMergeEventRunsUnsortedSpilledFallsBack(t *testing.T) {
 	// reference order.
 	unsorted := mergeTestRows([]temporal.Time{9, 2, 2, 4}, 0)
 	sorted := mergeTestRows([]temporal.Time{1, 3, 4}, 4)
-	seg, release, err := mapreduce.SpillRows(nil, t.TempDir(), unsorted, false)
-	if err != nil {
+	var got []int32
+	var fallbacks int
+	if err := withSpilledRuns(nil, t.TempDir(), [][]mapreduce.Row{unsorted}, false, func(segs []mapreduce.Segment) error {
+		got, fallbacks = collectMergeIDs(t, []mapreduce.Segment{segs[0], mapreduce.ResidentSegment(sorted, true)})
+		return nil
+	}); err != nil {
 		t.Fatal(err)
 	}
-	defer release()
-	got, fallbacks := collectMergeIDs(t, []mapreduce.Segment{seg, mapreduce.ResidentSegment(sorted, true)})
 	want := mergeRefIDs([][]mapreduce.Row{unsorted, sorted})
 	if !reflect.DeepEqual(got, want) {
 		t.Fatalf("fallback merge order = %v, want %v", got, want)

@@ -65,14 +65,6 @@ type Config struct {
 	// CTIPeriod is the application-time interval between punctuations
 	// injected by reducers; it bounds engine state during a partition run.
 	CTIPeriod temporal.Time
-	// SpanWidth overrides the output-span width for temporal
-	// partitioning (§III-B). Zero (the default) auto-sizes spans to give
-	// the cluster about two tasks per machine, floored at twice the
-	// fragment's window so overlap duplication stays below ~50%.
-	SpanWidth temporal.Time
-	// Coalesce canonicalizes fragment output (merging events fragmented
-	// at CTI boundaries) before it is written back to the FS.
-	Coalesce bool
 	// Obs, when set, receives per-operator engine metrics under a
 	// "frag.<name>" child scope per fragment (batch reducers) or
 	// "stream.<name>" (streaming stages). Engines of all partitions of a
@@ -86,10 +78,7 @@ type Config struct {
 
 // DefaultConfig mirrors the defaults used throughout the evaluation.
 func DefaultConfig() Config {
-	return Config{
-		CTIPeriod: 15 * temporal.Minute,
-		Coalesce:  true,
-	}
+	return Config{CTIPeriod: 15 * temporal.Minute}
 }
 
 // TiMR binds a cluster to the framework configuration.
@@ -324,11 +313,8 @@ func (t *TiMR) reducer(frag *Fragment, spans *SpanSpec) func(int, [][]mapreduce.
 			return err
 		}
 		eng.Flush()
-		out := sink.events()
-		if cfg.Coalesce {
-			out = temporal.Coalesce(out)
-		}
-		emit(EventsToRows(out))
+		// Canonical output: events fragmented at CTI boundaries merge.
+		emit(EventsToRows(temporal.Coalesce(sink.events())))
 		return nil
 	}
 }
@@ -389,9 +375,6 @@ func minT(a, b temporal.Time) temporal.Time {
 // for its owned interval.
 func (t *TiMR) temporalStage(st *mapreduce.Stage, frag *Fragment) error {
 	width := frag.Part.SpanWidth
-	if width <= 0 {
-		width = t.Cfg.SpanWidth
-	}
 	overlap := frag.Root.MaxWindow()
 	// Determine the data's time range to size the span set.
 	lo, hi := temporal.MaxTime, temporal.MinTime

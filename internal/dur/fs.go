@@ -19,7 +19,7 @@
 //     walk generations newest-first, quarantine anything that fails
 //     validation, and fall back to the previous intact one.
 //   - The retry supervisor (store.go retry): transient I/O faults are
-//     retried with bounded backoff before the store either skips a
+//     retried a bounded number of times before the store either skips a
 //     commit (the previous generation stays the recovery line) or
 //     declares a generation corrupt.
 package dur

@@ -36,16 +36,15 @@ import (
 //
 // Every I/O bundle runs under the retry supervisor: transient faults
 // (FaultFS's torn writes, short reads, failed fsync/rename, ENOSPC) are
-// retried with bounded backoff. A commit that still fails is skipped —
-// counted as commit_failures — leaving the previous generation as the
-// recovery line, so durability degrades to a longer replay rather than
-// an outage.
+// retried at once, a bounded number of times. A commit that still fails
+// is skipped — counted as commit_failures — leaving the previous
+// generation as the recovery line, so durability degrades to a longer
+// replay rather than an outage.
 type Store struct {
 	dir     string
 	fs      FS
 	keep    int
 	retries int
-	backoff func(attempt int)
 
 	mu      sync.Mutex
 	nextGen uint64
@@ -67,10 +66,6 @@ type Options struct {
 	Keep int
 	// Retries bounds attempts per I/O bundle (default 12).
 	Retries int
-	// Backoff, when set, runs between attempts (attempt counts from 0).
-	// Nil means no delay — tests and fault injection want speed; real
-	// deployments pass a sleep.
-	Backoff func(attempt int)
 	// Obs receives the store's counters (dur_bytes, generations,
 	// corrupt_detected, retries, commit_failures). Nil disables
 	// instrumentation.
@@ -115,16 +110,6 @@ type Snapshot struct {
 	Offsets []SourceOffset
 }
 
-// Offset returns the recorded input position for a source, if any.
-func (s *Snapshot) Offset(name string) (int64, bool) {
-	for _, o := range s.Offsets {
-		if o.Name == name {
-			return o.Pos, true
-		}
-	}
-	return 0, false
-}
-
 // Recovery is the outcome of a successful Load.
 type Recovery struct {
 	Gen  uint64
@@ -160,7 +145,7 @@ func OpenStore(dir string, o Options) (*Store, error) {
 		o.Retries = 12
 	}
 	s := &Store{
-		dir: dir, fs: o.FS, keep: o.Keep, retries: o.Retries, backoff: o.Backoff,
+		dir: dir, fs: o.FS, keep: o.Keep, retries: o.Retries,
 		bytes:    o.Obs.Counter("dur_bytes"),
 		gens:     o.Obs.Counter("generations"),
 		corrupt:  o.Obs.Counter("corrupt_detected"),
@@ -204,7 +189,7 @@ func parseGen(name string) (uint64, bool) {
 }
 
 // retry runs one I/O bundle under the supervisor: up to s.retries
-// attempts, counting re-attempts and applying backoff between them.
+// attempts with no delay between them, counting the re-attempts.
 func (s *Store) retry(op func() error) error {
 	var err error
 	for attempt := 0; attempt < s.retries; attempt++ {
@@ -213,9 +198,6 @@ func (s *Store) retry(op func() error) error {
 		}
 		if attempt < s.retries-1 {
 			s.retriesC.Inc()
-			if s.backoff != nil {
-				s.backoff(attempt)
-			}
 		}
 	}
 	return err

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"syscall"
 	"testing"
@@ -136,14 +137,8 @@ func TestDurableStoreOffsetsRoundtrip(t *testing.T) {
 	if err != nil || rec == nil {
 		t.Fatalf("Load = %v, %v", rec, err)
 	}
-	if pos, ok := rec.Snap.Offset("reduced"); !ok || pos != 3 {
-		t.Fatalf("Offset(reduced) = %d, %v; want 3, true", pos, ok)
-	}
-	if pos, ok := rec.Snap.Offset("clicks"); !ok || pos != 300 {
-		t.Fatalf("Offset(clicks) = %d, %v; want 300, true", pos, ok)
-	}
-	if _, ok := rec.Snap.Offset("nope"); ok {
-		t.Fatal("Offset on an unrecorded source must report absence")
+	if want := []SourceOffset{{Name: "clicks", Pos: 300}, {Name: "reduced", Pos: 3}}; !slices.Equal(rec.Snap.Offsets, want) {
+		t.Fatalf("Offsets = %v, want %v", rec.Snap.Offsets, want)
 	}
 }
 

@@ -220,12 +220,8 @@ func EvaluateScheme(s baseline.Scheme, trainEx, testEx []ml.Example, epochs int)
 			fit = append(fit, e)
 		}
 	}
-	cfg := ml.DefaultLRConfig()
-	if epochs > 0 {
-		cfg.Epochs = epochs
-	}
 	start := time.Now()
-	model := ml.TrainLR(fit, cfg)
+	model := ml.TrainLR(fit, epochs)
 	res.TrainTime = time.Since(start)
 
 	valPreds := make([]float64, len(val))

@@ -15,10 +15,6 @@ type Context struct {
 // NewContext builds a context.
 func NewContext(opt Options) *Context { return &Context{Opt: opt} }
 
-// NewContextWithRun builds a context around an existing BT run (used by
-// the benchmark suite to share one pipeline execution).
-func NewContextWithRun(r *BTRun) *Context { return &Context{Opt: r.Opt, btRun: r} }
-
 // BT lazily runs (and caches) the BT pipeline over TiMR.
 func (c *Context) BT() (*BTRun, error) {
 	if c.btRun == nil {

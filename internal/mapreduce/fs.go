@@ -22,7 +22,6 @@ package mapreduce
 
 import (
 	"fmt"
-	"sort"
 	"sync"
 
 	"timr/internal/temporal"
@@ -190,25 +189,4 @@ func (fs *FS) MustRead(name string) *Dataset {
 		panic(err)
 	}
 	return d
-}
-
-// Delete removes a dataset (intermediate cleanup between stages). Any
-// spill files backing its segments stay on disk until the owning
-// cluster is closed — other datasets may share them.
-func (fs *FS) Delete(name string) {
-	fs.mu.Lock()
-	defer fs.mu.Unlock()
-	delete(fs.datasets, name)
-}
-
-// List returns the stored dataset names, sorted.
-func (fs *FS) List() []string {
-	fs.mu.RLock()
-	defer fs.mu.RUnlock()
-	names := make([]string, 0, len(fs.datasets))
-	for n := range fs.datasets {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	return names
 }

@@ -80,16 +80,8 @@ func TestFSBasics(t *testing.T) {
 	}
 	ds := SinglePartition(kvSchema(), kvRows(10))
 	fs.Write("a", ds)
-	fs.Write("b", ds)
-	if got := fs.List(); len(got) != 2 || got[0] != "a" || got[1] != "b" {
-		t.Errorf("List = %v", got)
-	}
 	if fs.MustRead("a").Rows() != 10 {
 		t.Error("Rows")
-	}
-	fs.Delete("a")
-	if _, err := fs.Read("a"); err == nil {
-		t.Error("deleted dataset still readable")
 	}
 }
 

@@ -340,25 +340,6 @@ func decodeFrames(frames []byte, n int) ([]Row, error) {
 	return rows, nil
 }
 
-// SpillRows writes rows as one spilled segment into a fresh temp file
-// under dir, created through fs (nil: the real OS), returning the segment
-// and a release func that closes and deletes the file. It exists for tests
-// that need spilled segments — over a fault-injecting FS, say — without
-// running a Cluster; production spill goes through the cluster's
-// MemoryBudget machinery.
-func SpillRows(fs dur.FS, dir string, rows []Row, sorted bool) (Segment, func() error, error) {
-	sf, err := createSpillFile(fs, dir, &spillIO{})
-	if err != nil {
-		return Segment{}, nil, err
-	}
-	seg, err := sf.writeSegment(appendFrames(nil, rows), len(rows), sorted)
-	if err != nil {
-		sf.close()
-		return Segment{}, nil, err
-	}
-	return seg, sf.close, nil
-}
-
 // RowReader is a pull iterator over the rows of a segment list, in
 // order. Resident segments are walked in place (no copies, no decode);
 // spilled segments stream through a buffered reader one row frame at a

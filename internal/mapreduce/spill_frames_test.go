@@ -44,7 +44,7 @@ func hashAll(r Row, _ int) uint64 {
 func TestSpilledInputShuffleFileMatchesEncodedRows(t *testing.T) {
 	const nparts = 4
 	rows := spillTestRows(3000)
-	seg, release, err := SpillRows(nil, t.TempDir(), rows[:2000], false)
+	seg, release, err := spillRows(nil, t.TempDir(), rows[:2000])
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -148,7 +148,7 @@ func TestSpilledInputShuffleFileMatchesEncodedRows(t *testing.T) {
 // row.
 func TestSpilledMapTaskAllocations(t *testing.T) {
 	const nparts = 8
-	seg, release, err := SpillRows(nil, t.TempDir(), spillTestRows(10_000), false)
+	seg, release, err := spillRows(nil, t.TempDir(), spillTestRows(10_000))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -178,7 +178,7 @@ func TestSpilledMapTaskAllocations(t *testing.T) {
 // written any spill file of its own.
 func TestSpilledMapTaskShortReadFailsCleanly(t *testing.T) {
 	ffs := dur.NewFaultFS(dur.OS{}, dur.FaultConfig{Rate: 1, Seed: 1, Kinds: []string{dur.FaultShortRead}})
-	seg, release, err := SpillRows(ffs, t.TempDir(), spillTestRows(10_000), false)
+	seg, release, err := spillRows(ffs, t.TempDir(), spillTestRows(10_000))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -214,7 +214,7 @@ func TestSpilledMapTaskShortReadFailsCleanly(t *testing.T) {
 // of every read: the job finishes or errors, and no map task panics.
 func TestSpilledMapTaskBitFlipNeverPanics(t *testing.T) {
 	const nparts = 4
-	seg, release, err := SpillRows(nil, t.TempDir(), spillTestRows(12), false)
+	seg, release, err := spillRows(nil, t.TempDir(), spillTestRows(12))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -266,7 +266,7 @@ func TestSpilledMapTaskBitFlipNeverPanics(t *testing.T) {
 
 	ffs := dur.NewFaultFS(dur.OS{}, dur.FaultConfig{Rate: 1, Seed: 1, Kinds: []string{dur.FaultBitFlip}})
 	for i := 0; i < 16; i++ {
-		seg, release, err := SpillRows(ffs, t.TempDir(), spillTestRows(1000+i), false)
+		seg, release, err := spillRows(ffs, t.TempDir(), spillTestRows(1000+i))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -337,7 +337,7 @@ func FuzzSpillFrames(f *testing.F) {
 // and a string), hashed on two columns into 64 partitions.
 func BenchmarkMapSpilledSegment(b *testing.B) {
 	rows := benchShuffleInput().Partition(0)[0].Resident()
-	seg, release, err := SpillRows(nil, b.TempDir(), rows[:mapChunkRows], false)
+	seg, release, err := spillRows(nil, b.TempDir(), rows[:mapChunkRows])
 	if err != nil {
 		b.Fatal(err)
 	}

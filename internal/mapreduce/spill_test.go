@@ -1,12 +1,44 @@
 package mapreduce
 
 import (
+	"fmt"
 	"os"
 	"path/filepath"
 	"testing"
 
+	"timr/internal/dur"
 	"timr/internal/temporal"
 )
+
+// spillRows returns rows as one spilled segment, the output of a
+// one-partition SpillAll stage whose cluster creates its files through fs
+// (nil: the real OS) under dir; release closes the cluster, deleting the
+// file. The reducer emits rows without reading its spilled input, so a
+// fault-injecting fs that only fails reads fires first on the caller's
+// read of the segment.
+func spillRows(fs dur.FS, dir string, rows []Row) (seg Segment, release func() error, err error) {
+	c := NewCluster(Config{Machines: 1, MemoryBudget: SpillAll, SpillDir: dir, SpillFS: fs})
+	c.FS.Write("in", SinglePartition(nil, rows[:1]))
+	_, err = c.Run(Stage{
+		Name: "spill", Inputs: []string{"in"}, Output: "out",
+		PartitionCols: [][]int{{}},
+		ReduceSegments: func(_ int, _ [][]Segment, emit func([]Row)) error {
+			emit(rows)
+			return nil
+		},
+	})
+	var segs []Segment
+	if err == nil {
+		if segs = c.FS.MustRead("out").Partition(0); len(segs) != 1 {
+			err = fmt.Errorf("spill stage wrote %d segments, want 1", len(segs))
+		}
+	}
+	if err != nil {
+		c.Close()
+		return Segment{}, nil, err
+	}
+	return segs[0], c.Close, nil
+}
 
 func spillTestRows(n int) []Row {
 	rows := make([]Row, n)
@@ -23,12 +55,12 @@ func spillTestRows(n int) []Row {
 
 func TestSpilledSegmentRoundtrip(t *testing.T) {
 	rows := spillTestRows(137)
-	seg, release, err := SpillRows(nil, t.TempDir(), rows, true)
+	seg, release, err := spillRows(nil, t.TempDir(), rows)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer release()
-	if !seg.Spilled() || !seg.Sorted() || seg.Len() != len(rows) {
+	if !seg.Spilled() || seg.Sorted() || seg.Len() != len(rows) {
 		t.Fatalf("segment meta: spilled=%v sorted=%v len=%d", seg.Spilled(), seg.Sorted(), seg.Len())
 	}
 	got, err := seg.Materialize()
@@ -60,7 +92,7 @@ func TestSpilledSegmentRoundtrip(t *testing.T) {
 func TestRowReaderMixedSegments(t *testing.T) {
 	a := spillTestRows(10)
 	b := spillTestRows(7)
-	seg, release, err := SpillRows(nil, t.TempDir(), b, false)
+	seg, release, err := spillRows(nil, t.TempDir(), b)
 	if err != nil {
 		t.Fatal(err)
 	}

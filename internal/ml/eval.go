@@ -3,15 +3,14 @@ package ml
 import "sort"
 
 // LiftPoint is one point of a CTR-lift vs coverage curve (paper §V-D):
-// at a prediction threshold, Coverage is the fraction of test impressions
-// above it, CTR their click-through rate, and Lift the relative
+// at some prediction threshold, Coverage is the fraction of test
+// impressions above it, CTR their click-through rate, and Lift the relative
 // improvement (V − V0)/V0 over the overall test CTR V0 (zero at full
 // coverage by construction).
 type LiftPoint struct {
-	Threshold float64
-	Coverage  float64
-	CTR       float64
-	Lift      float64
+	Coverage float64
+	CTR      float64
+	Lift     float64
 }
 
 // LiftCoverageCurve sweeps thresholds over test predictions and returns
@@ -64,10 +63,9 @@ func LiftCoverageCurve(preds []float64, clicked []bool, points int) []LiftPoint 
 				lift = (ctr - v0) / v0
 			}
 			curve = append(curve, LiftPoint{
-				Threshold: preds[i],
-				Coverage:  cov,
-				CTR:       ctr,
-				Lift:      lift,
+				Coverage: cov,
+				CTR:      ctr,
+				Lift:     lift,
 			})
 			for (rank+1)*points >= next*n {
 				next++

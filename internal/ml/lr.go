@@ -43,22 +43,14 @@ func SortFeatures(fs []Feature) []Feature {
 	return out
 }
 
-// LRConfig configures training.
-type LRConfig struct {
-	Epochs       int     // SGD passes (default 50)
-	LearningRate float64 // initial step (default 0.1, decayed per epoch)
-	L2           float64 // ridge penalty (default 1e-4)
-	// Balance subsamples negatives to match the positive count before
-	// training ("we create a balanced dataset by sampling the negative
-	// examples", §IV-B.4). Calibrate afterwards to recover CTR estimates.
-	Balance bool
-	Seed    int64
-}
-
-// DefaultLRConfig mirrors the paper's setup.
-func DefaultLRConfig() LRConfig {
-	return LRConfig{Epochs: 50, LearningRate: 0.1, L2: 1e-4, Balance: true, Seed: 1}
-}
+// Training constants of the paper's setup: the initial SGD step (decayed
+// per epoch), the ridge penalty, and the seed of the generator that
+// samples and orders the examples.
+const (
+	learningRate = 0.1
+	ridgeL2      = 1e-4
+	trainSeed    = 1
+)
 
 // Model is a trained logistic-regression scorer: y = σ(w0 + wᵀx).
 type Model struct {
@@ -70,28 +62,25 @@ type Model struct {
 	Loss   float64
 }
 
-// TrainLR fits a logistic regression by SGD with per-epoch learning-rate
-// decay. Training is deterministic for a fixed config and example order.
-func TrainLR(examples []Example, cfg LRConfig) *Model {
-	if cfg.Epochs <= 0 {
-		cfg.Epochs = 50
+// TrainLR fits a logistic regression by SGD over epochs passes (<= 0:
+// 50) with per-epoch learning-rate decay. It trains on a balanced sample:
+// negatives are subsampled to the positive count ("we create a balanced
+// dataset by sampling the negative examples", §IV-B.4), so calibrate
+// afterwards to recover CTR estimates. Training is deterministic for a
+// fixed example order.
+func TrainLR(examples []Example, epochs int) *Model {
+	if epochs <= 0 {
+		epochs = 50
 	}
-	if cfg.LearningRate <= 0 {
-		cfg.LearningRate = 0.1
-	}
-	rng := rand.New(rand.NewSource(cfg.Seed))
-
-	data := examples
-	if cfg.Balance {
-		data = BalanceExamples(examples, rng)
-	}
+	rng := rand.New(rand.NewSource(trainSeed))
+	data := BalanceExamples(examples, rng)
 	m := &Model{Weights: make(map[int64]float64)}
 	if len(data) == 0 {
 		return m
 	}
 	order := rng.Perm(len(data))
-	for epoch := 0; epoch < cfg.Epochs; epoch++ {
-		lr := cfg.LearningRate / (1 + 0.1*float64(epoch))
+	for epoch := 0; epoch < epochs; epoch++ {
+		lr := learningRate / (1 + 0.1*float64(epoch))
 		var loss float64
 		for _, i := range order {
 			ex := data[i]
@@ -104,7 +93,7 @@ func TrainLR(examples []Example, cfg LRConfig) *Model {
 			m.Bias -= lr * g
 			for _, f := range ex.Features {
 				w := m.Weights[f.ID]
-				m.Weights[f.ID] = w - lr*(g*f.Val+cfg.L2*w)
+				m.Weights[f.ID] = w - lr*(g*f.Val+ridgeL2*w)
 			}
 			if ex.Clicked {
 				loss -= math.Log(math.Max(p, 1e-12))
@@ -153,9 +142,6 @@ func (m *Model) score(fs []Feature) float64 {
 // On a balanced-trained model this is not the CTR — calibrate with
 // Calibrator to compare across ads (§IV-B.4).
 func (m *Model) Predict(fs []Feature) float64 { return m.score(fs) }
-
-// NumWeights returns the model dimensionality (for the memory experiment).
-func (m *Model) NumWeights() int { return len(m.Weights) }
 
 // Calibrator maps raw balanced-model predictions to CTR estimates: "we
 // compute predictions for a separate validation dataset, choose the k

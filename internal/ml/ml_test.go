@@ -40,7 +40,7 @@ func TestSortFeatures(t *testing.T) {
 
 func TestTrainLRLearnsSigns(t *testing.T) {
 	r := rand.New(rand.NewSource(1))
-	m := TrainLR(synthExamples(r, 4000), DefaultLRConfig())
+	m := TrainLR(synthExamples(r, 4000), 0)
 	if m.Weights[1] <= 0 {
 		t.Errorf("w1 = %v, want positive", m.Weights[1])
 	}
@@ -57,7 +57,7 @@ func TestTrainLRLearnsSigns(t *testing.T) {
 
 func TestTrainLRPredictOrdering(t *testing.T) {
 	r := rand.New(rand.NewSource(2))
-	m := TrainLR(synthExamples(r, 4000), DefaultLRConfig())
+	m := TrainLR(synthExamples(r, 4000), 0)
 	pPos := m.Predict([]Feature{{ID: 1, Val: 1}})
 	pNeg := m.Predict([]Feature{{ID: 2, Val: 1}})
 	pNone := m.Predict(nil)
@@ -69,8 +69,8 @@ func TestTrainLRPredictOrdering(t *testing.T) {
 func TestTrainLRDeterministic(t *testing.T) {
 	r1 := rand.New(rand.NewSource(3))
 	r2 := rand.New(rand.NewSource(3))
-	m1 := TrainLR(synthExamples(r1, 500), DefaultLRConfig())
-	m2 := TrainLR(synthExamples(r2, 500), DefaultLRConfig())
+	m1 := TrainLR(synthExamples(r1, 500), 0)
+	m2 := TrainLR(synthExamples(r2, 500), 0)
 	if m1.Bias != m2.Bias || len(m1.Weights) != len(m2.Weights) {
 		t.Fatal("training is not deterministic")
 	}
@@ -82,7 +82,7 @@ func TestTrainLRDeterministic(t *testing.T) {
 }
 
 func TestTrainLREmptyAndDegenerate(t *testing.T) {
-	m := TrainLR(nil, DefaultLRConfig())
+	m := TrainLR(nil, 0)
 	if m.Predict(nil) != 0.5 {
 		t.Error("empty model must predict 0.5")
 	}
@@ -91,7 +91,7 @@ func TestTrainLREmptyAndDegenerate(t *testing.T) {
 	for i := 0; i < 50; i++ {
 		negs = append(negs, Example{Clicked: false})
 	}
-	m = TrainLR(negs, DefaultLRConfig())
+	m = TrainLR(negs, 0)
 	if m.Predict(nil) >= 0.5 {
 		t.Errorf("all-negative model predicts %v", m.Predict(nil))
 	}
@@ -264,12 +264,13 @@ func TestPropertyCurveLastPointZeroLift(t *testing.T) {
 	}
 }
 
+// TestNumWeights: the model is sparse, one weight per feature id seen.
 func TestNumWeights(t *testing.T) {
 	m := TrainLR([]Example{
 		{Features: []Feature{{ID: 1, Val: 1}}, Clicked: true},
 		{Features: []Feature{{ID: 2, Val: 1}}, Clicked: false},
-	}, LRConfig{Epochs: 1, LearningRate: 0.1})
-	if m.NumWeights() != 2 {
-		t.Errorf("NumWeights = %d", m.NumWeights())
+	}, 1)
+	if len(m.Weights) != 2 {
+		t.Errorf("%d weights, want 2", len(m.Weights))
 	}
 }

@@ -5,7 +5,6 @@ import (
 	"math/rand"
 	"reflect"
 	"testing"
-	"testing/quick"
 
 	"timr/internal/temporal"
 )
@@ -86,7 +85,7 @@ func TestModelSnapshotPreservesPredictions(t *testing.T) {
 		fs := []Feature{{ID: rng.Int63n(30), Val: 1}, {ID: rng.Int63n(30), Val: float64(1 + rng.Intn(3))}}
 		exs = append(exs, Example{Features: SortFeatures(fs), Clicked: rng.Float64() < 0.3})
 	}
-	m := TrainLR(exs, DefaultLRConfig())
+	m := TrainLR(exs, 0)
 	got := modelRoundtrip(t, m)
 	for i := 0; i < 50; i++ {
 		fs := []Feature{{ID: rng.Int63n(30), Val: 1}}
@@ -96,64 +95,11 @@ func TestModelSnapshotPreservesPredictions(t *testing.T) {
 	}
 }
 
-// Property: the calibrator round-trip preserves the sorted validation
-// index exactly, so CTR(y) is bit-identical for arbitrary queries.
-func TestCalibratorSnapshotRoundtrip(t *testing.T) {
-	f := func(seed int64, n uint8, kRaw uint8) bool {
-		rng := rand.New(rand.NewSource(seed))
-		preds := make([]float64, int(n)+1)
-		labels := make([]bool, len(preds))
-		for i := range preds {
-			preds[i] = rng.Float64()
-			labels[i] = rng.Float64() < 0.25
-		}
-		c := NewCalibrator(preds, labels, int(kRaw%32))
-		var w temporal.Encoder
-		c.Snapshot(&w)
-		r := temporal.NewDecoder(w.Bytes())
-		got, err := RestoreCalibrator(r)
-		if err != nil || r.Done() != nil {
-			return false
-		}
-		if got.k != c.k || !reflect.DeepEqual(got.preds, c.preds) || !reflect.DeepEqual(got.labels, c.labels) {
-			return false
-		}
-		for i := 0; i < 20; i++ {
-			y := rng.Float64()*1.4 - 0.2
-			if got.CTR(y) != c.CTR(y) {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 80}); err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestRestoreRejectsMixedTags(t *testing.T) {
 	var w temporal.Encoder
 	(&Model{Weights: map[int64]float64{}}).Snapshot(&w)
-	if _, err := RestoreCalibrator(temporal.NewDecoder(w.Bytes())); err == nil {
-		t.Fatal("RestoreCalibrator accepted a model snapshot")
-	}
-	w.Reset()
-	NewCalibrator([]float64{0.5}, []bool{true}, 1).Snapshot(&w)
+	w.Bytes()[0] ^= 0x03
 	if _, err := RestoreModel(temporal.NewDecoder(w.Bytes())); err == nil {
-		t.Fatal("RestoreModel accepted a calibrator snapshot")
-	}
-}
-
-func TestRestoreCalibratorRejectsUnsortedPreds(t *testing.T) {
-	var w temporal.Encoder
-	w.Byte(0x4E) // tagCalibrator
-	w.Uvarint(5) // k
-	w.Uvarint(2)
-	w.Uvarint(math.Float64bits(0.9))
-	w.Bool(true)
-	w.Uvarint(math.Float64bits(0.1)) // out of order
-	w.Bool(false)
-	if _, err := RestoreCalibrator(temporal.NewDecoder(w.Bytes())); err == nil {
-		t.Fatal("unsorted preds accepted")
+		t.Fatal("RestoreModel accepted a snapshot under another tag")
 	}
 }

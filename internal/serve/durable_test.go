@@ -50,6 +50,9 @@ func TestDurableServeRestartBitIdentity(t *testing.T) {
 	if !rep.Resumed {
 		t.Fatal("restarted run did not recover the durable generation")
 	}
+	if rep.CommitFailures != 0 {
+		t.Fatalf("a clean disk failed %d wave commits", rep.CommitFailures)
+	}
 	// The resume re-feeds from the last committed wave (just before the
 	// kill at 700) to the end; the committed prefix must be skipped.
 	if rep.Requests >= 1500 || rep.Requests < 1500-700 {
@@ -102,13 +105,44 @@ func TestDurableServeRestartUnderInjectedFaults(t *testing.T) {
 	if _, err := prepared(t, faulty(11)).RunKilled(700); err != nil {
 		t.Fatal(err)
 	}
-	_, got, err := prepared(t, faulty(12)).Run()
+	srv := prepared(t, faulty(12))
+	rep, got, err := srv.Run()
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !temporal.EventsEqual(got, want) {
 		t.Fatalf("faulty-disk restart diverges: %d vs %d events", len(got), len(want))
 	}
+	if failed := commitFailures(t, srv); int64(rep.CommitFailures) != failed {
+		t.Fatalf("report counts %d failed commits, the store's serve.dur.commit_failures %d", rep.CommitFailures, failed)
+	}
+
+	// A disk that refuses most writes: retries run out, commits fail, and
+	// the report counts each one the store counted.
+	dir = t.TempDir()
+	srv = prepared(t, func(c *Config) {
+		c.DurDir = dir
+		c.DurFS = dur.NewFaultFS(dur.OS{}, dur.FaultConfig{Rate: 0.8, Seed: 13, Kinds: []string{dur.FaultENOSPC}})
+	})
+	if rep, _, err = srv.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if failed := commitFailures(t, srv); failed == 0 || int64(rep.CommitFailures) != failed {
+		t.Fatalf("report counts %d failed commits, the store's serve.dur.commit_failures %d (want equal and nonzero)", rep.CommitFailures, failed)
+	}
+}
+
+// commitFailures reads the durable store's commit_failures counter from
+// srv's metric scope.
+func commitFailures(t *testing.T, srv *Server) int64 {
+	t.Helper()
+	for _, p := range srv.cfg.Obs.Snapshot() {
+		if p.Scope == "serve.dur" && p.Name == "commit_failures" {
+			return p.Value
+		}
+	}
+	t.Fatal("no serve.dur.commit_failures counter")
+	return 0
 }
 
 func TestDurableServePacedKillAndResume(t *testing.T) {

@@ -121,6 +121,10 @@ type Report struct {
 	// replayed the schedule from the recovered wave instead of starting
 	// clean. Requests then counts only the re-fed tail of the schedule.
 	Resumed bool
+	// CommitFailures counts the waves whose durable commit failed (with
+	// DurDir set). Each leaves the last committed generation as the
+	// recovery line, so a restart replays further back.
+	CommitFailures int
 }
 
 // Server is a prepared serving tier: trained models plus the dataset
@@ -316,6 +320,9 @@ func (s *Server) run(killAfter int) (*Report, []temporal.Event, error) {
 			reduced.SetPosition(int64(req.Seq))
 			if err := job.Advance(t); err != nil {
 				return false, err
+			}
+			if job.DurableErr() != nil {
+				rep.CommitFailures++
 			}
 		}
 		rep.Requests++

@@ -106,18 +106,6 @@ var (
 	Z95 = ZForConfidence(0.95) // ≈ 1.96
 )
 
-// Mean returns the arithmetic mean of xs (0 for empty input).
-func Mean(xs []float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	s := 0.0
-	for _, x := range xs {
-		s += x
-	}
-	return s / float64(len(xs))
-}
-
 // Sigmoid is the logistic function 1/(1+e^-x), numerically stable on both
 // tails.
 func Sigmoid(x float64) float64 {

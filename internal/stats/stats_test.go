@@ -182,12 +182,3 @@ func TestZFromSummaryMatchesTwoProportionZ(t *testing.T) {
 		t.Errorf("ZFromSummary = (%v, %v), want (%v, %v)", z, ok, want, wok)
 	}
 }
-
-func TestMean(t *testing.T) {
-	if Mean(nil) != 0 {
-		t.Error("empty mean")
-	}
-	if m := Mean([]float64{1, 2, 3}); m != 2 {
-		t.Errorf("mean = %v", m)
-	}
-}

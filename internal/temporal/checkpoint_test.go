@@ -77,7 +77,7 @@ func checkpointRoundtrip(t *testing.T, mk func() *Plan, feeds map[string][]Event
 	if !bytes.Equal(snap, e1.Checkpoint()) {
 		t.Fatal("checkpoint encoding is nondeterministic: two snapshots of one state differ")
 	}
-	e2, err := RestoreEngine(mk(), snap, WithSink(got), WithCTIPeriod(0))
+	e2, err := restoreEngine(mk(), snap, WithSink(got), WithCTIPeriod(0))
 	if err != nil {
 		t.Fatalf("restore after %d of %d events: %v", split, len(all), err)
 	}
@@ -227,7 +227,7 @@ func TestCheckpointRestoresCTIClock(t *testing.T) {
 	e1.Feed("in", PointEvent(3, Row{Int(3), Int(1)}))
 	e1.Advance(50)
 	snap := e1.Checkpoint()
-	e2, err := RestoreEngine(mk(), snap, WithCTIPeriod(0))
+	e2, err := restoreEngine(mk(), snap, WithCTIPeriod(0))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -250,13 +250,13 @@ func TestCheckpointErrors(t *testing.T) {
 	e1.Feed("in", PointEvent(1, Row{Int(1), Int(2)}))
 	snap := e1.Checkpoint()
 
-	if _, err := RestoreEngine(mkB(), snap, WithCTIPeriod(0)); err == nil {
+	if _, err := restoreEngine(mkB(), snap, WithCTIPeriod(0)); err == nil {
 		t.Fatal("restoring into a mismatched plan must error")
 	}
-	if _, err := RestoreEngine(mkA(), snap[:len(snap)-1], WithCTIPeriod(0)); err == nil {
+	if _, err := restoreEngine(mkA(), snap[:len(snap)-1], WithCTIPeriod(0)); err == nil {
 		t.Fatal("restoring a truncated snapshot must error")
 	}
-	if _, err := RestoreEngine(mkA(), append(append([]byte(nil), snap...), 0xFF), WithCTIPeriod(0)); err == nil {
+	if _, err := restoreEngine(mkA(), append(append([]byte(nil), snap...), 0xFF), WithCTIPeriod(0)); err == nil {
 		t.Fatal("restoring a snapshot with trailing bytes must error")
 	}
 	e2, err := NewEngine(mkA(), WithCTIPeriod(0))
@@ -331,15 +331,15 @@ func TestCheckpointErrors(t *testing.T) {
 	}
 }
 
-// restoreErr is RestoreEngine for its error alone.
+// restoreErr is restoreEngine for its error alone.
 func restoreErr(plan *Plan, snap []byte) error {
-	_, err := RestoreEngine(plan, snap, WithCTIPeriod(0))
+	_, err := restoreEngine(plan, snap, WithCTIPeriod(0))
 	return err
 }
 
 // FuzzCheckpointRoundtrip fuzzes two properties at once: (1) for states
 // reached by feeding decoded events, snapshot → restore → snapshot is the
-// byte identity; (2) arbitrary bytes fed to RestoreEngine never panic —
+// byte identity; (2) arbitrary bytes fed to Restore never panic —
 // they either restore cleanly or fail with an error. Both over every section
 // a GroupApply writes: a grouped aggregate, a union and a join distributed
 // over kernels, a grouped UDO, a nested GroupApply under ToPoint and an
@@ -426,7 +426,7 @@ func FuzzCheckpointRoundtrip(f *testing.F) {
 				}
 			}
 			snap := eng.Checkpoint()
-			e2, err := RestoreEngine(mk(), snap, WithCTIPeriod(0))
+			e2, err := restoreEngine(mk(), snap, WithCTIPeriod(0))
 			if err != nil {
 				t.Fatalf("restore of a live checkpoint failed: %v", err)
 			}
@@ -434,7 +434,7 @@ func FuzzCheckpointRoundtrip(f *testing.F) {
 				t.Fatal("snapshot→restore→snapshot is not the byte identity")
 			}
 			// (2) Arbitrary bytes must never panic the decoder.
-			if e3, err := RestoreEngine(mk(), data, WithCTIPeriod(0)); err == nil && e3 == nil {
+			if e3, err := restoreEngine(mk(), data, WithCTIPeriod(0)); err == nil && e3 == nil {
 				t.Fatal("nil engine without error")
 			}
 		}

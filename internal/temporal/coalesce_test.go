@@ -172,7 +172,7 @@ func TestCoalesceMatchesReference(t *testing.T) {
 			t.Fatalf("trial %d (shape %d): Coalesce differs from the reference\nin:   %v\ngot:  %v\nwant: %v", trial, shape, in, got, want)
 		}
 		// The argument is left as the stably sorted permutation of what
-		// was passed — what Engine.RawResults after Engine.Results shows.
+		// was passed — what a caller reusing its array sees afterwards.
 		if !sameEvents(arg, sortedIn) {
 			t.Fatalf("trial %d (shape %d): argument not left stably sorted and intact\nin:    %v\nafter: %v\nwant:  %v", trial, shape, in, arg, sortedIn)
 		}

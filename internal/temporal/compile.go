@@ -34,14 +34,6 @@ func (p *Pipeline) Input(source string) Sink {
 	return in
 }
 
-// Sources lists the pipeline's source names.
-func (p *Pipeline) Sources() []string {
-	return slices.Clone(p.sources)
-}
-
-// SourceSchema returns the schema of a named source.
-func (p *Pipeline) SourceSchema(source string) *Schema { return p.schemas[source] }
-
 // OutSchema returns the schema of the pipeline's output events.
 func (p *Pipeline) OutSchema() *Schema { return p.out }
 

@@ -40,7 +40,7 @@ type engineOptions struct {
 
 // WithSink delivers results to a caller-supplied sink (e.g. a live
 // dashboard) instead of an internal collector. Engines built with a
-// custom sink return nil from Results/RawResults.
+// custom sink return nil from Results.
 func WithSink(out Sink) Option { return func(o *engineOptions) { o.sink = out } }
 
 // WithObs enables per-operator instrumentation reporting into scope (see
@@ -141,7 +141,7 @@ func (e *Engine) Flush() {
 // deterministic: two checkpoints of the same logical state are
 // byte-identical. Take checkpoints between input batches (operators are
 // quiescent then); the snapshot restores into a fresh engine compiled from
-// the same plan via RestoreEngine.
+// the same plan with NewEngine and Restore.
 func (e *Engine) Checkpoint() []byte {
 	var w SnapshotWriter
 	w.Byte(ckEngine)
@@ -187,19 +187,6 @@ func (e *Engine) Restore(snap []byte) error {
 	return nil
 }
 
-// RestoreEngine compiles plan into a fresh engine and loads a Checkpoint
-// snapshot taken from another engine compiled from the same plan.
-func RestoreEngine(plan *Plan, snap []byte, opts ...Option) (*Engine, error) {
-	eng, err := NewEngine(plan, opts...)
-	if err != nil {
-		return nil, err
-	}
-	if err := eng.Restore(snap); err != nil {
-		return nil, err
-	}
-	return eng, nil
-}
-
 // Results returns the collected output, coalesced and sorted, when the
 // engine was built with an internal collector. The slice is the caller's:
 // later feeding does not change it.
@@ -208,17 +195,6 @@ func (e *Engine) Results() []Event {
 		return nil
 	}
 	return Coalesce(slices.Clone(e.collect.Events))
-}
-
-// RawResults returns output events as emitted (fragmented at CTI
-// boundaries), sorted.
-func (e *Engine) RawResults() []Event {
-	if e.collect == nil {
-		return nil
-	}
-	out := append([]Event(nil), e.collect.Events...)
-	SortEvents(out)
-	return out
 }
 
 // RunPlan compiles and runs a plan over per-source event batches and

@@ -45,9 +45,6 @@ func (e Event) IsPoint() bool { return e.RE == e.LE+Tick }
 // Contains reports whether t lies within [LE, RE).
 func (e Event) Contains(t Time) bool { return e.LE <= t && t < e.RE }
 
-// Overlaps reports whether the lifetimes of e and o intersect.
-func (e Event) Overlaps(o Event) bool { return e.LE < o.RE && o.LE < e.RE }
-
 // String renders the event for debugging.
 func (e Event) String() string {
 	return fmt.Sprintf("[%d,%d)%v", e.LE, e.RE, e.Payload)

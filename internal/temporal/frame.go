@@ -2,7 +2,6 @@ package temporal
 
 import (
 	"encoding/binary"
-	"errors"
 	"fmt"
 	"hash/crc32"
 )
@@ -39,18 +38,10 @@ func AppendFrame(dst, payload []byte) []byte {
 	return binary.LittleEndian.AppendUint32(dst, crc32.Checksum(payload, frameCRC))
 }
 
-// FrameOverhead returns the number of bytes AppendFrame adds around a
-// payload of n bytes (magic + length prefix + trailing CRC).
-func FrameOverhead(n int) int {
-	return 1 + uvarintLen(uint64(n)) + 4
-}
-
 // DecodeFrame splits one frame off the front of data, returning its
 // payload (aliasing data — callers that outlive data must copy) and the
 // remaining bytes. Truncated input, a bad magic, an oversized or
-// overrunning length, and a checksum mismatch all return an error; the
-// checksum failure is distinguishable via IsChecksum for callers that
-// treat bit rot differently from truncation.
+// overrunning length, and a checksum mismatch all return an error.
 func DecodeFrame(data []byte) (payload, rest []byte, err error) {
 	if len(data) == 0 {
 		return nil, nil, fmt.Errorf("temporal: frame: empty input")
@@ -72,25 +63,9 @@ func DecodeFrame(data []byte) (payload, rest []byte, err error) {
 	payload = body[:ln]
 	want := binary.LittleEndian.Uint32(body[ln : ln+4])
 	if got := crc32.Checksum(payload, frameCRC); got != want {
-		return nil, nil, &frameChecksumError{want: want, got: got}
+		return nil, nil, fmt.Errorf("temporal: frame: checksum mismatch (stored %08x, computed %08x)", want, got)
 	}
 	return payload, body[ln+4:], nil
-}
-
-// frameChecksumError marks a frame whose bytes parsed but whose payload
-// failed CRC validation — bit rot or a torn write, rather than a
-// structural truncation.
-type frameChecksumError struct{ want, got uint32 }
-
-func (e *frameChecksumError) Error() string {
-	return fmt.Sprintf("temporal: frame: checksum mismatch (stored %08x, computed %08x)", e.want, e.got)
-}
-
-// IsChecksum reports whether err is (or wraps) a frame checksum
-// mismatch.
-func IsChecksum(err error) bool {
-	var ce *frameChecksumError
-	return errors.As(err, &ce)
 }
 
 // BytesField appends a length-prefixed raw byte slice — how the durable

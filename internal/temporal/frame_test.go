@@ -2,6 +2,7 @@ package temporal
 
 import (
 	"bytes"
+	"strings"
 	"testing"
 )
 
@@ -39,16 +40,6 @@ func TestFrameRoundtrip(t *testing.T) {
 	}
 }
 
-func TestFrameOverheadExact(t *testing.T) {
-	for _, n := range []int{0, 1, 127, 128, 100000} {
-		p := make([]byte, n)
-		got := len(AppendFrame(nil, p))
-		if want := n + FrameOverhead(n); got != want {
-			t.Fatalf("payload %d: frame is %d bytes, FrameOverhead predicts %d", n, got, want)
-		}
-	}
-}
-
 func TestFrameDetectsCorruption(t *testing.T) {
 	payload := []byte("the quick brown checkpoint")
 	frame := AppendFrame(nil, payload)
@@ -76,12 +67,12 @@ func TestFrameDetectsCorruption(t *testing.T) {
 	// A payload flip specifically is a checksum error; a magic flip is not.
 	mut := append([]byte(nil), frame...)
 	mut[len(mut)-5] ^= 0x10 // inside payload
-	if _, _, err := DecodeFrame(mut); !IsChecksum(err) {
+	if _, _, err := DecodeFrame(mut); err == nil || !strings.Contains(err.Error(), "checksum mismatch") {
 		t.Fatalf("payload corruption not reported as checksum error: %v", err)
 	}
 	mut = append(mut[:0:0], frame...)
 	mut[0] ^= 0xFF
-	if _, _, err := DecodeFrame(mut); err == nil || IsChecksum(err) {
+	if _, _, err := DecodeFrame(mut); err == nil || strings.Contains(err.Error(), "checksum mismatch") {
 		t.Fatalf("magic corruption misreported: %v", err)
 	}
 }
@@ -131,4 +122,15 @@ func FuzzFrameDecode(f *testing.F) {
 			t.Fatalf("re-encode roundtrip mismatch")
 		}
 	})
+}
+
+// TestFrameOverheadExact: a frame adds exactly its magic byte, the
+// payload length's uvarint and the CRC to the payload.
+func TestFrameOverheadExact(t *testing.T) {
+	for _, n := range []int{0, 1, 127, 128, 100000} {
+		got := len(AppendFrame(nil, make([]byte, n)))
+		if want := n + 1 + uvarintLen(uint64(n)) + 4; got != want {
+			t.Fatalf("payload %d: frame is %d bytes, want %d", n, got, want)
+		}
+	}
 }

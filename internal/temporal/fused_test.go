@@ -3,6 +3,7 @@ package temporal
 import (
 	"bytes"
 	"encoding/hex"
+	"fmt"
 	"testing"
 )
 
@@ -182,7 +183,7 @@ func checkFusedEquivalence(t *testing.T, plan *Plan, evs []Event) {
 			snap := eng.Checkpoint()
 			f.feed(eng, evs[half:])
 			eng.Flush()
-			got := eng.RawResults()
+			got := emitted(eng)
 			if want == nil {
 				want, wantSnap = got, snap
 				continue
@@ -216,16 +217,19 @@ func kernelCases() []kernelCase {
 	sch := readingSchema()
 	evs := fusedReadings(120)
 	double := Compute("Doubled", KindInt, func(v []Value) Value { return Int(v[0].AsInt() * 2) }, "Power")
+	powerLt := func(n int64) Predicate {
+		return FnPred(fmt.Sprintf("Power < %d", n), func(v []Value) bool { return v[0].AsInt() < n }, "Power")
+	}
 	// The multicast diamond: a shared scan heading two kernels.
 	src := Scan("in", sch)
 	diamond := src.Where(ColGtInt("Power", 20)).Project(Keep("Time"), Keep("ID"), ConstInt("Tag", 1)).
 		Union(src.Where(Not(ColGtInt("Power", 20))).Project(Keep("Time"), Keep("ID"), ConstInt("Tag", 0)))
 	return []kernelCase{
-		{"filter-chain", Scan("in", sch).Where(ColGtInt("Power", -5)).Where(ColLtInt("Power", 35)), evs},
+		{"filter-chain", Scan("in", sch).Where(ColGtInt("Power", -5)).Where(powerLt(35)), evs},
 		{"filter-allpass", Scan("in", sch).Where(ColGtInt("Power", -100)), evs},
-		{"filter-string", Scan("in", sch).Where(ColEqString("ID", "a")), evs},
-		{"filter-and", Scan("in", sch).Where(And(ColGtInt("Power", -5), ColLtInt("Power", 35))), evs},
-		{"filter-or-fallback", Scan("in", sch).Where(Or(ColGtInt("Power", 30), ColLtInt("Power", -5))), evs},
+		{"filter-string", Scan("in", sch).Where(FnPred(`ID == "a"`, func(v []Value) bool { return v[0].AsString() == "a" }, "ID")), evs},
+		{"filter-and", Scan("in", sch).Where(And(ColGtInt("Power", -5), powerLt(35))), evs},
+		{"filter-or-fallback", Scan("in", sch).Where(Or(ColGtInt("Power", 30), powerLt(-5))), evs},
 		{"project-direct", Scan("in", sch).Project(Keep("Time"), Rename("ID", "Meter"), Keep("Power")), evs},
 		{"project-computed-fallback", Scan("in", sch).Project(Keep("Time"), double), evs},
 		{"filter-project-window", Scan("in", sch).Where(ColGtInt("Power", -5)).Project(Keep("Time"), Keep("Power")).WithWindow(9), evs},
@@ -234,7 +238,7 @@ func kernelCases() []kernelCase {
 		{"agg-boundary", Scan("in", sch).Where(ColGtInt("Power", -5)).WithWindow(9).Count("Cnt"), evs},
 		{"shift-agg", Scan("in", sch).Where(ColGtInt("Power", -5)).ShiftLifetime(-4).WithWindow(9).Count("Cnt"), evs},
 		{"nulls-off-column", Scan("in", sch).Where(ColGtInt("Power", -2)).Project(Keep("ID"), Keep("Power")), fusedOddReadings(100)},
-		{"float-filters", Scan("in", floatReadingSchema()).Where(ColGeFloat("Val", -1)).Where(AbsGeFloat("Val", 0.5)), fusedFloatReadings(100)},
+		{"float-filters", Scan("in", floatReadingSchema()).Where(FnPred("Val >= -1", func(v []Value) bool { return v[0].AsFloat() >= -1 }, "Val")).Where(AbsGeFloat("Val", 0.5)), fusedFloatReadings(100)},
 		{"multicast-diamond", diamond, evs},
 	}
 }
@@ -277,7 +281,7 @@ func TestFusedSnapshotCompatibility(t *testing.T) {
 	ref := mk(split)
 	feed(ref, evs)
 	ref.Flush()
-	want := ref.RawResults()
+	want := emitted(ref)
 
 	// Cross-restore in both directions and finish the run.
 	for _, d := range []struct {
@@ -290,7 +294,7 @@ func TestFusedSnapshotCompatibility(t *testing.T) {
 		a := mk(d.first)
 		feed(a, evs[:half])
 		snap := a.Checkpoint()
-		b, err := RestoreEngine(d.restored, snap, WithCTIPeriod(fusedTestCTIPeriod))
+		b, err := restoreEngine(d.restored, snap, WithCTIPeriod(fusedTestCTIPeriod))
 		if err != nil {
 			t.Fatalf("%s: restore: %v", d.name, err)
 		}
@@ -299,7 +303,7 @@ func TestFusedSnapshotCompatibility(t *testing.T) {
 		}
 		feed(b, evs[half:])
 		b.Flush()
-		got := append(a.RawResults(), b.RawResults()...)
+		got := append(emitted(a), emitted(b)...)
 		SortEvents(got)
 		if !EventsEqual(got, want) {
 			t.Errorf("%s: combined output diverges\n got %v\nwant %v", d.name, got, want)
@@ -349,19 +353,19 @@ func TestFusedGoldenCheckpoints(t *testing.T) {
 		if got := whole.Checkpoint(); !bytes.Equal(got, image) {
 			t.Errorf("%s: checkpoint differs from the parent commit's image\n got %x\nwant %x", c.name, got, image)
 		}
-		head := whole.RawResults()
+		head := emitted(whole)
 		feed(whole, evs[60:])
 		whole.Flush()
 
-		resumed, err := RestoreEngine(c.plan, image, WithCTIPeriod(fusedTestCTIPeriod))
+		resumed, err := restoreEngine(c.plan, image, WithCTIPeriod(fusedTestCTIPeriod))
 		if err != nil {
 			t.Fatalf("%s: restore: %v", c.name, err)
 		}
 		feed(resumed, evs[60:])
 		resumed.Flush()
-		got := append(head, resumed.RawResults()...)
+		got := append(head, emitted(resumed)...)
 		SortEvents(got)
-		if !EventsEqual(got, whole.RawResults()) {
+		if !EventsEqual(got, emitted(whole)) {
 			t.Errorf("%s: resumed output diverges from the uninterrupted run", c.name)
 		}
 	}

@@ -26,7 +26,7 @@ func overlapJoin(l, r []Event, nk int, cond func(l, r Row) bool, rdrop int) []Ev
 		for _, b := range r {
 			le, re := max(a.LE, b.LE), min(a.RE, b.RE)
 			if le < re && a.Payload[:nk].Equal(b.Payload[:nk]) && (cond == nil || cond(a.Payload, b.Payload)) {
-				out = append(out, Event{LE: le, RE: re, Payload: ConcatRows(a.Payload, b.Payload[rdrop:])})
+				out = append(out, Event{LE: le, RE: re, Payload: append(a.Payload.Clone(), b.Payload[rdrop:]...)})
 			}
 		}
 	}
@@ -184,9 +184,11 @@ func (s liveSchedule) String() string {
 func runLive(t *testing.T, rng *rand.Rand, plan *Plan, steps []liveStep, s liveSchedule, after func(*Engine)) []Event {
 	t.Helper()
 	uses := make(map[string]bool)
-	for _, src := range plan.Sources() {
-		uses[src] = true
-	}
+	plan.Walk(func(n *Plan) {
+		if n.Kind == OpScan {
+			uses[n.Source] = true
+		}
+	})
 	var mine []liveStep
 	for _, st := range steps {
 		if uses[st.src] {
@@ -206,7 +208,7 @@ func runLive(t *testing.T, rng *rand.Rand, plan *Plan, steps []liveStep, s liveS
 	for i := 0; i < len(mine); {
 		if i == s.restoreAt {
 			out = append(out, eng.collect.Events...)
-			if eng, err = RestoreEngine(plan, eng.Checkpoint(), WithCTIPeriod(s.period)); err != nil {
+			if eng, err = restoreEngine(plan, eng.Checkpoint(), WithCTIPeriod(s.period)); err != nil {
 				t.Fatalf("%v: restore: %v", s, err)
 			}
 			did()
@@ -383,7 +385,7 @@ func TestJoinRestoresParentImage(t *testing.T) {
 	feed(whole, steps[half:])
 	whole.Flush()
 
-	resumed, err := RestoreEngine(plan, image, WithCTIPeriod(20))
+	resumed, err := restoreEngine(plan, image, WithCTIPeriod(20))
 	if err != nil {
 		t.Fatalf("restoring the parent's image: %v", err)
 	}
@@ -398,8 +400,8 @@ func TestJoinRestoresParentImage(t *testing.T) {
 	}
 	want := overlapJoin(uncovered(in["l"], in["b"], 1), in["r"], 1, nil, 0)
 	SortEvents(want)
-	if len(want) < 30 || !EventsEqual(whole.RawResults(), want) {
-		t.Fatalf("an uninterrupted run differs from the enumeration\ngot:  %v\nwant: %v", whole.RawResults(), want)
+	if len(want) < 30 || !EventsEqual(emitted(whole), want) {
+		t.Fatalf("an uninterrupted run differs from the enumeration\ngot:  %v\nwant: %v", emitted(whole), want)
 	}
 	if !EventsEqual(got, want) {
 		t.Fatalf("resumed from the parent's image\ngot:  %v\nwant: %v", got, want)

@@ -138,7 +138,7 @@ func TestObservedMatchesUnobserved(t *testing.T) {
 					snaps[i] = eng.Checkpoint()
 					f.feed(eng, c.evs[half:])
 					eng.Flush()
-					outs[i] = eng.RawResults()
+					outs[i] = emitted(eng)
 				}
 				if !bytes.Equal(snaps[0], snaps[1]) {
 					t.Error("observed engine checkpoints to different bytes")

@@ -24,7 +24,7 @@ func TestMinMaxNaNDoesNotLeak(t *testing.T) {
 	if len(s.counts) != 0 {
 		t.Errorf("multiset holds %d entries after 1000 insert/remove pairs, want 0", len(s.counts))
 	}
-	if got := s.Result(); !got.IsNull() || len(s.h.items) != 0 {
+	if got := s.Result(); got.Kind() != KindNull || len(s.h.items) != 0 {
 		t.Errorf("Result = %v with %d heap candidates left, want NULL and 0", got, len(s.h.items))
 	}
 
@@ -57,7 +57,7 @@ func TestMinMaxFloatKeys(t *testing.T) {
 	s := newMinMaxState(0, false)
 	s.Insert(Row{Float(0)})
 	s.Remove(Row{Float(math.Copysign(0, -1))})
-	if len(s.counts) != 0 || !s.Result().IsNull() {
+	if len(s.counts) != 0 || s.Result().Kind() != KindNull {
 		t.Errorf("Insert(+0), Remove(-0) left %d entries, Result %v", len(s.counts), s.Result())
 	}
 

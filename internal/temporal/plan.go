@@ -82,12 +82,11 @@ func (k AggKind) String() string {
 // payload rows with LE inside the window, ordered by LE, and returns
 // output rows valid for [end, end+Hop).
 type UDOSpec struct {
-	Name     string
-	Window   Time
-	Hop      Time
-	Out      *Schema
-	Fn       func(winStart, winEnd Time, rows []Row) []Row
-	Stateful bool // documentation only: whether Fn keeps state across windows
+	Name   string
+	Window Time
+	Hop    Time
+	Out    *Schema
+	Fn     func(winStart, winEnd Time, rows []Row) []Row
 }
 
 // PartitionBy describes a logical exchange: repartition the stream by a
@@ -95,8 +94,9 @@ type UDOSpec struct {
 type PartitionBy struct {
 	Cols     []string
 	Temporal bool
-	// SpanWidth is the output span width s for temporal partitioning; the
-	// overlap is derived from the fragment's maximum window size.
+	// SpanWidth is the output span width s for temporal partitioning
+	// (zero: the runtime sizes spans itself); the overlap is derived from
+	// the fragment's maximum window size.
 	SpanWidth Time
 }
 
@@ -341,19 +341,6 @@ func (p *Plan) Walk(visit func(*Plan)) {
 	rec(p)
 }
 
-// Sources returns the distinct scan source names referenced by the plan.
-func (p *Plan) Sources() []string {
-	var out []string
-	seen := make(map[string]bool)
-	p.Walk(func(n *Plan) {
-		if n.Kind == OpScan && !seen[n.Source] {
-			seen[n.Source] = true
-			out = append(out, n.Source)
-		}
-	})
-	return out
-}
-
 // MaxWindow returns a conservative bound on the plan's temporal extent:
 // the sum of every window/shift/hop extent anywhere in the plan
 // (including sub-plans). Chained windows compose additively along a path,
@@ -385,20 +372,6 @@ func (p *Plan) MaxWindow() Time {
 		sum += w
 	})
 	return sum
-}
-
-// OperatorCount returns the number of logical operators (excluding leaves
-// and exchanges); used in the development-effort comparison.
-func (p *Plan) OperatorCount() int {
-	n := 0
-	p.Walk(func(node *Plan) {
-		switch node.Kind {
-		case OpScan, OpGroupInput, OpExchange:
-		default:
-			n++
-		}
-	})
-	return n
 }
 
 // String renders the plan as an indented tree for diagnostics.

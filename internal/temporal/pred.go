@@ -31,18 +31,6 @@ func ColEqInt(col string, v int64) Predicate {
 	}
 }
 
-// ColEqString matches rows whose string column equals v.
-func ColEqString(col, v string) Predicate {
-	return Predicate{
-		Cols: []string{col},
-		Make: func(ix []int) func(Row) bool {
-			c := ix[0]
-			return func(r Row) bool { return r[c].AsString() == v }
-		},
-		Desc: fmt.Sprintf("%s == %q", col, v),
-	}
-}
-
 // ColGtInt matches rows whose integer column is strictly greater than v.
 func ColGtInt(col string, v int64) Predicate {
 	return Predicate{
@@ -52,30 +40,6 @@ func ColGtInt(col string, v int64) Predicate {
 			return func(r Row) bool { return r[c].AsInt() > v }
 		},
 		Desc: fmt.Sprintf("%s > %d", col, v),
-	}
-}
-
-// ColLtInt matches rows whose integer column is strictly less than v.
-func ColLtInt(col string, v int64) Predicate {
-	return Predicate{
-		Cols: []string{col},
-		Make: func(ix []int) func(Row) bool {
-			c := ix[0]
-			return func(r Row) bool { return r[c].AsInt() < v }
-		},
-		Desc: fmt.Sprintf("%s < %d", col, v),
-	}
-}
-
-// ColGeFloat matches rows whose float column is >= v.
-func ColGeFloat(col string, v float64) Predicate {
-	return Predicate{
-		Cols: []string{col},
-		Make: func(ix []int) func(Row) bool {
-			c := ix[0]
-			return func(r Row) bool { return r[c].AsFloat() >= v }
-		},
-		Desc: fmt.Sprintf("%s >= %g", col, v),
 	}
 }
 

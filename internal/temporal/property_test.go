@@ -134,7 +134,7 @@ func TestPropertyCTIFrequencyInvariance(t *testing.T) {
 						}
 					}
 					eng.Flush()
-					return eng.Results(), len(eng.RawResults())
+					return eng.Results(), len(eng.collect.Events)
 				}
 				want, wantRaw := run(0, false) // flush-driven
 				check := func(schedule string, got []Event, raw int) {
@@ -326,7 +326,7 @@ func TestPropertyJoinMatchesNestedLoop(t *testing.T) {
 				lo := max(a.LE, b.LE)
 				hi := min(a.LE+w, b.LE+w)
 				if lo < hi {
-					want = append(want, Event{LE: lo, RE: hi, Payload: ConcatRows(a.Payload, b.Payload)})
+					want = append(want, Event{LE: lo, RE: hi, Payload: append(a.Payload.Clone(), b.Payload...)})
 				}
 			}
 		}

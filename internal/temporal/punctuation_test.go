@@ -259,12 +259,6 @@ func TestEngineAccessors(t *testing.T) {
 		t.Fatal(err)
 	}
 	p := eng.Pipeline()
-	if got := p.Sources(); len(got) != 1 || got[0] != "in" {
-		t.Errorf("Sources = %v", got)
-	}
-	if !p.SourceSchema("in").Equal(sch) {
-		t.Error("SourceSchema mismatch")
-	}
 	if p.OutSchema().Field(0).Name != "C" {
 		t.Errorf("OutSchema = %s", p.OutSchema())
 	}
@@ -273,7 +267,7 @@ func TestEngineAccessors(t *testing.T) {
 	eng.Feed("in", reading(1, "m", 1))
 	eng.Advance(10)
 	eng.Flush()
-	raw := eng.RawResults()
+	raw := eng.collect.Events
 	if len(raw) == 0 {
 		t.Fatal("no raw results")
 	}
@@ -286,10 +280,6 @@ func TestEngineAccessors(t *testing.T) {
 func TestEventHelpers(t *testing.T) {
 	a := Event{LE: 1, RE: 5, Payload: Row{Int(1)}}
 	b := Event{LE: 4, RE: 9, Payload: Row{Int(2)}}
-	c := Event{LE: 5, RE: 9, Payload: Row{Int(3)}}
-	if !a.Overlaps(b) || a.Overlaps(c) || !b.Overlaps(a) {
-		t.Error("Overlaps")
-	}
 	if a.String() == "" || a.IsPoint() {
 		t.Error("String/IsPoint")
 	}
@@ -353,15 +343,16 @@ func TestAvgEmptyAndPredicateCombinators(t *testing.T) {
 	if s.Result().AsFloat() != 0 {
 		t.Error("empty avg")
 	}
-	// Or / FnPred / ColLtInt / ColGeFloat / ColEqString coverage.
+	// Or / And / FnPred coverage.
 	sch := NewSchema(
 		Field{Name: "Time", Kind: KindInt},
 		Field{Name: "Name", Kind: KindString},
 		Field{Name: "X", Kind: KindFloat},
 	)
 	plan := Scan("in", sch).Where(Or(
-		ColEqString("Name", "keep"),
-		And(ColLtInt("Time", 5), ColGeFloat("X", 2.0)),
+		FnPred("Name == keep", func(v []Value) bool { return v[0].AsString() == "keep" }, "Name"),
+		And(FnPred("Time < 5", func(v []Value) bool { return v[0].AsInt() < 5 }, "Time"),
+			FnPred("X >= 2", func(v []Value) bool { return v[0].AsFloat() >= 2 }, "X")),
 	))
 	in := []Event{
 		PointEvent(1, Row{Int(1), String("keep"), Float(0)}),

@@ -207,7 +207,7 @@ func reclaimRoundtrip(t *testing.T, sub func(g *Plan) *Plan, seed int64, events 
 	}
 	driveSchedule(e1, ctiRandom, seed, events, 0, split)
 	snap := e1.Checkpoint()
-	e2, err := RestoreEngine(reclaimPlan(sub), snap, WithSink(got), WithCTIPeriod(0))
+	e2, err := restoreEngine(reclaimPlan(sub), snap, WithSink(got), WithCTIPeriod(0))
 	if err != nil {
 		t.Fatalf("seed %d: restore at %d/%d: %v", seed, split, len(events), err)
 	}
@@ -364,7 +364,7 @@ func TestCheckpointWithUnsortedStaged(t *testing.T) {
 			if engines[2] == nil && partlySorted(groupApplyOf(t, engines[1])[0]) {
 				snap := engines[1].Checkpoint()
 				sinks[2].tokens = append(sinks[2].tokens, sinks[1].tokens...)
-				restored, err := RestoreEngine(plan(), snap, WithSink(sinks[2]), WithCTIPeriod(0))
+				restored, err := restoreEngine(plan(), snap, WithSink(sinks[2]), WithCTIPeriod(0))
 				if err != nil {
 					t.Fatalf("seed %d: restore after event %d: %v", seed, i, err)
 				}

@@ -40,12 +40,6 @@ func (s *Schema) Field(i int) Field { return s.fields[i] }
 // Fields returns a copy of the field list.
 func (s *Schema) Fields() []Field { return append([]Field(nil), s.fields...) }
 
-// Index returns the position of the named column and whether it exists.
-func (s *Schema) Index(name string) (int, bool) {
-	i, ok := s.index[name]
-	return i, ok
-}
-
 // MustIndex returns the position of the named column, panicking if absent.
 func (s *Schema) MustIndex(name string) int {
 	i, ok := s.index[name]
@@ -135,13 +129,6 @@ func (r Row) Equal(o Row) bool {
 		}
 	}
 	return true
-}
-
-// ConcatRows returns l ++ r as a fresh row.
-func ConcatRows(l, r Row) Row {
-	out := make(Row, 0, len(l)+len(r))
-	out = append(out, l...)
-	return append(out, r...)
 }
 
 // String renders the row for debugging.

@@ -98,9 +98,6 @@ var Null = Value{}
 // Kind reports the dynamic kind of v.
 func (v Value) Kind() Kind { return v.kind }
 
-// IsNull reports whether v is null.
-func (v Value) IsNull() bool { return v.kind == KindNull }
-
 // AsInt returns the integer payload. It panics if v is not an int; engine
 // code paths validate kinds at plan-compile time, so a panic here indicates
 // a schema bug, not a data error.

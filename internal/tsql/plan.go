@@ -2,6 +2,8 @@ package tsql
 
 import (
 	"fmt"
+	"slices"
+	"time"
 
 	"timr/internal/temporal"
 )
@@ -186,14 +188,10 @@ func bindSelect(s *SelectStmt, cat Catalog) (*temporal.Plan, error) {
 	case len(s.GroupBy) > 0:
 		return nil, fmt.Errorf("tsql: GROUP BY requires an aggregate in the SELECT list")
 	default:
-		if s.Window != nil {
-			if s.Hop != nil {
-				plan = plan.WithHop(*s.Window, *s.Hop)
-			} else {
-				plan = plan.WithWindow(*s.Window)
-			}
-			sc.schema = plan.Schema()
+		if plan, err = withWindow(plan, s.Window, s.Hop); err != nil {
+			return nil, err
 		}
+		sc.schema = plan.Schema()
 	}
 
 	// ---- HAVING ----
@@ -247,12 +245,9 @@ func bindSource(src *Source, cat Catalog) (*temporal.Plan, error) {
 		}
 		plan = temporal.Scan(src.Name, schema)
 	}
-	if src.Window != nil {
-		if src.Hop != nil {
-			plan = plan.WithHop(*src.Window, *src.Hop)
-		} else {
-			plan = plan.WithWindow(*src.Window)
-		}
+	plan, err := withWindow(plan, src.Window, src.Hop)
+	if err != nil {
+		return nil, err
 	}
 	if src.Shift != nil {
 		plan = plan.ShiftLifetime(*src.Shift)
@@ -263,18 +258,34 @@ func bindSource(src *Source, cat Catalog) (*temporal.Plan, error) {
 	return plan, nil
 }
 
+// withWindow applies a WINDOW w [HOP hop] clause (w nil: none) to plan.
+// Width and hop must be positive.
+func withWindow(plan *temporal.Plan, w, hop *temporal.Time) (*temporal.Plan, error) {
+	switch {
+	case w == nil:
+		return plan, nil
+	case hop == nil && *w > 0:
+		return plan.WithWindow(*w), nil
+	case hop == nil:
+		return nil, fmt.Errorf("tsql: WINDOW %s: width must be positive", ms(*w))
+	case *w <= 0 || *hop <= 0:
+		return nil, fmt.Errorf("tsql: WINDOW %s HOP %s: width and hop must be positive", ms(*w), ms(*hop))
+	}
+	return plan.WithHop(*w, *hop), nil
+}
+
+// ms renders a duration of ticks (milliseconds) for an error message.
+func ms(t temporal.Time) time.Duration { return time.Duration(t) * time.Millisecond }
+
 func bindAggregate(s *SelectStmt, agg ProjExpr, plan *temporal.Plan, sc *scope) (*temporal.Plan, error) {
 	name := agg.Alias
 	if name == "" {
 		name = agg.Agg
 	}
 	applyAgg := func(g *temporal.Plan) (*temporal.Plan, error) {
-		if s.Window != nil {
-			if s.Hop != nil {
-				g = g.WithHop(*s.Window, *s.Hop)
-			} else {
-				g = g.WithWindow(*s.Window)
-			}
+		g, err := withWindow(g, s.Window, s.Hop)
+		if err != nil {
+			return nil, err
 		}
 		var col string
 		if agg.AggCol.Name != "" {
@@ -308,6 +319,9 @@ func bindAggregate(s *SelectStmt, agg ProjExpr, plan *temporal.Plan, sc *scope) 
 		if err != nil {
 			return nil, err
 		}
+		if slices.Contains(keys[:i], col) || col == name {
+			return nil, fmt.Errorf("tsql: duplicate column %q in GROUP BY output", col)
+		}
 		keys[i] = col
 	}
 	var bindErr error
@@ -329,36 +343,38 @@ func bindProjection(s *SelectStmt, plan *temporal.Plan, sc *scope, hasAgg bool) 
 	schema := plan.Schema()
 	var projs []temporal.Projection
 	identity := schema.Len() == len(s.Projs)
+	seen := make(map[string]bool, len(s.Projs))
 	for i, pr := range s.Projs {
-		var src string
+		var col, out string
 		if pr.Agg != "" {
 			// The aggregate column already carries its output name.
-			src = pr.Alias
-			if src == "" {
-				src = pr.Agg
+			out = pr.Alias
+			if out == "" {
+				out = pr.Agg
 			}
-			if !schema.Has(src) {
-				return nil, fmt.Errorf("tsql: internal: aggregate column %q missing from %s", src, schema)
+			if !schema.Has(out) {
+				return nil, fmt.Errorf("tsql: internal: aggregate column %q missing from %s", out, schema)
 			}
-			projs = append(projs, temporal.Keep(src))
-			if !(i < schema.Len() && schema.Field(i).Name == src) {
-				identity = false
+			col = out
+		} else {
+			var err error
+			if col, err = sc.resolve(pr.Col); err != nil {
+				if hasAgg && pr.Col.Qualifier == "" && schema.Has(pr.Col.Name) {
+					// Group keys keep their names through GroupApply.
+					col = pr.Col.Name
+				} else {
+					return nil, err
+				}
 			}
-			continue
+			out = pr.Alias
+			if out == "" {
+				out = pr.Col.Name
+			}
 		}
-		col, err := sc.resolve(pr.Col)
-		if err != nil {
-			if hasAgg && pr.Col.Qualifier == "" && schema.Has(pr.Col.Name) {
-				// Group keys keep their names through GroupApply.
-				col = pr.Col.Name
-			} else {
-				return nil, err
-			}
+		if seen[out] {
+			return nil, fmt.Errorf("tsql: duplicate column %q in SELECT list", out)
 		}
-		out := pr.Alias
-		if out == "" {
-			out = pr.Col.Name
-		}
+		seen[out] = true
 		projs = append(projs, temporal.Rename(col, out))
 		if !(i < schema.Len() && schema.Field(i).Name == out && col == out) {
 			identity = false

@@ -477,3 +477,61 @@ func TestDurationLiteralInComparison(t *testing.T) {
 		t.Fatalf("out = %v", out)
 	}
 }
+
+// TestCompileRejectsWhatBuildersRefuse: a query the plan builders would
+// panic on is a compile error that names the offending column or window.
+func TestCompileRejectsWhatBuildersRefuse(t *testing.T) {
+	for q, want := range map[string]string{
+		"SELECT UserId, UserId FROM clicks":                                                 `duplicate column "UserId"`,
+		"SELECT AdId AS C, COUNT(*) AS C FROM clicks GROUP BY AdId":                         `duplicate column "C"`,
+		"SELECT AdId, COUNT(*) AS AdId FROM clicks GROUP BY AdId":                           `duplicate column "AdId"`,
+		"SELECT AdId, COUNT(*) AS C FROM clicks GROUP BY AdId, AdId":                        `duplicate column "AdId"`,
+		"SELECT COUNT(*) AS C FROM clicks WINDOW 1m HOP 0":                                  "WINDOW 1m0s HOP 0s",
+		"SELECT * FROM clicks WINDOW -5ms":                                                  "WINDOW -5ms",
+		"SELECT * FROM (SELECT * FROM clicks) AS c WINDOW 1h HOP -1m":                       "WINDOW 1h0m0s HOP -1m0s",
+		"SELECT l.AdId FROM clicks AS l JOIN clicks AS r WINDOW 0 HOP 1 ON l.AdId = r.AdId": "WINDOW 0s HOP 1ms",
+	} {
+		_, err := Compile(q, catalog())
+		if err == nil || !strings.Contains(err.Error(), want) {
+			t.Errorf("%s: err = %v, want one naming %s", q, err, want)
+		}
+	}
+}
+
+// FuzzCompile: Compile returns a plan or an error for any input, and never
+// panics.
+func FuzzCompile(f *testing.F) {
+	for _, q := range []string{
+		"SELECT UserId, UserId FROM clicks",
+		"SELECT COUNT(*) AS C FROM clicks WINDOW 1m HOP 0",
+		"SELECT a.b, COUNT(*) FROM s WHERE x >= 1.5 -- comment\nAND y = 'hi' WINDOW 6h",
+		"SELECT COUNT(*) AS Cnt FROM readings WHERE Power > 0 WINDOW 3ms",
+		"SELECT AdId, COUNT(*) AS ClickCount FROM clicks GROUP BY AdId WINDOW 50ms",
+		"SELECT AdId, COUNT(*) AS C FROM clicks GROUP BY AdId WINDOW 100ms HAVING C > 1",
+		"SELECT COUNT(*) AS C FROM clicks WINDOW 4ms HOP 2ms",
+		"SELECT l.ID, r.Power FROM readings AS l JOIN readings AS r WINDOW 10ms ON l.Time = r.Time",
+		"SELECT l.UserId FROM clicks AS l JOIN (SELECT * FROM clicks WINDOW 10ms) AS r ON l.AdId = r.AdId",
+		"SELECT * FROM events ANTIJOIN (SELECT UserId, COUNT(*) AS N FROM clicks GROUP BY UserId WINDOW 100ms HAVING N > 2) AS bots ON UserId = bots.UserId",
+		"SELECT * FROM clicks UNION SELECT * FROM clicks",
+		"SELECT * FROM clicks WINDOW 5ms SHIFT -5ms",
+		"SELECT * FROM clicks WINDOW 10ms POINT",
+		"SELECT AdId, Keyword FROM scores WHERE ABS(Z) >= 1.28",
+		"SELECT AdId, COUNT(*) AS C FROM clicks GROUP BY AdId WINDOW 1h PARTITION BY AdId",
+		"SELECT UserId, COUNT(*) AS Cnt FROM events WHERE StreamId = 1 GROUP BY UserId WINDOW 6h HOP 15m HAVING Cnt > 40",
+		"SELECT SUM(UserId) AS S FROM clicks WINDOW 10ms",
+		"SELECT AVG(UserId) AS S FROM clicks WINDOW 10ms",
+		"SELECT ID FROM readings WHERE NOT (Power < 3 OR ID = 'a') AND TRUE",
+		"SELECT * FROM clicks WHERE Time >= 2h",
+		"SELECT AdId FROM clicks WHERE ABS(UserId) = 'x'",
+		"SELECT UserId FROM (SELECT UserId FROM nosuch) AS s",
+		"SELECT * FROM clicks PARTITION BY Nope",
+	} {
+		f.Add(q)
+	}
+	cat := catalog()
+	f.Fuzz(func(t *testing.T, q string) {
+		if p, err := Compile(q, cat); (p == nil) == (err == nil) {
+			t.Fatalf("Compile(%q) = %v, %v: want exactly one of a plan and an error", q, p, err)
+		}
+	})
+}

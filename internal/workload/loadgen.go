@@ -114,7 +114,6 @@ type LoadGen struct {
 	// Running tallies, for serve reports.
 	Searches    int
 	Impressions int
-	RowsEmitted int
 }
 
 type kwEffect struct {
@@ -276,6 +275,5 @@ func (g *LoadGen) next(emit bool) Request {
 		req.Rows[i] = row
 	}
 	g.Impressions++
-	g.RowsEmitted += len(req.Rows)
 	return req
 }

@@ -512,14 +512,3 @@ func (d *Dataset) AdByName(name string) (AdClass, bool) {
 	}
 	return AdClass{}, false
 }
-
-// CountStream tallies rows of one stream id (diagnostics and tests).
-func (d *Dataset) CountStream(stream int64) int {
-	n := 0
-	for _, r := range d.Rows {
-		if r[1].AsInt() == stream {
-			n++
-		}
-	}
-	return n
-}

@@ -77,9 +77,15 @@ func TestGenerateSortedAndInRange(t *testing.T) {
 
 func TestStreamComposition(t *testing.T) {
 	d := Generate(smallConfig())
-	imp := d.CountStream(StreamImpression)
-	clk := d.CountStream(StreamClick)
-	kw := d.CountStream(StreamKeyword)
+	count := func(stream int64) (n int) {
+		for _, r := range d.Rows {
+			if r[1].AsInt() == stream {
+				n++
+			}
+		}
+		return n
+	}
+	imp, clk, kw := count(StreamImpression), count(StreamClick), count(StreamKeyword)
 	if imp == 0 || clk == 0 || kw == 0 {
 		t.Fatalf("streams: imp=%d clk=%d kw=%d", imp, clk, kw)
 	}

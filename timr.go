@@ -150,7 +150,6 @@ var (
 	// Streaming-job options.
 	WithMachines     = core.WithMachines
 	WithStreamConfig = core.WithConfig
-	WithOnEvent      = core.WithOnEvent
 )
 
 // ---- Behavioral targeting ----
