@@ -11,9 +11,11 @@ test:
 # The packages with a parallel phase run at GOMAXPROCS 1 and at 4. Every
 # such phase runs on par.ForEach: a map-reduce stage's map and reduce
 # tasks (mapreduce), a punctuation wave's partitions (core, serve), and a
-# refresh ingest's per-user front partitions and window models (bt). At
-# GOMAXPROCS 1 the pool runs on the caller's goroutine only, so both the
-# sequential and the pooled path are raced, whatever the host's core count.
+# refresh ingest's per-user front partitions and window models (bt). A
+# front partition's engines stay resident across ingests, and each ingest
+# may drive them from another worker. At GOMAXPROCS 1 the pool runs on
+# the caller's goroutine only, so both the sequential and the pooled path
+# are raced, whatever the host's core count.
 race:
 	$(GO) test -race $$($(GO) list ./... | grep -v -e '/internal/core$$' -e '/internal/serve$$' -e '/internal/bt$$' -e '/internal/mapreduce$$' -e '/internal/par$$')
 	$(GO) test -race -cpu 1,4 ./internal/core ./internal/serve ./internal/bt ./internal/mapreduce ./internal/par

@@ -19,28 +19,33 @@ import (
 // Incremental BT refresh (the sliding-window deployment of §IV): the
 // pipeline ingests one day of raw log at a time instead of recomputing
 // the whole history. The DAG's front stages (FrontStages) reach a
-// bounded distance backward and forward in time, so each ingest
-// recomputes them over a window of raw history — Lookback(P) behind the
-// previous watermark through the new day's end — and finalizes exactly
-// the output rows whose Time falls between the old and new watermarks
-// (F = dayEnd − D: a row earlier than F can never change, because the
-// only forward reach is the non-click detector's d). Everything behind
-// the watermark is maintained as mergeable summaries: click counts add,
-// z-tests replay exactly on the merged counts, reduced training rows
-// concatenate, and frozen-window models are trained once and reused.
+// bounded distance backward and forward in time, and the delta path
+// keeps them resident as streaming engines (refreshfront.go): each
+// ingest feeds them the new day once and punctuates them at the new
+// watermark F = dayEnd − D, and what they emit is exactly the output rows
+// whose Time falls between the old and new watermarks (a row earlier than
+// F can never change, because the only forward reach is the non-click
+// detector's d). Everything behind the watermark is maintained as
+// mergeable summaries: click counts add, z-tests replay exactly on the
+// merged counts, reduced training rows concatenate, and frozen-window
+// models are trained once and reused. The state keeps the raw rows of
+// the last Lookback(P) as its recovery line: a refresher that starts
+// from a persisted state primes fresh engines from them.
 //
 // Every front operator is keyed on UserId, and UserId is in every output
 // row, so the front stages run as independent partitions of the rows'
-// UserId hash (the one TiMR's PartitionCols routes by), one engine each,
-// on up to GOMAXPROCS goroutines (the paper's {UserId}
+// UserId hash (the one TiMR's PartitionCols routes by), one engine chain
+// each, on up to GOMAXPROCS goroutines (the paper's {UserId}
 // annotation of Example 3). Each partition sorts its own output in the
 // canonical row order and the parts are merged on that order, so the
 // state is the bytes one engine over all users would leave.
 //
 // The delta path is the refresher. A full recompute from complete raw
-// history (ModeFull) is kept only as its reference: both land in
-// byte-identical state (RefreshState.SummaryBytes), which
-// TestRefreshDeltaMatchesFull asserts after every day.
+// history (ModeFull) is kept only as its reference, and evaluates the
+// front differently: fresh engines over the whole log, run to the end of
+// input and flushed. Both land in byte-identical state
+// (RefreshState.SummaryBytes), which TestRefreshDeltaMatchesFull asserts
+// after every day.
 
 // RefreshMode selects the refresh path.
 type RefreshMode int
@@ -74,6 +79,11 @@ type Refresher struct {
 	DurErr error
 
 	history []temporal.Row // full raw log, kept only with RetainHistory
+
+	// front is the delta path's resident front stages. The next delta
+	// ingest primes fresh ones from State.TailRaw when it is nil or
+	// belongs to another State.
+	front *residentFront
 
 	// parts is the number of per-user partitions the front stages run in
 	// (0: GOMAXPROCS). Only tests set it: the state does not depend on it.
@@ -235,33 +245,17 @@ func rowsInRange(rows []temporal.Row, lo, hi temporal.Time) []temporal.Row {
 	return out
 }
 
-// runFront executes the front stages over a raw-row window as parts
-// per-user partitions (0: GOMAXPROCS), one single-node engine each,
-// recording one aggregate timing observation, and returns the labeled
-// and train output rows of the watermark interval [lo, hi) in the
-// canonical order.
-func (st *RefreshState) runFront(input []temporal.Row, lo, hi temporal.Time, parts int) (labeled, train []temporal.Row, err error) {
+// runFront executes the front stages over the whole raw log as parts
+// per-user partitions (0: GOMAXPROCS), fresh single-node engines each,
+// run to the end of input — ModeFull's evaluation — recording one
+// aggregate timing observation, and returns the labeled and train output
+// rows with 0 <= Time < hi in the canonical order.
+func (st *RefreshState) runFront(input []temporal.Row, hi temporal.Time, parts int) (labeled, train []temporal.Row, err error) {
 	start := time.Now()
 	if parts <= 0 {
 		parts = runtime.GOMAXPROCS(0)
 	}
-	userID := []int{2} // UserId's column in the unified schema
-	part := func(row temporal.Row) int {
-		return int(temporal.HashRow(row, userID) % uint64(parts))
-	}
-	sizes := make([]int, parts)
-	for _, row := range input {
-		sizes[part(row)]++
-	}
-	split := make([][]temporal.Row, parts)
-	for i := range split {
-		split[i] = make([]temporal.Row, 0, sizes[i])
-	}
-	for _, row := range input {
-		i := part(row)
-		split[i] = append(split[i], row)
-	}
-
+	split := splitByUser(input, parts)
 	labeledRuns := make([][]temporal.Row, parts)
 	trainRuns := make([][]temporal.Row, parts)
 	if err := par.ForEach(runtime.GOMAXPROCS(0), parts, func(i int) error {
@@ -269,7 +263,7 @@ func (st *RefreshState) runFront(input []temporal.Row, lo, hi temporal.Time, par
 		if err := RunStagesSingleNode(st.P, FrontStages(false), ds); err != nil {
 			return err
 		}
-		labeledRuns[i], trainRuns[i] = sortedRows(ds[DSLabeled], lo, hi), sortedRows(ds[DSTrain], lo, hi)
+		labeledRuns[i], trainRuns[i] = sortedRows(ds[DSLabeled], 0, hi), sortedRows(ds[DSTrain], 0, hi)
 		return nil
 	}); err != nil {
 		return nil, nil, err
@@ -290,29 +284,44 @@ func (st *RefreshState) finalize(labeled, train []temporal.Row) {
 	st.RecordTiming("Counts", int64(len(labeled)+len(train)), time.Since(start).Nanoseconds())
 }
 
-// ingestDelta is the incremental path: recompute the front stages over
-// the retained tail plus the new day, finalize the watermark interval,
-// merge summaries, and retrain only non-frozen windows.
+// ingestDelta is the incremental path: feed the day to the resident
+// front stages (priming fresh ones from the lookback tail first when
+// there are none), finalize the watermark interval they emit, merge
+// summaries, and retrain only non-frozen windows. Any error drops the
+// front and leaves the state as it was, so the next ingest primes again.
 func (r *Refresher) ingestDelta(dayRows []temporal.Row, dayEnd temporal.Time) error {
 	st := r.State
 	fPrev, fNew := st.Watermark, dayEnd-st.P.D
-	input := make([]temporal.Row, 0, len(st.TailRaw)+len(dayRows))
-	input = append(input, st.TailRaw...)
-	input = append(input, dayRows...)
-
-	labeled, train, err := st.runFront(input, fPrev, fNew, r.parts)
-	if err != nil {
-		return err
+	start := time.Now()
+	front, fed := r.front, len(dayRows)
+	r.front = nil
+	if front == nil || front.st != st { // a new refresher, or State replaced by Restore
+		var err error
+		if front, err = newResidentFront(st, r.parts); err != nil {
+			return err
+		}
+		if st.Days > 0 {
+			// The primed output lies below fPrev and was finalized before.
+			if _, _, err := front.ingest(st.TailRaw, fPrev+st.P.D, fPrev); err != nil {
+				return fmt.Errorf("bt: refresh front priming: %w", err)
+			}
+			fed += len(st.TailRaw)
+		}
 	}
+	labeled, train, err := front.ingest(dayRows, dayEnd, fPrev)
+	if err != nil {
+		return fmt.Errorf("bt: refresh front: %w", err)
+	}
+	st.RecordTiming("Front", int64(fed), time.Since(start).Nanoseconds())
 	st.finalize(labeled, train)
 
-	keep := fNew - Lookback(st.P)
-	tail := rowsInRange(input, keep, temporal.Time(math.MaxInt64))
-	st.TailRaw = append([]temporal.Row(nil), tail...)
+	keep, end := fNew-Lookback(st.P), temporal.Time(math.MaxInt64)
+	st.TailRaw = append(rowsInRange(st.TailRaw, keep, end), rowsInRange(dayRows, keep, end)...)
 	st.Watermark = fNew
 	st.Days++
 	st.RawRows += int64(len(dayRows))
 	st.rebuildModels(st.Models)
+	r.front = front
 	return nil
 }
 
@@ -324,7 +333,7 @@ func (r *Refresher) fullRecompute(allRaw []temporal.Row, dayEnd temporal.Time) e
 	ns.Timings = old.Timings
 	fNew := dayEnd - ns.P.D
 
-	labeled, train, err := ns.runFront(allRaw, 0, fNew, r.parts)
+	labeled, train, err := ns.runFront(allRaw, fNew, r.parts)
 	if err != nil {
 		return err
 	}
@@ -351,15 +360,15 @@ func (st *RefreshState) rebuildModels(prev []WindowModel) {
 	start := time.Now()
 	tp := st.P.TrainPeriod
 	var models []WindowModel
-	open := temporal.Time(math.MinInt64) // start of the first window not frozen in prev
+	open := int64(math.MinInt64) // the first window not frozen in prev
 	for _, m := range prev {
 		if m.Frozen {
 			models = append(models, m)
-			open = max(open, temporal.Time(m.Win+1)*tp)
+			open = max(open, m.Win+1)
 		}
 	}
-	from := sort.Search(len(st.Train), func(i int) bool { return temporal.Time(st.Train[i][0].AsInt()) >= open })
-	reduced := ReduceRows(st.Train[from:], st.Counts.SelectFeatures(st.P), tp)
+	from := sort.Search(len(st.Train), func(i int) bool { return Window(temporal.Time(st.Train[i][0].AsInt()), tp) >= open })
+	reduced := ReduceRows(st.Train[from:], st.Counts.SelectFeatures(st.P, open), tp)
 
 	groups := make(map[winAd][]temporal.Row)
 	for _, row := range reduced {

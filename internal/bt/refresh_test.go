@@ -137,7 +137,7 @@ func TestRefreshSummaryMatchesEnginePipeline(t *testing.T) {
 		}
 	}
 
-	selected := r.State.Counts.SelectFeatures(p)
+	selected := r.State.Counts.SelectFeatures(p, math.MinInt64)
 	engineSel := make(map[KwKey]float64)
 	for _, e := range phases[DSScores] {
 		win := int64(e.LE)/int64(p.TrainPeriod) - 1
@@ -223,7 +223,9 @@ func TestRefreshFullRefusesPartialHistory(t *testing.T) {
 // restore the newest intact generation, keep going — final state
 // byte-identical to the uninterrupted run, under 30% injected I/O
 // faults, including a fallback past a deliberately corrupted newest
-// generation.
+// generation. The resumed refresher splits its front into another
+// number of partitions than the killed one, so the engines it primes
+// from the persisted lookback tail share no layout with the lost ones.
 func TestRefreshDurableResume(t *testing.T) {
 	p, cfg := refreshWorkload()
 	cfg.Users = 150
@@ -246,6 +248,7 @@ func TestRefreshDurableResume(t *testing.T) {
 		}
 
 		r1 := NewRefresher(p, cfg, RefreshOptions{Mode: ModeDelta, Store: open(int64(killAfter))})
+		r1.parts = 1
 		for day := 0; day < killAfter; day++ {
 			if err := r1.IngestDay(d.DayRows(day), temporal.Time(day+1)*temporal.Day); err != nil {
 				t.Fatalf("pre-kill day %d: %v", day, err)
@@ -256,6 +259,7 @@ func TestRefreshDurableResume(t *testing.T) {
 		}
 		// kill -9: r1 is abandoned mid-flight; a new process reopens.
 		r2 := NewRefresher(p, cfg, RefreshOptions{Mode: ModeDelta, Store: open(int64(killAfter) + 100)})
+		r2.parts = 3
 		resumed, err := r2.Restore()
 		if err != nil || !resumed {
 			t.Fatalf("restore after kill at day %d: resumed=%v err=%v", killAfter, resumed, err)
@@ -453,11 +457,15 @@ func TestRefreshStateDigest(t *testing.T) {
 // index and Time, and leaves the state as it was. Accepted, a late row
 // is seen by a full recompute but not by the delta path, which has
 // already finalized its interval: the two would diverge with no error.
+// A refusal must not touch the resident front either: the next ingest
+// lands on the bytes of a refresher that was never refused.
 func TestRefreshRejectsRowsOutsideDay(t *testing.T) {
 	p, cfg := refreshWorkload()
 	cfg.Users, cfg.Days, cfg.Seed = 200, 3, 3
 	d := workload.Generate(cfg)
 	r := NewRefresher(p, cfg, RefreshOptions{Mode: ModeDelta})
+	clean := NewRefresher(p, cfg, RefreshOptions{Mode: ModeDelta})
+	ingestAllDays(t, clean, d, nil)
 	for day := 0; day < 2; day++ {
 		if err := r.IngestDay(d.DayRows(day), temporal.Time(day+1)*temporal.Day); err != nil {
 			t.Fatalf("day %d: %v", day, err)
@@ -495,6 +503,9 @@ func TestRefreshRejectsRowsOutsideDay(t *testing.T) {
 	}
 	if err := r.IngestDay(day2, 3*temporal.Day); err != nil {
 		t.Fatalf("day 2 after the refusals: %v", err)
+	}
+	if !bytes.Equal(summaryBytes(t, r), summaryBytes(t, clean)) {
+		t.Fatal("day 2 after the refusals differs from a refresher that was never refused")
 	}
 }
 

@@ -88,30 +88,19 @@ func (s *CountSummary) AddTrain(rows []temporal.Row, tp temporal.Time) {
 	}
 }
 
-// Merge folds another summary in. Because both maps key by disjoint row
-// provenance (a row lands in exactly one window), merging a day's
-// summary into history is exact — identical to summarizing the
-// concatenated rows.
-func (s *CountSummary) Merge(o *CountSummary) {
-	for k, c := range o.Totals {
-		s.Totals[k] = s.Totals[k].Merge(c)
-	}
-	for k, c := range o.PerKw {
-		s.PerKw[k] = s.PerKw[k].Merge(c)
-	}
-}
-
 // SelectFeatures replays FeatureSelectPlan on the summary, returning
 // the retained (window, ad, keyword) set with z-scores. The engine's
 // eligibility is reproduced exactly: a Count over an empty window emits
 // nothing and the temporal join drops the key, so a (window, ad[, kw])
 // pair participates only when it saw at least one click AND one
 // non-click; survivors then pass the support floor and |z| threshold
-// inside TwoProportionZ / zScoreProjection.
-func (s *CountSummary) SelectFeatures(p Params) map[KwKey]float64 {
+// inside TwoProportionZ / zScoreProjection. Only windows from fromWin
+// on are scored: the refresher reduces no training row of an earlier,
+// frozen window again.
+func (s *CountSummary) SelectFeatures(p Params, fromWin int64) map[KwKey]float64 {
 	out := make(map[KwKey]float64)
 	for k, kw := range s.PerKw {
-		if kw.Clicks < 1 || kw.Non < 1 {
+		if k.Win < fromWin || kw.Clicks < 1 || kw.Non < 1 {
 			continue
 		}
 		tot, ok := s.Totals[CountKey{Win: k.Win, Ad: k.Ad}]

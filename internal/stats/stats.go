@@ -55,11 +55,6 @@ func (c *ClickCounts) Add(clicked bool) {
 	}
 }
 
-// Merge returns the sum of two partial counts.
-func (c ClickCounts) Merge(o ClickCounts) ClickCounts {
-	return ClickCounts{Clicks: c.Clicks + o.Clicks, Non: c.Non + o.Non}
-}
-
 // Total returns the number of observations behind the statistic.
 func (c ClickCounts) Total() int64 { return c.Clicks + c.Non }
 

