@@ -40,11 +40,3 @@ func (a *rowArena) alloc(n int) Row {
 	a.buf = a.buf[n:]
 	return r
 }
-
-// concat allocates l ++ r from the arena.
-func (a *rowArena) concat(l, r Row) Row {
-	out := a.alloc(len(l) + len(r))
-	copy(out, l)
-	copy(out[len(l):], r)
-	return out
-}

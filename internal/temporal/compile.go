@@ -1,6 +1,7 @@
 package temporal
 
 import (
+	"cmp"
 	"fmt"
 	"slices"
 
@@ -225,7 +226,11 @@ func (c *compiler) build(n *Plan) []Sink {
 	if fusable(n) {
 		return c.buildKernel(n)
 	}
-	out := c.outputSink(n)
+	var proj *Plan // join n's sole consumer if a Project of picks: never built, the join writes its rows
+	if ps := c.parents[n]; n.Kind == OpTemporalJoin && n != c.root && len(ps) == 1 && pickOnly(ps[0].node) {
+		proj = ps[0].node
+	}
+	out := c.outputSink(cmp.Or(proj, n))
 	if n.Kind == OpExchange {
 		// Logical annotation only; a single-node pipeline passes through,
 		// and metering it would double-count its input's events.
@@ -233,10 +238,14 @@ func (c *compiler) build(n *Plan) []Sink {
 	}
 	var m *opMetrics
 	if c.obs != nil {
+		if proj != nil { // it reports under its own scope: in and out, the join's output
+			pm := newOpMetrics(c.obs.Child(c.opName(proj)))
+			out = &meterIn{m: pm, out: &meterOut{events: pm.eventsOut, ctis: pm.ctis, out: out}}
+		}
 		m = newOpMetrics(c.obs.Child(c.opName(n)))
 		out = &meterOut{events: m.eventsOut, ctis: m.ctis, out: out}
 	}
-	entries, op := c.buildOp(n, out)
+	entries, op := c.buildOp(n, proj, out)
 	c.insts[n] = op
 	if m != nil {
 		m.observe(op)
@@ -259,6 +268,11 @@ func fusable(n *Plan) bool {
 		return n.Mode != LifePoint
 	}
 	return false
+}
+
+// pickOnly reports whether n is a Project of column picks (Keep, Rename).
+func pickOnly(n *Plan) bool {
+	return n.Kind == OpProject && !slices.ContainsFunc(n.Projs, func(pr Projection) bool { return pr.Source == "" })
 }
 
 // buildKernel compiles the maximal stateless run headed at n — n, then
@@ -289,9 +303,9 @@ func (c *compiler) buildKernel(n *Plan) []Sink {
 	return []Sink{f}
 }
 
-// buildOp constructs the physical operator itself, returning its entry
-// sink(s) plus the operator instance (for state-size instrumentation).
-func (c *compiler) buildOp(n *Plan, out Sink) ([]Sink, any) {
+// buildOp constructs the physical operator itself (a join writes proj's
+// rows if set), returning its entry sinks and the instance (for state size).
+func (c *compiler) buildOp(n, proj *Plan, out Sink) ([]Sink, any) {
 	switch n.Kind {
 	case OpAlterLifetime: // ToPoint; the other modes are kernel members
 		a := &alterLifetimeOp{out: out}
@@ -309,7 +323,7 @@ func (c *compiler) buildOp(n *Plan, out Sink) ([]Sink, any) {
 		u := newUnionOp(out)
 		return []Sink{u.m.input(sideLeft), u.m.input(sideRight)}, u
 	case OpTemporalJoin:
-		j := newJoin(n, 0, out)
+		j := newJoin(n, proj, 0, out)
 		return []Sink{j.m.input(sideLeft), j.m.input(sideRight)}, j
 	case OpAntiSemiJoin:
 		a := newAntiSemiJoin(n, 0, out)

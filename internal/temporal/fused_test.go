@@ -375,3 +375,64 @@ const (
 	goldenShiftedWindow   = "e870060868000100683c0200046c0001010e70000101107a0001010e7e00010110020002016e01011008680001006e12097000030166030161010572000301680301620108740003016a0301630116760003016c0301610124780003016e03016201327a0003017003016301407c00030172030161014e7e000301740301620107800100030176030163010602000200"
 	goldenGroupApplyCount = "e870010870037072020301610106707402030162010670760203016301040301030161720601030162740601030163760609780002016601057a0102016801087c0202016a01167e0002016c012480010102016e01328201020201700140840100020172014e86010102017401078801020201760106"
 )
+
+// TestPrefixProjectAliases pins that a kernel Project keeping a prefix of
+// its input's columns in order — the identity included; inside a
+// GroupApply, the key and then the first columns behind it — returns its
+// input row clipped to that prefix: it allocates nothing, and a consumer
+// appending to the result cannot write into the input's next column. A
+// Project that reorders or computes copies, and so does one behind a
+// Select or a copying Project of its kernel: an alias there would pin the
+// rows the run dropped or the wider rows it copied.
+func TestPrefixProjectAliases(t *testing.T) {
+	src := Scan("s", readingSchema())
+	swapped := src.Project(Keep("ID"), Keep("Time"))
+	for _, c := range []struct {
+		name  string
+		last  *Plan // the kernel's last member; the run reaches back to src
+		kw    int
+		width int // -1: not an alias
+	}{
+		{"prefix", src.Project(Keep("Time"), Rename("ID", "Name")), 0, 2},
+		{"identity", src.Project(Keep("Time"), Keep("ID"), Keep("Power")), 0, 3},
+		{"keyed prefix", src.Project(Keep("Time"), Keep("ID")), 1, 3},
+		{"prefix of a prefix", src.WithWindow(3).Project(Keep("Time"), Keep("ID")).Project(Keep("Time")), 0, 1},
+		{"reordered", swapped, 0, -1},
+		{"computed", src.Project(Keep("Time"), ConstInt("ID", 1)), 0, -1},
+		{"behind a Select", src.Where(ColGtInt("Power", 1)).Project(Keep("Time")), 0, -1},
+		{"behind a copying Project", swapped.Project(Keep("ID")), 0, -1},
+	} {
+		var run []*Plan
+		for n := c.last; n != src; n = n.Inputs[0] {
+			run = append([]*Plan{n}, run...)
+		}
+		in := Row{Int(1), String("a"), Int(3)}
+		if c.kw > 0 {
+			in = append(Row{String("key")}, in...)
+		}
+		f := newFusedOp(run, c.kw, nil)
+		var out Row
+		allocs := testing.AllocsPerRun(100, func() {
+			e := Event{LE: 1, RE: 2, Payload: in}
+			f.applyRow(&e)
+			out = e.Payload
+		})
+		if c.width < 0 { // a copy from the kernel's arena, whose blocks amortize to no allocation per row
+			if &out[0] == &in[0] {
+				t.Errorf("%s: shares its input row", c.name)
+			}
+			continue
+		}
+		if allocs != 0 || len(out) != c.width || cap(out) != c.width || &out[0] != &in[0] {
+			t.Fatalf("%s: %.1f allocations per row, len %d cap %d, shares the input %v; want 0, %d, %d, true",
+				c.name, allocs, len(out), cap(out), &out[0] == &in[0], c.width, c.width)
+		}
+		if c.width < len(in) {
+			next := in[c.width]
+			_ = append(out, String("appended"))
+			if !in[c.width].Equal(next) {
+				t.Fatalf("%s: an append to the output overwrote the input's column %d", c.name, c.width)
+			}
+		}
+	}
+}

@@ -6,6 +6,8 @@ import (
 	"os"
 	"reflect"
 	"testing"
+
+	"timr/internal/obs"
 )
 
 // The joins store only what can still match (merger.dead). These tests
@@ -100,16 +102,12 @@ func liveVariants(t *testing.T) []liveVariant {
 		}
 		return res
 	}
-	return []liveVariant{
+	vs := []liveVariant{
 		{name: "join", plan: l.Join(r, k, k, nil),
 			want: func(l, r []Event) []Event { return overlapJoin(l, r, 1, nil, 0) }},
 		{name: "join-cond", plan: l.Join(r, k, k, parity),
 			want: func(l, r []Event) []Event {
 				return overlapJoin(l, r, 1, func(l, r Row) bool { return (l[1].AsInt()+r[1].AsInt())%2 == 0 }, 0)
-			}},
-		{name: "join-project", plan: l.Join(r, k, k, nil).Project(Keep("B"), Keep("K"), Keep("A")),
-			want: func(l, r []Event) []Event {
-				return mapRows(overlapJoin(l, r, 1, nil, 0), func(p Row) (Row, bool) { return Row{p[3], p[0], p[1]}, true })
 			}},
 		{name: "join-where", plan: l.Join(r, k, k, nil).Where(ColGtInt("B", 2)),
 			want: func(l, r []Event) []Event {
@@ -127,6 +125,60 @@ func liveVariants(t *testing.T) []liveVariant {
 		{name: "antisemi-shifted", plan: l.AntiSemiJoin(r.WithWindow(5).ShiftLifetime(-3), k, k),
 			want: func(l, r []Event) []Event { return uncovered(l, cover(r), 1) }},
 	}
+	// A Project over a join: a pick-only one is folded into the join, which
+	// writes its rows; one with a computed member is not. Each shape runs over
+	// the top-level join of l and r, and inside a GroupApply over K, where
+	// the join of l with its own windowed rows is keyed and drops the right
+	// copy of the group key. K is renamed L on both sides, a name the
+	// GroupApply's output does not hold already: the joined row is L, A,
+	// r.L, B.
+	lk := []string{"L"}
+	named := func(p *Plan, val string) *Plan { return p.Project(Rename("K", "L"), Rename(p.Out.Field(1).Name, val)) }
+	win3 := func(l []Event) []Event {
+		out := make([]Event, len(l))
+		for i, e := range l {
+			out[i] = Event{LE: e.LE, RE: e.LE + 3, Payload: e.Payload}
+		}
+		return out
+	}
+	for _, sh := range []struct {
+		name string
+		over func(j *Plan) *Plan
+		pick func(p Row) (Row, bool)
+	}{
+		{"reorder", func(j *Plan) *Plan { return j.Project(Keep("B"), Keep("L"), Keep("A")) },
+			func(p Row) (Row, bool) { return Row{p[3], p[0], p[1]}, true }},
+		{"rename", func(j *Plan) *Plan { return j.Project(Rename("A", "X"), Keep("B")) },
+			func(p Row) (Row, bool) { return Row{p[1], p[3]}, true }},
+		{"right-only", func(j *Plan) *Plan { return j.Project(Keep("B")) },
+			func(p Row) (Row, bool) { return Row{p[3]}, true }},
+		{"both-keys", func(j *Plan) *Plan { return j.Project(Keep("L"), Keep("r.L")) },
+			func(p Row) (Row, bool) { return Row{p[0], p[2]}, true }},
+		{"prefix", func(j *Plan) *Plan { return j.Project(Keep("L"), Keep("A")) },
+			func(p Row) (Row, bool) { return Row{p[0], p[1]}, true }},
+		{"const", func(j *Plan) *Plan { return j.Project(Keep("B"), ConstInt("C", 7), Keep("L")) },
+			func(p Row) (Row, bool) { return Row{p[3], Int(7), p[0]}, true }},
+		{"where-prefix", func(j *Plan) *Plan { return j.Where(ColGtInt("B", 2)).Project(Keep("L"), Keep("A")) },
+			func(p Row) (Row, bool) { return Row{p[0], p[1]}, p[3].AsInt() > 2 }},
+		{"where-reorder", func(j *Plan) *Plan { return j.Where(ColGtInt("B", 2)).Project(Keep("A"), Keep("L")) },
+			func(p Row) (Row, bool) { return Row{p[1], p[0]}, p[3].AsInt() > 2 }},
+		{"project-where", func(j *Plan) *Plan { return j.Project(Keep("B"), Keep("L")).Where(ColGtInt("B", 2)) },
+			func(p Row) (Row, bool) { return Row{p[3], p[0]}, p[3].AsInt() > 2 }},
+	} {
+		vs = append(vs, liveVariant{name: "join-project-" + sh.name, plan: sh.over(named(l, "A").Join(named(r, "B"), lk, lk, nil)),
+			want: func(l, r []Event) []Event { return mapRows(overlapJoin(l, r, 1, nil, 0), sh.pick) }},
+			liveVariant{name: "grouped-join-project-" + sh.name,
+				plan: l.GroupApply(k, func(g *Plan) *Plan {
+					return sh.over(named(g, "A").Join(named(g.WithWindow(3), "B"), lk, lk, nil))
+				}),
+				want: func(l, _ []Event) []Event {
+					return mapRows(overlapJoin(l, win3(l), 1, nil, 0), func(p Row) (Row, bool) {
+						row, ok := sh.pick(p)
+						return append(Row{p[0]}, row...), ok
+					})
+				}})
+	}
+	return vs
 }
 
 // liveStream draws n events in LE order over a small time domain: points,
@@ -172,10 +224,11 @@ type liveSchedule struct {
 	period    Time // automatic CTIs; 0: none
 	advance   bool // explicit Advance calls at drawn steps
 	restoreAt int  // checkpoint before this step and go on in a restored engine; -1: never
+	observed  bool // compiled under a metrics scope
 }
 
 func (s liveSchedule) String() string {
-	return fmt.Sprintf("%s/period %d/advance %v/restore at %d", []string{"Feed", "FeedMerged one run", "FeedMerged"}[s.mode], s.period, s.advance, s.restoreAt)
+	return fmt.Sprintf("%s/period %d/advance %v/restore at %d/observed %v", []string{"Feed", "FeedMerged one run", "FeedMerged"}[s.mode], s.period, s.advance, s.restoreAt, s.observed)
 }
 
 // runLive drives plan over the steps of its sources and returns everything
@@ -195,7 +248,11 @@ func runLive(t *testing.T, rng *rand.Rand, plan *Plan, steps []liveStep, s liveS
 			mine = append(mine, st)
 		}
 	}
-	eng, err := NewEngine(plan, WithCTIPeriod(s.period))
+	opts := []Option{WithCTIPeriod(s.period)}
+	if s.observed {
+		opts = append(opts, WithObs(obs.New("live")))
+	}
+	eng, err := NewEngine(plan, opts...)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -208,7 +265,7 @@ func runLive(t *testing.T, rng *rand.Rand, plan *Plan, steps []liveStep, s liveS
 	for i := 0; i < len(mine); {
 		if i == s.restoreAt {
 			out = append(out, eng.collect.Events...)
-			if eng, err = restoreEngine(plan, eng.Checkpoint(), WithCTIPeriod(s.period)); err != nil {
+			if eng, err = restoreEngine(plan, eng.Checkpoint(), opts...); err != nil {
 				t.Fatalf("%v: restore: %v", s, err)
 			}
 			did()
@@ -266,7 +323,7 @@ func liveSchedules(rng *rand.Rand, steps int) []liveSchedule {
 	var out []liveSchedule
 	for mode := 0; mode < 3; mode++ {
 		for _, period := range []Time{1, 7, 0} {
-			s := liveSchedule{mode: mode, period: period, advance: rng.Intn(2) == 0, restoreAt: -1}
+			s := liveSchedule{mode: mode, period: period, advance: rng.Intn(2) == 0, restoreAt: -1, observed: len(out)%2 == 1}
 			if rng.Intn(3) > 0 {
 				s.restoreAt = rng.Intn(steps + 1)
 			}
@@ -426,7 +483,7 @@ func TestMergerClearsReleasedRows(t *testing.T) {
 	l, r, key := Scan("l", liveSchema("A")), Scan("r", liveSchema("A")), []string{"K"}
 	for name, m := range map[string]*merger{
 		"Union":        newUnionOp(&sink).m,
-		"TemporalJoin": newJoin(l.Join(r, key, key, nil), 0, &sink).m,
+		"TemporalJoin": newJoin(l.Join(r, key, key, nil), nil, 0, &sink).m,
 		"AntiSemiJoin": newAntiSemiJoin(l.AntiSemiJoin(r, key, key), 0, &sink).m,
 	} {
 		for i := 0; i < 1000; i++ {

@@ -77,6 +77,41 @@ func TestObservedOperatorCounts(t *testing.T) {
 			}
 		})
 	}
+
+	// A pick-only Project over a join is folded into it: the join writes
+	// the Project's rows, and the Project still reports under its own
+	// scope, taking in and giving out exactly what the join emits. Two of
+	// the five events find a partner.
+	t.Run("folded-project", func(t *testing.T) {
+		root := obs.New("engine")
+		k := []string{"K"}
+		plan := Scan("l", liveSchema("A")).Join(Scan("r", liveSchema("B")), k, k, nil).Project(Keep("B"), Keep("K"))
+		eng, err := NewEngine(plan, WithObs(root), WithCTIPeriod(2))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, f := range []struct {
+			src    string
+			le, re Time
+			k      int64
+		}{{"l", 0, 10, 1}, {"r", 1, 5, 1}, {"l", 2, 4, 2}, {"r", 3, 6, 2}, {"r", 7, 8, 3}} {
+			eng.Feed(f.src, Event{LE: f.le, RE: f.re, Payload: Row{Int(f.k), Int(f.le)}})
+		}
+		eng.Flush()
+		proj, join := root.Child("op00.Project"), root.Child("op01.TemporalJoin")
+		if in, out := join.Counter("events_in").Value(), join.Counter("events_out").Value(); in != 5 || out != 2 {
+			t.Fatalf("op01.TemporalJoin: in/out = %d/%d, want 5/2", in, out)
+		}
+		if in, out := proj.Counter("events_in").Value(), proj.Counter("events_out").Value(); in != 2 || out != 2 {
+			t.Errorf("op00.Project: in/out = %d/%d, want the join's output, 2/2", in, out)
+		}
+		if pc, jc := proj.Counter("ctis").Value(), join.Counter("ctis").Value(); pc != jc || jc == 0 {
+			t.Errorf("op00.Project passed %d punctuations, the join %d", pc, jc)
+		}
+		if got := eng.Results(); len(got) != 2 || !got[0].Payload.Equal(Row{Int(1), Int(1)}) || !got[1].Payload.Equal(Row{Int(3), Int(2)}) {
+			t.Errorf("results = %v, want [B K] rows [1 1] and [3 2]", got)
+		}
+	})
 }
 
 // Shared scopes across engine instances must aggregate (one engine per

@@ -18,6 +18,13 @@ package temporal
 // passes it; no sink is interposed, so an observed pipeline runs this same
 // code.
 //
+// Rows written once: a join writes the rows of a pick-only Project that is
+// its only consumer (compiler.build). A member keeping a prefix of its
+// input's columns in order (the key first; the identity counts), after no
+// Select or copying Project, returns the input clipped to it, cap == len.
+// No emitted row is written again, and no operator hands a kernel a reused
+// scratch row: groupedAggOp.res, seen by post, is copied by groupOutput.stage.
+//
 // Checkpoints: the kernel holds no state. The snapshot layout is a
 // function of the logical plan alone and gives every AlterLifetime node a
 // section, so each window/hop/shift member registers an alterSection.
@@ -42,10 +49,14 @@ type fusedStage struct {
 
 type fusedProject struct {
 	fns   []func(Row) Value
+	alias bool // fns pick in's first len(fns) columns in order
 	arena rowArena
 }
 
 func (p *fusedProject) row(in Row) Row {
+	if p.alias {
+		return in[:len(p.fns):len(p.fns)]
+	}
 	row := p.arena.alloc(len(p.fns))
 	for i, fn := range p.fns {
 		row[i] = fn(in)
@@ -78,6 +89,7 @@ type fusedOp struct {
 func newFusedOp(run []*Plan, kw int, out Sink) *fusedOp {
 	f := &fusedOp{stages: make([]fusedStage, len(run)), out: out}
 	cols := func(in *Schema, names []string) []int { return keyCols(kw, in.Indexes(names...))[kw:] }
+	alias := true // no member before dropped a row or wrote one: an alias pins only what arrived
 	for i, n := range run {
 		in := n.Inputs[0].Out
 		st := &f.stages[i]
@@ -85,19 +97,22 @@ func newFusedOp(run []*Plan, kw int, out Sink) *fusedOp {
 		case OpSelect:
 			st.kind = fuseFilter
 			st.pred = n.Pred.Make(cols(in, n.Pred.Cols))
+			alias = false
 		case OpProject:
 			st.kind = fuseProject
-			st.proj = &fusedProject{}
+			st.proj = &fusedProject{alias: alias}
 			for _, c := range keyCols(kw, nil) {
 				st.proj.fns = append(st.proj.fns, column(c))
 			}
-			for _, pr := range n.Projs {
+			for i, pr := range n.Projs {
+				st.proj.alias = st.proj.alias && pr.Source != "" && in.MustIndex(pr.Source) == i
 				if pr.Source != "" {
 					st.proj.fns = append(st.proj.fns, column(kw+in.MustIndex(pr.Source)))
 				} else {
 					st.proj.fns = append(st.proj.fns, pr.Make(cols(in, pr.Cols)))
 				}
 			}
+			alias = st.proj.alias
 		case OpAlterLifetime:
 			st.kind = fuseWindow + fuseKind(n.Mode)
 			st.window, st.hop, st.shift = n.Window, n.Hop, n.Shift

@@ -64,7 +64,7 @@ func (o *groupOutput) liveState() int { return o.nlive + len(o.staged) }
 // release. A kernel with no key columns has one slot, which emits in LE
 // order: its results go straight out, and nothing is staged.
 func (o *groupOutput) stage(key Row, e Event) {
-	e.Payload = o.arena.concat(key, e.Payload)
+	e.Payload = append(append(o.arena.alloc(len(key) + len(e.Payload))[:0], key...), e.Payload...)
 	if len(key) == 0 {
 		o.out.OnEvent(e)
 		return
@@ -421,6 +421,10 @@ func (lw *lowering) lower(s *Plan, in keying, out Sink) Sink {
 		f.stages = slices.Insert(f.stages, 0, keyStage(in, b.Out.Len()))
 		return f
 	}
+	var proj *Plan // folded into the join below, as compiler.build does
+	if b.Kind == OpTemporalJoin && len(run) > 0 && pickOnly(run[0]) {
+		proj, run = run[0], run[1:]
+	}
 	if len(run) > 0 {
 		out = newFusedOp(run, kw, out)
 	}
@@ -441,7 +445,7 @@ func (lw *lowering) lower(s *Plan, in keying, out Sink) Sink {
 		u := newUnionOp(out)
 		lw.ops, m = append(lw.ops, u), u.m
 	case OpTemporalJoin:
-		j := newJoin(b, kw, out)
+		j := newJoin(b, proj, kw, out)
 		lw.ops, m = append(lw.ops, j), j.m
 	case OpAntiSemiJoin:
 		a := newAntiSemiJoin(b, kw, out)

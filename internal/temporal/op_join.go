@@ -290,21 +290,36 @@ type temporalJoinOp struct {
 	syn      [2]*synopsis
 	keys     [2][]int
 	cond     func(l, r Row) bool // nil = none
-	rdrop    int                 // leading right columns left out of the output: the right copy of a group key
+	picks    []joinPick          // where each output value comes from
 	arena    rowArena
 	out      Sink
 	lastTidy Time
 }
 
-// newJoin builds TemporalJoin n over rows that lead with a kw-column group
-// key (0 outside a GroupApply): matched on the key first, the condition
-// reading the columns behind it, the key kept once in the output.
-func newJoin(n *Plan, kw int, out Sink) *temporalJoinOp {
+type joinPick struct{ side, col int } // one value of a join's output: column col of side's row
+
+// newJoin builds TemporalJoin n over rows led by a kw-column group key (0
+// outside a GroupApply), matched on it first, its condition reading the
+// columns behind it: out gets the key, then n.Out's columns or proj's picks.
+func newJoin(n, proj *Plan, kw int, out Sink) *temporalJoinOp {
 	lin, rin := n.Inputs[0].Out, n.Inputs[1].Out
 	j := &temporalJoinOp{keys: [2][]int{keyCols(kw, lin.Indexes(n.Keys...)), keyCols(kw, rin.Indexes(n.RightKeys...))},
-		rdrop: kw, out: out, lastTidy: MinTime}
+		out: out, lastTidy: MinTime}
 	if c := n.JoinCond; c != nil {
 		j.cond = c.Make(keyCols(kw, lin.Indexes(c.LeftCols...))[kw:], keyCols(kw, rin.Indexes(c.RightCols...))[kw:])
+	}
+	j.picks = make([]joinPick, kw+n.Out.Len())
+	for c := range j.picks { // key ++ n.Out: the left row, then the right one behind its key
+		j.picks[c] = joinPick{sideLeft, c}
+		if c >= kw+lin.Len() {
+			j.picks[c] = joinPick{sideRight, c - lin.Len()}
+		}
+	}
+	if all := j.picks; proj != nil {
+		j.picks = all[:kw:kw]
+		for _, pr := range proj.Projs {
+			j.picks = append(j.picks, all[kw+n.Out.MustIndex(pr.Source)])
+		}
 	}
 	j.syn = [2]*synopsis{newSynopsis(j.keys[sideLeft]), newSynopsis(j.keys[sideRight])}
 	j.m = newMerger(j)
@@ -319,18 +334,18 @@ func (j *temporalJoinOp) onMerged(side int, e Event) {
 		if le >= re {
 			return
 		}
-		var l, r Row
-		if side == sideLeft {
-			l, r = e.Payload, o.Payload
-		} else {
-			l, r = o.Payload, e.Payload
-		}
-		if j.cond != nil && !j.cond(l, r) {
+		var rows [2]Row
+		rows[side], rows[other] = e.Payload, o.Payload
+		if j.cond != nil && !j.cond(rows[sideLeft], rows[sideRight]) {
 			return
+		}
+		row := j.arena.alloc(len(j.picks))
+		for i, p := range j.picks {
+			row[i] = rows[p.side][p.col]
 		}
 		// le == max(e.LE, o.LE) == e.LE since o arrived earlier in merged
 		// order, so outputs are emitted in nondecreasing LE.
-		j.out.OnEvent(Event{LE: le, RE: re, Payload: j.arena.concat(l, r[j.rdrop:])})
+		j.out.OnEvent(Event{LE: le, RE: re, Payload: row})
 	})
 	if !j.m.dead(side, e) {
 		j.syn[side].insert(e)

@@ -133,7 +133,7 @@ func TestCTIBoundsJoinSynopsis(t *testing.T) {
 	// stream length).
 	col := &Collector{}
 	sch := NewSchema(Field{Name: "Time", Kind: KindInt}, Field{Name: "ID", Kind: KindString})
-	j := newJoin(Scan("l", sch).Join(Scan("r", sch), []string{"ID"}, []string{"ID"}, nil), 0, col)
+	j := newJoin(Scan("l", sch).Join(Scan("r", sch), []string{"ID"}, []string{"ID"}, nil), nil, 0, col)
 	left, right := j.m.input(sideLeft), j.m.input(sideRight)
 	for i := 0; i < 100; i++ {
 		tm := Time(i * 10)

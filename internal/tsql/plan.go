@@ -342,9 +342,8 @@ func bindAggregate(s *SelectStmt, agg ProjExpr, plan *temporal.Plan, sc *scope) 
 func bindProjection(s *SelectStmt, plan *temporal.Plan, sc *scope, hasAgg bool) (*temporal.Plan, error) {
 	schema := plan.Schema()
 	var projs []temporal.Projection
-	identity := schema.Len() == len(s.Projs)
 	seen := make(map[string]bool, len(s.Projs))
-	for i, pr := range s.Projs {
+	for _, pr := range s.Projs {
 		var col, out string
 		if pr.Agg != "" {
 			// The aggregate column already carries its output name.
@@ -376,12 +375,6 @@ func bindProjection(s *SelectStmt, plan *temporal.Plan, sc *scope, hasAgg bool) 
 		}
 		seen[out] = true
 		projs = append(projs, temporal.Rename(col, out))
-		if !(i < schema.Len() && schema.Field(i).Name == out && col == out) {
-			identity = false
-		}
-	}
-	if identity {
-		return plan, nil
 	}
 	return plan.Project(projs...), nil
 }
