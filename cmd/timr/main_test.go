@@ -2,6 +2,8 @@ package main
 
 import (
 	"bytes"
+	"flag"
+	"os"
 	"os/exec"
 	"path/filepath"
 	"regexp"
@@ -81,6 +83,43 @@ func TestBareTimrIsUsageError(t *testing.T) {
 	}
 	if stdout != "" || !strings.Contains(stderr, "usage: timr <run|serve|refresh>") {
 		t.Errorf("bare timr: stdout %q, stderr %q; want the usage text on stderr only", stdout, stderr)
+	}
+}
+
+// TestUsageFlagsAreDefined: every -flag on a `timr <sub>` line of the
+// package comment's Usage block (continuation lines included) is defined
+// by that subcommand's FlagSet.
+func TestUsageFlagsAreDefined(t *testing.T) {
+	src, err := os.ReadFile("main.go")
+	if err != nil {
+		t.Fatal(err)
+	}
+	doc, _, _ := strings.Cut(string(src), "\npackage main")
+	_, usage, ok := strings.Cut(doc, "// Usage:\n")
+	if !ok {
+		t.Fatal("main.go's package comment has no Usage block")
+	}
+	sets := map[string]*flag.FlagSet{"run": runFlags(nil), "serve": serveFlags(nil), "refresh": refreshFlags(nil)}
+	flagRE := regexp.MustCompile(`(?:^|[\s\[])-([a-z][a-z0-9-]*)`)
+	var sub string
+	checked := 0
+	for _, line := range strings.Split(usage, "\n") {
+		line = strings.TrimPrefix(line, "//")
+		if f := strings.Fields(line); len(f) >= 2 && f[0] == "timr" {
+			sub = f[1]
+			if sets[sub] == nil {
+				t.Errorf("usage line %q names no subcommand", line)
+			}
+		}
+		for _, m := range flagRE.FindAllStringSubmatch(line, -1) {
+			checked++
+			if fs := sets[sub]; fs != nil && fs.Lookup(m[1]) == nil {
+				t.Errorf("usage documents timr %s -%s, which its FlagSet does not define", sub, m[1])
+			}
+		}
+	}
+	if checked == 0 {
+		t.Fatal("no flag found in the Usage block")
 	}
 }
 

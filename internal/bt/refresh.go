@@ -105,17 +105,18 @@ func (r *Refresher) Restore() (bool, error) {
 	if r.Opts.Store == nil {
 		return false, fmt.Errorf("bt: refresher has no store to restore from")
 	}
-	rec, err := r.Opts.Store.LoadState()
-	if err != nil || rec == nil {
+	var st *RefreshState
+	g, err := r.Opts.Store.Load(func(g *dur.Generation) error {
+		var err error
+		st, err = DecodeState(g.Payload)
+		return err
+	})
+	if err != nil || g == nil {
 		return false, err
 	}
-	st, err := DecodeState(rec.Payload)
-	if err != nil {
-		return false, err
-	}
-	if int64(st.Watermark) != int64(rec.Wave) || st.Days != rec.Waves {
+	if st.Watermark != g.Wave || st.Days != g.Waves {
 		return false, fmt.Errorf("bt: refresh state disagrees with generation header (wave %d/%d, days %d/%d)",
-			st.Watermark, rec.Wave, st.Days, rec.Waves)
+			st.Watermark, g.Wave, st.Days, g.Waves)
 	}
 	r.State = st
 	r.history = nil
@@ -176,7 +177,7 @@ func (r *Refresher) persist() error {
 	if err != nil {
 		return err
 	}
-	r.DurErr = r.Opts.Store.CommitState(r.State.Watermark, r.State.Days, payload)
+	r.DurErr = r.Opts.Store.Commit(r.State.Watermark, r.State.Days, payload)
 	return nil
 }
 
@@ -245,30 +246,19 @@ func rowsInRange(rows []temporal.Row, lo, hi temporal.Time) []temporal.Row {
 	return out
 }
 
-// runFront executes the front stages over the whole raw log as parts
-// per-user partitions (0: GOMAXPROCS), fresh single-node engines each,
-// run to the end of input — ModeFull's evaluation — recording one
-// aggregate timing observation, and returns the labeled and train output
-// rows with 0 <= Time < hi in the canonical order.
-func (st *RefreshState) runFront(input []temporal.Row, hi temporal.Time, parts int) (labeled, train []temporal.Row, err error) {
+// runFront executes the front stages over the whole raw log on one
+// chain of fresh single-node engines, run to the end of input —
+// ModeFull's evaluation, which shares no per-user split or merge with the
+// delta path it checks — recording one timing observation, and returns
+// the labeled and train output rows with 0 <= Time < hi in the canonical
+// order.
+func (st *RefreshState) runFront(input []temporal.Row, hi temporal.Time) (labeled, train []temporal.Row, err error) {
 	start := time.Now()
-	if parts <= 0 {
-		parts = runtime.GOMAXPROCS(0)
-	}
-	split := splitByUser(input, parts)
-	labeledRuns := make([][]temporal.Row, parts)
-	trainRuns := make([][]temporal.Row, parts)
-	if err := par.ForEach(runtime.GOMAXPROCS(0), parts, func(i int) error {
-		ds := map[string][]temporal.Event{DSEvents: temporal.RowsToPointEvents(split[i], 0)}
-		if err := RunStagesSingleNode(st.P, FrontStages(false), ds); err != nil {
-			return err
-		}
-		labeledRuns[i], trainRuns[i] = sortedRows(ds[DSLabeled], 0, hi), sortedRows(ds[DSTrain], 0, hi)
-		return nil
-	}); err != nil {
+	ds := map[string][]temporal.Event{DSEvents: temporal.RowsToPointEvents(input, 0)}
+	if err := RunStagesSingleNode(st.P, FrontStages(false), ds); err != nil {
 		return nil, nil, err
 	}
-	labeled, train = mergeRows(labeledRuns), mergeRows(trainRuns)
+	labeled, train = sortedRows(ds[DSLabeled], 0, hi), sortedRows(ds[DSTrain], 0, hi)
 	st.RecordTiming("Front", int64(len(input)), time.Since(start).Nanoseconds())
 	return labeled, train, nil
 }
@@ -333,7 +323,7 @@ func (r *Refresher) fullRecompute(allRaw []temporal.Row, dayEnd temporal.Time) e
 	ns.Timings = old.Timings
 	fNew := dayEnd - ns.P.D
 
-	labeled, train, err := ns.runFront(allRaw, fNew, r.parts)
+	labeled, train, err := ns.runFront(allRaw, fNew)
 	if err != nil {
 		return err
 	}

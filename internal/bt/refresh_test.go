@@ -12,8 +12,10 @@ import (
 	"strings"
 	"testing"
 
+	"timr/internal/core"
 	"timr/internal/dur"
 	"timr/internal/leakcheck"
+	"timr/internal/obs"
 	"timr/internal/temporal"
 	"timr/internal/workload"
 )
@@ -334,6 +336,71 @@ func TestRefreshQuarantineFallback(t *testing.T) {
 	if got, want := summaryBytes(t, r2), summaryBytes(t, r1); !bytes.Equal(got, want) {
 		t.Fatal("state after quarantine fallback + re-ingest diverged")
 	}
+}
+
+// TestRefreshAndStreamingGenerationsRefuseEachOther: a store holds one
+// kind of generation, and each reader treats the other kind as corrupt.
+// A streaming restore over a refresher's generation quarantines it and
+// starts a clean job; a refresher restore over a streaming job's
+// generation finds nothing to resume.
+func TestRefreshAndStreamingGenerationsRefuseEachOther(t *testing.T) {
+	sch := temporal.NewSchema(temporal.Field{Name: "Time", Kind: temporal.KindInt})
+	plan := temporal.Scan("clicks", sch).WithWindow(10).Count("C")
+	schemas := map[string]*temporal.Schema{"clicks": sch}
+	p, cfg := refreshWorkload()
+
+	t.Run("refresher generation", func(t *testing.T) {
+		dir := t.TempDir()
+		st, err := dur.OpenStore(dir, dur.Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := NewRefresher(p, cfg, RefreshOptions{Store: st}).persist(); err != nil {
+			t.Fatal(err)
+		}
+		scope := obs.New("dur")
+		st2, err := dur.OpenStore(dir, dur.Options{Obs: scope})
+		if err != nil {
+			t.Fatal(err)
+		}
+		sj, g, err := core.RestoreFromDir(plan, schemas, st2)
+		if err != nil || g != nil {
+			t.Fatalf("streaming restore over a refresher generation: gen %v, err %v; want a clean start", g, err)
+		}
+		if n := scope.Counter("corrupt_detected").Value(); n != 1 {
+			t.Fatalf("corrupt_detected = %d, want 1", n)
+		}
+		sj.Flush()
+		res, err := sj.Results()
+		if err != nil || len(res) != 0 {
+			t.Fatalf("restored job is not clean: %d results, err %v", len(res), err)
+		}
+	})
+
+	t.Run("streaming generation", func(t *testing.T) {
+		st, err := dur.OpenStore(t.TempDir(), dur.Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		sj, err := core.NewStreamingJob(plan, schemas, core.WithDurable(st))
+		if err != nil {
+			t.Fatal(err)
+		}
+		src, err := sj.Source("clicks")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := src.Feed(temporal.PointEvent(5, temporal.Row{temporal.Int(5)})); err != nil {
+			t.Fatal(err)
+		}
+		if err := sj.Advance(20); err != nil || sj.DurableErr() != nil {
+			t.Fatalf("Advance: %v, commit: %v", err, sj.DurableErr())
+		}
+		resumed, err := NewRefresher(p, cfg, RefreshOptions{Store: st}).Restore()
+		if err != nil || resumed {
+			t.Fatalf("refresher restore over a streaming generation: resumed=%v err=%v; want false, nil", resumed, err)
+		}
+	})
 }
 
 func TestRefreshStateRoundtrip(t *testing.T) {

@@ -23,6 +23,10 @@ import (
 // — producing bit-identical output, including under injected I/O faults
 // that force a fallback to an older generation with a longer replay.
 
+// snapshotTag leads a streaming generation's payload, so a payload of
+// another kind (a refresher's state) fails decode at its first byte.
+const snapshotTag byte = 0xD6
+
 // commitDurable snapshots the job at the end of the wave at time t and
 // commits it as one generation. Called from Advance with the wave fully
 // applied: every partition's ckpt/log are fresh, j.waves counts this
@@ -30,21 +34,16 @@ import (
 // failure is tolerated — counted by the store, remembered in durErr —
 // because the previous generation remains a correct (if older) recovery
 // line, costing only extended replay.
+//
+// The payload, after snapshotTag: the machine count; the published input
+// offsets, sorted by source name; every partition's (fragment, id,
+// checkpoint, replay log), stage by stage in id order; the delivered
+// results; and the output barrier's pending events. The wave and wave
+// count are the generation's own.
 func (j *StreamingJob) commitDurable(t temporal.Time) {
-	snap := &dur.Snapshot{
-		Wave:     t,
-		Waves:    j.waves,
-		Machines: j.machines,
-		Results:  j.results,
-		Pending:  j.out.pending,
-	}
-	for _, st := range j.stages {
-		for _, p := range st.sortedParts() {
-			snap.Parts = append(snap.Parts, dur.PartitionState{
-				Frag: st.frag.Name, Part: p.id, Ckpt: p.ckpt, Log: p.log,
-			})
-		}
-	}
+	var w temporal.Encoder
+	w.Byte(snapshotTag)
+	w.Uvarint(uint64(j.machines))
 	var srcNames []string
 	for name, f := range j.feeders {
 		if _, ok := f.Position(); ok {
@@ -52,11 +51,74 @@ func (j *StreamingJob) commitDurable(t temporal.Time) {
 		}
 	}
 	sort.Strings(srcNames)
+	w.Uvarint(uint64(len(srcNames)))
 	for _, name := range srcNames {
 		pos, _ := j.feeders[name].Position()
-		snap.Offsets = append(snap.Offsets, dur.SourceOffset{Name: name, Pos: pos})
+		w.String(name)
+		w.Varint(pos)
 	}
-	j.durErr = j.durStore.Commit(snap)
+	nparts := 0
+	for _, st := range j.stages {
+		nparts += len(st.parts)
+	}
+	w.Uvarint(uint64(nparts))
+	for _, st := range j.stages {
+		for _, p := range st.sortedParts() {
+			w.String(st.frag.Name)
+			w.Varint(int64(p.id))
+			w.BytesField(p.ckpt)
+			w.Events(p.log)
+		}
+	}
+	w.Events(j.results)
+	w.Events(j.out.pending)
+	j.durErr = j.durStore.Commit(t, j.waves, w.Bytes())
+}
+
+// snapshot is a decoded streaming generation's payload (commitDurable
+// has its layout).
+type snapshot struct {
+	machines         int
+	offsets          map[string]int64
+	parts            []partState
+	results, pending []temporal.Event
+}
+
+// partState is one partition's recovery record: the engine checkpoint
+// taken at the wave, and the replay log of events admitted but not yet
+// consumed.
+type partState struct {
+	frag string
+	id   int
+	ckpt []byte
+	log  []temporal.Event
+}
+
+// decodeSnapshot parses a streaming generation's payload. Every count and
+// length is checked against the bytes present, so arbitrary input errors
+// and never panics or drives an allocation larger than itself. Its
+// slices alias data.
+func decodeSnapshot(data []byte) (*snapshot, error) {
+	r := temporal.NewDecoder(data)
+	if err := r.Expect(snapshotTag, "streaming snapshot"); err != nil {
+		return nil, err
+	}
+	snap := &snapshot{machines: int(r.Uvarint()), offsets: map[string]int64{}}
+	for i, n := 0, r.Count("source offsets"); i < n && r.Err() == nil; i++ {
+		name := r.String()
+		snap.offsets[name] = r.Varint()
+	}
+	for i, n := 0, r.Count("partitions"); i < n && r.Err() == nil; i++ {
+		snap.parts = append(snap.parts, partState{
+			frag: r.String(), id: int(r.Varint()), ckpt: r.BytesField(), log: r.Events(),
+		})
+	}
+	snap.results = r.Events()
+	snap.pending = r.Events()
+	if err := r.Done(); err != nil {
+		return nil, err
+	}
+	return snap, nil
 }
 
 // DurableErr returns the most recent durable-commit error (nil after a
@@ -65,22 +127,26 @@ func (j *StreamingJob) commitDurable(t temporal.Time) {
 func (j *StreamingJob) DurableErr() error { return j.durErr }
 
 // RestoreFromDir reopens a streaming job from its durable store: the
-// newest intact generation (corrupt ones are quarantined, with fallback)
-// is loaded and applied to a freshly built job, which then continues
-// committing to the same store. The returned Recovery is nil when the
-// store holds no generation — the job starts clean and the caller feeds
-// from the beginning. Otherwise the caller must re-feed every source
-// event admitted after the recovered wave (Recovery.Snap.Wave); events
+// newest generation that is intact and decodes as a streaming snapshot
+// (others are quarantined, with fallback) is applied to a freshly built
+// job, which then continues committing to the same store. The returned
+// generation is nil when the store holds none — the job starts clean and
+// the caller feeds from the beginning. Otherwise the caller must re-feed
+// every source event admitted after the recovered wave (Wave); events
 // admitted before it but not yet consumed are inside the generation's
 // replay logs and need no re-feeding.
 //
 // The plan and sources must match the crashed process's. So must the
 // machine count, since hash partition ids are recorded against it: a
 // generation written with a different count is refused with an error
-// naming both, and one that records no count (written before counts were
-// recorded) is refused by name.
-func RestoreFromDir(plan *temporal.Plan, sources map[string]*temporal.Schema, store *dur.Store, opts ...StreamOption) (*StreamingJob, *dur.Recovery, error) {
-	rec, err := store.Load()
+// naming both, and stays in the store.
+func RestoreFromDir(plan *temporal.Plan, sources map[string]*temporal.Schema, store *dur.Store, opts ...StreamOption) (*StreamingJob, *dur.Generation, error) {
+	var snap *snapshot
+	g, err := store.Load(func(g *dur.Generation) error {
+		var err error
+		snap, err = decodeSnapshot(g.Payload)
+		return err
+	})
 	if err != nil {
 		return nil, nil, err
 	}
@@ -88,13 +154,13 @@ func RestoreFromDir(plan *temporal.Plan, sources map[string]*temporal.Schema, st
 	if err != nil {
 		return nil, nil, err
 	}
-	if rec == nil {
+	if g == nil {
 		return sj, nil, nil
 	}
-	if err := sj.applySnapshot(rec.Snap); err != nil {
-		return nil, nil, fmt.Errorf("timr: restore from %s (gen %d): %w", store.Dir(), rec.Gen, err)
+	if err := sj.applySnapshot(g.Waves, snap); err != nil {
+		return nil, nil, fmt.Errorf("timr: restore from %s (gen %d): %w", store.Dir(), g.Gen, err)
 	}
-	return sj, rec, nil
+	return sj, g, nil
 }
 
 // applySnapshot rebuilds the job's live state from a recovered
@@ -102,28 +168,25 @@ func RestoreFromDir(plan *temporal.Plan, sources map[string]*temporal.Schema, st
 // crash does, then the job-level output record is restored. j.waves is
 // set before any partition is created so the crash-injection draws of
 // the restored run are well-defined from the first arm.
-func (j *StreamingJob) applySnapshot(snap *dur.Snapshot) error {
-	switch {
-	case snap.Machines == 0:
-		return fmt.Errorf("generation records no machine count (written by an older build); cannot restore")
-	case snap.Machines != j.machines:
-		return fmt.Errorf("generation was written with %d machines, this job has %d; partition ids would not match", snap.Machines, j.machines)
+func (j *StreamingJob) applySnapshot(waves int, snap *snapshot) error {
+	if snap.machines != j.machines {
+		return fmt.Errorf("generation was written with %d machines, this job has %d; partition ids would not match", snap.machines, j.machines)
 	}
-	j.waves = snap.Waves
-	for _, ps := range snap.Parts {
-		st, err := j.stageByName(ps.Frag)
+	j.waves = waves
+	for _, ps := range snap.parts {
+		st, err := j.stageByName(ps.frag)
 		if err != nil {
 			return err
 		}
-		if err := st.rebuild(st.partition(ps.Part), ps.Ckpt, ps.Log); err != nil {
-			return fmt.Errorf("partition %s/%d: %w", ps.Frag, ps.Part, err)
+		if err := st.rebuild(st.partition(ps.id), ps.ckpt, ps.log); err != nil {
+			return fmt.Errorf("partition %s/%d: %w", ps.frag, ps.id, err)
 		}
 	}
-	j.results = append(j.results[:0], snap.Results...)
-	j.out.pending = append(j.out.pending[:0], snap.Pending...)
-	for _, o := range snap.Offsets {
-		if f, ok := j.feeders[o.Name]; ok {
-			f.SetPosition(o.Pos)
+	j.results = append(j.results[:0], snap.results...)
+	j.out.pending = append(j.out.pending[:0], snap.pending...)
+	for name, pos := range snap.offsets {
+		if f, ok := j.feeders[name]; ok {
+			f.SetPosition(pos)
 		}
 	}
 	return nil

@@ -114,7 +114,7 @@ func resumeAndFinish(t *testing.T, plan *temporal.Plan, schemas map[string]*temp
 	skipping := rec != nil
 	var recWave temporal.Time
 	if rec != nil {
-		recWave = rec.Snap.Wave
+		recWave = rec.Wave
 	}
 	last := temporal.Time(temporal.MinTime)
 	for _, e := range events {
@@ -265,10 +265,7 @@ func TestDurableOffsetSeekResume(t *testing.T) {
 				if !ok {
 					t.Fatal("recovered generation carries no input offset")
 				}
-				if offs := rec.Snap.Offsets; len(offs) != 1 || offs[0].Name != "clicks" || offs[0].Pos != pos {
-					t.Fatalf("snapshot offsets %v disagree with restored feeder position %d of clicks", offs, pos)
-				}
-				start, last = int(pos), rec.Snap.Wave
+				start, last = int(pos), rec.Wave
 			}
 			for _, e := range events[start:] {
 				if last == temporal.MinTime {
@@ -418,8 +415,8 @@ func TestDurableRestartComposesWithChaos(t *testing.T) {
 // TestDurableRestoreRefusesOtherMachineCount: hash partition ids are
 // assigned modulo the machine count, so a generation restored into a job
 // of another count would put each recorded partition's state where other
-// keys route. RestoreFromDir refuses it, naming both counts, and refuses
-// a generation that records no count at all.
+// keys route. RestoreFromDir refuses it, naming both counts, and leaves
+// the generation in the store.
 func TestDurableRestoreRefusesOtherMachineCount(t *testing.T) {
 	mk, sch := durablePlan()
 	events := durableEvents(900)
@@ -444,20 +441,11 @@ func TestDurableRestoreRefusesOtherMachineCount(t *testing.T) {
 				t.Fatalf("restore with %d machines of a %d-machine generation: err = %v, want it to say %q",
 					c.resumed, c.killed, err, want)
 			}
+			// The refusal is not corruption: the generation stays and
+			// restores under its own machine count.
+			if _, g, err := core.RestoreFromDir(mk(true), schemas, store2, core.WithMachines(c.killed)); err != nil || g == nil {
+				t.Fatalf("restore with the generation's own %d machines after a refusal: gen %v, err %v", c.killed, g, err)
+			}
 		})
 	}
-
-	t.Run("nocount", func(t *testing.T) {
-		store, err := dur.OpenStore(t.TempDir(), dur.Options{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := store.Commit(&dur.Snapshot{Wave: 20, Waves: 1}); err != nil {
-			t.Fatal(err)
-		}
-		_, _, err = core.RestoreFromDir(mk(true), schemas, store, core.WithMachines(3))
-		if err == nil || !strings.Contains(err.Error(), "records no machine count") {
-			t.Fatalf("restore of a generation without a machine count: err = %v", err)
-		}
-	})
 }

@@ -1,9 +1,13 @@
-// Package dur is the durable checkpoint store: it persists a streaming
-// job's per-partition wave checkpoints and replay logs to disk as
-// versioned, resumable generations, so a process killed mid-wave —
-// `kill -9`, no shutdown hook — restarts bit-identically to the
-// in-memory crash-recovery path (internal/core crash()+replay, the PR 4
-// invariant).
+// Package dur is the durable checkpoint store: it persists opaque
+// payloads to disk as versioned, resumable generations, each recorded
+// under its caller's wave and wave count. The store never interprets a
+// payload: a caller encodes it, and decodes it through the function it
+// hands to Load, so a payload that does not decode is treated like one
+// that failed its checksum. internal/core commits a streaming job's wave
+// snapshot this way, so a process killed mid-wave — `kill -9`, no
+// shutdown hook — restarts bit-identically to the in-memory
+// crash-recovery path (internal/core crash()+replay); internal/bt commits
+// the refresher's state once per ingested day.
 //
 // Three layers:
 //
@@ -13,11 +17,12 @@
 //     writes, short reads, bit flips, ENOSPC, and failed rename/fsync
 //     against the exact production code paths.
 //   - Store (store.go): the atomic commit protocol. Each generation is
-//     written as temp file → CRC32-checksummed, length-prefixed frames
+//     written as temp file → one CRC32-checksummed, length-prefixed frame
 //     (internal/temporal frame.go) → fsync → rename, then a manifest the
 //     same way; a generation exists only once its manifest does. Loads
 //     walk generations newest-first, quarantine anything that fails
-//     validation, and fall back to the previous intact one.
+//     validation or the caller's decode, and fall back to the previous
+//     intact one.
 //   - The retry supervisor (store.go retry): transient I/O faults are
 //     retried a bounded number of times before the store either skips a
 //     commit (the previous generation stays the recovery line) or

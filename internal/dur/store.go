@@ -12,14 +12,15 @@ import (
 )
 
 // Store is the durable checkpoint store: a directory of committed
-// generations, each one wave's full recovery state (every partition's
-// engine checkpoint + replay log, plus the delivered-output record).
+// generations, each one opaque payload that its caller encodes and
+// decodes (a streaming job's wave snapshot, or a refresher's state),
+// recorded under the caller's wave and wave count.
 //
 // Commit protocol, per generation g:
 //
-//  1. gen-g.ckpt.tmp is written as a sequence of CRC32-checksummed,
-//     length-prefixed frames (temporal.AppendFrame), fsynced, closed,
-//     and renamed to gen-g.ckpt;
+//  1. gen-g.ckpt.tmp is written as one CRC32-checksummed, length-prefixed
+//     frame (temporal.AppendFrame) holding g, the wave, the wave count
+//     and the payload, fsynced, closed, and renamed to gen-g.ckpt;
 //  2. gen-g.manifest.tmp — one frame recording g, the wave, the ckpt
 //     file name and its exact byte size — is written, fsynced, and
 //     renamed to gen-g.manifest.
@@ -29,8 +30,9 @@ import (
 // previous committed generation (plus ignorable *.tmp debris) or the new
 // one — never a half state. Load walks generations newest-first,
 // validates every frame against its checksum and the manifest's recorded
-// size, quarantines anything that fails (renamed to corrupt-*, counted
-// as corrupt_detected) and falls back to the previous intact generation;
+// size, hands the payload to the caller's decoder, quarantines anything
+// that fails either (renamed to corrupt-*, counted as corrupt_detected)
+// and falls back to the previous intact generation;
 // the caller then replays forward from that older wave (extended
 // replay).
 //
@@ -72,60 +74,20 @@ type Options struct {
 	Obs *obs.Scope
 }
 
-// PartitionState is one streaming partition's recovery record: the
-// engine checkpoint taken at the wave, and the replay log of events
-// admitted but not yet consumed.
-type PartitionState struct {
-	Frag string
-	Part int
-	Ckpt []byte
-	Log  []temporal.Event
+// Generation is one committed generation: its number, the wave and
+// wave count the caller committed it under, and the caller's payload,
+// which the store never interprets.
+type Generation struct {
+	Gen     uint64
+	Wave    temporal.Time
+	Waves   int
+	Payload []byte
 }
 
-// SourceOffset records one ingest source's schedule position at the
-// committed wave: how many schedule entries the driver had consumed when
-// the wave was committed. Recovery seeks the input to Pos instead of
-// re-walking the schedule from the start.
-type SourceOffset struct {
-	Name string
-	Pos  int64
-}
-
-// Snapshot is one wave's full recovery state — exactly what the
-// in-memory crash path reconstructs from, plus the job-level output
-// record a process restart additionally needs.
-type Snapshot struct {
-	Wave  temporal.Time // punctuation time of the committed wave
-	Waves int           // completed waves (the crash-draw clock)
-	// Machines is the job's hash fan-out, against which Parts' ids were
-	// assigned. Zero in a generation written before counts were recorded.
-	Machines int
-	Parts    []PartitionState
-	// Results are the output events delivered so far; Pending are output
-	// events buffered behind the final barrier (LE at or beyond Wave).
-	Results []temporal.Event
-	Pending []temporal.Event
-	// Offsets are the durable input positions of every source whose
-	// driver published one (Feeder.SetPosition), sorted by name.
-	Offsets []SourceOffset
-}
-
-// Recovery is the outcome of a successful Load.
-type Recovery struct {
-	Gen  uint64
-	Snap *Snapshot
-}
-
-// Record tags inside checkpoint-file frames. recHeaderV1 is the snapshot
-// header written before the machine count was recorded; it still decodes,
-// with Machines zero, so a restore can refuse it by name.
+// Record tags inside the store's frames.
 const (
-	recHeaderV1  byte = 0xD0
-	recPartition byte = 0xD1
-	recOut       byte = 0xD2
-	recManifest  byte = 0xD3
-	recState     byte = 0xD4
-	recHeader    byte = 0xD5
+	recManifest byte = 0xD3
+	recGen      byte = 0xD4
 )
 
 // OpenStore opens (creating if needed) a durable store rooted at dir.
@@ -266,44 +228,25 @@ func (s *Store) readFile(path string) ([]byte, error) {
 func (s *Store) ckptName(gen uint64) string     { return fmt.Sprintf("gen-%08d.ckpt", gen) }
 func (s *Store) manifestName(gen uint64) string { return fmt.Sprintf("gen-%08d.manifest", gen) }
 
-// Commit writes snap as the next generation. On failure the store is
-// unchanged (the previous generation remains the recovery line), the
-// skip is counted, and the error is returned for the caller to surface
-// or tolerate.
-func (s *Store) Commit(snap *Snapshot) error {
+// Commit writes payload as the next generation, recorded under wave and
+// waves. The checkpoint file is one frame holding the record (gen, wave,
+// waves, payload); the manifest, written after it, is the commit point.
+// On failure the store is unchanged (the previous generation remains the
+// recovery line), the skip is counted, and the error is returned for the
+// caller to surface or tolerate.
+func (s *Store) Commit(wave temporal.Time, waves int, payload []byte) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	gen := s.nextGen
 	s.nextGen++ // never reuse a number, even for a failed commit
-	return s.commitFiles(gen, snap.Wave, snap.Waves, encodeSnapshot(gen, snap))
-}
-
-// CommitState commits an opaque state payload as the next generation,
-// under the same atomic protocol (ckpt write+fsync+rename, then manifest
-// rename as the commit point) and the same retry supervisor. The
-// incremental BT refresh persists one ingested day per generation this
-// way: wave carries the refresh watermark and waves the ingested-day
-// count. A store directory holds either streaming snapshots or state
-// generations, never both — a mismatched load treats the generation as
-// corrupt.
-func (s *Store) CommitState(wave temporal.Time, waves int, payload []byte) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	gen := s.nextGen
-	s.nextGen++
 	var w temporal.Encoder
-	w.Byte(recState)
+	w.Byte(recGen)
 	w.Uvarint(gen)
 	w.Varint(int64(wave))
 	w.Uvarint(uint64(waves))
 	w.BytesField(payload)
-	return s.commitFiles(gen, wave, waves, temporal.AppendFrame(nil, w.Bytes()))
-}
+	data := temporal.AppendFrame(nil, w.Bytes())
 
-// commitFiles is the shared tail of Commit/CommitState: the atomic
-// ckpt-then-manifest write of one already-encoded generation. Callers
-// hold s.mu.
-func (s *Store) commitFiles(gen uint64, wave temporal.Time, waves int, data []byte) error {
 	ckpt := s.ckptName(gen)
 	if err := s.writeFileAtomic(filepath.Join(s.dir, ckpt), data); err != nil {
 		s.skips.Inc()
@@ -363,57 +306,14 @@ func (s *Store) prune(latest uint64) {
 	}
 }
 
-// Load returns the newest intact generation, or (nil, nil) when the
-// store holds none (fresh directory, or every generation corrupt —
-// the caller then starts clean and replays everything). Generations
-// that fail validation after retries are quarantined and skipped.
-func (s *Store) Load() (*Recovery, error) {
-	var rec *Recovery
-	err := s.loadNewest(func(gen uint64, wave temporal.Time, waves int, data []byte) error {
-		snap, err := decodeSnapshot(gen, wave, waves, data)
-		if err != nil {
-			return err
-		}
-		rec = &Recovery{Gen: gen, Snap: snap}
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	return rec, nil
-}
-
-// StateRecovery is the outcome of a successful LoadState.
-type StateRecovery struct {
-	Gen     uint64
-	Wave    temporal.Time
-	Waves   int
-	Payload []byte
-}
-
-// LoadState returns the newest intact state generation (CommitState),
-// or (nil, nil) when the store holds none. Corrupt generations are
-// quarantined with fallback, exactly like Load.
-func (s *Store) LoadState() (*StateRecovery, error) {
-	var rec *StateRecovery
-	err := s.loadNewest(func(gen uint64, wave temporal.Time, waves int, data []byte) error {
-		payload, err := decodeState(gen, wave, waves, data)
-		if err != nil {
-			return err
-		}
-		rec = &StateRecovery{Gen: gen, Wave: wave, Waves: waves, Payload: payload}
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	return rec, nil
-}
-
-// loadNewest walks committed generations newest-first, fully validating
-// each through decode until one succeeds; failed generations are
-// quarantined. decode receives the manifest-verified checkpoint bytes.
-func (s *Store) loadNewest(decode func(gen uint64, wave temporal.Time, waves int, data []byte) error) error {
+// Load returns the newest intact generation that decode accepts, or
+// (nil, nil) when the store holds none (fresh directory, or every
+// generation corrupt — the caller then starts clean and replays
+// everything). decode parses the payload into the caller's own form;
+// its error means the generation is corrupt. A generation that fails
+// validation or decode after retries is quarantined, and the walk falls
+// back to the next-newest one.
+func (s *Store) Load(decode func(*Generation) error) (*Generation, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	var names []string
@@ -422,7 +322,7 @@ func (s *Store) loadNewest(decode func(gen uint64, wave temporal.Time, waves int
 		names, err = s.fs.ReadDir(s.dir)
 		return err
 	}); err != nil {
-		return fmt.Errorf("dur: load: %w", err)
+		return nil, fmt.Errorf("dur: load: %w", err)
 	}
 	var gens []uint64
 	for _, n := range names {
@@ -433,41 +333,43 @@ func (s *Store) loadNewest(decode func(gen uint64, wave temporal.Time, waves int
 	}
 	sort.Slice(gens, func(i, j int) bool { return gens[i] > gens[j] })
 	for _, g := range gens {
+		var rec *Generation
 		err := s.retry(func() error {
-			wave, waves, data, err := s.readGen(g)
-			if err != nil {
-				return err
+			var err error
+			if rec, err = s.readGen(g); err == nil {
+				err = decode(rec)
 			}
-			return decode(g, wave, waves, data)
+			return err
 		})
 		if err == nil {
-			return nil
+			return rec, nil
 		}
 		// Persistent failure across retries: the generation is corrupt on
 		// disk, not transiently unreadable. Quarantine it and fall back.
 		s.corrupt.Inc()
 		s.quarantine(g)
 	}
-	return nil
+	return nil, nil
 }
 
-// readGen reads one generation's checkpoint bytes after validating them
-// against its manifest.
-func (s *Store) readGen(gen uint64) (temporal.Time, int, []byte, error) {
+// readGen reads one generation: its manifest, then its checkpoint file,
+// whose size, frame checksum and record (gen, wave, waves) must all
+// agree with the manifest.
+func (s *Store) readGen(gen uint64) (*Generation, error) {
 	manData, err := s.readFile(filepath.Join(s.dir, s.manifestName(gen)))
 	if err != nil {
-		return 0, 0, nil, err
+		return nil, err
 	}
 	payload, rest, err := temporal.DecodeFrame(manData)
 	if err != nil {
-		return 0, 0, nil, fmt.Errorf("manifest: %w", err)
+		return nil, fmt.Errorf("manifest: %w", err)
 	}
 	if len(rest) != 0 {
-		return 0, 0, nil, fmt.Errorf("manifest: %d trailing bytes", len(rest))
+		return nil, fmt.Errorf("manifest: %d trailing bytes", len(rest))
 	}
 	mr := temporal.NewDecoder(payload)
 	if err := mr.Expect(recManifest, "manifest"); err != nil {
-		return 0, 0, nil, err
+		return nil, err
 	}
 	mgen := mr.Uvarint()
 	wave := temporal.Time(mr.Varint())
@@ -475,20 +377,39 @@ func (s *Store) readGen(gen uint64) (temporal.Time, int, []byte, error) {
 	ckptName := mr.String()
 	ckptSize := mr.Uvarint()
 	if err := mr.Done(); err != nil {
-		return 0, 0, nil, err
+		return nil, err
 	}
 	if mgen != gen {
-		return 0, 0, nil, fmt.Errorf("manifest records gen %d, file named %d", mgen, gen)
+		return nil, fmt.Errorf("manifest records gen %d, file named %d", mgen, gen)
 	}
 
 	data, err := s.readFile(filepath.Join(s.dir, ckptName))
 	if err != nil {
-		return 0, 0, nil, err
+		return nil, err
 	}
 	if uint64(len(data)) != ckptSize {
-		return 0, 0, nil, fmt.Errorf("checkpoint file is %d bytes, manifest records %d", len(data), ckptSize)
+		return nil, fmt.Errorf("checkpoint file is %d bytes, manifest records %d", len(data), ckptSize)
 	}
-	return wave, waves, data, nil
+	payload, rest, err = temporal.DecodeFrame(data)
+	if err != nil {
+		return nil, fmt.Errorf("generation frame: %w", err)
+	}
+	if len(rest) != 0 {
+		return nil, fmt.Errorf("generation frame: %d trailing bytes", len(rest))
+	}
+	r := temporal.NewDecoder(payload)
+	if err := r.Expect(recGen, "generation record"); err != nil {
+		return nil, err
+	}
+	g := &Generation{Gen: r.Uvarint(), Wave: temporal.Time(r.Varint()), Waves: int(r.Uvarint()), Payload: r.BytesField()}
+	if err := r.Done(); err != nil {
+		return nil, err
+	}
+	if g.Gen != gen || g.Wave != wave || g.Waves != waves {
+		return nil, fmt.Errorf("generation record (gen %d wave %d waves %d) disagrees with manifest (gen %d wave %d waves %d)",
+			g.Gen, g.Wave, g.Waves, gen, wave, waves)
+	}
+	return g, nil
 }
 
 // quarantine renames a corrupt generation's files to corrupt-* so they
@@ -505,142 +426,4 @@ func (s *Store) quarantine(gen uint64) {
 			_ = s.fs.Remove(from)
 		}
 	}
-}
-
-// ---- snapshot encoding ----
-
-// encodeSnapshot lays snap out as frames: a header record, one record
-// per partition, and the output record. Everything inside a frame uses
-// the shared checkpoint codec, so the file form is the checkpoint codec
-// plus framing — one encoding, two persistence layers.
-func encodeSnapshot(gen uint64, snap *Snapshot) []byte {
-	var buf []byte
-	var w temporal.Encoder
-	w.Byte(recHeader)
-	w.Uvarint(gen)
-	w.Varint(int64(snap.Wave))
-	w.Uvarint(uint64(snap.Waves))
-	w.Uvarint(uint64(snap.Machines))
-	w.Uvarint(uint64(len(snap.Parts)))
-	w.Uvarint(uint64(len(snap.Offsets)))
-	for _, o := range snap.Offsets {
-		w.String(o.Name)
-		w.Varint(o.Pos)
-	}
-	buf = temporal.AppendFrame(buf, w.Bytes())
-	for _, p := range snap.Parts {
-		w.Reset()
-		w.Byte(recPartition)
-		w.String(p.Frag)
-		w.Varint(int64(p.Part))
-		w.BytesField(p.Ckpt)
-		w.Events(p.Log)
-		buf = temporal.AppendFrame(buf, w.Bytes())
-	}
-	w.Reset()
-	w.Byte(recOut)
-	w.Events(snap.Results)
-	w.Events(snap.Pending)
-	return temporal.AppendFrame(buf, w.Bytes())
-}
-
-// decodeSnapshot validates and decodes a checkpoint file. Every frame's
-// checksum, every count and length, and the cross-checks against the
-// manifest (gen, wave, waves, partition count) must agree.
-func decodeSnapshot(gen uint64, wave temporal.Time, waves int, data []byte) (*Snapshot, error) {
-	payload, rest, err := temporal.DecodeFrame(data)
-	if err != nil {
-		return nil, fmt.Errorf("header frame: %w", err)
-	}
-	hr := temporal.NewDecoder(payload)
-	tag := hr.Byte()
-	if tag != recHeader && tag != recHeaderV1 {
-		return nil, hr.Failf("expected snapshot header tag 0x%02x, found 0x%02x", recHeader, tag)
-	}
-	hgen := hr.Uvarint()
-	hwave := temporal.Time(hr.Varint())
-	hwaves := int(hr.Uvarint())
-	snap := &Snapshot{Wave: wave, Waves: waves}
-	if tag == recHeader {
-		snap.Machines = int(hr.Uvarint())
-	}
-	nparts := int(hr.Uvarint())
-	noffs := hr.Count("source offsets")
-	for i := 0; i < noffs; i++ {
-		snap.Offsets = append(snap.Offsets, SourceOffset{Name: hr.String(), Pos: hr.Varint()})
-	}
-	if err := hr.Done(); err != nil {
-		return nil, err
-	}
-	if hgen != gen || hwave != wave || hwaves != waves {
-		return nil, fmt.Errorf("header (gen %d wave %d waves %d) disagrees with manifest (gen %d wave %d waves %d)",
-			hgen, hwave, hwaves, gen, wave, waves)
-	}
-	for i := 0; i < nparts; i++ {
-		payload, rest, err = temporal.DecodeFrame(rest)
-		if err != nil {
-			return nil, fmt.Errorf("partition frame %d: %w", i, err)
-		}
-		pr := temporal.NewDecoder(payload)
-		if err := pr.Expect(recPartition, "partition record"); err != nil {
-			return nil, err
-		}
-		ps := PartitionState{
-			Frag: pr.String(),
-			Part: int(pr.Varint()),
-			Ckpt: pr.BytesField(),
-			Log:  pr.Events(),
-		}
-		if err := pr.Done(); err != nil {
-			return nil, err
-		}
-		snap.Parts = append(snap.Parts, ps)
-	}
-	payload, rest, err = temporal.DecodeFrame(rest)
-	if err != nil {
-		return nil, fmt.Errorf("output frame: %w", err)
-	}
-	or := temporal.NewDecoder(payload)
-	if err := or.Expect(recOut, "output record"); err != nil {
-		return nil, err
-	}
-	snap.Results = or.Events()
-	snap.Pending = or.Events()
-	if err := or.Done(); err != nil {
-		return nil, err
-	}
-	if len(rest) != 0 {
-		return nil, fmt.Errorf("%d trailing bytes after output frame", len(rest))
-	}
-	return snap, nil
-}
-
-// decodeState validates a state generation (CommitState) and returns its
-// payload. The frame checksum, record tag, and manifest cross-checks must
-// all agree — a streaming snapshot in the same slot fails here and is
-// quarantined, enforcing the one-kind-per-directory contract.
-func decodeState(gen uint64, wave temporal.Time, waves int, data []byte) ([]byte, error) {
-	payload, rest, err := temporal.DecodeFrame(data)
-	if err != nil {
-		return nil, fmt.Errorf("state frame: %w", err)
-	}
-	if len(rest) != 0 {
-		return nil, fmt.Errorf("state frame: %d trailing bytes", len(rest))
-	}
-	r := temporal.NewDecoder(payload)
-	if err := r.Expect(recState, "state record"); err != nil {
-		return nil, err
-	}
-	hgen := r.Uvarint()
-	hwave := temporal.Time(r.Varint())
-	hwaves := int(r.Uvarint())
-	body := r.BytesField()
-	if err := r.Done(); err != nil {
-		return nil, err
-	}
-	if hgen != gen || hwave != wave || hwaves != waves {
-		return nil, fmt.Errorf("state record (gen %d wave %d waves %d) disagrees with manifest (gen %d wave %d waves %d)",
-			hgen, hwave, hwaves, gen, wave, waves)
-	}
-	return body, nil
 }

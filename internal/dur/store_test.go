@@ -2,11 +2,11 @@ package dur
 
 import (
 	"bytes"
+	"encoding/hex"
 	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
-	"slices"
 	"strings"
 	"syscall"
 	"testing"
@@ -15,39 +15,22 @@ import (
 	"timr/internal/temporal"
 )
 
-func testSnapshot(wave temporal.Time, waves int) *Snapshot {
-	return &Snapshot{
-		Wave:     wave,
-		Waves:    waves,
-		Machines: 3,
-		Parts: []PartitionState{
-			{
-				Frag: "counts", Part: 0,
-				Ckpt: []byte{0xE7, 0x01, 0x02, byte(wave)},
-				Log: []temporal.Event{
-					temporal.PointEvent(wave+1, temporal.Row{temporal.Int(int64(wave)), temporal.String("k")}),
-				},
-			},
-			{Frag: "counts", Part: 1, Ckpt: []byte{0xE7, byte(waves)}},
-			{Frag: "joins", Part: 0, Ckpt: nil, Log: nil},
-		},
-		Results: []temporal.Event{
-			temporal.PointEvent(wave-1, temporal.Row{temporal.String("out"), temporal.Float(1.5)}),
-		},
-		Pending: []temporal.Event{
-			temporal.PointEvent(wave+2, temporal.Row{temporal.Bool(true)}),
-		},
-		Offsets: []SourceOffset{
-			{Name: "clicks", Pos: int64(wave) * 3},
-			{Name: "reduced", Pos: int64(waves)},
-		},
-	}
+// testPayload stands for a caller's encoded state at a wave.
+func testPayload(wave temporal.Time, waves int) []byte {
+	return []byte(fmt.Sprintf("payload wave=%d waves=%d", wave, waves))
 }
 
-// eqSnapshot compares snapshots by their canonical encoding, which is
-// the equality the restart drill actually depends on.
-func eqSnapshot(a, b *Snapshot) bool {
-	return bytes.Equal(encodeSnapshot(0, a), encodeSnapshot(0, b))
+// accept is a decoder that takes every payload.
+func accept(*Generation) error { return nil }
+
+// loadAll loads the newest intact generation, whatever its payload.
+func loadAll(t *testing.T, st *Store) *Generation {
+	t.Helper()
+	g, err := st.Load(accept)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return g
 }
 
 func TestDurableStoreRoundtrip(t *testing.T) {
@@ -57,88 +40,43 @@ func TestDurableStoreRoundtrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rec, err := st.Load(); err != nil || rec != nil {
-		t.Fatalf("empty store: Load = %v, %v; want nil, nil", rec, err)
+	if g := loadAll(t, st); g != nil {
+		t.Fatalf("empty store: Load = %v; want nil", g)
 	}
-	want := testSnapshot(100, 3)
-	if err := st.Commit(want); err != nil {
+	if err := st.Commit(-100, 3, []byte("state")); err != nil {
 		t.Fatal(err)
+	}
+	// The files' bytes are pinned: a store directory written by an
+	// earlier build must still load.
+	for name, want := range map[string]string{
+		"gen-00000000.ckpt":     "fa0bd400c701030573746174650f04320a",
+		"gen-00000000.manifest": "fa18d300c701031167656e2d30303030303030302e636b70741155556931",
+	} {
+		got, err := os.ReadFile(filepath.Join(dir, name))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if hex.EncodeToString(got) != want {
+			t.Fatalf("%s = %x, want %s", name, got, want)
+		}
 	}
 	// Reopen cold, as a restarted process would.
 	st2, err := OpenStore(dir, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	rec, err := st2.Load()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rec == nil {
+	g := loadAll(t, st2)
+	if g == nil {
 		t.Fatal("Load found no generation after a successful commit")
 	}
-	if rec.Snap.Wave != 100 || rec.Snap.Waves != 3 {
-		t.Fatalf("recovered wave %d/waves %d, want 100/3", rec.Snap.Wave, rec.Snap.Waves)
-	}
-	if !eqSnapshot(rec.Snap, want) {
-		t.Fatal("recovered snapshot differs from committed one")
+	if g.Gen != 0 || g.Wave != -100 || g.Waves != 3 || string(g.Payload) != "state" {
+		t.Fatalf("recovered %+v, want gen 0, wave -100, waves 3, payload %q", g, "state")
 	}
 	if got := sc.Counter("generations").Value(); got != 1 {
 		t.Fatalf("generations counter = %d, want 1", got)
 	}
 	if got := sc.Counter("dur_bytes").Value(); got <= 0 {
 		t.Fatalf("dur_bytes counter = %d, want > 0", got)
-	}
-}
-
-// TestDurableStoreHeaderWithoutMachines: a generation whose header was
-// written before the machine count was recorded still decodes, with
-// Machines zero, so a restore can refuse it by name instead of
-// quarantining it as corrupt.
-func TestDurableStoreHeaderWithoutMachines(t *testing.T) {
-	snap := testSnapshot(100, 3)
-	var w temporal.Encoder
-	w.Byte(recHeaderV1)
-	w.Uvarint(7)
-	w.Varint(100)
-	w.Uvarint(3)
-	w.Uvarint(uint64(len(snap.Parts)))
-	w.Uvarint(uint64(len(snap.Offsets)))
-	for _, o := range snap.Offsets {
-		w.String(o.Name)
-		w.Varint(o.Pos)
-	}
-	_, body, err := temporal.DecodeFrame(encodeSnapshot(7, snap))
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := decodeSnapshot(7, 100, 3, append(temporal.AppendFrame(nil, w.Bytes()), body...))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.Machines != 0 {
-		t.Fatalf("Machines = %d, want 0 for a header that records none", got.Machines)
-	}
-	got.Machines = snap.Machines
-	if !eqSnapshot(got, snap) {
-		t.Fatal("the rest of the generation decodes differently")
-	}
-}
-
-func TestDurableStoreOffsetsRoundtrip(t *testing.T) {
-	dir := t.TempDir()
-	st, err := OpenStore(dir, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := st.Commit(testSnapshot(100, 3)); err != nil {
-		t.Fatal(err)
-	}
-	rec, err := st.Load()
-	if err != nil || rec == nil {
-		t.Fatalf("Load = %v, %v", rec, err)
-	}
-	if want := []SourceOffset{{Name: "clicks", Pos: 300}, {Name: "reduced", Pos: 3}}; !slices.Equal(rec.Snap.Offsets, want) {
-		t.Fatalf("Offsets = %v, want %v", rec.Snap.Offsets, want)
 	}
 }
 
@@ -149,12 +87,9 @@ func TestDurableStoreStateRoundtrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rec, err := st.LoadState(); err != nil || rec != nil {
-		t.Fatalf("empty store: LoadState = %v, %v; want nil, nil", rec, err)
-	}
 	for day := 1; day <= 3; day++ {
 		payload := []byte(fmt.Sprintf("refresh-state-day-%d", day))
-		if err := st.CommitState(temporal.Time(day*1000), day, payload); err != nil {
+		if err := st.Commit(temporal.Time(day*1000), day, payload); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -163,16 +98,28 @@ func TestDurableStoreStateRoundtrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rec, err := st2.LoadState()
+	g := loadAll(t, st2)
+	if g == nil {
+		t.Fatal("Load found no generation after successful commits")
+	}
+	if g.Wave != 3000 || g.Waves != 3 || string(g.Payload) != "refresh-state-day-3" {
+		t.Fatalf("recovered (wave %d, waves %d, %q); want newest day", g.Wave, g.Waves, g.Payload)
+	}
+}
+
+// quarantined reports whether dir holds corrupt-* files.
+func quarantined(t *testing.T, dir string) bool {
+	t.Helper()
+	names, err := OS{}.ReadDir(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rec == nil {
-		t.Fatal("LoadState found no generation after successful commits")
+	for _, n := range names {
+		if strings.HasPrefix(n, "corrupt-") {
+			return true
+		}
 	}
-	if rec.Wave != 3000 || rec.Waves != 3 || string(rec.Payload) != "refresh-state-day-3" {
-		t.Fatalf("recovered (wave %d, waves %d, %q); want newest day", rec.Wave, rec.Waves, rec.Payload)
-	}
+	return false
 }
 
 func TestDurableStoreStateQuarantineFallback(t *testing.T) {
@@ -182,10 +129,10 @@ func TestDurableStoreStateQuarantineFallback(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := st.CommitState(10, 1, []byte("day-1")); err != nil {
+	if err := st.Commit(10, 1, []byte("day-1")); err != nil {
 		t.Fatal(err)
 	}
-	if err := st.CommitState(20, 2, []byte("day-2")); err != nil {
+	if err := st.Commit(20, 2, []byte("day-2")); err != nil {
 		t.Fatal(err)
 	}
 	// Flip a byte inside the newest generation's checkpoint file.
@@ -206,45 +153,59 @@ func TestDurableStoreStateQuarantineFallback(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	rec, err := st.LoadState()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rec == nil || string(rec.Payload) != "day-1" {
-		t.Fatalf("LoadState after corruption = %v; want fallback to day-1", rec)
+	if g := loadAll(t, st); g == nil || string(g.Payload) != "day-1" {
+		t.Fatalf("Load after corruption = %v; want fallback to day-1", g)
 	}
 	if got := sc.Counter("corrupt_detected").Value(); got != 1 {
 		t.Fatalf("corrupt_detected = %d, want 1", got)
 	}
-	names, _ = OS{}.ReadDir(dir)
-	quarantined := false
-	for _, n := range names {
-		if strings.HasPrefix(n, "corrupt-") {
-			quarantined = true
-		}
-	}
-	if !quarantined {
+	if !quarantined(t, dir) {
 		t.Fatalf("corrupt generation not quarantined (files: %v)", names)
 	}
 }
 
-func TestDurableStoreStateRejectsSnapshotGeneration(t *testing.T) {
-	// A streaming snapshot in a directory read as a state store must be
-	// detected as the wrong kind (quarantined), never misparsed.
+// TestDurableStoreQuarantinesUndecodableGeneration: a generation whose
+// payload the caller's decoder rejects is treated as corrupt — retried,
+// quarantined — and Load falls back to the older one the decoder takes.
+func TestDurableStoreQuarantinesUndecodableGeneration(t *testing.T) {
 	dir := t.TempDir()
-	st, err := OpenStore(dir, Options{})
+	sc := obs.New("dur")
+	st, err := OpenStore(dir, Options{Obs: sc, Retries: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := st.Commit(testSnapshot(100, 3)); err != nil {
+	if err := st.Commit(10, 1, []byte("good")); err != nil {
 		t.Fatal(err)
 	}
-	rec, err := st.LoadState()
+	if err := st.Commit(20, 2, []byte("bad")); err != nil {
+		t.Fatal(err)
+	}
+	calls := 0
+	g, err := st.Load(func(g *Generation) error {
+		calls++
+		if string(g.Payload) != "good" {
+			return fmt.Errorf("payload %q is not good", g.Payload)
+		}
+		return nil
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rec != nil {
-		t.Fatalf("LoadState parsed a streaming snapshot: %v", rec)
+	if g == nil || g.Gen != 0 || g.Wave != 10 || string(g.Payload) != "good" {
+		t.Fatalf("Load = %+v; want fallback to gen 0", g)
+	}
+	if calls != 3+1 {
+		t.Fatalf("decode ran %d times, want 3 attempts on gen 1 and 1 on gen 0", calls)
+	}
+	if got := sc.Counter("corrupt_detected").Value(); got != 1 {
+		t.Fatalf("corrupt_detected = %d, want 1", got)
+	}
+	if !quarantined(t, dir) {
+		t.Fatal("undecodable generation not quarantined")
+	}
+	// The quarantined generation is gone for good: a plain Load finds gen 0.
+	if g := loadAll(t, st); g == nil || g.Gen != 0 {
+		t.Fatalf("Load after quarantine = %+v; want gen 0", g)
 	}
 }
 
@@ -255,16 +216,12 @@ func TestDurableStoreLoadsNewestAndPrunes(t *testing.T) {
 		t.Fatal(err)
 	}
 	for w := 1; w <= 6; w++ {
-		if err := st.Commit(testSnapshot(temporal.Time(w*10), w)); err != nil {
+		if err := st.Commit(temporal.Time(w*10), w, testPayload(temporal.Time(w*10), w)); err != nil {
 			t.Fatal(err)
 		}
 	}
-	rec, err := st.Load()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rec == nil || rec.Snap.Wave != 60 {
-		t.Fatalf("Load returned wave %v, want newest (60)", rec)
+	if g := loadAll(t, st); g == nil || g.Wave != 60 {
+		t.Fatalf("Load returned %v, want newest (wave 60)", g)
 	}
 	names, _ := OS{}.ReadDir(dir)
 	manifests := 0
@@ -285,12 +242,10 @@ func TestDurableStoreQuarantinesCorruptGeneration(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	older := testSnapshot(10, 1)
-	newer := testSnapshot(20, 2)
-	if err := st.Commit(older); err != nil {
+	if err := st.Commit(10, 1, testPayload(10, 1)); err != nil {
 		t.Fatal(err)
 	}
-	if err := st.Commit(newer); err != nil {
+	if err := st.Commit(20, 2, testPayload(20, 2)); err != nil {
 		t.Fatal(err)
 	}
 	// Rot one byte in the newest generation's checkpoint file, inside a
@@ -305,18 +260,15 @@ func TestDurableStoreQuarantinesCorruptGeneration(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	rec, err := st.Load()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rec == nil {
+	g := loadAll(t, st)
+	if g == nil {
 		t.Fatal("Load found nothing despite an intact older generation")
 	}
-	if rec.Gen != 0 || rec.Snap.Wave != 10 {
-		t.Fatalf("Load returned gen %d wave %d, want fallback to gen 0 wave 10", rec.Gen, rec.Snap.Wave)
+	if g.Gen != 0 || g.Wave != 10 {
+		t.Fatalf("Load returned gen %d wave %d, want fallback to gen 0 wave 10", g.Gen, g.Wave)
 	}
-	if !eqSnapshot(rec.Snap, older) {
-		t.Fatal("fallback snapshot differs from the older commit")
+	if !bytes.Equal(g.Payload, testPayload(10, 1)) {
+		t.Fatal("fallback payload differs from the older commit")
 	}
 	if got := sc.Counter("corrupt_detected").Value(); got != 1 {
 		t.Fatalf("corrupt_detected = %d, want 1", got)
@@ -340,7 +292,7 @@ func TestDurableStoreQuarantinesCorruptGeneration(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := st2.Commit(testSnapshot(30, 3)); err != nil {
+	if err := st2.Commit(30, 3, testPayload(30, 3)); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := os.Stat(filepath.Join(dir, st2.ckptName(2))); err != nil {
@@ -361,8 +313,8 @@ func TestDurableStoreSweepsTempDebris(t *testing.T) {
 	if _, err := os.Stat(filepath.Join(dir, "gen-00000000.ckpt.tmp")); !os.IsNotExist(err) {
 		t.Fatal("temp debris survived OpenStore")
 	}
-	if rec, err := st.Load(); err != nil || rec != nil {
-		t.Fatalf("Load over debris-only dir = %v, %v; want nil, nil", rec, err)
+	if g := loadAll(t, st); g != nil {
+		t.Fatalf("Load over debris-only dir = %v; want nil", g)
 	}
 }
 
@@ -377,33 +329,33 @@ func TestDurableStoreSurvivesInjectedFaults(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			var last *Snapshot
+			last := temporal.Time(0)
 			committed := 0
 			for w := 1; w <= 8; w++ {
-				snap := testSnapshot(temporal.Time(w*10), w)
-				if err := st.Commit(snap); err == nil {
-					last = snap
+				wave := temporal.Time(w * 10)
+				if err := st.Commit(wave, w, testPayload(wave, w)); err == nil {
+					last = wave
 					committed++
 				}
 			}
 			if committed == 0 {
 				t.Fatal("no commit succeeded at 30% fault rate with 16 retries")
 			}
-			rec, err := st.Load()
+			g, err := st.Load(accept)
 			if err != nil {
 				t.Fatalf("Load under faults: %v", err)
 			}
-			if rec == nil {
+			if g == nil {
 				t.Fatal("Load found nothing despite successful commits")
 			}
 			// The recovery line must be the last successful commit, or an
 			// earlier committed wave if later generations rotted — never a
 			// wave that was not committed, never corrupt bytes.
-			if rec.Snap.Wave > last.Wave {
-				t.Fatalf("recovered wave %d beyond last committed %d", rec.Snap.Wave, last.Wave)
+			if g.Wave > last {
+				t.Fatalf("recovered wave %d beyond last committed %d", g.Wave, last)
 			}
-			if rec.Snap.Wave == last.Wave && !eqSnapshot(rec.Snap, last) {
-				t.Fatal("recovered snapshot differs from the committed one")
+			if !bytes.Equal(g.Payload, testPayload(g.Wave, g.Waves)) {
+				t.Fatal("recovered payload differs from the committed one")
 			}
 			if ffs.Injected() == 0 {
 				t.Fatal("fault injector never fired; test exercised nothing")
@@ -422,7 +374,7 @@ func TestDurableStoreENOSPCSurfaces(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	err = st.Commit(testSnapshot(10, 1))
+	err = st.Commit(10, 1, testPayload(10, 1))
 	if err == nil {
 		t.Fatal("commit succeeded on a permanently full disk")
 	}

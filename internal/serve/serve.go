@@ -255,7 +255,7 @@ func (s *Server) run(killAfter int) (*Report, []temporal.Event, error) {
 		bt.SourceModels:  bt.ModelSchema,
 	}
 	var job *core.StreamingJob
-	var rec *dur.Recovery
+	var rec *dur.Generation
 	var err error
 	if cfg.DurDir != "" {
 		store, oerr := dur.OpenStore(cfg.DurDir, dur.Options{FS: cfg.DurFS, Obs: cfg.Obs.Child("dur")})
@@ -305,7 +305,7 @@ func (s *Server) run(killAfter int) (*Report, []temporal.Event, error) {
 		rep.Resumed = true
 		gen.Skip(int(pos))
 		startIdx = int(pos)
-		lastWave = rec.Snap.Wave
+		lastWave = rec.Wave
 	}
 
 	start := time.Now()
