@@ -7,6 +7,7 @@ import (
 	"os/exec"
 	"path/filepath"
 	"regexp"
+	"sort"
 	"strings"
 	"testing"
 )
@@ -152,34 +153,75 @@ func TestServeResumesFromDurdir(t *testing.T) {
 	}
 }
 
+// dropNewestGeneration deletes the newest generation's manifest, the
+// commit point, leaving dir as a run killed before its last commit would.
+func dropNewestGeneration(t *testing.T, dir string) {
+	t.Helper()
+	manifests, err := filepath.Glob(filepath.Join(dir, "gen-*.manifest"))
+	if err != nil || len(manifests) < 2 {
+		t.Fatalf("%s holds %d generations (%v), want at least 2", dir, len(manifests), err)
+	}
+	sort.Strings(manifests)
+	if err := os.Remove(manifests[len(manifests)-1]); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// finalLine returns the run's closing "refresh: days=" report.
+func finalLine(stdout string) string {
+	for _, line := range strings.Split(stdout, "\n") {
+		if strings.HasPrefix(line, "refresh: days=") {
+			return line
+		}
+	}
+	return ""
+}
+
 func TestRefreshResumesFromDurdir(t *testing.T) {
 	bin := buildTimr(t)
 	dir := filepath.Join(t.TempDir(), "d")
 
-	stdout, stderr, exit := runTimr(t, bin, "refresh", "-days", "2", "-durdir", dir)
+	stdout, stderr, exit := runTimr(t, bin, "refresh", "-days", "3", "-durdir", dir)
 	if exit != 0 {
 		t.Fatalf("timr refresh exited %d\n%s", exit, stderr)
 	}
-	if n := strings.Count(stdout, "refresh: day="); n != 2 || strings.Contains(stderr, "refresh: resumed from") {
-		t.Errorf("first run: %d day lines, want 2 and no resume\nstdout: %s\nstderr: %s", n, stdout, stderr)
+	if n := strings.Count(stdout, "refresh: day="); n != 3 || strings.Contains(stderr, "refresh: resumed from") {
+		t.Errorf("first run: %d day lines, want 3 and no resume\nstdout: %s\nstderr: %s", n, stdout, stderr)
+	}
+	want := finalLine(stdout)
+	if want == "" {
+		t.Fatalf("first run printed no final report\nstdout: %s", stdout)
 	}
 
+	// Killed before its last commit, the same command resumes, ingests
+	// the lost day, and ends where the uninterrupted run did.
+	dropNewestGeneration(t, dir)
 	stdout, stderr, exit = runTimr(t, bin, "refresh", "-days", "3", "-durdir", dir)
 	if exit != 0 {
-		t.Fatalf("second timr refresh exited %d\n%s", exit, stderr)
+		t.Fatalf("resumed timr refresh exited %d\n%s", exit, stderr)
 	}
 	if n := strings.Count(stdout, "refresh: day="); n != 1 || !strings.Contains(stderr, "refresh: resumed from") {
-		t.Errorf("second run: %d day lines, want exactly 1 after a resume\nstdout: %s\nstderr: %s", n, stdout, stderr)
+		t.Errorf("resumed run: %d day lines, want exactly 1 after a resume\nstdout: %s\nstderr: %s", n, stdout, stderr)
+	}
+	if got := finalLine(stdout); got != want {
+		t.Errorf("resumed run ends with %q, the uninterrupted run with %q", got, want)
+	}
+
+	// Another -days generates another log: a resume must refuse it.
+	stdout, stderr, exit = runTimr(t, bin, "refresh", "-days", "4", "-durdir", dir)
+	if exit == 0 || !strings.Contains(stderr, "holds a 3-day log, this run asks for -days 4") {
+		t.Errorf("resume with -days 4 exited %d, want non-zero and the -days error\nstdout: %s\nstderr: %s", exit, stdout, stderr)
 	}
 
 	// A full refresh recomputes from the raw log, which is not persisted:
 	// resumed, it must refuse rather than drop the days before the restart.
 	dir = filepath.Join(t.TempDir(), "full")
-	small := []string{"refresh", "-users", "300", "-keywords", "300", "-mode", "full", "-durdir", dir}
-	if _, stderr, exit := runTimr(t, bin, append(small, "-days", "2")...); exit != 0 {
+	small := []string{"refresh", "-users", "300", "-keywords", "300", "-mode", "full", "-durdir", dir, "-days", "3"}
+	if _, stderr, exit := runTimr(t, bin, small...); exit != 0 {
 		t.Fatalf("timr refresh -mode full exited %d\n%s", exit, stderr)
 	}
-	stdout, stderr, exit = runTimr(t, bin, append(small, "-days", "3")...)
+	dropNewestGeneration(t, dir)
+	stdout, stderr, exit = runTimr(t, bin, small...)
 	if exit == 0 || !strings.Contains(stderr, "full recompute needs the whole raw history") {
 		t.Errorf("resumed -mode full exited %d, want non-zero and the history error\nstdout: %s\nstderr: %s", exit, stdout, stderr)
 	}

@@ -9,7 +9,8 @@ package main
 // ingested day commits one durable generation; rerunning the same
 // command resumes from the newest intact one — the persisted state
 // carries the workload config, so the resumed process regenerates the
-// identical log and continues where the dead one stopped. A full
+// identical log and continues where the dead one stopped. The log's days
+// depend on its length, so a resume with another -days is refused. A full
 // refresh cannot resume: the raw history it recomputes from is not
 // persisted.
 
@@ -88,15 +89,16 @@ func refreshCmd(args []string) {
 			// The persisted state knows the workload it was built from;
 			// command-line workload flags are superseded on resume.
 			w = r.State.Cfg
-			if o.days > w.Days {
-				w.Days = o.days
+			if o.days != w.Days {
+				log.Fatalf("refresh: %s holds a %d-day log, this run asks for -days %d; a generated day depends on the log's length, so resume with -days %d",
+					o.durdir, w.Days, o.days, w.Days)
 			}
 			fmt.Fprintf(os.Stderr, "refresh: resumed from %s at day %d (watermark %d)\n",
 				o.durdir, r.State.Days, r.State.Watermark)
 		}
 	}
 	if r.State.Days >= o.days {
-		fmt.Fprintf(os.Stderr, "refresh: state already covers %d days; raise -days to continue\n", r.State.Days)
+		fmt.Fprintf(os.Stderr, "refresh: state already covers %d days\n", r.State.Days)
 		return
 	}
 

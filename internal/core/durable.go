@@ -63,7 +63,7 @@ func (j *StreamingJob) commitDurable(t temporal.Time) {
 	}
 	w.Uvarint(uint64(nparts))
 	for _, st := range j.stages {
-		for _, p := range st.sortedParts() {
+		for _, p := range st.parts {
 			w.String(st.frag.Name)
 			w.Varint(int64(p.id))
 			w.BytesField(p.ckpt)
@@ -165,20 +165,28 @@ func RestoreFromDir(plan *temporal.Plan, sources map[string]*temporal.Schema, st
 
 // applySnapshot rebuilds the job's live state from a recovered
 // generation: every recorded partition goes through the same rebuild a
-// crash does, then the job-level output record is restored. j.waves is
-// set before any partition is created so the crash-injection draws of
-// the restored run are well-defined from the first arm.
+// crash does, then the job-level output record is restored. Every
+// partition is re-armed once j.waves is set, so the crash-injection
+// draws of the restored run are a function of the restored wave count.
 func (j *StreamingJob) applySnapshot(waves int, snap *snapshot) error {
 	if snap.machines != j.machines {
 		return fmt.Errorf("generation was written with %d machines, this job has %d; partition ids would not match", snap.machines, j.machines)
 	}
 	j.waves = waves
+	for _, st := range j.stages {
+		for _, p := range st.parts {
+			st.arm(p)
+		}
+	}
 	for _, ps := range snap.parts {
 		st, err := j.stageByName(ps.frag)
 		if err != nil {
 			return err
 		}
-		if err := st.rebuild(st.partition(ps.id), ps.ckpt, ps.log); err != nil {
+		if ps.id < 0 || ps.id >= len(st.parts) {
+			return fmt.Errorf("generation holds partition %s/%d, but the stage has %d partitions", ps.frag, ps.id, len(st.parts))
+		}
+		if err := st.rebuild(st.parts[ps.id], ps.ckpt, ps.log); err != nil {
 			return fmt.Errorf("partition %s/%d: %w", ps.frag, ps.id, err)
 		}
 	}

@@ -182,7 +182,7 @@ func BenchmarkMergeRuns_1M(b *testing.B) {
 	plan := temporal.Scan("in", mergeTestSchema)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		eng, err := temporal.NewEngine(plan, temporal.WithSink(discardSink{}), temporal.WithCTIPeriod(0))
+		eng, err := temporal.NewEngine(plan, temporal.WithSink(&temporal.FuncSink{}), temporal.WithCTIPeriod(0))
 		if err != nil {
 			b.Fatal(err)
 		}

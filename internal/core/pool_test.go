@@ -106,7 +106,7 @@ type poolRun struct {
 func waveState(j *StreamingJob) []byte {
 	var w temporal.Encoder
 	for _, st := range j.stages {
-		for _, p := range st.sortedParts() {
+		for _, p := range st.parts {
 			w.String(st.frag.Name)
 			w.Varint(int64(p.id))
 			w.BytesField(p.ckpt)

@@ -19,8 +19,8 @@ import (
 // of the above proposals to directly support real-time CQ processing at
 // scale." Instead of materializing intermediate datasets between stages,
 // every fragment partition hosts a long-running embedded engine, and
-// fragment outputs are routed (by the fragment key's hash, or by time
-// span) straight into the downstream fragments' engines.
+// fragment outputs are routed (by the fragment key's hash) straight into
+// the downstream fragments' engines.
 //
 // Ordering across the boundary is restored with punctuation barriers: a
 // downstream partition buffers arrivals from its many upstream partitions
@@ -176,7 +176,6 @@ func NewStreamingJob(plan *temporal.Plan, sources map[string]*temporal.Schema, o
 		for srcIdx, in := range st.frag.Inputs {
 			if up, ok := byOutput[in.Dataset]; ok {
 				up.consumers = append(up.consumers, stageInput{stage: st, src: srcIdx})
-				st.intermediate[srcIdx] = true
 				continue
 			}
 			if _, ok := sources[in.ScanName]; !ok {
@@ -235,7 +234,8 @@ func (j *StreamingJob) Results() ([]temporal.Event, error) {
 	return temporal.Coalesce(append([]temporal.Event(nil), j.results...)), nil
 }
 
-// Partitions reports the current shard count per stage.
+// Partitions reports the shard count per stage, fixed when the job is
+// built.
 func (j *StreamingJob) Partitions() map[string]int {
 	out := make(map[string]int, len(j.stages))
 	for _, st := range j.stages {
@@ -247,23 +247,16 @@ func (j *StreamingJob) Partitions() map[string]int {
 // ---- stage ----
 
 type streamStage struct {
-	frag         *Fragment
-	consumers    []stageInput // downstream stages reading this stage's output
-	intermediate []bool       // per input: fed by an upstream stage?
-	job          *StreamingJob
+	frag      *Fragment
+	consumers []stageInput // downstream stages reading this stage's output
+	job       *StreamingJob
 
-	// Partition engines, one per shard of a shard space fixed at plan
-	// time: column-keyed fragments use a modulo table over the job's
-	// machines, time-keyed fragments grow one partition per span lazily.
-	parts   map[int]*streamPartition
-	nparts  int // 0 for temporal fragments (unbounded spans)
-	spans   *SpanSpec
+	// Partition engines, one per shard of a shard space fixed when the
+	// stage is built: a column-keyed fragment hashes its key modulo the
+	// job's machines, every other fragment (time-keyed ones included)
+	// runs as one partition. Indexed by partition id.
+	parts   []*streamPartition
 	keyCols [][]int // per input, payload positions of the key columns
-	// minSpan tracks the earliest span partition in existence: it owns
-	// everything before its start (mirroring SpanSpec.Owned for span 0 in
-	// batch mode), wherever the data's time origin lies.
-	minSpan int
-	hasSpan bool
 
 	// Routing scratch, reused across runs (barrier buffers copy event
 	// structs on push, so recycling these is safe).
@@ -274,21 +267,11 @@ type streamStage struct {
 	scope      *obs.Scope   // per-operator engine metrics for this stage
 	depth      *obs.Gauge   // barrier buffer depth high-watermark
 	released   *obs.Counter // events released through the barrier
-	clipped    *obs.Counter // output events dropped entirely at span edges
-	trimmed    *obs.Counter // output events shortened to their owned span
-	truncated  *obs.Counter // events whose span fan-out hit maxSpanFanout
 	crashes    *obs.Counter // injected partition crashes
 	recoveries *obs.Counter // partitions rebuilt from checkpoint + replay
 	ckptBytes  *obs.Counter // checkpoint bytes written at waves
 	replayed   *obs.Counter // events replayed from the log after a crash
 }
-
-// maxSpanFanout bounds how many lazy span partitions one event may be
-// replicated into (overlap regions of adjacent spans plus the reach of
-// its own lifetime). 4096 spans at the default 4h width covers a lifetime
-// of nearly two years — beyond any sane window — while keeping a single
-// corrupt timestamp from materializing millions of engines.
-const maxSpanFanout = 4096
 
 type streamPartition struct {
 	id  int
@@ -306,70 +289,60 @@ type streamPartition struct {
 	crashAt int // crash when pushes reaches this; -1 = disarmed
 
 	// out holds what the engine emitted during the current wave, in
-	// emission order, until the caller's goroutine routes it downstream.
+	// emission order, until the caller's goroutine routes it downstream
+	// (streamStage.wave). The partition is its engine's sink.
 	out []temporal.Event
 }
+
+func (p *streamPartition) OnEvent(e temporal.Event) { p.out = append(p.out, e) }
+func (p *streamPartition) OnCTI(temporal.Time)      {}
+func (p *streamPartition) OnFlush()                 {}
 
 func (j *StreamingJob) newStage(frag *Fragment) (*streamStage, error) {
 	sc := j.cfg.Obs.Child("stream." + frag.Name)
 	st := &streamStage{
-		frag:         frag,
-		job:          j,
-		parts:        make(map[int]*streamPartition),
-		intermediate: make([]bool, len(frag.Inputs)),
-		keyCols:      make([][]int, len(frag.Inputs)),
-		scope:        sc,
-		depth:        sc.Gauge("buffer_depth"),
-		released:     sc.Counter("barrier_releases"),
-		clipped:      sc.Counter("events_clipped"),
-		trimmed:      sc.Counter("events_trimmed"),
-		truncated:    sc.Counter("route_truncated"),
-		crashes:      sc.Counter("crashes"),
-		recoveries:   sc.Counter("recoveries"),
-		ckptBytes:    sc.Counter("checkpoint_bytes"),
-		replayed:     sc.Counter("replayed_events"),
+		frag:       frag,
+		job:        j,
+		keyCols:    make([][]int, len(frag.Inputs)),
+		scope:      sc,
+		depth:      sc.Gauge("buffer_depth"),
+		released:   sc.Counter("barrier_releases"),
+		crashes:    sc.Counter("crashes"),
+		recoveries: sc.Counter("recoveries"),
+		ckptBytes:  sc.Counter("checkpoint_bytes"),
+		replayed:   sc.Counter("replayed_events"),
 	}
-	// Validate the fragment root up front: partitions compile engines
-	// lazily (possibly mid-feed, on the first event into a new span), and
-	// a compile error must surface here as an error, not there as a panic.
-	if _, err := temporal.Compile(frag.Root, discardSink{}); err != nil {
-		return nil, fmt.Errorf("timr: fragment %s: %w", frag.Name, err)
-	}
-	switch {
-	case frag.Part.Temporal:
-		width := frag.Part.SpanWidth
-		if width <= 0 {
-			width = 4 * temporal.Hour
-		}
-		st.spans = &SpanSpec{Origin: 0, Width: width, Overlap: frag.Root.MaxWindow(), N: 1 << 30}
-	case len(frag.Part.Cols) == 0:
-		st.nparts = 1
-	default:
-		st.nparts = j.machines
+	n := 1
+	if !frag.Part.Temporal && len(frag.Part.Cols) > 0 {
+		n = j.machines
 		for i, in := range frag.Inputs {
 			st.keyCols[i] = in.Schema.Indexes(in.Part.Cols...)
 		}
 	}
+	for id := 0; id < n; id++ {
+		p, err := st.newPartition(id)
+		if err != nil {
+			return nil, fmt.Errorf("timr: fragment %s: %w", frag.Name, err)
+		}
+		st.parts = append(st.parts, p)
+	}
 	return st, nil
 }
 
-func (st *streamStage) newEngine(p *streamPartition) *temporal.Engine {
-	eng, err := temporal.NewEngine(st.frag.Root,
-		temporal.WithSink(&stageOutput{stage: st, part: p}),
+func (st *streamStage) newEngine(p *streamPartition) (*temporal.Engine, error) {
+	return temporal.NewEngine(st.frag.Root,
+		temporal.WithSink(p),
 		temporal.WithObs(st.scope),
 		temporal.WithCTIPeriod(0)) // punctuation comes from the wave, not per-feed
-	if err != nil {
-		panic(err) // unreachable: fragment roots are compile-validated in newStage
-	}
-	return eng
 }
 
-func (st *streamStage) partition(id int) *streamPartition {
-	if p, ok := st.parts[id]; ok {
-		return p
+func (st *streamStage) newPartition(id int) (*streamPartition, error) {
+	p := &streamPartition{id: id}
+	eng, err := st.newEngine(p)
+	if err != nil {
+		return nil, err
 	}
-	p := &streamPartition{id: id, crashAt: -1}
-	p.eng = st.newEngine(p)
+	p.eng = eng
 	p.buf = &streamBuffer{
 		depth:    st.depth,
 		released: st.released,
@@ -389,26 +362,14 @@ func (st *streamStage) partition(id int) *streamPartition {
 			}
 		},
 	}
-	st.parts[id] = p
 	st.arm(p)
-	if st.spans != nil && (!st.hasSpan || id < st.minSpan) {
-		// New earliest span: it inherits ownership of everything before
-		// it. Safe to move while the job runs: a span earlier than all
-		// existing ones can only be created by an event below every
-		// existing span's start, and the punctuation waves that release
-		// output never run past the earliest pending input (§VII barrier
-		// contract), so no output in the re-assigned region has been
-		// emitted yet.
-		st.minSpan = id
-		st.hasSpan = true
-	}
-	return p
+	return p, nil
 }
 
 // routeTag reads the input index routeBatch appended to e's payload.
 func routeTag(e temporal.Event) int64 { return e.Payload[len(e.Payload)-1].AsInt() }
 
-// route delivers one event for input src to the partition(s) that own it.
+// route delivers one event for input src to the partition that owns it.
 func (st *streamStage) route(src int, ev temporal.Event) {
 	st.one[0] = ev
 	st.routeBatch(src, st.one[:])
@@ -443,40 +404,17 @@ func (st *streamStage) routeBatch(src int, events []temporal.Event) {
 	st.routeBuf = tagged[:0]
 }
 
-// dispatch admits a tagged run to the owning partition(s).
+// dispatch admits a tagged run: whole to a single-partition stage, event
+// by event to the partition its key hashes to otherwise.
 func (st *streamStage) dispatch(src int, tagged []temporal.Event) {
-	switch {
-	case st.spans != nil:
-		for i := range tagged {
-			ev := &tagged[i]
-			// Route by the full lifetime [LE, RE), not LE alone: a window
-			// the event opens contributes to snapshots up to RE+overlap, so
-			// every span up to there must see it (mirrors SpansForInterval
-			// in batch).
-			re := ev.RE
-			if re < ev.LE+1 {
-				re = ev.LE + 1
-			}
-			first := int(floorDivT(ev.LE, st.spans.Width))
-			last := int(floorDivT(re-1+st.spans.Overlap, st.spans.Width))
-			// Spans are lazy (N is effectively unbounded), so a pathological
-			// lifetime could fan one event out to millions of partitions;
-			// cap the fan-out and count what was cut so it is observable.
-			if last-first+1 > maxSpanFanout {
-				last = first + maxSpanFanout - 1
-				st.truncated.Inc()
-			}
-			for p := first; p <= last; p++ {
-				st.admitAll(st.partition(p), tagged[i:i+1])
-			}
-		}
-	case st.nparts == 1:
-		st.admitAll(st.partition(0), tagged)
-	default:
-		for i := range tagged {
-			h := temporal.HashRow(tagged[i].Payload, st.keyCols[src])
-			st.admitAll(st.partition(int(h%uint64(st.nparts))), tagged[i:i+1])
-		}
+	if len(st.parts) == 1 {
+		st.admitAll(st.parts[0], tagged)
+		return
+	}
+	n := uint64(len(st.parts))
+	for i := range tagged {
+		h := temporal.HashRow(tagged[i].Payload, st.keyCols[src])
+		st.admitAll(st.parts[h%n], tagged[i:i+1])
 	}
 }
 
@@ -524,7 +462,10 @@ func (st *streamStage) crash(p *streamPartition) {
 // wave), and log becomes both the replay log and the barrier's pending
 // events.
 func (st *streamStage) rebuild(p *streamPartition, ckpt []byte, log []temporal.Event) error {
-	eng := st.newEngine(p)
+	eng, err := st.newEngine(p)
+	if err != nil {
+		return err
+	}
 	if len(ckpt) > 0 {
 		if err := eng.Restore(ckpt); err != nil {
 			return err
@@ -566,13 +507,13 @@ func (st *streamStage) arm(p *streamPartition) {
 // stages' barriers run. Afterwards each partition resets its replay log to
 // the events still pending and draws its fate for the next interval.
 func (st *streamStage) advance(t temporal.Time) {
-	parts := st.wave(func(p *streamPartition) {
+	st.wave(func(p *streamPartition) {
 		p.buf.advance(t)
 		p.eng.Advance(t)
 		p.ckpt = p.eng.Checkpoint()
 		st.ckptBytes.Add(int64(len(p.ckpt)))
 	})
-	for _, p := range parts {
+	for _, p := range st.parts {
 		p.log = resetEvents(p.log, p.buf.pending)
 		p.pushes = 0
 		st.arm(p)
@@ -595,78 +536,22 @@ func (st *streamStage) flush() {
 // caller's goroutine routes the held output partition by partition in id
 // order, event by event — the order the sequential walk routed it in —
 // so every downstream admission, crash draw and replay log is what a
-// single goroutine would produce. It returns the partitions in id order.
-func (st *streamStage) wave(step func(p *streamPartition)) []*streamPartition {
-	parts := st.sortedParts()
-	_ = par.ForEach(runtime.GOMAXPROCS(0), len(parts), func(i int) error {
-		p := parts[i]
+// single goroutine would produce.
+func (st *streamStage) wave(step func(p *streamPartition)) {
+	_ = par.ForEach(runtime.GOMAXPROCS(0), len(st.parts), func(i int) error {
+		p := st.parts[i]
 		if p.crashAt >= 0 {
 			st.crash(p)
 		}
 		step(p)
 		return nil
 	})
-	for _, p := range parts {
+	for _, p := range st.parts {
 		for _, e := range p.out {
 			st.emit(e)
 		}
 		p.out = resetEvents(p.out, nil)
 	}
-	return parts
-}
-
-// sortedParts returns the stage's partitions in id order.
-func (st *streamStage) sortedParts() []*streamPartition {
-	parts := make([]*streamPartition, 0, len(st.parts))
-	for _, p := range st.parts {
-		parts = append(parts, p)
-	}
-	sort.Slice(parts, func(a, b int) bool { return parts[a].id < parts[b].id })
-	return parts
-}
-
-// discardSink swallows output; newStage compiles a throwaway pipeline
-// into it to validate fragment roots up front.
-type discardSink struct{}
-
-func (discardSink) OnEvent(temporal.Event) {}
-func (discardSink) OnCTI(temporal.Time)    {}
-func (discardSink) OnFlush()               {}
-
-// stageOutput holds a partition engine's output for routing downstream
-// (streamStage.wave), clipping temporal partitions to their owned span.
-type stageOutput struct {
-	stage *streamStage
-	part  *streamPartition
-}
-
-func (o *stageOutput) OnEvent(e temporal.Event) {
-	st := o.stage
-	if st.spans != nil {
-		span := o.part.id
-		start := temporal.Time(span) * st.spans.Width
-		end := start + st.spans.Width
-		if span == st.minSpan {
-			// The earliest *existing* span owns everything before it
-			// (shifted lifetimes can reach below the data's origin) —
-			// matching SpanSpec.Owned, where batch span 0 takes MinTime.
-			// Keying on the actual earliest span rather than id <= 0
-			// matters when the data starts at a large positive time: the
-			// earliest lazy span id is then far above zero, and gating on
-			// the id would silently discard output below its span start.
-			start = temporal.MinTime
-		}
-		le, re := maxT(e.LE, start), minT(e.RE, end)
-		if le >= re {
-			st.clipped.Inc()
-			return
-		}
-		if le != e.LE || re != e.RE {
-			st.trimmed.Inc()
-		}
-		e.LE, e.RE = le, re
-	}
-	o.part.out = append(o.part.out, e)
 }
 
 // emit routes one output event of the stage to its consumers, or to the
@@ -679,17 +564,6 @@ func (st *streamStage) emit(e temporal.Event) {
 	for _, c := range st.consumers {
 		c.stage.route(c.src, e)
 	}
-}
-
-func (o *stageOutput) OnCTI(temporal.Time) {}
-func (o *stageOutput) OnFlush()            {}
-
-func floorDivT(a, b temporal.Time) temporal.Time {
-	q := a / b
-	if a%b != 0 && (a < 0) != (b < 0) {
-		q--
-	}
-	return q
 }
 
 // ---- order-restoring barrier ----

@@ -8,7 +8,6 @@ import (
 	"testing"
 
 	"timr/internal/mapreduce"
-	"timr/internal/obs"
 	"timr/internal/temporal"
 )
 
@@ -333,22 +332,21 @@ func TestStreamingTemporalPartitioningFarOrigin(t *testing.T) {
 	}
 }
 
-func TestStreamingMaxSpanFanoutTruncation(t *testing.T) {
-	// An event with a pathological lifetime must be capped at maxSpanFanout
-	// spans, increment route_truncated, and still yield correct output in
-	// every span that exists — i.e. the batch reference clipped at the cap.
-	scope := obs.New("test")
-	cfg := DefaultConfig()
-	cfg.Obs = scope
-	const width = 100
+func TestStreamingTemporalFragmentIsExact(t *testing.T) {
+	// A time-keyed fragment runs as one partition, so an event whose
+	// lifetime reaches ~1e9 costs one admission, not one per span it
+	// crosses, and nothing is clipped anywhere: the job must equal the
+	// single-engine run exactly.
 	plan := temporal.Scan("evs", clickSchema()).
-		Exchange(temporal.PartitionBy{Temporal: true, SpanWidth: width}).
+		Exchange(temporal.PartitionBy{Temporal: true, SpanWidth: 100}).
 		Count("C")
 	job, err := NewStreamingJob(plan,
-		map[string]*temporal.Schema{"evs": clickSchema()},
-		WithMachines(4), WithConfig(cfg))
+		map[string]*temporal.Schema{"evs": clickSchema()}, WithMachines(4))
 	if err != nil {
 		t.Fatal(err)
+	}
+	if parts := job.Partitions(); len(parts) != 1 || parts["frag0"] != 1 {
+		t.Fatalf("time-keyed fragment partitions = %v, want one", parts)
 	}
 	evsSrc, err := job.Source("evs")
 	if err != nil {
@@ -362,8 +360,6 @@ func TestStreamingMaxSpanFanoutTruncation(t *testing.T) {
 		ev.RE = ev.LE + 40
 		events = append(events, ev)
 		if i == 2 {
-			// The poison pill: a lifetime reaching ~1e9 would fan out to ten
-			// million span partitions without the cap.
 			events = append(events, temporal.Event{
 				LE: ev.LE, RE: 1_000_000_000,
 				Payload: temporal.Row{temporal.Int(int64(i * 5)), temporal.Int(99), temporal.Int(99)},
@@ -385,47 +381,17 @@ func TestStreamingMaxSpanFanoutTruncation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-
-	var truncated int64
-	for _, p := range scope.Snapshot() {
-		if p.Name == "route_truncated" {
-			truncated += p.Value
-		}
-	}
-	if truncated == 0 {
-		t.Fatal("route_truncated not incremented by the pathological lifetime")
-	}
-
-	ref, err := temporal.RunPlan(
+	want, err := temporal.RunPlan(
 		temporal.Scan("evs", clickSchema()).Count("C"),
 		map[string][]temporal.Event{"evs": events})
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Owned spans end where the fan-out cap cut routing off; beyond that
-	// no partition exists, so output is clipped there — but must be exact
-	// everywhere below.
-	capEnd := temporal.Time(maxSpanFanout) * width
-	var want []temporal.Event
-	beyond := false
-	for _, e := range ref {
-		if e.RE > capEnd {
-			beyond = true
-		}
-		if e.LE >= capEnd {
-			continue
-		}
-		if e.RE > capEnd {
-			e.RE = capEnd
-		}
-		want = append(want, e)
-	}
-	want = temporal.Coalesce(want)
-	if !beyond {
-		t.Fatal("reference output never crosses the cap; test is vacuous")
+	if len(want) == 0 || want[len(want)-1].RE != 1_000_000_000 {
+		t.Fatal("reference output does not reach the long lifetime's end; test is vacuous")
 	}
 	if !temporal.EventsEqual(got, want) {
-		t.Fatalf("truncated run not clipped-but-correct: %d vs %d events", len(got), len(want))
+		t.Fatalf("temporal fragment diverges from RunPlan: %d vs %d events", len(got), len(want))
 	}
 }
 
@@ -473,8 +439,8 @@ func TestStreamingUseAfterFlush(t *testing.T) {
 
 func TestStreamingJobValidatesFragmentsUpFront(t *testing.T) {
 	// A fragment root that cannot compile (one source scanned with two
-	// conflicting schemas) must fail NewStreamingJob, not panic mid-feed
-	// when the first lazy partition spins up.
+	// conflicting schemas) must fail NewStreamingJob, which builds every
+	// partition's engine.
 	schA := temporal.NewSchema(
 		temporal.Field{Name: "Time", Kind: temporal.KindInt},
 		temporal.Field{Name: "K", Kind: temporal.KindInt},
@@ -637,7 +603,7 @@ func TestBarrierDeliversRunsLikeEvents(t *testing.T) {
 			}
 			w := wave{results: len(job.results)}
 			for _, st := range job.stages {
-				for _, p := range st.sortedParts() {
+				for _, p := range st.parts {
 					w.ckpts = append(w.ckpts, p.ckpt)
 				}
 			}

@@ -60,11 +60,12 @@ func RowsToEvents(rows []mapreduce.Row) []temporal.Event {
 	return events
 }
 
+// ctiPeriod is the application-time interval between punctuations
+// injected by reducers; it bounds engine state during a partition run.
+const ctiPeriod = 15 * temporal.Minute
+
 // Config tunes the TiMR runtime.
 type Config struct {
-	// CTIPeriod is the application-time interval between punctuations
-	// injected by reducers; it bounds engine state during a partition run.
-	CTIPeriod temporal.Time
 	// Obs, when set, receives per-operator engine metrics under a
 	// "frag.<name>" child scope per fragment (batch reducers) or
 	// "stream.<name>" (streaming stages). Engines of all partitions of a
@@ -76,9 +77,10 @@ type Config struct {
 	Crash CrashConfig
 }
 
-// DefaultConfig mirrors the defaults used throughout the evaluation.
+// DefaultConfig is the configuration used throughout the evaluation: no
+// metrics scope and no crash injection.
 func DefaultConfig() Config {
-	return Config{CTIPeriod: 15 * temporal.Minute}
+	return Config{}
 }
 
 // TiMR binds a cluster to the framework configuration.
@@ -89,9 +91,6 @@ type TiMR struct {
 
 // New builds a TiMR instance over a cluster.
 func New(cluster *mapreduce.Cluster, cfg Config) *TiMR {
-	if cfg.CTIPeriod <= 0 {
-		cfg.CTIPeriod = DefaultConfig().CTIPeriod
-	}
 	return &TiMR{Cluster: cluster, Cfg: cfg}
 }
 
@@ -274,7 +273,7 @@ func (t *TiMR) reducer(frag *Fragment, spans *SpanSpec) func(int, [][]mapreduce.
 		eng, err := temporal.NewEngine(root,
 			temporal.WithSink(sink),
 			temporal.WithObs(scope),
-			temporal.WithCTIPeriod(cfg.CTIPeriod))
+			temporal.WithCTIPeriod(ctiPeriod))
 		if err != nil {
 			return err
 		}
@@ -334,7 +333,7 @@ const reduceSinkChunk = 512
 
 func (s *reduceSink) OnEvent(e temporal.Event) {
 	if s.clip {
-		e.LE, e.RE = maxT(e.LE, s.start), minT(e.RE, s.end)
+		e.LE, e.RE = max(e.LE, s.start), min(e.RE, s.end)
 		if e.LE >= e.RE {
 			return
 		}
@@ -355,20 +354,6 @@ func (s *reduceSink) events() []temporal.Event {
 
 func (s *reduceSink) OnCTI(temporal.Time) {}
 func (s *reduceSink) OnFlush()            {}
-
-func maxT(a, b temporal.Time) temporal.Time {
-	if a > b {
-		return a
-	}
-	return b
-}
-
-func minT(a, b temporal.Time) temporal.Time {
-	if a < b {
-		return a
-	}
-	return b
-}
 
 // temporalStage wires a time-partitioned fragment (§III-B): rows are
 // routed to overlapping spans, each span's engine produces output only
