@@ -10,10 +10,10 @@ test:
 
 # The packages with a parallel phase run at GOMAXPROCS 1 and at 4. Every
 # such phase runs on par.ForEach: a map-reduce stage's map and reduce
-# tasks (mapreduce), a punctuation wave's partitions (core, serve), and a
-# refresh ingest's per-user front partitions and window models (bt). A
-# front partition's engines stay resident across ingests, and each ingest
-# may drive them from another worker. At GOMAXPROCS 1 the pool runs on
+# tasks (mapreduce), a punctuation wave's partitions (core, serve, and
+# the refresher's resident front job in bt), and a refresh ingest's
+# window models (bt). A partition's engine lives across waves, and each
+# wave may drive it from another worker. At GOMAXPROCS 1 the pool runs on
 # the caller's goroutine only, so both the sequential and the pooled path
 # are raced, whatever the host's core count.
 race:

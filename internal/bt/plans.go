@@ -41,8 +41,11 @@ func maybeExchange(p *temporal.Plan, annotate bool, key temporal.PartitionBy) *t
 // BotHop) and AntiSemiJoin the composite stream against the flagged
 // intervals. annotate adds the paper's {UserId} partitioning.
 func BotElimPlan(p Params, annotate bool) *temporal.Plan {
-	src := temporal.Scan(SourceEvents, workload.UnifiedSchema())
-	in := maybeExchange(src, annotate, userKey())
+	return botElim(p, maybeExchange(temporal.Scan(SourceEvents, workload.UnifiedSchema()), annotate, userKey()))
+}
+
+// botElim is BotElimPlan's body over the raw event stream in.
+func botElim(p Params, in *temporal.Plan) *temporal.Plan {
 	bots := in.GroupApply([]string{"UserId"}, func(g *temporal.Plan) *temporal.Plan {
 		clicks := g.Where(temporal.ColEqInt("StreamId", workload.StreamClick)).
 			WithHop(p.Tau, p.BotHop).
@@ -63,9 +66,11 @@ func BotElimPlan(p Params, annotate bool) *temporal.Plan {
 // by AntiSemiJoining impressions against click lifetimes moved d into the
 // past.
 func LabelPlan(p Params, annotate bool) *temporal.Plan {
-	src := temporal.Scan(SourceClean, workload.UnifiedSchema())
-	in := maybeExchange(src, annotate, userKey())
+	return label(p, maybeExchange(temporal.Scan(SourceClean, workload.UnifiedSchema()), annotate, userKey()))
+}
 
+// label is LabelPlan's body over the clean stream in.
+func label(p Params, in *temporal.Plan) *temporal.Plan {
 	toLabeled := func(s *temporal.Plan, clicked int64) *temporal.Plan {
 		return s.Project(
 			temporal.Keep("Time"),
@@ -107,16 +112,7 @@ func UBPPlan(p Params, clean *temporal.Plan) *temporal.Plan {
 func TrainDataPlan(p Params, annotate bool) *temporal.Plan {
 	labeled := maybeExchange(temporal.Scan(SourceLabeled, LabeledSchema), annotate, userKey())
 	clean := maybeExchange(temporal.Scan(SourceClean, workload.UnifiedSchema()), annotate, userKey())
-	ubp := UBPPlan(p, clean)
-	return labeled.Join(ubp, []string{"UserId"}, []string{"UserId"}, nil).
-		Project(
-			temporal.Keep("Time"),
-			temporal.Keep("UserId"),
-			temporal.Keep("AdId"),
-			temporal.Keep("Clicked"),
-			temporal.Keep("Keyword"),
-			temporal.Keep("KwCount"),
-		)
+	return trainRows(labeled, UBPPlan(p, clean))
 }
 
 // NaiveTrainDataPlan is the strawman annotation of Example 3: UBP
@@ -126,7 +122,22 @@ func NaiveTrainDataPlan(p Params) *temporal.Plan {
 	labeled := temporal.Scan(SourceLabeled, LabeledSchema).Exchange(userKey())
 	clean := temporal.Scan(SourceClean, workload.UnifiedSchema()).
 		Exchange(temporal.PartitionBy{Cols: []string{"UserId", "KwAdId"}})
-	ubp := UBPPlan(p, clean).Exchange(userKey())
+	return trainRows(labeled, UBPPlan(p, clean).Exchange(userKey()))
+}
+
+// frontPlan composes BotElim, Label and TrainData into one plan DAG over
+// the raw events, exchanged once, on {UserId}: every operator of the three
+// is keyed on UserId, so the whole front is one fragment. It returns the
+// labeled and train roots, which share the clean subplan.
+func frontPlan(p Params) (labeled, train *temporal.Plan) {
+	clean := botElim(p, temporal.Scan(SourceEvents, workload.UnifiedSchema()).Exchange(userKey()))
+	labeled = label(p, clean)
+	return labeled, trainRows(labeled, UBPPlan(p, clean))
+}
+
+// trainRows joins each labeled row with its user's profile entries at
+// that instant, one training row per entry.
+func trainRows(labeled, ubp *temporal.Plan) *temporal.Plan {
 	return labeled.Join(ubp, []string{"UserId"}, []string{"UserId"}, nil).
 		Project(
 			temporal.Keep("Time"),

@@ -9,6 +9,7 @@ import (
 	"sort"
 	"time"
 
+	"timr/internal/core"
 	"timr/internal/dur"
 	"timr/internal/ml"
 	"timr/internal/par"
@@ -20,24 +21,26 @@ import (
 // pipeline ingests one day of raw log at a time instead of recomputing
 // the whole history. The DAG's front stages (FrontStages) reach a
 // bounded distance backward and forward in time, and the delta path
-// keeps them resident as streaming engines (refreshfront.go): each
-// ingest feeds them the new day once and punctuates them at the new
-// watermark F = dayEnd − D, and what they emit is exactly the output rows
-// whose Time falls between the old and new watermarks (a row earlier than
-// F can never change, because the only forward reach is the non-click
-// detector's d). Everything behind the watermark is maintained as
-// mergeable summaries: click counts add, z-tests replay exactly on the
-// merged counts, reduced training rows concatenate, and frozen-window
-// models are trained once and reused. The state keeps the raw rows of
-// the last Lookback(P) as its recovery line: a refresher that starts
-// from a persisted state primes fresh engines from them.
+// keeps them resident as one core.StreamingJob over the composed front
+// plan (frontPlan): each ingest feeds it the new day once and runs one
+// punctuation wave at dayEnd. Its two outputs, labeled and train rows,
+// are then complete below the new watermark F = dayEnd − D, and what a
+// wave delivers is exactly the output rows whose Time falls between the
+// old and new watermarks (a row earlier than F can never change, because
+// the only forward reach is the non-click detector's d). Everything
+// behind the watermark is maintained as mergeable summaries: click counts
+// add, z-tests replay exactly on the merged counts, reduced training rows
+// concatenate, and frozen-window models are trained once and reused. The
+// state keeps the raw rows of the last Lookback(P) as its recovery line:
+// a refresher that starts from a persisted state primes a fresh job from
+// them.
 //
-// Every front operator is keyed on UserId, and UserId is in every output
-// row, so the front stages run as independent partitions of the rows'
-// UserId hash (the one TiMR's PartitionCols routes by), one engine chain
-// each, on up to GOMAXPROCS goroutines (the paper's {UserId}
-// annotation of Example 3). Each partition sorts its own output in the
-// canonical row order and the parts are merged on that order, so the
+// Every front operator is keyed on UserId, so the composed plan is
+// exchanged once, on {UserId} (the paper's annotation of Example 3), and
+// is one fragment: the job runs it as one engine per UserId-hash
+// partition, its waves on up to GOMAXPROCS goroutines. The job's output
+// barrier releases a wave's rows of all partitions in (LE, RE, payload)
+// order, which for these point rows is the canonical row order, so the
 // state is the bytes one engine over all users would leave.
 //
 // The delta path is the refresher. A full recompute from complete raw
@@ -80,14 +83,18 @@ type Refresher struct {
 
 	history []temporal.Row // full raw log, kept only with RetainHistory
 
-	// front is the delta path's resident front stages. The next delta
-	// ingest primes fresh ones from State.TailRaw when it is nil or
-	// belongs to another State.
-	front *residentFront
+	// front is the delta path's resident front stages, one streaming job
+	// extending the State frontOf. The next delta ingest primes a fresh
+	// one from State.TailRaw when it is nil or frontOf is not State.
+	front   *core.StreamingJob
+	frontOf *RefreshState
+	// labeled and train collect the rows the front delivers in a wave.
+	labeled, train []temporal.Row
 
-	// parts is the number of per-user partitions the front stages run in
-	// (0: GOMAXPROCS). Only tests set it: the state does not depend on it.
-	parts int
+	// machines is the front job's machine count, the number of UserId-hash
+	// partitions it runs (0: GOMAXPROCS). Only tests set it: the state
+	// does not depend on it.
+	machines int
 }
 
 // NewRefresher builds a refresher with empty state.
@@ -208,33 +215,6 @@ func sortedRows(evs []temporal.Event, lo, hi temporal.Time) []temporal.Row {
 	return rows
 }
 
-// mergeRows merges runs sorted in the canonical order into one, pairwise.
-func mergeRows(runs [][]temporal.Row) []temporal.Row {
-	for len(runs) > 1 {
-		next := make([][]temporal.Row, 0, (len(runs)+1)/2)
-		for i := 0; i+1 < len(runs); i += 2 {
-			a, b := runs[i], runs[i+1]
-			out := make([]temporal.Row, 0, len(a)+len(b))
-			for len(a) > 0 && len(b) > 0 {
-				if rowCompare(b[0], a[0]) < 0 {
-					out, b = append(out, b[0]), b[1:]
-				} else {
-					out, a = append(out, a[0]), a[1:]
-				}
-			}
-			next = append(next, append(append(out, a...), b...))
-		}
-		if len(runs)%2 == 1 {
-			next = append(next, runs[len(runs)-1])
-		}
-		runs = next
-	}
-	if len(runs) == 0 {
-		return nil
-	}
-	return runs[0]
-}
-
 // rowsInRange keeps rows with lo <= Time < hi.
 func rowsInRange(rows []temporal.Row, lo, hi temporal.Time) []temporal.Row {
 	var out []temporal.Row
@@ -248,10 +228,10 @@ func rowsInRange(rows []temporal.Row, lo, hi temporal.Time) []temporal.Row {
 
 // runFront executes the front stages over the whole raw log on one
 // chain of fresh single-node engines, run to the end of input —
-// ModeFull's evaluation, which shares no per-user split or merge with the
-// delta path it checks — recording one timing observation, and returns
-// the labeled and train output rows with 0 <= Time < hi in the canonical
-// order.
+// ModeFull's evaluation, which shares no composed plan, partitioning or
+// punctuation with the delta path it checks — recording one timing
+// observation, and returns the labeled and train output rows with
+// 0 <= Time < hi in the canonical order.
 func (st *RefreshState) runFront(input []temporal.Row, hi temporal.Time) (labeled, train []temporal.Row, err error) {
 	start := time.Now()
 	ds := map[string][]temporal.Event{DSEvents: temporal.RowsToPointEvents(input, 0)}
@@ -274,31 +254,83 @@ func (st *RefreshState) finalize(labeled, train []temporal.Row) {
 	st.RecordTiming("Counts", int64(len(labeled)+len(train)), time.Since(start).Nanoseconds())
 }
 
+// newFront builds a fresh front job: the composed front plan, labeled
+// rows as the plan's output and train rows as the named output "train",
+// both collected into r.labeled and r.train.
+func (r *Refresher) newFront() (*core.StreamingJob, error) {
+	machines := r.machines
+	if machines <= 0 {
+		machines = runtime.GOMAXPROCS(0)
+	}
+	labeled, train := frontPlan(r.State.P)
+	return core.NewStreamingJob(labeled, map[string]*temporal.Schema{SourceEvents: workload.UnifiedSchema()},
+		core.WithMachines(machines),
+		core.WithOnEvent(func(e temporal.Event) { r.labeled = append(r.labeled, e.Payload) }),
+		core.WithOutput("train", train, func(e temporal.Event) { r.train = append(r.train, e.Payload) }))
+}
+
+// feedFront feeds the rows of the day ending at dayEnd to the front job
+// and runs one wave at dayEnd, returning the labeled and train rows it
+// delivered, in the canonical order. Both outputs' watermarks must reach
+// f = dayEnd − D and no delivered row may lie at or after it; otherwise
+// the interval below f is not complete, and feedFront errors.
+func (r *Refresher) feedFront(front *core.StreamingJob, rows []temporal.Row, dayEnd, f temporal.Time) (labeled, train []temporal.Row, err error) {
+	// finalize copies the rows out, so the buffers are reused.
+	r.labeled, r.train = r.labeled[:0], r.train[:0]
+	src, err := front.Source(SourceEvents)
+	if err != nil {
+		return nil, nil, err
+	}
+	if err := src.FeedBatch(temporal.RowsToPointEvents(rows, 0)); err != nil {
+		return nil, nil, err
+	}
+	if err := front.Advance(dayEnd); err != nil {
+		return nil, nil, err
+	}
+	for _, out := range []string{"", "train"} {
+		if w, err := front.Watermark(out); err != nil {
+			return nil, nil, err
+		} else if w < f {
+			return nil, nil, fmt.Errorf("%s output punctuated to %d, short of the watermark %d", cmp.Or(out, "labeled"), w, f)
+		}
+	}
+	for _, rows := range [][]temporal.Row{r.labeled, r.train} {
+		for _, row := range rows {
+			if t := temporal.Time(row[0].AsInt()); t >= f {
+				return nil, nil, fmt.Errorf("delivered a row at %d, at or after the watermark %d", t, f)
+			}
+		}
+	}
+	return r.labeled, r.train, nil
+}
+
 // ingestDelta is the incremental path: feed the day to the resident
-// front stages (priming fresh ones from the lookback tail first when
-// there are none), finalize the watermark interval they emit, merge
-// summaries, and retrain only non-frozen windows. Any error drops the
-// front and leaves the state as it was, so the next ingest primes again.
+// front job (priming a fresh one from the lookback tail first when there
+// is none), finalize the watermark interval it delivers, merge summaries,
+// and retrain only non-frozen windows. Any error drops the front and
+// leaves the state as it was, so the next ingest primes again.
 func (r *Refresher) ingestDelta(dayRows []temporal.Row, dayEnd temporal.Time) error {
 	st := r.State
 	fPrev, fNew := st.Watermark, dayEnd-st.P.D
 	start := time.Now()
+	// r.front is set again on success: an error or a panic drops it.
 	front, fed := r.front, len(dayRows)
 	r.front = nil
-	if front == nil || front.st != st { // a new refresher, or State replaced by Restore
+	if front == nil || r.frontOf != st { // a new refresher, or State replaced by Restore
 		var err error
-		if front, err = newResidentFront(st, r.parts); err != nil {
+		if front, err = r.newFront(); err != nil {
 			return err
 		}
+		r.frontOf = st
 		if st.Days > 0 {
 			// The primed output lies below fPrev and was finalized before.
-			if _, _, err := front.ingest(st.TailRaw, fPrev+st.P.D, fPrev); err != nil {
+			if _, _, err := r.feedFront(front, st.TailRaw, fPrev+st.P.D, fPrev); err != nil {
 				return fmt.Errorf("bt: refresh front priming: %w", err)
 			}
 			fed += len(st.TailRaw)
 		}
 	}
-	labeled, train, err := front.ingest(dayRows, dayEnd, fPrev)
+	labeled, train, err := r.feedFront(front, dayRows, dayEnd, fNew)
 	if err != nil {
 		return fmt.Errorf("bt: refresh front: %w", err)
 	}

@@ -115,6 +115,7 @@ func TestRefreshDeltaMatchesFull(t *testing.T) {
 // engine's score stream (window w scores are valid during period w+1),
 // z values bit-identical.
 func TestRefreshSummaryMatchesEnginePipeline(t *testing.T) {
+	defer leakcheck.Goroutines(t)()
 	p, cfg := refreshWorkload()
 	d := workload.Generate(cfg)
 
@@ -166,6 +167,7 @@ func TestRefreshSummaryMatchesEnginePipeline(t *testing.T) {
 // The full path is only a reference, and it needs the whole raw log:
 // without RetainHistory it refuses to run.
 func TestRefreshFullRequiresHistory(t *testing.T) {
+	defer leakcheck.Goroutines(t)()
 	p, cfg := refreshWorkload()
 	cfg.Users = 120
 	cfg.Days = 1
@@ -180,6 +182,7 @@ func TestRefreshFullRequiresHistory(t *testing.T) {
 // the restart. It must refuse instead, naming both row counts, and leave
 // the state as restored.
 func TestRefreshFullRefusesPartialHistory(t *testing.T) {
+	defer leakcheck.Goroutines(t)()
 	p, cfg := refreshWorkload()
 	cfg.Users = 120
 	cfg.Days = 3
@@ -229,6 +232,7 @@ func TestRefreshFullRefusesPartialHistory(t *testing.T) {
 // number of partitions than the killed one, so the engines it primes
 // from the persisted lookback tail share no layout with the lost ones.
 func TestRefreshDurableResume(t *testing.T) {
+	defer leakcheck.Goroutines(t)()
 	p, cfg := refreshWorkload()
 	cfg.Users = 150
 	cfg.Days = 5
@@ -250,7 +254,7 @@ func TestRefreshDurableResume(t *testing.T) {
 		}
 
 		r1 := NewRefresher(p, cfg, RefreshOptions{Mode: ModeDelta, Store: open(int64(killAfter))})
-		r1.parts = 1
+		r1.machines = 1
 		for day := 0; day < killAfter; day++ {
 			if err := r1.IngestDay(d.DayRows(day), temporal.Time(day+1)*temporal.Day); err != nil {
 				t.Fatalf("pre-kill day %d: %v", day, err)
@@ -261,7 +265,7 @@ func TestRefreshDurableResume(t *testing.T) {
 		}
 		// kill -9: r1 is abandoned mid-flight; a new process reopens.
 		r2 := NewRefresher(p, cfg, RefreshOptions{Mode: ModeDelta, Store: open(int64(killAfter) + 100)})
-		r2.parts = 3
+		r2.machines = 3
 		resumed, err := r2.Restore()
 		if err != nil || !resumed {
 			t.Fatalf("restore after kill at day %d: resumed=%v err=%v", killAfter, resumed, err)
@@ -281,6 +285,7 @@ func TestRefreshDurableResume(t *testing.T) {
 }
 
 func TestRefreshQuarantineFallback(t *testing.T) {
+	defer leakcheck.Goroutines(t)()
 	p, cfg := refreshWorkload()
 	cfg.Users = 120
 	cfg.Days = 3
@@ -344,6 +349,7 @@ func TestRefreshQuarantineFallback(t *testing.T) {
 // starts a clean job; a refresher restore over a streaming job's
 // generation finds nothing to resume.
 func TestRefreshAndStreamingGenerationsRefuseEachOther(t *testing.T) {
+	defer leakcheck.Goroutines(t)()
 	sch := temporal.NewSchema(temporal.Field{Name: "Time", Kind: temporal.KindInt})
 	plan := temporal.Scan("clicks", sch).WithWindow(10).Count("C")
 	schemas := map[string]*temporal.Schema{"clicks": sch}
@@ -404,6 +410,7 @@ func TestRefreshAndStreamingGenerationsRefuseEachOther(t *testing.T) {
 }
 
 func TestRefreshStateRoundtrip(t *testing.T) {
+	defer leakcheck.Goroutines(t)()
 	p, cfg := refreshWorkload()
 	cfg.Users = 120
 	cfg.Days = 2
@@ -440,6 +447,7 @@ func version1Header() []byte {
 // A version-1 state is refused by its header, with both versions named,
 // before any section is parsed.
 func TestDecodeStateRefusesVersion1(t *testing.T) {
+	defer leakcheck.Goroutines(t)()
 	_, err := DecodeState(version1Header())
 	if err == nil || !strings.Contains(err.Error(), "version 1") || !strings.Contains(err.Error(), fmt.Sprintf("version %d", refreshVersion)) {
 		t.Fatalf("version-1 state: got %v, want an error naming versions 1 and %d", err, refreshVersion)
@@ -500,6 +508,7 @@ func FuzzSummaryRoundtrip(f *testing.F) {
 // with full, resumed with uninterrupted) and cannot see an error both
 // sides share.
 func TestRefreshStateDigest(t *testing.T) {
+	defer leakcheck.Goroutines(t)()
 	want := []string{
 		"d339c2b81d173b1b20645874ed08096d76e8071059e71b08d20bb122233d28d0",
 		"8b796ced21f8611bf3fc0fec975ed424ab3d12ffca9e3a29f624e2b0b7c5767d",
@@ -527,6 +536,7 @@ func TestRefreshStateDigest(t *testing.T) {
 // A refusal must not touch the resident front either: the next ingest
 // lands on the bytes of a refresher that was never refused.
 func TestRefreshRejectsRowsOutsideDay(t *testing.T) {
+	defer leakcheck.Goroutines(t)()
 	p, cfg := refreshWorkload()
 	cfg.Users, cfg.Days, cfg.Seed = 200, 3, 3
 	d := workload.Generate(cfg)
@@ -588,7 +598,7 @@ func TestRefreshPartitionCountInvariant(t *testing.T) {
 	rs := make([]*Refresher, len(counts))
 	for i, n := range counts {
 		rs[i] = NewRefresher(p, cfg, RefreshOptions{Mode: ModeDelta})
-		rs[i].parts = n
+		rs[i].machines = n
 	}
 	for day := 0; day < cfg.Days; day++ {
 		end := temporal.Time(day+1) * temporal.Day

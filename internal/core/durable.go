@@ -30,7 +30,7 @@ const snapshotTag byte = 0xD6
 // commitDurable snapshots the job at the end of the wave at time t and
 // commits it as one generation. Called from Advance with the wave fully
 // applied: every partition's ckpt/log are fresh, j.waves counts this
-// wave, and j.results/j.out.pending reflect everything released. Commit
+// wave, and j.results/j.outs[0] reflect everything released. Commit
 // failure is tolerated — counted by the store, remembered in durErr —
 // because the previous generation remains a correct (if older) recovery
 // line, costing only extended replay.
@@ -71,7 +71,7 @@ func (j *StreamingJob) commitDurable(t temporal.Time) {
 		}
 	}
 	w.Events(j.results)
-	w.Events(j.out.pending)
+	w.Events(j.outs[0].pending)
 	j.durErr = j.durStore.Commit(t, j.waves, w.Bytes())
 }
 
@@ -191,7 +191,7 @@ func (j *StreamingJob) applySnapshot(waves int, snap *snapshot) error {
 		}
 	}
 	j.results = append(j.results[:0], snap.results...)
-	j.out.pending = append(j.out.pending[:0], snap.pending...)
+	j.outs[0].pending = append(j.outs[0].pending[:0], snap.pending...)
 	for name, pos := range snap.offsets {
 		if f, ok := j.feeders[name]; ok {
 			f.SetPosition(pos)

@@ -18,6 +18,7 @@ import (
 
 	"timr/internal/core"
 	"timr/internal/dur"
+	"timr/internal/leakcheck"
 	"timr/internal/obs"
 	"timr/internal/temporal"
 )
@@ -152,6 +153,7 @@ func resumeAndFinish(t *testing.T, plan *temporal.Plan, schemas map[string]*temp
 }
 
 func TestDurableRestartBitIdentity(t *testing.T) {
+	defer leakcheck.Goroutines(t)()
 	mk, sch := durablePlan()
 	events := durableEvents(900)
 	schemas := map[string]*temporal.Schema{"clicks": sch}
@@ -222,6 +224,7 @@ func runKilledPublishingOffsets(t *testing.T, plan *temporal.Plan, schemas map[s
 }
 
 func TestDurableOffsetSeekResume(t *testing.T) {
+	defer leakcheck.Goroutines(t)()
 	// The seek-based resume: instead of re-walking the whole schedule
 	// tracking wave-fire points (resumeAndFinish), the restarted driver
 	// reads the recovered input offset and starts the loop there. Output
@@ -295,6 +298,7 @@ func TestDurableOffsetSeekResume(t *testing.T) {
 }
 
 func TestDurableRestartUnderInjectedFaults(t *testing.T) {
+	defer leakcheck.Goroutines(t)()
 	mk, sch := durablePlan()
 	events := durableEvents(900)
 	schemas := map[string]*temporal.Schema{"clicks": sch}
@@ -336,6 +340,7 @@ func TestDurableRestartUnderInjectedFaults(t *testing.T) {
 }
 
 func TestDurableGenerationFallback(t *testing.T) {
+	defer leakcheck.Goroutines(t)()
 	mk, sch := durablePlan()
 	events := durableEvents(900)
 	schemas := map[string]*temporal.Schema{"clicks": sch}
@@ -387,6 +392,7 @@ func TestDurableGenerationFallback(t *testing.T) {
 }
 
 func TestDurableRestartComposesWithChaos(t *testing.T) {
+	defer leakcheck.Goroutines(t)()
 	mk, sch := durablePlan()
 	events := durableEvents(900)
 	schemas := map[string]*temporal.Schema{"clicks": sch}
@@ -418,6 +424,7 @@ func TestDurableRestartComposesWithChaos(t *testing.T) {
 // keys route. RestoreFromDir refuses it, naming both counts, and leaves
 // the generation in the store.
 func TestDurableRestoreRefusesOtherMachineCount(t *testing.T) {
+	defer leakcheck.Goroutines(t)()
 	mk, sch := durablePlan()
 	events := durableEvents(900)
 	schemas := map[string]*temporal.Schema{"clicks": sch}

@@ -52,17 +52,23 @@ func (f *Feeder) SetPosition(pos int64) { f.pos = pos }
 // ever set (restored positions from a recovered generation count).
 func (f *Feeder) Position() (int64, bool) { return f.pos, f.pos >= 0 }
 
-// admit counts n events in, or refuses them once the job is flushed.
+// admit counts n events in, or refuses them once the job is flushed or
+// broken.
 func (f *Feeder) admit(n int64) error {
-	if f.job.flushed {
+	switch {
+	case f.job.flushed:
 		return ErrFlushed
+	case f.job.err != nil:
+		return f.job.err
 	}
 	f.events.Add(n)
 	return nil
 }
 
 // Feed pushes one source event into the dataflow. Events must arrive in
-// nondecreasing LE order per source (a live feed's natural order).
+// nondecreasing LE order per source (a live feed's natural order). It
+// returns ErrFlushed after Flush, and the job's failure once a partition
+// recovery has failed (this one's included).
 func (f *Feeder) Feed(ev temporal.Event) error {
 	if err := f.admit(1); err != nil {
 		return err
@@ -70,13 +76,13 @@ func (f *Feeder) Feed(ev temporal.Event) error {
 	for _, in := range f.ins {
 		in.stage.route(in.src, ev)
 	}
-	return nil
+	return f.job.err
 }
 
 // FeedBatch pushes a run of source events (nondecreasing LE) into the
 // dataflow, routing the whole run per consuming stage in one call: the
 // routing tags are carved from one slab and single-partition stages
-// admit the run with one buffer append.
+// admit the run with one buffer append. It errors as Feed does.
 func (f *Feeder) FeedBatch(events []temporal.Event) error {
 	if err := f.admit(int64(len(events))); err != nil {
 		return err
@@ -84,5 +90,5 @@ func (f *Feeder) FeedBatch(events []temporal.Event) error {
 	for _, in := range f.ins {
 		in.stage.routeBatch(in.src, events)
 	}
-	return nil
+	return f.job.err
 }

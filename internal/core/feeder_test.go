@@ -4,6 +4,7 @@ import (
 	"errors"
 	"testing"
 
+	"timr/internal/leakcheck"
 	"timr/internal/temporal"
 )
 
@@ -33,6 +34,7 @@ func clickEv(i int) temporal.Event {
 }
 
 func TestFeederUnknownSource(t *testing.T) {
+	defer leakcheck.Goroutines(t)()
 	job, _ := feederJob(t, WithMachines(2))
 	if _, err := job.Source("ghost"); err == nil {
 		t.Fatal("Source on an unknown name must error")
@@ -40,6 +42,7 @@ func TestFeederUnknownSource(t *testing.T) {
 }
 
 func TestFeederFlushedErrors(t *testing.T) {
+	defer leakcheck.Goroutines(t)()
 	job, f := feederJob(t, WithMachines(2))
 	if err := f.Feed(clickEv(1)); err != nil {
 		t.Fatal(err)
@@ -54,6 +57,7 @@ func TestFeederFlushedErrors(t *testing.T) {
 }
 
 func TestFeederMatchesDirectRouting(t *testing.T) {
+	defer leakcheck.Goroutines(t)()
 	// The Feeder paths must produce the same output as the pre-redesign
 	// direct job methods (which now delegate to it) — one plan, two
 	// ingest shapes, identical results.

@@ -47,6 +47,10 @@ type Fragment struct {
 	// Final marks the job's last fragment (its output is the query
 	// result); intermediate outputs feed downstream fragments.
 	Final bool
+	// Named holds the final fragment's further output roots, one per
+	// root MakeFragments was given beside the plan, in order. Each runs in
+	// the same engine as Root and shares its nodes.
+	Named []*temporal.Plan
 	// Part is the fragment's partitioning key: the common key of the
 	// exchange operators at its input boundary.
 	Part temporal.PartitionBy
@@ -55,9 +59,11 @@ type Fragment struct {
 // MakeFragments cuts an annotated plan into fragments at exchange
 // operators, top-down (paper §III-A step 3). sourceDatasets maps scan
 // names to FS dataset names; output is the FS name for the final result.
-// Fragments are returned in execution (bottom-up) order.
-func MakeFragments(plan *temporal.Plan, sourceDatasets map[string]string, output string) ([]Fragment, error) {
-	f := &fragmenter{sources: sourceDatasets}
+// Each named root is a further output of the final fragment (its Named):
+// it may share nodes with the plan, and must be computable from the final
+// fragment's inputs. Fragments are returned in execution (bottom-up) order.
+func MakeFragments(plan *temporal.Plan, sourceDatasets map[string]string, output string, named ...*temporal.Plan) ([]Fragment, error) {
+	f := &fragmenter{sources: sourceDatasets, named: named}
 	if _, err := f.build(plan, output, true); err != nil {
 		return nil, err
 	}
@@ -70,6 +76,7 @@ func MakeFragments(plan *temporal.Plan, sourceDatasets map[string]string, output
 
 type fragmenter struct {
 	sources map[string]string
+	named   []*temporal.Plan
 	frags   []Fragment
 	n       int
 }
@@ -170,6 +177,18 @@ func (f *fragmenter) build(root *temporal.Plan, out string, final bool) (int, er
 	}
 
 	newRoot := clone(root)
+	if final {
+		n := len(inputs)
+		for _, r := range f.named {
+			c := clone(r)
+			// A root that needs another input, or is an exchange, is
+			// another fragment's node.
+			if r.Kind == temporal.OpExchange || len(inputs) != n {
+				return idx, fmt.Errorf("timr: output root %s is not in the final fragment", r.Kind)
+			}
+			frag.Named = append(frag.Named, c)
+		}
+	}
 	if firstErr != nil {
 		return idx, firstErr
 	}

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"timr/internal/dur"
+	"timr/internal/leakcheck"
 	"timr/internal/temporal"
 )
 
@@ -70,6 +71,7 @@ func snapshotPayload(tb testing.TB, dir string, outOfRange bool) []byte {
 }
 
 func TestDurableRestoreRefusesPartitionOutOfRange(t *testing.T) {
+	defer leakcheck.Goroutines(t)()
 	dir := t.TempDir()
 	payload := snapshotPayload(t, dir, true)
 	plan, sources := snapshotPlan()

@@ -1,11 +1,14 @@
 package core
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"math/rand"
 	"runtime"
+	"slices"
 	"sort"
+	"strings"
 
 	"timr/internal/dur"
 	"timr/internal/obs"
@@ -36,12 +39,18 @@ type StreamingJob struct {
 	// (with per-stage input index).
 	bySource map[string][]stageInput
 	feeders  map[string]*Feeder
-	out      *streamBuffer
-	results  []temporal.Event
+	// outs[k] is the barrier of output outNames[k], fed by output k of the
+	// final stage's partitions: the plan's ("") first, then WithOutput's.
+	outs     []*streamBuffer
+	outNames []string
+	results  []temporal.Event // the plan's released output, kept for Results
 	cfg      Config
 	machines int
 	waves    int // completed punctuation waves (crash-draw input)
 	flushed  bool
+	// err is the first failed partition recovery, which breaks the job:
+	// Feed, FeedBatch and Advance return it from then on.
+	err error
 
 	// Durable checkpointing (WithDurable): at the end of every wave the
 	// job commits its full recovery state — each partition's checkpoint
@@ -85,6 +94,13 @@ type streamOptions struct {
 	cfg      Config
 	onEvent  func(temporal.Event)
 	store    *dur.Store
+	named    []namedOutput
+	roots    []*temporal.Plan // named[i]'s root
+}
+
+type namedOutput struct {
+	name    string
+	deliver func(temporal.Event)
 }
 
 // WithMachines sets the partition fan-out of hash-keyed fragments (the
@@ -101,9 +117,22 @@ func WithConfig(cfg Config) StreamOption {
 
 // WithOnEvent registers an incremental output callback: every result
 // event is delivered as its punctuation wave releases it, in addition to
-// accumulating for Results.
+// accumulating for Results (which a job with a named output skips).
 func WithOnEvent(f func(temporal.Event)) StreamOption {
 	return func(o *streamOptions) { o.onEvent = f }
+}
+
+// WithOutput adds a named output: root may share nodes with the job's
+// plan and runs in the same final-fragment engines, so a shared subplan
+// runs once. Each wave hands deliver the output's released events in
+// (LE, RE, payload) order; Watermark(name) says how far it is complete. A
+// job with a named output keeps no output (its plan's events go to
+// WithOnEvent only, and Results errors) and cannot be durable.
+func WithOutput(name string, root *temporal.Plan, deliver func(temporal.Event)) StreamOption {
+	return func(o *streamOptions) {
+		o.named = append(o.named, namedOutput{name: name, deliver: deliver})
+		o.roots = append(o.roots, root)
+	}
 }
 
 // WithDurable attaches a durable checkpoint store: every punctuation
@@ -118,20 +147,23 @@ func WithDurable(store *dur.Store) StreamOption {
 // sources maps scan names to their schemas; output events are delivered
 // to Results after Flush (coalesced), and incrementally to the
 // WithOnEvent callback if set. Remaining knobs arrive as functional
-// options: WithMachines, WithConfig, WithDurable.
+// options: WithMachines, WithConfig, WithDurable, WithOutput.
 func NewStreamingJob(plan *temporal.Plan, sources map[string]*temporal.Schema, opts ...StreamOption) (*StreamingJob, error) {
 	o := streamOptions{machines: 1, cfg: DefaultConfig()}
 	for _, opt := range opts {
 		opt(&o)
 	}
 	cfg, onEvent := o.cfg, o.onEvent
+	if o.store != nil && len(o.named) > 0 {
+		return nil, errors.New("timr: a durable streaming job has one output; WithDurable does not combine with WithOutput")
+	}
 	// MakeFragments wants dataset bindings; in streaming mode the
 	// "dataset" names are just the source names.
 	bind := make(map[string]string, len(sources))
 	for name := range sources {
 		bind[name] = name
 	}
-	frags, err := MakeFragments(plan, bind, "out")
+	frags, err := MakeFragments(plan, bind, "out", o.roots...)
 	if err != nil {
 		return nil, err
 	}
@@ -147,18 +179,29 @@ func NewStreamingJob(plan *temporal.Plan, sources map[string]*temporal.Schema, o
 		machines: machines,
 		durStore: o.store,
 	}
-	outScope := cfg.Obs.Child("stream.out")
-	j.out = &streamBuffer{
-		depth:    outScope.Gauge("buffer_depth"),
-		released: outScope.Counter("barrier_releases"),
-		deliver: func(evs []temporal.Event) {
-			j.results = append(j.results, evs...)
-			if onEvent != nil {
+	planOut := namedOutput{deliver: func(e temporal.Event) {
+		if len(o.named) == 0 { // a job with named outputs keeps none
+			j.results = append(j.results, e)
+		}
+		if onEvent != nil {
+			onEvent(e)
+		}
+	}}
+	for _, no := range append([]namedOutput{planOut}, o.named...) {
+		if slices.Contains(j.outNames, no.name) { // the plan's is ""
+			return nil, fmt.Errorf("timr: streaming output name %q is empty or repeated", no.name)
+		}
+		sc := cfg.Obs.Child(strings.TrimSuffix("stream.out."+no.name, "."))
+		j.outNames = append(j.outNames, no.name)
+		j.outs = append(j.outs, &streamBuffer{
+			depth:    sc.Gauge("buffer_depth"),
+			released: sc.Counter("barrier_releases"),
+			deliver: func(evs []temporal.Event) {
 				for _, e := range evs {
-					onEvent(e)
+					no.deliver(e)
 				}
-			}
-		},
+			},
+		})
 	}
 
 	// Build stages bottom-up so downstream wiring exists... fragments are
@@ -196,15 +239,25 @@ func NewStreamingJob(plan *temporal.Plan, sources map[string]*temporal.Schema, o
 // parallel, up to GOMAXPROCS at a time — whose flushed output cascades
 // into the next stage before that stage's own barrier runs.
 // After the wave, every partition checkpoints its engine and resets its
-// replay log — the recovery line a crashed partition rolls back to.
+// replay log — the recovery line a crashed partition rolls back to. It
+// returns ErrFlushed after Flush, and the job's failure once a partition
+// recovery has failed.
 func (j *StreamingJob) Advance(t temporal.Time) error {
 	if j.flushed {
 		return ErrFlushed
 	}
+	if j.err != nil {
+		return j.err
+	}
 	for _, st := range j.stages {
 		st.advance(t)
+		if j.err != nil {
+			return j.err
+		}
 	}
-	j.out.advance(t)
+	for _, o := range j.outs {
+		o.advance(t)
+	}
 	j.waves++
 	if j.durStore != nil {
 		j.commitDurable(t)
@@ -212,26 +265,51 @@ func (j *StreamingJob) Advance(t temporal.Time) error {
 	return nil
 }
 
-// Flush ends all inputs and drains the DAG. Flushing twice is a no-op.
+// Flush ends all inputs and drains the DAG. Flushing twice is a no-op,
+// and so is flushing a broken job (Results then returns its error).
 func (j *StreamingJob) Flush() {
-	if j.flushed {
+	if j.flushed || j.err != nil {
 		return
 	}
 	for _, st := range j.stages {
 		st.flush()
 	}
-	j.out.flush()
+	for _, o := range j.outs {
+		o.flush()
+	}
 	j.flushed = true
 }
 
 // Results returns the coalesced output events. Calling it before Flush is
 // an error: the dataflow still holds buffered state, so any result would
-// be silently partial.
+// be silently partial. A job with named outputs keeps none to return.
 func (j *StreamingJob) Results() ([]temporal.Event, error) {
-	if !j.flushed {
+	switch {
+	case j.err != nil:
+		return nil, j.err
+	case len(j.outs) > 1:
+		return nil, errors.New("timr: Results of a job with named outputs: they are delivered as released, and none is kept")
+	case !j.flushed:
 		return nil, errors.New("timr: Results before Flush: the dataflow is still live; Flush first")
 	}
 	return temporal.Coalesce(append([]temporal.Event(nil), j.results...)), nil
+}
+
+// Watermark reports how far an output ("" is the plan's) is complete: the
+// least, over the final fragment's partitions, of the newest punctuation
+// its root emitted there (MinTime until a wave has reached them all since
+// the job was built or restored). Every event of the output with LE below
+// it has been delivered, and none later will be.
+func (j *StreamingJob) Watermark(name string) (temporal.Time, error) {
+	k := slices.Index(j.outNames, name)
+	if k < 0 {
+		return 0, fmt.Errorf("timr: streaming job has no output %q", name)
+	}
+	w := temporal.Time(temporal.MaxTime)
+	for _, p := range j.stages[len(j.stages)-1].parts { // the final fragment's
+		w = min(w, p.outs[k].cti)
+	}
+	return w, nil
 }
 
 // Partitions reports the shard count per stage, fixed when the job is
@@ -288,15 +366,22 @@ type streamPartition struct {
 	pushes  int // events admitted since the last wave
 	crashAt int // crash when pushes reaches this; -1 = disarmed
 
-	// out holds what the engine emitted during the current wave, in
-	// emission order, until the caller's goroutine routes it downstream
-	// (streamStage.wave). The partition is its engine's sink.
-	out []temporal.Event
+	// outs are the engine's output sinks: the fragment root's, then in
+	// the final stage one per named output.
+	outs []partOut
 }
 
-func (p *streamPartition) OnEvent(e temporal.Event) { p.out = append(p.out, e) }
-func (p *streamPartition) OnCTI(temporal.Time)      {}
-func (p *streamPartition) OnFlush()                 {}
+// partOut is one output of a partition's engine: what the engine emitted
+// on it this wave, until the caller's goroutine routes it on
+// (streamStage.wave), and the newest punctuation it emitted.
+type partOut struct {
+	events []temporal.Event
+	cti    temporal.Time
+}
+
+func (o *partOut) OnEvent(e temporal.Event) { o.events = append(o.events, e) }
+func (o *partOut) OnCTI(t temporal.Time)    { o.cti = max(o.cti, t) }
+func (o *partOut) OnFlush()                 {}
 
 func (j *StreamingJob) newStage(frag *Fragment) (*streamStage, error) {
 	sc := j.cfg.Obs.Child("stream." + frag.Name)
@@ -330,14 +415,22 @@ func (j *StreamingJob) newStage(frag *Fragment) (*streamStage, error) {
 }
 
 func (st *streamStage) newEngine(p *streamPartition) (*temporal.Engine, error) {
-	return temporal.NewEngine(st.frag.Root,
-		temporal.WithSink(p),
+	opts := []temporal.Option{
+		temporal.WithSink(&p.outs[0]),
 		temporal.WithObs(st.scope),
-		temporal.WithCTIPeriod(0)) // punctuation comes from the wave, not per-feed
+		temporal.WithCTIPeriod(0), // punctuation comes from the wave, not per-feed
+	}
+	for i, root := range st.frag.Named {
+		opts = append(opts, temporal.WithOutput(root, &p.outs[i+1]))
+	}
+	return temporal.NewEngine(st.frag.Root, opts...)
 }
 
 func (st *streamStage) newPartition(id int) (*streamPartition, error) {
-	p := &streamPartition{id: id}
+	p := &streamPartition{id: id, outs: make([]partOut, 1+len(st.frag.Named))}
+	for i := range p.outs {
+		p.outs[i].cti = temporal.MinTime
+	}
 	eng, err := st.newEngine(p)
 	if err != nil {
 		return nil, err
@@ -423,7 +516,7 @@ func (st *streamStage) dispatch(src int, tagged []temporal.Event) {
 // admitAll pushes a run into a partition's barrier and replay log,
 // splitting it when an armed crash comes due inside: the head is admitted,
 // the partition dies mid-feed and recovers, and the tail lands on the
-// rebuilt partition.
+// rebuilt partition. A recovery that fails breaks the job.
 func (st *streamStage) admitAll(p *streamPartition, evs []temporal.Event) {
 	if p.crashAt >= 0 && p.pushes+len(evs) > p.crashAt {
 		k := p.crashAt - p.pushes
@@ -433,7 +526,9 @@ func (st *streamStage) admitAll(p *streamPartition, evs []temporal.Event) {
 		p.buf.pushAll(evs[:k])
 		p.log = append(p.log, evs[:k]...)
 		p.pushes += k
-		st.crash(p)
+		if err := st.crash(p); err != nil {
+			st.job.err = cmp.Or(st.job.err, err)
+		}
 		evs = evs[k:]
 	}
 	p.buf.pushAll(evs)
@@ -445,15 +540,15 @@ func (st *streamStage) admitAll(p *streamPartition, evs []temporal.Event) {
 // wave's checkpoint and its replay log. Because engines consume input only
 // during waves (the barrier releases nothing between them), the
 // checkpoint plus the log reconstruct the partition exactly, at whatever
-// moment the crash fires.
-func (st *streamStage) crash(p *streamPartition) {
+// moment the crash fires. The checkpoint came from an engine compiled from
+// this same fragment, so only a corrupted one fails to restore.
+func (st *streamStage) crash(p *streamPartition) error {
 	st.crashes.Inc()
 	p.crashAt = -1 // disarmed until the next wave re-arms
 	if err := st.rebuild(p, p.ckpt, p.log); err != nil {
-		// Unreachable short of memory corruption: the checkpoint came
-		// from an engine compiled from this same fragment root.
-		panic(fmt.Sprintf("timr: partition recovery failed: %v", err))
+		return fmt.Errorf("timr: partition %s/%d recovery failed: %w", st.frag.Name, p.id, err)
 	}
+	return nil
 }
 
 // rebuild is the one reconstruction of a partition, shared by crash
@@ -530,35 +625,43 @@ func (st *streamStage) flush() {
 // wave runs step on every partition of the stage, first firing any armed
 // crash no feed reached (so quiet partitions crash too), on par.ForEach
 // with GOMAXPROCS workers, the caller's goroutine among them; a worker's
-// panic is re-raised on the caller. Partitions share nothing a worker
-// writes: each owns its engine, barrier and recovery state, and the
-// engines' output is held per partition. Once every worker is done, the
-// caller's goroutine routes the held output partition by partition in id
-// order, event by event — the order the sequential walk routed it in —
-// so every downstream admission, crash draw and replay log is what a
-// single goroutine would produce.
+// panic is re-raised on the caller, and a failed recovery breaks the job.
+// Partitions share nothing a worker writes: each owns its engine, barrier
+// and recovery state, and the engines' output is held per partition. Once
+// every worker is done, the caller's goroutine routes the held output
+// partition by partition in id order, event by event — the order the
+// sequential walk routed it in — so every downstream admission, crash
+// draw and replay log is what a single goroutine would produce.
 func (st *streamStage) wave(step func(p *streamPartition)) {
-	_ = par.ForEach(runtime.GOMAXPROCS(0), len(st.parts), func(i int) error {
+	if err := par.ForEach(runtime.GOMAXPROCS(0), len(st.parts), func(i int) error {
 		p := st.parts[i]
 		if p.crashAt >= 0 {
-			st.crash(p)
+			if err := st.crash(p); err != nil {
+				return err
+			}
 		}
 		step(p)
 		return nil
-	})
+	}); err != nil {
+		st.job.err = cmp.Or(st.job.err, err)
+		return
+	}
 	for _, p := range st.parts {
-		for _, e := range p.out {
-			st.emit(e)
+		for k := range p.outs {
+			o := &p.outs[k]
+			for _, e := range o.events {
+				st.emit(k, e)
+			}
+			o.events = resetEvents(o.events, nil)
 		}
-		p.out = resetEvents(p.out, nil)
 	}
 }
 
-// emit routes one output event of the stage to its consumers, or to the
-// job's output barrier from the final stage.
-func (st *streamStage) emit(e temporal.Event) {
+// emit routes one event of the stage's output k to its consumers, or to
+// the job's output k from the final stage.
+func (st *streamStage) emit(k int, e temporal.Event) {
 	if st.frag.Final {
-		st.job.out.push(e)
+		st.job.outs[k].push(e)
 		return
 	}
 	for _, c := range st.consumers {

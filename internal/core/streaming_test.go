@@ -7,6 +7,7 @@ import (
 	"sort"
 	"testing"
 
+	"timr/internal/leakcheck"
 	"timr/internal/mapreduce"
 	"timr/internal/temporal"
 )
@@ -72,6 +73,7 @@ func runStreaming(t *testing.T, plan *temporal.Plan, sources map[string]*tempora
 }
 
 func TestStreamingMatchesSingleNodeGrouped(t *testing.T) {
+	defer leakcheck.Goroutines(t)()
 	r := rand.New(rand.NewSource(11))
 	rows := clickRows(r, 1500, 40, 6)
 	plan := temporal.Scan("clicks", clickSchema()).
@@ -90,6 +92,7 @@ func TestStreamingMatchesSingleNodeGrouped(t *testing.T) {
 }
 
 func TestStreamingRoutesWideIntervals(t *testing.T) {
+	defer leakcheck.Goroutines(t)()
 	// Regression for LE-only span routing in streamStage.route: interval
 	// events from a source must fan out to every span their lifetime
 	// reaches (by RE, not just LE), or temporal partitions beyond the
@@ -143,6 +146,7 @@ func twoStagePlan(annotate bool) *temporal.Plan {
 // must have released everything below it: a GroupApply that thinned the
 // wave's CTI (period 2 used to lose 8 of 1709 events that way) breaks it.
 func TestStreamingTwoStagePipeline(t *testing.T) {
+	defer leakcheck.Goroutines(t)()
 	r := rand.New(rand.NewSource(23))
 	rows := clickRows(r, 800, 15, 4)
 	events := temporal.RowsToPointEvents(rows, 0)
@@ -158,6 +162,7 @@ func TestStreamingTwoStagePipeline(t *testing.T) {
 }
 
 func TestStreamingMultiSourceJoin(t *testing.T) {
+	defer leakcheck.Goroutines(t)()
 	imp := temporal.NewSchema(
 		temporal.Field{Name: "Time", Kind: temporal.KindInt},
 		temporal.Field{Name: "UserId", Kind: temporal.KindInt},
@@ -200,6 +205,7 @@ func TestStreamingMultiSourceJoin(t *testing.T) {
 }
 
 func TestStreamingTemporalPartitioning(t *testing.T) {
+	defer leakcheck.Goroutines(t)()
 	r := rand.New(rand.NewSource(41))
 	rows := clickRows(r, 2000, 30, 5)
 	mk := func(annotate bool) *temporal.Plan {
@@ -221,6 +227,7 @@ func TestStreamingTemporalPartitioning(t *testing.T) {
 }
 
 func TestStreamingPunctuationRateInvariance(t *testing.T) {
+	defer leakcheck.Goroutines(t)()
 	r := rand.New(rand.NewSource(53))
 	rows := clickRows(r, 600, 10, 3)
 	plan := func() *temporal.Plan {
@@ -245,6 +252,7 @@ func TestStreamingPunctuationRateInvariance(t *testing.T) {
 }
 
 func TestStreamingIncrementalDelivery(t *testing.T) {
+	defer leakcheck.Goroutines(t)()
 	// onEvent must fire before Flush when punctuation allows release.
 	plan := temporal.Scan("clicks", clickSchema()).
 		Exchange(temporal.PartitionBy{Cols: []string{"AdId"}}).
@@ -300,6 +308,7 @@ func TestStreamingIncrementalDelivery(t *testing.T) {
 // MinTime rule on span id 0 (which never materialises here) silently
 // drops that output.
 func TestStreamingTemporalPartitioningFarOrigin(t *testing.T) {
+	defer leakcheck.Goroutines(t)()
 	const origin = 5_000_000 // divisible by the span width of 400
 	var rows []mapreduce.Row
 	for i := 0; i < 200; i++ {
@@ -333,6 +342,7 @@ func TestStreamingTemporalPartitioningFarOrigin(t *testing.T) {
 }
 
 func TestStreamingTemporalFragmentIsExact(t *testing.T) {
+	defer leakcheck.Goroutines(t)()
 	// A time-keyed fragment runs as one partition, so an event whose
 	// lifetime reaches ~1e9 costs one admission, not one per span it
 	// crosses, and nothing is clipped anywhere: the job must equal the
@@ -396,6 +406,7 @@ func TestStreamingTemporalFragmentIsExact(t *testing.T) {
 }
 
 func TestStreamingUseAfterFlush(t *testing.T) {
+	defer leakcheck.Goroutines(t)()
 	plan := temporal.Scan("clicks", clickSchema()).
 		Exchange(temporal.PartitionBy{Cols: []string{"AdId"}}).
 		GroupApply([]string{"AdId"}, func(g *temporal.Plan) *temporal.Plan {
@@ -438,6 +449,7 @@ func TestStreamingUseAfterFlush(t *testing.T) {
 }
 
 func TestStreamingJobValidatesFragmentsUpFront(t *testing.T) {
+	defer leakcheck.Goroutines(t)()
 	// A fragment root that cannot compile (one source scanned with two
 	// conflicting schemas) must fail NewStreamingJob, which builds every
 	// partition's engine.
@@ -458,6 +470,7 @@ func TestStreamingJobValidatesFragmentsUpFront(t *testing.T) {
 }
 
 func TestStreamingUnknownSource(t *testing.T) {
+	defer leakcheck.Goroutines(t)()
 	plan := temporal.Scan("clicks", clickSchema()).
 		Exchange(temporal.PartitionBy{Cols: []string{"AdId"}}).
 		GroupApply([]string{"AdId"}, func(g *temporal.Plan) *temporal.Plan {
@@ -487,6 +500,7 @@ func spareIsZero(evs []temporal.Event) bool {
 }
 
 func TestBarrierClearsReleasedRows(t *testing.T) {
+	defer leakcheck.Goroutines(t)()
 	// A released event left in a buffer's spare capacity keeps its
 	// routeBatch slab reachable for as long as the high-water capacity
 	// lasts: after a burst, for the life of the partition.
@@ -522,12 +536,13 @@ func TestBarrierClearsReleasedRows(t *testing.T) {
 			}
 		}
 	}
-	if !spareIsZero(job.out.pending) {
+	if !spareIsZero(job.outs[0].pending) {
 		t.Fatal("the output buffer keeps released events in spare capacity")
 	}
 }
 
 func TestBarrierDeliversRunsLikeEvents(t *testing.T) {
+	defer leakcheck.Goroutines(t)()
 	// The barrier hands a partition engine one FeedMerged call per stretch
 	// of same-input events. The reference delivers the same sorted pending
 	// with one Engine.Feed per event; per-wave partition checkpoints and the

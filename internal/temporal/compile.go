@@ -69,45 +69,53 @@ func (p *Pipeline) FlushAll() {
 // Maximal runs of stateless operators become single kernels
 // (op_fused.go).
 func Compile(root *Plan, out Sink) (*Pipeline, error) {
-	return compile(root, out, nil)
+	return compile([]*Plan{root}, []Sink{out}, nil)
 }
 
-// compile is Compile with optional instrumentation: under a non-nil scope
+// compile builds one pipeline for several roots: roots[i]'s events and
+// punctuation go to outs[i], and a node the roots share is built once. The
+// first root is the pipeline's output (OutSchema). Under a non-nil scope
 // every operator reports events in/out, propagated CTIs, live state size
 // and watermark lag into a child of scope named "opNN.Kind" (NN =
-// pre-order DFS position; see opName), and each source reports fed
-// events/CTIs under "source.<name>" (op_meter.go). The operators built,
-// their wiring and the checkpoint layout are the same either way.
-func compile(root *Plan, out Sink, scope *obs.Scope) (*Pipeline, error) {
-	if err := checkPlan(root, false); err != nil {
-		return nil, err
+// pre-order DFS position over the roots in order; see opName), and each
+// source reports fed events/CTIs under "source.<name>" (op_meter.go). The
+// operators built, their wiring and the checkpoint layout are the same
+// either way.
+func compile(roots []*Plan, outs []Sink, scope *obs.Scope) (*Pipeline, error) {
+	for _, root := range roots {
+		if err := checkPlan(root, false); err != nil {
+			return nil, err
+		}
 	}
 	c := &compiler{
 		parents: make(map[*Plan][]parentRef),
 		ops:     make(map[*Plan][]Sink),
 		insts:   make(map[*Plan]any),
-		root:    root,
-		rootOut: out,
+		outs:    make(map[*Plan][]Sink),
 		obs:     scope,
 	}
-	c.collectParents(root, make(map[*Plan]bool))
+	seen := make(map[*Plan]bool)
+	for i, root := range roots {
+		c.outs[root] = append(c.outs[root], outs[i])
+		c.collectParents(root, seen)
+	}
 	if scope != nil {
 		// Operator ids come from a deterministic pre-order walk, not from
 		// build order (map iteration below is randomized).
 		c.ids = make(map[*Plan]int)
-		walkInputs(root, func(n *Plan) { c.ids[n] = len(c.ids) })
+		walkInputs(func(n *Plan) { c.ids[n] = len(c.ids) }, roots...)
 	}
-	pl := &Pipeline{inputs: make(map[string]Sink), schemas: make(map[string]*Schema), out: root.Out}
+	pl := &Pipeline{inputs: make(map[string]Sink), schemas: make(map[string]*Schema), out: roots[0].Out}
 	c.auto = &pl.auto
 	// Group scan leaves by source: one feed may supply several leaves.
 	// Only this plan's own DAG is walked; a GroupApply sub-plan's leaf is
 	// its group input (lowerGroupApply).
 	bySource := make(map[string][]*Plan)
-	walkInputs(root, func(n *Plan) {
+	walkInputs(func(n *Plan) {
 		if n.Kind == OpScan {
 			bySource[n.Source] = append(bySource[n.Source], n)
 		}
-	})
+	}, roots...)
 	if len(bySource) == 0 {
 		return nil, fmt.Errorf("temporal: plan has no scan leaves")
 	}
@@ -131,11 +139,11 @@ func compile(root *Plan, out Sink, scope *obs.Scope) (*Pipeline, error) {
 	slices.Sort(pl.sources)
 	// Collect stateful operators in pre-order DFS plan order (build order
 	// above follows randomized map iteration and cannot be used).
-	walkInputs(root, func(n *Plan) {
+	walkInputs(func(n *Plan) {
 		if ck, ok := c.insts[n].(Checkpointer); ok {
 			pl.ckpts = append(pl.ckpts, ck)
 		}
-	})
+	}, roots...)
 	return pl, nil
 }
 
@@ -148,11 +156,10 @@ type compiler struct {
 	parents map[*Plan][]parentRef
 	ops     map[*Plan][]Sink // node -> entry sink per input position
 	insts   map[*Plan]any    // node -> physical operator instance
-	root    *Plan
-	rootOut Sink
-	obs     *obs.Scope    // nil = no instrumentation
-	ids     map[*Plan]int // deterministic operator ids (obs only)
-	auto    *bool         // Pipeline.auto
+	outs    map[*Plan][]Sink // root -> the caller's sink(s) for its output
+	obs     *obs.Scope       // nil = no instrumentation
+	ids     map[*Plan]int    // deterministic operator ids (obs only)
+	auto    *bool            // Pipeline.auto
 }
 
 func (c *compiler) collectParents(n *Plan, seen map[*Plan]bool) {
@@ -171,7 +178,7 @@ func (c *compiler) collectParents(n *Plan, seen map[*Plan]bool) {
 // checkPlan rejects a GroupInput leaf outside a GroupApply sub-plan, a
 // Scan inside one, and an Aggregate of no known kind.
 func checkPlan(root *Plan, sub bool) (err error) {
-	walkInputs(root, func(n *Plan) {
+	walkInputs(func(n *Plan) {
 		switch {
 		case err != nil:
 		case n.Kind == OpGroupInput && !sub:
@@ -183,16 +190,13 @@ func checkPlan(root *Plan, sub bool) (err error) {
 		case n.Sub != nil:
 			err = checkPlan(n.Sub, true)
 		}
-	})
+	}, root)
 	return err
 }
 
 // outputSink returns the sink that consumes node n's output stream.
 func (c *compiler) outputSink(n *Plan) Sink {
-	var sinks []Sink
-	if n == c.root {
-		sinks = append(sinks, c.rootOut)
-	}
+	sinks := slices.Clone(c.outs[n])
 	for _, p := range c.parents[n] {
 		sinks = append(sinks, c.inputSink(p.node, p.idx))
 	}
@@ -227,7 +231,7 @@ func (c *compiler) build(n *Plan) []Sink {
 		return c.buildKernel(n)
 	}
 	var proj *Plan // join n's sole consumer if a Project of picks: never built, the join writes its rows
-	if ps := c.parents[n]; n.Kind == OpTemporalJoin && n != c.root && len(ps) == 1 && pickOnly(ps[0].node) {
+	if ps := c.parents[n]; n.Kind == OpTemporalJoin && c.outs[n] == nil && len(ps) == 1 && pickOnly(ps[0].node) {
 		proj = ps[0].node
 	}
 	out := c.outputSink(cmp.Or(proj, n))
@@ -284,7 +288,7 @@ func pickOnly(n *Plan) bool {
 // checkpoint section the snapshot layout gives its plan node.
 func (c *compiler) buildKernel(n *Plan) []Sink {
 	run := []*Plan{n}
-	for tail := n; tail != c.root && len(c.parents[tail]) == 1 && fusable(c.parents[tail][0].node); {
+	for tail := n; c.outs[tail] == nil && len(c.parents[tail]) == 1 && fusable(c.parents[tail][0].node); {
 		tail = c.parents[tail][0].node
 		run = append(run, tail)
 	}
@@ -353,9 +357,9 @@ func aggStateOf(n *Plan) (func() aggState, error) {
 	return func() aggState { return mk(col, kind) }, nil
 }
 
-// walkInputs visits the plan DAG following only Inputs edges (not
-// GroupApply sub-plans), each shared node once.
-func walkInputs(root *Plan, visit func(*Plan)) {
+// walkInputs visits the plan DAGs under roots, in order, following only
+// Inputs edges (not GroupApply sub-plans), each shared node once.
+func walkInputs(visit func(*Plan), roots ...*Plan) {
 	seen := make(map[*Plan]bool)
 	var rec func(n *Plan)
 	rec = func(n *Plan) {
@@ -368,5 +372,7 @@ func walkInputs(root *Plan, visit func(*Plan)) {
 			rec(c)
 		}
 	}
-	rec(root)
+	for _, root := range roots {
+		rec(root)
+	}
 }

@@ -36,6 +36,8 @@ type engineOptions struct {
 	sink      Sink
 	scope     *obs.Scope
 	ctiPeriod Time
+	roots     []*Plan // WithOutput roots, in option order
+	outs      []Sink
 }
 
 // WithSink delivers results to a caller-supplied sink (e.g. a live
@@ -54,10 +56,22 @@ func WithObs(scope *obs.Scope) Option { return func(o *engineOptions) { o.scope 
 // Engine.CTIPeriod). Zero disables automatic CTIs. The default is Hour.
 func WithCTIPeriod(p Time) Option { return func(o *engineOptions) { o.ctiPeriod = p } }
 
+// WithOutput compiles a second root into the engine beside its plan and
+// delivers root's events and punctuation to out. Nodes root shares with
+// the plan, or with an earlier output, are built once, so a subplan two
+// outputs read runs once. A checkpoint covers every output's operators and
+// restores only into an engine built with the same outputs.
+func WithOutput(root *Plan, out Sink) Option {
+	return func(o *engineOptions) {
+		o.roots = append(o.roots, root)
+		o.outs = append(o.outs, out)
+	}
+}
+
 // NewEngine compiles the plan into an engine. With no options, results
 // accumulate in an internal collector (read them back with Results);
 // WithSink, WithObs and WithCTIPeriod configure the output sink,
-// instrumentation and automatic punctuation.
+// instrumentation and automatic punctuation, and WithOutput adds outputs.
 func NewEngine(plan *Plan, opts ...Option) (*Engine, error) {
 	o := engineOptions{ctiPeriod: Hour}
 	for _, opt := range opts {
@@ -69,7 +83,7 @@ func NewEngine(plan *Plan, opts ...Option) (*Engine, error) {
 		collect = &Collector{}
 		sink = collect
 	}
-	p, err := compile(plan, sink, o.scope)
+	p, err := compile(append([]*Plan{plan}, o.roots...), append([]Sink{sink}, o.outs...), o.scope)
 	if err != nil {
 		return nil, err
 	}

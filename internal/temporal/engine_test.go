@@ -5,6 +5,8 @@ import (
 	"slices"
 	"strings"
 	"testing"
+
+	"timr/internal/obs"
 )
 
 // readingSchema mimics the power-meter example of paper Figures 2-4.
@@ -579,5 +581,65 @@ func TestSourcesAndSharedScan(t *testing.T) {
 	})
 	if len(srcs) != 1 || srcs[0] != "in" {
 		t.Fatalf("sources = %v", srcs)
+	}
+}
+
+// An engine with further outputs builds the nodes they share with its
+// plan once: a shared operator sees each event once, even when an output
+// is the shared node itself, and each output delivers what RunPlan makes
+// of its root alone — across a checkpoint restored into an engine built
+// with the same outputs.
+func TestEngineWithOutputSharesNodes(t *testing.T) {
+	counts := Scan("in", readingSchema()).GroupApply([]string{"ID"}, func(g *Plan) *Plan {
+		return g.WithWindow(3).Count("Cnt")
+	})
+	roots := []*Plan{counts.Where(ColGtInt("Cnt", 1)), counts, counts.ShiftLifetime(-1)}
+	var in []Event
+	for i := 0; i < 40; i++ {
+		in = append(in, reading(Time(i/2), fmt.Sprint("m", i%3), int64(i)))
+	}
+	scope := obs.New("t")
+	outs := make([]*Collector, len(roots))
+	build := func(snap []byte) *Engine {
+		opts := []Option{WithSink(outs[0]), WithObs(scope)}
+		for i := 1; i < len(roots); i++ {
+			opts = append(opts, WithOutput(roots[i], outs[i]))
+		}
+		eng, err := NewEngine(roots[0], opts...)
+		if snap != nil {
+			eng, err = restoreEngine(roots[0], snap, opts...)
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		return eng
+	}
+	for i := range outs {
+		outs[i] = &Collector{}
+	}
+	eng := build(nil)
+	for _, e := range in[:20] {
+		eng.Feed("in", e)
+	}
+	eng = build(eng.Checkpoint())
+	for _, e := range in[20:] {
+		eng.Feed("in", e)
+	}
+	eng.Flush()
+	for i, root := range roots {
+		if want := run(t, root, map[string][]Event{"in": in}); !EventsEqual(Coalesce(outs[i].Events), want) {
+			t.Fatalf("output %d: %v, RunPlan %v", i, Coalesce(outs[i].Events), want)
+		}
+	}
+	seen := 0
+	for _, pt := range scope.Snapshot() {
+		if strings.HasSuffix(pt.Scope, ".GroupApply") && pt.Name == "events_in" {
+			if seen++; pt.Value != int64(len(in)) {
+				t.Fatalf("the shared GroupApply saw %d events, fed %d", pt.Value, len(in))
+			}
+		}
+	}
+	if seen != 1 {
+		t.Fatalf("%d GroupApply operators metered, want the one", seen)
 	}
 }
