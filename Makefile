@@ -29,17 +29,18 @@ fmt:
 		echo "gofmt needed on:"; echo "$$out"; exit 1; fi
 
 # Short fuzz sweep over every decoder that parses untrusted bytes: the
-# row codec, checkpoint images, durable frames, streaming snapshots, bt
-# summaries and the map phase's spill frame walker. Corrupt input must error — never panic,
-# never over-allocate. FuzzCompile holds the StreamSQL compiler to the
-# same rule for any query text. FuzzCoalesce is the one differential
-# among them: any small event list coalesces to what the reference
-# implementation makes of it. 10s per target keeps the gate fast; longer
-# runs reuse the same corpus.
+# row codec, checkpoint images, durable frames and generation files,
+# streaming snapshots, bt summaries and the map phase's spill frame
+# walker. Corrupt input must error — never panic, never over-allocate.
+# FuzzCompile holds the StreamSQL compiler to the same rule for any
+# query text. FuzzCoalesce is the one differential among them: any small
+# event list coalesces to what the reference implementation makes of it.
+# 10s per target keeps the gate fast; longer runs reuse the same corpus.
 fuzzgate:
 	$(GO) test -run '^$$' -fuzz 'FuzzRowCodecRoundtrip' -fuzztime 10s ./internal/temporal/
 	$(GO) test -run '^$$' -fuzz 'FuzzCheckpointRoundtrip' -fuzztime 10s ./internal/temporal/
 	$(GO) test -run '^$$' -fuzz 'FuzzFrameDecode' -fuzztime 10s ./internal/temporal/
+	$(GO) test -run '^$$' -fuzz 'FuzzGenerationDecode' -fuzztime 10s ./internal/dur/
 	$(GO) test -run '^$$' -fuzz 'FuzzCoalesce' -fuzztime 10s ./internal/temporal/
 	$(GO) test -run '^$$' -fuzz 'FuzzSnapshotDecode' -fuzztime 10s ./internal/core/
 	$(GO) test -run '^$$' -fuzz 'FuzzSummaryRoundtrip' -fuzztime 10s ./internal/bt/

@@ -153,16 +153,16 @@ func TestServeResumesFromDurdir(t *testing.T) {
 	}
 }
 
-// dropNewestGeneration deletes the newest generation's manifest, the
-// commit point, leaving dir as a run killed before its last commit would.
+// dropNewestGeneration deletes the newest generation's file, leaving dir
+// as a run killed before its last commit would.
 func dropNewestGeneration(t *testing.T, dir string) {
 	t.Helper()
-	manifests, err := filepath.Glob(filepath.Join(dir, "gen-*.manifest"))
-	if err != nil || len(manifests) < 2 {
-		t.Fatalf("%s holds %d generations (%v), want at least 2", dir, len(manifests), err)
+	ckpts, err := filepath.Glob(filepath.Join(dir, "gen-*.ckpt"))
+	if err != nil || len(ckpts) < 2 {
+		t.Fatalf("%s holds %d generations (%v), want at least 2", dir, len(ckpts), err)
 	}
-	sort.Strings(manifests)
-	if err := os.Remove(manifests[len(manifests)-1]); err != nil {
+	sort.Strings(ckpts)
+	if err := os.Remove(ckpts[len(ckpts)-1]); err != nil {
 		t.Fatal(err)
 	}
 }

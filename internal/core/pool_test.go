@@ -186,7 +186,7 @@ func TestWavePoolInvisible(t *testing.T) {
 			t.Fatalf("wave %d: partition checkpoints or replay logs differ", i+1)
 		}
 	}
-	if len(one.gens) != len(four.gens) || len(one.gens) < 2*len(one.waves) {
+	if len(one.gens) != len(four.gens) || len(one.gens) < len(one.waves) {
 		t.Fatalf("%d vs %d store files for %d waves", len(one.gens), len(four.gens), len(one.waves))
 	}
 	for name, b := range one.gens {

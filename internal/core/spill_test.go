@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"timr/internal/dur"
+	"timr/internal/leakcheck"
 	"timr/internal/mapreduce"
 	"timr/internal/temporal"
 )
@@ -109,6 +110,7 @@ func mergeRefIDs(runRows [][]mapreduce.Row) []int32 {
 }
 
 func TestMergeEventRunsMixedResidentAndSpilled(t *testing.T) {
+	defer leakcheck.Goroutines(t)()
 	// Randomized k-way merges where roughly half the sorted runs live in
 	// spill files: the streamed order must equal the stable-sort
 	// reference regardless of where each run resides. A small LE domain
@@ -179,6 +181,7 @@ func TestMergeEventRunsMixedResidentAndSpilled(t *testing.T) {
 }
 
 func TestMergeEventRunsSingleSpilledRun(t *testing.T) {
+	defer leakcheck.Goroutines(t)()
 	// One sorted spilled run must stream back in file order.
 	rows := mergeTestRows([]temporal.Time{1, 3, 3, 7, 9}, 0)
 	var got []int32
@@ -198,6 +201,7 @@ func TestMergeEventRunsSingleSpilledRun(t *testing.T) {
 }
 
 func TestMergeEventRunsEmpty(t *testing.T) {
+	defer leakcheck.Goroutines(t)()
 	// No runs at all, and runs that are all empty, must emit nothing. (A
 	// stage spills no empty run, so an empty run is resident.)
 	if got, _ := collectMergeIDs(t, nil); len(got) != 0 {
@@ -210,6 +214,7 @@ func TestMergeEventRunsEmpty(t *testing.T) {
 }
 
 func TestMergeEventRunsEqualKeysAcrossSpillBoundary(t *testing.T) {
+	defer leakcheck.Goroutines(t)()
 	// All events share one LE, split across resident and spilled runs:
 	// the tie-break must be run ordinal alone, so the output is exactly
 	// run 0's rows, then run 1's, then run 2's — no matter which runs
@@ -235,6 +240,7 @@ func TestMergeEventRunsEqualKeysAcrossSpillBoundary(t *testing.T) {
 }
 
 func TestMergeEventRunsUnsortedSpilledFallsBack(t *testing.T) {
+	defer leakcheck.Goroutines(t)()
 	// A spilled run without the RunKey sortedness mark must materialize,
 	// stable-sort, and announce the fallback — and still merge into the
 	// reference order.
@@ -258,6 +264,7 @@ func TestMergeEventRunsUnsortedSpilledFallsBack(t *testing.T) {
 }
 
 func TestSpillBudgetEquivalence(t *testing.T) {
+	defer leakcheck.Goroutines(t)()
 	// The out-of-core acceptance bar: a chained two-fragment temporal
 	// plan produces bit-identical results whether nothing, some, or
 	// every dataset spills — and the resident reference itself matches

@@ -191,9 +191,6 @@ func (f *FaultFS) Rename(oldpath, newpath string) error {
 // mask the interesting faults with leftover-file noise).
 func (f *FaultFS) Remove(name string) error { return f.inner.Remove(name) }
 
-// RemoveAll implements FS.
-func (f *FaultFS) RemoveAll(path string) error { return f.inner.RemoveAll(path) }
-
 // ReadDir implements FS.
 func (f *FaultFS) ReadDir(dir string) ([]string, error) { return f.inner.ReadDir(dir) }
 

@@ -17,10 +17,10 @@
 //     writes, short reads, bit flips, ENOSPC, and failed rename/fsync
 //     against the exact production code paths.
 //   - Store (store.go): the atomic commit protocol. Each generation is
-//     written as temp file → one CRC32-checksummed, length-prefixed frame
-//     (internal/temporal frame.go) → fsync → rename, then a manifest the
-//     same way; a generation exists only once its manifest does. Loads
-//     walk generations newest-first, quarantine anything that fails
+//     one file, written as temp file → one CRC32-checksummed,
+//     length-prefixed frame (internal/temporal frame.go) → fsync →
+//     rename; a generation exists once its rename is done. Loads walk
+//     generations newest-first, quarantine anything that fails
 //     validation or the caller's decode, and fall back to the previous
 //     intact one.
 //   - The retry supervisor (store.go retry): transient I/O faults are
@@ -52,8 +52,6 @@ type FS interface {
 	Rename(oldpath, newpath string) error
 	// Remove deletes a file.
 	Remove(name string) error
-	// RemoveAll deletes path and everything under it.
-	RemoveAll(path string) error
 	// ReadDir lists the file names in dir, sorted.
 	ReadDir(dir string) ([]string, error)
 	// Size returns the byte size of a file.
@@ -95,9 +93,6 @@ func (OS) Rename(oldpath, newpath string) error { return os.Rename(oldpath, newp
 
 // Remove implements FS.
 func (OS) Remove(name string) error { return os.Remove(name) }
-
-// RemoveAll implements FS.
-func (OS) RemoveAll(path string) error { return os.RemoveAll(path) }
 
 // ReadDir implements FS.
 func (OS) ReadDir(dir string) ([]string, error) {

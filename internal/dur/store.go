@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"path/filepath"
 	"sort"
+	"strconv"
 	"strings"
 	"sync"
 
@@ -16,25 +17,20 @@ import (
 // decodes (a streaming job's wave snapshot, or a refresher's state),
 // recorded under the caller's wave and wave count.
 //
-// Commit protocol, per generation g:
-//
-//  1. gen-g.ckpt.tmp is written as one CRC32-checksummed, length-prefixed
-//     frame (temporal.AppendFrame) holding g, the wave, the wave count
-//     and the payload, fsynced, closed, and renamed to gen-g.ckpt;
-//  2. gen-g.manifest.tmp — one frame recording g, the wave, the ckpt
-//     file name and its exact byte size — is written, fsynced, and
-//     renamed to gen-g.manifest.
-//
-// The manifest rename is the commit point: a generation exists iff its
-// manifest does, so a `kill -9` at any instant leaves either the
-// previous committed generation (plus ignorable *.tmp debris) or the new
-// one — never a half state. Load walks generations newest-first,
-// validates every frame against its checksum and the manifest's recorded
-// size, hands the payload to the caller's decoder, quarantines anything
-// that fails either (renamed to corrupt-*, counted as corrupt_detected)
-// and falls back to the previous intact generation;
-// the caller then replays forward from that older wave (extended
-// replay).
+// A generation g is one file, gen-g.ckpt: one CRC32-checksummed,
+// length-prefixed frame (temporal.AppendFrame) holding the record (g,
+// wave, waves, payload). Commit writes it as gen-g.ckpt.tmp, fsyncs and
+// closes it, and renames it to gen-g.ckpt. That rename is the commit
+// point: a generation exists iff its ckpt does, so a `kill -9` at any
+// instant leaves either the previous committed generation (plus
+// ignorable *.tmp debris) or the new one — never a half state. A torn
+// or flipped byte fails the frame's length or checksum, and a file
+// renamed by hand fails the check that its record names its own
+// generation. Load walks generations newest-first, hands each payload
+// that validates to the caller's decoder, quarantines anything that
+// fails either (renamed to corrupt-*, counted as corrupt_detected) and
+// falls back to the previous intact generation; the caller then replays
+// forward from that older wave (extended replay).
 //
 // Every I/O bundle runs under the retry supervisor: transient faults
 // (FaultFS's torn writes, short reads, failed fsync/rename, ENOSPC) are
@@ -51,7 +47,7 @@ type Store struct {
 	mu      sync.Mutex
 	nextGen uint64
 
-	bytes    *obs.Counter // dur_bytes: bytes committed (ckpt + manifest)
+	bytes    *obs.Counter // dur_bytes: bytes committed
 	gens     *obs.Counter // generations: successful commits
 	corrupt  *obs.Counter // corrupt_detected: generations quarantined
 	retriesC *obs.Counter // retries: I/O bundles re-attempted
@@ -84,11 +80,8 @@ type Generation struct {
 	Payload []byte
 }
 
-// Record tags inside the store's frames.
-const (
-	recManifest byte = 0xD3
-	recGen      byte = 0xD4
-)
+// recGen tags a generation record inside its frame.
+const recGen byte = 0xD4
 
 // OpenStore opens (creating if needed) a durable store rooted at dir.
 // Leftover temp files from a killed commit are swept; quarantined
@@ -124,11 +117,11 @@ func OpenStore(dir string, o Options) (*Store, error) {
 	for _, n := range names {
 		if strings.HasSuffix(n, ".tmp") {
 			// A torn commit from a killed process; safe to sweep — the
-			// commit point is the manifest rename, which never happened.
+			// commit point is the rename, which never happened.
 			_ = s.fs.Remove(filepath.Join(dir, n))
 			continue
 		}
-		if g, ok := parseGen(n); ok && g >= s.nextGen {
+		if _, g, _, ok := parseName(n); ok && g >= s.nextGen {
 			s.nextGen = g + 1
 		}
 	}
@@ -138,16 +131,34 @@ func OpenStore(dir string, o Options) (*Store, error) {
 // Dir returns the store's root directory.
 func (s *Store) Dir() string { return s.dir }
 
-// parseGen extracts the generation number from gen-*/corrupt-* file
-// names (quarantined generations still reserve their number).
-func parseGen(name string) (uint64, bool) {
-	var g uint64
-	for _, pat := range []string{"gen-%08d.manifest", "gen-%08d.ckpt", "corrupt-%08d.manifest", "corrupt-%08d.ckpt"} {
-		if _, err := fmt.Sscanf(name, pat, &g); err == nil {
-			return g, true
+// parseName splits a store file name, <prefix>-%08d.<ext>, into its
+// prefix ("gen", or "corrupt" for a quarantined generation), generation
+// number and extension ("ckpt"; an older build also wrote "manifest").
+// Every such name reserves its number, so none is ever reused.
+func parseName(name string) (prefix string, gen uint64, ext string, ok bool) {
+	prefix, rest, ok1 := strings.Cut(name, "-")
+	digits, ext, ok2 := strings.Cut(rest, ".")
+	if !ok1 || !ok2 || (prefix != "gen" && prefix != "corrupt") {
+		return "", 0, "", false
+	}
+	gen, err := strconv.ParseUint(digits, 10, 64)
+	if err != nil {
+		return "", 0, "", false
+	}
+	return prefix, gen, ext, true
+}
+
+// committed returns the numbers of the committed generations among
+// names, newest first.
+func committed(names []string) []uint64 {
+	var gens []uint64
+	for _, n := range names {
+		if prefix, g, ext, ok := parseName(n); ok && prefix == "gen" && ext == "ckpt" {
+			gens = append(gens, g)
 		}
 	}
-	return 0, false
+	sort.Slice(gens, func(i, j int) bool { return gens[i] > gens[j] })
+	return gens
 }
 
 // retry runs one I/O bundle under the supervisor: up to s.retries
@@ -225,82 +236,81 @@ func (s *Store) readFile(path string) ([]byte, error) {
 	return buf, nil
 }
 
-func (s *Store) ckptName(gen uint64) string     { return fmt.Sprintf("gen-%08d.ckpt", gen) }
-func (s *Store) manifestName(gen uint64) string { return fmt.Sprintf("gen-%08d.manifest", gen) }
+func ckptName(gen uint64) string { return fmt.Sprintf("gen-%08d.ckpt", gen) }
+
+// encodeGeneration is a generation's file: one frame holding the record
+// recGen | gen | wave | waves | payload.
+func encodeGeneration(g *Generation) []byte {
+	var w temporal.Encoder
+	w.Byte(recGen)
+	w.Uvarint(g.Gen)
+	w.Varint(int64(g.Wave))
+	w.Uvarint(uint64(g.Waves))
+	w.BytesField(g.Payload)
+	return temporal.AppendFrame(nil, w.Bytes())
+}
+
+// decodeGeneration parses the file of generation gen: exactly one frame
+// whose checksum holds, holding one record that names gen itself. The
+// payload aliases data.
+func decodeGeneration(gen uint64, data []byte) (*Generation, error) {
+	payload, rest, err := temporal.DecodeFrame(data)
+	if err != nil {
+		return nil, fmt.Errorf("generation frame: %w", err)
+	}
+	if len(rest) != 0 {
+		return nil, fmt.Errorf("generation frame: %d trailing bytes", len(rest))
+	}
+	r := temporal.NewDecoder(payload)
+	if err := r.Expect(recGen, "generation record"); err != nil {
+		return nil, err
+	}
+	g := &Generation{Gen: r.Uvarint(), Wave: temporal.Time(r.Varint()), Waves: int(r.Uvarint()), Payload: r.BytesField()}
+	if err := r.Done(); err != nil {
+		return nil, err
+	}
+	if g.Gen != gen {
+		return nil, fmt.Errorf("generation record names gen %d, file named %d", g.Gen, gen)
+	}
+	return g, nil
+}
 
 // Commit writes payload as the next generation, recorded under wave and
-// waves. The checkpoint file is one frame holding the record (gen, wave,
-// waves, payload); the manifest, written after it, is the commit point.
-// On failure the store is unchanged (the previous generation remains the
-// recovery line), the skip is counted, and the error is returned for the
-// caller to surface or tolerate.
+// waves: one file whose rename is the commit point. On failure the
+// store is unchanged (the previous generation remains the recovery
+// line), the skip is counted, and the error is returned for the caller
+// to surface or tolerate.
 func (s *Store) Commit(wave temporal.Time, waves int, payload []byte) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	gen := s.nextGen
 	s.nextGen++ // never reuse a number, even for a failed commit
-	var w temporal.Encoder
-	w.Byte(recGen)
-	w.Uvarint(gen)
-	w.Varint(int64(wave))
-	w.Uvarint(uint64(waves))
-	w.BytesField(payload)
-	data := temporal.AppendFrame(nil, w.Bytes())
-
-	ckpt := s.ckptName(gen)
-	if err := s.writeFileAtomic(filepath.Join(s.dir, ckpt), data); err != nil {
+	data := encodeGeneration(&Generation{Gen: gen, Wave: wave, Waves: waves, Payload: payload})
+	if err := s.writeFileAtomic(filepath.Join(s.dir, ckptName(gen)), data); err != nil {
 		s.skips.Inc()
 		return fmt.Errorf("dur: commit gen %d: %w", gen, err)
 	}
-
-	var mw temporal.Encoder
-	mw.Byte(recManifest)
-	mw.Uvarint(gen)
-	mw.Varint(int64(wave))
-	mw.Uvarint(uint64(waves))
-	mw.String(ckpt)
-	mw.Uvarint(uint64(len(data)))
-	manData := temporal.AppendFrame(nil, mw.Bytes())
-	if err := s.writeFileAtomic(filepath.Join(s.dir, s.manifestName(gen)), manData); err != nil {
-		s.skips.Inc()
-		_ = s.fs.Remove(filepath.Join(s.dir, ckpt)) // orphan without a manifest
-		return fmt.Errorf("dur: commit gen %d manifest: %w", gen, err)
-	}
-	s.bytes.Add(int64(len(data) + len(manData)))
+	s.bytes.Add(int64(len(data)))
 	s.gens.Inc()
-	s.prune(gen)
+	s.prune()
 	return nil
 }
 
-// prune removes committed generations older than the keep window (and
-// any orphaned ckpt files below it). Quarantined corrupt-* files are
-// kept for inspection.
-func (s *Store) prune(latest uint64) {
+// prune removes every gen-* file older than the keep window: the
+// generations it drops, and an older build's manifests beside them.
+// Quarantined corrupt-* files are kept for inspection.
+func (s *Store) prune() {
 	names, err := s.fs.ReadDir(s.dir)
 	if err != nil {
 		return
 	}
-	var committed []uint64
-	for _, n := range names {
-		var g uint64
-		if _, err := fmt.Sscanf(n, "gen-%08d.manifest", &g); err == nil {
-			committed = append(committed, g)
-		}
-	}
-	sort.Slice(committed, func(i, j int) bool { return committed[i] > committed[j] })
-	if len(committed) <= s.keep {
+	gens := committed(names)
+	if len(gens) <= s.keep {
 		return
 	}
-	floor := committed[s.keep-1]
+	floor := gens[s.keep-1]
 	for _, n := range names {
-		var g uint64
-		isMan, isCkpt := false, false
-		if _, err := fmt.Sscanf(n, "gen-%08d.manifest", &g); err == nil {
-			isMan = true
-		} else if _, err := fmt.Sscanf(n, "gen-%08d.ckpt", &g); err == nil {
-			isCkpt = true
-		}
-		if (isMan || isCkpt) && g < floor && g != latest {
+		if prefix, g, _, ok := parseName(n); ok && prefix == "gen" && g < floor {
 			_ = s.fs.Remove(filepath.Join(s.dir, n))
 		}
 	}
@@ -324,22 +334,17 @@ func (s *Store) Load(decode func(*Generation) error) (*Generation, error) {
 	}); err != nil {
 		return nil, fmt.Errorf("dur: load: %w", err)
 	}
-	var gens []uint64
-	for _, n := range names {
-		var g uint64
-		if _, err := fmt.Sscanf(n, "gen-%08d.manifest", &g); err == nil {
-			gens = append(gens, g)
-		}
-	}
-	sort.Slice(gens, func(i, j int) bool { return gens[i] > gens[j] })
-	for _, g := range gens {
+	for _, g := range committed(names) {
 		var rec *Generation
 		err := s.retry(func() error {
-			var err error
-			if rec, err = s.readGen(g); err == nil {
-				err = decode(rec)
+			data, err := s.readFile(filepath.Join(s.dir, ckptName(g)))
+			if err != nil {
+				return err
 			}
-			return err
+			if rec, err = decodeGeneration(g, data); err != nil {
+				return err
+			}
+			return decode(rec)
 		})
 		if err == nil {
 			return rec, nil
@@ -352,78 +357,13 @@ func (s *Store) Load(decode func(*Generation) error) (*Generation, error) {
 	return nil, nil
 }
 
-// readGen reads one generation: its manifest, then its checkpoint file,
-// whose size, frame checksum and record (gen, wave, waves) must all
-// agree with the manifest.
-func (s *Store) readGen(gen uint64) (*Generation, error) {
-	manData, err := s.readFile(filepath.Join(s.dir, s.manifestName(gen)))
-	if err != nil {
-		return nil, err
-	}
-	payload, rest, err := temporal.DecodeFrame(manData)
-	if err != nil {
-		return nil, fmt.Errorf("manifest: %w", err)
-	}
-	if len(rest) != 0 {
-		return nil, fmt.Errorf("manifest: %d trailing bytes", len(rest))
-	}
-	mr := temporal.NewDecoder(payload)
-	if err := mr.Expect(recManifest, "manifest"); err != nil {
-		return nil, err
-	}
-	mgen := mr.Uvarint()
-	wave := temporal.Time(mr.Varint())
-	waves := int(mr.Uvarint())
-	ckptName := mr.String()
-	ckptSize := mr.Uvarint()
-	if err := mr.Done(); err != nil {
-		return nil, err
-	}
-	if mgen != gen {
-		return nil, fmt.Errorf("manifest records gen %d, file named %d", mgen, gen)
-	}
-
-	data, err := s.readFile(filepath.Join(s.dir, ckptName))
-	if err != nil {
-		return nil, err
-	}
-	if uint64(len(data)) != ckptSize {
-		return nil, fmt.Errorf("checkpoint file is %d bytes, manifest records %d", len(data), ckptSize)
-	}
-	payload, rest, err = temporal.DecodeFrame(data)
-	if err != nil {
-		return nil, fmt.Errorf("generation frame: %w", err)
-	}
-	if len(rest) != 0 {
-		return nil, fmt.Errorf("generation frame: %d trailing bytes", len(rest))
-	}
-	r := temporal.NewDecoder(payload)
-	if err := r.Expect(recGen, "generation record"); err != nil {
-		return nil, err
-	}
-	g := &Generation{Gen: r.Uvarint(), Wave: temporal.Time(r.Varint()), Waves: int(r.Uvarint()), Payload: r.BytesField()}
-	if err := r.Done(); err != nil {
-		return nil, err
-	}
-	if g.Gen != gen || g.Wave != wave || g.Waves != waves {
-		return nil, fmt.Errorf("generation record (gen %d wave %d waves %d) disagrees with manifest (gen %d wave %d waves %d)",
-			g.Gen, g.Wave, g.Waves, gen, wave, waves)
-	}
-	return g, nil
-}
-
-// quarantine renames a corrupt generation's files to corrupt-* so they
-// are never loaded again but stay inspectable. Best effort: a rename
-// that fails falls back to removal.
+// quarantine renames a corrupt generation's file to corrupt-* so it is
+// never loaded again but stays inspectable. Best effort: a rename that
+// fails falls back to removal.
 func (s *Store) quarantine(gen uint64) {
-	for _, pair := range [][2]string{
-		{s.manifestName(gen), fmt.Sprintf("corrupt-%08d.manifest", gen)},
-		{s.ckptName(gen), fmt.Sprintf("corrupt-%08d.ckpt", gen)},
-	} {
-		from := filepath.Join(s.dir, pair[0])
-		to := filepath.Join(s.dir, pair[1])
-		if err := s.retry(func() error { return s.fs.Rename(from, to) }); err != nil {
-			_ = s.fs.Remove(from)
-		}
+	from := filepath.Join(s.dir, ckptName(gen))
+	to := filepath.Join(s.dir, fmt.Sprintf("corrupt-%08d.ckpt", gen))
+	if err := s.retry(func() error { return s.fs.Rename(from, to) }); err != nil {
+		_ = s.fs.Remove(from)
 	}
 }

@@ -33,6 +33,11 @@ func loadAll(t *testing.T, st *Store) *Generation {
 	return g
 }
 
+// gen0Ckpt is the file of generation 0 committed as (wave -100, waves 3,
+// payload "state"), pinned: a store directory written by an earlier
+// build must still load.
+const gen0Ckpt = "fa0bd400c701030573746174650f04320a"
+
 func TestDurableStoreRoundtrip(t *testing.T) {
 	dir := t.TempDir()
 	sc := obs.New("dur")
@@ -46,19 +51,20 @@ func TestDurableStoreRoundtrip(t *testing.T) {
 	if err := st.Commit(-100, 3, []byte("state")); err != nil {
 		t.Fatal(err)
 	}
-	// The files' bytes are pinned: a store directory written by an
-	// earlier build must still load.
-	for name, want := range map[string]string{
-		"gen-00000000.ckpt":     "fa0bd400c701030573746174650f04320a",
-		"gen-00000000.manifest": "fa18d300c701031167656e2d30303030303030302e636b70741155556931",
-	} {
-		got, err := os.ReadFile(filepath.Join(dir, name))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if hex.EncodeToString(got) != want {
-			t.Fatalf("%s = %x, want %s", name, got, want)
-		}
+	// The commit is one file, and its bytes are pinned.
+	names, err := OS{}.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(names) != 1 || names[0] != "gen-00000000.ckpt" {
+		t.Fatalf("commit left %v, want exactly gen-00000000.ckpt", names)
+	}
+	got, err := os.ReadFile(filepath.Join(dir, names[0]))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if hex.EncodeToString(got) != gen0Ckpt {
+		t.Fatalf("%s = %x, want %s", names[0], got, gen0Ckpt)
 	}
 	// Reopen cold, as a restarted process would.
 	st2, err := OpenStore(dir, Options{})
@@ -77,6 +83,51 @@ func TestDurableStoreRoundtrip(t *testing.T) {
 	}
 	if got := sc.Counter("dur_bytes").Value(); got <= 0 {
 		t.Fatalf("dur_bytes counter = %d, want > 0", got)
+	}
+}
+
+// TestDurableStoreLoadsManifestDirectory: an earlier build committed a
+// generation as a ckpt plus a manifest. Such a directory still loads from
+// its ckpt, and sheds the manifests as newer generations push theirs out
+// of the keep window.
+func TestDurableStoreLoadsManifestDirectory(t *testing.T) {
+	dir := t.TempDir()
+	for name, data := range map[string]string{
+		"gen-00000000.ckpt":     gen0Ckpt,
+		"gen-00000000.manifest": "fa18d300c701031167656e2d30303030303030302e636b70741155556931",
+	} {
+		b, err := hex.DecodeString(data)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(filepath.Join(dir, name), b, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	st, err := OpenStore(dir, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	g := loadAll(t, st)
+	if g == nil || g.Gen != 0 || g.Wave != -100 || g.Waves != 3 || string(g.Payload) != "state" {
+		t.Fatalf("recovered %+v, want gen 0, wave -100, waves 3, payload %q", g, "state")
+	}
+	for w := 1; w <= st.keep+1; w++ {
+		if err := st.Commit(temporal.Time(w), 3+w, testPayload(temporal.Time(w), 3+w)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	names, err := OS{}.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, n := range names {
+		if strings.HasSuffix(n, ".manifest") {
+			t.Fatalf("%s survived %d further commits (files: %v)", n, st.keep+1, names)
+		}
+	}
+	if g := loadAll(t, st); g == nil || g.Gen != uint64(st.keep+1) {
+		t.Fatalf("Load after the upgrade = %+v; want gen %d", g, st.keep+1)
 	}
 }
 
@@ -224,14 +275,14 @@ func TestDurableStoreLoadsNewestAndPrunes(t *testing.T) {
 		t.Fatalf("Load returned %v, want newest (wave 60)", g)
 	}
 	names, _ := OS{}.ReadDir(dir)
-	manifests := 0
+	ckpts := 0
 	for _, n := range names {
-		if strings.HasSuffix(n, ".manifest") {
-			manifests++
+		if strings.HasSuffix(n, ".ckpt") {
+			ckpts++
 		}
 	}
-	if manifests != 3 {
-		t.Fatalf("%d manifests on disk after prune, want Keep=3 (files: %v)", manifests, names)
+	if ckpts != 3 {
+		t.Fatalf("%d ckpts on disk after prune, want Keep=3 (files: %v)", ckpts, names)
 	}
 }
 
@@ -250,7 +301,7 @@ func TestDurableStoreQuarantinesCorruptGeneration(t *testing.T) {
 	}
 	// Rot one byte in the newest generation's checkpoint file, inside a
 	// frame payload.
-	path := filepath.Join(dir, st.ckptName(1))
+	path := filepath.Join(dir, ckptName(1))
 	data, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
@@ -279,8 +330,8 @@ func TestDurableStoreQuarantinesCorruptGeneration(t *testing.T) {
 		if strings.HasPrefix(n, "corrupt-") {
 			quarantined = true
 		}
-		if n == st.manifestName(1) {
-			t.Fatalf("corrupt generation's manifest still live: %v", names)
+		if n == ckptName(1) {
+			t.Fatalf("corrupt generation's ckpt still live: %v", names)
 		}
 	}
 	if !quarantined {
@@ -295,14 +346,14 @@ func TestDurableStoreQuarantinesCorruptGeneration(t *testing.T) {
 	if err := st2.Commit(30, 3, testPayload(30, 3)); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := os.Stat(filepath.Join(dir, st2.ckptName(2))); err != nil {
+	if _, err := os.Stat(filepath.Join(dir, ckptName(2))); err != nil {
 		t.Fatalf("post-quarantine commit did not use gen 2: %v", err)
 	}
 }
 
 func TestDurableStoreSweepsTempDebris(t *testing.T) {
 	dir := t.TempDir()
-	// Simulate a kill -9 mid-commit: a temp file exists, no manifest.
+	// Simulate a kill -9 mid-commit: a temp file exists, never renamed.
 	if err := os.WriteFile(filepath.Join(dir, "gen-00000000.ckpt.tmp"), []byte("torn"), 0o644); err != nil {
 		t.Fatal(err)
 	}
@@ -447,4 +498,63 @@ func TestFaultFSBitFlipIsSilent(t *testing.T) {
 	if _, _, err := temporal.DecodeFrame(buf); err == nil {
 		t.Fatal("flipped frame passed checksum validation")
 	}
+}
+
+// FuzzGenerationDecode: a generation's file arrives from disk, so
+// arbitrary bytes must error — never panic, never yield a payload longer
+// than the input — and every truncation of a real commit must error. A
+// committed file decodes to what was committed, and re-encodes to its
+// own bytes.
+func FuzzGenerationDecode(f *testing.F) {
+	dir := f.TempDir()
+	st, err := OpenStore(dir, Options{})
+	if err != nil {
+		f.Fatal(err)
+	}
+	if err := st.Commit(-100, 3, []byte("state")); err != nil {
+		f.Fatal(err)
+	}
+	data, err := os.ReadFile(filepath.Join(dir, ckptName(0)))
+	if err != nil {
+		f.Fatal(err)
+	}
+	g, err := decodeGeneration(0, data)
+	if err != nil {
+		f.Fatalf("a committed file does not decode: %v", err)
+	}
+	if g.Gen != 0 || g.Wave != -100 || g.Waves != 3 || string(g.Payload) != "state" {
+		f.Fatalf("decoded %+v, want gen 0, wave -100, waves 3, payload %q", g, "state")
+	}
+	if re := encodeGeneration(g); !bytes.Equal(re, data) {
+		f.Fatalf("re-encoded %x, committed %x", re, data)
+	}
+	if _, err := decodeGeneration(1, data); err == nil {
+		f.Fatal("gen 0's file decodes as gen 1")
+	}
+	for n := range data {
+		if _, err := decodeGeneration(0, data[:n]); err == nil {
+			f.Fatalf("file truncated to %d of %d bytes decodes", n, len(data))
+		}
+	}
+	f.Add(uint64(0), data)
+	f.Add(uint64(7), encodeGeneration(&Generation{Gen: 7, Wave: 1 << 40, Waves: 1 << 20, Payload: bytes.Repeat([]byte{0xD4}, 300)}))
+	f.Add(uint64(0), []byte{})
+	f.Add(uint64(0), temporal.AppendFrame(nil, []byte{recGen}))
+	f.Add(uint64(0), temporal.AppendFrame(nil, []byte("a manifest, or any other frame")))
+	f.Fuzz(func(t *testing.T, gen uint64, data []byte) {
+		g, err := decodeGeneration(gen, data)
+		if err != nil {
+			return
+		}
+		if g.Gen != gen || len(g.Payload) > len(data) {
+			t.Fatalf("%d bytes named gen %d decoded to gen %d with a %d-byte payload", len(data), gen, g.Gen, len(g.Payload))
+		}
+		back, err := decodeGeneration(gen, encodeGeneration(g))
+		if err != nil {
+			t.Fatalf("re-encoded generation fails decode: %v", err)
+		}
+		if back.Wave != g.Wave || back.Waves != g.Waves || !bytes.Equal(back.Payload, g.Payload) {
+			t.Fatalf("re-encode roundtrip mismatch: %+v vs %+v", back, g)
+		}
+	})
 }

@@ -50,7 +50,14 @@ type Stage struct {
 	// scratch row that the next frame overwrites, its strings reading the
 	// segment's bytes in place. Copy what must outlive the call.
 	MultiPartition func(r Row, src int, nparts int) []int
-	Reduce         Reducer
+	// Reduce is the materialized form of ReduceSegments, and runs as one
+	// (materialized decodes a partition's runs into whole row slices,
+	// then calls it). It stays for reducers written as a hand-coded M-R
+	// job would be: the Fig. 14 custom reducers in internal/baseline, the
+	// shuffle experiment and the ledger's shuffle-only stage. Those want
+	// every row of a partition at once, and a segment form would only
+	// move the same materialization into each of them.
+	Reduce Reducer
 	// ReduceSegments, when set, supersedes Reduce: the reducer receives
 	// the shuffle output as per-source segment lists (each segment one
 	// shuffle run, resident or spilled) and pulls rows through RowReaders

@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"timr/internal/dur"
+	"timr/internal/leakcheck"
 	"timr/internal/temporal"
 )
 
@@ -17,6 +18,7 @@ func spillRow(i int) Row {
 }
 
 func TestSpillWriteENOSPCSurfaces(t *testing.T) {
+	defer leakcheck.Goroutines(t)()
 	// A full disk during segment writes must surface as a distinct,
 	// errors.Is-able write error — not vanish into Close/Remove handling.
 	// The fault draw is per operation, so at rate 0.9 some seeds let the
@@ -54,6 +56,7 @@ func TestSpillWriteENOSPCSurfaces(t *testing.T) {
 }
 
 func TestSpillSealSurfacesSyncFailure(t *testing.T) {
+	defer leakcheck.Goroutines(t)()
 	ffs := dur.NewFaultFS(dur.OS{}, dur.FaultConfig{Rate: 1, Seed: 2, Kinds: []string{dur.FaultSync}})
 	sf, err := createSpillFile(ffs, t.TempDir(), &spillIO{})
 	if err != nil {
@@ -76,6 +79,7 @@ func TestSpillSealSurfacesSyncFailure(t *testing.T) {
 }
 
 func TestSpillClusterENOSPC(t *testing.T) {
+	defer leakcheck.Goroutines(t)()
 	// The same through the cluster seam: Config.SpillFS threads the
 	// fault-injecting FS into production spill paths, and a full disk
 	// fails the job with a diagnosable error instead of corrupt output.
@@ -90,6 +94,7 @@ func TestSpillClusterENOSPC(t *testing.T) {
 }
 
 func TestSweepStaleSpillDirs(t *testing.T) {
+	defer leakcheck.Goroutines(t)()
 	base := t.TempDir()
 	stale1, err := os.MkdirTemp(base, "timr-spill-")
 	if err != nil {

@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"timr/internal/dur"
+	"timr/internal/leakcheck"
 	"timr/internal/temporal"
 )
 
@@ -42,6 +43,7 @@ func hashAll(r Row, _ int) uint64 {
 // buckets are decoded and kept, every reducer sees the rows of the
 // resident run.
 func TestSpilledInputShuffleFileMatchesEncodedRows(t *testing.T) {
+	defer leakcheck.Goroutines(t)()
 	const nparts = 4
 	rows := spillTestRows(3000)
 	seg, release, err := spillRows(nil, t.TempDir(), rows[:2000])
@@ -147,6 +149,7 @@ func TestSpilledInputShuffleFileMatchesEncodedRows(t *testing.T) {
 // destination vector, one scratch row, one array per bucket — and none per
 // row.
 func TestSpilledMapTaskAllocations(t *testing.T) {
+	defer leakcheck.Goroutines(t)()
 	const nparts = 8
 	seg, release, err := spillRows(nil, t.TempDir(), spillTestRows(10_000))
 	if err != nil {
@@ -177,6 +180,7 @@ func TestSpilledMapTaskAllocations(t *testing.T) {
 // segment fails the job with the injected error, before the stage has
 // written any spill file of its own.
 func TestSpilledMapTaskShortReadFailsCleanly(t *testing.T) {
+	defer leakcheck.Goroutines(t)()
 	ffs := dur.NewFaultFS(dur.OS{}, dur.FaultConfig{Rate: 1, Seed: 1, Kinds: []string{dur.FaultShortRead}})
 	seg, release, err := spillRows(ffs, t.TempDir(), spillTestRows(10_000))
 	if err != nil {
@@ -213,6 +217,7 @@ func TestSpilledMapTaskShortReadFailsCleanly(t *testing.T) {
 // the test. The same through the cluster with dur.FaultFS flipping a bit
 // of every read: the job finishes or errors, and no map task panics.
 func TestSpilledMapTaskBitFlipNeverPanics(t *testing.T) {
+	defer leakcheck.Goroutines(t)()
 	const nparts = 4
 	seg, release, err := spillRows(nil, t.TempDir(), spillTestRows(12))
 	if err != nil {

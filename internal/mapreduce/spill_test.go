@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"timr/internal/dur"
+	"timr/internal/leakcheck"
 	"timr/internal/temporal"
 )
 
@@ -54,6 +55,7 @@ func spillTestRows(n int) []Row {
 }
 
 func TestSpilledSegmentRoundtrip(t *testing.T) {
+	defer leakcheck.Goroutines(t)()
 	rows := spillTestRows(137)
 	seg, release, err := spillRows(nil, t.TempDir(), rows)
 	if err != nil {
@@ -90,6 +92,7 @@ func TestSpilledSegmentRoundtrip(t *testing.T) {
 }
 
 func TestRowReaderMixedSegments(t *testing.T) {
+	defer leakcheck.Goroutines(t)()
 	a := spillTestRows(10)
 	b := spillTestRows(7)
 	seg, release, err := spillRows(nil, t.TempDir(), b)
@@ -131,6 +134,7 @@ func budgetJob(c *Cluster, t *testing.T) *JobStat {
 }
 
 func TestMemoryBudgetOutputEquivalence(t *testing.T) {
+	defer leakcheck.Goroutines(t)()
 	// The core out-of-core contract: job output is bit-identical whether
 	// nothing, something, or everything spills.
 	rows := kvRows(5000)
@@ -166,6 +170,7 @@ func TestMemoryBudgetOutputEquivalence(t *testing.T) {
 }
 
 func TestSpillMetricsAccounting(t *testing.T) {
+	defer leakcheck.Goroutines(t)()
 	c := NewCluster(Config{Machines: 4, MemoryBudget: SpillAll})
 	defer c.Close()
 	c.FS.Write("in", SinglePartition(kvSchema(), kvRows(1000)))
@@ -186,6 +191,7 @@ func TestSpillMetricsAccounting(t *testing.T) {
 }
 
 func TestSpillRunSortednessAnnotation(t *testing.T) {
+	defer leakcheck.Goroutines(t)()
 	// With a RunKey, shuffle runs from a key-ordered input partition are
 	// marked sorted; from a shuffled one, unsorted.
 	sortedRows := kvRows(100) // kvRows is ordered by its second column
@@ -231,6 +237,7 @@ func TestSpillRunSortednessAnnotation(t *testing.T) {
 }
 
 func TestClusterCloseRemovesSpillDir(t *testing.T) {
+	defer leakcheck.Goroutines(t)()
 	base := t.TempDir()
 	c := NewCluster(Config{Machines: 2, MemoryBudget: SpillAll, SpillDir: base})
 	c.FS.Write("in", SinglePartition(kvSchema(), kvRows(100)))
@@ -255,6 +262,7 @@ func TestClusterCloseRemovesSpillDir(t *testing.T) {
 // stage owns its files and releases them on the error path, not only on
 // the success path.
 func TestFailedStageReleasesSpillFiles(t *testing.T) {
+	defer leakcheck.Goroutines(t)()
 	base := t.TempDir()
 	c := NewCluster(Config{
 		Machines: 2, MemoryBudget: SpillAll, SpillDir: base,
@@ -287,6 +295,7 @@ func TestFailedStageReleasesSpillFiles(t *testing.T) {
 // the caller owns — mutating it must not corrupt the dataset — whether the
 // dataset is one resident segment or several.
 func TestReadAllReturnsCallerOwnedSlice(t *testing.T) {
+	defer leakcheck.Goroutines(t)()
 	rows := kvRows(64)
 	ds := SinglePartition(kvSchema(), rows)
 	got := mustReadAll(t, ds)
