@@ -369,9 +369,12 @@ func TestRefreshAndStreamingGenerationsRefuseEachOther(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		sj, g, err := core.RestoreFromDir(plan, schemas, st2)
-		if err != nil || g != nil {
-			t.Fatalf("streaming restore over a refresher generation: gen %v, err %v; want a clean start", g, err)
+		sj, err := core.NewStreamingJob(plan, schemas, core.WithDurable(st2))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if g := sj.Recovered(); g != nil {
+			t.Fatalf("streaming restore over a refresher generation: gen %v; want a clean start", g)
 		}
 		if n := scope.Counter("corrupt_detected").Value(); n != 1 {
 			t.Fatalf("corrupt_detected = %d, want 1", n)

@@ -103,10 +103,11 @@ func (sr streamRun) runStage(t *testing.T, p Params, st StageSpec, inputs map[st
 		if wave == killAt {
 			// Killed after the wave's commit: everything fed since lives in
 			// the generation, and feeding resumes after its wave.
-			var g *dur.Generation
-			job, g, err = core.RestoreFromDir(plan, schemas, store, opts[:2]...)
-			if err != nil || g == nil || g.Wave != end {
-				t.Fatalf("%s: restore at wave %d: generation %v, err %v", st.Name, wave, g, err)
+			if job, err = core.NewStreamingJob(plan, schemas, opts...); err != nil {
+				t.Fatalf("%s: restore at wave %d: %v", st.Name, wave, err)
+			}
+			if g := job.Recovered(); g == nil || g.Wave != end {
+				t.Fatalf("%s: restore at wave %d: generation %v", st.Name, wave, g)
 			}
 		}
 		wave++

@@ -12,14 +12,15 @@ import (
 //
 // The in-memory crash path (streaming.go crash()) already proves the
 // core invariant: engines consume input only during Advance, so at the
-// end of a wave every partition's checkpoint plus its replay log — which
-// at that moment equals its barrier's pending events — reconstruct the
-// partition exactly. Durability is that same cut, written down: one
-// store generation per wave carries every partition's (checkpoint,
-// log), the delivered results, and the output barrier's pending events.
-// A process killed at any instant restarts from the newest intact
-// generation, and the driver re-feeds everything its sources admitted
-// after that wave (the replay log inside the generation covers the rest)
+// end of a wave every partition's checkpoint plus its barrier's pending
+// events — its replay log — reconstruct the partition exactly.
+// Durability is that same cut, written down: one store generation per
+// wave carries every partition's (checkpoint, pending events), the
+// delivered results, and the output barrier's pending events. A process
+// killed at any instant is rebuilt by NewStreamingJob over the same
+// store from the newest intact generation, and the driver re-feeds
+// everything its sources admitted after that wave (the pending events
+// inside the generation cover the rest)
 // — producing bit-identical output, including under injected I/O faults
 // that force a fallback to an older generation with a longer replay.
 
@@ -29,7 +30,7 @@ const snapshotTag byte = 0xD6
 
 // commitDurable snapshots the job at the end of the wave at time t and
 // commits it as one generation. Called from Advance with the wave fully
-// applied: every partition's ckpt/log are fresh, j.waves counts this
+// applied: every partition's ckpt is fresh, j.waves counts this
 // wave, and j.results/j.outs[0] reflect everything released. Commit
 // failure is tolerated — counted by the store, remembered in durErr —
 // because the previous generation remains a correct (if older) recovery
@@ -37,7 +38,7 @@ const snapshotTag byte = 0xD6
 //
 // The payload, after snapshotTag: the machine count; the published input
 // offsets, sorted by source name; every partition's (fragment, id,
-// checkpoint, replay log), stage by stage in id order; the delivered
+// checkpoint, pending events), stage by stage in id order; the delivered
 // results; and the output barrier's pending events. The wave and wave
 // count are the generation's own.
 func (j *StreamingJob) commitDurable(t temporal.Time) {
@@ -67,7 +68,7 @@ func (j *StreamingJob) commitDurable(t temporal.Time) {
 			w.String(st.frag.Name)
 			w.Varint(int64(p.id))
 			w.BytesField(p.ckpt)
-			w.Events(p.log)
+			w.Events(p.buf.pending)
 		}
 	}
 	w.Events(j.results)
@@ -85,8 +86,8 @@ type snapshot struct {
 }
 
 // partState is one partition's recovery record: the engine checkpoint
-// taken at the wave, and the replay log of events admitted but not yet
-// consumed.
+// taken at the wave, and the replay log — its barrier's pending events,
+// admitted but not yet consumed.
 type partState struct {
 	frag string
 	id   int
@@ -126,42 +127,37 @@ func decodeSnapshot(data []byte) (*snapshot, error) {
 // how callers observe that the recovery line has fallen behind.
 func (j *StreamingJob) DurableErr() error { return j.durErr }
 
-// RestoreFromDir reopens a streaming job from its durable store: the
-// newest generation that is intact and decodes as a streaming snapshot
-// (others are quarantined, with fallback) is applied to a freshly built
-// job, which then continues committing to the same store. The returned
-// generation is nil when the store holds none — the job starts clean and
-// the caller feeds from the beginning. Otherwise the caller must re-feed
-// every source event admitted after the recovered wave (Wave); events
-// admitted before it but not yet consumed are inside the generation's
-// replay logs and need no re-feeding.
-//
-// The plan and sources must match the crashed process's. So must the
-// machine count, since hash partition ids are recorded against it: a
-// generation written with a different count is refused with an error
-// naming both, and stays in the store.
-func RestoreFromDir(plan *temporal.Plan, sources map[string]*temporal.Schema, store *dur.Store, opts ...StreamOption) (*StreamingJob, *dur.Generation, error) {
+// recover applies the newest generation of the job's store that is
+// intact and decodes as a streaming snapshot (others are quarantined,
+// with fallback), which Recovered then returns; a store holding none
+// leaves the job clean. The plan and sources must match the crashed
+// process's. So must the machine count, since hash partition ids are
+// recorded against it: a generation written with a different count is
+// refused with an error naming both, and stays in the store.
+func (j *StreamingJob) recover() error {
 	var snap *snapshot
-	g, err := store.Load(func(g *dur.Generation) error {
+	g, err := j.durStore.Load(func(g *dur.Generation) error {
 		var err error
 		snap, err = decodeSnapshot(g.Payload)
 		return err
 	})
-	if err != nil {
-		return nil, nil, err
+	if err != nil || g == nil {
+		return err
 	}
-	sj, err := NewStreamingJob(plan, sources, append(append([]StreamOption(nil), opts...), WithDurable(store))...)
-	if err != nil {
-		return nil, nil, err
+	if err := j.applySnapshot(g.Waves, snap); err != nil {
+		return fmt.Errorf("timr: restore from %s (gen %d): %w", j.durStore.Dir(), g.Gen, err)
 	}
-	if g == nil {
-		return sj, nil, nil
-	}
-	if err := sj.applySnapshot(g.Waves, snap); err != nil {
-		return nil, nil, fmt.Errorf("timr: restore from %s (gen %d): %w", store.Dir(), g.Gen, err)
-	}
-	return sj, g, nil
+	j.recovered = g
+	return nil
 }
+
+// Recovered returns the generation a durable job resumed from when it was
+// built, or nil when its store held none (the job started clean, and the
+// caller feeds from the beginning). Otherwise the caller must re-feed
+// every source event admitted after the recovered wave (Wave); events
+// admitted before it but not yet consumed are inside the generation's
+// barrier buffers and need no re-feeding.
+func (j *StreamingJob) Recovered() *dur.Generation { return j.recovered }
 
 // applySnapshot rebuilds the job's live state from a recovered
 // generation: every recorded partition goes through the same rebuild a
@@ -186,7 +182,9 @@ func (j *StreamingJob) applySnapshot(waves int, snap *snapshot) error {
 		if ps.id < 0 || ps.id >= len(st.parts) {
 			return fmt.Errorf("generation holds partition %s/%d, but the stage has %d partitions", ps.frag, ps.id, len(st.parts))
 		}
-		if err := st.rebuild(st.parts[ps.id], ps.ckpt, ps.log); err != nil {
+		p := st.parts[ps.id]
+		p.buf.pending = append(p.buf.pending[:0], ps.log...)
+		if err := st.rebuild(p, ps.ckpt); err != nil {
 			return fmt.Errorf("partition %s/%d: %w", ps.frag, ps.id, err)
 		}
 	}

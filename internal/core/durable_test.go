@@ -2,9 +2,10 @@ package core_test
 
 // Durable restart drill: a streaming job committing wave generations to
 // a durable store is killed (kill -9 style: no flush, no shutdown hook,
-// the process state simply dropped) at an arbitrary point, restarted via
-// RestoreFromDir, re-fed everything its sources admitted after the
-// recovered wave, and must produce bit-identical results — including
+// the process state simply dropped) at an arbitrary point, rebuilt by
+// NewStreamingJob over the same store, re-fed everything its sources
+// admitted after the recovered wave, and must produce bit-identical
+// results — including
 // under injected I/O faults, with generation fallback, and composed with
 // crash chaos. A restart with a different machine count is refused.
 
@@ -103,11 +104,12 @@ func resumeAndFinish(t *testing.T, plan *temporal.Plan, schemas map[string]*temp
 	source string, events []temporal.Event, machines int, cfg core.Config,
 	period temporal.Time, store *dur.Store) []temporal.Event {
 	t.Helper()
-	sj, rec, err := core.RestoreFromDir(plan, schemas, store,
-		core.WithMachines(machines), core.WithConfig(cfg))
+	sj, err := core.NewStreamingJob(plan, schemas,
+		core.WithMachines(machines), core.WithConfig(cfg), core.WithDurable(store))
 	if err != nil {
 		t.Fatal(err)
 	}
+	rec := sj.Recovered()
 	src, err := sj.Source(source)
 	if err != nil {
 		t.Fatal(err)
@@ -186,6 +188,94 @@ func TestDurableRestartBitIdentity(t *testing.T) {
 	}
 }
 
+// TestDurableJobResumesFromItsStore: a job built with WithDurable over a
+// directory holding a killed run's generations resumes from the newest
+// one. Killed right after wave k, Recovered reports wave k, and re-feeding
+// from that wave's triggering event gives the uninterrupted run's
+// Results. Over a fresh directory Recovered is nil.
+func TestDurableJobResumesFromItsStore(t *testing.T) {
+	defer leakcheck.Goroutines(t)()
+	mk, sch := durablePlan()
+	events := durableEvents(900)
+	schemas := map[string]*temporal.Schema{"clicks": sch}
+	period := temporal.Time(20)
+
+	clean := driveStream(t, mk(true), schemas, "clicks", events, 3, core.DefaultConfig(), period)
+
+	// The schedule runKilled walks: trigger[k-1] is the index of the event
+	// that fires wave k.
+	var trigger []int
+	last := temporal.Time(temporal.MinTime)
+	for i, e := range events {
+		if last == temporal.MinTime {
+			last = e.LE
+		} else if e.LE-last >= period {
+			trigger = append(trigger, i)
+			last = e.LE
+		}
+	}
+	for _, k := range []int{1, 7, len(trigger) / 2} {
+		t.Run(fmt.Sprintf("wave%d", k), func(t *testing.T) {
+			dir := t.TempDir()
+			store, err := dur.OpenStore(dir, dur.Options{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			// Killed once wave k has fired and its triggering event is fed.
+			runKilled(t, mk(true), schemas, "clicks", events, 3, core.DefaultConfig(), period, store, trigger[k-1]+1)
+
+			store2, err := dur.OpenStore(dir, dur.Options{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			sj, err := core.NewStreamingJob(mk(true), schemas, core.WithMachines(3), core.WithDurable(store2))
+			if err != nil {
+				t.Fatal(err)
+			}
+			rec := sj.Recovered()
+			if rec == nil || rec.Waves != k || rec.Wave != events[trigger[k-1]].LE {
+				t.Fatalf("Recovered() = %+v, want wave %d at %d", rec, k, events[trigger[k-1]].LE)
+			}
+			src, err := sj.Source("clicks")
+			if err != nil {
+				t.Fatal(err)
+			}
+			last := rec.Wave
+			for _, e := range events[trigger[k-1]:] {
+				if e.LE-last >= period {
+					if err := sj.Advance(e.LE); err != nil {
+						t.Fatal(err)
+					}
+					last = e.LE
+				}
+				if err := src.Feed(e); err != nil {
+					t.Fatal(err)
+				}
+			}
+			sj.Flush()
+			got, err := sj.Results()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !temporal.EventsEqual(got, clean) {
+				t.Fatalf("resumed after wave %d: %d events, the uninterrupted run %d", k, len(got), len(clean))
+			}
+		})
+	}
+
+	store, err := dur.OpenStore(t.TempDir(), dur.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sj, err := core.NewStreamingJob(mk(true), schemas, core.WithMachines(3), core.WithDurable(store))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rec := sj.Recovered(); rec != nil {
+		t.Fatalf("a job over a fresh directory recovered %+v", rec)
+	}
+}
+
 // runKilledPublishingOffsets is runKilled with the driver additionally
 // publishing its schedule position (the index of the wave-triggering
 // event, not yet fed) before every Advance — the contract `timr serve`
@@ -250,11 +340,12 @@ func TestDurableOffsetSeekResume(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			sj, rec, err := core.RestoreFromDir(mk(true), schemas, store2,
-				core.WithMachines(3), core.WithConfig(core.DefaultConfig()))
+			sj, err := core.NewStreamingJob(mk(true), schemas,
+				core.WithMachines(3), core.WithConfig(core.DefaultConfig()), core.WithDurable(store2))
 			if err != nil {
 				t.Fatal(err)
 			}
+			rec := sj.Recovered()
 			src, err := sj.Source("clicks")
 			if err != nil {
 				t.Fatal(err)
@@ -421,7 +512,7 @@ func TestDurableRestartComposesWithChaos(t *testing.T) {
 // TestDurableRestoreRefusesOtherMachineCount: hash partition ids are
 // assigned modulo the machine count, so a generation restored into a job
 // of another count would put each recorded partition's state where other
-// keys route. RestoreFromDir refuses it, naming both counts, and leaves
+// keys route. NewStreamingJob refuses it, naming both counts, and leaves
 // the generation in the store.
 func TestDurableRestoreRefusesOtherMachineCount(t *testing.T) {
 	defer leakcheck.Goroutines(t)()
@@ -442,7 +533,7 @@ func TestDurableRestoreRefusesOtherMachineCount(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			_, _, err = core.RestoreFromDir(mk(true), schemas, store2, core.WithMachines(c.resumed))
+			_, err = core.NewStreamingJob(mk(true), schemas, core.WithMachines(c.resumed), core.WithDurable(store2))
 			want := fmt.Sprintf("written with %d machines, this job has %d", c.killed, c.resumed)
 			if err == nil || !strings.Contains(err.Error(), want) {
 				t.Fatalf("restore with %d machines of a %d-machine generation: err = %v, want it to say %q",
@@ -450,8 +541,12 @@ func TestDurableRestoreRefusesOtherMachineCount(t *testing.T) {
 			}
 			// The refusal is not corruption: the generation stays and
 			// restores under its own machine count.
-			if _, g, err := core.RestoreFromDir(mk(true), schemas, store2, core.WithMachines(c.killed)); err != nil || g == nil {
-				t.Fatalf("restore with the generation's own %d machines after a refusal: gen %v, err %v", c.killed, g, err)
+			sj, err := core.NewStreamingJob(mk(true), schemas, core.WithMachines(c.killed), core.WithDurable(store2))
+			if err != nil {
+				t.Fatalf("restore with the generation's own %d machines after a refusal: %v", c.killed, err)
+			}
+			if sj.Recovered() == nil {
+				t.Fatalf("restore with the generation's own %d machines after a refusal recovered nothing", c.killed)
 			}
 		})
 	}

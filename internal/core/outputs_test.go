@@ -155,9 +155,6 @@ func TestStreamingNamedOutputRefusals(t *testing.T) {
 			t.Errorf("%s: NewStreamingJob error %v, want one naming %q", c.name, err, c.want)
 		}
 	}
-	if _, _, err := RestoreFromDir(main, sources, store, WithOutput("x", shifted, drop)); err == nil {
-		t.Error("RestoreFromDir with a named output must be refused")
-	}
 	job, err := NewStreamingJob(main, sources)
 	if err != nil {
 		t.Fatal(err)

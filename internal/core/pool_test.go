@@ -110,7 +110,7 @@ func waveState(j *StreamingJob) []byte {
 			w.String(st.frag.Name)
 			w.Varint(int64(p.id))
 			w.BytesField(p.ckpt)
-			w.Events(p.log)
+			w.Events(p.buf.pending)
 		}
 	}
 	return w.Bytes()

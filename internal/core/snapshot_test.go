@@ -79,7 +79,7 @@ func TestDurableRestoreRefusesPartitionOutOfRange(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, _, err = RestoreFromDir(plan, sources, store, WithMachines(3))
+	_, err = NewStreamingJob(plan, sources, WithMachines(3), WithDurable(store))
 	const want = "generation holds partition frag0/3, but the stage has 3 partitions"
 	if err == nil || !strings.Contains(err.Error(), want) {
 		t.Fatalf("restore of a generation with partition id 3 of 3: err = %v, want it to say %q", err, want)

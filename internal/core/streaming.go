@@ -54,12 +54,14 @@ type StreamingJob struct {
 
 	// Durable checkpointing (WithDurable): at the end of every wave the
 	// job commits its full recovery state — each partition's checkpoint
-	// and replay log, plus the delivered-output record — as one store
-	// generation. durErr remembers the last commit failure for
+	// and pending events, plus the delivered-output record — as one
+	// store generation. durErr remembers the last commit failure for
 	// inspection; a failed commit never fails the wave (availability over
 	// durability — the previous generation stays the recovery line).
-	durStore *dur.Store
-	durErr   error
+	// recovered is the generation the job was rebuilt from (Recovered).
+	durStore  *dur.Store
+	durErr    error
+	recovered *dur.Generation
 }
 
 // ErrFlushed is returned by Feed, FeedBatch and Advance on a job whose
@@ -73,8 +75,8 @@ var ErrFlushed = errors.New("timr: streaming job already flushed")
 // partition is killed at a pseudo-random point of the following feed
 // interval; the draw is a pure function of (fragment, partition, wave,
 // Seed), mirroring Cluster.injectedFailure, so a chaotic run is exactly
-// reproducible. A killed partition loses its engine and barrier buffer and
-// recovers from its last checkpoint plus the replay log.
+// reproducible. A killed partition loses its engine and recovers from its
+// last checkpoint plus the replay log, its barrier's pending events.
 type CrashConfig struct {
 	Rate float64
 	Seed int64
@@ -137,8 +139,10 @@ func WithOutput(name string, root *temporal.Plan, deliver func(temporal.Event)) 
 
 // WithDurable attaches a durable checkpoint store: every punctuation
 // wave commits the job's full recovery state as one store generation.
-// A job killed between commits restarts via RestoreFromDir and replays
-// forward bit-identically (see internal/dur).
+// NewStreamingJob first resumes from the newest intact generation the
+// store holds (Recovered), so a job killed between commits is rebuilt
+// over the same store and replays forward bit-identically (see
+// internal/dur).
 func WithDurable(store *dur.Store) StreamOption {
 	return func(o *streamOptions) { o.store = store }
 }
@@ -147,7 +151,8 @@ func WithDurable(store *dur.Store) StreamOption {
 // sources maps scan names to their schemas; output events are delivered
 // to Results after Flush (coalesced), and incrementally to the
 // WithOnEvent callback if set. Remaining knobs arrive as functional
-// options: WithMachines, WithConfig, WithDurable, WithOutput.
+// options: WithMachines, WithConfig, WithDurable, WithOutput. A durable
+// job resumes from its store's newest generation, if any (Recovered).
 func NewStreamingJob(plan *temporal.Plan, sources map[string]*temporal.Schema, opts ...StreamOption) (*StreamingJob, error) {
 	o := streamOptions{machines: 1, cfg: DefaultConfig()}
 	for _, opt := range opts {
@@ -230,6 +235,11 @@ func NewStreamingJob(plan *temporal.Plan, sources map[string]*temporal.Schema, o
 	for name, ins := range j.bySource {
 		j.feeders[name] = newFeeder(j, name, ins)
 	}
+	if j.durStore != nil {
+		if err := j.recover(); err != nil {
+			return nil, err
+		}
+	}
 	return j, nil
 }
 
@@ -238,10 +248,10 @@ func NewStreamingJob(plan *temporal.Plan, sources map[string]*temporal.Schema, o
 // guarantees complete, then punctuates its engines — its partitions in
 // parallel, up to GOMAXPROCS at a time — whose flushed output cascades
 // into the next stage before that stage's own barrier runs.
-// After the wave, every partition checkpoints its engine and resets its
-// replay log — the recovery line a crashed partition rolls back to. It
-// returns ErrFlushed after Flush, and the job's failure once a partition
-// recovery has failed.
+// After the wave, every partition checkpoints its engine: with the events
+// its barrier still holds, the recovery line a crashed partition rolls
+// back to. It returns ErrFlushed after Flush, and the job's failure once
+// a partition recovery has failed.
 func (j *StreamingJob) Advance(t temporal.Time) error {
 	if j.flushed {
 		return ErrFlushed
@@ -357,12 +367,11 @@ type streamPartition struct {
 	buf *streamBuffer // order-restoring barrier in front of the engine
 
 	// Recovery state. ckpt is the engine snapshot taken at the last wave
-	// (nil before the first); log replays every event admitted since —
-	// bounded, because it resets at each wave. Between waves the engine
-	// never consumes input (the barrier only releases during advance), so
-	// ckpt+log reconstruct the partition exactly at any moment.
+	// (nil before the first). Between waves the engine never consumes
+	// input (the barrier only releases during advance), so the barrier's
+	// pending events are the replay log: ckpt plus them reconstruct the
+	// partition exactly at any moment.
 	ckpt    []byte
-	log     []temporal.Event
 	pushes  int // events admitted since the last wave
 	crashAt int // crash when pushes reaches this; -1 = disarmed
 
@@ -513,10 +522,10 @@ func (st *streamStage) dispatch(src int, tagged []temporal.Event) {
 
 // ---- crash injection and recovery ----
 
-// admitAll pushes a run into a partition's barrier and replay log,
-// splitting it when an armed crash comes due inside: the head is admitted,
-// the partition dies mid-feed and recovers, and the tail lands on the
-// rebuilt partition. A recovery that fails breaks the job.
+// admitAll pushes a run into a partition's barrier, splitting it when an
+// armed crash comes due inside: the head is admitted, the partition dies
+// mid-feed and recovers, and the tail lands on the rebuilt partition. A
+// recovery that fails breaks the job.
 func (st *streamStage) admitAll(p *streamPartition, evs []temporal.Event) {
 	if p.crashAt >= 0 && p.pushes+len(evs) > p.crashAt {
 		k := p.crashAt - p.pushes
@@ -524,7 +533,6 @@ func (st *streamStage) admitAll(p *streamPartition, evs []temporal.Event) {
 			k = 0
 		}
 		p.buf.pushAll(evs[:k])
-		p.log = append(p.log, evs[:k]...)
 		p.pushes += k
 		if err := st.crash(p); err != nil {
 			st.job.err = cmp.Or(st.job.err, err)
@@ -532,31 +540,30 @@ func (st *streamStage) admitAll(p *streamPartition, evs []temporal.Event) {
 		evs = evs[k:]
 	}
 	p.buf.pushAll(evs)
-	p.log = append(p.log, evs...)
 	p.pushes += len(evs)
 }
 
-// crash kills a partition and immediately rebuilds it from the last
-// wave's checkpoint and its replay log. Because engines consume input only
-// during waves (the barrier releases nothing between them), the
-// checkpoint plus the log reconstruct the partition exactly, at whatever
-// moment the crash fires. The checkpoint came from an engine compiled from
-// this same fragment, so only a corrupted one fails to restore.
+// crash kills a partition's engine and immediately rebuilds it from the
+// last wave's checkpoint; its barrier's pending events replay into it.
+// Because engines consume input only during waves (the barrier releases
+// nothing between them), the checkpoint plus those events reconstruct the
+// partition exactly, at whatever moment the crash fires. The checkpoint
+// came from an engine compiled from this same fragment, so only a
+// corrupted one fails to restore.
 func (st *streamStage) crash(p *streamPartition) error {
 	st.crashes.Inc()
 	p.crashAt = -1 // disarmed until the next wave re-arms
-	if err := st.rebuild(p, p.ckpt, p.log); err != nil {
+	if err := st.rebuild(p, p.ckpt); err != nil {
 		return fmt.Errorf("timr: partition %s/%d recovery failed: %w", st.frag.Name, p.id, err)
 	}
 	return nil
 }
 
 // rebuild is the one reconstruction of a partition, shared by crash
-// recovery and durable restore: the engine and barrier contents are
-// discarded, a fresh engine is restored from ckpt (nil before the first
-// wave), and log becomes both the replay log and the barrier's pending
-// events.
-func (st *streamStage) rebuild(p *streamPartition, ckpt []byte, log []temporal.Event) error {
+// recovery and durable restore: the engine is discarded, and a fresh one
+// is restored from ckpt (nil before the first wave), to which the
+// barrier's pending events replay at the next wave.
+func (st *streamStage) rebuild(p *streamPartition, ckpt []byte) error {
 	eng, err := st.newEngine(p)
 	if err != nil {
 		return err
@@ -567,9 +574,7 @@ func (st *streamStage) rebuild(p *streamPartition, ckpt []byte, log []temporal.E
 		}
 	}
 	p.eng, p.ckpt = eng, ckpt
-	p.log = append(p.log[:0], log...)
-	p.buf.pending = append(p.buf.pending[:0], log...)
-	st.replayed.Add(int64(len(log)))
+	st.replayed.Add(int64(len(p.buf.pending)))
 	st.recoveries.Inc()
 	return nil
 }
@@ -599,8 +604,8 @@ func (st *streamStage) arm(p *streamPartition) {
 // advance runs this stage's barrier at time t: release buffered events
 // below t into the engines, then punctuate the engines and checkpoint
 // them. Their output then flows into downstream buffers before those
-// stages' barriers run. Afterwards each partition resets its replay log to
-// the events still pending and draws its fate for the next interval.
+// stages' barriers run. Afterwards each partition draws its fate for the
+// next interval.
 func (st *streamStage) advance(t temporal.Time) {
 	st.wave(func(p *streamPartition) {
 		p.buf.advance(t)
@@ -609,7 +614,6 @@ func (st *streamStage) advance(t temporal.Time) {
 		st.ckptBytes.Add(int64(len(p.ckpt)))
 	})
 	for _, p := range st.parts {
-		p.log = resetEvents(p.log, p.buf.pending)
 		p.pushes = 0
 		st.arm(p)
 	}

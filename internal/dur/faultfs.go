@@ -23,8 +23,8 @@ import (
 //     write errors — what a crash mid-write leaves behind;
 //   - ENOSPC: the write errors having written nothing (the error wraps
 //     syscall.ENOSPC, so errors.Is sees a full disk);
-//   - failed fsync / failed rename: the commit protocol's ordering
-//     points break individually;
+//   - failed fsync (of a file or a directory) / failed rename: the
+//     commit protocol's ordering points break individually;
 //   - short read: ReadAt returns a prefix and an error;
 //   - bit flip: ReadAt succeeds but one bit of the returned buffer is
 //     inverted — silent corruption only checksums can catch.
@@ -196,6 +196,14 @@ func (f *FaultFS) ReadDir(dir string) ([]string, error) { return f.inner.ReadDir
 
 // Size implements FS.
 func (f *FaultFS) Size(name string) (int64, error) { return f.inner.Size(name) }
+
+// SyncDir implements FS.
+func (f *FaultFS) SyncDir(dir string) error {
+	if kind := f.draw(FaultSync); kind != "" {
+		return injected(kind)
+	}
+	return f.inner.SyncDir(dir)
+}
 
 // faultFile threads per-call fault draws through a File's data plane.
 type faultFile struct {

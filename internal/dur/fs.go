@@ -19,8 +19,9 @@
 //   - Store (store.go): the atomic commit protocol. Each generation is
 //     one file, written as temp file → one CRC32-checksummed,
 //     length-prefixed frame (internal/temporal frame.go) → fsync →
-//     rename; a generation exists once its rename is done. Loads walk
-//     generations newest-first, quarantine anything that fails
+//     rename → directory fsync; a generation exists once its rename is
+//     done, and survives power loss once its directory is synced. Loads
+//     walk generations newest-first, quarantine anything that fails
 //     validation or the caller's decode, and fall back to the previous
 //     intact one.
 //   - The retry supervisor (store.go retry): transient I/O faults are
@@ -56,6 +57,9 @@ type FS interface {
 	ReadDir(dir string) ([]string, error)
 	// Size returns the byte size of a file.
 	Size(name string) (int64, error)
+	// SyncDir flushes dir's entries to stable storage (fsync of the
+	// directory), so a rename inside it survives power loss.
+	SyncDir(dir string) error
 }
 
 // File is one open file of an FS: sequential writes while building,
@@ -115,4 +119,17 @@ func (OS) Size(name string) (int64, error) {
 		return 0, err
 	}
 	return st.Size(), nil
+}
+
+// SyncDir implements FS.
+func (OS) SyncDir(dir string) error {
+	d, err := os.Open(dir)
+	if err != nil {
+		return err
+	}
+	serr := d.Sync()
+	if cerr := d.Close(); serr == nil {
+		serr = cerr
+	}
+	return serr
 }

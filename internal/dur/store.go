@@ -20,7 +20,8 @@ import (
 // A generation g is one file, gen-g.ckpt: one CRC32-checksummed,
 // length-prefixed frame (temporal.AppendFrame) holding the record (g,
 // wave, waves, payload). Commit writes it as gen-g.ckpt.tmp, fsyncs and
-// closes it, and renames it to gen-g.ckpt. That rename is the commit
+// closes it, renames it to gen-g.ckpt and fsyncs the directory (without
+// which a power loss could undo the rename). That rename is the commit
 // point: a generation exists iff its ckpt does, so a `kill -9` at any
 // instant leaves either the previous committed generation (plus
 // ignorable *.tmp debris) or the new one — never a half state. A torn
@@ -176,9 +177,10 @@ func (s *Store) retry(op func() error) error {
 	return err
 }
 
-// writeFileAtomic writes data as path via temp file → fsync → rename,
-// retrying the whole bundle on any fault (a retry restarts from a fresh
-// temp file, so torn writes never leave a partial committed file).
+// writeFileAtomic writes data as path via temp file → fsync → rename →
+// directory fsync, retrying the whole bundle on any fault (a retry
+// restarts from a fresh temp file, so torn writes never leave a partial
+// committed file).
 func (s *Store) writeFileAtomic(path string, data []byte) error {
 	tmp := path + ".tmp"
 	return s.retry(func() error {
@@ -201,7 +203,16 @@ func (s *Store) writeFileAtomic(path string, data []byte) error {
 			case cerr != nil:
 				return cerr
 			}
-			return s.fs.Rename(tmp, path)
+			if err := s.fs.Rename(tmp, path); err != nil {
+				return err
+			}
+			if err := s.fs.SyncDir(filepath.Dir(path)); err != nil {
+				// Not durable: undo the rename, so that a commit that fails
+				// leaves the store as it was.
+				_ = s.fs.Remove(path)
+				return err
+			}
+			return nil
 		}()
 		if err != nil {
 			_ = s.fs.Remove(tmp)

@@ -369,6 +369,99 @@ func TestDurableStoreSweepsTempDebris(t *testing.T) {
 	}
 }
 
+// recordingFS logs every call the store makes at the FS seam.
+type recordingFS struct {
+	OS
+	calls []string
+}
+
+func (r *recordingFS) log(call string) { r.calls = append(r.calls, call) }
+
+func (r *recordingFS) Create(name string) (File, error) {
+	r.log("create " + filepath.Base(name))
+	f, err := r.OS.Create(name)
+	if err != nil {
+		return nil, err
+	}
+	return &recordingFile{File: f, fs: r}, nil
+}
+
+func (r *recordingFS) Rename(oldpath, newpath string) error {
+	r.log("rename " + filepath.Base(oldpath) + " " + filepath.Base(newpath))
+	return r.OS.Rename(oldpath, newpath)
+}
+
+func (r *recordingFS) Remove(name string) error {
+	r.log("remove " + filepath.Base(name))
+	return r.OS.Remove(name)
+}
+
+func (r *recordingFS) ReadDir(dir string) ([]string, error) {
+	r.log("readdir")
+	return r.OS.ReadDir(dir)
+}
+
+func (r *recordingFS) SyncDir(dir string) error {
+	r.log("syncdir")
+	return r.OS.SyncDir(dir)
+}
+
+type recordingFile struct {
+	File
+	fs *recordingFS
+}
+
+func (f *recordingFile) Write(p []byte) (int, error) { f.fs.log("write"); return f.File.Write(p) }
+func (f *recordingFile) Sync() error                 { f.fs.log("sync"); return f.File.Sync() }
+func (f *recordingFile) Close() error                { f.fs.log("close"); return f.File.Close() }
+
+// TestDurableStoreCommitSyncsDirectory: every commit writes and fsyncs
+// its temp file, renames it into place and then fsyncs the directory —
+// the rename is durable only once the directory is — before it prunes.
+func TestDurableStoreCommitSyncsDirectory(t *testing.T) {
+	rec := &recordingFS{}
+	st, err := OpenStore(t.TempDir(), Options{FS: rec, Keep: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for g := 0; g < 4; g++ {
+		rec.calls = nil
+		if err := st.Commit(temporal.Time(g), g, testPayload(temporal.Time(g), g)); err != nil {
+			t.Fatal(err)
+		}
+		ckpt := ckptName(uint64(g))
+		want := []string{"create " + ckpt + ".tmp", "write", "sync", "close", "rename " + ckpt + ".tmp " + ckpt, "syncdir", "readdir"}
+		if g == 3 {
+			want = append(want, "remove "+ckptName(0))
+		}
+		if got := strings.Join(rec.calls, ", "); got != strings.Join(want, ", ") {
+			t.Errorf("commit of gen %d: FS calls %s, want %s", g, got, strings.Join(want, ", "))
+		}
+	}
+}
+
+// dirSyncFails is the real file system whose directory fsync fails.
+type dirSyncFails struct{ OS }
+
+func (dirSyncFails) SyncDir(string) error { return ErrInjected }
+
+// TestDurableStoreDirSyncFailureUndoesCommit: a commit whose directory
+// fsync keeps failing is not durable, so it fails and leaves the store
+// as it was, with no generation file behind it.
+func TestDurableStoreDirSyncFailureUndoesCommit(t *testing.T) {
+	dir := t.TempDir()
+	st, err := OpenStore(dir, Options{FS: dirSyncFails{}, Retries: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := st.Commit(10, 1, testPayload(10, 1)); !errors.Is(err, ErrInjected) {
+		t.Fatalf("commit with a failing directory fsync: err = %v", err)
+	}
+	if names, _ := (OS{}).ReadDir(dir); len(names) != 0 {
+		t.Fatalf("a failed commit left %v", names)
+	}
+}
+
 func TestDurableStoreSurvivesInjectedFaults(t *testing.T) {
 	for seed := int64(1); seed <= 3; seed++ {
 		seed := seed

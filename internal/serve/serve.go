@@ -254,21 +254,18 @@ func (s *Server) run(killAfter int) (*Report, []temporal.Event, error) {
 		bt.SourceReduced: bt.TrainSchema,
 		bt.SourceModels:  bt.ModelSchema,
 	}
-	var job *core.StreamingJob
-	var rec *dur.Generation
-	var err error
 	if cfg.DurDir != "" {
-		store, oerr := dur.OpenStore(cfg.DurDir, dur.Options{FS: cfg.DurFS, Obs: cfg.Obs.Child("dur")})
-		if oerr != nil {
-			return nil, nil, oerr
+		store, err := dur.OpenStore(cfg.DurDir, dur.Options{FS: cfg.DurFS, Obs: cfg.Obs.Child("dur")})
+		if err != nil {
+			return nil, nil, err
 		}
-		job, rec, err = core.RestoreFromDir(plan, schemas, store, opts...)
-	} else {
-		job, err = core.NewStreamingJob(plan, schemas, opts...)
+		opts = append(opts, core.WithDurable(store))
 	}
+	job, err := core.NewStreamingJob(plan, schemas, opts...)
 	if err != nil {
 		return nil, nil, err
 	}
+	rec := job.Recovered()
 	reduced, err := job.Source(bt.SourceReduced)
 	if err != nil {
 		return nil, nil, err

@@ -89,7 +89,7 @@ func genScript(rng *rand.Rand, srcs []string, n int) []feedToken {
 func feedPerEvent(eng *Engine, toks []feedToken) {
 	for _, tk := range toks {
 		if tk.isCTI {
-			eng.Pipeline().Input(tk.src).OnCTI(tk.t)
+			eng.inputs[tk.src].OnCTI(tk.t)
 		} else {
 			eng.Feed(tk.src, tk.ev)
 		}
@@ -123,7 +123,7 @@ func feedRuns(t *testing.T, rng *rand.Rand, eng *Engine, toks []feedToken) {
 			cur = tk.src
 		}
 		if tk.isCTI {
-			eng.Pipeline().Input(tk.src).OnCTI(tk.t)
+			eng.inputs[tk.src].OnCTI(tk.t)
 			continue
 		}
 		run = append(run, tk.ev)

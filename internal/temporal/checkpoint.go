@@ -28,8 +28,8 @@ package temporal
 // zero state) before it has processed any input; on error the operator —
 // and the engine hosting it — must be discarded.
 type Checkpointer interface {
-	Snapshot(w *SnapshotWriter)
-	Restore(r *SnapshotReader) error
+	Snapshot(w *Encoder)
+	Restore(r *Decoder) error
 }
 
 // Per-operator tag bytes, written ahead of each operator's state and
@@ -58,19 +58,3 @@ const (
 	ckGroupedAgg byte = 0x08
 	ckGroupedUDO byte = 0x09
 )
-
-// SnapshotWriter accumulates a checkpoint byte stream. It is the shared
-// codec Encoder under a checkpoint-flavored name; the alias keeps every
-// operator's Snapshot signature stable while spill files reuse the same
-// encoding.
-type SnapshotWriter = Encoder
-
-// SnapshotReader decodes a checkpoint byte stream (the shared codec
-// Decoder; see codec.go for the sticky-error and bounds-checking
-// contract).
-type SnapshotReader = Decoder
-
-// NewSnapshotReader wraps a checkpoint byte stream.
-func NewSnapshotReader(data []byte) *SnapshotReader {
-	return NewDecoder(data)
-}

@@ -301,10 +301,10 @@ func TestCheckpointErrors(t *testing.T) {
 		tag, old byte
 	}{{e3, mkB, ckGroupedAgg, 0x07}, {e1, mkA, ckGroupedAgg, 0x01}, {e4, mkU, ckGroupedUDO, 0x06}} {
 		image := c.eng.Checkpoint()
-		var hdr SnapshotWriter
+		var hdr Encoder
 		hdr.Byte(ckEngine)
 		hdr.Varint(c.eng.lastCTI)
-		hdr.Uvarint(uint64(len(c.eng.pipeline.ckpts)))
+		hdr.Uvarint(uint64(len(c.eng.ckpts)))
 		if at := len(hdr.Bytes()); image[at] != c.tag {
 			t.Fatalf("byte %d of the image is 0x%02x, not the kernel's tag 0x%02x", at, image[at], c.tag)
 		} else {

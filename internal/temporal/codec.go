@@ -11,9 +11,8 @@ import (
 // encoding of values, rows and events, used by two very different
 // persistence layers —
 //
-//   - operator checkpoints (checkpoint.go): SnapshotWriter/SnapshotReader
-//     are aliases of Encoder/Decoder, so every stateful operator's
-//     Snapshot/Restore runs on this codec;
+//   - operator checkpoints (checkpoint.go): every stateful operator's
+//     Snapshot/Restore writes an Encoder and reads a Decoder;
 //   - the map-reduce spill files (internal/mapreduce/spill.go): shuffle
 //     runs and output partitions evicted from memory are streams of
 //     length-prefixed rows in this same encoding.

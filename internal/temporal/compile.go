@@ -8,83 +8,21 @@ import (
 	"timr/internal/obs"
 )
 
-// Pipeline is a compiled physical query: one entry Sink per named source
-// plus the caller-supplied output sink. Feeding events (nondecreasing LE
-// per source), CTIs and a final flush drives the query to completion.
-type Pipeline struct {
-	inputs  map[string]Sink
-	sources []string // source names, sorted: the order broadcasts visit inputs
-	schemas map[string]*Schema
-	out     *Schema
-	// ckpts lists the pipeline's stateful operators in deterministic
-	// pre-order DFS plan order — the walk Engine.Checkpoint/Restore use, so
-	// a snapshot taken from one compile of a plan restores into another.
-	// Stateless operators simply never appear here.
-	ckpts []Checkpointer
-	// auto is set while the engine's automatic schedule punctuates: the
-	// one kind of CTI a GroupApply may thin (see groupOutput.gap).
-	auto bool
-}
-
-// Input returns the entry sink for the named source.
-func (p *Pipeline) Input(source string) Sink {
-	in, ok := p.inputs[source]
-	if !ok {
-		panic("temporal: pipeline has no source " + source)
-	}
-	return in
-}
-
-// OutSchema returns the schema of the pipeline's output events.
-func (p *Pipeline) OutSchema() *Schema { return p.out }
-
-// AdvanceAll broadcasts a CTI to every source entry. Callers use it to
-// bound operator state and unblock merge operators between events. Sources
-// are visited in name order: a merger fed by two of them forwards its
-// punctuation, and releases what it buffers, in an order that depends on
-// which side hears first.
-func (p *Pipeline) AdvanceAll(t Time) {
-	for _, s := range p.sources {
-		p.inputs[s].OnCTI(t)
-	}
-}
-
-// autoAdvance is AdvanceAll for the engine's automatic schedule, whose
-// punctuations nobody waits for: GroupApplys may thin them.
-func (p *Pipeline) autoAdvance(t Time) {
-	p.auto = true
-	p.AdvanceAll(t)
-	p.auto = false
-}
-
-// FlushAll signals end-of-stream on every source entry, in name order.
-func (p *Pipeline) FlushAll() {
-	for _, s := range p.sources {
-		p.inputs[s].OnFlush()
-	}
-}
-
-// Compile turns a logical plan into a physical pipeline delivering results
-// to out. Plans may be DAGs; shared nodes become physical multicasts.
-// Maximal runs of stateless operators become single kernels
-// (op_fused.go).
-func Compile(root *Plan, out Sink) (*Pipeline, error) {
-	return compile([]*Plan{root}, []Sink{out}, nil)
-}
-
-// compile builds one pipeline for several roots: roots[i]'s events and
-// punctuation go to outs[i], and a node the roots share is built once. The
-// first root is the pipeline's output (OutSchema). Under a non-nil scope
+// compile builds e's operators for several roots: roots[i]'s events and
+// punctuation go to outs[i], and a node the roots share is built once.
+// Plans may be DAGs; shared nodes become physical multicasts, and maximal
+// runs of stateless operators become single kernels (op_fused.go). It
+// sets e's source entries and checkpoint list. Under a non-nil scope
 // every operator reports events in/out, propagated CTIs, live state size
 // and watermark lag into a child of scope named "opNN.Kind" (NN =
 // pre-order DFS position over the roots in order; see opName), and each
 // source reports fed events/CTIs under "source.<name>" (op_meter.go). The
 // operators built, their wiring and the checkpoint layout are the same
 // either way.
-func compile(roots []*Plan, outs []Sink, scope *obs.Scope) (*Pipeline, error) {
+func (e *Engine) compile(roots []*Plan, outs []Sink, scope *obs.Scope) error {
 	for _, root := range roots {
 		if err := checkPlan(root, false); err != nil {
-			return nil, err
+			return err
 		}
 	}
 	c := &compiler{
@@ -105,8 +43,8 @@ func compile(roots []*Plan, outs []Sink, scope *obs.Scope) (*Pipeline, error) {
 		c.ids = make(map[*Plan]int)
 		walkInputs(func(n *Plan) { c.ids[n] = len(c.ids) }, roots...)
 	}
-	pl := &Pipeline{inputs: make(map[string]Sink), schemas: make(map[string]*Schema), out: roots[0].Out}
-	c.auto = &pl.auto
+	e.inputs = make(map[string]Sink)
+	c.auto = &e.auto
 	// Group scan leaves by source: one feed may supply several leaves.
 	// Only this plan's own DAG is walked; a GroupApply sub-plan's leaf is
 	// its group input (lowerGroupApply).
@@ -117,14 +55,14 @@ func compile(roots []*Plan, outs []Sink, scope *obs.Scope) (*Pipeline, error) {
 		}
 	}, roots...)
 	if len(bySource) == 0 {
-		return nil, fmt.Errorf("temporal: plan has no scan leaves")
+		return fmt.Errorf("temporal: plan has no scan leaves")
 	}
 	for source, leaves := range bySource {
 		sinks := make([]Sink, len(leaves))
 		for i, leaf := range leaves {
 			sinks[i] = c.outputSink(leaf)
 			if !leaf.Out.Equal(leaves[0].Out) {
-				return nil, fmt.Errorf("temporal: source %s scanned with conflicting schemas", source)
+				return fmt.Errorf("temporal: source %s scanned with conflicting schemas", source)
 			}
 		}
 		in := fanOut(sinks)
@@ -132,19 +70,18 @@ func compile(roots []*Plan, outs []Sink, scope *obs.Scope) (*Pipeline, error) {
 			sc := scope.Child("source." + source)
 			in = &meterOut{events: sc.Counter("events"), ctis: sc.Counter("ctis"), out: in}
 		}
-		pl.inputs[source] = in
-		pl.sources = append(pl.sources, source)
-		pl.schemas[source] = leaves[0].Out
+		e.inputs[source] = in
+		e.sources = append(e.sources, source)
 	}
-	slices.Sort(pl.sources)
+	slices.Sort(e.sources)
 	// Collect stateful operators in pre-order DFS plan order (build order
 	// above follows randomized map iteration and cannot be used).
 	walkInputs(func(n *Plan) {
 		if ck, ok := c.insts[n].(Checkpointer); ok {
-			pl.ckpts = append(pl.ckpts, ck)
+			e.ckpts = append(e.ckpts, ck)
 		}
 	}, roots...)
-	return pl, nil
+	return nil
 }
 
 type parentRef struct {
@@ -159,7 +96,7 @@ type compiler struct {
 	outs    map[*Plan][]Sink // root -> the caller's sink(s) for its output
 	obs     *obs.Scope       // nil = no instrumentation
 	ids     map[*Plan]int    // deterministic operator ids (obs only)
-	auto    *bool            // Pipeline.auto
+	auto    *bool            // Engine.auto
 }
 
 func (c *compiler) collectParents(n *Plan, seen map[*Plan]bool) {

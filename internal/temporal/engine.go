@@ -8,23 +8,28 @@ import (
 	"timr/internal/obs"
 )
 
-// Engine hosts a compiled pipeline together with a result collector. It is
-// the "embedded DSMS server instance" that TiMR creates inside reducers
-// (paper §III-A step 4) and that the real-time example drives directly.
+// Engine is one compiled query and its result collector: the "embedded
+// DSMS server instance" that TiMR creates inside reducers (paper §III-A
+// step 4) and that the real-time example drives directly. Feeding events
+// (nondecreasing LE per source), CTIs and a final flush drives the query
+// to completion.
 //
 // An Engine is single-threaded by design, like one StreamInsight instance;
 // parallelism comes from running many engines over partitions (TiMR) —
 // exactly the paper's architecture.
 type Engine struct {
-	pipeline *Pipeline
-	collect  *Collector
-	sink     Sink
-	// CTIPeriod controls automatic punctuation injection by Feed and
-	// FeedMerged: a CTI is broadcast whenever application time advances
-	// past the next period boundary (the schedule is anchored at the first
-	// event's time). Zero disables automatic CTIs (state is bounded only
-	// by Flush).
-	CTIPeriod Time
+	inputs  map[string]Sink // entry sink per scanned source
+	sources []string        // source names, sorted: the order broadcasts visit inputs
+	// ckpts lists the stateful operators in deterministic pre-order DFS
+	// plan order — the walk Checkpoint/Restore use, so a snapshot taken
+	// from one compile of a plan restores into another. Stateless
+	// operators simply never appear here.
+	ckpts []Checkpointer
+	// auto is set while the automatic schedule punctuates: the one kind
+	// of CTI a GroupApply may thin (see groupOutput.gap).
+	auto      bool
+	collect   *Collector
+	ctiPeriod Time // automatic punctuation period (WithCTIPeriod); zero disables it
 	lastCTI   Time
 	fed       bool // any input seen; Restore on a fed engine is an error
 }
@@ -52,8 +57,10 @@ func WithSink(out Sink) Option { return func(o *engineOptions) { o.sink = out } 
 // counts aggregate.
 func WithObs(scope *obs.Scope) Option { return func(o *engineOptions) { o.scope = scope } }
 
-// WithCTIPeriod sets the automatic punctuation period (see
-// Engine.CTIPeriod). Zero disables automatic CTIs. The default is Hour.
+// WithCTIPeriod sets the automatic punctuation period: Feed and
+// FeedMerged broadcast a CTI whenever application time crosses a period
+// boundary (see maybeCTI). Zero disables automatic CTIs. The default is
+// Hour.
 func WithCTIPeriod(p Time) Option { return func(o *engineOptions) { o.ctiPeriod = p } }
 
 // WithOutput compiles a second root into the engine beside its plan and
@@ -77,29 +84,30 @@ func NewEngine(plan *Plan, opts ...Option) (*Engine, error) {
 	for _, opt := range opts {
 		opt(&o)
 	}
-	var collect *Collector
+	e := &Engine{ctiPeriod: o.ctiPeriod, lastCTI: MinTime}
 	sink := o.sink
 	if sink == nil {
-		collect = &Collector{}
-		sink = collect
+		e.collect = &Collector{}
+		sink = e.collect
 	}
-	p, err := compile(append([]*Plan{plan}, o.roots...), append([]Sink{sink}, o.outs...), o.scope)
-	if err != nil {
+	if err := e.compile(append([]*Plan{plan}, o.roots...), append([]Sink{sink}, o.outs...), o.scope); err != nil {
 		return nil, err
 	}
-	return &Engine{pipeline: p, collect: collect, sink: sink, CTIPeriod: o.ctiPeriod, lastCTI: MinTime}, nil
+	return e, nil
 }
 
-// Pipeline exposes the compiled pipeline.
-func (e *Engine) Pipeline() *Pipeline { return e.pipeline }
-
-// Feed pushes one event into the named source.
+// Feed pushes one event into the named source. It panics if the plan
+// scans no such source.
 func (e *Engine) Feed(source string, ev Event) {
-	e.push(e.pipeline.Input(source), ev)
+	in, ok := e.inputs[source]
+	if !ok {
+		panic("temporal: engine has no source " + source)
+	}
+	e.push(in, ev)
 }
 
 // push delivers one event to a source entry, then lets the automatic
-// schedule punctuate: every event reaches the pipeline through here.
+// schedule punctuate: every event reaches the query through here.
 func (e *Engine) push(in Sink, ev Event) {
 	e.fed = true
 	in.OnEvent(ev)
@@ -109,10 +117,10 @@ func (e *Engine) push(in Sink, ev Event) {
 // anchorCTI anchors the automatic punctuation schedule at the first
 // event: lastCTI becomes the last period boundary strictly before t, so
 // a first event landing exactly on a boundary punctuates there (the
-// caller's d >= CTIPeriod check fires immediately), and a sparse wave
+// caller's d >= ctiPeriod check fires immediately), and a sparse wave
 // starting at a boundary is not silently un-punctuated until Flush.
 func (e *Engine) anchorCTI(t Time) {
-	e.lastCTI = floorDiv(t-1, e.CTIPeriod) * e.CTIPeriod
+	e.lastCTI = floorDiv(t-1, e.ctiPeriod) * e.ctiPeriod
 }
 
 // maybeCTI drives the automatic punctuation schedule: the first event
@@ -122,46 +130,62 @@ func (e *Engine) anchorCTI(t Time) {
 // events land between boundaries would drift the schedule and
 // under-punctuate).
 func (e *Engine) maybeCTI(t Time) {
-	if e.CTIPeriod <= 0 {
+	if e.ctiPeriod <= 0 {
 		return
 	}
 	if e.lastCTI == MinTime {
 		e.anchorCTI(t)
 	}
-	if d := t - e.lastCTI; d >= e.CTIPeriod {
-		e.pipeline.autoAdvance(t)
-		e.lastCTI += (d / e.CTIPeriod) * e.CTIPeriod
+	if d := t - e.lastCTI; d >= e.ctiPeriod {
+		// Nobody waits for these punctuations: GroupApplys may thin them.
+		e.auto = true
+		e.broadcast(t)
+		e.auto = false
+		e.lastCTI += (d / e.ctiPeriod) * e.ctiPeriod
 	}
 }
 
-// Advance broadcasts a CTI at time t to every source. Unlike the automatic
-// schedule's it is never thinned on the way: when Advance returns, the sink
-// has every result below t and then the CTI (moved only by lifetime shifts).
+// broadcast sends a CTI to every source entry. Sources are visited in
+// name order: a merger fed by two of them forwards its punctuation, and
+// releases what it buffers, in an order that depends on which side hears
+// first.
+func (e *Engine) broadcast(t Time) {
+	for _, s := range e.sources {
+		e.inputs[s].OnCTI(t)
+	}
+}
+
+// Advance broadcasts a CTI at time t to every source, bounding operator
+// state and unblocking merge operators. Unlike the automatic schedule's it
+// is never thinned on the way: when Advance returns, the sink has every
+// result below t and then the CTI (moved only by lifetime shifts).
 func (e *Engine) Advance(t Time) {
 	e.fed = true
-	e.pipeline.AdvanceAll(t)
+	e.broadcast(t)
 	e.lastCTI = t
 }
 
-// Flush ends all inputs, draining buffered state.
+// Flush ends all inputs, in source-name order, draining buffered state.
 func (e *Engine) Flush() {
 	e.fed = true
-	e.pipeline.FlushAll()
+	for _, s := range e.sources {
+		e.inputs[s].OnFlush()
+	}
 }
 
 // Checkpoint serializes the engine's full operator state — every stateful
-// operator in the compiled pipeline, in deterministic plan order, plus the
+// operator of the compiled query, in deterministic plan order, plus the
 // CTI clock — into a self-contained byte snapshot. The encoding is
 // deterministic: two checkpoints of the same logical state are
 // byte-identical. Take checkpoints between input batches (operators are
 // quiescent then); the snapshot restores into a fresh engine compiled from
 // the same plan with NewEngine and Restore.
 func (e *Engine) Checkpoint() []byte {
-	var w SnapshotWriter
+	var w Encoder
 	w.Byte(ckEngine)
 	w.Varint(e.lastCTI)
-	w.Uvarint(uint64(len(e.pipeline.ckpts)))
-	for _, ck := range e.pipeline.ckpts {
+	w.Uvarint(uint64(len(e.ckpts)))
+	for _, ck := range e.ckpts {
 		ck.Snapshot(&w)
 	}
 	return w.Bytes()
@@ -177,7 +201,7 @@ func (e *Engine) Restore(snap []byte) error {
 	if len(snap) > 0 && snap[0] == ckEngineV1 {
 		return fmt.Errorf("temporal: checkpoint is in format 1, written before the grouped-aggregate kernel; this build reads format 2 only")
 	}
-	r := NewSnapshotReader(snap)
+	r := NewDecoder(snap)
 	if err := r.Expect(ckEngine, "engine"); err != nil {
 		return err
 	}
@@ -186,10 +210,10 @@ func (e *Engine) Restore(snap []byte) error {
 	if r.Err() != nil {
 		return r.Err()
 	}
-	if n != len(e.pipeline.ckpts) {
-		return r.Failf("pipeline has %d stateful operators, snapshot has %d", len(e.pipeline.ckpts), n)
+	if n != len(e.ckpts) {
+		return r.Failf("pipeline has %d stateful operators, snapshot has %d", len(e.ckpts), n)
 	}
-	for _, ck := range e.pipeline.ckpts {
+	for _, ck := range e.ckpts {
 		if err := ck.Restore(r); err != nil {
 			return err
 		}
@@ -223,7 +247,7 @@ func RunPlan(plan *Plan, inputs map[string][]Event) ([]Event, error) {
 	// sources resolve the same way on every call.
 	var runs []Run
 	for src, evs := range inputs {
-		if _, ok := eng.pipeline.inputs[src]; ok {
+		if _, ok := eng.inputs[src]; ok {
 			runs = append(runs, Run{Source: src, Events: evs})
 		}
 	}

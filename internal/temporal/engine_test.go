@@ -524,8 +524,8 @@ func TestScanInsideGroupApplyIsAnError(t *testing.T) {
 	plan := Scan("in", sch).GroupApply([]string{"ID"}, func(g *Plan) *Plan {
 		return g.Union(Scan("other", sch)).WithWindow(3).Count("C")
 	})
-	if _, err := Compile(plan, &Collector{}); err == nil || !strings.Contains(err.Error(), "Scan(other) leaf inside") {
-		t.Fatalf("Compile with a Scan in a sub-plan: %v", err)
+	if _, err := NewEngine(plan); err == nil || !strings.Contains(err.Error(), "Scan(other) leaf inside") {
+		t.Fatalf("NewEngine with a Scan in a sub-plan: %v", err)
 	}
 }
 

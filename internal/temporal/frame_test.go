@@ -13,7 +13,7 @@ func TestFrameRoundtrip(t *testing.T) {
 		[]byte("x"),
 		bytes.Repeat([]byte{0xAB}, 1000),
 		func() []byte { // a realistic checkpoint image
-			var w SnapshotWriter
+			var w Encoder
 			w.Byte(ckEngine)
 			w.Varint(12345)
 			w.Events([]Event{PointEvent(7, Row{Int(1), String("k")})})

@@ -377,7 +377,7 @@ func TestJoinPointSideStoresNothing(t *testing.T) {
 		steps := liveSteps(rng, l, r)
 		for _, s := range liveSchedules(rng, len(steps)) {
 			runLive(t, rng, plan, steps, s, func(eng *Engine) {
-				j := eng.pipeline.ckpts[0].(*temporalJoinOp)
+				j := eng.ckpts[0].(*temporalJoinOp)
 				if n := j.syn[sideLeft].size; n != 0 {
 					t.Fatalf("trial %d, %v: %d point events in the left synopsis", trial, s, n)
 				}

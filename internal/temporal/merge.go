@@ -2,6 +2,7 @@ package temporal
 
 import (
 	"cmp"
+	"fmt"
 	"slices"
 )
 
@@ -26,13 +27,19 @@ type Run struct {
 // A resident run that is not in LE order is stable-sorted on a copy first
 // (the caller's slice is never written); resorted counts those runs, so the
 // slow path is observable. A cursor error aborts the feed and is returned
-// as is; the engine must then be discarded.
+// as is; the engine must then be discarded. A run whose source the plan
+// does not scan is an error naming it, and then nothing is fed.
 func (e *Engine) FeedMerged(runs []Run) (int, error) {
+	for _, r := range runs {
+		if _, ok := e.inputs[r.Source]; !ok {
+			return 0, fmt.Errorf("temporal: engine has no source %s", r.Source)
+		}
+	}
 	if len(runs) == 1 && runs[0].Next == nil {
 		// One resident run is its own merged order.
 		evs, resorted := sortedByLE(runs[0].Events)
 		if len(evs) > 0 {
-			in := e.pipeline.Input(runs[0].Source)
+			in := e.inputs[runs[0].Source]
 			for _, ev := range evs {
 				e.push(in, ev)
 			}
@@ -53,7 +60,7 @@ func (e *Engine) FeedMerged(runs []Run) (int, error) {
 			return resorted, err
 		}
 		if ok {
-			m.in = e.pipeline.Input(m.Source)
+			m.in = e.inputs[m.Source]
 			h.push(m)
 		}
 	}
@@ -74,8 +81,8 @@ func (e *Engine) FeedMerged(runs []Run) (int, error) {
 }
 
 // mergeRun is one run's cursor in the merge: cur is its next event, Events
-// what a resident run has left after it, and in its source's pipeline
-// entry.
+// what a resident run has left after it, and in its source's entry
+// sink.
 type mergeRun struct {
 	Run
 	ord int // position in runs — the merge's stability tie-break

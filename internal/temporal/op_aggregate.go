@@ -22,8 +22,8 @@ type aggState interface {
 	Insert(Row)
 	Remove(Row)
 	Result() Value
-	snapshot(w *SnapshotWriter)
-	restore(r *SnapshotReader)
+	snapshot(w *Encoder)
+	restore(r *Decoder)
 }
 
 // ---- Count ----
@@ -34,8 +34,8 @@ func (s *countState) Insert(Row)    { s.n++ }
 func (s *countState) Remove(Row)    { s.n-- }
 func (s *countState) Result() Value { return Int(s.n) }
 
-func (s *countState) snapshot(w *SnapshotWriter) { w.Varint(s.n) }
-func (s *countState) restore(r *SnapshotReader)  { s.n = r.Varint() }
+func (s *countState) snapshot(w *Encoder) { w.Varint(s.n) }
+func (s *countState) restore(r *Decoder)  { s.n = r.Varint() }
 
 // ---- Sum / Avg ----
 
@@ -67,12 +67,12 @@ func (s *sumState) Result() Value {
 	return Int(s.i)
 }
 
-func (s *sumState) snapshot(w *SnapshotWriter) {
+func (s *sumState) snapshot(w *Encoder) {
 	w.Varint(s.i)
 	w.Value(Float(s.f))
 }
 
-func (s *sumState) restore(r *SnapshotReader) {
+func (s *sumState) restore(r *Decoder) {
 	s.i = r.Varint()
 	if v := r.Value(); v.Kind() == KindFloat {
 		s.f = v.AsFloat()
@@ -94,12 +94,12 @@ func (s *avgState) Result() Value {
 	return Float(s.f / float64(s.n))
 }
 
-func (s *avgState) snapshot(w *SnapshotWriter) {
+func (s *avgState) snapshot(w *Encoder) {
 	w.Varint(s.n)
 	w.Value(Float(s.f))
 }
 
-func (s *avgState) restore(r *SnapshotReader) {
+func (s *avgState) restore(r *Decoder) {
 	s.n = r.Varint()
 	if v := r.Value(); v.Kind() == KindFloat {
 		s.f = v.AsFloat()
@@ -190,7 +190,7 @@ func (s *minMaxState) Result() Value {
 // live values, so rebuilding it with exactly one entry per distinct live
 // value is behaviorally equivalent (Result prunes stale entries lazily
 // either way).
-func (s *minMaxState) snapshot(w *SnapshotWriter) {
+func (s *minMaxState) snapshot(w *Encoder) {
 	live := make([]minMaxCount, 0, len(s.counts))
 	for _, c := range s.counts {
 		live = append(live, c)
@@ -208,7 +208,7 @@ func (s *minMaxState) snapshot(w *SnapshotWriter) {
 	}
 }
 
-func (s *minMaxState) restore(r *SnapshotReader) {
+func (s *minMaxState) restore(r *Decoder) {
 	n := r.Count("min/max multiset")
 	for i := 0; i < n && r.Err() == nil; i++ {
 		v := r.Value()

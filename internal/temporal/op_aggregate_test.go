@@ -91,7 +91,7 @@ func TestMinMaxFloatKeys(t *testing.T) {
 	}
 	var first []byte
 	for i := 0; i < 20; i++ {
-		var w SnapshotWriter
+		var w Encoder
 		s.snapshot(&w)
 		if first == nil {
 			first = bytes.Clone(w.Bytes())

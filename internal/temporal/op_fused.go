@@ -186,12 +186,12 @@ func (f *fusedOp) OnFlush() { f.out.OnFlush() }
 // nothing pending writes. A value of it carries nothing.
 type alterSection struct{}
 
-func (alterSection) Snapshot(w *SnapshotWriter) {
+func (alterSection) Snapshot(w *Encoder) {
 	w.Byte(ckAlterLife)
 	w.Uvarint(0)
 }
 
-func (alterSection) Restore(r *SnapshotReader) error {
+func (alterSection) Restore(r *Decoder) error {
 	if err := r.Expect(ckAlterLife, "alter-lifetime"); err != nil {
 		return err
 	}

@@ -99,13 +99,13 @@ func (o *groupOutput) flush() {
 // snapshot serializes the broadcast clock and the staged output, put in
 // canonical event order first — a release would do the same, so nothing
 // observable moves.
-func (o *groupOutput) snapshot(w *SnapshotWriter) {
+func (o *groupOutput) snapshot(w *Encoder) {
 	w.Varint(o.lastBroadcast)
 	o.sortStaged()
 	w.Events(o.staged)
 }
 
-func (o *groupOutput) restore(r *SnapshotReader) {
+func (o *groupOutput) restore(r *Decoder) {
 	o.lastBroadcast = r.Varint()
 	o.staged = r.Events()
 	o.sorted = len(o.staged)
@@ -194,13 +194,13 @@ func (g *groupOps) liveState() (n int) {
 	return n
 }
 
-func (g *groupOps) Snapshot(w *SnapshotWriter) {
+func (g *groupOps) Snapshot(w *Encoder) {
 	for _, op := range g.ops {
 		op.Snapshot(w)
 	}
 }
 
-func (g *groupOps) Restore(r *SnapshotReader) error {
+func (g *groupOps) Restore(r *Decoder) error {
 	for _, op := range g.ops {
 		if err := op.Restore(r); err != nil {
 			return err
@@ -283,7 +283,7 @@ func (k *keyedKernel[S]) each(fn func(*keySlot[S])) {
 
 // snapshotSlots writes tag, the output half, and the live slots in key
 // order — each its key, then what fn writes — and returns them in that order.
-func (k *keyedKernel[S]) snapshotSlots(w *SnapshotWriter, tag byte, fn func(*keySlot[S])) []*keySlot[S] {
+func (k *keyedKernel[S]) snapshotSlots(w *Encoder, tag byte, fn func(*keySlot[S])) []*keySlot[S] {
 	w.Byte(tag)
 	k.snapshot(w)
 	slots := make([]*keySlot[S], 0, k.nlive)
@@ -298,7 +298,7 @@ func (k *keyedKernel[S]) snapshotSlots(w *SnapshotWriter, tag byte, fn func(*key
 }
 
 // restoreSlots reads what snapshotSlots wrote, fn reading what it did.
-func (k *keyedKernel[S]) restoreSlots(r *SnapshotReader, tag byte, what string, fn func(*keySlot[S])) []*keySlot[S] {
+func (k *keyedKernel[S]) restoreSlots(r *Decoder, tag byte, what string, fn func(*keySlot[S])) []*keySlot[S] {
 	if r.Expect(tag, what) != nil {
 		return nil
 	}

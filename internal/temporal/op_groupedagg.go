@@ -107,7 +107,7 @@ func (g *groupedAggOp) OnFlush() {
 // Snapshot serializes the shared output half, the live slots in key order
 // (key, segment start, accumulator) and the expiration queue in pop
 // order, each entry naming its slot by position.
-func (g *groupedAggOp) Snapshot(w *SnapshotWriter) {
+func (g *groupedAggOp) Snapshot(w *Encoder) {
 	index := make(map[*keySlot[aggSlot]]int, g.nlive)
 	for i, s := range g.snapshotSlots(w, ckGroupedAgg, func(s *keySlot[aggSlot]) {
 		w.Varint(s.slot.cur)
@@ -124,7 +124,7 @@ func (g *groupedAggOp) Snapshot(w *SnapshotWriter) {
 	}
 }
 
-func (g *groupedAggOp) Restore(r *SnapshotReader) error {
+func (g *groupedAggOp) Restore(r *Decoder) error {
 	slots := g.restoreSlots(r, ckGroupedAgg, "grouped-aggregate", func(s *keySlot[aggSlot]) {
 		s.slot = aggSlot{state: g.newState(), cur: r.Varint()}
 		s.slot.state.restore(r)

@@ -131,7 +131,7 @@ func (m *merger) bufferedLen() int {
 // snapshot serializes watermarks, flush flags, the unconsumed FIFO
 // suffix of each side (verbatim — arrival order is the merge order for
 // ties within a side) and the forwarded-CTI clock.
-func (m *merger) snapshot(w *SnapshotWriter) {
+func (m *merger) snapshot(w *Encoder) {
 	for side := 0; side < 2; side++ {
 		w.Varint(m.wm[side])
 		w.Bool(m.flushed[side])
@@ -140,7 +140,7 @@ func (m *merger) snapshot(w *SnapshotWriter) {
 	w.Varint(m.lastCTI)
 }
 
-func (m *merger) restore(r *SnapshotReader) {
+func (m *merger) restore(r *Decoder) {
 	for side := 0; side < 2; side++ {
 		m.wm[side] = r.Varint()
 		m.flushed[side] = r.Bool()
@@ -177,12 +177,12 @@ func (u *unionOp) onMergedCTI(t Time)      { u.out.OnCTI(t) }
 func (u *unionOp) onMergedFlush()          { u.out.OnFlush() }
 func (u *unionOp) liveState() int          { return u.m.bufferedLen() }
 
-func (u *unionOp) Snapshot(w *SnapshotWriter) {
+func (u *unionOp) Snapshot(w *Encoder) {
 	w.Byte(ckUnion)
 	u.m.snapshot(w)
 }
 
-func (u *unionOp) Restore(r *SnapshotReader) error {
+func (u *unionOp) Restore(r *Decoder) error {
 	if err := r.Expect(ckUnion, "union"); err != nil {
 		return err
 	}
@@ -260,7 +260,7 @@ func (s *synopsis) expire(t Time) {
 // from the original arrival order — harmless, because probe matches at
 // one LE differ only in emission order among equal-LE outputs, which the
 // engine's order contract does not distinguish.
-func (s *synopsis) snapshot(w *SnapshotWriter) {
+func (s *synopsis) snapshot(w *Encoder) {
 	evs := make([]Event, 0, s.size)
 	for _, bucket := range s.buckets {
 		for _, ent := range bucket {
@@ -271,7 +271,7 @@ func (s *synopsis) snapshot(w *SnapshotWriter) {
 	w.Events(evs)
 }
 
-func (s *synopsis) restore(r *SnapshotReader) {
+func (s *synopsis) restore(r *Decoder) {
 	for _, e := range r.Events() {
 		for _, k := range s.keys {
 			if k >= len(e.Payload) { // a corrupt image; insert would index past the row
@@ -367,7 +367,7 @@ func (j *temporalJoinOp) liveState() int {
 	return j.m.bufferedLen() + j.syn[sideLeft].size + j.syn[sideRight].size
 }
 
-func (j *temporalJoinOp) Snapshot(w *SnapshotWriter) {
+func (j *temporalJoinOp) Snapshot(w *Encoder) {
 	w.Byte(ckJoin)
 	j.m.snapshot(w)
 	j.syn[sideLeft].snapshot(w)
@@ -375,7 +375,7 @@ func (j *temporalJoinOp) Snapshot(w *SnapshotWriter) {
 	w.Varint(j.lastTidy)
 }
 
-func (j *temporalJoinOp) Restore(r *SnapshotReader) error {
+func (j *temporalJoinOp) Restore(r *Decoder) error {
 	if err := r.Expect(ckJoin, "temporal join"); err != nil {
 		return err
 	}
@@ -442,14 +442,14 @@ func (a *antiSemiJoinOp) onMergedCTI(t Time) {
 func (a *antiSemiJoinOp) onMergedFlush() { a.out.OnFlush() }
 func (a *antiSemiJoinOp) liveState() int { return a.m.bufferedLen() + a.syn.size }
 
-func (a *antiSemiJoinOp) Snapshot(w *SnapshotWriter) {
+func (a *antiSemiJoinOp) Snapshot(w *Encoder) {
 	w.Byte(ckAntiSemi)
 	a.m.snapshot(w)
 	a.syn.snapshot(w)
 	w.Varint(a.lastTidy)
 }
 
-func (a *antiSemiJoinOp) Restore(r *SnapshotReader) error {
+func (a *antiSemiJoinOp) Restore(r *Decoder) error {
 	if err := r.Expect(ckAntiSemi, "anti-semi-join"); err != nil {
 		return err
 	}

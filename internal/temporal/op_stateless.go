@@ -124,7 +124,7 @@ func (a *alterLifetimeOp) liveState() int { return a.npending }
 // (re, payload) order. Bucket-internal order is behavior-neutral: two
 // entries can both match a future event only when they are identical, so
 // which one gets extended is indistinguishable downstream.
-func (a *alterLifetimeOp) Snapshot(w *SnapshotWriter) {
+func (a *alterLifetimeOp) Snapshot(w *Encoder) {
 	w.Byte(ckAlterLife)
 	ents := make([]pointPending, 0, a.npending)
 	for _, bucket := range a.pending {
@@ -143,7 +143,7 @@ func (a *alterLifetimeOp) Snapshot(w *SnapshotWriter) {
 	}
 }
 
-func (a *alterLifetimeOp) Restore(r *SnapshotReader) error {
+func (a *alterLifetimeOp) Restore(r *Decoder) error {
 	if err := r.Expect(ckAlterLife, "alter-lifetime"); err != nil {
 		return err
 	}

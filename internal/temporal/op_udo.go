@@ -72,14 +72,14 @@ func (u *udoSlot) advance(spec *UDOSpec, upto Time, emit func(Event)) {
 
 // snapshot preserves the buffer verbatim: its physical order is the row
 // order handed to the user function, which must survive a restore exactly.
-func (u *udoSlot) snapshot(w *SnapshotWriter) {
+func (u *udoSlot) snapshot(w *Encoder) {
 	w.Events(u.buf)
 	w.Varint(u.nextEnd)
 	w.Bool(u.started)
 	w.Varint(u.lastLE)
 }
 
-func (u *udoSlot) restore(r *SnapshotReader) {
+func (u *udoSlot) restore(r *Decoder) {
 	u.buf = r.Events()
 	u.nextEnd = r.Varint()
 	u.started = r.Bool()
@@ -152,11 +152,11 @@ func (k *groupedUDOOp) OnFlush() {
 
 // Snapshot serializes the shared output half, then the live slots in key
 // order: key, then the slot.
-func (k *groupedUDOOp) Snapshot(w *SnapshotWriter) {
+func (k *groupedUDOOp) Snapshot(w *Encoder) {
 	k.snapshotSlots(w, ckGroupedUDO, func(s *keySlot[udoSlot]) { s.slot.snapshot(w) })
 }
 
-func (k *groupedUDOOp) Restore(r *SnapshotReader) error {
+func (k *groupedUDOOp) Restore(r *Decoder) error {
 	k.restoreSlots(r, ckGroupedUDO, "grouped-UDO", func(s *keySlot[udoSlot]) {
 		if s.slot.restore(r); r.Err() == nil && len(s.slot.buf) == 0 {
 			r.Failf("a slot holds no rows")

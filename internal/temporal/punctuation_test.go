@@ -1,6 +1,7 @@
 package temporal
 
 import (
+	"strings"
 	"testing"
 )
 
@@ -15,11 +16,10 @@ func driveWithCTIs(t *testing.T, plan *Plan, inputs map[string][]Event) []Event 
 		}
 	}
 	sortSrcEvents(all)
-	eng, err := NewEngine(plan)
+	eng, err := NewEngine(plan, WithCTIPeriod(0))
 	if err != nil {
 		t.Fatal(err)
 	}
-	eng.CTIPeriod = 0
 	for _, se := range all {
 		eng.Feed(se.Source, se.Event)
 		eng.Advance(se.Event.LE) // aggressive punctuation after every event
@@ -258,11 +258,15 @@ func TestEngineAccessors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	p := eng.Pipeline()
-	if p.OutSchema().Field(0).Name != "C" {
-		t.Errorf("OutSchema = %s", p.OutSchema())
+	// An unknown source fails FeedMerged by name, before anything is fed.
+	_, err = eng.FeedMerged([]Run{{Source: "in", Events: []Event{reading(0, "m", 1)}}, {Source: "nope", Events: []Event{reading(0, "m", 1)}}})
+	if err == nil || !strings.Contains(err.Error(), "nope") {
+		t.Errorf("FeedMerged with an unknown source: %v, want an error naming it", err)
 	}
-	mustPanic(t, func() { p.Input("nope") })
+	if eng.fed {
+		t.Error("FeedMerged with an unknown source fed the engine")
+	}
+	mustPanic(t, func() { eng.Feed("nope", reading(1, "m", 1)) })
 
 	eng.Feed("in", reading(1, "m", 1))
 	eng.Advance(10)

@@ -124,7 +124,7 @@ func driveSchedule(eng *Engine, schedule int, seed int64, events []Event, from, 
 // groupApplyOf returns the output halves of the pipeline's GroupApply.
 func groupApplyOf(t *testing.T, eng *Engine) []*groupOutput {
 	t.Helper()
-	for _, ck := range eng.pipeline.ckpts {
+	for _, ck := range eng.ckpts {
 		if g, ok := ck.(*groupOps); ok {
 			return g.outs
 		}
@@ -284,7 +284,7 @@ func TestGroupApplyDeliversRemainderBeforeWatermark(t *testing.T) {
 	if covered != 100 {
 		t.Fatalf("before Flush the count covers [0,%d), want [0,100): %v", covered, out.tokens)
 	}
-	if n := eng.pipeline.ckpts[0].(stateSizer).liveState(); n != 0 {
+	if n := eng.ckpts[0].(stateSizer).liveState(); n != 0 {
 		t.Fatalf("liveState = %d after the group drained, want 0", n)
 	}
 }
@@ -316,7 +316,7 @@ func TestGroupApplyLiveStateIsLiveGroups(t *testing.T) {
 		}
 		withFour := len(eng.Checkpoint())
 		eng.Advance(50)
-		if live := eng.pipeline.ckpts[0].(stateSizer).liveState(); liveGroups(g) != 0 || live != 0 {
+		if live := eng.ckpts[0].(stateSizer).liveState(); liveGroups(g) != 0 || live != 0 {
 			t.Fatalf("%s: after the windows closed: %d live groups, liveState %d, want 0, 0", name, liveGroups(g), live)
 		}
 		if empty := len(eng.Checkpoint()); empty >= withFour {
