@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"timr/internal/dur"
@@ -12,16 +13,15 @@ import (
 //
 // The in-memory crash path (streaming.go crash()) already proves the
 // core invariant: engines consume input only during Advance, so at the
-// end of a wave every partition's checkpoint plus its barrier's pending
-// events — its replay log — reconstruct the partition exactly.
-// Durability is that same cut, written down: one store generation per
-// wave carries every partition's (checkpoint, pending events), the
-// delivered results, and the output barrier's pending events. A process
-// killed at any instant is rebuilt by NewStreamingJob over the same
-// store from the newest intact generation, and the driver re-feeds
-// everything its sources admitted after that wave (the pending events
-// inside the generation cover the rest)
-// — producing bit-identical output, including under injected I/O faults
+// end of a wave every partition's checkpoint plus its barrier's logs —
+// its replay log — reconstruct the partition exactly. Durability is that
+// same cut, written down: one store generation per wave carries every
+// partition's (checkpoint, replay log), the delivered results, and the
+// output barrier's log. A process killed at any instant is rebuilt by
+// NewStreamingJob over the same store from the newest intact generation,
+// and the caller re-feeds everything its sources admitted after that
+// wave (the replay logs inside the generation cover the rest) —
+// producing bit-identical output, including under injected I/O faults
 // that force a fallback to an older generation with a longer replay.
 
 // snapshotTag leads a streaming generation's payload, so a payload of
@@ -35,64 +35,83 @@ const snapshotTag byte = 0xD6
 // failure is tolerated — counted by the store, remembered in durErr —
 // because the previous generation remains a correct (if older) recovery
 // line, costing only extended replay.
-//
-// The payload, after snapshotTag: the machine count; the published input
-// offsets, sorted by source name; every partition's (fragment, id,
-// checkpoint, pending events), stage by stage in id order; the delivered
-// results; and the output barrier's pending events. The wave and wave
-// count are the generation's own.
 func (j *StreamingJob) commitDurable(t temporal.Time) {
-	var w temporal.Encoder
-	w.Byte(snapshotTag)
-	w.Uvarint(uint64(j.machines))
-	var srcNames []string
+	snap := &snapshot{machines: j.machines, offsets: map[string]int64{}, results: j.results, pending: j.outs[0].logs[0]}
 	for name, f := range j.feeders {
-		if _, ok := f.Position(); ok {
-			srcNames = append(srcNames, name)
+		if pos, ok := f.Position(); ok {
+			snap.offsets[name] = pos
 		}
 	}
-	sort.Strings(srcNames)
-	w.Uvarint(uint64(len(srcNames)))
-	for _, name := range srcNames {
-		pos, _ := j.feeders[name].Position()
-		w.String(name)
-		w.Varint(pos)
-	}
-	nparts := 0
-	for _, st := range j.stages {
-		nparts += len(st.parts)
-	}
-	w.Uvarint(uint64(nparts))
 	for _, st := range j.stages {
 		for _, p := range st.parts {
-			w.String(st.frag.Name)
-			w.Varint(int64(p.id))
-			w.BytesField(p.ckpt)
-			w.Events(p.buf.pending)
+			snap.parts = append(snap.parts, partState{frag: st.frag.Name, id: p.id, ckpt: p.ckpt, log: replayLog(p.buf)})
 		}
 	}
-	w.Events(j.results)
-	w.Events(j.outs[0].pending)
-	j.durErr = j.durStore.Commit(t, j.waves, w.Bytes())
+	j.durErr = j.durStore.Commit(t, j.waves, snap.encode())
 }
 
-// snapshot is a decoded streaming generation's payload (commitDurable
-// has its layout).
+// snapshot is a streaming generation's payload. The wave and wave count
+// are the generation's own.
 type snapshot struct {
 	machines         int
-	offsets          map[string]int64
-	parts            []partState
-	results, pending []temporal.Event
+	offsets          map[string]int64 // published input positions
+	parts            []partState      // stage by stage, in id order
+	results, pending []temporal.Event // delivered results; the output barrier's log
 }
 
 // partState is one partition's recovery record: the engine checkpoint
-// taken at the wave, and the replay log — its barrier's pending events,
-// admitted but not yet consumed.
+// taken at the wave, and the replay log — its barrier's logs, admitted
+// but not yet consumed, as replayLog records them.
 type partState struct {
 	frag string
 	id   int
 	ckpt []byte
 	log  []temporal.Event
+}
+
+// encode lays the snapshot out after snapshotTag: the machine count; the
+// offsets, sorted by source name; every partition's (fragment, id,
+// checkpoint, replay log); the results; the output barrier's log.
+func (snap *snapshot) encode() []byte {
+	var w temporal.Encoder
+	w.Byte(snapshotTag)
+	w.Uvarint(uint64(snap.machines))
+	names := make([]string, 0, len(snap.offsets))
+	for name := range snap.offsets {
+		names = append(names, name)
+	}
+	sort.Strings(names)
+	w.Uvarint(uint64(len(names)))
+	for _, name := range names {
+		w.String(name)
+		w.Varint(snap.offsets[name])
+	}
+	w.Uvarint(uint64(len(snap.parts)))
+	for _, ps := range snap.parts {
+		w.String(ps.frag)
+		w.Varint(int64(ps.id))
+		w.BytesField(ps.ckpt)
+		w.Events(ps.log)
+	}
+	w.Events(snap.results)
+	w.Events(snap.pending)
+	return w.Bytes()
+}
+
+// replayLog is a barrier's logs as a generation records them: one list in
+// (LE, RE, payload) order, every payload ending in its input index. The
+// index exists only here, on disk; applySnapshot strips it.
+func replayLog(b *barrier) []temporal.Event {
+	var evs []temporal.Event
+	for src, log := range b.logs {
+		tag := temporal.Int(int64(src))
+		for _, e := range log {
+			e.Payload = append(slices.Clip(e.Payload), tag)
+			evs = append(evs, e)
+		}
+	}
+	temporal.SortEvents(evs)
+	return evs
 }
 
 // decodeSnapshot parses a streaming generation's payload. Every count and
@@ -183,16 +202,64 @@ func (j *StreamingJob) applySnapshot(waves int, snap *snapshot) error {
 			return fmt.Errorf("generation holds partition %s/%d, but the stage has %d partitions", ps.frag, ps.id, len(st.parts))
 		}
 		p := st.parts[ps.id]
-		p.buf.pending = append(p.buf.pending[:0], ps.log...)
+		logs, err := untag(ps.log, st.frag.Inputs)
+		if err != nil {
+			return fmt.Errorf("partition %s/%d: %w", ps.frag, ps.id, err)
+		}
+		p.buf.logs = logs
 		if err := st.rebuild(p, ps.ckpt); err != nil {
 			return fmt.Errorf("partition %s/%d: %w", ps.frag, ps.id, err)
 		}
 	}
+	root := j.stages[len(j.stages)-1].frag.Root.Schema()
+	if err := conforms(root, snap.results); err != nil {
+		return fmt.Errorf("delivered results: %w", err)
+	}
+	if err := conforms(root, snap.pending); err != nil {
+		return fmt.Errorf("output barrier: %w", err)
+	}
 	j.results = append(j.results[:0], snap.results...)
-	j.outs[0].pending = append(j.outs[0].pending[:0], snap.pending...)
+	j.outs[0].logs[0] = append(j.outs[0].logs[0][:0], snap.pending...)
 	for name, pos := range snap.offsets {
 		if f, ok := j.feeders[name]; ok {
 			f.SetPosition(pos)
+		}
+	}
+	return nil
+}
+
+// untag splits a recorded replay log into one log per input, stripping
+// each payload's input index. It refuses an event whose index is not an
+// Int naming one of inputs, or whose payload does not fit that input's
+// schema: the next wave would feed it to an engine that cannot take it.
+func untag(log []temporal.Event, inputs []FragmentInput) ([][]temporal.Event, error) {
+	logs := make([][]temporal.Event, len(inputs))
+	for _, e := range log {
+		n := len(e.Payload) - 1
+		if n < 0 || e.Payload[n].Kind() != temporal.KindInt || uint64(e.Payload[n].AsInt()) >= uint64(len(inputs)) {
+			return nil, fmt.Errorf("replay log event %v names none of the %d inputs", e, len(inputs))
+		}
+		src := e.Payload[n].AsInt()
+		e.Payload = e.Payload[:n]
+		if err := conforms(inputs[src].Schema, []temporal.Event{e}); err != nil {
+			return nil, fmt.Errorf("input %s: %w", inputs[src].ScanName, err)
+		}
+		logs[src] = append(logs[src], e)
+	}
+	return logs, nil
+}
+
+// conforms reports an event whose payload does not fit sch: another
+// arity, or a value whose kind is not its column's (null fits any).
+func conforms(sch *temporal.Schema, evs []temporal.Event) error {
+	for _, e := range evs {
+		if len(e.Payload) != sch.Len() {
+			return fmt.Errorf("event %v has %d columns, the schema %d", e, len(e.Payload), sch.Len())
+		}
+		for i, v := range e.Payload {
+			if f := sch.Field(i); v.Kind() != f.Kind && v.Kind() != temporal.KindNull {
+				return fmt.Errorf("event %v holds a %s in %s column %s", e, v.Kind(), f.Kind, f.Name)
+			}
 		}
 	}
 	return nil

@@ -65,30 +65,26 @@ func (f *Feeder) admit(n int64) error {
 	return nil
 }
 
-// Feed pushes one source event into the dataflow. Events must arrive in
-// nondecreasing LE order per source (a live feed's natural order). It
-// returns ErrFlushed after Flush, and the job's failure once a partition
-// recovery has failed (this one's included).
+// Feed pushes one source event into the dataflow: FeedBatch of one
+// event.
 func (f *Feeder) Feed(ev temporal.Event) error {
-	if err := f.admit(1); err != nil {
-		return err
-	}
-	for _, in := range f.ins {
-		in.stage.route(in.src, ev)
-	}
-	return f.job.err
+	return f.FeedBatch([]temporal.Event{ev})
 }
 
-// FeedBatch pushes a run of source events (nondecreasing LE) into the
-// dataflow, routing the whole run per consuming stage in one call: the
-// routing tags are carved from one slab and single-partition stages
-// admit the run with one buffer append. It errors as Feed does.
+// FeedBatch pushes a run of source events into the dataflow, each
+// consuming stage taking the run in one call. Events must arrive in
+// nondecreasing LE order per source (a live feed's natural order). The
+// job keeps each payload as fed, not a copy, until a wave releases it —
+// and the engines' state and results may keep it after — so the caller
+// must not modify a fed row; the events slice itself may be reused. It
+// returns ErrFlushed after Flush, and the job's failure once a partition
+// recovery has failed (this one's included).
 func (f *Feeder) FeedBatch(events []temporal.Event) error {
 	if err := f.admit(int64(len(events))); err != nil {
 		return err
 	}
 	for _, in := range f.ins {
-		in.stage.routeBatch(in.src, events)
+		in.stage.admit(in.src, events)
 	}
 	return f.job.err
 }

@@ -110,7 +110,9 @@ func waveState(j *StreamingJob) []byte {
 			w.String(st.frag.Name)
 			w.Varint(int64(p.id))
 			w.BytesField(p.ckpt)
-			w.Events(p.buf.pending)
+			for _, log := range p.buf.logs {
+				w.Events(log)
+			}
 		}
 	}
 	return w.Bytes()

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -94,11 +95,61 @@ func TestDurableRestoreRefusesPartitionOutOfRange(t *testing.T) {
 	}
 }
 
+// TestDurableRestoreRefusesMalformedReplayLog: a generation's replay
+// log event must name one of its partition's inputs and fit that input's
+// schema, and a delivered result must fit the plan's, or the next wave
+// would feed it to an engine that cannot take it. Such a generation is
+// refused when the job is built, with an error naming where it lies.
+func TestDurableRestoreRefusesMalformedReplayLog(t *testing.T) {
+	defer leakcheck.Goroutines(t)()
+	plan, sources := snapshotPlan()
+	for _, c := range []struct {
+		name    string
+		payload temporal.Row
+		result  bool // append to the delivered results, not a replay log
+		want    string
+	}{
+		{"index out of range", temporal.Row{temporal.Int(1), temporal.Int(2), temporal.Int(5)}, false, "names none of the 1 inputs"},
+		{"no index", temporal.Row{}, false, "names none of the 1 inputs"},
+		{"short payload", temporal.Row{temporal.Int(0)}, false, "has 0 columns, the schema 2"},
+		{"result of another kind", temporal.Row{temporal.Int(1), temporal.String("x")}, true, "holds a string in int column"},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			dir := t.TempDir()
+			snap, err := decodeSnapshot(snapshotPayload(t, dir, false))
+			if err != nil {
+				t.Fatal(err)
+			}
+			e := temporal.Event{LE: 100, RE: 101, Payload: c.payload}
+			where := "delivered results"
+			if c.result {
+				snap.results = append(snap.results, e)
+			} else {
+				ps := &snap.parts[0]
+				ps.log = append(ps.log, e)
+				where = fmt.Sprintf("partition %s/%d", ps.frag, ps.id)
+			}
+			store, err := dur.OpenStore(dir, dur.Options{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := store.Commit(120, 3, snap.encode()); err != nil {
+				t.Fatal(err)
+			}
+			_, err = NewStreamingJob(plan, sources, WithMachines(3), WithDurable(store))
+			if err == nil || !strings.Contains(err.Error(), where) || !strings.Contains(err.Error(), c.want) {
+				t.Fatalf("err = %v, want it to name %s and say %q", err, where, c.want)
+			}
+		})
+	}
+}
+
 // FuzzSnapshotDecode: a streaming generation's payload arrives from disk,
 // so arbitrary bytes must error — never panic, never allocate beyond
 // what the input can describe — and every truncation of a real payload
 // must error. Every payload that decodes is also applied to a fresh job
-// of the seed's plan, which must refuse it or take it, never panic.
+// of the seed's plan, which must refuse it or take it and then run a
+// wave and a flush, never panic.
 func FuzzSnapshotDecode(f *testing.F) {
 	payload := snapshotPayload(f, f.TempDir(), false)
 	snap, err := decodeSnapshot(payload)
@@ -136,6 +187,12 @@ func FuzzSnapshotDecode(f *testing.F) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		_ = sj.applySnapshot(2, snap)
+		if sj.applySnapshot(2, snap) != nil {
+			return
+		}
+		// A job that took the generation must run it: an error is fine, a
+		// panic is not.
+		_ = sj.Advance(200)
+		sj.Flush()
 	})
 }

@@ -41,7 +41,7 @@ type StreamingJob struct {
 	feeders  map[string]*Feeder
 	// outs[k] is the barrier of output outNames[k], fed by output k of the
 	// final stage's partitions: the plan's ("") first, then WithOutput's.
-	outs     []*streamBuffer
+	outs     []*barrier
 	outNames []string
 	results  []temporal.Event // the plan's released output, kept for Results
 	cfg      Config
@@ -54,7 +54,7 @@ type StreamingJob struct {
 
 	// Durable checkpointing (WithDurable): at the end of every wave the
 	// job commits its full recovery state — each partition's checkpoint
-	// and pending events, plus the delivered-output record — as one
+	// and replay log, plus the delivered-output record — as one
 	// store generation. durErr remembers the last commit failure for
 	// inspection; a failed commit never fails the wave (availability over
 	// durability — the previous generation stays the recovery line).
@@ -76,7 +76,7 @@ var ErrFlushed = errors.New("timr: streaming job already flushed")
 // interval; the draw is a pure function of (fragment, partition, wave,
 // Seed), mirroring Cluster.injectedFailure, so a chaotic run is exactly
 // reproducible. A killed partition loses its engine and recovers from its
-// last checkpoint plus the replay log, its barrier's pending events.
+// last checkpoint plus the replay log, its barrier's logs.
 type CrashConfig struct {
 	Rate float64
 	Seed int64
@@ -198,15 +198,11 @@ func NewStreamingJob(plan *temporal.Plan, sources map[string]*temporal.Schema, o
 		}
 		sc := cfg.Obs.Child(strings.TrimSuffix("stream.out."+no.name, "."))
 		j.outNames = append(j.outNames, no.name)
-		j.outs = append(j.outs, &streamBuffer{
-			depth:    sc.Gauge("buffer_depth"),
-			released: sc.Counter("barrier_releases"),
-			deliver: func(evs []temporal.Event) {
-				for _, e := range evs {
-					no.deliver(e)
-				}
-			},
-		})
+		j.outs = append(j.outs, newBarrier([]string{no.name}, sc, func(runs []temporal.Run) {
+			for _, e := range runs[0].Events {
+				no.deliver(e)
+			}
+		}))
 	}
 
 	// Build stages bottom-up so downstream wiring exists... fragments are
@@ -346,15 +342,8 @@ type streamStage struct {
 	parts   []*streamPartition
 	keyCols [][]int // per input, payload positions of the key columns
 
-	// Routing scratch, reused across runs (barrier buffers copy event
-	// structs on push, so recycling these is safe).
-	one      [1]temporal.Event
-	routeBuf []temporal.Event
-
 	// Observability (nil-safe handles; see Config.Obs).
-	scope      *obs.Scope   // per-operator engine metrics for this stage
-	depth      *obs.Gauge   // barrier buffer depth high-watermark
-	released   *obs.Counter // events released through the barrier
+	scope      *obs.Scope   // per-operator engine metrics and barrier gauges
 	crashes    *obs.Counter // injected partition crashes
 	recoveries *obs.Counter // partitions rebuilt from checkpoint + replay
 	ckptBytes  *obs.Counter // checkpoint bytes written at waves
@@ -364,13 +353,13 @@ type streamStage struct {
 type streamPartition struct {
 	id  int
 	eng *temporal.Engine
-	buf *streamBuffer // order-restoring barrier in front of the engine
+	buf *barrier // order-restoring barrier in front of the engine
 
 	// Recovery state. ckpt is the engine snapshot taken at the last wave
 	// (nil before the first). Between waves the engine never consumes
 	// input (the barrier only releases during advance), so the barrier's
-	// pending events are the replay log: ckpt plus them reconstruct the
-	// partition exactly at any moment.
+	// logs are the replay log: ckpt plus them reconstruct the partition
+	// exactly at any moment.
 	ckpt    []byte
 	pushes  int // events admitted since the last wave
 	crashAt int // crash when pushes reaches this; -1 = disarmed
@@ -399,8 +388,6 @@ func (j *StreamingJob) newStage(frag *Fragment) (*streamStage, error) {
 		job:        j,
 		keyCols:    make([][]int, len(frag.Inputs)),
 		scope:      sc,
-		depth:      sc.Gauge("buffer_depth"),
-		released:   sc.Counter("barrier_releases"),
 		crashes:    sc.Counter("crashes"),
 		recoveries: sc.Counter("recoveries"),
 		ckptBytes:  sc.Counter("checkpoint_bytes"),
@@ -445,108 +432,58 @@ func (st *streamStage) newPartition(id int) (*streamPartition, error) {
 		return nil, err
 	}
 	p.eng = eng
-	p.buf = &streamBuffer{
-		depth:    st.depth,
-		released: st.released,
-		deliver: func(evs []temporal.Event) {
-			// The engine is entered once per stretch of events for the same
-			// input (the routing tag, stripped here), not once per event.
-			for len(evs) > 0 {
-				src := routeTag(evs[0])
-				n := 0
-				for ; n < len(evs) && routeTag(evs[n]) == src; n++ {
-					evs[n].Payload = evs[n].Payload[:len(evs[n].Payload)-1]
-				}
-				// Through p, not a captured engine: recovery swaps p.eng. A
-				// resident run has no cursor that could fail.
-				p.eng.FeedMerged([]temporal.Run{{Source: st.frag.Inputs[src].ScanName, Events: evs[:n]}})
-				evs = evs[n:]
-			}
-		},
+	sources := make([]string, len(st.frag.Inputs))
+	for i, in := range st.frag.Inputs {
+		sources[i] = in.ScanName
 	}
+	p.buf = newBarrier(sources, st.scope, func(runs []temporal.Run) {
+		// Through p, not a captured engine: recovery swaps p.eng. Resident
+		// runs of sources the plan scans cannot fail.
+		p.eng.FeedMerged(runs)
+	})
 	st.arm(p)
 	return p, nil
 }
 
-// routeTag reads the input index routeBatch appended to e's payload.
-func routeTag(e temporal.Event) int64 { return e.Payload[len(e.Payload)-1].AsInt() }
-
-// route delivers one event for input src to the partition that owns it.
-func (st *streamStage) route(src int, ev temporal.Event) {
-	st.one[0] = ev
-	st.routeBatch(src, st.one[:])
-}
-
-// routeBatch delivers a run of events for input src. Routing tags (the
-// input index appended to each payload, so the barrier can feed the right
-// engine source after reordering) are carved from one slab per run, and
-// single-partition stages admit the whole run with one buffer append.
-func (st *streamStage) routeBatch(src int, events []temporal.Event) {
-	if len(events) == 0 {
-		return
-	}
-	// Tag payloads in one slab: [payload..., Int(src)] per event. The
-	// slab's lifetime matches the barrier buffer entries that reference it.
-	total := 0
-	for i := range events {
-		total += len(events[i].Payload) + 1
-	}
-	slab := make(temporal.Row, total)
-	tag := temporal.Int(int64(src))
-	tagged := append(st.routeBuf[:0], events...)
-	for i := range tagged {
-		n := len(tagged[i].Payload) + 1
-		row := slab[:n:n]
-		slab = slab[n:]
-		copy(row, tagged[i].Payload)
-		row[n-1] = tag
-		tagged[i].Payload = row
-	}
-	st.dispatch(src, tagged)
-	st.routeBuf = tagged[:0]
-}
-
-// dispatch admits a tagged run: whole to a single-partition stage, event
-// by event to the partition its key hashes to otherwise.
-func (st *streamStage) dispatch(src int, tagged []temporal.Event) {
+// admit hands a run of events for input src to the partitions that own
+// them: whole to a single-partition stage, otherwise event by event to
+// the partition its key hashes to.
+func (st *streamStage) admit(src int, evs []temporal.Event) {
 	if len(st.parts) == 1 {
-		st.admitAll(st.parts[0], tagged)
+		st.admitAll(st.parts[0], src, evs)
 		return
 	}
 	n := uint64(len(st.parts))
-	for i := range tagged {
-		h := temporal.HashRow(tagged[i].Payload, st.keyCols[src])
-		st.admitAll(st.parts[h%n], tagged[i:i+1])
+	for i := range evs {
+		h := temporal.HashRow(evs[i].Payload, st.keyCols[src])
+		st.admitAll(st.parts[h%n], src, evs[i:i+1])
 	}
 }
 
 // ---- crash injection and recovery ----
 
-// admitAll pushes a run into a partition's barrier, splitting it when an
-// armed crash comes due inside: the head is admitted, the partition dies
-// mid-feed and recovers, and the tail lands on the rebuilt partition. A
-// recovery that fails breaks the job.
-func (st *streamStage) admitAll(p *streamPartition, evs []temporal.Event) {
+// admitAll pushes a run for input src into a partition's barrier,
+// splitting it when an armed crash comes due inside: the head is
+// admitted, the partition dies mid-feed and recovers, and the tail lands
+// on the rebuilt partition. A recovery that fails breaks the job.
+func (st *streamStage) admitAll(p *streamPartition, src int, evs []temporal.Event) {
 	if p.crashAt >= 0 && p.pushes+len(evs) > p.crashAt {
-		k := p.crashAt - p.pushes
-		if k < 0 {
-			k = 0
-		}
-		p.buf.pushAll(evs[:k])
+		k := max(p.crashAt-p.pushes, 0)
+		p.buf.push(src, evs[:k])
 		p.pushes += k
 		if err := st.crash(p); err != nil {
 			st.job.err = cmp.Or(st.job.err, err)
 		}
 		evs = evs[k:]
 	}
-	p.buf.pushAll(evs)
+	p.buf.push(src, evs)
 	p.pushes += len(evs)
 }
 
 // crash kills a partition's engine and immediately rebuilds it from the
-// last wave's checkpoint; its barrier's pending events replay into it.
-// Because engines consume input only during waves (the barrier releases
-// nothing between them), the checkpoint plus those events reconstruct the
+// last wave's checkpoint; its barrier's logs replay into it. Because
+// engines consume input only during waves (the barrier releases nothing
+// between them), the checkpoint plus those events reconstruct the
 // partition exactly, at whatever moment the crash fires. The checkpoint
 // came from an engine compiled from this same fragment, so only a
 // corrupted one fails to restore.
@@ -562,7 +499,7 @@ func (st *streamStage) crash(p *streamPartition) error {
 // rebuild is the one reconstruction of a partition, shared by crash
 // recovery and durable restore: the engine is discarded, and a fresh one
 // is restored from ckpt (nil before the first wave), to which the
-// barrier's pending events replay at the next wave.
+// barrier's logs replay at the next wave.
 func (st *streamStage) rebuild(p *streamPartition, ckpt []byte) error {
 	eng, err := st.newEngine(p)
 	if err != nil {
@@ -574,7 +511,7 @@ func (st *streamStage) rebuild(p *streamPartition, ckpt []byte) error {
 		}
 	}
 	p.eng, p.ckpt = eng, ckpt
-	st.replayed.Add(int64(len(p.buf.pending)))
+	st.replayed.Add(int64(p.buf.held()))
 	st.recoveries.Inc()
 	return nil
 }
@@ -632,9 +569,9 @@ func (st *streamStage) flush() {
 // panic is re-raised on the caller, and a failed recovery breaks the job.
 // Partitions share nothing a worker writes: each owns its engine, barrier
 // and recovery state, and the engines' output is held per partition. Once
-// every worker is done, the caller's goroutine routes the held output
-// partition by partition in id order, event by event — the order the
-// sequential walk routed it in — so every downstream admission, crash
+// every worker is done, the caller's goroutine hands each partition's
+// held output, in id order, to every consumer as one run — to the job's
+// outputs from the final stage — so every downstream admission, crash
 // draw and replay log is what a single goroutine would produce.
 func (st *streamStage) wave(step func(p *streamPartition)) {
 	if err := par.ForEach(runtime.GOMAXPROCS(0), len(st.parts), func(i int) error {
@@ -653,70 +590,98 @@ func (st *streamStage) wave(step func(p *streamPartition)) {
 	for _, p := range st.parts {
 		for k := range p.outs {
 			o := &p.outs[k]
-			for _, e := range o.events {
-				st.emit(k, e)
+			if st.frag.Final {
+				st.job.outs[k].push(0, o.events)
+			}
+			for _, c := range st.consumers {
+				c.stage.admit(c.src, o.events)
 			}
 			o.events = resetEvents(o.events, nil)
 		}
 	}
 }
 
-// emit routes one event of the stage's output k to its consumers, or to
-// the job's output k from the final stage.
-func (st *streamStage) emit(k int, e temporal.Event) {
-	if st.frag.Final {
-		st.job.outs[k].push(e)
-		return
-	}
-	for _, c := range st.consumers {
-		c.stage.route(c.src, e)
-	}
-}
-
 // ---- order-restoring barrier ----
 
-// streamBuffer holds events arriving from many ordered producers and
-// releases them in LE order once a punctuation guarantees completeness.
-type streamBuffer struct {
-	pending []temporal.Event
-	// deliver takes the released events, in order, and must not keep the
-	// slice.
-	deliver  func([]temporal.Event)
-	depth    *obs.Gauge   // high-watermark of pending (nil-safe)
+// barrier holds the events admitted for a partition's engine, one log
+// per input, each event as it was admitted: its payload is the
+// producer's row, never copied. At a wave it sorts every log and releases
+// each one's prefix below the punctuation as one run. A job's output is a
+// barrier with one input whose runs go to the caller instead of an
+// engine.
+type barrier struct {
+	logs    [][]temporal.Event // per input, the replay log
+	sources []string           // per input, the source its run feeds
+	runs    []temporal.Run     // release scratch
+	// deliver takes the released runs, in order, and must not keep them.
+	deliver  func([]temporal.Run)
+	depth    *obs.Gauge   // high-watermark of held events (nil-safe)
 	released *obs.Counter // events delivered through the barrier
 }
 
-func (b *streamBuffer) push(e temporal.Event) {
-	b.pending = append(b.pending, e)
-	b.depth.SetMax(int64(len(b.pending)))
+func newBarrier(sources []string, sc *obs.Scope, deliver func([]temporal.Run)) *barrier {
+	return &barrier{
+		logs:     make([][]temporal.Event, len(sources)),
+		sources:  sources,
+		deliver:  deliver,
+		depth:    sc.Gauge("buffer_depth"),
+		released: sc.Counter("barrier_releases"),
+	}
 }
 
-// pushAll admits a whole run with one append and one gauge update.
-func (b *streamBuffer) pushAll(evs []temporal.Event) {
-	b.pending = append(b.pending, evs...)
-	b.depth.SetMax(int64(len(b.pending)))
+// push appends a run to input src's log.
+func (b *barrier) push(src int, evs []temporal.Event) {
+	b.logs[src] = append(b.logs[src], evs...)
+	b.depth.SetMax(int64(b.held()))
+}
+
+// held counts the events the barrier holds.
+func (b *barrier) held() int {
+	n := 0
+	for _, log := range b.logs {
+		n += len(log)
+	}
+	return n
 }
 
 // advance releases events with LE < t in sorted order (events at or
 // beyond t may still gain earlier-arriving siblings from other upstream
 // partitions, so they stay buffered).
-func (b *streamBuffer) advance(t temporal.Time) {
-	if len(b.pending) == 0 {
+func (b *barrier) advance(t temporal.Time) {
+	runs, n := b.runs[:0], 0
+	for i, log := range b.logs {
+		// Full (LE, RE, payload) ordering keeps release order deterministic
+		// regardless of the arrival interleaving across upstream partitions.
+		temporal.SortEvents(log)
+		if c := below(log, t); c > 0 {
+			runs = append(runs, temporal.Run{Source: b.sources[i], Events: log[:c]})
+			n += c
+		}
+	}
+	if n == 0 {
 		return
 	}
-	// Full (LE, RE, payload) ordering keeps release order deterministic
-	// regardless of the arrival interleaving across upstream partitions.
-	temporal.SortEvents(b.pending)
-	n := sort.Search(len(b.pending), func(i int) bool { return b.pending[i].LE >= t })
+	// Source-name order: FeedMerged then breaks an LE tie between inputs
+	// as RunPlan does.
+	slices.SortFunc(runs, func(x, y temporal.Run) int { return cmp.Compare(x.Source, y.Source) })
 	b.released.Add(int64(n))
-	b.deliver(b.pending[:n])
-	b.pending = resetEvents(b.pending, b.pending[n:])
+	b.deliver(runs)
+	clear(runs)
+	b.runs = runs[:0]
+	for i, log := range b.logs {
+		b.logs[i] = resetEvents(log, log[below(log, t):])
+	}
+}
+
+// below counts a sorted log's events with LE < t.
+func below(log []temporal.Event, t temporal.Time) int {
+	return sort.Search(len(log), func(i int) bool { return log[i].LE >= t })
 }
 
 // resetEvents overwrites dst with src (which may be a tail of dst) and
-// zeroes what dst held beyond it. Every event here holds a piece of a
-// routeBatch slab, so one left in the spare capacity would keep that slab
-// alive until a later wave happened to overwrite it.
+// zeroes what dst held beyond it. An event left in the spare capacity
+// would keep its payload's row, and whatever slab that row was carved
+// from, alive until a later wave happened to overwrite it.
 func resetEvents(dst, src []temporal.Event) []temporal.Event {
 	old := len(dst)
 	dst = append(dst[:0], src...)
@@ -726,6 +691,6 @@ func resetEvents(dst, src []temporal.Event) []temporal.Event {
 	return dst
 }
 
-func (b *streamBuffer) flush() {
+func (b *barrier) flush() {
 	b.advance(temporal.MaxTime)
 }

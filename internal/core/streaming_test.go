@@ -2,8 +2,10 @@ package core
 
 import (
 	"bytes"
+	"cmp"
 	"errors"
 	"math/rand"
+	"slices"
 	"sort"
 	"testing"
 
@@ -501,25 +503,26 @@ func spareIsZero(evs []temporal.Event) bool {
 
 func TestBarrierClearsReleasedRows(t *testing.T) {
 	defer leakcheck.Goroutines(t)()
-	// A released event left in a buffer's spare capacity keeps its
-	// routeBatch slab reachable for as long as the high-water capacity
-	// lasts: after a burst, for the life of the partition.
-	b := &streamBuffer{deliver: func([]temporal.Event) {}}
-	for i := 0; i < 1000; i++ {
-		b.push(clickEv(i))
-	}
-	b.advance(990)
-	if len(b.pending) != 10 || !spareIsZero(b.pending) {
-		t.Fatalf("after releasing 990 of 1000: %d pending, spare capacity zeroed = %v", len(b.pending), spareIsZero(b.pending))
-	}
-
-	// The same through a job: every partition's barrier (its replay log
-	// too), and the job-level output buffer.
-	job, feed := feederJob(t)
+	// A released event left in a log's spare capacity keeps its payload's
+	// row, and the slab it was carved from, reachable for as long as the
+	// high-water capacity lasts: after a burst, for the life of the
+	// partition.
 	burst := make([]temporal.Event, 1000)
 	for i := range burst {
 		burst[i] = clickEv(i)
 	}
+	b := newBarrier([]string{"clicks"}, nil, func([]temporal.Run) {})
+	for i := range burst {
+		b.push(0, burst[i:i+1])
+	}
+	b.advance(990)
+	if len(b.logs[0]) != 10 || !spareIsZero(b.logs[0]) {
+		t.Fatalf("after releasing 990 of 1000: %d held, spare capacity zeroed = %v", len(b.logs[0]), spareIsZero(b.logs[0]))
+	}
+
+	// The same through a job: every partition's barrier (its replay log
+	// too), and the job-level output barrier.
+	job, feed := feederJob(t)
 	if err := feed.FeedBatch(burst); err != nil {
 		t.Fatal(err)
 	}
@@ -528,31 +531,90 @@ func TestBarrierClearsReleasedRows(t *testing.T) {
 	}
 	for _, st := range job.stages {
 		for id, p := range st.parts {
-			if len(p.buf.pending) != 10 {
-				t.Fatalf("partition %d: %d pending, want 10", id, len(p.buf.pending))
+			if p.buf.held() != 10 {
+				t.Fatalf("partition %d: %d held, want 10", id, p.buf.held())
 			}
-			if !spareIsZero(p.buf.pending) {
-				t.Fatalf("partition %d keeps released events in spare capacity", id)
+			for _, log := range p.buf.logs {
+				if !spareIsZero(log) {
+					t.Fatalf("partition %d keeps released events in spare capacity", id)
+				}
 			}
 		}
 	}
-	if !spareIsZero(job.outs[0].pending) {
-		t.Fatal("the output buffer keeps released events in spare capacity")
+	if !spareIsZero(job.outs[0].logs[0]) {
+		t.Fatal("the output barrier keeps released events in spare capacity")
+	}
+}
+
+// TestStreamingKeepsFedPayloads: the barrier keeps each admitted payload
+// as it was fed, never a copy, so a pass-through plan delivers the very
+// rows it was fed, on one partition and on three.
+func TestStreamingKeepsFedPayloads(t *testing.T) {
+	defer leakcheck.Goroutines(t)()
+	sch := clickSchema()
+	rows := clickRows(rand.New(rand.NewSource(11)), 300, 12, 4)
+	for _, machines := range []int{1, 3} {
+		plan := temporal.Scan("clicks", sch).Exchange(temporal.PartitionBy{Cols: []string{"UserId"}}).
+			Where(temporal.ColGtInt("AdId", 0))
+		var delivered []temporal.Event
+		job, err := NewStreamingJob(plan, map[string]*temporal.Schema{"clicks": sch}, WithMachines(machines),
+			WithOnEvent(func(e temporal.Event) { delivered = append(delivered, e) }))
+		if err != nil {
+			t.Fatal(err)
+		}
+		f, err := job.Source("clicks")
+		if err != nil {
+			t.Fatal(err)
+		}
+		// Rows by the address of their first value: what the job delivers
+		// must be one of them, not a copy.
+		fed := make(map[*temporal.Value]bool, len(rows))
+		for i, r := range rows {
+			fed[&r[0]] = true
+			if err := f.FeedBatch(temporal.RowsToPointEvents(rows[i:i+1], 0)); err != nil {
+				t.Fatal(err)
+			}
+			if i%50 == 49 {
+				if err := job.Advance(r[0].AsInt()); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		job.Flush()
+		if len(delivered) == 0 {
+			t.Fatalf("%d machines: nothing delivered", machines)
+		}
+		for _, e := range delivered {
+			if !fed[&e.Payload[0]] {
+				t.Fatalf("%d machines: delivered %v is a copy of a fed row", machines, e)
+			}
+		}
 	}
 }
 
 func TestBarrierDeliversRunsLikeEvents(t *testing.T) {
 	defer leakcheck.Goroutines(t)()
-	// The barrier hands a partition engine one FeedMerged call per stretch
-	// of same-input events. The reference delivers the same sorted pending
-	// with one Engine.Feed per event; per-wave partition checkpoints and the
-	// delivered results must be byte-identical.
-	perEvent := func(st *streamStage, p *streamPartition) func([]temporal.Event) {
-		return func(evs []temporal.Event) {
-			for _, e := range evs {
-				src := routeTag(e)
-				e.Payload = e.Payload[:len(e.Payload)-1]
-				p.eng.Feed(st.frag.Inputs[src].ScanName, e)
+	// The barrier hands a partition engine one FeedMerged call per wave,
+	// one run per input in source-name order. The reference feeds the same
+	// runs with one Engine.Feed per event, in the order FeedMerged
+	// promises: a stable LE sort of the runs concatenated, so an LE tie
+	// goes to the earlier source name. Per-wave partition checkpoints and
+	// the delivered results must be byte-identical.
+	perEvent := func(p *streamPartition) func([]temporal.Run) {
+		return func(runs []temporal.Run) {
+			type fed struct {
+				src string
+				e   temporal.Event
+			}
+			var all []fed
+			for _, r := range runs {
+				for _, e := range r.Events {
+					all = append(all, fed{r.Source, e})
+				}
+			}
+			slices.SortStableFunc(all, func(a, b fed) int { return cmp.Compare(a.e.LE, b.e.LE) })
+			for _, f := range all {
+				p.eng.Feed(f.src, f.e)
 			}
 		}
 	}
@@ -584,7 +646,7 @@ func TestBarrierDeliversRunsLikeEvents(t *testing.T) {
 			}
 			for _, st := range job.stages {
 				for _, p := range st.parts {
-					p.buf.deliver = perEvent(st, p)
+					p.buf.deliver = perEvent(p)
 				}
 			}
 		}

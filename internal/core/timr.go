@@ -149,8 +149,15 @@ func (t *TiMR) Stage(frag *Fragment) (mapreduce.Stage, error) {
 		}
 	}
 	inputs := make([]string, len(frag.Inputs))
+	// Each input's LE column, worked out once for the run key, the span
+	// scan and routing, and the reducer: an intermediate row leads with
+	// __LE, a raw row carries the Time column.
+	leCols := make([]int, len(frag.Inputs))
 	for i, in := range frag.Inputs {
 		inputs[i] = in.Dataset
+		if !in.Intermediate {
+			leCols[i] = in.Schema.MustIndex(TimeColumn)
+		}
 	}
 	outSchema := IntermediateSchema(frag.Root.Schema())
 
@@ -164,10 +171,10 @@ func (t *TiMR) Stage(frag *Fragment) (mapreduce.Stage, error) {
 	// run key lets the map phase annotate each shuffle run's sortedness
 	// inline, so spilled runs can stream through the merge without a
 	// re-read (and unsorted ones fall back to materialize+sort).
-	st.RunKey = runKeyFn(frag)
+	st.RunKey = func(r mapreduce.Row, src int) int64 { return r[leCols[src]].AsInt() }
 
 	if frag.Part.Temporal {
-		if err := t.temporalStage(&st, frag); err != nil {
+		if err := t.temporalStage(&st, frag, leCols); err != nil {
 			return st, err
 		}
 		return st, nil
@@ -186,29 +193,8 @@ func (t *TiMR) Stage(frag *Fragment) (mapreduce.Stage, error) {
 	}
 	st.PartitionCols = cols
 
-	st.ReduceSegments = t.reducer(frag, nil)
+	st.ReduceSegments = t.reducer(frag, leCols, nil)
 	return st, nil
-}
-
-// runKeyFn builds the stage's RunKey: the event left endpoint — the
-// lifetime LE column for intermediate inputs, the Time column for raw
-// sources. It is exactly the key the reducer's k-way merge orders by.
-func runKeyFn(frag *Fragment) func(mapreduce.Row, int) int64 {
-	timeCols := make([]int, len(frag.Inputs))
-	intermediate := make([]bool, len(frag.Inputs))
-	for i, in := range frag.Inputs {
-		if in.Intermediate {
-			intermediate[i] = true
-		} else {
-			timeCols[i] = in.Schema.MustIndex(TimeColumn)
-		}
-	}
-	return func(r mapreduce.Row, src int) int64 {
-		if intermediate[src] {
-			return r[0].AsInt()
-		}
-		return r[timeCols[src]].AsInt()
-	}
 }
 
 // hasLifetimeColumns reports whether a stored dataset schema leads with
@@ -236,21 +222,7 @@ func partitionCols(in FragmentInput, cols []string) []int {
 // shuffle-run segments, resident or spilled, and P streams them through
 // the engine's k-way merge instead of materializing the partition — its
 // working set is the merge frontier.
-func (t *TiMR) reducer(frag *Fragment, spans *SpanSpec) func(int, [][]mapreduce.Segment, func([]mapreduce.Row)) error {
-	// Capture per-input conversion metadata once.
-	type inMeta struct {
-		scan         string
-		intermediate bool
-		timeCol      int
-	}
-	metas := make([]inMeta, len(frag.Inputs))
-	for i, in := range frag.Inputs {
-		m := inMeta{scan: in.ScanName, intermediate: in.Intermediate}
-		if !in.Intermediate {
-			m.timeCol = in.Schema.MustIndex(TimeColumn)
-		}
-		metas[i] = m
-	}
+func (t *TiMR) reducer(frag *Fragment, leCols []int, spans *SpanSpec) func(int, [][]mapreduce.Segment, func([]mapreduce.Row)) error {
 	root := frag.Root
 	cfg := t.Cfg
 	// One scope per fragment, shared by every partition's engine (and by
@@ -290,15 +262,15 @@ func (t *TiMR) reducer(frag *Fragment, spans *SpanSpec) func(int, [][]mapreduce.
 		// predefined Time column").
 		runs := make([]temporal.Run, 0, 8)
 		for src := range in {
-			m := metas[src]
+			intermediate, timeCol := frag.Inputs[src].Intermediate, leCols[src]
 			toEvent := func(r mapreduce.Row) temporal.Event {
-				if m.intermediate {
+				if intermediate {
 					return temporal.Event{LE: r[0].AsInt(), RE: r[1].AsInt(), Payload: r[2:]}
 				}
-				return temporal.PointEvent(r[m.timeCol].AsInt(), r)
+				return temporal.PointEvent(r[timeCol].AsInt(), r)
 			}
 			for i := range in[src] {
-				run, err := segmentRun(&in[src][i], m.scan, toEvent)
+				run, err := segmentRun(&in[src][i], frag.Inputs[src].ScanName, toEvent)
 				if err != nil {
 					return err
 				}
@@ -358,20 +330,17 @@ func (s *reduceSink) OnFlush()            {}
 // temporalStage wires a time-partitioned fragment (§III-B): rows are
 // routed to overlapping spans, each span's engine produces output only
 // for its owned interval.
-func (t *TiMR) temporalStage(st *mapreduce.Stage, frag *Fragment) error {
+func (t *TiMR) temporalStage(st *mapreduce.Stage, frag *Fragment, leCols []int) error {
 	width := frag.Part.SpanWidth
 	overlap := frag.Root.MaxWindow()
 	// Determine the data's time range to size the span set.
 	lo, hi := temporal.MaxTime, temporal.MinTime
-	for _, in := range frag.Inputs {
+	for i, in := range frag.Inputs {
 		ds, err := t.Cluster.FS.Read(in.Dataset)
 		if err != nil {
 			return err
 		}
-		timeCol := 0
-		if !in.Intermediate {
-			timeCol = in.Schema.MustIndex(TimeColumn)
-		}
+		timeCol := leCols[i]
 		for p := 0; p < ds.NumPartitions(); p++ {
 			rd := ds.Reader(p)
 			for {
@@ -413,15 +382,9 @@ func (t *TiMR) temporalStage(st *mapreduce.Stage, frag *Fragment) error {
 	}
 	spans := NewSpanSpec(lo, hi, width, overlap)
 	st.NumPartitions = spans.N
-	timeCols := make([]int, len(frag.Inputs))
 	intermediate := make([]bool, len(frag.Inputs))
 	for i, in := range frag.Inputs {
-		if in.Intermediate {
-			timeCols[i] = 0
-			intermediate[i] = true
-		} else {
-			timeCols[i] = in.Schema.MustIndex(TimeColumn)
-		}
+		intermediate[i] = in.Intermediate
 	}
 	st.MultiPartition = func(r mapreduce.Row, src, nparts int) []int {
 		if intermediate[src] {
@@ -430,9 +393,9 @@ func (t *TiMR) temporalStage(st *mapreduce.Stage, frag *Fragment) error {
 			// or chained temporal jobs drop contributions in later spans.
 			return spans.SpansForInterval(r[0].AsInt(), r[1].AsInt())
 		}
-		return spans.SpansFor(r[timeCols[src]].AsInt())
+		return spans.SpansFor(r[leCols[src]].AsInt())
 	}
-	st.ReduceSegments = t.reducer(frag, spans)
+	st.ReduceSegments = t.reducer(frag, leCols, spans)
 	return nil
 }
 
