@@ -11,14 +11,16 @@ test:
 # The packages with a parallel phase run at GOMAXPROCS 1 and at 4. Every
 # such phase runs on par.ForEach: a map-reduce stage's map and reduce
 # tasks (mapreduce), a punctuation wave's partitions (core, serve, and
-# the refresher's resident front job in bt), and a refresh ingest's
-# window models (bt). A partition's engine lives across waves, and each
-# wave may drive it from another worker. At GOMAXPROCS 1 the pool runs on
-# the caller's goroutine only, so both the sequential and the pooled path
-# are raced, whatever the host's core count.
+# the refresher's resident front job in bt), a refresh ingest's window
+# models (bt), and the generator's users (workload), whose pinned log
+# must come out byte-identical on one worker and on the pool. A
+# partition's engine lives across waves, and each wave may drive it from
+# another worker. At GOMAXPROCS 1 the pool runs on the caller's goroutine
+# only, so both the sequential and the pooled path are raced, whatever
+# the host's core count.
 race:
-	$(GO) test -race $$($(GO) list ./... | grep -v -e '/internal/core$$' -e '/internal/serve$$' -e '/internal/bt$$' -e '/internal/mapreduce$$' -e '/internal/par$$')
-	$(GO) test -race -cpu 1,4 ./internal/core ./internal/serve ./internal/bt ./internal/mapreduce ./internal/par
+	$(GO) test -race $$($(GO) list ./... | grep -v -e '/internal/core$$' -e '/internal/serve$$' -e '/internal/bt$$' -e '/internal/mapreduce$$' -e '/internal/par$$' -e '/internal/workload$$')
+	$(GO) test -race -cpu 1,4 ./internal/core ./internal/serve ./internal/bt ./internal/mapreduce ./internal/par ./internal/workload
 
 vet:
 	$(GO) vet ./...

@@ -1,8 +1,8 @@
 // Package par is the one worker pool every parallel phase runs on: the
 // map and reduce tasks of a map-reduce stage, a streaming punctuation
-// wave, and a refresh ingest's per-user front partitions and window
-// models. It is the paper's bounded pool of machines (§III-C.1), with
-// the caller's goroutine as one of them.
+// wave, a refresh ingest's per-user front partitions and window models,
+// and the workload generator's users. It is the paper's bounded pool of
+// machines (§III-C.1), with the caller's goroutine as one of them.
 package par
 
 import (

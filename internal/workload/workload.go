@@ -22,11 +22,15 @@
 package workload
 
 import (
+	"cmp"
 	"fmt"
 	"math"
 	"math/rand"
+	"runtime"
+	"slices"
 	"sort"
 
+	"timr/internal/par"
 	"timr/internal/temporal"
 )
 
@@ -186,7 +190,12 @@ var namedKeywords = map[string][2][]string{
 // stay out of this list to keep the ground truth disjoint.
 var popularIrrelevant = []string{"google", "msn", "youtube", "yahoo", "weather", "news", "maps", "mail"}
 
-// Generate builds a dataset. Generation is deterministic in Cfg.Seed.
+// Generate builds a dataset. Users are generated in parallel, each from
+// its own source seeded by (Cfg.Seed, user id). The log is the stable
+// Time order of the users' rows taken in user-id order: rows with equal
+// Time keep user-id order, and one user's rows keep the order they were
+// drawn in. Generation is deterministic in Cfg.Seed, whatever GOMAXPROCS
+// is.
 func Generate(cfg Config) *Dataset {
 	cfg = cfg.withDefaults()
 	root := rand.New(rand.NewSource(cfg.Seed))
@@ -320,21 +329,17 @@ func Generate(cfg Config) *Dataset {
 	}
 
 	// ---- Users ----
-	zipf := rand.NewZipf(root, 1.2, 4, uint64(cfg.Keywords-1))
-	_ = zipf // per-user zipfs below share the exponent; root one unused
 	nBots := int(float64(cfg.Users) * cfg.BotFraction)
 	for u := 0; u < nBots; u++ {
 		d.Bots[int64(u)] = true // low ids are bots; position has no effect
 	}
 
-	var rows []temporal.Row
-	emit := func(t temporal.Time, stream, user, kwAd int64) {
-		rows = append(rows, temporal.Row{
-			temporal.Int(t), temporal.Int(stream), temporal.Int(user), temporal.Int(kwAd),
-		})
-	}
-
-	for u := 0; u < cfg.Users; u++ {
+	// A user's rows depend only on (Seed, user) and on tables that are
+	// read-only from here on (d.Ads, effects, d.Bots), so users generate
+	// in parallel, each into its own list. The callback never fails, so
+	// ForEach's error is always nil.
+	perUser := make([][]temporal.Row, cfg.Users)
+	_ = par.ForEach(runtime.GOMAXPROCS(0), cfg.Users, func(u int) error {
 		uid := int64(u)
 		rng := rand.New(rand.NewSource(cfg.Seed*1_000_003 + int64(u)))
 		isBot := d.Bots[uid]
@@ -383,16 +388,29 @@ func Generate(cfg Config) *Dataset {
 			}
 			searches[i].t = t
 			searches[i].kw = kw
-			emit(t, StreamKeyword, uid, kw)
 		}
 
-		// Impressions and clicks.
+		// Impressions and clicks. The user's list is made once nImpr is
+		// known, sized for a click per impression, and the searches'
+		// rows go in first. A list grown by append would free its small
+		// early arrays among the rows' own size class and fragment the
+		// heap the log lives in.
 		nImpr := poissonish(rng, imprRate*float64(cfg.Days))
+		rows := make([]temporal.Row, 0, nSearch+2*nImpr)
+		emit := func(t temporal.Time, stream, kwAd int64) {
+			rows = append(rows, temporal.Row{
+				temporal.Int(t), temporal.Int(stream), temporal.Int(uid), temporal.Int(kwAd),
+			})
+		}
+		for _, s := range searches {
+			emit(s.t, StreamKeyword, s.kw)
+		}
 		imprTimes := diurnalTimes(rng, nImpr, d.Horizon)
 		lo := 0
+		applied := map[int64]bool{}
 		for _, t := range imprTimes {
 			ad := rng.Intn(len(d.Ads))
-			emit(t, StreamImpression, uid, d.Ads[ad].ID)
+			emit(t, StreamImpression, d.Ads[ad].ID)
 
 			var p float64
 			if isBot {
@@ -404,7 +422,7 @@ func Generate(cfg Config) *Dataset {
 				for lo < len(searches) && searches[lo].t <= t-cfg.Tau {
 					lo++
 				}
-				applied := map[int64]bool{}
+				clear(applied)
 				for i := lo; i < len(searches) && searches[i].t <= t; i++ {
 					kw := searches[i].kw
 					if applied[kw] {
@@ -428,13 +446,43 @@ func Generate(cfg Config) *Dataset {
 				if ct >= d.Horizon {
 					ct = d.Horizon - 1
 				}
-				emit(ct, StreamClick, uid, d.Ads[ad].ID)
+				emit(ct, StreamClick, d.Ads[ad].ID)
 			}
 		}
-	}
+		perUser[u] = rows
+		return nil
+	})
 
-	sort.SliceStable(rows, func(i, j int) bool { return rows[i][0].AsInt() < rows[j][0].AsInt() })
-	d.Rows = rows
+	// The log is the stable Time order of the users' rows concatenated in
+	// user-id order: sort (Time, user, position) keys, which are unique,
+	// then gather each row once.
+	type rowKey struct {
+		t         int64
+		user, pos int32
+	}
+	n := 0
+	for _, rows := range perUser {
+		n += len(rows)
+	}
+	keys := make([]rowKey, 0, n)
+	for u, rows := range perUser {
+		for i, r := range rows {
+			keys = append(keys, rowKey{t: r[0].AsInt(), user: int32(u), pos: int32(i)})
+		}
+	}
+	slices.SortFunc(keys, func(a, b rowKey) int {
+		if c := cmp.Compare(a.t, b.t); c != 0 {
+			return c
+		}
+		if c := cmp.Compare(a.user, b.user); c != 0 {
+			return c
+		}
+		return cmp.Compare(a.pos, b.pos)
+	})
+	d.Rows = make([]temporal.Row, n)
+	for i, k := range keys {
+		d.Rows[i] = perUser[k.user][k.pos]
+	}
 	return d
 }
 
@@ -474,7 +522,7 @@ func diurnalTimes(rng *rand.Rand, n int, horizon temporal.Time) []temporal.Time 
 			out = append(out, t)
 		}
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
+	slices.Sort(out)
 	return out
 }
 
