@@ -69,8 +69,9 @@ func (w *Encoder) String(s string) {
 
 // Value appends one tagged value.
 func (w *Encoder) Value(v Value) {
-	w.Byte(byte(v.kind))
-	switch v.kind {
+	k := v.Kind()
+	w.Byte(byte(k))
+	switch k {
 	case KindNull:
 	case KindFloat:
 		w.Uvarint(v.n)
@@ -97,7 +98,7 @@ func varintLen(v int64) int {
 // byte for byte, so a "4KB" partition really holds at most 4KB of
 // spill-frame payload.
 func (v Value) EncodedLen() int {
-	switch v.kind {
+	switch v.Kind() {
 	case KindNull:
 		return 1
 	case KindFloat:
@@ -283,7 +284,7 @@ func (r *Decoder) value(view bool) Value {
 	case KindNull:
 		return Null
 	case KindFloat:
-		return Value{kind: KindFloat, n: r.Uvarint()}
+		return bitsValue(KindFloat, r.Uvarint())
 	case KindString:
 		b := r.bytes()
 		if view && len(b) > 0 {
@@ -291,7 +292,7 @@ func (r *Decoder) value(view bool) Value {
 		}
 		return String(string(b))
 	case KindInt, KindBool:
-		return Value{kind: kind, n: uint64(r.Varint())}
+		return bitsValue(kind, uint64(r.Varint()))
 	default:
 		r.fail("unknown value kind %d", kind)
 		return Null

@@ -121,13 +121,13 @@ type minMaxKey struct {
 }
 
 func keyOf(v Value) minMaxKey {
-	k := minMaxKey{kind: v.kind, bits: v.n}
+	k := minMaxKey{kind: v.Kind(), bits: v.n}
 	switch f := math.Float64frombits(v.n); {
-	case v.kind == KindString:
+	case k.kind == KindString:
 		k.s = v.str()
-	case v.kind == KindFloat && math.IsNaN(f):
+	case k.kind == KindFloat && math.IsNaN(f):
 		k.bits = math.Float64bits(math.NaN())
-	case v.kind == KindFloat && f == 0:
+	case k.kind == KindFloat && f == 0:
 		k.bits = 0
 	}
 	return k
@@ -196,7 +196,7 @@ func (s *minMaxState) snapshot(w *Encoder) {
 		live = append(live, c)
 	}
 	slices.SortFunc(live, func(a, b minMaxCount) int {
-		if a.v.kind == KindFloat && b.v.kind == KindFloat {
+		if a.v.Kind() == KindFloat && b.v.Kind() == KindFloat {
 			return cmp.Compare(a.v.AsFloat(), b.v.AsFloat())
 		}
 		return a.v.Compare(b.v)

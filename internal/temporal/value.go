@@ -57,30 +57,50 @@ func (k Kind) String() string {
 	}
 }
 
-// Value is a compact tagged union holding one column value in 24 bytes.
-// The zero Value is null. Using a concrete struct (rather than
-// interface{}) keeps rows free of per-value heap allocations on the
-// engine's hot paths. n carries the int64 bits, the bool (0/1), the
-// math.Float64bits of a float, or a string's length; p is the string's
-// bytes, nil for every other kind. With a data pointer inside, == would
-// compare string addresses: the zero-size func array makes Value
-// non-comparable, so == and map keys do not compile. Use Equal.
+// Value is a compact tagged union holding one column value in 16 bytes:
+// a pointer word p and a payload word n. p carries the kind:
+//
+//   - an int's p is nil, and n holds its int64 bits;
+//   - null, float and bool point at their own byte of the package's tags
+//     array; n holds a float's math.Float64bits or a bool's 0/1 (0 for null);
+//   - a string's p is its data pointer and n its length; the empty string
+//     points at tags' KindString byte, since unsafe.StringData("") may be nil.
+//
+// The zero Value is therefore Int(0), not Null: a row of ints holds only
+// nil pointer words, which the garbage collector and the write barrier
+// skip without a lookup. Tagging ints too would keep "zero is null" but
+// make every int's pointer word one the GC must look up. Null is the
+// exported variable, never Value{}.
+//
+// Using a concrete struct (rather than interface{}) keeps rows free of
+// per-value heap allocations on the engine's hot paths. With a data
+// pointer inside, == would compare string addresses: the zero-size func
+// array makes Value non-comparable, so == and map keys do not compile.
+// Use Equal. This file is the only one that builds a Value from its
+// words or reads its kind from p.
 type Value struct {
-	_    [0]func()
-	p    *byte
-	n    uint64
-	kind Kind
+	_ [0]func()
+	p *byte
+	n uint64
 }
 
+// tags holds the byte each pointer-tagged kind points at, indexed by
+// Kind. Ints are nil and never point here; tags[KindString] is the empty
+// string's byte, so that every string's p is non-nil.
+var tags [KindBool + 1]byte
+
 // Int returns an integer value.
-func Int(v int64) Value { return Value{kind: KindInt, n: uint64(v)} }
+func Int(v int64) Value { return Value{n: uint64(v)} }
 
 // Float returns a floating-point value.
-func Float(v float64) Value { return Value{kind: KindFloat, n: math.Float64bits(v)} }
+func Float(v float64) Value { return Value{p: &tags[KindFloat], n: math.Float64bits(v)} }
 
 // String returns a string value. The value shares v's bytes.
 func String(v string) Value {
-	return Value{kind: KindString, p: unsafe.StringData(v), n: uint64(len(v))}
+	if len(v) == 0 {
+		return Value{p: &tags[KindString]}
+	}
+	return Value{p: unsafe.StringData(v), n: uint64(len(v))}
 }
 
 // Bool returns a boolean value.
@@ -89,41 +109,58 @@ func Bool(v bool) Value {
 	if v {
 		n = 1
 	}
-	return Value{kind: KindBool, n: n}
+	return Value{p: &tags[KindBool], n: n}
 }
 
 // Null is the null value.
-var Null = Value{}
+var Null = Value{p: &tags[KindNull]}
+
+// bitsValue returns the value of kind k, which is not KindString, whose
+// payload word is n: the inverse of reading v.n for the codec.
+func bitsValue(k Kind, n uint64) Value {
+	if k == KindInt {
+		return Value{n: n}
+	}
+	return Value{p: &tags[k], n: n}
+}
 
 // Kind reports the dynamic kind of v.
-func (v Value) Kind() Kind { return v.kind }
+func (v Value) Kind() Kind {
+	if v.p == nil {
+		return KindInt
+	}
+	if d := uintptr(unsafe.Pointer(v.p)) - uintptr(unsafe.Pointer(&tags)); d < uintptr(len(tags)) {
+		return Kind(d)
+	}
+	return KindString
+}
 
 // AsInt returns the integer payload. It panics if v is not an int; engine
 // code paths validate kinds at plan-compile time, so a panic here indicates
 // a schema bug, not a data error.
 func (v Value) AsInt() int64 {
-	if v.kind != KindInt {
-		panic("temporal: AsInt on " + v.kind.String())
+	if v.p != nil {
+		v.badKind("AsInt")
 	}
 	return int64(v.n)
 }
 
 // AsFloat returns the float payload, widening ints.
 func (v Value) AsFloat() float64 {
-	switch v.kind {
-	case KindFloat:
+	switch v.p {
+	case &tags[KindFloat]:
 		return math.Float64frombits(v.n)
-	case KindInt:
+	case nil:
 		return float64(int64(v.n))
-	default:
-		panic("temporal: AsFloat on " + v.kind.String())
 	}
+	v.badKind("AsFloat")
+	return 0
 }
 
 // AsString returns the string payload.
 func (v Value) AsString() string {
-	if v.kind != KindString {
-		panic("temporal: AsString on " + v.kind.String())
+	if v.Kind() != KindString {
+		v.badKind("AsString")
 	}
 	return v.str()
 }
@@ -133,36 +170,55 @@ func (v Value) str() string { return unsafe.String(v.p, int(v.n)) }
 
 // AsBool returns the boolean payload.
 func (v Value) AsBool() bool {
-	if v.kind != KindBool {
-		panic("temporal: AsBool on " + v.kind.String())
+	if v.p != &tags[KindBool] {
+		v.badKind("AsBool")
 	}
 	return v.n != 0
 }
 
+// badKind panics for an accessor called on a value of another kind. It is
+// out of line so that the accessors stay small enough to inline.
+func (v Value) badKind(op string) {
+	panic("temporal: " + op + " on " + v.Kind().String())
+}
+
 // Equal reports deep equality of two values (kind and payload). Floats
-// compare by value: -0 equals +0 and NaN equals nothing.
+// compare by value: -0 equals +0 and NaN equals nothing. Ints, the common
+// case, are decided inline; every other pair goes to equalTagged.
 func (v Value) Equal(o Value) bool {
-	if v.kind != o.kind {
-		return false
+	if v.p == nil { // an int equals only an int
+		return o.p == nil && v.n == o.n
 	}
-	switch v.kind {
-	case KindFloat:
-		return math.Float64frombits(v.n) == math.Float64frombits(o.n)
-	case KindString:
-		return v.str() == o.str()
-	default: // null, int, bool
-		return v.n == o.n
+	return v.equalTagged(o)
+}
+
+// equalTagged is Equal for a v that is not an int. Values of one tag
+// share p, and so do strings with the same bytes; any other pair is equal
+// only as two strings of the same length and content.
+func (v Value) equalTagged(o Value) bool {
+	if v.p == o.p {
+		if v.p == &tags[KindFloat] {
+			return math.Float64frombits(v.n) == math.Float64frombits(o.n)
+		}
+		return v.n == o.n // null, bool, or one string's bytes
 	}
+	return v.n == o.n && o.p != nil && v.Kind() == KindString && o.Kind() == KindString && v.str() == o.str()
 }
 
 // Compare orders values of the same kind: -1, 0, +1. Nulls sort first;
 // cross-kind comparison orders by kind (stable but arbitrary), which keeps
 // sort-based operators total.
 func (v Value) Compare(o Value) int {
-	if v.kind != o.kind {
-		return cmp.Compare(v.kind, o.kind)
+	if v.p == o.p && v.p != &tags[KindFloat] {
+		// Two ints, nulls or bools, or strings of one data pointer,
+		// where the shorter is a prefix of the longer.
+		return cmp.Compare(int64(v.n), int64(o.n))
 	}
-	switch v.kind {
+	k, ok := v.Kind(), o.Kind()
+	if k != ok {
+		return cmp.Compare(k, ok)
+	}
+	switch k {
 	case KindFloat:
 		a, b := math.Float64frombits(v.n), math.Float64frombits(o.n)
 		switch {
@@ -174,33 +230,40 @@ func (v Value) Compare(o Value) int {
 		return 0 // equal, or a NaN: it ties with every float
 	case KindString:
 		return strings.Compare(v.str(), o.str())
-	default: // null, int, bool
+	default: // null, bool
 		return cmp.Compare(int64(v.n), int64(o.n))
 	}
 }
 
-// Hash mixes v into a 64-bit FNV-1a state. Used for partitioning and for
-// hash synopses in joins and group-apply.
+const fnvPrime = 1099511628211
+
+// Hash mixes v into a 64-bit FNV-1a state: the kind, then the payload
+// word, or a string's bytes. Used for partitioning and for hash synopses
+// in joins and group-apply.
 func (v Value) Hash(h uint64) uint64 {
-	const prime = 1099511628211
-	h ^= uint64(v.kind)
-	h *= prime
-	if v.kind == KindString {
-		s := v.str()
-		for i := 0; i < len(s); i++ {
-			h ^= uint64(s[i])
-			h *= prime
-		}
-		return h
+	if v.p == nil {
+		return ((h^uint64(KindInt))*fnvPrime ^ v.n) * fnvPrime
 	}
-	h ^= v.n
-	h *= prime
+	return v.hashTagged(h)
+}
+
+// hashTagged is Hash for a value that is not an int.
+func (v Value) hashTagged(h uint64) uint64 {
+	k := v.Kind()
+	h = (h ^ uint64(k)) * fnvPrime
+	if k != KindString {
+		return (h ^ v.n) * fnvPrime
+	}
+	s := v.str()
+	for i := 0; i < len(s); i++ {
+		h = (h ^ uint64(s[i])) * fnvPrime
+	}
 	return h
 }
 
 // String renders the value for debugging and experiment tables.
 func (v Value) String() string {
-	switch v.kind {
+	switch v.Kind() {
 	case KindNull:
 		return "NULL"
 	case KindInt:
@@ -233,6 +296,5 @@ func HashRow(r Row, cols []int) uint64 {
 
 // HashCombine folds one value hash into a running row-hash state.
 func HashCombine(h, x uint64) uint64 {
-	const prime = 1099511628211
-	return (h ^ x) * prime
+	return (h ^ x) * fnvPrime
 }

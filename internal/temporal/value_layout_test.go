@@ -5,6 +5,7 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"math"
+	"reflect"
 	"strings"
 	"testing"
 	"unsafe"
@@ -13,11 +14,67 @@ import (
 // TestValueLayout pins what a row costs: a layout regression fails tier-1,
 // not a benchmark.
 func TestValueLayout(t *testing.T) {
-	if got := unsafe.Sizeof(Value{}); got != 24 {
-		t.Errorf("unsafe.Sizeof(Value{}) = %d, want 24", got)
+	if got := unsafe.Sizeof(Value{}); got != 16 {
+		t.Errorf("unsafe.Sizeof(Value{}) = %d, want 16", got)
 	}
 	if got := unsafe.Sizeof(Event{}); got != 40 {
 		t.Errorf("unsafe.Sizeof(Event{}) = %d, want 40", got)
+	}
+}
+
+// TestIntHoldsNoPointer: every pointer-carrying word of an int Value is
+// nil, whatever its payload. A row of ints then holds nothing the garbage
+// collector or the write barrier has to look up; a layout that tags ints
+// with a pointer keeps every test green but the GC's mark cost, so it must
+// fail here.
+func TestIntHoldsNoPointer(t *testing.T) {
+	vt := reflect.TypeFor[Value]()
+	words := 0
+	for i := range vt.NumField() {
+		f := vt.Field(i)
+		switch f.Type.Kind() {
+		case reflect.Pointer, reflect.UnsafePointer, reflect.String, reflect.Slice,
+			reflect.Map, reflect.Chan, reflect.Interface:
+		default:
+			continue // [0]func() is zero-size: it holds no word
+		}
+		words++
+		for _, n := range []int64{0, 1, -1, math.MinInt64, math.MaxInt64} {
+			v := Int(n)
+			if w := *(*uintptr)(unsafe.Add(unsafe.Pointer(&v), f.Offset)); w != 0 {
+				t.Errorf("Int(%d): pointer word %s is %#x, want nil", n, f.Name, w)
+			}
+		}
+	}
+	if words != 1 {
+		t.Errorf("Value has %d pointer-carrying fields, want 1", words)
+	}
+}
+
+// TestZeroValueIsInt: the zero Value is Int(0), and the five kinds' zero
+// payloads — Null, Int(0), Float(0), Bool(false), String("") — stay
+// five distinct values under Kind, Equal and RowsEqual.
+func TestZeroValueIsInt(t *testing.T) {
+	var zero Value
+	if zero.Kind() != KindInt || zero.AsInt() != 0 || !zero.Equal(Int(0)) || zero.Equal(Null) {
+		t.Errorf("the zero Value is %v of kind %v, want Int(0)", zero, zero.Kind())
+	}
+	vals := []Value{Null, Int(0), Float(0), Bool(false), String("")}
+	for i, a := range vals {
+		for j, b := range vals {
+			if i == j {
+				if !a.Equal(b) || !RowsEqual([]Row{{a}}, []Row{{b}}) {
+					t.Errorf("%v (%v) does not equal itself", a, a.Kind())
+				}
+				continue
+			}
+			if a.Kind() == b.Kind() {
+				t.Errorf("%v and %v share kind %v", a, b, a.Kind())
+			}
+			if a.Equal(b) || RowsEqual([]Row{{a}}, []Row{{b}}) {
+				t.Errorf("%v (%v) equals %v (%v)", a, a.Kind(), b, b.Kind())
+			}
+		}
 	}
 }
 
@@ -151,10 +208,6 @@ func TestValueGoldens(t *testing.T) {
 	if String("").Equal(Null) || Null.Equal(String("")) || String("").Kind() == KindNull {
 		t.Error(`String("") must not equal Null`)
 	}
-	var zero Value
-	if zero.Kind() != KindNull || !zero.Equal(Null) {
-		t.Error("the zero Value must be Null")
-	}
 }
 
 // TestHashRowGoldens pins partition assignment: HashRow of three mixed
@@ -210,5 +263,18 @@ func TestRowsEqualComparesWholeStrings(t *testing.T) {
 	}
 	if !RowsEqual(nil, []Row{}) {
 		t.Error("RowsEqual: nil and empty must compare equal")
+	}
+}
+
+// TestRowsEqualTellsTaggedKindsApart: Null and Bool(false) are both a
+// pointer to a zero tag byte and a zero payload, so reflect.DeepEqual,
+// which follows the pointers, calls the two rows equal. RowsEqual does not.
+func TestRowsEqualTellsTaggedKindsApart(t *testing.T) {
+	a, b := []Row{{Int(1), Null}}, []Row{{Int(1), Bool(false)}}
+	if RowsEqual(a, b) {
+		t.Error("RowsEqual: Null and Bool(false) compare equal")
+	}
+	if !reflect.DeepEqual(a, b) {
+		t.Error("reflect.DeepEqual now tells Null from Bool(false); update this test and the Value doc")
 	}
 }

@@ -62,6 +62,30 @@ func TestGeneratePinned(t *testing.T) {
 	}
 }
 
+// TestGenerateExhaustedVocabulary: adgen's -users 50 -days 1 -ads 12
+// -keywords 60 is a vocabulary too small for twelve classes, so some class
+// gets an empty Pos or Neg pool. A user's interest draw that lands on it
+// takes a Zipf keyword instead of calling Intn(0), and the log is still
+// deterministic.
+func TestGenerateExhaustedVocabulary(t *testing.T) {
+	cfg := DefaultConfig()
+	cfg.Users, cfg.Days, cfg.AdClasses, cfg.Keywords = 50, 1, 12, 60
+	d := Generate(cfg)
+	empty := false
+	for _, ad := range d.Ads {
+		empty = empty || len(ad.Pos) == 0 || len(ad.Neg) == 0
+	}
+	if !empty {
+		t.Fatal("no ad class has an empty keyword pool: the config no longer exhausts the vocabulary")
+	}
+	if len(d.Rows) == 0 {
+		t.Fatal("no rows")
+	}
+	if a, b := rowsDigest(d.Rows), rowsDigest(Generate(cfg).Rows); a != b {
+		t.Fatalf("two calls digest %s and %s", a, b)
+	}
+}
+
 // BenchmarkGenerate times the whole generator on the bt_batch log.
 func BenchmarkGenerate(b *testing.B) {
 	cfg := btBatchConfig()

@@ -357,16 +357,20 @@ func Generate(cfg Config) *Dataset {
 		uzipf := rand.NewZipf(rng, 1.2, 4, uint64(cfg.Keywords-1))
 		for i := 0; i < cfg.InterestKeywordsPerUser; i++ {
 			if rng.Float64() < 0.5 {
-				// Planted keyword of a random ad class.
+				// Planted keyword of a random ad class. A vocabulary too
+				// small for the classes can leave the drawn pool empty;
+				// then the draw takes the Zipf keyword, as LoadGen does.
 				cls := d.Ads[rng.Intn(len(d.Ads))]
 				pool := cls.Pos
 				if rng.Float64() < 0.5 {
 					pool = cls.Neg
 				}
-				interests = append(interests, pool[rng.Intn(len(pool))])
-			} else {
-				interests = append(interests, int64(uzipf.Uint64()))
+				if len(pool) > 0 {
+					interests = append(interests, pool[rng.Intn(len(pool))])
+					continue
+				}
 			}
+			interests = append(interests, int64(uzipf.Uint64()))
 		}
 
 		// Searches (sorted by construction of diurnalTimes).
