@@ -32,8 +32,9 @@ fmt:
 
 # Short fuzz sweep over every decoder that parses untrusted bytes: the
 # row codec, checkpoint images, durable frames and generation files,
-# streaming snapshots, bt summaries and the map phase's spill frame
-# walker. Corrupt input must error — never panic, never over-allocate.
+# streaming snapshots, bt summaries, the map phase's spill frame walker
+# and `timr run`'s -in parser. Corrupt input must error — never panic,
+# never over-allocate.
 # FuzzCompile holds the StreamSQL compiler to the same rule for any
 # query text. FuzzCoalesce is the one differential among them: any small
 # event list coalesces to what the reference implementation makes of it.
@@ -48,6 +49,7 @@ fuzzgate:
 	$(GO) test -run '^$$' -fuzz 'FuzzSummaryRoundtrip' -fuzztime 10s ./internal/bt/
 	$(GO) test -run '^$$' -fuzz 'FuzzSpillFrames' -fuzztime 10s ./internal/mapreduce/
 	$(GO) test -run '^$$' -fuzz 'FuzzCompile' -fuzztime 10s ./internal/tsql/
+	$(GO) test -run '^$$' -fuzz 'FuzzLoadRows' -fuzztime 10s ./cmd/timr/
 
 # The full pre-merge gate. `race` runs every test, the bit-identity
 # differentials included, under the race detector (DESIGN.md names the

@@ -5,9 +5,8 @@
 //
 //	experiments [-quick] [-seed N] [-machines N] [name ...]
 //
-// With no names, every experiment runs in presentation order. Known names:
-// strawman fig14 fig15 fig16 ex3 fig17 fig20 fig21 fig22 memtime botstats
-// failures shuffle chaos spill refresh. An unknown name exits 2.
+// With no names, every experiment runs in presentation order. An unknown
+// name exits 2 and prints the known ones.
 // Results for the default (full) scale are recorded in EXPERIMENTS.md.
 package main
 

@@ -235,3 +235,72 @@ func TestSQLCompileErrorExitsCleanly(t *testing.T) {
 		t.Fatalf("timr run -sql with a duplicate column exited %d, want 1 with the error and no goroutine trace:\n%s", exit, stderr)
 	}
 }
+
+// TestBTRefusesAShortHorizon: -q bt trains on half the input's horizon,
+// its largest Time plus one. An input with no events, or whose largest
+// Time is 0, leaves no training period: the run exits 1 with an error
+// that says so, not a panic.
+func TestBTRefusesAShortHorizon(t *testing.T) {
+	bin := buildTimr(t)
+	const header = "Time\tStreamId\tUserId\tKwAdId\n"
+	for _, c := range []struct{ name, body, want string }{
+		{"header only", header, "holds no events"},
+		{"one row at Time 0", header + "0\t1\t7\t3\n", "largest Time is 0"},
+	} {
+		in := filepath.Join(t.TempDir(), "events.tsv")
+		if err := os.WriteFile(in, []byte(c.body), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		_, stderr, exit := runTimr(t, bin, "run", "-q", "bt", "-in", in)
+		if exit != 1 || !strings.Contains(stderr, c.want) || strings.Contains(stderr, "panic:") {
+			t.Errorf("%s: timr run -q bt exited %d, want 1 with %q and no panic:\n%s", c.name, exit, c.want, stderr)
+		}
+	}
+}
+
+// TestBTTrainPeriodTakesTheLargestTime: the horizon is the largest Time,
+// wherever its row sits, not the last row's.
+func TestBTTrainPeriodTakesTheLargestTime(t *testing.T) {
+	rows, err := loadRows(strings.NewReader("Time\tStreamId\tUserId\tKwAdId\n5\t0\t1\t2\n9\t1\t1\t2\n3\t0\t2\t2\n"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if p, err := btTrainPeriod(rows); err != nil || p != 5 {
+		t.Fatalf("btTrainPeriod = %d, %v; want 5, half of the horizon 10", p, err)
+	}
+}
+
+// FuzzLoadRows: -in names a file from outside the program, so any bytes
+// parse to rows or an error, never a panic, and rows that parse give
+// -q bt a training period of at least one tick and at most the largest
+// Time, or btTrainPeriod's refusal.
+func FuzzLoadRows(f *testing.F) {
+	f.Add([]byte("Time\tStreamId\tUserId\tKwAdId\n5\t0\t1\t2\n9\t1\t1\t2\n3\t0\t2\t2\n"))
+	f.Add([]byte("Time\tStreamId\tUserId\tKwAdId\n"))
+	f.Add([]byte("0\t1\t7\t3\n"))
+	f.Add([]byte("1\t0\t0\t0\n-4\t0\t0\t0\n"))
+	f.Add([]byte("9223372036854775807\t0\t0\t0\n"))
+	f.Add([]byte("1\t2\t3\n"))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		rows, err := loadRows(bytes.NewReader(data))
+		if err != nil {
+			return
+		}
+		for _, r := range rows {
+			if len(r) != 4 {
+				t.Fatalf("row %v has %d columns", r, len(r))
+			}
+		}
+		p, err := btTrainPeriod(rows)
+		if err != nil {
+			return
+		}
+		last := rows[0][0].AsInt()
+		for _, r := range rows {
+			last = max(last, r[0].AsInt())
+		}
+		if p < 1 || p > last {
+			t.Fatalf("training period %d for a largest Time of %d", p, last)
+		}
+	})
+}

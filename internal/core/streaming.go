@@ -4,7 +4,6 @@ import (
 	"cmp"
 	"errors"
 	"fmt"
-	"math/rand"
 	"runtime"
 	"slices"
 	"sort"
@@ -46,11 +45,8 @@ type StreamingJob struct {
 	results  []temporal.Event // the plan's released output, kept for Results
 	cfg      Config
 	machines int
-	waves    int // completed punctuation waves (crash-draw input)
+	waves    int // completed punctuation waves
 	flushed  bool
-	// err is the first failed partition recovery, which breaks the job:
-	// Feed, FeedBatch and Advance return it from then on.
-	err error
 
 	// Durable checkpointing (WithDurable): at the end of every wave the
 	// job commits its full recovery state — each partition's checkpoint
@@ -68,19 +64,6 @@ type StreamingJob struct {
 // Flush has already drained the dataflow: its engines are spent, so any
 // further input would be silently lost.
 var ErrFlushed = errors.New("timr: streaming job already flushed")
-
-// CrashConfig enables deterministic partition crash injection in a
-// streaming job — the streaming counterpart of Config.FailureRate for the
-// batch cluster. Rate is the per-partition, per-wave probability that the
-// partition is killed at a pseudo-random point of the following feed
-// interval; the draw is a pure function of (fragment, partition, wave,
-// Seed), mirroring Cluster.injectedFailure, so a chaotic run is exactly
-// reproducible. A killed partition loses its engine and recovers from its
-// last checkpoint plus the replay log, its barrier's logs.
-type CrashConfig struct {
-	Rate float64
-	Seed int64
-}
 
 type stageInput struct {
 	stage *streamStage
@@ -112,7 +95,7 @@ func WithMachines(n int) StreamOption {
 }
 
 // WithConfig replaces the whole runtime Config (defaults to
-// DefaultConfig); its Crash field enables crash injection.
+// DefaultConfig).
 func WithConfig(cfg Config) StreamOption {
 	return func(o *streamOptions) { o.cfg = cfg }
 }
@@ -244,22 +227,14 @@ func NewStreamingJob(plan *temporal.Plan, sources map[string]*temporal.Schema, o
 // guarantees complete, then punctuates its engines — its partitions in
 // parallel, up to GOMAXPROCS at a time — whose flushed output cascades
 // into the next stage before that stage's own barrier runs.
-// After the wave, every partition checkpoints its engine: with the events
-// its barrier still holds, the recovery line a crashed partition rolls
-// back to. It returns ErrFlushed after Flush, and the job's failure once
-// a partition recovery has failed.
+// A durable job then commits the wave as one generation (WithDurable).
+// It returns ErrFlushed after Flush.
 func (j *StreamingJob) Advance(t temporal.Time) error {
 	if j.flushed {
 		return ErrFlushed
 	}
-	if j.err != nil {
-		return j.err
-	}
 	for _, st := range j.stages {
 		st.advance(t)
-		if j.err != nil {
-			return j.err
-		}
 	}
 	for _, o := range j.outs {
 		o.advance(t)
@@ -271,10 +246,9 @@ func (j *StreamingJob) Advance(t temporal.Time) error {
 	return nil
 }
 
-// Flush ends all inputs and drains the DAG. Flushing twice is a no-op,
-// and so is flushing a broken job (Results then returns its error).
+// Flush ends all inputs and drains the DAG. Flushing twice is a no-op.
 func (j *StreamingJob) Flush() {
-	if j.flushed || j.err != nil {
+	if j.flushed {
 		return
 	}
 	for _, st := range j.stages {
@@ -291,8 +265,6 @@ func (j *StreamingJob) Flush() {
 // be silently partial. A job with named outputs keeps none to return.
 func (j *StreamingJob) Results() ([]temporal.Event, error) {
 	switch {
-	case j.err != nil:
-		return nil, j.err
 	case len(j.outs) > 1:
 		return nil, errors.New("timr: Results of a job with named outputs: they are delivered as released, and none is kept")
 	case !j.flushed:
@@ -344,10 +316,9 @@ type streamStage struct {
 
 	// Observability (nil-safe handles; see Config.Obs).
 	scope      *obs.Scope   // per-operator engine metrics and barrier gauges
-	crashes    *obs.Counter // injected partition crashes
-	recoveries *obs.Counter // partitions rebuilt from checkpoint + replay
-	ckptBytes  *obs.Counter // checkpoint bytes written at waves
-	replayed   *obs.Counter // events replayed from the log after a crash
+	recoveries *obs.Counter // partitions restored from a durable generation
+	ckptBytes  *obs.Counter // checkpoint bytes a durable job takes at waves
+	replayed   *obs.Counter // replay-log events a restored partition holds
 }
 
 type streamPartition struct {
@@ -355,14 +326,12 @@ type streamPartition struct {
 	eng *temporal.Engine
 	buf *barrier // order-restoring barrier in front of the engine
 
-	// Recovery state. ckpt is the engine snapshot taken at the last wave
-	// (nil before the first). Between waves the engine never consumes
+	// ckpt is the engine snapshot a durable job takes at every wave (nil
+	// in a job without a store). Between waves the engine never consumes
 	// input (the barrier only releases during advance), so the barrier's
 	// logs are the replay log: ckpt plus them reconstruct the partition
-	// exactly at any moment.
-	ckpt    []byte
-	pushes  int // events admitted since the last wave
-	crashAt int // crash when pushes reaches this; -1 = disarmed
+	// exactly, which is what a durable generation records.
+	ckpt []byte
 
 	// outs are the engine's output sinks: the fragment root's, then in
 	// the final stage one per named output.
@@ -388,7 +357,6 @@ func (j *StreamingJob) newStage(frag *Fragment) (*streamStage, error) {
 		job:        j,
 		keyCols:    make([][]int, len(frag.Inputs)),
 		scope:      sc,
-		crashes:    sc.Counter("crashes"),
 		recoveries: sc.Counter("recoveries"),
 		ckptBytes:  sc.Counter("checkpoint_bytes"),
 		replayed:   sc.Counter("replayed_events"),
@@ -437,123 +405,42 @@ func (st *streamStage) newPartition(id int) (*streamPartition, error) {
 		sources[i] = in.ScanName
 	}
 	p.buf = newBarrier(sources, st.scope, func(runs []temporal.Run) {
-		// Through p, not a captured engine: recovery swaps p.eng. Resident
-		// runs of sources the plan scans cannot fail.
+		// Through p, not a captured engine: a durable restore swaps p.eng.
+		// Resident runs of sources the plan scans cannot fail.
 		p.eng.FeedMerged(runs)
 	})
-	st.arm(p)
 	return p, nil
 }
 
 // admit hands a run of events for input src to the partitions that own
-// them: whole to a single-partition stage, otherwise event by event to
-// the partition its key hashes to.
+// them: whole to a single-partition stage's barrier, otherwise event by
+// event to the barrier of the partition its key hashes to.
 func (st *streamStage) admit(src int, evs []temporal.Event) {
 	if len(st.parts) == 1 {
-		st.admitAll(st.parts[0], src, evs)
+		st.parts[0].buf.push(src, evs)
 		return
 	}
 	n := uint64(len(st.parts))
 	for i := range evs {
 		h := temporal.HashRow(evs[i].Payload, st.keyCols[src])
-		st.admitAll(st.parts[h%n], src, evs[i:i+1])
-	}
-}
-
-// ---- crash injection and recovery ----
-
-// admitAll pushes a run for input src into a partition's barrier,
-// splitting it when an armed crash comes due inside: the head is
-// admitted, the partition dies mid-feed and recovers, and the tail lands
-// on the rebuilt partition. A recovery that fails breaks the job.
-func (st *streamStage) admitAll(p *streamPartition, src int, evs []temporal.Event) {
-	if p.crashAt >= 0 && p.pushes+len(evs) > p.crashAt {
-		k := max(p.crashAt-p.pushes, 0)
-		p.buf.push(src, evs[:k])
-		p.pushes += k
-		if err := st.crash(p); err != nil {
-			st.job.err = cmp.Or(st.job.err, err)
-		}
-		evs = evs[k:]
-	}
-	p.buf.push(src, evs)
-	p.pushes += len(evs)
-}
-
-// crash kills a partition's engine and immediately rebuilds it from the
-// last wave's checkpoint; its barrier's logs replay into it. Because
-// engines consume input only during waves (the barrier releases nothing
-// between them), the checkpoint plus those events reconstruct the
-// partition exactly, at whatever moment the crash fires. The checkpoint
-// came from an engine compiled from this same fragment, so only a
-// corrupted one fails to restore.
-func (st *streamStage) crash(p *streamPartition) error {
-	st.crashes.Inc()
-	p.crashAt = -1 // disarmed until the next wave re-arms
-	if err := st.rebuild(p, p.ckpt); err != nil {
-		return fmt.Errorf("timr: partition %s/%d recovery failed: %w", st.frag.Name, p.id, err)
-	}
-	return nil
-}
-
-// rebuild is the one reconstruction of a partition, shared by crash
-// recovery and durable restore: the engine is discarded, and a fresh one
-// is restored from ckpt (nil before the first wave), to which the
-// barrier's logs replay at the next wave.
-func (st *streamStage) rebuild(p *streamPartition, ckpt []byte) error {
-	eng, err := st.newEngine(p)
-	if err != nil {
-		return err
-	}
-	if len(ckpt) > 0 {
-		if err := eng.Restore(ckpt); err != nil {
-			return err
-		}
-	}
-	p.eng, p.ckpt = eng, ckpt
-	st.replayed.Add(int64(p.buf.held()))
-	st.recoveries.Inc()
-	return nil
-}
-
-// arm draws the partition's fate for the coming feed interval. The draw
-// is a pure function of (fragment, partition, wave, seed) — mirroring
-// Cluster.injectedFailure — so chaotic runs are exactly reproducible.
-func (st *streamStage) arm(p *streamPartition) {
-	cc := st.job.cfg.Crash
-	if cc.Rate <= 0 {
-		p.crashAt = -1
-		return
-	}
-	h := temporal.HashSeed
-	h = temporal.String(st.frag.Name).Hash(h)
-	h = temporal.Int(int64(p.id)).Hash(h)
-	h = temporal.Int(int64(st.job.waves)).Hash(h)
-	h = temporal.Int(cc.Seed).Hash(h)
-	r := rand.New(rand.NewSource(int64(h)))
-	if r.Float64() < cc.Rate {
-		p.crashAt = r.Intn(64) // die this many admissions into the interval
-	} else {
-		p.crashAt = -1
+		st.parts[h%n].buf.push(src, evs[i:i+1])
 	}
 }
 
 // advance runs this stage's barrier at time t: release buffered events
-// below t into the engines, then punctuate the engines and checkpoint
-// them. Their output then flows into downstream buffers before those
-// stages' barriers run. Afterwards each partition draws its fate for the
-// next interval.
+// below t into the engines, then punctuate the engines — and, in a
+// durable job, checkpoint them for the wave's generation. Their output
+// then flows into downstream buffers before those stages' barriers run.
 func (st *streamStage) advance(t temporal.Time) {
+	durable := st.job.durStore != nil
 	st.wave(func(p *streamPartition) {
 		p.buf.advance(t)
 		p.eng.Advance(t)
-		p.ckpt = p.eng.Checkpoint()
-		st.ckptBytes.Add(int64(len(p.ckpt)))
+		if durable {
+			p.ckpt = p.eng.Checkpoint()
+			st.ckptBytes.Add(int64(len(p.ckpt)))
+		}
 	})
-	for _, p := range st.parts {
-		p.pushes = 0
-		st.arm(p)
-	}
 }
 
 func (st *streamStage) flush() {
@@ -563,30 +450,20 @@ func (st *streamStage) flush() {
 	})
 }
 
-// wave runs step on every partition of the stage, first firing any armed
-// crash no feed reached (so quiet partitions crash too), on par.ForEach
-// with GOMAXPROCS workers, the caller's goroutine among them; a worker's
-// panic is re-raised on the caller, and a failed recovery breaks the job.
-// Partitions share nothing a worker writes: each owns its engine, barrier
-// and recovery state, and the engines' output is held per partition. Once
-// every worker is done, the caller's goroutine hands each partition's
-// held output, in id order, to every consumer as one run — to the job's
-// outputs from the final stage — so every downstream admission, crash
-// draw and replay log is what a single goroutine would produce.
+// wave runs step on every partition of the stage on par.ForEach with
+// GOMAXPROCS workers, the caller's goroutine among them; a worker's panic
+// is re-raised on the caller. Partitions share nothing a worker writes:
+// each owns its engine, barrier and checkpoint, and the engines' output
+// is held per partition. Once every worker is done, the caller's
+// goroutine hands each partition's held output, in id order, to every
+// consumer as one run — to the job's outputs from the final stage — so
+// every downstream admission and replay log is what a single goroutine
+// would produce.
 func (st *streamStage) wave(step func(p *streamPartition)) {
-	if err := par.ForEach(runtime.GOMAXPROCS(0), len(st.parts), func(i int) error {
-		p := st.parts[i]
-		if p.crashAt >= 0 {
-			if err := st.crash(p); err != nil {
-				return err
-			}
-		}
-		step(p)
+	par.ForEach(runtime.GOMAXPROCS(0), len(st.parts), func(i int) error {
+		step(st.parts[i])
 		return nil
-	}); err != nil {
-		st.job.err = cmp.Or(st.job.err, err)
-		return
-	}
+	})
 	for _, p := range st.parts {
 		for k := range p.outs {
 			o := &p.outs[k]

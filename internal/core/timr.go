@@ -72,13 +72,10 @@ type Config struct {
 	// fragment share the scope, so counts aggregate across the cluster.
 	// Nil disables instrumentation.
 	Obs *obs.Scope
-	// Crash configures deterministic partition crash injection in
-	// streaming jobs (see CrashConfig). The zero value disables it.
-	Crash CrashConfig
 }
 
 // DefaultConfig is the configuration used throughout the evaluation: no
-// metrics scope and no crash injection.
+// metrics scope.
 func DefaultConfig() Config {
 	return Config{}
 }

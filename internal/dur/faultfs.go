@@ -13,9 +13,9 @@ import (
 // Deterministic I/O fault injection. FaultFS wraps another FS and makes
 // each primitive operation — write, fsync, rename, read, open — draw its
 // fate from a pure function of (seed, operation ordinal), mirroring the
-// hash-chain draw of core.CrashConfig and Cluster.injectedFailure: the
-// same seed over the same operation sequence injects exactly the same
-// faults, so a chaotic durability run is exactly reproducible.
+// hash-chain draw of mapreduce's Cluster.injectedFailure: the same seed
+// over the same operation sequence injects exactly the same faults, so a
+// faulty durability run is exactly reproducible.
 //
 // The menu is the classic storage fault model:
 //
@@ -103,7 +103,7 @@ func (f *FaultFS) Injected() int64 {
 
 // draw decides the fate of one operation: among the candidate kinds that
 // the config enables, either none (no fault) or one chosen uniformly.
-// The draw is a pure function of (Seed, ordinal) — see CrashConfig.
+// The draw is a pure function of (Seed, ordinal).
 func (f *FaultFS) draw(candidates ...string) string {
 	if f.cfg.Rate <= 0 {
 		return ""

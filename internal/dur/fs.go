@@ -5,9 +5,9 @@
 // hands to Load, so a payload that does not decode is treated like one
 // that failed its checksum. internal/core commits a streaming job's wave
 // snapshot this way, so a process killed mid-wave — `kill -9`, no
-// shutdown hook — restarts bit-identically to the in-memory
-// crash-recovery path (internal/core crash()+replay); internal/bt commits
-// the refresher's state once per ingested day.
+// shutdown hook — restarts and continues bit-identically to a run that
+// was never killed; internal/bt commits the refresher's state once per
+// ingested day.
 //
 // Three layers:
 //

@@ -21,7 +21,7 @@ func Example3(c *Context) (*Table, error) {
 	p := c.Opt.Params
 
 	// Prepare the phase inputs (clean + labeled) once.
-	cl := mapreduce.NewCluster(mapreduce.Config{Machines: c.Opt.Machines})
+	cl := mapreduce.NewCluster(clusterConfig(c.Opt.Machines))
 	tm := core.New(cl, core.DefaultConfig())
 	cl.FS.Write("events", mapreduce.SinglePartition(workload.UnifiedSchema(), data.Rows))
 	if _, err := tm.Run(bt.BotElimPlan(p, true), map[string]string{bt.SourceEvents: "events"}, bt.DSClean); err != nil {

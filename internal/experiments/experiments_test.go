@@ -1,6 +1,10 @@
 package experiments
 
 import (
+	"go/ast"
+	"go/parser"
+	"go/token"
+	"path/filepath"
 	"strings"
 	"testing"
 
@@ -191,5 +195,41 @@ func TestRefreshQuickScale(t *testing.T) {
 		if row[eq] != "yes" {
 			t.Fatalf("day %s: equal = %q\n%s", row[0], row[eq], tab)
 		}
+	}
+}
+
+// TestClustersChargeTheShuffle: the makespans the experiments report
+// include the modeled shuffle, mapreduce.DefaultConfig's ShufflePerRow.
+// So every experiment cluster starts from clusterConfig: one built from
+// a mapreduce.Config literal charges none.
+func TestClustersChargeTheShuffle(t *testing.T) {
+	if cfg := clusterConfig(8); cfg.Machines != 8 || cfg.ShufflePerRow <= 0 {
+		t.Fatalf("clusterConfig(8) = %+v, want 8 machines and a shuffle charge", cfg)
+	}
+	files, err := filepath.Glob("*.go")
+	if err != nil {
+		t.Fatal(err)
+	}
+	fset := token.NewFileSet()
+	for _, name := range files {
+		if strings.HasSuffix(name, "_test.go") {
+			continue
+		}
+		f, err := parser.ParseFile(fset, name, nil, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ast.Inspect(f, func(n ast.Node) bool {
+			lit, ok := n.(*ast.CompositeLit)
+			if !ok {
+				return true
+			}
+			if sel, ok := lit.Type.(*ast.SelectorExpr); ok && sel.Sel.Name == "Config" {
+				if pkg, ok := sel.X.(*ast.Ident); ok && pkg.Name == "mapreduce" {
+					t.Errorf("%s: a cluster built from a mapreduce.Config literal charges no shuffle; start from clusterConfig", fset.Position(lit.Pos()))
+				}
+			}
+			return true
+		})
 	}
 }

@@ -25,9 +25,9 @@ func FailureRecovery(c *Context) (*Table, error) {
 	plan := bt.BotElimPlan(p, true)
 
 	run := func(failRate float64, seed int64) ([]temporal.Event, *mapreduce.JobStat, time.Duration, error) {
-		cl := mapreduce.NewCluster(mapreduce.Config{
-			Machines: c.Opt.Machines, FailureRate: failRate, MaxAttempts: 100, Seed: seed,
-		})
+		ccfg := clusterConfig(c.Opt.Machines)
+		ccfg.FailureRate, ccfg.MaxAttempts, ccfg.Seed = failRate, 100, seed
+		cl := mapreduce.NewCluster(ccfg)
 		tm := core.New(cl, core.DefaultConfig())
 		cl.FS.Write("events", mapreduce.SinglePartition(workload.UnifiedSchema(), data.Rows))
 		start := time.Now()

@@ -84,7 +84,7 @@ func Fig14(c *Context) (*Table, error) {
 	}
 
 	runTiMR := func() (time.Duration, time.Duration, error) {
-		cl := mapreduce.NewCluster(mapreduce.Config{Machines: c.Opt.Machines})
+		cl := mapreduce.NewCluster(clusterConfig(c.Opt.Machines))
 		tm := core.New(cl, core.DefaultConfig())
 		cl.FS.Write("events", mapreduce.SinglePartition(workload.UnifiedSchema(), data.Rows))
 		pipe := bt.NewPipeline(p, tm)
@@ -100,7 +100,7 @@ func Fig14(c *Context) (*Table, error) {
 		return wall, makespan, nil
 	}
 	runCustom := func() (time.Duration, time.Duration, error) {
-		cl := mapreduce.NewCluster(mapreduce.Config{Machines: c.Opt.Machines})
+		cl := mapreduce.NewCluster(clusterConfig(c.Opt.Machines))
 		cl.FS.Write("events", mapreduce.SinglePartition(workload.UnifiedSchema(), data.Rows))
 		start := time.Now()
 		stat, err := baseline.CustomBTJob(cl, "events", cp)

@@ -24,7 +24,7 @@ func Fig16(c *Context) (*Table, error) {
 			Exchange(temporal.PartitionBy{Temporal: true, SpanWidth: width}).
 			WithWindow(window).
 			Count("C")
-		cl := mapreduce.NewCluster(mapreduce.Config{Machines: c.Opt.Machines})
+		cl := mapreduce.NewCluster(clusterConfig(c.Opt.Machines))
 		tm := core.New(cl, core.DefaultConfig())
 		cl.FS.Write("ds", mapreduce.SinglePartition(workload.UnifiedSchema(), data.Rows))
 		stat, err := tm.Run(plan, map[string]string{"events": "ds"}, "out")
@@ -37,7 +37,7 @@ func Fig16(c *Context) (*Table, error) {
 		plan := temporal.Scan("events", workload.UnifiedSchema()).
 			WithWindow(window).
 			Count("C")
-		cl := mapreduce.NewCluster(mapreduce.Config{Machines: c.Opt.Machines})
+		cl := mapreduce.NewCluster(clusterConfig(c.Opt.Machines))
 		tm := core.New(cl, core.DefaultConfig())
 		cl.FS.Write("ds", mapreduce.SinglePartition(workload.UnifiedSchema(), data.Rows))
 		stat, err := tm.Run(plan, map[string]string{"events": "ds"}, "out")

@@ -73,10 +73,19 @@ type BTRun struct {
 	Scores map[int64]map[int64]float64
 }
 
+// clusterConfig is the paper's cluster, mapreduce.DefaultConfig, at the
+// given size: every experiment cluster starts from it, so the makespans
+// the experiments report charge its modeled shuffle.
+func clusterConfig(machines int) mapreduce.Config {
+	cfg := mapreduce.DefaultConfig()
+	cfg.Machines = machines
+	return cfg
+}
+
 // RunBT generates data and executes the full BT pipeline over TiMR.
 func RunBT(opt Options) (*BTRun, error) {
 	data := workload.Generate(opt.Workload)
-	cl := mapreduce.NewCluster(mapreduce.Config{Machines: opt.Machines})
+	cl := mapreduce.NewCluster(clusterConfig(opt.Machines))
 	cl.Obs = opt.Obs.Child("cluster")
 	cfg := core.DefaultConfig()
 	cfg.Obs = opt.Obs.Child("engine")

@@ -49,7 +49,9 @@ func Shuffle(c *Context) (*Table, error) {
 		},
 	}
 	runOnce := func(workers int) (time.Duration, *mapreduce.StageStat, *mapreduce.Dataset, error) {
-		cl := mapreduce.NewCluster(mapreduce.Config{Machines: c.Opt.Machines, MapWorkers: workers})
+		cfg := clusterConfig(c.Opt.Machines)
+		cfg.MapWorkers = workers
+		cl := mapreduce.NewCluster(cfg)
 		cl.FS.Write("in", ds)
 		start := time.Now()
 		stat, err := cl.Run(st)

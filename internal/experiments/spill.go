@@ -37,9 +37,9 @@ func Spill(c *Context) (*Table, error) {
 	}
 	var ref []temporal.Event
 	for _, b := range budgets {
-		cl := mapreduce.NewCluster(mapreduce.Config{
-			Machines: c.Opt.Machines, MemoryBudget: b.budget,
-		})
+		cfg := clusterConfig(c.Opt.Machines)
+		cfg.MemoryBudget = b.budget
+		cl := mapreduce.NewCluster(cfg)
 		tm := core.New(cl, core.DefaultConfig())
 		cl.FS.Write("events", mapreduce.SinglePartition(workload.UnifiedSchema(), data.Rows))
 		start := time.Now()

@@ -59,7 +59,7 @@ func Strawman(c *Context) (*Table, error) {
 	t.AddRow("SCOPE self-join", status, fi(predicted), scopeTime.Round(time.Millisecond).String())
 
 	// ---- Custom linked-list reducer on the cluster ----
-	cl := mapreduce.NewCluster(mapreduce.Config{Machines: c.Opt.Machines})
+	cl := mapreduce.NewCluster(clusterConfig(c.Opt.Machines))
 	cl.FS.Write("clicks", clickDS)
 	start = time.Now()
 	if _, err := cl.Run(baseline.CustomRunningClickCountStage("clicks", "out.custom", window)); err != nil {
@@ -74,7 +74,7 @@ func Strawman(c *Context) (*Table, error) {
 		GroupApply([]string{"AdId"}, func(g *temporal.Plan) *temporal.Plan {
 			return g.WithWindow(window).Count("ClickCount")
 		})
-	cl2 := mapreduce.NewCluster(mapreduce.Config{Machines: c.Opt.Machines})
+	cl2 := mapreduce.NewCluster(clusterConfig(c.Opt.Machines))
 	tm := core.New(cl2, core.DefaultConfig())
 	cl2.FS.Write("clicks", clickDS)
 	start = time.Now()

@@ -7,6 +7,7 @@ import (
 
 	"timr/internal/bt"
 	"timr/internal/core"
+	"timr/internal/dur"
 	"timr/internal/leakcheck"
 	"timr/internal/obs"
 	"timr/internal/temporal"
@@ -71,7 +72,7 @@ func TestServeScoresArrivals(t *testing.T) {
 	}
 }
 
-func TestServeDeterministicAcrossPlacementAndChaos(t *testing.T) {
+func TestServeDeterministicAcrossPlacementAndPacing(t *testing.T) {
 	// The delivered scores are a pure function of dataset + load config:
 	// neither the machine count (the shard space) nor pacing may change a
 	// byte of output.
@@ -187,8 +188,8 @@ func BenchmarkServeOpenLoop(b *testing.B) {
 }
 
 // TestServeSteadyStateIsBounded drives ScorePlan through a 4-machine
-// streaming job for 72 waves of equal request count and checks — in
-// counts, not timings — that a wave costs O(live state): the partition
+// durable streaming job for 72 waves of equal request count and checks —
+// in counts, not timings — that a wave costs O(live state): the partition
 // checkpoints and the GroupApply's live groups late in the run are no
 // larger than early in it (they used to grow with every impression ever
 // scored), and that every impression's group is dropped again.
@@ -203,9 +204,13 @@ func TestServeSteadyStateIsBounded(t *testing.T) {
 	sc := obs.New("serve")
 	streamCfg := core.DefaultConfig()
 	streamCfg.Obs = sc
+	store, err := dur.OpenStore(t.TempDir(), dur.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
 	job, err := core.NewStreamingJob(bt.ScorePlan(srv.params, true),
 		map[string]*temporal.Schema{bt.SourceReduced: bt.TrainSchema, bt.SourceModels: bt.ModelSchema},
-		core.WithMachines(4), core.WithConfig(streamCfg))
+		core.WithMachines(4), core.WithConfig(streamCfg), core.WithDurable(store))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -251,8 +256,8 @@ func TestServeSteadyStateIsBounded(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if len(ckptBytes) < 64 {
-		t.Fatalf("only %d waves", len(ckptBytes))
+	if len(ckptBytes) < 64 || ckptBytes[8] == 0 {
+		t.Fatalf("%d waves, %v checkpoint bytes each", len(ckptBytes), ckptBytes)
 	}
 	last := len(ckptBytes) - 1
 	if ckptBytes[last] > 2*ckptBytes[8] {

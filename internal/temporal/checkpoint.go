@@ -2,10 +2,10 @@ package temporal
 
 // Checkpointing gives every stateful physical operator a compact,
 // deterministic byte encoding of its live state, so an engine can be
-// snapshotted between input batches and rebuilt elsewhere (a crashed
-// streaming partition, a preempted worker). The encoding is the shared
-// binary row codec (codec.go): stdlib-only varints, no reflection, no
-// per-type registries.
+// snapshotted between input batches and rebuilt elsewhere (a streaming
+// partition of a killed process, from its durable generation). The
+// encoding is the shared binary row codec (codec.go): stdlib-only
+// varints, no reflection, no per-type registries.
 //
 // Two invariants make the snapshots usable:
 //
