@@ -37,7 +37,9 @@ fmt:
 # never over-allocate.
 # FuzzCompile holds the StreamSQL compiler to the same rule for any
 # query text. FuzzCoalesce is the one differential among them: any small
-# event list coalesces to what the reference implementation makes of it.
+# event list coalesces to what the reference implementation makes of it,
+# and as a TiMR reducer's slotted rows (two copies of the first column in
+# front) to what it makes of the bare payloads.
 # 10s per target keeps the gate fast; longer runs reuse the same corpus.
 fuzzgate:
 	$(GO) test -run '^$$' -fuzz 'FuzzRowCodecRoundtrip' -fuzztime 10s ./internal/temporal/

@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"slices"
+	"sync"
 
 	"timr/internal/mapreduce"
 	"timr/internal/obs"
@@ -28,27 +29,6 @@ func IntermediateSchema(payload *temporal.Schema) *temporal.Schema {
 		{Name: ColRE, Kind: temporal.KindInt},
 	}
 	return temporal.NewSchema(append(fields, payload.Fields()...)...)
-}
-
-// EventsToRows converts engine output events into intermediate rows. All
-// rows are carved from one backing slab: reducer outputs are written to
-// the FS wholesale, so slab lifetime matches row lifetime.
-func EventsToRows(events []temporal.Event) []mapreduce.Row {
-	total := 0
-	for _, e := range events {
-		total += 2 + len(e.Payload)
-	}
-	slab := make(temporal.Row, total)
-	rows := make([]mapreduce.Row, len(events))
-	for i, e := range events {
-		n := 2 + len(e.Payload)
-		row := slab[:n:n]
-		slab = slab[n:]
-		row[0], row[1] = temporal.Int(e.LE), temporal.Int(e.RE)
-		copy(row[2:], e.Payload)
-		rows[i] = row
-	}
-	return rows
 }
 
 // RowsToEvents converts intermediate rows back into events.
@@ -220,7 +200,7 @@ func partitionCols(in FragmentInput, cols []string) []int {
 // the engine's k-way merge instead of materializing the partition — its
 // working set is the merge frontier.
 func (t *TiMR) reducer(frag *Fragment, leCols []int, spans *SpanSpec) func(int, [][]mapreduce.Segment, func([]mapreduce.Row)) error {
-	root := frag.Root
+	root := slotted(frag.Root)
 	cfg := t.Cfg
 	// One scope per fragment, shared by every partition's engine (and by
 	// retried attempts): obs handles are atomics, so parallel reducers on
@@ -235,7 +215,9 @@ func (t *TiMR) reducer(frag *Fragment, leCols []int, spans *SpanSpec) func(int, 
 		// both sides live in one goroutine, so the engine's output
 		// lands directly in the result sink — no channel, no per-event
 		// handoff — and the rows go to emit, whole, after the final coalesce.
-		sink := &reduceSink{clip: spans != nil}
+		sink := reduceSinks.Get().(*reduceSink)
+		defer sink.release()
+		sink.clip = spans != nil
 		if spans != nil {
 			sink.start, sink.end = spans.Owned(part)
 		}
@@ -257,7 +239,7 @@ func (t *TiMR) reducer(frag *Fragment, leCols []int, spans *SpanSpec) func(int, 
 		// stable LE-sort order exactly. Rows convert to events lazily (P
 		// reads rows "and converts each row into an event using the
 		// predefined Time column").
-		runs := make([]temporal.Run, 0, 8)
+		runs, inRows := make([]temporal.Run, 0, 8), 0
 		for src := range in {
 			intermediate, timeCol := frag.Inputs[src].Intermediate, leCols[src]
 			toEvent := func(r mapreduce.Row) temporal.Event {
@@ -271,9 +253,10 @@ func (t *TiMR) reducer(frag *Fragment, leCols []int, spans *SpanSpec) func(int, 
 				if err != nil {
 					return err
 				}
-				runs = append(runs, run)
+				runs, inRows = append(runs, run), inRows+in[src][i].Len()
 			}
 		}
+		sink.events = slices.Grow(sink.events, inRows) // as many results as inputs, to begin with
 		mergeRuns.Add(int64(len(runs)))
 		resorted, err := eng.FeedMerged(runs)
 		mergeFallbacks.Add(int64(resorted))
@@ -281,24 +264,60 @@ func (t *TiMR) reducer(frag *Fragment, leCols []int, spans *SpanSpec) func(int, 
 			return err
 		}
 		eng.Flush()
-		// Canonical output: events fragmented at CTI boundaries merge.
-		emit(EventsToRows(temporal.Coalesce(sink.events())))
+		// Canonical output: events fragmented at CTI boundaries merge. The
+		// engine is done with every row it emitted, each carved for its
+		// event alone, so the reducer writes the lifetime into the two
+		// slots and emits the rows themselves.
+		out := temporal.Coalesce(sink.events)
+		rows := make([]mapreduce.Row, len(out))
+		for i, e := range out {
+			e.Payload[0], e.Payload[1] = temporal.Int(e.LE), temporal.Int(e.RE)
+			rows[i] = e.Payload
+		}
+		emit(rows)
 		return nil
 	}
 }
 
+// slotted returns root under a pick-only Project whose first two columns
+// are copies of root's first column, root's own columns following: the
+// slots the reducer overwrites with each result's lifetime, so the engine
+// writes the intermediate row and nothing copies it again. A row
+// [a0, a0, a0, a1, …] orders and equals exactly as [a0, a1, …] does, so
+// Coalesce sorts and merges the same events either way. A
+// pick-only root Project gets the slots prepended to its own picks, so a
+// join below it still writes the whole row (temporal's compiler folds
+// the Project into the join). The Project never aliases its input — its
+// second column is not its input's second — so every row it emits is
+// carved for that event. A root with no column gets constant slots.
+func slotted(root *temporal.Plan) *temporal.Plan {
+	slots := func(col string) []temporal.Projection {
+		return []temporal.Projection{temporal.Rename(col, ColLE), temporal.Rename(col, ColRE)}
+	}
+	switch {
+	case root.Out.Len() == 0:
+		return root.Project(temporal.ConstInt(ColLE, 0), temporal.ConstInt(ColRE, 0))
+	case root.Kind == temporal.OpProject && !slices.ContainsFunc(root.Projs, func(pr temporal.Projection) bool { return pr.Source == "" }):
+		return root.Inputs[0].Project(append(slots(root.Projs[0].Source), root.Projs...)...)
+	}
+	projs := slots(root.Out.Field(0).Name)
+	for _, f := range root.Out.Fields() {
+		projs = append(projs, temporal.Keep(f.Name))
+	}
+	return root.Project(projs...)
+}
+
 // reduceSink collects a partition engine's output for the reducer,
 // clipping events to the partition's owned span under temporal
-// partitioning. It gathers in fixed 20 kB chunks, so nothing collected is
-// copied to make room, and events flattens them once.
+// partitioning, into one flat buffer: reserved at the partition's input
+// row count, doubled past it, and pooled across partitions and stages.
 type reduceSink struct {
 	clip       bool
 	start, end temporal.Time
-	full       [][]temporal.Event // filled chunks
-	cur        []temporal.Event   // the chunk being filled
+	events     []temporal.Event
 }
 
-const reduceSinkChunk = 512
+var reduceSinks = sync.Pool{New: func() any { return new(reduceSink) }}
 
 func (s *reduceSink) OnEvent(e temporal.Event) {
 	if s.clip {
@@ -307,22 +326,21 @@ func (s *reduceSink) OnEvent(e temporal.Event) {
 			return
 		}
 	}
-	if len(s.cur) == cap(s.cur) {
-		if s.cur != nil {
-			s.full = append(s.full, s.cur)
-		}
-		s.cur = make([]temporal.Event, 0, reduceSinkChunk)
+	if len(s.events) == cap(s.events) {
+		s.events = slices.Grow(s.events, max(cap(s.events), 512))
 	}
-	s.cur = append(s.cur, e)
-}
-
-// events returns everything collected as one slice.
-func (s *reduceSink) events() []temporal.Event {
-	return slices.Concat(append(s.full, s.cur)...)
+	s.events = append(s.events, e)
 }
 
 func (s *reduceSink) OnCTI(temporal.Time) {}
 func (s *reduceSink) OnFlush()            {}
+
+// release returns the sink to the pool, holding no row.
+func (s *reduceSink) release() {
+	clear(s.events)
+	s.events = s.events[:0]
+	reduceSinks.Put(s)
+}
 
 // temporalStage wires a time-partitioned fragment (§III-B): rows are
 // routed to overlapping spans, each span's engine produces output only

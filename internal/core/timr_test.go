@@ -1,8 +1,11 @@
 package core
 
 import (
+	"cmp"
 	"fmt"
+	"math"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -328,7 +331,7 @@ func TestIntermediateSchemaRoundTrip(t *testing.T) {
 		t.Fatalf("schema = %s", s)
 	}
 	evs := []temporal.Event{{LE: 3, RE: 9, Payload: temporal.Row{temporal.Int(5)}}}
-	rows := EventsToRows(evs)
+	rows := []mapreduce.Row{{temporal.Int(3), temporal.Int(9), temporal.Int(5)}}
 	back := RowsToEvents(rows)
 	if !temporal.EventsEqual(evs, back) {
 		t.Fatal("round trip failed")
@@ -498,5 +501,79 @@ func BenchmarkTiMRRunningClickCount(b *testing.B) {
 		if _, err := tm.Run(plan, map[string]string{"clicks": "ds"}, fmt.Sprintf("out%d", i)); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// slotFirsts is the domain of a payload's first column in the slot
+// differential: ints, strings, a null, a NaN, and both zeros.
+var slotFirsts = []temporal.Value{
+	temporal.Int(1), temporal.Int(2), temporal.String("a"), temporal.String("ab"), temporal.Null,
+	temporal.Float(math.NaN()), temporal.Float(0), temporal.Float(math.Copysign(0, -1)), temporal.Float(1.5),
+}
+
+// slotsCoalesceAsBare coalesces events as given and as the reducer's
+// slotted rows — each payload behind two copies of its first column — and
+// returns how many events merged, or an error naming the first place the
+// two differ: a lifetime, or which input event survives at a position.
+func slotsCoalesceAsBare(bare []temporal.Event) (int, error) {
+	origin := make(map[*temporal.Value]int, 2*len(bare))
+	slotted := make([]temporal.Event, len(bare))
+	for i, e := range bare {
+		row := append(temporal.Row{e.Payload[0], e.Payload[0]}, e.Payload...)
+		slotted[i] = temporal.Event{LE: e.LE, RE: e.RE, Payload: row}
+		origin[&e.Payload[0]], origin[&row[0]] = i, i
+	}
+	want := temporal.Coalesce(append([]temporal.Event(nil), bare...))
+	got := temporal.Coalesce(slotted)
+	if len(got) != len(want) {
+		return 0, fmt.Errorf("%d slotted events coalesce to %d, the bare ones to %d", len(bare), len(got), len(want))
+	}
+	for i := range got {
+		if got[i].LE != want[i].LE || got[i].RE != want[i].RE || origin[&got[i].Payload[0]] != origin[&want[i].Payload[0]] {
+			return 0, fmt.Errorf("position %d: slotted [%d,%d) from input %d, bare [%d,%d) from input %d",
+				i, got[i].LE, got[i].RE, origin[&got[i].Payload[0]], want[i].LE, want[i].RE, origin[&want[i].Payload[0]])
+		}
+	}
+	return len(bare) - len(want), nil
+}
+
+// TestSlotsCoalesceAsBarePayloads: the reducer coalesces the engine's
+// slotted rows before it writes the lifetime into the slots, so they must
+// sort and merge exactly as the bare payloads would — the same events, in
+// the same order, each the same input's survivor. The draws hold LE ties,
+// chains of abutting equal payloads, string first columns, NaN and ±0,
+// both LE-ordered (what an engine emits) and shuffled, and boundaries
+// crowded enough for Coalesce to hash.
+func TestSlotsCoalesceAsBarePayloads(t *testing.T) {
+	rng := rand.New(rand.NewSource(48))
+	merges := 0
+	for trial := 0; trial < 400; trial++ {
+		var bare []temporal.Event
+		le := temporal.Time(0)
+		for n := 1 + rng.Intn(120); len(bare) < n; {
+			if rng.Intn(3) == 0 {
+				le += temporal.Time(1 + rng.Intn(3)) // otherwise a tie
+			}
+			e := temporal.Event{LE: le, RE: le + temporal.Time(1+rng.Intn(4)),
+				Payload: temporal.Row{slotFirsts[rng.Intn(len(slotFirsts))], temporal.Int(int64(rng.Intn(2)))}}
+			bare = append(bare, e)
+			for rng.Intn(2) == 0 { // an abutting piece of the same payload
+				e = temporal.Event{LE: e.RE, RE: e.RE + temporal.Time(1+rng.Intn(4)), Payload: append(temporal.Row(nil), e.Payload...)}
+				bare = append(bare, e)
+			}
+		}
+		if trial%2 == 1 {
+			rng.Shuffle(len(bare), func(i, j int) { bare[i], bare[j] = bare[j], bare[i] })
+		} else {
+			slices.SortStableFunc(bare, func(a, b temporal.Event) int { return cmp.Compare(a.LE, b.LE) })
+		}
+		n, err := slotsCoalesceAsBare(bare)
+		if err != nil {
+			t.Fatalf("trial %d: %v", trial, err)
+		}
+		merges += n
+	}
+	if merges < 1000 {
+		t.Fatalf("the draws merged %d events in all; want at least 1000", merges)
 	}
 }

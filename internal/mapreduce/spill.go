@@ -322,15 +322,14 @@ func (fr *frameReader) done() error {
 // strings: a kept bucket of a map task over a spilled input.
 func decodeFrames(frames []byte, n int) ([]Row, error) {
 	fr := frameReader{data: frames, left: n}
+	var dec slabDecoder
 	rows := make([]Row, n)
 	for i := range rows {
 		_, body, err := fr.skip()
 		if err != nil {
 			return nil, err
 		}
-		fr.dec.Reset(body)
-		rows[i] = fr.dec.Row()
-		if err := fr.dec.Done(); err != nil {
+		if rows[i], err = dec.row(body, n-i); err != nil {
 			return nil, err
 		}
 	}
@@ -338,6 +337,40 @@ func decodeFrames(frames []byte, n int) ([]Row, error) {
 		return nil, err
 	}
 	return rows, nil
+}
+
+// slabDecoder decodes row frames into rows carved from blocks of values,
+// one allocation per block instead of one per row. Each row is clipped
+// (cap == len) and owns its values and strings; a block is never reused,
+// so a row outlives the decoder and every row decoded after it.
+type slabDecoder struct {
+	dec  temporal.Decoder
+	slab []temporal.Value
+}
+
+// slabMax caps a block at 128 kB of values, as temporal's row arenas do.
+const slabMax = 8192
+
+// row decodes one frame's row. left counts the frames still to decode,
+// this one included: a block holds about that many rows of this width, up
+// to slabMax values.
+func (d *slabDecoder) row(body []byte, left int) (Row, error) {
+	d.dec.Reset(body)
+	n := d.dec.Count("row")
+	if n > len(d.slab) {
+		d.slab = make([]temporal.Value, max(n, min(n*left, slabMax)))
+	}
+	var row Row
+	if n > 0 { // an empty row decodes to nil, as Decoder.Row returns it
+		row, d.slab = d.slab[:n:n], d.slab[n:]
+	}
+	for i := range row {
+		row[i] = d.dec.Value()
+	}
+	if err := d.dec.Done(); err != nil {
+		return nil, err
+	}
+	return row, nil
 }
 
 // RowReader is a pull iterator over the rows of a segment list, in
@@ -360,7 +393,7 @@ type RowReader struct {
 	br  *bufio.Reader
 	rem int
 	buf []byte
-	dec temporal.Decoder
+	dec slabDecoder
 }
 
 // NewRowReader returns a reader over the given segments in order.
@@ -408,7 +441,7 @@ func (r *RowReader) Next() (row Row, ok bool, err error) {
 			return nil, false, r.err
 		}
 		src := io.NewSectionReader(seg.file.f, seg.off, seg.size)
-		r.br = bufio.NewReaderSize(&countingReader{r: src, io: seg.file.io}, 32<<10)
+		r.br = bufio.NewReaderSize(&countingReader{r: src, io: seg.file.io}, int(min(seg.size, 32<<10)))
 		r.rem = seg.n
 	}
 }
@@ -428,10 +461,5 @@ func (r *RowReader) readFrame() (Row, error) {
 	if _, err := io.ReadFull(r.br, buf); err != nil {
 		return nil, fmt.Errorf("mapreduce: spill read: %w", err)
 	}
-	r.dec.Reset(buf)
-	row := r.dec.Row()
-	if err := r.dec.Done(); err != nil {
-		return nil, err
-	}
-	return row, nil
+	return r.dec.row(buf, r.rem)
 }

@@ -296,7 +296,8 @@ func TestSpilledMapTaskBitFlipNeverPanics(t *testing.T) {
 // count. Every input either errors, or yields exactly count frames that
 // cover the bytes and whose decoded rows re-encode to exactly those frames
 // — through the routing path (one scratch row, strings in place) and the
-// kept-bucket path (rows that own their bytes) alike.
+// kept-bucket path (rows that own their bytes, each clipped to its width)
+// alike.
 func FuzzSpillFrames(f *testing.F) {
 	rows := spillTestRows(5)
 	f.Add(appendFrames(nil, rows), uint16(len(rows)))
@@ -333,6 +334,11 @@ func FuzzSpillFrames(f *testing.F) {
 		}
 		if re := appendFrames(nil, kept); !bytes.Equal(re, data) {
 			t.Fatalf("kept rows of %x re-encode to %x", data, re)
+		}
+		for _, r := range kept {
+			if cap(r) != len(r) {
+				t.Fatalf("a kept %d-value row of %x has capacity %d", len(r), data, cap(r))
+			}
 		}
 	})
 }

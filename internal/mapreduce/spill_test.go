@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"testing"
 
 	"timr/internal/dur"
@@ -318,5 +319,121 @@ func TestReadAllReturnsCallerOwnedSlice(t *testing.T) {
 	got2 := mustReadAll(t, ds2)
 	if len(got2) != len(rows) || &got2[0] == &rows[0] {
 		t.Fatal("multi-segment ReadAll must build a fresh slice")
+	}
+}
+
+// TestSpilledRowsOutliveTheirReader: every row a spilled segment decodes
+// to — through a RowReader across segments, Segment.Materialize and a map
+// task's decodeFrames — owns its values and strings and is clipped to its
+// width, so rows kept past the read, the reader exhausted and its buffers
+// reused, still equal the resident originals, and appending to one never
+// writes into another.
+func TestSpilledRowsOutliveTheirReader(t *testing.T) {
+	defer leakcheck.Goroutines(t)()
+	var segs []Segment
+	var want [][]Row
+	for i, n := range []int{1, 300, 2_000, 9_000} {
+		rows := make([]Row, n)
+		for j := range rows {
+			rows[j] = Row{temporal.Int(int64(j)), temporal.String(fmt.Sprintf("s%d-%d", i, j)), temporal.Float(float64(j) / 3)}[:1+(i+j)%3]
+		}
+		seg, release, err := spillRows(nil, t.TempDir(), rows)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer release()
+		segs, want = append(segs, seg), append(want, rows)
+	}
+	check := func(path string, got, want []Row) {
+		t.Helper()
+		for _, r := range got {
+			if cap(r) != len(r) {
+				t.Fatalf("%s: a %d-value row has capacity %d", path, len(r), cap(r))
+			}
+		}
+		if !temporal.RowsEqual(got, want) {
+			t.Fatalf("%s: rows kept past the read differ from the originals", path)
+		}
+	}
+	var kept []Row
+	rd := NewRowReader(segs...)
+	for {
+		r, ok, err := rd.Next()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !ok {
+			break
+		}
+		kept = append(kept, r)
+	}
+	check("RowReader", kept, slices.Concat(want...))
+	for i := range segs {
+		rows, err := segs[i].Materialize()
+		if err != nil {
+			t.Fatal(err)
+		}
+		check("Materialize", rows, want[i])
+		frames, err := segs[i].readFrames()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if rows, err = decodeFrames(frames, segs[i].Len()); err != nil {
+			t.Fatal(err)
+		}
+		clear(frames) // the kept rows must not point into the segment's bytes
+		check("decodeFrames", rows, want[i])
+	}
+}
+
+// TestSpilledRowDecodeAllocations counts the objects that decoding 10 000
+// spilled rows of numbers allocates: the rows are carved from blocks of
+// values, so a read costs its reader, its buffers and a few blocks, not an
+// object per row (10 000 more up to commit 2d5c927, one make per frame).
+func TestSpilledRowDecodeAllocations(t *testing.T) {
+	rows := make([]Row, 10_000)
+	for i := range rows {
+		rows[i] = Row{temporal.Int(int64(i)), temporal.Float(float64(i) / 7), temporal.Bool(i%2 == 0), temporal.Int(int64(i % 13))}
+	}
+	seg, release, err := spillRows(nil, t.TempDir(), rows)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer release()
+	frames, err := seg.readFrames()
+	if err != nil {
+		t.Fatal(err)
+	}
+	count := func(rows []Row, err error) (int, error) { return len(rows), err }
+	for _, path := range []struct {
+		name string
+		read func() (int, error)
+	}{
+		{"RowReader", func() (int, error) {
+			rd, n := seg.Open(), 0
+			for {
+				_, ok, err := rd.Next()
+				if !ok {
+					return n, err
+				}
+				n++
+			}
+		}},
+		{"Materialize", func() (int, error) { return count(seg.Materialize()) }},
+		{"decodeFrames", func() (int, error) { return count(decodeFrames(frames, seg.Len())) }},
+	} {
+		n := 0
+		allocs := testing.AllocsPerRun(5, func() {
+			if n, err = path.read(); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if n != len(rows) {
+			t.Fatalf("%s read %d rows, want %d", path.name, n, len(rows))
+		}
+		t.Logf("%s: %.0f objects for 10 000 spilled rows", path.name, allocs)
+		if allocs > 32 {
+			t.Errorf("%s allocates %.0f objects for 10 000 spilled rows, want at most 32", path.name, allocs)
+		}
 	}
 }

@@ -8,6 +8,7 @@ package ml
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"sort"
 
 	"timr/internal/stats"
@@ -68,6 +69,12 @@ type Model struct {
 // dataset by sampling the negative examples", §IV-B.4), so calibrate
 // afterwards to recover CTR estimates. Training is deterministic for a
 // fixed example order.
+//
+// The weights train dense: the sample's feature ids, sorted and unique,
+// are positions in one []float64, and each example's positions are looked
+// up once, before the first epoch. The arithmetic and its order are the
+// sparse update's, so the model is the same bits; Weights holds every id
+// of the sample, and Loss is the final epoch's, the only one it reports.
 func TrainLR(examples []Example, epochs int) *Model {
 	if epochs <= 0 {
 		epochs = 50
@@ -79,21 +86,31 @@ func TrainLR(examples []Example, epochs int) *Model {
 		return m
 	}
 	order := rng.Perm(len(data))
+	ids, at, pos := densePositions(data)
+	w := make([]float64, len(ids))
 	for epoch := 0; epoch < epochs; epoch++ {
 		lr := learningRate / (1 + 0.1*float64(epoch))
+		final := epoch == epochs-1
 		var loss float64
 		for _, i := range order {
-			ex := data[i]
-			p := m.score(ex.Features)
+			ex, ps := data[i], pos[at[i]:at[i+1]]
+			s := m.Bias
+			for k, f := range ex.Features {
+				s += w[ps[k]] * f.Val
+			}
+			p := stats.Sigmoid(s)
 			y := 0.0
 			if ex.Clicked {
 				y = 1.0
 			}
 			g := p - y // d(logloss)/d(margin)
 			m.Bias -= lr * g
-			for _, f := range ex.Features {
-				w := m.Weights[f.ID]
-				m.Weights[f.ID] = w - lr*(g*f.Val+ridgeL2*w)
+			for k, f := range ex.Features {
+				j := ps[k]
+				w[j] = w[j] - lr*(g*f.Val+ridgeL2*w[j])
+			}
+			if !final {
+				continue
 			}
 			if ex.Clicked {
 				loss -= math.Log(math.Max(p, 1e-12))
@@ -101,10 +118,41 @@ func TrainLR(examples []Example, epochs int) *Model {
 				loss -= math.Log(math.Max(1-p, 1e-12))
 			}
 		}
-		m.Loss = loss / float64(len(data))
-		m.Epochs = epoch + 1
+		if final {
+			m.Loss = loss / float64(len(data))
+		}
+	}
+	m.Epochs = epochs
+	m.Weights = make(map[int64]float64, len(ids))
+	for j, id := range ids {
+		m.Weights[id] = w[j]
 	}
 	return m
+}
+
+// densePositions maps the feature ids of data, sorted and unique, to
+// positions: example i's features sit at pos[at[i]:at[i+1]], in order.
+func densePositions(data []Example) (ids []int64, at, pos []int32) {
+	at = make([]int32, len(data)+1)
+	for i, ex := range data {
+		at[i+1] = at[i] + int32(len(ex.Features))
+	}
+	ids = make([]int64, 0, at[len(data)])
+	for _, ex := range data {
+		for _, f := range ex.Features {
+			ids = append(ids, f.ID)
+		}
+	}
+	slices.Sort(ids)
+	ids = slices.Compact(ids)
+	pos = make([]int32, at[len(data)])
+	for i, ex := range data {
+		for k, f := range ex.Features {
+			j, _ := slices.BinarySearch(ids, f.ID)
+			pos[int(at[i])+k] = int32(j)
+		}
+	}
+	return ids, at, pos
 }
 
 // BalanceExamples keeps all positives and a uniform sample of negatives

@@ -1,6 +1,7 @@
 package ml
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -272,5 +273,117 @@ func TestNumWeights(t *testing.T) {
 	}, 1)
 	if len(m.Weights) != 2 {
 		t.Errorf("%d weights, want 2", len(m.Weights))
+	}
+}
+
+// trainLRReference is TrainLR as it stood at commit 2d5c927: the weights
+// in a map, updated feature by feature, and the loss summed every epoch.
+// The dense trainer must return the same bits.
+func trainLRReference(examples []Example, epochs int) *Model {
+	if epochs <= 0 {
+		epochs = 50
+	}
+	rng := rand.New(rand.NewSource(trainSeed))
+	data := BalanceExamples(examples, rng)
+	m := &Model{Weights: make(map[int64]float64)}
+	if len(data) == 0 {
+		return m
+	}
+	order := rng.Perm(len(data))
+	for epoch := 0; epoch < epochs; epoch++ {
+		lr := learningRate / (1 + 0.1*float64(epoch))
+		var loss float64
+		for _, i := range order {
+			ex := data[i]
+			p := m.score(ex.Features)
+			y := 0.0
+			if ex.Clicked {
+				y = 1.0
+			}
+			g := p - y
+			m.Bias -= lr * g
+			for _, f := range ex.Features {
+				w := m.Weights[f.ID]
+				m.Weights[f.ID] = w - lr*(g*f.Val+ridgeL2*w)
+			}
+			if ex.Clicked {
+				loss -= math.Log(math.Max(p, 1e-12))
+			} else {
+				loss -= math.Log(math.Max(1-p, 1e-12))
+			}
+		}
+		m.Loss = loss / float64(len(data))
+		m.Epochs = epoch + 1
+	}
+	return m
+}
+
+// sparseExamples draws n examples over ids from a pool of the given size:
+// ids repeat across examples, some examples have no feature, values span
+// several magnitudes, and about one in clickEvery is a positive (0: none).
+func sparseExamples(r *rand.Rand, n, pool, clickEvery int) []Example {
+	out := make([]Example, n)
+	for i := range out {
+		var fs []Feature
+		for k := r.Intn(12); k > 0; k-- {
+			fs = append(fs, Feature{ID: int64(r.Intn(pool))*7919 - 5000, Val: math.Ldexp(r.Float64(), r.Intn(9)-4)})
+		}
+		out[i] = Example{Features: SortFeatures(fs), Clicked: clickEvery > 0 && r.Intn(clickEvery) == 0}
+	}
+	return out
+}
+
+func sameModel(got, want *Model) string {
+	switch {
+	case math.Float64bits(got.Bias) != math.Float64bits(want.Bias):
+		return fmt.Sprintf("bias %v, want %v", got.Bias, want.Bias)
+	case math.Float64bits(got.Loss) != math.Float64bits(want.Loss):
+		return fmt.Sprintf("loss %v, want %v", got.Loss, want.Loss)
+	case got.Epochs != want.Epochs:
+		return fmt.Sprintf("%d epochs, want %d", got.Epochs, want.Epochs)
+	case len(got.Weights) != len(want.Weights):
+		return fmt.Sprintf("%d weights, want %d", len(got.Weights), len(want.Weights))
+	}
+	for id, w := range want.Weights {
+		if g, ok := got.Weights[id]; !ok || math.Float64bits(g) != math.Float64bits(w) {
+			return fmt.Sprintf("weight of %d is %v (present %v), want %v", id, g, ok, w)
+		}
+	}
+	return ""
+}
+
+// TestTrainLRMatchesReference: the dense trainer returns the map-based
+// trainer's model bit for bit — bias, every weight and its key set, loss
+// and epochs — over seeded example sets with ids repeated across
+// examples, featureless examples, no positives, a feature repeated inside
+// one example, and every epoch count kind (≤ 0 meaning the default).
+func TestTrainLRMatchesReference(t *testing.T) {
+	r := rand.New(rand.NewSource(48))
+	for trial := 0; trial < 60; trial++ {
+		n, pool, clickEvery := 1+r.Intn(400), 1+r.Intn(60), []int{0, 1, 2, 5, 30}[trial%5]
+		exs := sparseExamples(r, n, pool, clickEvery)
+		if trial%7 == 3 { // unnormalized: one id twice in one example
+			exs[0].Features = append(exs[0].Features, Feature{ID: 42, Val: 0.5}, Feature{ID: 42, Val: -1.25})
+		}
+		epochs := []int{-3, 0, 1, 2, 7}[trial%5]
+		if msg := sameModel(TrainLR(exs, epochs), trainLRReference(exs, epochs)); msg != "" {
+			t.Fatalf("trial %d (%d examples, %d ids, clicks 1 in %d, epochs %d): %s", trial, n, pool, clickEvery, epochs, msg)
+		}
+	}
+	for _, exs := range [][]Example{nil, {{}}, {{Clicked: true}, {}}} {
+		if msg := sameModel(TrainLR(exs, 3), trainLRReference(exs, 3)); msg != "" {
+			t.Fatalf("%v: %s", exs, msg)
+		}
+	}
+}
+
+// BenchmarkTrainLR trains one ad's model at about the size of a BT model
+// stage's: 4 000 examples over 800 ids, one in five a click, the default
+// epoch count.
+func BenchmarkTrainLR(b *testing.B) {
+	exs := sparseExamples(rand.New(rand.NewSource(1)), 4000, 800, 5)
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		TrainLR(exs, 0)
 	}
 }

@@ -1,6 +1,8 @@
 package temporal
 
 import (
+	"fmt"
+	"math"
 	"math/rand"
 	"sort"
 	"testing"
@@ -225,10 +227,42 @@ func TestCoalesceNoMergeAllocs(t *testing.T) {
 	}
 }
 
+// slotFirsts is the first column of the slot differential's payloads:
+// ints, strings, a null, a NaN and both zeros.
+var slotFirsts = []Value{Int(1), Int(2), String("a"), String("ab"), Null, Float(math.NaN()), Float(0), Float(math.Copysign(0, -1))}
+
+// slotsCoalesceAsBare reports where coalescing events as given and as a
+// TiMR reducer's slotted rows — each payload behind two copies of its first
+// column — differ: the same events must come out in the same order, each
+// the same input's survivor. "" when they agree.
+func slotsCoalesceAsBare(bare []Event) string {
+	origin := make(map[*Value]int, 2*len(bare))
+	slotted := make([]Event, len(bare))
+	for i, e := range bare {
+		row := append(Row{e.Payload[0], e.Payload[0]}, e.Payload...)
+		slotted[i] = Event{LE: e.LE, RE: e.RE, Payload: row}
+		origin[&e.Payload[0]], origin[&row[0]] = i, i
+	}
+	want := Coalesce(append([]Event(nil), bare...))
+	got := Coalesce(slotted)
+	if len(got) != len(want) {
+		return fmt.Sprintf("%d slotted events coalesce to %d, the bare ones to %d", len(bare), len(got), len(want))
+	}
+	for i := range got {
+		if got[i].LE != want[i].LE || got[i].RE != want[i].RE || origin[&got[i].Payload[0]] != origin[&want[i].Payload[0]] {
+			return fmt.Sprintf("position %d: slotted %v from input %d, bare %v from input %d",
+				i, got[i], origin[&got[i].Payload[0]], want[i], origin[&want[i].Payload[0]])
+		}
+	}
+	return ""
+}
+
 // FuzzCoalesce: any small event list — few payloads and a small time
 // domain, so that pieces abut, overlap and repeat — coalesces to what the
 // reference makes of it, event for event; the result is a fixed point; and
 // the argument is left the stably sorted permutation of what was passed.
+// The same lifetimes over payloads of mixed kinds coalesce as slotted rows
+// exactly as bare (slotsCoalesceAsBare).
 func FuzzCoalesce(f *testing.F) {
 	f.Add([]byte{0, 1, 0, 2, 1, 0, 4, 1, 0})          // a chain
 	f.Add([]byte{3, 0, 1, 3, 0, 1, 4, 0, 1, 4, 0, 1}) // duplicates abutting duplicates
@@ -237,10 +271,11 @@ func FuzzCoalesce(f *testing.F) {
 		if len(data) > 3*400 {
 			data = data[:3*400]
 		}
-		var in []Event
+		var in, mixed []Event
 		for ; len(data) >= 3; data = data[3:] {
-			le := Time(data[0] % 16)
-			in = append(in, Event{LE: le, RE: le + 1 + Time(data[1]%4), Payload: Row{Int(int64(data[2] % 3)), Int(int64(data[2] / 3 % 2))}})
+			le, re := Time(data[0]%16), Time(data[0]%16)+1+Time(data[1]%4)
+			in = append(in, Event{LE: le, RE: re, Payload: Row{Int(int64(data[2] % 3)), Int(int64(data[2] / 3 % 2))}})
+			mixed = append(mixed, Event{LE: le, RE: re, Payload: Row{slotFirsts[data[2]%8], Int(int64(data[2] / 8 % 2))}})
 		}
 		arg := append([]Event(nil), in...)
 		want := coalesceReference(append([]Event(nil), in...))
@@ -255,6 +290,9 @@ func FuzzCoalesce(f *testing.F) {
 		}
 		if again := Coalesce(append([]Event(nil), got...)); !sameEvents(again, got) {
 			t.Fatalf("not a fixed point\nonce:  %v\ntwice: %v", got, again)
+		}
+		if msg := slotsCoalesceAsBare(mixed); msg != "" {
+			t.Fatalf("slotted rows coalesce unlike bare ones: %s\nin: %v", msg, mixed)
 		}
 	})
 }

@@ -13,17 +13,17 @@ package temporal
 // the downstream call sequence chaining the members would — bit-identical
 // events, identically shifted CTIs (TestFused*, fused_test.go).
 //
-// Metering: under a scope the kernel meters itself (kernelMeter,
-// op_meter.go), each member into its own "opNN.Kind" scope, as the loop
-// passes it; no sink is interposed, so an observed pipeline runs this same
-// code.
+// Metering: under a scope the kernel meters itself (kernelMeter, op_meter.go),
+// each member into its own "opNN.Kind" scope, as the loop passes it; no sink
+// is interposed, so an observed pipeline runs this same code.
 //
 // Rows written once: a join writes the rows of a pick-only Project that is
 // its only consumer (compiler.build). A member keeping a prefix of its
 // input's columns in order (the key first; the identity counts), after no
 // Select or copying Project, returns the input clipped to it, cap == len.
-// No emitted row is written again, and no operator hands a kernel a reused
-// scratch row: groupedAggOp.res, seen by post, is copied by groupOutput.stage.
+// No operator writes an emitted row again — after Flush the TiMR reducer, its
+// owner, fills its two lifetime slots — or hands a kernel a reused scratch
+// row: groupedAggOp.res, seen by post, is copied by groupOutput.stage.
 //
 // Checkpoints: the kernel holds no state. The snapshot layout is a
 // function of the logical plan alone and gives every AlterLifetime node a
