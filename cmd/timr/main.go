@@ -16,7 +16,7 @@
 //	timr run -sql "SELECT AdId, COUNT(*) AS C FROM events WHERE StreamId = 1
 //	               GROUP BY AdId WINDOW 6h" [-in events.tsv]
 //	timr serve [-requests N] [-rate R] [-machines N] [-durdir DIR] [-metrics]
-//	timr refresh [-days N] [-mode delta|full] [-durdir DIR] [-metrics]
+//	timr refresh [-days N] [-durdir DIR] [-metrics]
 package main
 
 import (

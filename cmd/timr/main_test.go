@@ -212,19 +212,6 @@ func TestRefreshResumesFromDurdir(t *testing.T) {
 	if exit == 0 || !strings.Contains(stderr, "holds a 3-day log, this run asks for -days 4") {
 		t.Errorf("resume with -days 4 exited %d, want non-zero and the -days error\nstdout: %s\nstderr: %s", exit, stdout, stderr)
 	}
-
-	// A full refresh recomputes from the raw log, which is not persisted:
-	// resumed, it must refuse rather than drop the days before the restart.
-	dir = filepath.Join(t.TempDir(), "full")
-	small := []string{"refresh", "-users", "300", "-keywords", "300", "-mode", "full", "-durdir", dir, "-days", "3"}
-	if _, stderr, exit := runTimr(t, bin, small...); exit != 0 {
-		t.Fatalf("timr refresh -mode full exited %d\n%s", exit, stderr)
-	}
-	dropNewestGeneration(t, dir)
-	stdout, stderr, exit = runTimr(t, bin, small...)
-	if exit == 0 || !strings.Contains(stderr, "full recompute needs the whole raw history") {
-		t.Errorf("resumed -mode full exited %d, want non-zero and the history error\nstdout: %s\nstderr: %s", exit, stdout, stderr)
-	}
 }
 
 // TestSQLCompileErrorExitsCleanly: a query the binder rejects ends the run

@@ -1,18 +1,14 @@
 package main
 
 // timr refresh: the incremental BT maintenance loop. Ingests a synthetic
-// log one day at a time on the delta path, maintaining the pipeline's
-// back stages from mergeable summaries (click counts merge, z-tests
-// replay exactly, frozen-window models are trained once). -mode full
-// recomputes every day from the whole retained log instead: the
-// reference the delta path is byte-identical to. With -durdir every
-// ingested day commits one durable generation; rerunning the same
-// command resumes from the newest intact one — the persisted state
-// carries the workload config, so the resumed process regenerates the
-// identical log and continues where the dead one stopped. The log's days
-// depend on its length, so a resume with another -days is refused. A full
-// refresh cannot resume: the raw history it recomputes from is not
-// persisted.
+// log one day at a time, maintaining the pipeline's back stages from
+// mergeable summaries (click counts merge, z-tests replay exactly,
+// frozen-window models are trained once). With -durdir every ingested day
+// commits one durable generation; rerunning the same command resumes from
+// the newest intact one — the persisted state carries the workload config,
+// so the resumed process regenerates the identical log and continues where
+// the dead one stopped. The log's days depend on its length, so a resume
+// with another -days is refused.
 
 import (
 	"flag"
@@ -32,7 +28,6 @@ type refreshOpts struct {
 	users, keywords, ads int
 	days                 int
 	seed                 int64
-	mode                 string
 	durdir               string
 	metrics              bool
 }
@@ -47,7 +42,6 @@ func refreshFlags(o *refreshOpts) *flag.FlagSet {
 	fs.IntVar(&o.ads, "ads", 8, "ad classes")
 	fs.IntVar(&o.days, "days", 7, "days of log to ingest, one per generation")
 	fs.Int64Var(&o.seed, "seed", 1, "workload seed")
-	fs.StringVar(&o.mode, "mode", "delta", "refresh path: delta, or full (recompute from the whole log held in memory; the delta path's reference)")
 	fs.StringVar(&o.durdir, "durdir", "", "durable state directory: commit one generation per day, resume on restart")
 	fs.BoolVar(&o.metrics, "metrics", false, "print the durable-store metrics table to stderr after the run")
 	return fs
@@ -58,13 +52,6 @@ func refreshCmd(args []string) {
 	refreshFlags(&o).Parse(args)
 
 	var opts bt.RefreshOptions
-	switch o.mode {
-	case "delta":
-	case "full":
-		opts = bt.RefreshOptions{Mode: bt.ModeFull, RetainHistory: true}
-	default:
-		log.Fatalf("refresh: unknown -mode %q (want delta or full)", o.mode)
-	}
 
 	w := workload.Config{Users: o.users, Keywords: o.keywords, AdClasses: o.ads, Days: o.days, Seed: o.seed}
 	p := bt.DefaultParams()
@@ -112,8 +99,8 @@ func refreshCmd(args []string) {
 		if err := r.IngestDay(rows, temporal.Time(day+1)*temporal.Day); err != nil {
 			log.Fatal(err)
 		}
-		fmt.Printf("refresh: day=%d rows=%d path=%s duration=%s models=%d\n",
-			day, len(rows), o.mode, time.Since(start).Round(time.Millisecond), len(r.State.Models))
+		fmt.Printf("refresh: day=%d rows=%d duration=%s models=%d\n",
+			day, len(rows), time.Since(start).Round(time.Millisecond), len(r.State.Models))
 		if r.DurErr != nil {
 			fmt.Fprintf(os.Stderr, "refresh: warning: day %d commit failed (%v); previous generation remains the recovery line\n", day, r.DurErr)
 		}

@@ -11,6 +11,16 @@ import (
 	"timr/internal/workload"
 )
 
+// mustRead fetches a dataset the test expects to exist.
+func mustRead(t *testing.T, fs *mapreduce.FS, name string) *mapreduce.Dataset {
+	t.Helper()
+	d, err := fs.Read(name)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return d
+}
+
 func mustReadAll(t *testing.T, ds *mapreduce.Dataset) []mapreduce.Row {
 	t.Helper()
 	rows, err := ds.ReadAll()
@@ -61,7 +71,7 @@ func TestCustomBTJobMatchesTiMRPipeline(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	customTrain := mustReadAll(t, cl1.FS.MustRead(CustomDSTrain))
+	customTrain := mustReadAll(t, mustRead(t, cl1.FS, CustomDSTrain))
 	sameRowMultiset(t, "train", customTrain, eventPayloadRows(timrTrain))
 
 	// And the reduced datasets.
@@ -69,11 +79,11 @@ func TestCustomBTJobMatchesTiMRPipeline(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	customReduced := mustReadAll(t, cl1.FS.MustRead(CustomDSReduced))
+	customReduced := mustReadAll(t, mustRead(t, cl1.FS, CustomDSReduced))
 	sameRowMultiset(t, "reduced", customReduced, eventPayloadRows(timrReduced))
 
 	// Models from the staged job must parse and carry weights.
-	models := mustReadAll(t, cl1.FS.MustRead(CustomDSModels))
+	models := mustReadAll(t, mustRead(t, cl1.FS, CustomDSModels))
 	if len(models) == 0 {
 		t.Fatal("no models")
 	}
@@ -105,7 +115,7 @@ func TestCustomBTJobDeterministicUnderFailures(t *testing.T) {
 		if _, err := CustomBTJob(cl, "events", cp); err != nil {
 			t.Fatal(err)
 		}
-		got := mustReadAll(t, cl.FS.MustRead(CustomDSTrain))
+		got := mustReadAll(t, mustRead(t, cl.FS, CustomDSTrain))
 		if ref == nil {
 			ref = got
 		} else {
@@ -141,7 +151,7 @@ func TestCustomRunningClickCountStageOnCluster(t *testing.T) {
 	if _, err := cl.Run(CustomRunningClickCountStage("clicks", "out", 10)); err != nil {
 		t.Fatal(err)
 	}
-	out := cl.FS.MustRead("out")
+	out := mustRead(t, cl.FS, "out")
 	if out.Rows() != 100 {
 		t.Fatalf("rows = %d, want one per click", out.Rows())
 	}

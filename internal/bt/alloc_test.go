@@ -43,7 +43,11 @@ func TestTrainDataBatchBytesPerRow(t *testing.T) {
 		t.Fatal(err)
 	}
 	runtime.ReadMemStats(&after)
-	rows := cl.FS.MustRead(DSTrain).Rows()
+	out, err := cl.FS.Read(DSTrain)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rows := out.Rows()
 	if rows < 10_000 {
 		t.Fatalf("TrainData produced %d rows; the workload is too small to measure", rows)
 	}

@@ -9,6 +9,10 @@ import (
 	"timr/internal/workload"
 )
 
+// spillAll, as a MemoryBudget, spills every shuffle run and output
+// segment: any negative budget does.
+const spillAll int64 = -1
+
 // TestPipelineLowBudgetMatchesResident is the out-of-core gate run by
 // `make check` under -race: the full BT pipeline (BotElim through Score)
 // with the memory budget squeezed to a few KB — and with spilling forced
@@ -55,7 +59,7 @@ func TestPipelineLowBudgetMatchesResident(t *testing.T) {
 	if residentSpills != 0 {
 		t.Fatalf("unlimited budget spilled %d segments", residentSpills)
 	}
-	for _, budget := range []int64{mapreduce.SpillAll, 4 << 10} {
+	for _, budget := range []int64{spillAll, 4 << 10} {
 		got, spilled := run(budget)
 		if spilled == 0 {
 			t.Errorf("budget=%d: pipeline recorded no spill activity", budget)

@@ -14,6 +14,10 @@ import (
 	"timr/internal/temporal"
 )
 
+// spillAll, as a MemoryBudget, spills every shuffle run and output
+// segment: any negative budget does.
+const spillAll int64 = -1
+
 // mergeTestRows builds rows with LE in column 0 and a unique id in
 // column 1, so merge order can be checked by id sequence.
 func mergeTestRows(les []temporal.Time, idBase int) []mapreduce.Row {
@@ -29,7 +33,7 @@ func mergeTestToEvent(r mapreduce.Row) temporal.Event {
 }
 
 // withSpilledRuns calls use with each of runs as one spilled segment: the
-// shuffle runs of a one-partition SpillAll stage with one input per run,
+// shuffle runs of a one-partition spillAll stage with one input per run,
 // whose files are created through fs (nil: the real OS) under dir. With
 // sorted, LE is the stage's run key, so every run is marked sorted. A
 // shuffle run lives only as long as its stage, so use runs inside the
@@ -39,7 +43,7 @@ func withSpilledRuns(fs dur.FS, dir string, runs [][]mapreduce.Row, sorted bool,
 	if len(runs) == 0 {
 		return use(nil) // a stage with no input runs no reducer
 	}
-	c := mapreduce.NewCluster(mapreduce.Config{Machines: 1, MemoryBudget: mapreduce.SpillAll, SpillDir: dir, SpillFS: fs})
+	c := mapreduce.NewCluster(mapreduce.Config{Machines: 1, MemoryBudget: spillAll, SpillDir: dir, SpillFS: fs})
 	defer c.Close()
 	st := mapreduce.Stage{
 		Name: "spill", NumPartitions: 1,
@@ -302,8 +306,8 @@ func TestSpillBudgetEquivalence(t *testing.T) {
 		for _, st := range stat.Stages {
 			spilled += st.SpillSegments
 		}
-		if budget == mapreduce.SpillAll && spilled == 0 {
-			t.Fatal("SpillAll run recorded no spill activity")
+		if budget == spillAll && spilled == 0 {
+			t.Fatal("spillAll run recorded no spill activity")
 		}
 		if budget == 0 && spilled != 0 {
 			t.Fatalf("unlimited budget spilled %d segments", spilled)
@@ -318,7 +322,7 @@ func TestSpillBudgetEquivalence(t *testing.T) {
 	if len(want) == 0 {
 		t.Fatal("empty reference result")
 	}
-	for _, budget := range []int64{mapreduce.SpillAll, 256, 4 << 10} {
+	for _, budget := range []int64{spillAll, 256, 4 << 10} {
 		if got := run(budget); !temporal.EventsEqual(got, want) {
 			t.Fatalf("budget=%d diverges from the resident run", budget)
 		}

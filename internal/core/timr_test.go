@@ -422,7 +422,7 @@ func TestResultEventsReturnsSpillReadError(t *testing.T) {
 	// Regression: a spilled output segment that cannot be read (here the
 	// cluster, and with it the spill file, is closed first) is an error
 	// from ResultEvents, which used to panic through Dataset.Flatten.
-	cl := mapreduce.NewCluster(mapreduce.Config{Machines: 2, MemoryBudget: mapreduce.SpillAll, SpillDir: t.TempDir()})
+	cl := mapreduce.NewCluster(mapreduce.Config{Machines: 2, MemoryBudget: spillAll, SpillDir: t.TempDir()})
 	tm := New(cl, DefaultConfig())
 	cl.FS.Write("ds.clicks", mapreduce.SinglePartition(clickSchema(), clickRows(rand.New(rand.NewSource(3)), 200, 5, 3)))
 	plan := temporal.Scan("clicks", clickSchema()).Where(temporal.ColGtInt("AdId", 0))

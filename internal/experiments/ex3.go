@@ -55,8 +55,13 @@ func Example3(c *Context) (*Table, error) {
 
 	// The optimizer must reach the same conclusion from the cost model.
 	stats := core.DefaultStats()
-	stats.SourceRows[bt.SourceClean] = int64(cl.FS.MustRead(bt.DSClean).Rows())
-	stats.SourceRows[bt.SourceLabeled] = int64(cl.FS.MustRead(bt.DSLabeled).Rows())
+	for _, src := range []struct{ source, ds string }{{bt.SourceClean, bt.DSClean}, {bt.SourceLabeled, bt.DSLabeled}} {
+		d, err := cl.FS.Read(src.ds)
+		if err != nil {
+			return nil, err
+		}
+		stats.SourceRows[src.source] = int64(d.Rows())
+	}
 	stats.Distinct["UserId"] = int64(c.Opt.Workload.Users)
 	stats.Distinct["KwAdId"] = int64(c.Opt.Workload.Keywords)
 	stats.Machines = int64(c.Opt.Machines)

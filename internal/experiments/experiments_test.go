@@ -43,6 +43,14 @@ func TestRegistry(t *testing.T) {
 			t.Error("names not sorted")
 		}
 	}
+	// An experiment reproduces a result of the paper, so its caption
+	// names the section, figure or example. A measurement of this
+	// implementation alone belongs in the benchmark ledger (bench/).
+	for _, e := range All() {
+		if !strings.HasPrefix(e.Caption, "§") && !strings.HasPrefix(e.Caption, "Figure") && !strings.HasPrefix(e.Caption, "Example") {
+			t.Errorf("experiment %q: caption %q names no paper section, figure or example", e.Name, e.Caption)
+		}
+	}
 }
 
 func TestBTRunShape(t *testing.T) {
@@ -174,27 +182,6 @@ func TestExperimentsRunAtQuickScale(t *testing.T) {
 			}
 			t.Logf("\n%s", tab)
 		})
-	}
-}
-
-// The refresh drill at quick scale: one row per day of the 7-day log,
-// each with the delta state byte-identical to the full recompute's.
-func TestRefreshQuickScale(t *testing.T) {
-	tab, err := Refresh(sharedCtx)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(tab.Rows) != 7 {
-		t.Fatalf("%d day rows, want 7:\n%s", len(tab.Rows), tab)
-	}
-	eq := len(tab.Header) - 1
-	if tab.Header[eq] != "equal" {
-		t.Fatalf("last column is %q, want equal", tab.Header[eq])
-	}
-	for _, row := range tab.Rows {
-		if row[eq] != "yes" {
-			t.Fatalf("day %s: equal = %q\n%s", row[0], row[eq], tab)
-		}
 	}
 }
 

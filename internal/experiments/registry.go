@@ -47,9 +47,6 @@ var registry = []Experiment{
 	{"memtime", "§V-D: UBP memory footprint and LR learning time per scheme", MemTime},
 	{"botstats", "§IV-B.1: bot population, activity share and signal dilution", BotStats},
 	{"failures", "§III-C.1: repeatability and cost under reducer failures", FailureRecovery},
-	{"shuffle", "parallel map/shuffle path vs serial reference: speedup and determinism", Shuffle},
-	{"spill", "out-of-core data plane: BotElim wall time and spill I/O vs memory budget", Spill},
-	{"refresh", "incremental maintenance: delta vs full recompute over a 7-day sliding window", Refresh},
 }
 
 // All returns every experiment in presentation order.

@@ -130,29 +130,6 @@ func (d *Dataset) ReadAll() ([]Row, error) {
 	return out, nil
 }
 
-// Equal reports whether two datasets have equal schemas and, partition by
-// partition, equal row sequences (reflect.DeepEqual would compare one byte
-// of a string value). An unreadable segment on either side is an error.
-func (d *Dataset) Equal(o *Dataset) (bool, error) {
-	if !d.Schema.Equal(o.Schema) || len(d.parts) != len(o.parts) {
-		return false, nil
-	}
-	for p := range d.parts {
-		a, err := (&Dataset{parts: d.parts[p : p+1]}).ReadAll()
-		if err != nil {
-			return false, err
-		}
-		b, err := (&Dataset{parts: o.parts[p : p+1]}).ReadAll()
-		if err != nil {
-			return false, err
-		}
-		if !temporal.RowsEqual(a, b) {
-			return false, nil
-		}
-	}
-	return true, nil
-}
-
 // FS is the simulated distributed file system (Cosmos/HDFS/GFS stand-in).
 // It is safe for concurrent use.
 type FS struct {
@@ -179,14 +156,4 @@ func (fs *FS) Read(name string) (*Dataset, error) {
 		return nil, fmt.Errorf("mapreduce: no dataset %q", name)
 	}
 	return d, nil
-}
-
-// MustRead fetches a dataset, panicking on missing names (used by tests
-// and experiment harness code where absence is a bug).
-func (fs *FS) MustRead(name string) *Dataset {
-	d, err := fs.Read(name)
-	if err != nil {
-		panic(err)
-	}
-	return d
 }

@@ -53,8 +53,8 @@ type Stage struct {
 	// Reduce is the materialized form of ReduceSegments, and runs as one
 	// (materialized decodes a partition's runs into whole row slices,
 	// then calls it). It stays for reducers written as a hand-coded M-R
-	// job would be: the Fig. 14 custom reducers in internal/baseline, the
-	// shuffle experiment and the ledger's shuffle-only stage. Those want
+	// job would be: the Fig. 14 custom reducers in internal/baseline and
+	// the ledger's shuffle-only stage. Those want
 	// every row of a partition at once, and a segment form would only
 	// move the same materialization into each of them.
 	Reduce Reducer
@@ -78,11 +78,6 @@ type Stage struct {
 	RunKey func(r Row, src int) int64
 }
 
-// SpillAll, as a MemoryBudget, forces every shuffle run and output
-// partition to disk — the "spill everything" end of the equivalence
-// sweep.
-const SpillAll int64 = -1
-
 // Config describes the simulated cluster.
 type Config struct {
 	Machines    int     // parallel reducer slots (paper: ~150)
@@ -103,7 +98,7 @@ type Config struct {
 	// stage may hold for shuffle runs, and separately for its output
 	// partitions. 0 (the zero value) means unlimited — everything stays
 	// resident, byte-for-byte the pre-spill behavior. A negative value
-	// (SpillAll) spills every run and output segment. A positive value
+	// spills every run and output segment. A positive value
 	// keeps runs resident in deterministic (partition, source, map-task)
 	// order until the budget is spent, then spills the rest, so the
 	// spill set is a pure function of the input — never of goroutine

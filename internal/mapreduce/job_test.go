@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"sort"
 	"strings"
 	"testing"
@@ -56,7 +57,7 @@ func sumStage(in, out string, nparts int) Stage {
 func expectSums(t *testing.T, fs *FS, name string, n int) {
 	t.Helper()
 	got := map[int64]int64{}
-	for _, r := range mustReadAll(t, fs.MustRead(name)) {
+	for _, r := range mustReadAll(t, mustRead(t, fs, name)) {
 		got[r[0].AsInt()] = r[1].AsInt()
 	}
 	want := map[int64]int64{}
@@ -80,13 +81,27 @@ func TestFSBasics(t *testing.T) {
 	}
 	ds := SinglePartition(kvSchema(), kvRows(10))
 	fs.Write("a", ds)
-	if fs.MustRead("a").Rows() != 10 {
+	if mustRead(t, fs, "a").Rows() != 10 {
 		t.Error("Rows")
 	}
 }
 
 // mustReadAll reads a dataset back whole, failing the test on an unreadable
 // spilled segment.
+// rowsEqual reports whether two row slices hold equal rows in the same
+// order (reflect.DeepEqual would compare one byte of a string value).
+func rowsEqual(a, b []Row) bool { return slices.EqualFunc(a, b, Row.Equal) }
+
+// mustRead fetches a dataset the test expects to exist.
+func mustRead(t testing.TB, fs *FS, name string) *Dataset {
+	t.Helper()
+	d, err := fs.Read(name)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return d
+}
+
 func mustReadAll(t testing.TB, ds *Dataset) []Row {
 	t.Helper()
 	rows, err := ds.ReadAll()
@@ -141,7 +156,7 @@ func TestPartitionGrouping(t *testing.T) {
 	if _, err := c.Run(stage); err != nil {
 		t.Fatal(err)
 	}
-	for _, r := range mustReadAll(t, c.FS.MustRead("out")) {
+	for _, r := range mustReadAll(t, mustRead(t, c.FS, "out")) {
 		k, p := r[0].AsInt(), int(r[1].AsInt())
 		if prev, ok := seen[k]; ok && prev != p {
 			t.Fatalf("key %d split across partitions %d and %d", k, prev, p)
@@ -191,7 +206,7 @@ func TestMultipleInputs(t *testing.T) {
 		t.Fatal(err)
 	}
 	var a, b int64
-	for _, r := range mustReadAll(t, c.FS.MustRead("out")) {
+	for _, r := range mustReadAll(t, mustRead(t, c.FS, "out")) {
 		a += r[0].AsInt()
 		b += r[1].AsInt()
 	}
@@ -220,7 +235,7 @@ func TestFailureInjectionRetriesToSameOutput(t *testing.T) {
 			}
 		}
 		out := map[int64]int64{}
-		for _, r := range mustReadAll(t, c.FS.MustRead("out")) {
+		for _, r := range mustReadAll(t, mustRead(t, c.FS, "out")) {
 			out[r[0].AsInt()] = r[1].AsInt()
 		}
 		return out
@@ -588,7 +603,7 @@ func TestMultiPartitionReplication(t *testing.T) {
 	if stat.Stages[0].ShuffleRows != 20 {
 		t.Errorf("ShuffleRows = %d, want 20", stat.Stages[0].ShuffleRows)
 	}
-	for _, r := range mustReadAll(t, c.FS.MustRead("out")) {
+	for _, r := range mustReadAll(t, mustRead(t, c.FS, "out")) {
 		if r[1].AsInt() != 10 {
 			t.Errorf("partition %d saw %d rows, want 10", r[0].AsInt(), r[1].AsInt())
 		}
@@ -616,7 +631,7 @@ func TestPropertyJobEquivalentAcrossPartitionCounts(t *testing.T) {
 			return false
 		}
 		got := map[int64]int64{}
-		for _, r := range mustReadAll(t, c.FS.MustRead("out")) {
+		for _, r := range mustReadAll(t, mustRead(t, c.FS, "out")) {
 			got[r[0].AsInt()] = r[1].AsInt()
 		}
 		want := map[int64]int64{}
@@ -653,10 +668,10 @@ func TestRunSameStagesTwice(t *testing.T) {
 			}
 			t.Fatalf("run %d: %v", run, err)
 		}
-		got := mustReadAll(t, c.FS.MustRead("out"))
+		got := mustReadAll(t, mustRead(t, c.FS, "out"))
 		if run == 0 {
 			want = got
-		} else if !temporal.RowsEqual(got, want) {
+		} else if !rowsEqual(got, want) {
 			t.Fatalf("second run of the same stages: %v, first: %v", got, want)
 		}
 	}

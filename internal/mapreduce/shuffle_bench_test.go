@@ -11,7 +11,7 @@ import (
 
 // The shuffle microbenchmarks time the map/shuffle path on its own:
 // partitioning ~1M rows into 64 runs, serial and parallel, and the same
-// repartition under SpillAll against the resident reference.
+// repartition under spillAll against the resident reference.
 
 const benchShuffleRows = 1 << 20 // ~1M rows
 
@@ -124,4 +124,4 @@ func benchSpill(b *testing.B, budget int64) {
 }
 
 func BenchmarkSpill_1M_Resident(b *testing.B) { benchSpill(b, 0) }
-func BenchmarkSpill_1M_SpillAll(b *testing.B) { benchSpill(b, SpillAll) }
+func BenchmarkSpill_1M_SpillAll(b *testing.B) { benchSpill(b, spillAll) }

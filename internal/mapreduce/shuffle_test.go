@@ -46,6 +46,21 @@ func multiPartitionInput(nparts, rowsPer int) *Dataset {
 	return ds
 }
 
+// datasetsEqual reports whether two datasets have equal schemas and,
+// partition by partition, equal row sequences.
+func datasetsEqual(t testing.TB, a, b *Dataset) bool {
+	t.Helper()
+	if !a.Schema.Equal(b.Schema) || len(a.parts) != len(b.parts) {
+		return false
+	}
+	for p := range a.parts {
+		if !rowsEqual(mustReadAll(t, &Dataset{parts: a.parts[p : p+1]}), mustReadAll(t, &Dataset{parts: b.parts[p : p+1]})) {
+			return false
+		}
+	}
+	return true
+}
+
 func TestParallelMapByteIdenticalToSerial(t *testing.T) {
 	// The shuffled row order — and therefore every downstream dataset —
 	// must not depend on the map worker count.
@@ -55,11 +70,11 @@ func TestParallelMapByteIdenticalToSerial(t *testing.T) {
 		if _, err := c.Run(identityStage("in", "out")); err != nil {
 			t.Fatal(err)
 		}
-		return c.FS.MustRead("out")
+		return mustRead(t, c.FS, "out")
 	}
 	serial := run(1)
 	for _, workers := range []int{2, 3, 8} {
-		if same, err := serial.Equal(run(workers)); err != nil || !same {
+		if !datasetsEqual(t, serial, run(workers)) {
 			t.Fatalf("MapWorkers=%d shuffle differs from serial", workers)
 		}
 	}
@@ -76,11 +91,11 @@ func TestMapDeterministicAcrossGOMAXPROCS(t *testing.T) {
 		if _, err := c.Run(sumStage("in", "out", 4), identityStage("out", "final")); err != nil {
 			t.Fatal(err)
 		}
-		return c.FS.MustRead("final")
+		return mustRead(t, c.FS, "final")
 	}
 	ref := run(1)
 	for _, procs := range []int{2, 4} {
-		if same, err := ref.Equal(run(procs)); err != nil || !same {
+		if !datasetsEqual(t, ref, run(procs)) {
 			t.Fatalf("GOMAXPROCS=%d produced a different dataset", procs)
 		}
 	}
@@ -132,7 +147,7 @@ func TestShuffleThreadsRunBoundaries(t *testing.T) {
 	if want := [][]int{{2, 1, 3}}; !reflect.DeepEqual(gotRuns, want) {
 		t.Fatalf("runs = %v, want %v", gotRuns, want)
 	}
-	if !temporal.RowsEqual(gotRows, mustReadAll(t, in)) {
+	if !rowsEqual(gotRows, mustReadAll(t, in)) {
 		t.Fatalf("reducer input order differs from input-partition order")
 	}
 }
@@ -166,7 +181,7 @@ func TestMapChunkingSplitsLargePartitions(t *testing.T) {
 	if got := len(stat.Stages[0].Maps); got != 2 {
 		t.Fatalf("map tasks = %d, want 2", got)
 	}
-	if !temporal.RowsEqual(mustReadAll(t, c.FS.MustRead("out")), rows) {
+	if !rowsEqual(mustReadAll(t, mustRead(t, c.FS, "out")), rows) {
 		t.Fatal("chunked shuffle reordered rows")
 	}
 }
@@ -337,7 +352,7 @@ func TestMapTaskScatterMatchesAppend(t *testing.T) {
 		}
 		sortedRuns := 0
 		for p := range buckets {
-			if !temporal.RowsEqual(got.buckets[p], buckets[p]) || got.bucketBytes[p] != bucketBytes[p] {
+			if !rowsEqual(got.buckets[p], buckets[p]) || got.bucketBytes[p] != bucketBytes[p] {
 				t.Fatalf("RunKey=%v: bucket %d differs from the append-grown reference", withKey, p)
 			}
 			if cap(got.buckets[p]) != len(buckets[p]) {
@@ -404,7 +419,7 @@ func TestReduceSegmentsBulkEmit(t *testing.T) {
 		t.Fatal("no attempt failed; the test needs a retried task")
 	}
 	want := slices.Concat(rows[:40], rows[50:], rows[40:50])
-	if got := mustReadAll(t, c.FS.MustRead("out")); !temporal.RowsEqual(got, want) {
+	if got := mustReadAll(t, mustRead(t, c.FS, "out")); !rowsEqual(got, want) {
 		t.Fatalf("bulk-emitted output has %d rows, differs from the %d emitted", len(got), len(want))
 	}
 }

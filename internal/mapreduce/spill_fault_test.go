@@ -84,7 +84,7 @@ func TestSpillClusterENOSPC(t *testing.T) {
 	// fault-injecting FS into production spill paths, and a full disk
 	// fails the job with a diagnosable error instead of corrupt output.
 	ffs := dur.NewFaultFS(dur.OS{}, dur.FaultConfig{Rate: 1, Seed: 3, Kinds: []string{dur.FaultENOSPC}})
-	c := NewCluster(Config{Machines: 2, MemoryBudget: SpillAll, SpillDir: t.TempDir(), SpillFS: ffs})
+	c := NewCluster(Config{Machines: 2, MemoryBudget: spillAll, SpillDir: t.TempDir(), SpillFS: ffs})
 	defer c.Close()
 	if _, err := c.newSpillFile(); err == nil {
 		t.Fatal("spill file creation on a full disk did not error")

@@ -95,7 +95,7 @@ func TestSpilledInputShuffleFileMatchesEncodedRows(t *testing.T) {
 	}
 
 	var gotFile []byte
-	stat := run(SpillAll, func(part int, in [][]Segment) error {
+	stat := run(spillAll, func(part int, in [][]Segment) error {
 		for i := range in[0] {
 			if !in[0][i].Spilled() || !in[0][i].Sorted() {
 				t.Errorf("partition %d run %d: spilled=%v sorted=%v, want both", part, i, in[0][i].Spilled(), in[0][i].Sorted())
@@ -136,7 +136,7 @@ func TestSpilledInputShuffleFileMatchesEncodedRows(t *testing.T) {
 			t.Fatalf("budget %d spilled nothing", budget)
 		}
 		for p := range want {
-			if !temporal.RowsEqual(got[p], want[p]) {
+			if !rowsEqual(got[p], want[p]) {
 				t.Fatalf("budget %d: partition %d differs from the resident run", budget, p)
 			}
 		}
@@ -188,7 +188,7 @@ func TestSpilledMapTaskShortReadFailsCleanly(t *testing.T) {
 	}
 	defer release()
 	base := t.TempDir()
-	c := NewCluster(Config{Machines: 4, MemoryBudget: SpillAll, SpillDir: base, SpillFS: ffs})
+	c := NewCluster(Config{Machines: 4, MemoryBudget: spillAll, SpillDir: base, SpillFS: ffs})
 	defer c.Close()
 	in := NewDataset(spillTestSchema(), 1)
 	in.AppendSegment(0, seg)

@@ -12,14 +12,18 @@ import (
 	"timr/internal/temporal"
 )
 
+// spillAll, as a MemoryBudget, spills every shuffle run and output
+// segment: any negative budget does.
+const spillAll int64 = -1
+
 // spillRows returns rows as one spilled segment, the output of a
-// one-partition SpillAll stage whose cluster creates its files through fs
+// one-partition spillAll stage whose cluster creates its files through fs
 // (nil: the real OS) under dir; release closes the cluster, deleting the
 // file. The reducer emits rows without reading its spilled input, so a
 // fault-injecting fs that only fails reads fires first on the caller's
 // read of the segment.
 func spillRows(fs dur.FS, dir string, rows []Row) (seg Segment, release func() error, err error) {
-	c := NewCluster(Config{Machines: 1, MemoryBudget: SpillAll, SpillDir: dir, SpillFS: fs})
+	c := NewCluster(Config{Machines: 1, MemoryBudget: spillAll, SpillDir: dir, SpillFS: fs})
 	c.FS.Write("in", SinglePartition(nil, rows[:1]))
 	_, err = c.Run(Stage{
 		Name: "spill", Inputs: []string{"in"}, Output: "out",
@@ -29,9 +33,13 @@ func spillRows(fs dur.FS, dir string, rows []Row) (seg Segment, release func() e
 			return nil
 		},
 	})
+	var out *Dataset
+	if err == nil {
+		out, err = c.FS.Read("out")
+	}
 	var segs []Segment
 	if err == nil {
-		if segs = c.FS.MustRead("out").Partition(0); len(segs) != 1 {
+		if segs = out.Partition(0); len(segs) != 1 {
 			err = fmt.Errorf("spill stage wrote %d segments, want 1", len(segs))
 		}
 	}
@@ -70,7 +78,7 @@ func TestSpilledSegmentRoundtrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !temporal.RowsEqual(got, rows) {
+	if !rowsEqual(got, rows) {
 		t.Fatal("spill roundtrip changed rows")
 	}
 	// Reader path must deliver the same sequence.
@@ -114,7 +122,7 @@ func TestRowReaderMixedSegments(t *testing.T) {
 		}
 		got = append(got, r)
 	}
-	if !temporal.RowsEqual(got, want) {
+	if !rowsEqual(got, want) {
 		t.Fatal("mixed-segment reader order mismatch")
 	}
 }
@@ -144,7 +152,7 @@ func TestMemoryBudgetOutputEquivalence(t *testing.T) {
 		defer c.Close()
 		c.FS.Write("in", SinglePartition(kvSchema(), rows))
 		stat := budgetJob(c, t)
-		return mustReadAll(t, c.FS.MustRead("out")), stat
+		return mustReadAll(t, mustRead(t, c.FS, "out")), stat
 	}
 	want, residentStat := run(0)
 	if len(want) == 0 {
@@ -153,12 +161,12 @@ func TestMemoryBudgetOutputEquivalence(t *testing.T) {
 	if residentStat.Stages[0].SpillSegments != 0 {
 		t.Fatalf("unlimited budget spilled %d segments", residentStat.Stages[0].SpillSegments)
 	}
-	for _, budget := range []int64{SpillAll, 1, 512, 16 << 10} {
+	for _, budget := range []int64{spillAll, 1, 512, 16 << 10} {
 		got, stat := run(budget)
-		if !temporal.RowsEqual(got, want) {
+		if !rowsEqual(got, want) {
 			t.Fatalf("budget=%d output differs from resident run", budget)
 		}
-		if budget == SpillAll || budget == 1 {
+		if budget == spillAll || budget == 1 {
 			spilled := 0
 			for _, st := range stat.Stages {
 				spilled += st.SpillSegments
@@ -172,7 +180,7 @@ func TestMemoryBudgetOutputEquivalence(t *testing.T) {
 
 func TestSpillMetricsAccounting(t *testing.T) {
 	defer leakcheck.Goroutines(t)()
-	c := NewCluster(Config{Machines: 4, MemoryBudget: SpillAll})
+	c := NewCluster(Config{Machines: 4, MemoryBudget: spillAll})
 	defer c.Close()
 	c.FS.Write("in", SinglePartition(kvSchema(), kvRows(1000)))
 	stat := budgetJob(c, t)
@@ -201,7 +209,7 @@ func TestSpillRunSortednessAnnotation(t *testing.T) {
 		unsorted[i], unsorted[j] = unsorted[j], unsorted[i]
 	}
 	run := func(rows []Row) (sortedSegs, totalSegs int) {
-		c := NewCluster(Config{Machines: 2, MemoryBudget: SpillAll})
+		c := NewCluster(Config{Machines: 2, MemoryBudget: spillAll})
 		defer c.Close()
 		c.FS.Write("in", SinglePartition(kvSchema(), rows))
 		st := Stage{
@@ -217,7 +225,7 @@ func TestSpillRunSortednessAnnotation(t *testing.T) {
 							sortedSegs++
 						}
 						if !segs[i].Spilled() {
-							t.Error("SpillAll left a resident segment")
+							t.Error("spillAll left a resident segment")
 						}
 					}
 				}
@@ -240,7 +248,7 @@ func TestSpillRunSortednessAnnotation(t *testing.T) {
 func TestClusterCloseRemovesSpillDir(t *testing.T) {
 	defer leakcheck.Goroutines(t)()
 	base := t.TempDir()
-	c := NewCluster(Config{Machines: 2, MemoryBudget: SpillAll, SpillDir: base})
+	c := NewCluster(Config{Machines: 2, MemoryBudget: spillAll, SpillDir: base})
 	c.FS.Write("in", SinglePartition(kvSchema(), kvRows(100)))
 	budgetJob(c, t)
 	dirs, err := filepath.Glob(filepath.Join(base, "timr-spill-*"))
@@ -266,7 +274,7 @@ func TestFailedStageReleasesSpillFiles(t *testing.T) {
 	defer leakcheck.Goroutines(t)()
 	base := t.TempDir()
 	c := NewCluster(Config{
-		Machines: 2, MemoryBudget: SpillAll, SpillDir: base,
+		Machines: 2, MemoryBudget: spillAll, SpillDir: base,
 		FailureRate: 1.0, MaxAttempts: 2, Seed: 42,
 	})
 	defer c.Close()
@@ -351,7 +359,7 @@ func TestSpilledRowsOutliveTheirReader(t *testing.T) {
 				t.Fatalf("%s: a %d-value row has capacity %d", path, len(r), cap(r))
 			}
 		}
-		if !temporal.RowsEqual(got, want) {
+		if !rowsEqual(got, want) {
 			t.Fatalf("%s: rows kept past the read differ from the originals", path)
 		}
 	}

@@ -7,8 +7,9 @@ import (
 )
 
 // Coalesce merges abutting events with equal payloads ([a,b)+[b,c) with
-// the same row become [a,c)). Snapshot aggregates fragmented by CTIs are
-// restored to canonical form. It sorts events in place (SortEvents order)
+// the same row become [a,c)), a float only with the same bits: +0 never
+// merges with -0. Snapshot aggregates fragmented by CTIs are restored to
+// canonical form. It sorts events in place (SortEvents order)
 // and otherwise leaves them intact; the result aliases events until the
 // first merge — with nothing to merge it is the sorted argument itself —
 // so a caller that reuses the argument's array must copy the result first.
@@ -120,11 +121,11 @@ func (b *boundary) index(out []Event, starts int) {
 }
 
 // take removes and returns the lowest output index ending here whose
-// payload equals p, or -1.
+// payload equals p with the same hash, or -1.
 func (b *boundary) take(out []Event, p Row) int {
 	if !b.hashed {
 		for j, i := range b.ending {
-			if i >= 0 && out[i].Payload.Equal(p) {
+			if i >= 0 && samePayload(out[i].Payload, p) {
 				b.ending[j] = -1
 				return i
 			}
@@ -134,11 +135,27 @@ func (b *boundary) take(out []Event, p Row) int {
 	h := hashKey(p)
 	for link := &b.table[h&uint64(len(b.table)-1)]; *link != 0; {
 		c := &b.chain[*link-1]
-		if i := b.ending[*link-1]; c.hash == h && out[i].Payload.Equal(p) {
+		if i := b.ending[*link-1]; c.hash == h && out[i].Payload.Equal(p) { // equal hashes tell +0 from -0
 			*link = c.next
 			return i
 		}
 		link = &c.next
 	}
 	return -1
+}
+
+// samePayload reports whether two payloads merge at a boundary compared
+// pairwise: Row.Equal, with each pair of values also of the same words.
+// A hashed boundary keys payloads by hash, under which +0 and -0, though
+// Equal, differ; so they must not merge here either.
+func samePayload(a, b Row) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		if !a[i].Equal(b[i]) || a[i].n != b[i].n {
+			return false
+		}
+	}
+	return true
 }

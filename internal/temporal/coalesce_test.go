@@ -1,6 +1,7 @@
 package temporal
 
 import (
+	"bytes"
 	"fmt"
 	"math"
 	"math/rand"
@@ -144,14 +145,17 @@ func coalesceInput(rng *rand.Rand, shape int) []Event {
 	return evs
 }
 
-// sameEvents is EventsEqual plus payload identity: position i holds the
-// very event want holds there, not merely an equal one.
+// sameEvents reports whether position i of got holds the very event want
+// holds there: the same lifetime and the same payload, not merely an equal
+// one (a NaN equals nothing, itself included).
 func sameEvents(got, want []Event) bool {
-	if !EventsEqual(got, want) {
+	if len(got) != len(want) {
 		return false
 	}
-	for i := range got {
-		if len(got[i].Payload) > 0 && &got[i].Payload[0] != &want[i].Payload[0] {
+	for i, g := range got {
+		w := want[i]
+		if g.LE != w.LE || g.RE != w.RE || len(g.Payload) != len(w.Payload) ||
+			len(g.Payload) > 0 && &g.Payload[0] != &w.Payload[0] {
 			return false
 		}
 	}
@@ -192,6 +196,26 @@ func TestCoalesceMatchesReference(t *testing.T) {
 	}
 	if aliased < 20 || fresh < 20 {
 		t.Fatalf("inputs exercised %d aliasing and %d merging runs; want at least 20 of each", aliased, fresh)
+	}
+}
+
+// TestCoalesceSignedZerosNeverMerge: +0 and -0 are Equal but hash apart,
+// so abutting [i, +0] and [i, -0] pieces stay two events, whether one pair
+// meets at a boundary compared pairwise or six pairs meet at one that is
+// hashed — as coalesceReference, which keys payloads by hash, keeps them.
+func TestCoalesceSignedZerosNeverMerge(t *testing.T) {
+	negZero := Float(math.Copysign(0, -1))
+	for _, pairs := range []int{1, 6} {
+		var in []Event
+		for i := 0; i < pairs; i++ {
+			in = append(in,
+				Event{LE: 0, RE: 1, Payload: Row{Int(int64(i)), Float(0)}},
+				Event{LE: 1, RE: 2, Payload: Row{Int(int64(i)), negZero}})
+		}
+		want := coalesceReference(append([]Event(nil), in...))
+		if got := Coalesce(in); len(got) != 2*pairs || !sameEvents(got, want) {
+			t.Errorf("%d abutting ±0 pairs coalesce to %d events, want %d:\ngot:  %v\nwant: %v", pairs, len(got), 2*pairs, got, want)
+		}
 	}
 }
 
@@ -261,35 +285,40 @@ func slotsCoalesceAsBare(bare []Event) string {
 // domain, so that pieces abut, overlap and repeat — coalesces to what the
 // reference makes of it, event for event; the result is a fixed point; and
 // the argument is left the stably sorted permutation of what was passed.
-// The same lifetimes over payloads of mixed kinds coalesce as slotted rows
-// exactly as bare (slotsCoalesceAsBare).
+// The same lifetimes are drawn twice, over int payloads and over payloads
+// of mixed kinds (NaN and both zeros among them), and the mixed ones also
+// coalesce as slotted rows exactly as bare (slotsCoalesceAsBare).
 func FuzzCoalesce(f *testing.F) {
 	f.Add([]byte{0, 1, 0, 2, 1, 0, 4, 1, 0})          // a chain
 	f.Add([]byte{3, 0, 1, 3, 0, 1, 4, 0, 1, 4, 0, 1}) // duplicates abutting duplicates
 	f.Add([]byte{9, 0, 0, 1, 7, 2, 1, 1, 2, 2, 6, 2}) // not LE-ordered, non-monotone right endpoints
+	f.Add([]byte{0, 0, 6, 1, 0, 7})                   // +0 abutting -0 at a boundary compared pairwise
+	f.Add(bytes.Repeat([]byte{0, 0, 6, 1, 0, 7}, 6))  // and six such pairs at one that is hashed
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) > 3*400 {
 			data = data[:3*400]
 		}
-		var in, mixed []Event
+		var ints, mixed []Event
 		for ; len(data) >= 3; data = data[3:] {
 			le, re := Time(data[0]%16), Time(data[0]%16)+1+Time(data[1]%4)
-			in = append(in, Event{LE: le, RE: re, Payload: Row{Int(int64(data[2] % 3)), Int(int64(data[2] / 3 % 2))}})
+			ints = append(ints, Event{LE: le, RE: re, Payload: Row{Int(int64(data[2] % 3)), Int(int64(data[2] / 3 % 2))}})
 			mixed = append(mixed, Event{LE: le, RE: re, Payload: Row{slotFirsts[data[2]%8], Int(int64(data[2] / 8 % 2))}})
 		}
-		arg := append([]Event(nil), in...)
-		want := coalesceReference(append([]Event(nil), in...))
-		sortedIn := append([]Event(nil), in...)
-		sort.SliceStable(sortedIn, func(i, j int) bool { return eventBefore(sortedIn[i], sortedIn[j]) })
-		got := Coalesce(arg)
-		if !sameEvents(got, want) {
-			t.Fatalf("Coalesce differs from the reference\nin:   %v\ngot:  %v\nwant: %v", in, got, want)
-		}
-		if !sameEvents(arg, sortedIn) {
-			t.Fatalf("argument not left stably sorted and intact\nin:    %v\nafter: %v", in, arg)
-		}
-		if again := Coalesce(append([]Event(nil), got...)); !sameEvents(again, got) {
-			t.Fatalf("not a fixed point\nonce:  %v\ntwice: %v", got, again)
+		for _, in := range [][]Event{ints, mixed} {
+			arg := append([]Event(nil), in...)
+			want := coalesceReference(append([]Event(nil), in...))
+			sortedIn := append([]Event(nil), in...)
+			sort.SliceStable(sortedIn, func(i, j int) bool { return eventBefore(sortedIn[i], sortedIn[j]) })
+			got := Coalesce(arg)
+			if !sameEvents(got, want) {
+				t.Fatalf("Coalesce differs from the reference\nin:   %v\ngot:  %v\nwant: %v", in, got, want)
+			}
+			if !sameEvents(arg, sortedIn) {
+				t.Fatalf("argument not left stably sorted and intact\nin:    %v\nafter: %v", in, arg)
+			}
+			if again := Coalesce(append([]Event(nil), got...)); !sameEvents(again, got) {
+				t.Fatalf("not a fixed point\nonce:  %v\ntwice: %v", got, again)
+			}
 		}
 		if msg := slotsCoalesceAsBare(mixed); msg != "" {
 			t.Fatalf("slotted rows coalesce unlike bare ones: %s\nin: %v", msg, mixed)

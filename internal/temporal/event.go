@@ -98,13 +98,6 @@ func EventsEqual(a, b []Event) bool {
 	return true
 }
 
-// RowsEqual reports whether two row slices hold equal rows in the same
-// order. reflect.DeepEqual does not: it follows a Value's data pointer and
-// compares one byte, so strings equal in length and first byte pass.
-func RowsEqual(a, b []Row) bool {
-	return slices.EqualFunc(a, b, Row.Equal)
-}
-
 // Sink is the push contract: every physical operator, every engine output
 // and every pipeline entry is one, and nothing else crosses an operator
 // boundary.

@@ -6,6 +6,7 @@ import (
 	"encoding/hex"
 	"math"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 	"unsafe"
@@ -53,7 +54,7 @@ func TestIntHoldsNoPointer(t *testing.T) {
 
 // TestZeroValueIsInt: the zero Value is Int(0), and the five kinds' zero
 // payloads — Null, Int(0), Float(0), Bool(false), String("") — stay
-// five distinct values under Kind, Equal and RowsEqual.
+// five distinct values under Kind, Equal and Row.Equal.
 func TestZeroValueIsInt(t *testing.T) {
 	var zero Value
 	if zero.Kind() != KindInt || zero.AsInt() != 0 || !zero.Equal(Int(0)) || zero.Equal(Null) {
@@ -63,7 +64,7 @@ func TestZeroValueIsInt(t *testing.T) {
 	for i, a := range vals {
 		for j, b := range vals {
 			if i == j {
-				if !a.Equal(b) || !RowsEqual([]Row{{a}}, []Row{{b}}) {
+				if !a.Equal(b) || !rowsEqual([]Row{{a}}, []Row{{b}}) {
 					t.Errorf("%v (%v) does not equal itself", a, a.Kind())
 				}
 				continue
@@ -71,7 +72,7 @@ func TestZeroValueIsInt(t *testing.T) {
 			if a.Kind() == b.Kind() {
 				t.Errorf("%v and %v share kind %v", a, b, a.Kind())
 			}
-			if a.Equal(b) || RowsEqual([]Row{{a}}, []Row{{b}}) {
+			if a.Equal(b) || rowsEqual([]Row{{a}}, []Row{{b}}) {
 				t.Errorf("%v (%v) equals %v (%v)", a, a.Kind(), b, b.Kind())
 			}
 		}
@@ -246,33 +247,36 @@ func TestHashRowGoldens(t *testing.T) {
 	}
 }
 
+// rowsEqual compares row slices by Row.Equal.
+func rowsEqual(a, b []Row) bool { return slices.EqualFunc(a, b, Row.Equal) }
+
 // TestRowsEqualComparesWholeStrings: two rows differing only in the second
 // byte of a string are unequal. reflect.DeepEqual follows Value's data
 // pointer and compares one byte, so it calls them equal.
 func TestRowsEqualComparesWholeStrings(t *testing.T) {
 	a := []Row{{Int(1), String("ab")}}
 	b := []Row{{Int(1), String("ac")}}
-	if RowsEqual(a, b) {
-		t.Error(`RowsEqual: "ab" and "ac" compare equal`)
+	if rowsEqual(a, b) {
+		t.Error(`rowsEqual: "ab" and "ac" compare equal`)
 	}
-	if !RowsEqual(a, []Row{{Int(1), String("a" + "b")}}) {
-		t.Error("RowsEqual: equal rows compare unequal")
+	if !rowsEqual(a, []Row{{Int(1), String("a" + "b")}}) {
+		t.Error("rowsEqual: equal rows compare unequal")
 	}
-	if RowsEqual(a, append(b, Row{})) || RowsEqual(a, []Row{{Int(1)}}) {
-		t.Error("RowsEqual: length mismatch compares equal")
+	if rowsEqual(a, append(b, Row{})) || rowsEqual(a, []Row{{Int(1)}}) {
+		t.Error("rowsEqual: length mismatch compares equal")
 	}
-	if !RowsEqual(nil, []Row{}) {
-		t.Error("RowsEqual: nil and empty must compare equal")
+	if !rowsEqual(nil, []Row{}) {
+		t.Error("rowsEqual: nil and empty must compare equal")
 	}
 }
 
 // TestRowsEqualTellsTaggedKindsApart: Null and Bool(false) are both a
 // pointer to a zero tag byte and a zero payload, so reflect.DeepEqual,
-// which follows the pointers, calls the two rows equal. RowsEqual does not.
+// which follows the pointers, calls the two rows equal. Row.Equal does not.
 func TestRowsEqualTellsTaggedKindsApart(t *testing.T) {
 	a, b := []Row{{Int(1), Null}}, []Row{{Int(1), Bool(false)}}
-	if RowsEqual(a, b) {
-		t.Error("RowsEqual: Null and Bool(false) compare equal")
+	if rowsEqual(a, b) {
+		t.Error("rowsEqual: Null and Bool(false) compare equal")
 	}
 	if !reflect.DeepEqual(a, b) {
 		t.Error("reflect.DeepEqual now tells Null from Bool(false); update this test and the Value doc")
