@@ -77,6 +77,36 @@ func TestRunMetricsMeterTheKernel(t *testing.T) {
 	}
 }
 
+// meterLine matches a -metrics table row of an engine operator's or a
+// source's meter (groups_live aside: it is last-write-wins across a
+// stage's reducers), in the table's own spacing.
+var meterLine = regexp.MustCompile(`^\S+\s+(events_in|events_out|ctis|events|state|wm_lag|groups_reclaimed|cti_broadcasts|cti_swallowed|fragments)\s+-?\d+$`)
+
+// TestRunMetersPinned: `timr run -q bt -metrics` reports every operator
+// meter as the build before engine-local meters did (testdata pins it):
+// each reducer's engine folds its counts into the shared scope once per
+// entry, and no value moves.
+func TestRunMetersPinned(t *testing.T) {
+	bin := buildTimr(t)
+	_, stderr, exit := runTimr(t, bin, "run", "-q", "bt", "-metrics")
+	if exit != 0 {
+		t.Fatalf("timr run -q bt exited %d\n%s", exit, stderr)
+	}
+	var got strings.Builder
+	for _, line := range strings.Split(stderr, "\n") {
+		if meterLine.MatchString(line) {
+			got.WriteString(strings.Join(strings.Fields(line), " ") + "\n")
+		}
+	}
+	want, err := os.ReadFile(filepath.Join("testdata", "bt-meters.txt"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.String() != string(want) {
+		t.Errorf("meters differ from the pinned ones\ngot:\n%swant:\n%s", got.String(), want)
+	}
+}
+
 func TestBareTimrIsUsageError(t *testing.T) {
 	stdout, stderr, exit := runTimr(t, buildTimr(t), "-q", "clickcount")
 	if exit != 2 {

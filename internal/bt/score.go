@@ -3,6 +3,7 @@ package bt
 import (
 	"math"
 	"sync"
+	"unsafe"
 
 	"timr/internal/ml"
 	"timr/internal/stats"
@@ -36,20 +37,30 @@ func ScorePlan(p Params, annotate bool) *temporal.Plan {
 	joined := rows.Join(models, []string{"AdId"}, []string{"AdId"}, nil)
 
 	// Per-row partial dot product w_kw * count. Model blobs are parsed
-	// once per distinct string through a tiny cache. Every engine compiled
-	// from this plan shares these closures — under TiMR, several reducers
-	// at once — hence a sync.Map: a hit is a lock-free, allocation-free
-	// Load, on the single-goroutine serving path too.
-	var cache sync.Map // blob -> *ml.Model
+	// through a tiny cache keyed by the blob's identity — its data pointer
+	// and length — not its bytes: every row of a model event carries that
+	// event's string, so a hit hashes two words, however long the model.
+	// The key's pointer keeps the blob alive, so an identity never comes
+	// to name other bytes; a copy of a blob (a restored synopsis) is parsed
+	// again. Every engine compiled from this plan shares these closures —
+	// under TiMR, several reducers at once — hence a sync.Map: a hit is a
+	// lock-free, allocation-free Load, on the single-goroutine serving path
+	// too.
+	type blobID struct {
+		data *byte
+		n    int
+	}
+	var cache sync.Map // blobID -> *ml.Model
 	lookup := func(blob string) *ml.Model {
-		if m, ok := cache.Load(blob); ok {
+		id := blobID{unsafe.StringData(blob), len(blob)}
+		if m, ok := cache.Load(id); ok {
 			return m.(*ml.Model)
 		}
 		m, err := ParseModel(blob)
 		if err != nil {
 			m = &ml.Model{Weights: map[int64]float64{}}
 		}
-		cached, _ := cache.LoadOrStore(blob, m)
+		cached, _ := cache.LoadOrStore(id, m)
 		return cached.(*ml.Model)
 	}
 	partial := joined.Project(

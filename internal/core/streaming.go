@@ -491,8 +491,10 @@ type barrier struct {
 	sources []string           // per input, the source its run feeds
 	runs    []temporal.Run     // release scratch
 	// deliver takes the released runs, in order, and must not keep them.
-	deliver  func([]temporal.Run)
-	depth    *obs.Gauge   // high-watermark of held events (nil-safe)
+	deliver func([]temporal.Run)
+	// depth is the high watermark of held events, folded into the gauge
+	// the stage's partitions share once a wave, not at every push.
+	depth    obs.Peak
 	released *obs.Counter // events delivered through the barrier
 }
 
@@ -501,7 +503,7 @@ func newBarrier(sources []string, sc *obs.Scope, deliver func([]temporal.Run)) *
 		logs:     make([][]temporal.Event, len(sources)),
 		sources:  sources,
 		deliver:  deliver,
-		depth:    sc.Gauge("buffer_depth"),
+		depth:    sc.Gauge("buffer_depth").Peak(),
 		released: sc.Counter("barrier_releases"),
 	}
 }
@@ -509,7 +511,7 @@ func newBarrier(sources []string, sc *obs.Scope, deliver func([]temporal.Run)) *
 // push appends a run to input src's log.
 func (b *barrier) push(src int, evs []temporal.Event) {
 	b.logs[src] = append(b.logs[src], evs...)
-	b.depth.SetMax(int64(b.held()))
+	b.depth.Raise(int64(b.held()))
 }
 
 // held counts the events the barrier holds.
@@ -525,6 +527,7 @@ func (b *barrier) held() int {
 // beyond t may still gain earlier-arriving siblings from other upstream
 // partitions, so they stay buffered).
 func (b *barrier) advance(t temporal.Time) {
+	b.depth.Fold()
 	runs, n := b.runs[:0], 0
 	for i, log := range b.logs {
 		// Full (LE, RE, payload) ordering keeps release order deterministic

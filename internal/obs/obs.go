@@ -15,7 +15,9 @@
 //     run on a worker pool, streaming partitions on goroutines), so the
 //     whole package is clean under `go test -race`. Metric *creation*
 //     (get-or-create by name) takes a mutex, but instrumented code
-//     resolves handles once at wiring time, not per event.
+//     resolves handles once at wiring time, not per event. A hot path
+//     that many partitions run at once counts into a Tally or Peak of its
+//     own and folds it into the shared handle once per batch.
 //   - Determinism. Snapshot output is sorted by scope path then metric
 //     name, so tests can pin exact tables and repeated snapshots of a
 //     quiesced system are byte-identical.
@@ -86,6 +88,50 @@ func (g *Gauge) Value() int64 {
 		return 0
 	}
 	return g.v.Load()
+}
+
+// Tally is a count one owner — an engine, a barrier — keeps in a plain
+// field and folds into a shared Counter when it chooses, at the end of a
+// batch rather than at every event: owners counting at once on other
+// cores then share no cache line between folds. A tally is not safe for
+// concurrent use; the counter it folds into is.
+type Tally struct {
+	n int64
+	c *Counter
+}
+
+// Tally returns a tally that folds into c (a nil c drops its counts).
+func (c *Counter) Tally() Tally { return Tally{c: c} }
+
+// Inc counts one.
+func (t *Tally) Inc() { t.n++ }
+
+// Fold adds what t counted since the last Fold to its counter.
+func (t *Tally) Fold() {
+	if t.n != 0 {
+		t.c.Add(t.n)
+		t.n = 0
+	}
+}
+
+// Peak is a Tally for a high watermark: Fold raises its gauge by SetMax.
+type Peak struct {
+	v int64
+	g *Gauge
+}
+
+// Peak returns a peak that folds into g (a nil g drops its readings).
+func (g *Gauge) Peak() Peak { return Peak{g: g} }
+
+// Raise records the reading v.
+func (p *Peak) Raise(v int64) { p.v = max(p.v, v) }
+
+// Fold raises the gauge to the highest reading since the last Fold.
+func (p *Peak) Fold() {
+	if p.v > 0 {
+		p.g.SetMax(p.v)
+		p.v = 0
+	}
 }
 
 // Histogram bucket layout: values below histLinear land in their own

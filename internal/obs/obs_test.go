@@ -53,6 +53,44 @@ func TestGaugeSetMaxConcurrent(t *testing.T) {
 	}
 }
 
+// Owners counting at once into tallies and peaks of their own, folding
+// now and then, leave the shared counter and gauge where per-event Inc
+// and SetMax would; a nil handle drops what is folded into it.
+func TestTallyAndPeakFold(t *testing.T) {
+	root := New("t")
+	var wg sync.WaitGroup
+	for i := 0; i < 8; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			n, p := root.Counter("rows").Tally(), root.Gauge("depth").Peak()
+			for j := 0; j < 1000; j++ {
+				n.Inc()
+				p.Raise(int64(i*1000 + j))
+				if j%97 == 0 {
+					n.Fold()
+					p.Fold()
+				}
+			}
+			n.Fold()
+			p.Fold()
+		}()
+	}
+	wg.Wait()
+	if got := root.Counter("rows").Value(); got != 8000 {
+		t.Fatalf("counter = %d, want 8000", got)
+	}
+	if got := root.Gauge("depth").Value(); got != 7999 {
+		t.Fatalf("gauge = %d, want 7999", got)
+	}
+	var s *Scope
+	n, p := s.Counter("c").Tally(), s.Gauge("g").Peak()
+	n.Inc()
+	p.Raise(3)
+	n.Fold()
+	p.Fold()
+}
+
 func TestHistogram(t *testing.T) {
 	root := New("t")
 	h := root.Histogram("lat")

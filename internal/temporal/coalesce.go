@@ -1,7 +1,6 @@
 package temporal
 
 import (
-	"cmp"
 	"math/bits"
 	"slices"
 )
@@ -20,9 +19,7 @@ import (
 // event's right endpoint in one RE-ordered queue and at each LE looks only
 // at those ending there; without abutting lifetimes, at no payload at all.
 func Coalesce(events []Event) []Event {
-	if !sortLETies(events) { // what an engine sink received is LE-ordered
-		SortEvents(events)
-	}
+	SortEvents(events)
 	out := events[:0] // a prefix of events until the first merge copies it
 	copied := false
 	var ends expQueue[int] // every out event (by index) at its right endpoint
@@ -56,31 +53,9 @@ func Coalesce(events []Event) []Event {
 	}
 	if copied {
 		// Extending an RE can only have moved events among their LE ties.
-		sortLETies(out)
+		SortEvents(out)
 	}
 	return out
-}
-
-// sortLETies puts LE-ordered events in SortEvents order: each run of equal
-// LE is stable-sorted by (RE, payload). It gives up, reporting false, at the
-// first event out of LE order; a stable sort of the whole is then the same.
-func sortLETies(events []Event) bool {
-	for lo, hi := 0, 0; lo < len(events); lo = hi {
-		for hi = lo + 1; hi < len(events) && events[hi].LE == events[lo].LE; hi++ {
-		}
-		if hi < len(events) && events[hi].LE < events[lo].LE {
-			return false
-		}
-		if hi-lo > 1 {
-			slices.SortStableFunc(events[lo:hi], func(a, b Event) int { // compareEvents, LE being equal
-				if a.RE != b.RE {
-					return cmp.Compare(a.RE, b.RE)
-				}
-				return compareRows(a.Payload, b.Payload)
-			})
-		}
-	}
-	return true
 }
 
 // boundary is one instant of Coalesce's sweep: the output events ending

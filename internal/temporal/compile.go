@@ -68,12 +68,15 @@ func (e *Engine) compile(roots []*Plan, outs []Sink, scope *obs.Scope) error {
 		in := fanOut(sinks)
 		if scope != nil {
 			sc := scope.Child("source." + source)
-			in = &meterOut{events: sc.Counter("events"), ctis: sc.Counter("ctis"), out: in}
+			m := &opMetrics{out: sc.Counter("events").Tally(), ctis: sc.Counter("ctis").Tally()}
+			c.meters = append(c.meters, m)
+			in = &meterOut{events: &m.out, ctis: &m.ctis, out: in}
 		}
 		e.inputs[source] = in
 		e.sources = append(e.sources, source)
 	}
 	slices.Sort(e.sources)
+	e.meters = c.meters
 	// Collect stateful operators in pre-order DFS plan order (build order
 	// above follows randomized map iteration and cannot be used).
 	walkInputs(func(n *Plan) {
@@ -96,6 +99,7 @@ type compiler struct {
 	outs    map[*Plan][]Sink // root -> the caller's sink(s) for its output
 	obs     *obs.Scope       // nil = no instrumentation
 	ids     map[*Plan]int    // deterministic operator ids (obs only)
+	meters  []*opMetrics     // every meter built, for Engine.fold
 	auto    *bool            // Engine.auto
 }
 
@@ -180,11 +184,11 @@ func (c *compiler) build(n *Plan) []Sink {
 	var m *opMetrics
 	if c.obs != nil {
 		if proj != nil { // it reports under its own scope: in and out, the join's output
-			pm := newOpMetrics(c.obs.Child(c.opName(proj)))
-			out = &meterIn{m: pm, out: &meterOut{events: pm.eventsOut, ctis: pm.ctis, out: out}}
+			pm := c.meter(proj)
+			out = &meterIn{m: pm, out: &meterOut{events: &pm.out, ctis: &pm.ctis, out: out}}
 		}
-		m = newOpMetrics(c.obs.Child(c.opName(n)))
-		out = &meterOut{events: m.eventsOut, ctis: m.ctis, out: out}
+		m = c.meter(n)
+		out = &meterOut{events: &m.out, ctis: &m.ctis, out: out}
 	}
 	entries, op := c.buildOp(n, proj, out)
 	c.insts[n] = op
@@ -195,6 +199,13 @@ func (c *compiler) build(n *Plan) []Sink {
 		}
 	}
 	return entries
+}
+
+// meter builds node n's meters under its "opNN.Kind" scope.
+func (c *compiler) meter(n *Plan) *opMetrics {
+	m := newOpMetrics(c.obs.Child(c.opName(n)))
+	c.meters = append(c.meters, m)
+	return m
 }
 
 // fusable reports whether n is a member of a stateless kernel. ToPoint is
@@ -238,7 +249,7 @@ func (c *compiler) buildKernel(n *Plan) []Sink {
 			c.insts[m] = alterSection{}
 		}
 		if f.m != nil {
-			f.m.ops[i] = newOpMetrics(c.obs.Child(c.opName(m)))
+			f.m.ops[i] = c.meter(m)
 		}
 	}
 	return []Sink{f}

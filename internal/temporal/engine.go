@@ -28,6 +28,7 @@ type Engine struct {
 	// auto is set while the automatic schedule punctuates: the one kind
 	// of CTI a GroupApply may thin (see groupOutput.gap).
 	auto      bool
+	meters    []*opMetrics // under WithObs; folded at the end of every entry
 	collect   *Collector
 	ctiPeriod Time // automatic punctuation period (WithCTIPeriod); zero disables it
 	lastCTI   Time
@@ -53,8 +54,9 @@ func WithSink(out Sink) Option { return func(o *engineOptions) { o.sink = out } 
 // WithObs enables per-operator instrumentation reporting into scope (see
 // op_meter.go). A nil scope disables it. The engine runs the same
 // operators either way. Engines for different partitions of the same
-// fragment may share one scope: metric handles are shared atomics, so
-// counts aggregate.
+// fragment may share one scope: each counts into fields of its own and
+// folds them into the scope's shared handles at the end of every Feed,
+// FeedMerged, Advance and Flush, so counts aggregate.
 func WithObs(scope *obs.Scope) Option { return func(o *engineOptions) { o.scope = scope } }
 
 // WithCTIPeriod sets the automatic punctuation period: Feed and
@@ -104,6 +106,7 @@ func (e *Engine) Feed(source string, ev Event) {
 		panic("temporal: engine has no source " + source)
 	}
 	e.push(in, ev)
+	e.fold()
 }
 
 // push delivers one event to a source entry, then lets the automatic
@@ -163,6 +166,7 @@ func (e *Engine) Advance(t Time) {
 	e.fed = true
 	e.broadcast(t)
 	e.lastCTI = t
+	e.fold()
 }
 
 // Flush ends all inputs, in source-name order, draining buffered state.
@@ -171,6 +175,7 @@ func (e *Engine) Flush() {
 	for _, s := range e.sources {
 		e.inputs[s].OnFlush()
 	}
+	e.fold()
 }
 
 // Checkpoint serializes the engine's full operator state — every stateful

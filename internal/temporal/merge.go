@@ -35,6 +35,7 @@ func (e *Engine) FeedMerged(runs []Run) (int, error) {
 			return 0, fmt.Errorf("temporal: engine has no source %s", r.Source)
 		}
 	}
+	defer e.fold()
 	if len(runs) == 1 && runs[0].Next == nil {
 		// One resident run is its own merged order.
 		evs, resorted := sortedByLE(runs[0].Events)

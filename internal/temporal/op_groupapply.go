@@ -54,8 +54,8 @@ type groupOutput struct {
 	gap           Time
 	auto          *bool
 	lastBroadcast Time
-	// Nil unless observed (opMetrics.observe).
-	reclaimed, broadcasts, swallowed, frags *obs.Counter
+	// Folded into the scope only if observed (opMetrics.observe).
+	reclaimed, broadcasts, swallowed, frags obs.Tally
 }
 
 func (o *groupOutput) liveState() int { return o.nlive + len(o.staged) }
@@ -248,10 +248,16 @@ func (k *keyedKernel[S]) find(in Row) (*keySlot[S], uint64) {
 }
 
 func (k *keyedKernel[S]) add(key Row, h uint64, slot S) *keySlot[S] {
-	s := &keySlot[S]{slot: slot, key: key, hash: h, next: k.slots[h]}
-	k.slots[h] = s
-	k.nlive++
+	s := &keySlot[S]{slot: slot, key: key, hash: h}
+	k.link(s)
 	return s
+}
+
+// link puts s at the head of its hash chain.
+func (k *keyedKernel[S]) link(s *keySlot[S]) {
+	s.next = k.slots[s.hash]
+	k.slots[s.hash] = s
+	k.nlive++
 }
 
 func (k *keyedKernel[S]) drop(s *keySlot[S]) {
@@ -288,7 +294,9 @@ func (k *keyedKernel[S]) snapshotSlots(w *Encoder, tag byte, fn func(*keySlot[S]
 	k.snapshot(w)
 	slots := make([]*keySlot[S], 0, k.nlive)
 	k.each(func(s *keySlot[S]) { slots = append(slots, s) })
-	slices.SortFunc(slots, func(a, b *keySlot[S]) int { return compareRows(a.key, b.key) })
+	// Stable: NaN keys never match, so each NaN row has a slot of its own,
+	// and those that tie are adjacent in one hash chain, in chain order.
+	slices.SortStableFunc(slots, func(a, b *keySlot[S]) int { return compareRows(a.key, b.key) })
 	w.Uvarint(uint64(len(slots)))
 	for _, s := range slots {
 		w.Row(s.key)
@@ -309,8 +317,15 @@ func (k *keyedKernel[S]) restoreSlots(r *Decoder, tag byte, what string, fn func
 		if r.Err() == nil && len(key) != len(k.keys) {
 			r.Failf("slot key has %d columns, the kernel's %d", len(key), len(k.keys))
 		}
-		slots[i] = k.add(key, hashKey(key), *new(S))
+		slots[i] = &keySlot[S]{key: key, hash: hashKey(key)}
 		fn(slots[i])
+	}
+	// Linked last first, as link prepends: the slots of one hash chain
+	// keep the order they were written in.
+	for i := len(slots) - 1; i >= 0; i-- {
+		if slots[i] != nil {
+			k.link(slots[i])
+		}
 	}
 	return slots
 }

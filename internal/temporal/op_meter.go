@@ -28,12 +28,13 @@ import (
 // thinned away) and fragments (aggregate segments of the sub-plan, nested
 // ones included, that a broadcast force-closed).
 //
-// Metric handles are resolved once at compile time; the cost is one
-// atomic add per meter per event or punctuation.
-// Handles are shared across engine instances that compile the same plan
-// into the same scope (TiMR runs one engine per partition), so
-// per-operator metrics aggregate across partitions, while the
-// per-instance fields (maxLE) stay engine-local and single-threaded.
+// Metric handles are resolved once at compile time and shared by every
+// engine that compiles the same plan into the same scope (one per TiMR
+// partition or streaming shard), so metrics aggregate across partitions.
+// Meters count into obs.Tally and obs.Peak fields their engine owns, and
+// the engine folds them into the handles at the end of every Feed,
+// FeedMerged, Advance and Flush (Engine.fold); groups_live is Set there.
+// Partitions running at once share no cache line until they fold.
 
 // stateSizer is implemented by every stateful operator: the number of
 // events/entries/slots it retains, what the state gauge reports.
@@ -41,27 +42,28 @@ type stateSizer interface{ liveState() int }
 
 // opMetrics is the per-compiled-operator metric bundle.
 type opMetrics struct {
-	scope     *obs.Scope
-	eventsIn  *obs.Counter
-	eventsOut *obs.Counter
-	ctis      *obs.Counter
-	state     *obs.Gauge
-	wmLag     *obs.Gauge
-	sizer     stateSizer     // nil for stateless operators
-	groups    []*groupOutput // a GroupApply's kernels' output halves
-	live      *obs.Gauge     // groups_live
-	maxLE     Time           // engine-local input high watermark
+	scope       *obs.Scope
+	in, out     obs.Tally
+	ctis        obs.Tally
+	state       obs.Peak
+	wmLag       obs.Peak
+	sizer       stateSizer     // nil for stateless operators
+	groups      []*groupOutput // a GroupApply's kernels' output halves
+	live        *obs.Gauge     // groups_live
+	liveN       int64          // its value at the latest delivery, …
+	livePending bool           // … if there was one since the last fold
+	maxLE       Time           // input high watermark
 }
 
 func newOpMetrics(sc *obs.Scope) *opMetrics {
 	return &opMetrics{
-		scope:     sc,
-		eventsIn:  sc.Counter("events_in"),
-		eventsOut: sc.Counter("events_out"),
-		ctis:      sc.Counter("ctis"),
-		state:     sc.Gauge("state"),
-		wmLag:     sc.Gauge("wm_lag"),
-		maxLE:     MinTime,
+		scope: sc,
+		in:    sc.Counter("events_in").Tally(),
+		out:   sc.Counter("events_out").Tally(),
+		ctis:  sc.Counter("ctis").Tally(),
+		state: sc.Gauge("state").Peak(),
+		wmLag: sc.Gauge("wm_lag").Peak(),
+		maxLE: MinTime,
 	}
 }
 
@@ -75,12 +77,38 @@ func (m *opMetrics) observe(op any) {
 	m.groups = g.outs
 	m.live = m.scope.Gauge("groups_live")
 	for i, o := range m.groups {
-		o.reclaimed = m.scope.Counter("groups_reclaimed")
-		o.frags = m.scope.Counter("fragments")
+		o.reclaimed = m.scope.Counter("groups_reclaimed").Tally()
+		o.frags = m.scope.Counter("fragments").Tally()
 		if i == 0 { // the first kernel's broadcasts, to count each once
-			o.broadcasts = m.scope.Counter("cti_broadcasts")
-			o.swallowed = m.scope.Counter("cti_swallowed")
+			o.broadcasts = m.scope.Counter("cti_broadcasts").Tally()
+			o.swallowed = m.scope.Counter("cti_swallowed").Tally()
 		}
+	}
+}
+
+// fold hands what the operator counted since the last fold to the scope.
+func (m *opMetrics) fold() {
+	m.in.Fold()
+	m.out.Fold()
+	m.ctis.Fold()
+	m.state.Fold()
+	m.wmLag.Fold()
+	if m.livePending {
+		m.live.Set(m.liveN)
+		m.livePending = false
+	}
+	for _, o := range m.groups {
+		o.reclaimed.Fold()
+		o.frags.Fold()
+		o.broadcasts.Fold()
+		o.swallowed.Fold()
+	}
+}
+
+// fold folds every meter of the engine (see the file comment).
+func (e *Engine) fold() {
+	for _, m := range e.meters {
+		m.fold()
 	}
 }
 
@@ -94,16 +122,16 @@ func liveGroups(outs []*groupOutput) (n int) {
 // lag records how far a punctuation at t trails the operator's input.
 func (m *opMetrics) lag(t Time) {
 	if m.maxLE != MinTime && m.maxLE > t {
-		m.wmLag.SetMax(int64(m.maxLE - t))
+		m.wmLag.Raise(int64(m.maxLE - t))
 	}
 }
 
 func (m *opMetrics) pollState() {
 	if m.sizer != nil {
-		m.state.SetMax(int64(m.sizer.liveState()))
+		m.state.Raise(int64(m.sizer.liveState()))
 	}
 	if m.groups != nil {
-		m.live.Set(int64(liveGroups(m.groups)))
+		m.liveN, m.livePending = int64(liveGroups(m.groups)), true
 	}
 }
 
@@ -116,7 +144,7 @@ type meterIn struct {
 }
 
 func (s *meterIn) OnEvent(e Event) {
-	s.m.eventsIn.Inc()
+	s.m.in.Inc()
 	if e.LE > s.m.maxLE {
 		s.m.maxLE = e.LE
 	}
@@ -135,9 +163,8 @@ func (s *meterIn) OnFlush() { s.out.OnFlush() }
 // meterOut sits on an operator (or pipeline source) output: counts events
 // and propagated punctuations.
 type meterOut struct {
-	events *obs.Counter
-	ctis   *obs.Counter
-	out    Sink
+	events, ctis *obs.Tally
+	out          Sink
 }
 
 func (s *meterOut) OnEvent(e Event) {
@@ -162,11 +189,11 @@ type kernelMeter struct {
 // (i = len(ops): leaving the kernel); the member before emitted it.
 func (m *kernelMeter) reach(i int, le Time) {
 	if i > 0 {
-		m.ops[i-1].eventsOut.Inc()
+		m.ops[i-1].out.Inc()
 	}
 	if i < len(m.ops) {
 		op := m.ops[i]
-		op.eventsIn.Inc()
+		op.in.Inc()
 		op.maxLE = max(op.maxLE, le)
 	}
 }

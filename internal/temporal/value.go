@@ -235,6 +235,29 @@ func (v Value) Compare(o Value) int {
 	}
 }
 
+// compareTotal is the canonical order of values: Compare, made a total
+// order. Where Compare ties two floats of different bits — −0 and +0, a
+// NaN and any float — IEEE-754 totalOrder decides (−NaN < … < −0 < +0 <
+// … < +NaN): the order of their bits as int64s once a negative float's
+// magnitude bits are flipped. Values that tie are then the same value.
+func (v Value) compareTotal(o Value) int {
+	if c := v.Compare(o); c != 0 || v.p != &tags[KindFloat] || o.p != v.p || v.n == o.n {
+		return c
+	}
+	a, b := int64(v.n), int64(o.n)
+	return cmp.Compare(a^int64(uint64(a>>63)>>1), b^int64(uint64(b>>63)>>1))
+}
+
+// ints returns v's and o's payloads as int64s, and whether both are ints,
+// so that a caller comparing many decides the common case inline.
+func (v Value) ints(o Value) (int64, int64, bool) {
+	return int64(v.n), int64(o.n), v.p == nil && o.p == nil
+}
+
+// same reports whether v and o have the same words: the same kind and
+// payload bits, or one string's bytes.
+func (v Value) same(o Value) bool { return v.p == o.p && v.n == o.n }
+
 const fnvPrime = 1099511628211
 
 // Hash mixes v into a 64-bit FNV-1a state: the kind, then the payload
