@@ -36,13 +36,15 @@ fmt:
 # and `timr run`'s -in parser. Corrupt input must error — never panic,
 # never over-allocate.
 # FuzzCompile holds the StreamSQL compiler to the same rule for any
-# query text. FuzzCoalesce and FuzzSortEvents are the two differentials
-# among them: any small event list coalesces to what the reference
-# implementation makes of it, and as a TiMR reducer's slotted rows (two
-# copies of the first column in front) to what it makes of the bare
-# payloads; and any event list — LE-ordered or not, with tie runs short
-# and long, rows of mixed widths, NaN and both zeros — sorts to what a
-# stable sort by the canonical comparator makes of it, event for event.
+# query text. FuzzCoalesce, FuzzSortEvents and FuzzFeedMerged are the
+# three differentials among them: any small event list coalesces to what
+# the reference implementation makes of it, and as a TiMR reducer's
+# slotted rows (two copies of the first column in front) to what it makes
+# of the bare payloads; any event list — LE-ordered or not, with tie runs
+# short and long, rows of mixed widths, NaN and both zeros — sorts to what
+# a stable sort by the canonical comparator makes of it, event for event;
+# and the merged ingest of any mix of ordered, unordered and streamed runs
+# pushes what Feed pushes, one event at a time, of their stable LE sort.
 # 10s per target keeps the gate fast; longer runs reuse the same corpus.
 fuzzgate:
 	$(GO) test -run '^$$' -fuzz 'FuzzRowCodecRoundtrip' -fuzztime 10s ./internal/temporal/
@@ -51,6 +53,7 @@ fuzzgate:
 	$(GO) test -run '^$$' -fuzz 'FuzzGenerationDecode' -fuzztime 10s ./internal/dur/
 	$(GO) test -run '^$$' -fuzz 'FuzzCoalesce' -fuzztime 10s ./internal/temporal/
 	$(GO) test -run '^$$' -fuzz 'FuzzSortEvents' -fuzztime 10s ./internal/temporal/
+	$(GO) test -run '^$$' -fuzz 'FuzzFeedMerged' -fuzztime 10s ./internal/temporal/
 	$(GO) test -run '^$$' -fuzz 'FuzzSnapshotDecode' -fuzztime 10s ./internal/core/
 	$(GO) test -run '^$$' -fuzz 'FuzzSummaryRoundtrip' -fuzztime 10s ./internal/bt/
 	$(GO) test -run '^$$' -fuzz 'FuzzSpillFrames' -fuzztime 10s ./internal/mapreduce/

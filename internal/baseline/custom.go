@@ -1,6 +1,8 @@
 package baseline
 
 import (
+	"cmp"
+	"slices"
 	"sort"
 
 	"timr/internal/mapreduce"
@@ -30,6 +32,9 @@ type CustomParams struct {
 	ModelEpochs int
 }
 
+// byTime orders rows by their first column, the event time.
+func byTime(a, b temporal.Row) int { return cmp.Compare(a[0].AsInt(), b[0].AsInt()) }
+
 // ---------------------------------------------------------------------
 // RunningClickCount (Example 1), the strawman's "practical alternative":
 // partition by AdId and keep a linked-list window per ad.
@@ -40,7 +45,7 @@ type CustomParams struct {
 // refreshed count of clicks in (t-window, t].
 func CustomRunningClickCount(rows []temporal.Row, window temporal.Time) []temporal.Row {
 	sorted := append([]temporal.Row(nil), rows...)
-	sort.SliceStable(sorted, func(i, j int) bool { return sorted[i][0].AsInt() < sorted[j][0].AsInt() })
+	slices.SortStableFunc(sorted, byTime)
 	type entry struct{ t temporal.Time }
 	perAd := make(map[int64][]entry) // ad -> FIFO of timestamps in window
 	var out []temporal.Row
@@ -108,7 +113,7 @@ func groupByUser(rows []temporal.Row) map[int64]*userEvents {
 		}
 	}
 	for _, ue := range users {
-		sort.SliceStable(ue.all, func(i, j int) bool { return ue.all[i][0].AsInt() < ue.all[j][0].AsInt() })
+		slices.SortStableFunc(ue.all, byTime)
 		sort.Slice(ue.clicks, func(i, j int) bool { return ue.clicks[i] < ue.clicks[j] })
 		sort.Slice(ue.searches, func(i, j int) bool { return ue.searches[i] < ue.searches[j] })
 	}
@@ -139,7 +144,7 @@ func CustomBotElim(rows []temporal.Row, p CustomParams) []temporal.Row {
 			}
 		}
 	}
-	sort.SliceStable(out, func(i, j int) bool { return out[i][0].AsInt() < out[j][0].AsInt() })
+	slices.SortStableFunc(out, byTime)
 	return out
 }
 
@@ -173,7 +178,7 @@ func CustomLabel(clean []temporal.Row, p CustomParams) []temporal.Row {
 			}
 		}
 	}
-	sort.SliceStable(out, func(i, j int) bool { return out[i][0].AsInt() < out[j][0].AsInt() })
+	slices.SortStableFunc(out, byTime)
 	return out
 }
 
@@ -198,7 +203,7 @@ func CustomTrainData(labeled, clean []temporal.Row, p CustomParams) []temporal.R
 		}
 	}
 	for _, s := range perUser {
-		sort.SliceStable(s, func(i, j int) bool { return s[i].t < s[j].t })
+		slices.SortStableFunc(s, func(a, b ks) int { return cmp.Compare(a.t, b.t) })
 	}
 	// Per-user labeled impressions, sorted, then a sliding multiset.
 	byUser := make(map[int64][]temporal.Row)
@@ -208,7 +213,7 @@ func CustomTrainData(labeled, clean []temporal.Row, p CustomParams) []temporal.R
 	}
 	var out []temporal.Row
 	for u, imps := range byUser {
-		sort.SliceStable(imps, func(i, j int) bool { return imps[i][0].AsInt() < imps[j][0].AsInt() })
+		slices.SortStableFunc(imps, byTime)
 		searches := perUser[u]
 		lo, hi := 0, 0
 		window := make(map[int64]int64)
@@ -236,7 +241,7 @@ func CustomTrainData(labeled, clean []temporal.Row, p CustomParams) []temporal.R
 			}
 		}
 	}
-	sort.SliceStable(out, func(i, j int) bool { return out[i][0].AsInt() < out[j][0].AsInt() })
+	slices.SortStableFunc(out, byTime)
 	return out
 }
 

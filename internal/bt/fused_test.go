@@ -68,7 +68,7 @@ func runPhaseBoth(t *testing.T, name string, plan func() *temporal.Plan, inputs 
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
-		if _, err := eng.FeedMerged(runs); err != nil {
+		if err := eng.FeedMerged(runs); err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
 		snap := eng.Checkpoint()

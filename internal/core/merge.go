@@ -9,8 +9,8 @@ import (
 // ingest (temporal.Engine.FeedMerged). Runs in RunKey order stream: a
 // resident one is walked in place, a spilled one decodes a row frame at a
 // time, and rows convert to events as the merge pulls them. A run without
-// that order is materialized whole and handed over resident; the ingest
-// stable-sorts it by LE and counts it.
+// that order is handed over resident (materialized if it was spilled): the
+// merge cuts it at its LE inversions, which it cannot do to a cursor.
 func segmentRun(seg *mapreduce.Segment, source string, toEvent func(mapreduce.Row) temporal.Event) (temporal.Run, error) {
 	run := temporal.Run{Source: source}
 	switch {

@@ -35,9 +35,8 @@ func (s *idSink) OnFlush()                 {}
 
 // mergedIDs drives the live merge — temporal.Engine.FeedMerged — over a
 // bare scan of source "in", whose output is its input in feed order, and
-// returns the ID column as the engine saw it, the number of runs the
-// ingest had to sort, and the ingest's error.
-func mergedIDs(t testing.TB, runs []temporal.Run) ([]int32, int, error) {
+// returns the ID column as the engine saw it and the ingest's error.
+func mergedIDs(t testing.TB, runs []temporal.Run) ([]int32, error) {
 	t.Helper()
 	sink := &idSink{}
 	eng, err := temporal.NewEngine(temporal.Scan("in", mergeTestSchema),
@@ -45,8 +44,8 @@ func mergedIDs(t testing.TB, runs []temporal.Run) ([]int32, int, error) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	resorted, err := eng.FeedMerged(runs)
-	return sink.ids, resorted, err
+	err = eng.FeedMerged(runs)
+	return sink.ids, err
 }
 
 // leRuns cuts les at bounds into resident runs of source "in" whose IDs
@@ -76,10 +75,9 @@ func TestMergeRunOrderMatchesStableSort(t *testing.T) {
 			les[i] = temporal.Time(r.Intn(20))
 		}
 		// Random partition into runs; sort most of them (the shuffle
-		// normally delivers sorted runs) but leave some unsorted to
-		// exercise the fallback path.
+		// normally delivers sorted runs) but leave some unsorted, which
+		// the merge cuts at their inversions.
 		var bounds []int
-		unsorted := 0
 		for start := 0; start < n; {
 			end := start + 1 + r.Intn(40)
 			if end > n {
@@ -88,13 +86,11 @@ func TestMergeRunOrderMatchesStableSort(t *testing.T) {
 			seg := les[start:end]
 			if r.Intn(4) > 0 {
 				sort.Slice(seg, func(i, j int) bool { return seg[i] < seg[j] })
-			} else if !sort.SliceIsSorted(seg, func(i, j int) bool { return seg[i] < seg[j] }) {
-				unsorted++
 			}
 			bounds = append(bounds, end)
 			start = end
 		}
-		got, resorted, err := mergedIDs(t, leRuns(les, bounds))
+		got, err := mergedIDs(t, leRuns(les, bounds))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -103,40 +99,31 @@ func TestMergeRunOrderMatchesStableSort(t *testing.T) {
 			t.Fatalf("trial %d: merge order != stable sort\nles: %v\nbounds: %v\ngot:  %v\nwant: %v",
 				trial, les, bounds, got, want)
 		}
-		if resorted != unsorted {
-			t.Fatalf("trial %d: %d runs sorted by the ingest, %d were out of order", trial, resorted, unsorted)
-		}
 	}
 }
 
 func TestMergeRunOrderSingleRunFastPath(t *testing.T) {
 	les := []temporal.Time{1, 2, 2, 3, 7}
-	got, resorted, err := mergedIDs(t, leRuns(les, []int{5}))
+	got, err := mergedIDs(t, leRuns(les, []int{5}))
 	if err != nil {
 		t.Fatal(err)
-	}
-	if resorted != 0 {
-		t.Error("sorted run must not fall back")
 	}
 	if !reflect.DeepEqual(got, []int32{0, 1, 2, 3, 4}) {
 		t.Fatalf("single sorted run order = %v", got)
 	}
 }
 
-func TestMergeRunOrderUnsortedRunFallsBack(t *testing.T) {
+func TestMergeRunOrderUnsortedRunIsCut(t *testing.T) {
 	les := []temporal.Time{5, 1, 3}
 	runs := leRuns(les, []int{3})
-	got, resorted, err := mergedIDs(t, runs)
+	got, err := mergedIDs(t, runs)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(got, []int32{1, 2, 0}) {
 		t.Fatalf("order = %v", got)
 	}
-	if resorted != 1 {
-		t.Fatalf("fallbacks = %d, want 1", resorted)
-	}
-	// Sorted on a copy: the caller's run is as it was handed over.
+	// Merged in pieces: the caller's run is as it was handed over.
 	for i, e := range runs[0].Events {
 		if e.LE != les[i] {
 			t.Fatalf("the ingest reordered the caller's run: %v", runs[0].Events)
@@ -145,7 +132,7 @@ func TestMergeRunOrderUnsortedRunFallsBack(t *testing.T) {
 }
 
 func TestMergeRunOrderEmpty(t *testing.T) {
-	if got, _, err := mergedIDs(t, nil); err != nil || len(got) != 0 {
+	if got, err := mergedIDs(t, nil); err != nil || len(got) != 0 {
 		t.Fatalf("empty merge = %v, %v", got, err)
 	}
 }
@@ -192,7 +179,7 @@ func BenchmarkMergeRuns_1M(b *testing.B) {
 				b.Fatal(err)
 			}
 		}
-		if _, err := eng.FeedMerged(runs); err != nil {
+		if err := eng.FeedMerged(runs); err != nil {
 			b.Fatal(err)
 		}
 	}

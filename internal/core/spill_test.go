@@ -85,14 +85,14 @@ func segmentRuns(t *testing.T, segs []mapreduce.Segment) []temporal.Run {
 }
 
 // collectMergeIDs merges segs through the live ingest (see mergedIDs) and
-// returns the emitted id column and the number of fallback sorts.
-func collectMergeIDs(t *testing.T, segs []mapreduce.Segment) ([]int32, int) {
+// returns the emitted id column.
+func collectMergeIDs(t *testing.T, segs []mapreduce.Segment) []int32 {
 	t.Helper()
-	ids, resorted, err := mergedIDs(t, segmentRuns(t, segs))
+	ids, err := mergedIDs(t, segmentRuns(t, segs))
 	if err != nil {
 		t.Fatal(err)
 	}
-	return ids, resorted
+	return ids
 }
 
 // mergeRefIDs is the reference order: a stable LE sort of the runs
@@ -144,7 +144,6 @@ func TestMergeEventRunsMixedResidentAndSpilled(t *testing.T) {
 			}
 		}
 		var got []int32
-		var resorted int
 		if err := withSpilledRuns(nil, dir, spillRows, true, func(spilled []mapreduce.Segment) error {
 			var segs []mapreduce.Segment
 			for ord, rows := range runRows {
@@ -154,13 +153,10 @@ func TestMergeEventRunsMixedResidentAndSpilled(t *testing.T) {
 					segs = append(segs, mapreduce.ResidentSegment(rows, true))
 				}
 			}
-			got, resorted = collectMergeIDs(t, segs)
+			got = collectMergeIDs(t, segs)
 			return nil
 		}); err != nil {
 			t.Fatal(err)
-		}
-		if resorted != 0 {
-			t.Error("sorted run must not fall back")
 		}
 		want := mergeRefIDs(runRows)
 		if len(got) == 0 && len(want) == 0 {
@@ -176,7 +172,7 @@ func TestMergeEventRunsMixedResidentAndSpilled(t *testing.T) {
 	ffs := dur.NewFaultFS(dur.OS{}, dur.FaultConfig{Rate: 1, Seed: 1, Kinds: []string{dur.FaultShortRead}})
 	err := withSpilledRuns(ffs, dir, [][]mapreduce.Row{mergeTestRows([]temporal.Time{2, 4, 6}, 0)}, true, func(bad []mapreduce.Segment) error {
 		segs := []mapreduce.Segment{mapreduce.ResidentSegment(mergeTestRows([]temporal.Time{1, 5}, 3), true), bad[0]}
-		_, _, err := mergedIDs(t, segmentRuns(t, segs))
+		_, err := mergedIDs(t, segmentRuns(t, segs))
 		return err
 	})
 	if !errors.Is(err, dur.ErrInjected) {
@@ -189,15 +185,11 @@ func TestMergeEventRunsSingleSpilledRun(t *testing.T) {
 	// One sorted spilled run must stream back in file order.
 	rows := mergeTestRows([]temporal.Time{1, 3, 3, 7, 9}, 0)
 	var got []int32
-	var resorted int
 	if err := withSpilledRuns(nil, t.TempDir(), [][]mapreduce.Row{rows}, true, func(segs []mapreduce.Segment) error {
-		got, resorted = collectMergeIDs(t, segs)
+		got = collectMergeIDs(t, segs)
 		return nil
 	}); err != nil {
 		t.Fatal(err)
-	}
-	if resorted != 0 {
-		t.Error("sorted spilled run must not fall back")
 	}
 	if want := []int32{0, 1, 2, 3, 4}; !reflect.DeepEqual(got, want) {
 		t.Fatalf("single spilled run order = %v, want %v", got, want)
@@ -208,11 +200,11 @@ func TestMergeEventRunsEmpty(t *testing.T) {
 	defer leakcheck.Goroutines(t)()
 	// No runs at all, and runs that are all empty, must emit nothing. (A
 	// stage spills no empty run, so an empty run is resident.)
-	if got, _ := collectMergeIDs(t, nil); len(got) != 0 {
+	if got := collectMergeIDs(t, nil); len(got) != 0 {
 		t.Fatalf("no runs emitted %v", got)
 	}
 	segs := []mapreduce.Segment{mapreduce.ResidentSegment(nil, true), mapreduce.ResidentSegment(nil, true)}
-	if got, _ := collectMergeIDs(t, segs); len(got) != 0 {
+	if got := collectMergeIDs(t, segs); len(got) != 0 {
 		t.Fatalf("empty runs emitted %v", got)
 	}
 }
@@ -233,7 +225,7 @@ func TestMergeEventRunsEqualKeysAcrossSpillBoundary(t *testing.T) {
 	// The middle run spilled, its neighbours resident.
 	if err := withSpilledRuns(nil, dir, runRows[1:2], true, func(spilled []mapreduce.Segment) error {
 		segs := []mapreduce.Segment{mapreduce.ResidentSegment(runRows[0], true), spilled[0], mapreduce.ResidentSegment(runRows[2], true)}
-		got, _ = collectMergeIDs(t, segs)
+		got = collectMergeIDs(t, segs)
 		return nil
 	}); err != nil {
 		t.Fatal(err)
@@ -243,27 +235,23 @@ func TestMergeEventRunsEqualKeysAcrossSpillBoundary(t *testing.T) {
 	}
 }
 
-func TestMergeEventRunsUnsortedSpilledFallsBack(t *testing.T) {
+func TestMergeEventRunsUnsortedSpilledMaterializes(t *testing.T) {
 	defer leakcheck.Goroutines(t)()
-	// A spilled run without the RunKey sortedness mark must materialize,
-	// stable-sort, and announce the fallback — and still merge into the
-	// reference order.
+	// A spilled run without the RunKey sortedness mark is materialized —
+	// a cursor cannot be cut at its inversions — and still merges into
+	// the reference order.
 	unsorted := mergeTestRows([]temporal.Time{9, 2, 2, 4}, 0)
 	sorted := mergeTestRows([]temporal.Time{1, 3, 4}, 4)
 	var got []int32
-	var fallbacks int
 	if err := withSpilledRuns(nil, t.TempDir(), [][]mapreduce.Row{unsorted}, false, func(segs []mapreduce.Segment) error {
-		got, fallbacks = collectMergeIDs(t, []mapreduce.Segment{segs[0], mapreduce.ResidentSegment(sorted, true)})
+		got = collectMergeIDs(t, []mapreduce.Segment{segs[0], mapreduce.ResidentSegment(sorted, true)})
 		return nil
 	}); err != nil {
 		t.Fatal(err)
 	}
 	want := mergeRefIDs([][]mapreduce.Row{unsorted, sorted})
 	if !reflect.DeepEqual(got, want) {
-		t.Fatalf("fallback merge order = %v, want %v", got, want)
-	}
-	if fallbacks != 1 {
-		t.Fatalf("fallbacks = %d, want 1", fallbacks)
+		t.Fatalf("unsorted spilled run merge order = %v, want %v", got, want)
 	}
 }
 

@@ -147,7 +147,7 @@ func (t *TiMR) Stage(frag *Fragment) (mapreduce.Stage, error) {
 	// Every TiMR reducer merges its input runs by event LE; declaring the
 	// run key lets the map phase annotate each shuffle run's sortedness
 	// inline, so spilled runs can stream through the merge without a
-	// re-read (and unsorted ones fall back to materialize+sort).
+	// re-read (unsorted ones are materialized and cut into ordered pieces).
 	st.RunKey = func(r mapreduce.Row, src int) int64 { return r[leCols[src]].AsInt() }
 
 	if frag.Part.Temporal {
@@ -207,7 +207,6 @@ func (t *TiMR) reducer(frag *Fragment, leCols []int, spans *SpanSpec) func(int, 
 	// the worker pool aggregate into the same per-operator counters.
 	scope := cfg.Obs.Child("frag." + frag.Name)
 	mergeRuns := scope.Counter("merge_runs")
-	mergeFallbacks := scope.Counter("merge_fallback_sorts")
 
 	return func(part int, in [][]mapreduce.Segment, emit func([]mapreduce.Row)) error {
 		// The paper's deployment bridges the DSMS's asynchronous push to
@@ -258,9 +257,7 @@ func (t *TiMR) reducer(frag *Fragment, leCols []int, spans *SpanSpec) func(int, 
 		}
 		sink.events = slices.Grow(sink.events, inRows) // as many results as inputs, to begin with
 		mergeRuns.Add(int64(len(runs)))
-		resorted, err := eng.FeedMerged(runs)
-		mergeFallbacks.Add(int64(resorted))
-		if err != nil {
+		if err := eng.FeedMerged(runs); err != nil {
 			return err
 		}
 		eng.Flush()

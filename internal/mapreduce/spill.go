@@ -204,8 +204,8 @@ func (s *Segment) Len() int { return s.n }
 func (s *Segment) Spilled() bool { return s.file != nil }
 
 // Sorted reports whether the rows are ordered by the producing stage's
-// run key. Unsorted spilled segments must be materialized and sorted by
-// the consumer; sorted ones can stream through a k-way merge.
+// run key. Sorted segments can stream through a k-way merge; a consumer
+// that needs the order reads an unsorted one whole.
 func (s *Segment) Sorted() bool { return s.sorted }
 
 // Resident returns the in-memory rows (borrowed), or nil for a spilled

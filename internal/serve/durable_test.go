@@ -151,7 +151,6 @@ func TestDurableServePacedKillAndResume(t *testing.T) {
 	paced := func(c *Config) {
 		c.Requests = 300
 		c.Rate = 50_000
-		c.Queue = 32
 	}
 	_, want, err := prepared(t, paced).Run()
 	if err != nil {

@@ -60,11 +60,6 @@ type Config struct {
 	// way the load generator runs on its own goroutine, beside the
 	// serving loop, and hands arrivals over through the intake queue.
 	Rate float64
-	// Queue is the bounded intake queue depth (default 256). A full queue
-	// blocks the generator goroutine: that is the service's one form of
-	// backpressure. Unpaced, the generator outpaces the loop, so the queue
-	// runs full and a request's latency includes its wait in it.
-	Queue int
 
 	// Obs receives serving metrics (latency histogram, streaming stage
 	// counters). Defaults to a fresh "serve" scope.
@@ -81,15 +76,18 @@ type Config struct {
 	DurFS dur.FS
 }
 
+// queueDepth bounds the intake queue. A full queue blocks the generator
+// goroutine: that is the service's one form of backpressure. Unpaced, the
+// generator outpaces the loop, so the queue runs full and a request's
+// latency includes its wait in it.
+const queueDepth = 256
+
 func (c Config) withDefaults() Config {
 	if c.Requests <= 0 {
 		c.Requests = 4000
 	}
 	if c.Machines <= 0 {
 		c.Machines = 4
-	}
-	if c.Queue <= 0 {
-		c.Queue = 256
 	}
 	if c.Obs == nil {
 		c.Obs = obs.New("serve")
@@ -218,7 +216,7 @@ func (s *Server) run(killAfter int) (*Report, []temporal.Event, error) {
 	lat := cfg.Obs.Histogram("latency")
 
 	rep := &Report{}
-	pending := make(map[temporal.Time]time.Time, cfg.Queue)
+	pending := make(map[temporal.Time]time.Time, queueDepth)
 	var sumClicked, sumUnclicked float64
 	var nClicked, nUnclicked int
 	seen := make(map[temporal.Time]bool)
@@ -375,7 +373,7 @@ func (s *Server) run(killAfter int) (*Report, []temporal.Event, error) {
 }
 
 // feed is Run's one intake path. A generator goroutine emits the schedule
-// from index from into a bounded queue of cfg.Queue requests, beside the
+// from index from into a bounded queue of queueDepth requests, beside the
 // serving loop, which takes each in turn and hands it to serve on the
 // caller's goroutine. With cfg.Rate set the generator paces requests on
 // the fixed open-loop schedule: a full queue blocks it (committed-path
@@ -385,7 +383,7 @@ func (s *Server) run(killAfter int) (*Report, []temporal.Event, error) {
 // returns when the schedule ends, serve fails, or serve reports false;
 // the generator has exited by then.
 func feed(cfg Config, gen *workload.LoadGen, from int, serve func(timedReq) (bool, error)) error {
-	intake, stop := make(chan timedReq, cfg.Queue), make(chan struct{})
+	intake, stop := make(chan timedReq, queueDepth), make(chan struct{})
 	go func() {
 		defer close(intake)
 		var gap time.Duration

@@ -105,7 +105,6 @@ func TestServePacedMode(t *testing.T) {
 	cfg := testConfig()
 	cfg.Requests = 300
 	cfg.Rate = 50_000 // fast enough to finish promptly, still paced
-	cfg.Queue = 32
 	srv, err := Prepare(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -126,7 +125,7 @@ func TestServePacedMode(t *testing.T) {
 // Run ends — a full run, paced or not, a kill mid-run, a serving error.
 func TestServeLeavesNoGoroutine(t *testing.T) {
 	unpaced := prepared(t, nil)
-	paced := prepared(t, func(c *Config) { c.Requests, c.Rate, c.Queue = 300, 50_000, 32 })
+	paced := prepared(t, func(c *Config) { c.Requests, c.Rate = 300, 50_000 })
 	// Killed after 10 of 1500 requests at 200 per second: the rest of the
 	// schedule outlasts the settle deadline, so only a generator that
 	// stops with the run passes.

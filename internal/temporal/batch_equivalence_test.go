@@ -112,7 +112,7 @@ func feedRuns(t *testing.T, rng *rand.Rand, eng *Engine, toks []feedToken) {
 		if cut := rng.Intn(len(run)); cut > 0 {
 			runs = []Run{{Source: cur, Events: run[:cut]}, {Source: cur, Events: run[cut:]}}
 		}
-		if _, err := eng.FeedMerged(runs); err != nil {
+		if err := eng.FeedMerged(runs); err != nil {
 			t.Fatal(err)
 		}
 		run = run[:0]

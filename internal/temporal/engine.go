@@ -257,7 +257,7 @@ func RunPlan(plan *Plan, inputs map[string][]Event) ([]Event, error) {
 		}
 	}
 	slices.SortFunc(runs, func(a, b Run) int { return cmp.Compare(a.Source, b.Source) })
-	if _, err := eng.FeedMerged(runs); err != nil {
+	if err := eng.FeedMerged(runs); err != nil {
 		return nil, err
 	}
 	eng.Flush()

@@ -55,21 +55,25 @@ func (e Event) String() string {
 // nondecreasing-LE input; full ordering makes test assertions and the
 // repeatability guarantee (identical output on reducer restart) exact.
 //
-// Events already in LE order (a serving log, an engine's output) are
-// sorted one run of equal LE at a time (sortRuns); anything else by a
-// stable sort of the whole.
+// Events in LE order (a serving log, an engine's output) are sorted one
+// run of equal LE at a time (sortRuns), in place. Anything else is merged
+// into LE order first, from a scratch copy, by the merge that feeds the
+// engine (startMerge); then the tie runs are sorted.
 func SortEvents(events []Event) {
-	if !sortRuns(events) {
-		slices.SortStableFunc(events, compareEvents)
+	if sortRuns(events) {
+		return
 	}
+	// A resident run cannot fail.
+	h, _ := startMerge([]Run{{Events: slices.Clone(events)}})
+	for i := 0; len(h.items) > 0; i++ {
+		events[i] = h.items[0].cur
+		_ = stepMerge(&h)
+	}
+	sortRuns(events)
 }
 
 // sortRuns sorts LE-ordered events a tie run at a time. At the first event
-// out of LE order it gives up, reporting false; the runs it sorted by then
-// are in the order a stable sort of the whole gives them. It is a function
-// of its own so that its stack array stays out of the frame the stable
-// sort runs under: there, it slowed that sort of a shuffled log by 10%
-// (BenchmarkSortEvents/unordered).
+// out of LE order it stops, reporting false.
 func sortRuns(events []Event) bool {
 	var small [tieStack]tieKey
 	keys := small[:]

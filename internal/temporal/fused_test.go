@@ -154,7 +154,7 @@ var kernelFeeds = []struct {
 	}},
 	{"row-batch", func(eng *Engine, evs []Event) {
 		for lo := 0; lo < len(evs); lo += 17 {
-			if _, err := eng.FeedMerged([]Run{{Source: "in", Events: evs[lo:min(lo+17, len(evs))]}}); err != nil {
+			if err := eng.FeedMerged([]Run{{Source: "in", Events: evs[lo:min(lo+17, len(evs))]}}); err != nil {
 				panic(err)
 			}
 		}

@@ -291,7 +291,7 @@ func runLive(t *testing.T, rng *rand.Rand, plan *Plan, steps []liveStep, s liveS
 			for _, st := range mine[i:j] {
 				run.Events = append(run.Events, st.ev)
 			}
-			if _, err := eng.FeedMerged([]Run{run}); err != nil {
+			if err := eng.FeedMerged([]Run{run}); err != nil {
 				t.Fatal(err)
 			}
 		case 2:
@@ -307,7 +307,7 @@ func runLive(t *testing.T, rng *rand.Rand, plan *Plan, steps []liveStep, s liveS
 			if !uses["r"] {
 				runs = runs[:1]
 			}
-			if _, err := eng.FeedMerged(runs); err != nil {
+			if err := eng.FeedMerged(runs); err != nil {
 				t.Fatal(err)
 			}
 		}

@@ -556,12 +556,12 @@ func TestGroupApplyLoweringDifferential(t *testing.T) {
 					eng.Feed("in", e)
 				}
 			case 1:
-				if _, err := eng.FeedMerged([]Run{{Source: "in", Events: run}}); err != nil {
+				if err := eng.FeedMerged([]Run{{Source: "in", Events: run}}); err != nil {
 					fail("FeedMerged: %v", err)
 				}
 			case 2: // two runs, the later half first: LE ties across the cut swap
 				cut := len(run) / 2
-				if _, err := eng.FeedMerged([]Run{{Source: "in", Events: run[cut:]}, {Source: "in", Events: run[:cut]}}); err != nil {
+				if err := eng.FeedMerged([]Run{{Source: "in", Events: run[cut:]}, {Source: "in", Events: run[:cut]}}); err != nil {
 					fail("FeedMerged: %v", err)
 				}
 			}

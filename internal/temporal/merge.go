@@ -1,124 +1,119 @@
 package temporal
 
-import (
-	"cmp"
-	"fmt"
-	"slices"
-)
+import "fmt"
 
-// Run is one input of Engine.FeedMerged: events of one source in
-// nondecreasing LE order. A resident run is given as Events and need not
-// be ordered (see FeedMerged); a streamed one — a spilled shuffle run, rows
-// converted lazily — as Next, which must deliver LE order and supersedes
-// Events when set. Next returns false once the run is exhausted.
+// Run is one input of Engine.FeedMerged: events of one source. A resident
+// run is given as Events, in any order; a streamed one — a spilled shuffle
+// run, rows converted lazily — as Next, which must deliver nondecreasing
+// LE order and supersedes Events when set. Next returns false once the run
+// is exhausted.
 type Run struct {
 	Source string
 	Events []Event
 	Next   func() (Event, bool, error)
 }
 
-// FeedMerged feeds the k-way merge of runs: events in nondecreasing LE
-// order, ties broken by position in runs and then by position in the run —
-// the order a stable LE sort of the concatenated runs produces — each
-// pushed as Feed would push it. It is the one place time order is
-// established: the TiMR reducer hands it a cursor per shuffle run, RunPlan
-// a run per input, the streaming barrier each released stretch.
+// FeedMerged feeds the merge of runs (startMerge): events in nondecreasing
+// LE order, ties broken by position in runs and then by position in the
+// run — the order a stable LE sort of the concatenated runs produces —
+// each pushed as Feed would push it.
 //
-// A resident run that is not in LE order is stable-sorted on a copy first
-// (the caller's slice is never written); resorted counts those runs, so the
-// slow path is observable. A cursor error aborts the feed and is returned
-// as is; the engine must then be discarded. A run whose source the plan
-// does not scan is an error naming it, and then nothing is fed.
-func (e *Engine) FeedMerged(runs []Run) (int, error) {
-	for _, r := range runs {
-		if _, ok := e.inputs[r.Source]; !ok {
-			return 0, fmt.Errorf("temporal: engine has no source %s", r.Source)
+// A cursor error aborts the feed and is returned as is; the engine must
+// then be discarded. A run whose source the plan does not scan is an
+// error naming it, and then nothing is fed.
+func (e *Engine) FeedMerged(runs []Run) error {
+	ins := make([]Sink, len(runs))
+	for i, r := range runs {
+		in, ok := e.inputs[r.Source]
+		if !ok {
+			return fmt.Errorf("temporal: engine has no source %s", r.Source)
 		}
+		ins[i] = in
 	}
 	defer e.fold()
-	if len(runs) == 1 && runs[0].Next == nil {
-		// One resident run is its own merged order.
-		evs, resorted := sortedByLE(runs[0].Events)
-		if len(evs) > 0 {
-			in := e.inputs[runs[0].Source]
-			for _, ev := range evs {
-				e.push(in, ev)
-			}
-		}
-		return resorted, nil
-	}
-	resorted := 0
-	h := minHeap[*mergeRun]{items: make([]*mergeRun, 0, len(runs)), less: mergeBefore}
-	for ord := range runs {
-		m := &mergeRun{Run: runs[ord], ord: ord}
-		if m.Next == nil {
-			var n int
-			m.Events, n = sortedByLE(m.Events)
-			resorted += n
-		}
-		ok, err := m.advance()
-		if err != nil {
-			return resorted, err
-		}
-		if ok {
-			m.in = e.inputs[m.Source]
-			h.push(m)
-		}
-	}
-	for len(h.items) > 0 {
+	h, err := startMerge(runs)
+	for err == nil && len(h.items) > 0 {
 		m := h.items[0]
-		e.push(m.in, m.cur)
-		ok, err := m.advance()
-		if err != nil {
-			return resorted, err
+		e.push(ins[m.run], m.cur)
+		if len(h.items) == 1 && m.next == nil {
+			// The last run left is resident: the rest of it follows.
+			for _, ev := range m.evs {
+				e.push(ins[m.run], ev)
+			}
+			break
 		}
-		if ok {
-			h.fixTop()
-		} else {
-			h.pop()
-		}
+		err = stepMerge(&h)
 	}
-	return resorted, nil
+	return err
 }
 
-// mergeRun is one run's cursor in the merge: cur is its next event, Events
-// what a resident run has left after it, and in its source's entry
-// sink.
+// startMerge is the one code that puts events in time order. It returns
+// the k-way merge of runs as a heap whose least run, h.items[0], holds the
+// next event in cur; stepMerge moves past it. Events come in
+// nondecreasing LE order, ties broken by position in runs and then by
+// position in the run: the order a stable LE sort of the concatenated runs
+// gives, which is unique. A resident run is cut at its LE inversions into
+// pieces merged as runs of their own, each ranked after the one before
+// it; the caller's slices are only read.
+func startMerge(runs []Run) (minHeap[*mergeRun], error) {
+	ms := make([]mergeRun, 0, len(runs))
+	for r, run := range runs {
+		if run.Next != nil {
+			ms = append(ms, mergeRun{next: run.Next, run: r, ord: len(ms)})
+		}
+		for evs := run.Events; len(evs) > 0 && run.Next == nil; {
+			n := 1
+			for n < len(evs) && evs[n].LE >= evs[n-1].LE {
+				n++
+			}
+			ms = append(ms, mergeRun{evs: evs[:n], run: r, ord: len(ms)})
+			evs = evs[n:]
+		}
+	}
+	h := minHeap[*mergeRun]{items: make([]*mergeRun, 0, len(ms)), less: func(a, b *mergeRun) bool {
+		return a.cur.LE < b.cur.LE || a.cur.LE == b.cur.LE && a.ord < b.ord
+	}}
+	for i := range ms {
+		if ok, err := ms[i].advance(); err != nil {
+			return h, err
+		} else if ok {
+			h.push(&ms[i])
+		}
+	}
+	return h, nil
+}
+
+// stepMerge moves the merge's least run past its current event; a
+// cursor's error ends the merge.
+func stepMerge(h *minHeap[*mergeRun]) error {
+	ok, err := h.items[0].advance()
+	if ok {
+		h.fixTop()
+	} else if err == nil {
+		h.pop()
+	}
+	return err
+}
+
+// mergeRun is one run's cursor in the merge, or one piece of a resident
+// run: cur is its next event, evs what a piece has left after it.
 type mergeRun struct {
-	Run
-	ord int // position in runs — the merge's stability tie-break
-	cur Event
-	in  Sink
-}
-
-func mergeBefore(a, b *mergeRun) bool {
-	if a.cur.LE != b.cur.LE {
-		return a.cur.LE < b.cur.LE
-	}
-	return a.ord < b.ord
+	evs  []Event
+	next func() (Event, bool, error)
+	run  int // index of the run in the merge's input
+	ord  int // position among all runs and pieces — the tie-break
+	cur  Event
 }
 
 // advance loads the run's next event into cur.
 func (m *mergeRun) advance() (ok bool, err error) {
-	if m.Next != nil {
-		m.cur, ok, err = m.Next()
+	if m.next != nil {
+		m.cur, ok, err = m.next()
 		return ok, err
 	}
-	if len(m.Events) == 0 {
+	if len(m.evs) == 0 {
 		return false, nil
 	}
-	m.cur, m.Events = m.Events[0], m.Events[1:]
+	m.cur, m.evs = m.evs[0], m.evs[1:]
 	return true, nil
-}
-
-// sortedByLE returns evs itself when it is in nondecreasing LE order, and
-// otherwise a stable-sorted copy and 1.
-func sortedByLE(evs []Event) ([]Event, int) {
-	byLE := func(a, b Event) int { return cmp.Compare(a.LE, b.LE) }
-	if slices.IsSortedFunc(evs, byLE) {
-		return evs, 0
-	}
-	evs = slices.Clone(evs)
-	slices.SortStableFunc(evs, byLE)
-	return evs, 1
 }

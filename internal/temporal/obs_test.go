@@ -34,7 +34,7 @@ func TestObservedOperatorCounts(t *testing.T) {
 			}
 		}},
 		{"row-batch", func(eng *Engine) {
-			if _, err := eng.FeedMerged([]Run{{Source: "s", Events: evs}}); err != nil {
+			if err := eng.FeedMerged([]Run{{Source: "s", Events: evs}}); err != nil {
 				t.Fatal(err)
 			}
 		}},

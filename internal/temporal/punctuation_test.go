@@ -197,7 +197,7 @@ func ctiFeeds(feed []Time) map[string]func(eng *Engine) {
 			}
 		},
 		"batched": func(eng *Engine) {
-			if _, err := eng.FeedMerged([]Run{{Source: "s", Events: evs}}); err != nil {
+			if err := eng.FeedMerged([]Run{{Source: "s", Events: evs}}); err != nil {
 				panic(err)
 			}
 		},
@@ -259,7 +259,7 @@ func TestEngineAccessors(t *testing.T) {
 		t.Fatal(err)
 	}
 	// An unknown source fails FeedMerged by name, before anything is fed.
-	_, err = eng.FeedMerged([]Run{{Source: "in", Events: []Event{reading(0, "m", 1)}}, {Source: "nope", Events: []Event{reading(0, "m", 1)}}})
+	err = eng.FeedMerged([]Run{{Source: "in", Events: []Event{reading(0, "m", 1)}}, {Source: "nope", Events: []Event{reading(0, "m", 1)}}})
 	if err == nil || !strings.Contains(err.Error(), "nope") {
 		t.Errorf("FeedMerged with an unknown source: %v, want an error naming it", err)
 	}

@@ -194,7 +194,7 @@ func TestCanonicalOrderIsTotal(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, err := eng.FeedMerged([]Run{{Source: "in", Events: evs}}); err != nil {
+		if err := eng.FeedMerged([]Run{{Source: "in", Events: evs}}); err != nil {
 			t.Fatal(err)
 		}
 		eng.Flush()
@@ -225,7 +225,7 @@ func TestCanonicalCheckpointIsTotal(t *testing.T) {
 			if err := eng.Restore(first); err != nil {
 				t.Fatal(err)
 			}
-		} else if _, err := eng.FeedMerged([]Run{{Source: "in", Events: evs[:len(evs)/2]}}); err != nil {
+		} else if err := eng.FeedMerged([]Run{{Source: "in", Events: evs[:len(evs)/2]}}); err != nil {
 			t.Fatal(err)
 		}
 		ck := eng.Checkpoint()
